@@ -10,6 +10,13 @@ Usage: rank_tables.py [max_n] [max_c]
 """
 
 import sys
+from pathlib import Path
+
+try:
+    import pik  # noqa: F401
+except ModuleNotFoundError:
+    # Not installed: use the package in this checkout.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pik.ajohnson import l1_rank
 from pik.decomp import gr_rank_table

@@ -6,6 +6,13 @@ straight from a checkout.
 """
 
 import sys
+from pathlib import Path
+
+try:
+    import pik  # noqa: F401
+except ModuleNotFoundError:
+    # Not installed: use the package in this checkout.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pik.cli import main
 

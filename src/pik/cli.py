@@ -4,7 +4,8 @@ Every subcommand is a thin wrapper over the library; no algorithmic logic
 lives here.  ``verify-all`` runs the whole verification suite and emits a
 schema-versioned machine-readable report; with a fixed seed the report is
 byte-identical across runs.  The PIK_THREADS environment variable caps the
-process pool used to run independent checks (default 1, sequential).
+process pool used to run independent checks (default 1, sequential; never
+more workers than checks or CPUs).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class RunConfig:
             raise ValueError("bounds must be positive")
         if min(self.budget_len, self.budget_coset, self.budget_nilpotency) < 1:
             raise ValueError("budgets must be positive")
+        if min(self.fuzz_words, self.fuzz_conj) < 0:
+            raise ValueError("fuzz counts must be non-negative")
 
     def as_dict(self) -> dict:
         return {
@@ -212,8 +215,24 @@ _CHECKS: list[Callable[[RunConfig], dict]] = [
 ]
 
 
+def pool_size(raw: Optional[str], cpus: Optional[int]) -> int:
+    """Worker processes for verify-all from a PIK_THREADS value.
+
+    Unset, empty or below 2 runs serially; larger values are capped at the
+    number of checks and of CPUs, since more workers than either only add
+    processes.
+    """
+    if not raw:
+        return 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ValueError(f"PIK_THREADS must be an integer, got {raw!r}") from None
+    return max(1, min(threads, len(_CHECKS), cpus or 1))
+
+
 def cmd_verify_all(cfg: RunConfig) -> int:
-    threads = int(os.environ.get("PIK_THREADS", "1") or "1")
+    threads = pool_size(os.environ.get("PIK_THREADS"), os.cpu_count())
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 

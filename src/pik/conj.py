@@ -50,6 +50,7 @@ from .lie import IntLattice
 from .magnus import magnus_expand
 from .words import (
     FreeWord,
+    WitnessError,
     centralizer_root,
     empty,
     free_conjugate,
@@ -418,7 +419,8 @@ def twisted_conjugate(
     sols = _twisted_bidirectional(a, z, twist, budget, 1)
     if sols:
         g = sols[0]
-        assert multiply(multiply(g, a), endo_apply(twist, invert(g))) == z
+        if multiply(multiply(g, a), endo_apply(twist, invert(g))) != z:
+            raise WitnessError("twisted conjugator failed re-verification")
         return TwistedResult("found", witness=g)
     return TwistedResult(
         "unknown",
@@ -628,6 +630,12 @@ def _greedy_descent(u: IElem) -> tuple[IElem, IElem, int]:
 # ---------------------------------------------------------------------------
 
 
+def _check_witness(witness: IElem, x: IElem, y: IElem) -> None:
+    """Re-multiply a witness before it is returned; explicit so it survives ``python -O``."""
+    if conj_elem(witness, x) != y:
+        raise WitnessError("conjugator failed re-verification")
+
+
 def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> ConjResult:
     """Sound verdicts only: invariants, then the ladder, then the orbit walk.
 
@@ -663,7 +671,7 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
 
     if x_hat == y_hat:
         witness = mapped(identity_elem(x.n))
-        assert conj_elem(witness, x) == y
+        _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, method="descent")
     # cheap probe between the descended representatives; descent can land in
     # different local minima, so the completeness walk below stays on the
@@ -671,19 +679,19 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
     witness = _orbit_walk(x_hat, y_hat, 4, min(6_000, budget.max_states))
     if witness is not None:
         witness = mapped(witness)
-        assert conj_elem(witness, x) == y
+        _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, method="generator-walk")
     try:
         out = _ladder(x, y, budget)
         if isinstance(out, tuple) and out and out[0] == "refuted":
             return ConjResult("not_conjugate", reason=out[1])
         witness, trace = out
-        assert conj_elem(witness, x) == y
+        _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, levels=trace, method="ladder")
     except _Exhausted:
         pass
     witness = _orbit_walk(x, y, budget.gen_radius, budget.max_states)
     if witness is not None:
-        assert conj_elem(witness, x) == y
+        _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, method="generator-walk")
     return ConjResult("unknown", bounds=budget.as_dict())

@@ -19,14 +19,16 @@ from typing import Iterable, Optional, Sequence
 
 from .words import (
     FreeWord,
+    Letter,
     Token,
     WordError,
+    _inverse,
+    _raw,
     format_x_word,
     gen,
     invert,
     multiply,
     parse_word,
-    reduce_letters,
     word,
 )
 
@@ -68,14 +70,23 @@ def apply(f: EndoF, w: FreeWord) -> FreeWord:
     """Image of w under f, freely reduced."""
     if f.rank != w.rank:
         raise EndoError(f"rank mismatch: endo {f.rank}, word {w.rank}")
-    letters = []
+    # Images and the output so far are reduced, so each pushed image cancels
+    # only against the tail of the output.
+    out: list[Letter] = []
+    pop = out.pop
     for idx, sign in w.letters:
-        img = f.images[idx - 1]
-        if sign > 0:
-            letters.extend(img.letters)
-        else:
-            letters.extend((i, -s) for i, s in reversed(img.letters))
-    return FreeWord(f.rank, reduce_letters(letters))
+        img = f.images[idx - 1].letters
+        if sign < 0:
+            img = _inverse(img)
+        c = 0
+        while out and c < len(img):
+            i, s = img[c]
+            if out[-1] != (i, -s):
+                break
+            pop()
+            c += 1
+        out.extend(img[c:])
+    return _raw(f.rank, tuple(out))
 
 
 def compose(f: EndoF, g: EndoF) -> EndoF:

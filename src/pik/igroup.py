@@ -17,16 +17,19 @@ lower-level factors to the right across higher levels using this action.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from . import endos
 from .endos import EndoF
 from .words import (
     FreeWord,
+    Letter,
     Token,
     WordError,
+    _inverse,
+    _join,
     _raw as _words_raw,
     empty,
     format_word,
@@ -122,29 +125,34 @@ def rank_of_abelianization(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=200_000)
-def _act_single(j: int, k: int, eps: int, w: FreeWord) -> FreeWord:
-    """Conjugate a level-(w.rank) word by the single letter y(j,k)^eps.
+def _conjugate_runs(
+    letters: tuple[Letter, ...], j: int, g: tuple[Letter, ...], g_inv: tuple[Letter, ...]
+) -> tuple[Letter, ...]:
+    """The level-i word ``letters`` acted on by a level-j word with letters g, j < i.
 
-    Fused expansion and free reduction; a moved letter y(i,l)^s becomes
-    y(i,k)^eps y(i,l)^s y(i,k)^-eps.
+    The action is conjugation by g (read at level i) on the free factor
+    <y(i,1..j)> and fixes every y(i,l) with l > j (docs/NOTES.md).  So each
+    maximal run r of letters with index <= j becomes g r g^-1, reduced at its
+    two seams, and the letters above j stay.  Nothing cancels between pieces:
+    a conjugated run is nonempty and shares no generator with its neighbours.
     """
-    out: list[tuple[int, int]] = []
-    push = out.append
-    pop = out.pop
-    for l, sign in w.letters:
-        if l == k or l > j:
-            if out and out[-1][0] == l and out[-1][1] == -sign:
-                pop()
-            else:
-                push((l, sign))
+    pieces = []
+    start = p = 0
+    n = len(letters)
+    while p < n:
+        if letters[p][0] > j:
+            p += 1
             continue
-        for letter in ((k, eps), (l, sign), (k, -eps)):
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                pop()
-            else:
-                push(letter)
-    return _words_raw(w.rank, tuple(out))
+        q = p + 1
+        while q < n and letters[q][0] <= j:
+            q += 1
+        pieces.append(letters[start:p])
+        pieces.append(_join(_join(g, letters[p:q]), g_inv))
+        start = p = q
+    if not pieces:
+        return letters
+    pieces.append(letters[start:])
+    return tuple(itertools.chain.from_iterable(pieces))
 
 
 def act(a: FreeWord, b: FreeWord) -> FreeWord:
@@ -156,20 +164,23 @@ def act(a: FreeWord, b: FreeWord) -> FreeWord:
     j, i = a.rank, b.rank
     if not j < i:
         raise IGroupError(f"conjugator level {j} must be below target level {i}")
-    out = b
-    for k, eps in reversed(a.letters):
-        out = _act_single(j, k, eps, out)
-    return out
+    return _words_raw(i, _conjugate_runs(b.letters, j, a.letters, _inverse(a.letters)))
+
+
+def _act_below(u: IElem, letters: tuple[Letter, ...], below: int) -> tuple[Letter, ...]:
+    """Act on a word by the components of u strictly below a level, lowest level first."""
+    for j in range(2, below):
+        g = u.parts[u.n - j].letters
+        if g and letters:
+            letters = _conjugate_runs(letters, j, g, _inverse(g))
+    return letters
 
 
 def act_elem(u: IElem, b: FreeWord) -> FreeWord:
     """Conjugation of a level-i word by a whole lower element u (u.n < i)."""
     if not u.n < b.rank:
         raise IGroupError(f"element of level {u.n} cannot act on level {b.rank}")
-    out = b
-    for m in range(2, u.n + 1):
-        out = act(u.part(m), out)
-    return out
+    return _words_raw(b.rank, _act_below(u, b.letters, u.n + 1))
 
 
 def lower_part(a: IElem, below: int) -> IElem:
@@ -196,12 +207,8 @@ def imul(a: IElem, b: IElem) -> IElem:
     n = a.n
     comps = []
     for m in range(n, 1, -1):
-        bm = b.part(m)
-        for j in range(2, m):
-            aj = a.part(j)
-            if not aj.is_identity and not bm.is_identity:
-                bm = act(aj, bm)
-        comps.append(multiply(a.part(m), bm))
+        bm = _act_below(a, b.parts[n - m].letters, m)
+        comps.append(multiply(a.parts[n - m], _words_raw(m, bm)))
     return _raw_elem(n, tuple(comps))
 
 
@@ -223,21 +230,18 @@ def conj_elem(g: IElem, x: IElem) -> IElem:
 def conj_by_gen(n: int, m: int, i: int, eps: int, u: IElem) -> IElem:
     """y(m,i)^eps * u * y(m,i)^-eps in one collection pass.
 
-    Levels above m are conjugated letterwise, the level-m component becomes
+    Levels above m are conjugated run by run, the level-m component becomes
     y u_m (L . y^-1) with L the part of u below m, and lower levels are
     untouched.
     """
+    g, g_inv = ((i, eps),), ((i, -eps),)
     parts = list(u.parts)
     for q in range(m + 1, n + 1):
         w = parts[n - q]
         if w.letters:
-            parts[n - q] = _act_single(m, i, eps, w)
-    tail = _words_raw(m, ((i, -eps),))
-    for j in range(2, m):
-        wj = u.parts[n - j]
-        if wj.letters:
-            tail = act(wj, tail)
-    head = multiply(_words_raw(m, ((i, eps),)), u.parts[n - m])
+            parts[n - q] = _words_raw(q, _conjugate_runs(w.letters, m, g, g_inv))
+    tail = _words_raw(m, _act_below(u, g_inv, m))
+    head = multiply(_words_raw(m, g), u.parts[n - m])
     parts[n - m] = multiply(head, tail)
     return _raw_elem(n, tuple(parts))
 

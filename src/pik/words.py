@@ -18,6 +18,10 @@ class WordError(ValueError):
     """Malformed word or incompatible ranks."""
 
 
+class WitnessError(RuntimeError):
+    """A computed witness failed its re-verification: a defect, never an answer."""
+
+
 def reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Freely reduce a letter sequence with a single stack pass."""
     out: list[Letter] = []
@@ -81,17 +85,36 @@ def empty(rank: int) -> FreeWord:
     return FreeWord(rank, ())
 
 
+def _join(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The reduced product of two reduced letter tuples.
+
+    Both factors are reduced, so letters can only cancel in pairs straddling
+    the seam: a[-1-t] against b[t] for t = 0, 1, ...
+    """
+    if not a or not b:
+        return a or b
+    idx, sign = b[0]
+    if a[-1] != (idx, -sign):
+        return a + b
+    c = 1
+    stop = min(len(a), len(b))
+    while c < stop:
+        idx, sign = b[c]
+        if a[-1 - c] != (idx, -sign):
+            break
+        c += 1
+    return a[: len(a) - c] + b[c:]
+
+
+def _inverse(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    return tuple([(i, -s) for i, s in reversed(letters)])
+
+
 def multiply(a: FreeWord, b: FreeWord) -> FreeWord:
     """Product a*b with free reduction across the seam."""
     if a.rank != b.rank:
         raise WordError(f"rank mismatch: {a.rank} != {b.rank}")
-    out = list(a.letters)
-    for idx, sign in b.letters:
-        if out and out[-1][0] == idx and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((idx, sign))
-    return _raw(a.rank, tuple(out))
+    return _raw(a.rank, _join(a.letters, b.letters))
 
 
 def multiply_all(rank: int, words: Iterable[FreeWord]) -> FreeWord:
@@ -102,7 +125,7 @@ def multiply_all(rank: int, words: Iterable[FreeWord]) -> FreeWord:
 
 
 def invert(a: FreeWord) -> FreeWord:
-    return _raw(a.rank, tuple((i, -s) for i, s in reversed(a.letters)))
+    return _raw(a.rank, _inverse(a.letters))
 
 
 def power(a: FreeWord, n: int) -> FreeWord:
@@ -165,7 +188,8 @@ def free_conjugate(a: FreeWord, b: FreeWord) -> Optional[FreeWord]:
             # core_a = u v with u of length r; v core_a v^-1 = core_b.
             v = _raw(a.rank, core_a.letters[r:])
             g = multiply(multiply(cb, v), invert(ca))
-            assert conjugate(g, a) == b
+            if conjugate(g, a) != b:
+                raise WitnessError("free conjugator failed re-verification")
             return g
     return None
 

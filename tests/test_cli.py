@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pik.cli import RunConfig, build_parser, emit_report, main
+from pik.cli import _CHECKS, RunConfig, build_parser, emit_report, main, pool_size
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -44,6 +44,10 @@ class TestReportSchema:
             RunConfig(n=1)
         with pytest.raises(ValueError):
             RunConfig(budget_len=0)
+        with pytest.raises(ValueError):
+            RunConfig(fuzz_words=-1)
+        with pytest.raises(ValueError):
+            RunConfig(fuzz_conj=-1)
 
 
 class TestSubcommands:
@@ -169,3 +173,32 @@ class TestVerifyAll:
         out2 = tmp_path / "t2.json"
         assert main(self.CFG + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_pool_size_is_clamped(self):
+        # Only the arithmetic: no pool is started at these values.
+        assert pool_size(None, 8) == 1
+        assert pool_size("", 8) == 1
+        assert pool_size("0", 8) == 1
+        assert pool_size("-3", 8) == 1
+        assert pool_size("2", 8) == 2
+        assert pool_size("100000", 64) == len(_CHECKS)
+        assert pool_size("100000", 2) == 2
+        assert pool_size("4", None) == 1
+        with pytest.raises(ValueError, match="PIK_THREADS must be an integer"):
+            pool_size("two", 8)
+
+    def test_threads_env_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("PIK_THREADS", "two")
+        assert main(self.CFG) == 2
+        assert "PIK_THREADS must be an integer" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_script_runs_from_any_directory(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = SRC.parent / "scripts" / "verify_all.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--help"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verify-all" in proc.stdout

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pik.conj import (
@@ -24,6 +29,9 @@ from pik.igroup import (
 )
 from pik.prng import Lcg
 from pik.words import empty, gen, invert, multiply, parse_x_word
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def w(s, rank=2):
@@ -258,3 +266,34 @@ class TestConjugacy:
         res = conjugacy(x, y, SearchBudget())
         assert res.verdict == "conjugate"
         assert conj_elem(res.witness, x) == y
+
+
+def test_unverified_witness_raises_under_optimize(tmp_path):
+    # Under -O every assert is stripped; the witness check must still run.
+    code = """
+import sys
+import pik.conj as conj
+from pik.igroup import conj_elem, parse_ielem
+from pik.words import WitnessError
+
+assert False, "assert statements must be stripped"
+x = parse_ielem(3, "y(3,1) y(3,2)^2 y(2,1)")
+y = conj_elem(parse_ielem(3, "y(2,2) y(3,3)"), x)
+conj.conj_elem = lambda g, u: u  # corrupted: no witness re-multiplies to y
+try:
+    res = conj.conjugacy(x, y)
+except WitnessError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(f"returned {res.verdict} with an unchecked witness")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "re-verification" in proc.stdout

@@ -20,11 +20,31 @@ from pik.endos import (
     word_to_endo,
     y_gen,
 )
-from pik.words import gen, invert, multiply, parse_x_word, word
+from pik.words import gen, invert, multiply, parse_x_word, reduce_letters, word
 
 
 def w(s, rank=3):
     return parse_x_word(s, rank)
+
+
+def _letters(rank, size):
+    return st.lists(st.tuples(st.integers(1, rank), st.sampled_from([1, -1])), max_size=size)
+
+
+@st.composite
+def _endo_and_word(draw):
+    """An arbitrary endomorphism (images need not be invertible) and a word."""
+    rank = draw(st.integers(1, 4))
+    images = tuple(word(rank, draw(_letters(rank, 6))) for _ in range(rank))
+    return EndoF(rank, images), word(rank, draw(_letters(rank, 12)))
+
+
+def _expand_then_reduce(f, v):
+    letters = []
+    for idx, sign in v.letters:
+        img = f.images[idx - 1].letters
+        letters += img if sign > 0 else [(i, -s) for i, s in reversed(img)]
+    return reduce_letters(letters)
 
 
 class TestChi:
@@ -113,6 +133,11 @@ class TestComposeApply:
         u = word(3, ls[: len(ls) // 2])
         v = word(3, ls[len(ls) // 2 :])
         assert apply(f, multiply(u, v)) == multiply(apply(f, u), apply(f, v))
+
+    @given(_endo_and_word())
+    def test_apply_is_expand_then_reduce(self, case):
+        f, v = case
+        assert apply(f, v).letters == _expand_then_reduce(f, v)
 
     def test_compose_associative(self):
         a, b, c = chi(3, 1, 2), y_gen(3, 3, 1), chi(3, 3, 2)

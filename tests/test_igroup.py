@@ -31,7 +31,7 @@ from pik.igroup import (
     word_problem,
 )
 from pik.prng import Lcg
-from pik.words import FreeWord, free_conjugate, gen, parse_word
+from pik.words import FreeWord, free_conjugate, gen, parse_word, reduce_letters, word
 
 
 def _elems(n, seed, count, size=8):
@@ -62,7 +62,38 @@ class TestGenerators:
             gen_elem(3, 3, 4)
 
 
+def _letters(rank, size):
+    return st.lists(st.tuples(st.integers(1, rank), st.sampled_from([1, -1])), max_size=size)
+
+
+@st.composite
+def _level_pair(draw):
+    """A level-j word a and a level-i word b with 2 <= j < i <= 5."""
+    i = draw(st.integers(3, 5))
+    j = draw(st.integers(2, i - 1))
+    return word(j, draw(_letters(j, 10))), word(i, draw(_letters(i, 16)))
+
+
+def _act_letterwise(a, b):
+    """The action by its definition on generators: one letter of a at a time, innermost first."""
+    letters = b.letters
+    for k, eps in reversed(a.letters):
+        moved = []
+        for l, s in letters:
+            if l == k or l > a.rank:
+                moved.append((l, s))
+            else:
+                moved += [(k, eps), (l, s), (k, -eps)]
+        letters = reduce_letters(moved)
+    return letters
+
+
 class TestAction:
+    @given(_level_pair())
+    def test_matches_letterwise_definition(self, pair):
+        a, b = pair
+        assert act(a, b).letters == _act_letterwise(a, b)
+
     def test_fixed_same_index(self):
         assert act(gen(2, 1), gen(3, 1)) == gen(3, 1)
 
@@ -139,6 +170,14 @@ class TestGroupLaws:
             eps = rng.sign()
             s = gen_elem(n, m, i) if eps > 0 else iinv(gen_elem(n, m, i))
             assert conj_by_gen(n, m, i, eps, u) == conj_elem(s, u)
+
+    @given(st.integers(2, 5), st.integers(0, 10**6), st.data())
+    def test_conj_by_gen_is_conjugation(self, n, seed, data):
+        u = random_ielem(Lcg(seed), n, 12)
+        m, i = data.draw(st.sampled_from(generators(n)))
+        eps = data.draw(st.sampled_from([1, -1]))
+        s = gen_elem(n, m, i) if eps > 0 else iinv(gen_elem(n, m, i))
+        assert conj_by_gen(n, m, i, eps, u) == conj_elem(s, u)
 
     def test_lower_part(self):
         e = imul(gen_elem(4, 4, 2), imul(gen_elem(4, 3, 1), gen_elem(4, 2, 2)))

@@ -20,6 +20,7 @@ from pik.words import (
     parse_x_word,
     power,
     primitive_root,
+    reduce_letters,
     word,
 )
 
@@ -42,7 +43,25 @@ def _word_pair(rank):
     )
 
 
+def _letters(rank, size):
+    return st.lists(st.tuples(st.integers(1, rank), st.sampled_from([1, -1])), max_size=size)
+
+
+@st.composite
+def _seam_pair(draw):
+    """Reduced (a, b) whose seam cancels a drawn middle part q: a = p q, b = q^-1 r."""
+    rank = draw(st.integers(1, 4))
+    p, q, r = (draw(_letters(rank, 8)) for _ in range(3))
+    q_inv = [(i, -s) for i, s in reversed(q)]
+    return word(rank, p + q), word(rank, q_inv + r)
+
+
 class TestBasics:
+    @given(_seam_pair())
+    def test_multiply_is_reduced_concatenation(self, pair):
+        a, b = pair
+        assert multiply(a, b).letters == reduce_letters(a.letters + b.letters)
+
     def test_multiply_cancellation(self):
         assert multiply(w("x1 x2"), w("x2^-1 x1")) == w("x1 x1")
 
