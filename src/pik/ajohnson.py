@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .endos import EndoF, tau
 from .igroup import IElem, commutator_elem, gen_elem, generators, to_endo
@@ -24,6 +24,26 @@ class AJohnsonError(ValueError):
     pass
 
 
+T = TypeVar("T")
+
+
+def left_normed(gens: Sequence[T], c: int, comm: Callable[[T, T], T]) -> list[T]:
+    """Left-normed weight-c commutators [g_a, g_b, g_t3, ..., g_tc] with a > b.
+
+    Weight 1 is the generators themselves.  Order: a, then b, then the tail
+    lexicographically, so each weight extends the previous weight's list
+    element by element and every prefix commutator is formed once.
+    """
+    if c < 1:
+        raise AJohnsonError("need c >= 1")
+    if c == 1:
+        return list(gens)
+    out = [comm(gens[a], gens[b]) for a in range(len(gens)) for b in range(a)]
+    for _ in range(c - 2):
+        out = [comm(e, t) for e in out for t in gens]
+    return out
+
+
 def basic_commutators_In(n: int, c: int) -> list[IElem]:
     """Left-normed weight-c commutators spanning the weight-c graded piece.
 
@@ -32,22 +52,7 @@ def basic_commutators_In(n: int, c: int) -> list[IElem]:
     trailing letters; by antisymmetry and the left-normed spanning property
     these span modulo weight c+1.
     """
-    gens = [gen_elem(n, m, i) for (m, i) in generators(n)]
-    if c < 1:
-        raise AJohnsonError("need c >= 1")
-    if c == 1:
-        return list(gens)
-    out = []
-    k = len(gens)
-    for a in range(k):
-        for b in range(a):
-            head = commutator_elem(gens[a], gens[b])
-            for tail in itertools.product(range(k), repeat=c - 2):
-                e = head
-                for t in tail:
-                    e = commutator_elem(e, gens[t])
-                out.append(e)
-    return out
+    return left_normed([gen_elem(n, m, i) for (m, i) in generators(n)], c, commutator_elem)
 
 
 def _johnson_row(f: EndoF, c: int, D: int) -> list[int]:
@@ -94,36 +99,12 @@ def l1_rank(n: int, c: int, D: int) -> int:
 def factor_rank(n: int, c: int, level: int, D: int) -> int:
     """Rank contributed by weight-c commutators inside a single level factor."""
     gens = [gen_elem(n, level, i) for i in range(1, level + 1)]
-    if c == 1:
-        elems = gens
-    else:
-        elems = []
-        for a in range(len(gens)):
-            for b in range(a):
-                head = commutator_elem(gens[a], gens[b])
-                for tail in itertools.product(range(len(gens)), repeat=c - 2):
-                    e = head
-                    for t in tail:
-                        e = commutator_elem(e, gens[t])
-                    elems.append(e)
-    return build_johnson_matrix(n, c, elems, D).rank
+    return build_johnson_matrix(n, c, left_normed(gens, c, commutator_elem), D).rank
 
 
 def basic_commutator_words(rank: int, c: int) -> list[FreeWord]:
     """Left-normed weight-c commutators of free generators, same scheme."""
-    gens = [gen(rank, i) for i in range(1, rank + 1)]
-    if c == 1:
-        return list(gens)
-    out = []
-    for a in range(rank):
-        for b in range(a):
-            head = commutator(gens[a], gens[b])
-            for tail in itertools.product(range(rank), repeat=c - 2):
-                w = head
-                for t in tail:
-                    w = commutator(w, gens[t])
-                out.append(w)
-    return out
+    return left_normed([gen(rank, i) for i in range(1, rank + 1)], c, commutator)
 
 
 @dataclass(frozen=True)

@@ -583,12 +583,12 @@ def _orbit_walk(
                 table[nkey] = (key, step_idx)
                 new_frontier.append(nstate)
                 if nkey in other:
-                    # fwd g: state = g x g^-1 ; bwd h: state = h y h^-1
+                    # fwd g: state = g x g^-1 ; bwd h: state = h y h^-1.  States
+                    # are normal forms, so equal keys are equal elements and
+                    # h^-1 g conjugates x to y; the caller re-multiplies it.
                     g = conjugator_to(fwd, nkey)
                     h = conjugator_to(bwd, nkey)
-                    witness = imul(iinv(h), g)
-                    if conj_elem(witness, x) == y:
-                        return witness
+                    return imul(iinv(h), g)
         if fwd_side:
             fwd_frontier = new_frontier
         else:

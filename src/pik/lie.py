@@ -215,7 +215,8 @@ def witt(nvars: int, c: int) -> int:
     if nvars < 1 or c < 1:
         raise LieError("need nvars >= 1 and c >= 1")
     total = sum(_mobius(d) * nvars ** (c // d) for d in range(1, c + 1) if c % d == 0)
-    assert total % c == 0
+    if total % c:
+        raise LieError(f"necklace sum {total} not divisible by {c}")
     return total // c
 
 
@@ -225,6 +226,7 @@ def witt(nvars: int, c: int) -> int:
 
 _INT64_GUARD = 1 << 60
 _NUMPY_THRESHOLD = 30_000
+_CHUNK_ENTRIES = 1 << 20  # rows of one elimination step are updated in blocks of this size
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -238,17 +240,42 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class IntLattice:
-    """Row span of integer vectors in Z^dim, kept in echelon form over Z."""
+    """Row span of integer vectors in Z^dim, kept in echelon form over Z.
+
+    A lattice built on the int64 path keeps its echelon rows as an ndarray:
+    rank and pivots are read from it, and the rows become Python ints only
+    when ``rows`` is read (``add``, ``contains``, ``hnf``).
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[list[int]] = []
+        self._rows: list[list[int]] = []
+        self._mat: Optional[np.ndarray] = None  # int64 echelon rows, not yet converted
         self.pivot_col: list[int] = []  # pivot column of each row, increasing
         self._col_of: dict[int, int] = {}  # pivot column -> row index
 
+    @classmethod
+    def _from_echelon(cls, mat: np.ndarray, pivot_col: list[int]) -> "IntLattice":
+        lat = cls(mat.shape[1])
+        lat._mat = mat
+        lat.pivot_col = pivot_col
+        lat._col_of = {c: k for k, c in enumerate(pivot_col)}
+        return lat
+
+    @property
+    def rows(self) -> list[list[int]]:
+        if self._mat is not None:
+            self._rows = self._mat.tolist()
+            self._mat = None
+        return self._rows
+
+    def echelon_rows(self) -> "np.ndarray | list[list[int]]":
+        """The echelon rows, as the int64 ndarray when the lattice has one."""
+        return self._mat if self._mat is not None else self._rows
+
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivot_col)
 
     def add(self, vec: Sequence[int]) -> bool:
         """Insert a vector; returns True when the lattice grew or changed."""
@@ -323,7 +350,9 @@ class IntLattice:
         return tuple(tuple(r) for r in rows)
 
     def pivots(self) -> list[int]:
-        return [abs(self.rows[i][c]) for i, c in enumerate(self.pivot_col)]
+        if self._mat is not None:
+            return np.abs(self._mat[np.arange(self.rank), self.pivot_col]).tolist()
+        return [abs(self._rows[i][c]) for i, c in enumerate(self.pivot_col)]
 
     def is_full_unimodular(self) -> bool:
         """True iff the lattice is all of Z^dim (Hermite form the identity)."""
@@ -331,7 +360,11 @@ class IntLattice:
 
 
 def _echelon_numpy(mat: np.ndarray) -> tuple[int, list[int], np.ndarray]:
-    """In-place integer row echelon; raises OverflowError near int64 limits."""
+    """In-place integer row echelon; raises OverflowError near int64 limits.
+
+    The guard is checked for each block of rows before the block is written,
+    so a trip leaves only completed row operations behind.
+    """
     rows, cols = mat.shape
     r = 0
     pivots: list[int] = []
@@ -345,14 +378,21 @@ def _echelon_numpy(mat: np.ndarray) -> tuple[int, list[int], np.ndarray]:
         while nz.size > 1:
             sel = nz[np.argmin(np.abs(col[nz]))]
             piv = int(col[sel])
-            others = nz[nz != sel]
-            q = col[others] // piv
-            bound = np.abs(mat[r + others]).max() + (np.abs(q).max() + 1) * np.abs(
-                mat[r + sel]
-            ).max()
-            if bound > _INT64_GUARD:
-                raise OverflowError("int64 elimination guard tripped")
-            mat[r + others] -= q[:, None] * mat[r + sel]
+            rest = nz[nz != sel]
+            q = col[rest] // piv
+            others = r + rest
+            # rows r.. are zero left of column c, so only columns c.. change
+            pivot_row = mat[r + sel, c:]
+            top = int(np.abs(pivot_row).max())
+            step = max(1, _CHUNK_ENTRIES // (cols - c))
+            for lo in range(0, others.size, step):
+                at, qs = others[lo : lo + step], q[lo : lo + step]
+                block = mat[at, c:]
+                # in Python ints: the int64 product of two maxima can itself wrap
+                if int(np.abs(block).max()) + (int(np.abs(qs).max()) + 1) * top > _INT64_GUARD:
+                    raise OverflowError("int64 elimination guard tripped")
+                block -= qs[:, None] * pivot_row
+                mat[at, c:] = block
             col = mat[r:, c]
             nz = np.flatnonzero(col)
         sel = int(nz[0])
@@ -365,23 +405,28 @@ def _echelon_numpy(mat: np.ndarray) -> tuple[int, list[int], np.ndarray]:
     return r, pivots, mat
 
 
-def lattice_from_rows(rows: Sequence[Sequence[int]], dim: int) -> IntLattice:
-    """Build an echelonized lattice, on the int64 fast path when it pays off."""
+def lattice_from_rows(rows: "Sequence[Sequence[int]] | np.ndarray", dim: int) -> IntLattice:
+    """Build an echelonized lattice, on the int64 fast path when it pays off.
+
+    rows is a sequence of integer rows or an int64 array of shape (k, dim).
+    An int64 array is echelonized in place, so its contents are consumed; the
+    builders below hand over arrays they own.  The exact path takes over when
+    an entry does not fit int64 or the elimination guard trips; a tripped
+    elimination has applied only unimodular row operations, so the partly
+    reduced rows still span the same lattice.
+    """
     nrows = len(rows)
-    lat = IntLattice(dim)
-    if nrows * dim >= _NUMPY_THRESHOLD:
+    if nrows and nrows * dim >= _NUMPY_THRESHOLD:
         try:
-            mat = np.array(rows, dtype=np.int64)
-            if nrows and np.abs(mat).max() <= _INT64_GUARD:
+            owned = isinstance(rows, np.ndarray) and rows.dtype == np.int64
+            mat = rows if owned else np.array(rows, dtype=np.int64)
+            if -_INT64_GUARD <= mat.min() and mat.max() <= _INT64_GUARD:
                 rank, pivcols, mat = _echelon_numpy(mat)
-                for i in range(rank):
-                    lat.rows.append([int(x) for x in mat[i]])
-                lat.pivot_col = pivcols
-                lat._col_of = {c: k for k, c in enumerate(pivcols)}
-                return lat
+                return IntLattice._from_echelon(mat[:rank], pivcols)
         except OverflowError:
-            lat = IntLattice(dim)
-    lat.add_all(rows)
+            pass
+    lat = IntLattice(dim)
+    lat.add_all(rows.tolist() if isinstance(rows, np.ndarray) else rows)
     return lat
 
 
@@ -414,6 +459,31 @@ def coordinate_row(e: LieElem, index: dict[Word, int], dim: int) -> list[int]:
     return row
 
 
+def coordinate_rows(
+    elems: Sequence[LieElem], index: dict[Word, int], dim: int
+) -> "np.ndarray | list[list[int]]":
+    """Lyndon coordinates of the nonzero elements, one row each.
+
+    The sparse coordinates are scattered straight into an int64 array; when
+    a coefficient does not fit int64 the rows are Python int lists instead.
+    """
+    nonzero = [e for e in elems if not e.is_zero]
+    at_row: list[int] = []
+    at_col: list[int] = []
+    values: list[int] = []
+    for r, e in enumerate(nonzero):
+        for w, c in e.lyndon:
+            at_row.append(r)
+            at_col.append(index[w])
+            values.append(c)
+    mat = np.zeros((len(nonzero), dim), dtype=np.int64)
+    try:
+        mat[at_row, at_col] = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return [coordinate_row(e, index, dim) for e in nonzero]
+    return mat
+
+
 def lattice_of(spanning: Sequence[LieElem], m: int) -> GradedLattice:
     """The integer lattice spanned by homogeneous degree-m elements."""
     if not spanning:
@@ -421,19 +491,12 @@ def lattice_of(spanning: Sequence[LieElem], m: int) -> GradedLattice:
     nvars = spanning[0].nvars
     index = lyndon_index(nvars, m)
     dim = len(index)
-    rows = []
     for e in spanning:
         if e.nvars != nvars:
             raise LieError("alphabet size mismatch in spanning set")
         if not e.is_zero and e.degree != m:
             raise LieError(f"inhomogeneous input: degree {e.degree}, expected {m}")
-        if not e.is_zero:
-            rows.append(coordinate_row(e, index, dim))
-    return GradedLattice(nvars, m, lattice_from_rows(rows, dim))
-
-
-def lattice_rank(lat: GradedLattice) -> int:
-    return lat.rank
+    return GradedLattice(nvars, m, lattice_from_rows(coordinate_rows(spanning, index, dim), dim))
 
 
 def lattice_equal(a: GradedLattice, b: GradedLattice) -> bool:
@@ -465,23 +528,28 @@ class DirectSumReport:
         }
 
 
+def _stack(blocks: Sequence["np.ndarray | list[list[int]]"], dim: int) -> "np.ndarray | list[list[int]]":
+    """Row blocks one under the other: int64 when every entry fits, else Python ints."""
+    try:
+        return np.concatenate([np.asarray(b, dtype=np.int64).reshape(-1, dim) for b in blocks])
+    except OverflowError:
+        return [r for b in blocks for r in (b.tolist() if isinstance(b, np.ndarray) else b)]
+
+
 def lattice_direct_sum_is_whole(parts: Sequence[Sequence[LieElem]], nvars: int, m: int) -> DirectSumReport:
     """Certificate that the given spans form a direct sum equal to all of L^m.
 
     Checks rank additivity against the Witt rank and that the stacked
     spanning set generates the full integer lattice (Hermite pivots all 1,
     equivalently Smith normal form all ones) -- a Z-direct-sum certificate,
-    not merely one over Q.
+    not merely one over Q.  The stacked lattice is built from the parts'
+    echelon rows, which span the same lattices as their spanning sets.
     """
     index = lyndon_index(nvars, m)
     dim = len(index)
-    part_ranks = []
-    stacked_rows: list[list[int]] = []
-    for part in parts:
-        rows = [coordinate_row(e, index, dim) for e in part if not e.is_zero]
-        part_ranks.append(lattice_from_rows(rows, dim).rank)
-        stacked_rows.extend(rows)
-    stacked = lattice_from_rows(stacked_rows, dim)
+    lats = [lattice_from_rows(coordinate_rows(part, index, dim), dim) for part in parts]
+    stacked = lattice_from_rows(_stack([lat.echelon_rows() for lat in lats], dim), dim)
+    part_ranks = [lat.rank for lat in lats]
     return DirectSumReport(
         degree=m,
         part_ranks=tuple(part_ranks),

@@ -163,11 +163,39 @@ def _letter_series(nvars: int, D: int, idx: int, sign: int) -> NcPoly:
     return NcPoly(nvars, D, terms)
 
 
+def _bump(out: dict[Monomial, int], mono: Monomial, c: int) -> None:
+    acc = out.get(mono, 0) + c
+    if acc:
+        out[mono] = acc
+    else:
+        del out[mono]
+
+
 def magnus_expand(w: FreeWord, D: int) -> NcPoly:
-    """Multiplicative extension of x_i |-> 1 + X_i, truncated above degree D."""
-    acc = NcPoly.one(w.rank, D)
+    """Multiplicative extension of x_i |-> 1 + X_i, truncated above degree D.
+
+    Each letter is one step on the term dict: p (1 + X_i) adds p X_i, and
+    p (1 + X_i)^-1 adds the runs -p X_i + p X_i^2 - ... up to degree D (see
+    docs/NOTES.md).  No generic product is formed.
+    """
+    acc = NcPoly.one(w.rank, D)  # validates rank and D
+    terms = acc.terms
     for idx, sign in w.letters:
-        acc = acc.mul(_letter_series(w.rank, D, idx, sign))
+        out = dict(terms)
+        if sign > 0:
+            step = (idx,)
+            for mono, c in terms.items():
+                if len(mono) < D:
+                    _bump(out, mono + step, c)
+        else:
+            for mono, c in terms.items():
+                tail = mono
+                for _ in range(D - len(mono)):
+                    tail += (idx,)
+                    c = -c
+                    _bump(out, tail, c)
+        terms = out
+    acc.terms = terms
     return acc
 
 
@@ -214,13 +242,20 @@ def johnson_image(f: EndoF, c: int, D: int) -> tuple[NcPoly, ...]:
 
     Requires f to fix F/gamma_c, i.e. ia_degree(f, D) >= c; the image then
     determines f modulo the (c+1)-st filtration term and is additive on
-    compositions at that level.
+    compositions at that level.  Each deviation is expanded once, truncated
+    at degree c: truncation is a ring map, so the parts of degree <= c, and
+    with them the level test, are those of the degree-D expansion.  The
+    returned polynomials carry maxdeg D.
     """
     if not c < D:
         raise MagnusError(f"need c < D, got c={c}, D={D}")
-    if ia_degree(f, D) < c:
+    expansions = [magnus_expand(dw, max(c, 1)) for dw in _deviations(f)]
+    depths = [p.min_positive_degree() for p in expansions]
+    if 1 in depths:
+        raise NotIAError("endomorphism is not an IA automorphism")
+    if any(d is not None and d < c for d in depths):
         raise NotIAError(f"automorphism is not in filtration level {c}")
-    return tuple(magnus_expand(dw, D).homogeneous(c) for dw in _deviations(f))
+    return tuple(NcPoly(f.rank, D, p.homogeneous(c).terms) for p in expansions)
 
 
 def johnson_additive_check(f: EndoF, g: EndoF, c: int, D: int) -> bool:

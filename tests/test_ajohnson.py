@@ -8,6 +8,7 @@ from pik.ajohnson import (
     factor_rank,
     inner_degree_check,
     l1_rank,
+    left_normed,
     thu1_bound,
 )
 from pik.igroup import gen_elem, to_endo
@@ -30,6 +31,25 @@ class TestBasicCommutators:
                 if e.is_identity:
                     continue
                 assert ia_degree(to_endo(e), c + 2) >= c + 1
+
+    def test_left_normed_order(self):
+        # symbolic brackets record the order; the reference is the nested
+        # enumeration: a > b, then the tail lexicographically
+        import itertools
+
+        gens = ["p", "q", "r"]
+        for c in (1, 2, 3, 4):
+            want = list(gens) if c == 1 else []
+            for a in range(len(gens)) if c > 1 else ():
+                for b in range(a):
+                    for tail in itertools.product(gens, repeat=c - 2):
+                        e = (gens[a], gens[b])
+                        for t in tail:
+                            e = (e, t)
+                        want.append(e)
+            assert left_normed(gens, c, lambda x, y: (x, y)) == want
+        with pytest.raises(AJohnsonError):
+            left_normed(gens, 0, lambda x, y: (x, y))
 
     def test_words_scheme(self):
         assert len(basic_commutator_words(3, 1)) == 3

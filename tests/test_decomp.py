@@ -192,6 +192,20 @@ class TestTheoremDecomposition:
             assert fail.m == 2
             assert fail.witt_rank - fail.direct_sum.rank_sum == 1
 
+    def test_negative_control_same_on_both_lattice_paths(self, monkeypatch):
+        # the int64 path (every lattice, threshold 1) and the exact path
+        # (no lattice) must give the same failing report
+        import pik.lie as lie_mod
+
+        rels = build_relators(3)
+        perturbed = rels.without(rels.of_kind(3)[0])
+        reports = []
+        for threshold in (1, 10**12):
+            monkeypatch.setattr(lie_mod, "_NUMPY_THRESHOLD", threshold)
+            reports.append(verify_theorem_th1(3, 5, relators=perturbed).as_dict())
+        assert reports[0] == reports[1]
+        assert not reports[0]["ok"]
+
     def test_requires_n3(self):
         with pytest.raises(DecompError):
             verify_theorem_th1(2, 3)

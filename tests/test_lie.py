@@ -194,6 +194,45 @@ class TestIntLattice:
         assert fast.rank == slow.rank
         assert fast.hnf() == slow.hnf()
 
+    def test_int64_guard_falls_back_to_exact(self, monkeypatch):
+        # entries near 2**60 pass the entry check but trip the elimination
+        # guard; the exact path must still give the rank and Hermite form
+        import pik.lie as lie_mod
+
+        big = (1 << 60) - 1
+        rows = [[big, 3, 0, 1], [big - 2, 5, 7, 0], [3, big, 1, 1], [-2, 2, 7, -1]]
+        monkeypatch.setattr(lie_mod, "_NUMPY_THRESHOLD", 1)
+        fast = lattice_from_rows(rows, 4)
+        slow = IntLattice(4)
+        slow.add_all(rows)
+        assert fast.rank == slow.rank == 3
+        assert fast.hnf() == slow.hnf()
+        assert max(abs(x) for r in fast.hnf() for x in r) < 1 << 62
+
+    def test_int64_guard_does_not_wrap(self, monkeypatch):
+        # (q + 1) * max|pivot row| = (2**32 + 1)(2**32 - 1) = 2**64 - 1 wraps
+        # to -1 in int64; the guard must still see the true bound
+        import pik.lie as lie_mod
+
+        monkeypatch.setattr(lie_mod, "_NUMPY_THRESHOLD", 1)
+        rows = [[1, (1 << 32) - 1], [1 << 32, 0]]
+        fast = lattice_from_rows(rows, 2)
+        assert fast.pivots() == [1, (1 << 64) - (1 << 32)]
+        assert not fast.is_full_unimodular()
+
+    def test_coefficients_beyond_int64(self, monkeypatch):
+        # coefficients that do not fit int64 take the exact path from the start
+        import pik.lie as lie_mod
+
+        monkeypatch.setattr(lie_mod, "_NUMPY_THRESHOLD", 1)
+        basis = lyndon_basis(3, 3)
+        huge = [lie_from_tensor(3, 3, e.coords.scale(1 << 70)) for e in basis]
+        lat = lattice_of(huge + basis[:1], 3).lattice
+        assert lat.rank == witt(3, 3)
+        assert lat.pivots() == [1] + [1 << 70] * (witt(3, 3) - 1)
+        rep = lattice_direct_sum_is_whole([huge[:1], huge[1:]], 3, 3)
+        assert rep.rank_sum == witt(3, 3) and not rep.stacked_unimodular
+
     def test_smith_diagonal(self):
         assert smith_diagonal([[2, 0], [0, 3]], 2) == [1, 6]
         assert smith_diagonal([[1, 0], [0, 1]], 2) == [1, 1]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pik.endos import compose, identity_endo, tau, y_gen
@@ -7,6 +7,7 @@ from pik.magnus import (
     MagnusError,
     NcPoly,
     NotIAError,
+    _letter_series,
     gamma_degree,
     ia_degree,
     johnson_additive_check,
@@ -18,6 +19,17 @@ from pik.words import commutator, gen, parse_x_word, word
 
 def w(s, rank=2):
     return parse_x_word(s, rank)
+
+
+def series_product(rank, letters, D):
+    """Reference expansion: the product of the letters' series with NcPoly.mul."""
+    acc = NcPoly.one(rank, D)
+    for idx, sign in letters:
+        acc = acc.mul(_letter_series(rank, D, idx, sign))
+    return acc
+
+
+LETTERS3 = st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, -1])), max_size=10)
 
 
 class TestNcPoly:
@@ -60,6 +72,18 @@ class TestMagnusExpand:
     def test_inverse_letter_series(self):
         p = magnus_expand(w("x1^-1"), 3)
         assert p.terms == {(): 1, (1,): -1, (1, 1): 1, (1, 1, 1): -1}
+
+    @given(LETTERS3, st.integers(1, 5))
+    @example([], 3)
+    @example([], 1)
+    @example([(1, -1)], 1)
+    @example([(2, -1), (2, -1), (1, 1)], 4)
+    @example([(1, 1), (2, -1), (2, 1), (1, -1)], 3)
+    @example([(3, -1), (1, 1), (1, -1), (3, 1), (2, -1)], 5)
+    def test_letter_steps_match_series_product(self, letters, D):
+        # the letters need not be reduced: cancelling pairs expand to 1, so
+        # the unreduced series product equals the expansion of the reduced word
+        assert magnus_expand(word(3, letters), D) == series_product(3, letters, D)
 
     @given(
         st.lists(st.tuples(st.integers(1, 2), st.sampled_from([1, -1])), max_size=8),
@@ -192,6 +216,33 @@ class TestJohnson:
     def test_precondition(self):
         with pytest.raises(NotIAError):
             johnson_image(tau(gen(2, 1)), 3, 5)  # tau_x1 is only at level 2
+
+    def test_below_level_rejected(self):
+        with pytest.raises(NotIAError, match="filtration level 3"):
+            johnson_image(y_gen(3, 3, 1), 3, 5)  # a generator sits at level 2
+
+    def test_non_ia_rejected(self):
+        from pik.endos import EndoF
+
+        transvection = EndoF(3, (w("x1 x2", 3), w("x2", 3), w("x3", 3)))
+        for c, D in ((1, 3), (2, 4), (3, 5)):
+            with pytest.raises(NotIAError, match="not an IA automorphism"):
+                johnson_image(transvection, c, D)
+
+    def test_equals_truncated_homogeneous_part(self):
+        # johnson_image expands at degree c; it must agree with the degree-c
+        # part of the degree-D expansion and carry maxdeg D
+        from pik.ajohnson import basic_commutators_In
+        from pik.igroup import to_endo
+        from pik.magnus import _deviations
+
+        for n, c, D in ((3, 2, 4), (3, 3, 5), (3, 3, 6), (4, 2, 5)):
+            for e in basic_commutators_In(n, c - 1):
+                f = to_endo(e)
+                got = johnson_image(f, c, D)
+                want = tuple(magnus_expand(dw, D).homogeneous(c) for dw in _deviations(f))
+                assert got == want
+                assert all(p.maxdeg == D for p in got)
 
     def test_additive_on_products(self):
         f = y_gen(3, 2, 1)
