@@ -22,7 +22,7 @@ from .conj import SearchBudget
 from .prng import Lcg
 from .words import ParseError, parse_word, parse_x_word
 
-SCHEMA = "pik/1"
+SCHEMA = "pik/2"
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class RunConfig:
     max_degree: int = 4
     budget_len: int = 10
     budget_coset: int = 8
-    budget_nilpotency: int = 4
     seed: int = 20240601
     fuzz_words: int = 100
     fuzz_conj: int = 40
@@ -42,7 +41,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n < 2 or self.max_degree < 1:
             raise ValueError("bounds must be positive")
-        if min(self.budget_len, self.budget_coset, self.budget_nilpotency) < 1:
+        if min(self.budget_len, self.budget_coset) < 1:
             raise ValueError("budgets must be positive")
         if min(self.fuzz_words, self.fuzz_conj) < 0:
             raise ValueError("fuzz counts must be non-negative")
@@ -54,7 +53,6 @@ class RunConfig:
             "budgets": {
                 "len": self.budget_len,
                 "coset": self.budget_coset,
-                "nilpotency": self.budget_nilpotency,
             },
             "seed": self.seed,
             "fuzz": {"words": self.fuzz_words, "conjugacy": self.fuzz_conj},
@@ -132,7 +130,6 @@ def check_conjugacy_fuzz(cfg: RunConfig) -> dict:
         budget = SearchBudget(
             max_len=cfg.budget_len,
             coset=cfg.budget_coset,
-            nilpotency=cfg.budget_nilpotency,
             gen_radius=budget.gen_radius,
         )
         res = conj.conjugacy(x, y, budget)
@@ -268,7 +265,6 @@ def _budget_from_args(args) -> SearchBudget:
     return SearchBudget(
         max_len=args.budget_len,
         coset=args.budget_coset,
-        nilpotency=args.budget_nilpotency,
         gen_radius=args.budget_radius,
     )
 
@@ -304,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--n", type=int, required=True)
     dec.add_argument("--budget-len", type=int, default=16)
     dec.add_argument("--budget-coset", type=int, default=8)
-    dec.add_argument("--budget-nilpotency", type=int, default=4)
     dec.add_argument("--budget-radius", type=int, default=8)
     dec.add_argument("x_word")
     dec.add_argument("y_word")
@@ -346,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--fuzz-conj", type=int, default=40)
     va.add_argument("--budget-len", type=int, default=10)
     va.add_argument("--budget-coset", type=int, default=8)
-    va.add_argument("--budget-nilpotency", type=int, default=4)
     va.add_argument("--format", choices=["json", "text"], default="json")
     va.add_argument("--out", default=None)
     va.add_argument(
@@ -470,7 +464,6 @@ def _dispatch(args) -> int:
             max_degree=args.max_degree,
             budget_len=args.budget_len,
             budget_coset=args.budget_coset,
-            budget_nilpotency=args.budget_nilpotency,
             seed=args.seed,
             fuzz_words=args.fuzz_words,
             fuzz_conj=args.fuzz_conj,

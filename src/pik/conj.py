@@ -70,14 +70,14 @@ class SearchBudget:
     """Caps for the incomplete parts of the search.
 
     max_len bounds twisted-level word searches, coset the centralizer
-    exponent range at complete levels, nilpotency the Magnus truncation used
-    by quotient obstructions.  gen_radius and max_states bound the
-    generator-metric conjugation walk; ladder_nodes bounds backtracking.
+    exponent range at complete levels.  gen_radius and max_states bound the
+    generator-metric conjugation walk; ladder_nodes bounds backtracking;
+    twisted_states and solutions_per_level bound each twisted-conjugacy
+    search and the solutions it yields per level.
     """
 
     max_len: int = 16
     coset: int = 8
-    nilpotency: int = 4
     gen_radius: int = 8
     max_states: int = 60_000
     ladder_nodes: int = 100
@@ -88,10 +88,11 @@ class SearchBudget:
         return {
             "max_len": self.max_len,
             "coset": self.coset,
-            "nilpotency": self.nilpotency,
             "gen_radius": self.gen_radius,
             "max_states": self.max_states,
             "ladder_nodes": self.ladder_nodes,
+            "twisted_states": self.twisted_states,
+            "solutions_per_level": self.solutions_per_level,
         }
 
 

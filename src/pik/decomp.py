@@ -186,12 +186,11 @@ class PsiReport:
     n: int
     r: int
     block_is_identity: bool
-    block_unimodular: bool
     injective: bool
 
     @property
     def ok(self) -> bool:
-        return self.block_unimodular and self.injective
+        return self.block_is_identity and self.injective
 
 
 def verify_psi_automorphism(n: int, r: int) -> PsiReport:
@@ -228,7 +227,6 @@ def verify_psi_automorphism(n: int, r: int) -> PsiReport:
         n=n,
         r=r,
         block_is_identity=block_identity,
-        block_unimodular=block_identity,
         injective=lat.rank == len(psi.domain),
     )
 

@@ -24,11 +24,9 @@ from .words import (
     WordError,
     _inverse,
     _raw,
-    format_x_word,
     gen,
     invert,
     multiply,
-    parse_word,
     word,
 )
 
@@ -71,13 +69,18 @@ def apply(f: EndoF, w: FreeWord) -> FreeWord:
     if f.rank != w.rank:
         raise EndoError(f"rank mismatch: endo {f.rank}, word {w.rank}")
     # Images and the output so far are reduced, so each pushed image cancels
-    # only against the tail of the output.
+    # only against the tail of the output.  Each image is inverted at most
+    # once per call.
     out: list[Letter] = []
     pop = out.pop
+    inverted: dict[int, tuple[Letter, ...]] = {}
     for idx, sign in w.letters:
-        img = f.images[idx - 1].letters
-        if sign < 0:
-            img = _inverse(img)
+        if sign > 0:
+            img = f.images[idx - 1].letters
+        else:
+            img = inverted.get(idx)
+            if img is None:
+                img = inverted[idx] = _inverse(f.images[idx - 1].letters)
         c = 0
         while out and c < len(img):
             i, s = img[c]
@@ -199,10 +202,6 @@ def word_to_endo(n: int, tokens: Iterable[Token]) -> EndoF:
     return acc
 
 
-def parse_endo_word(n: int, s: str) -> EndoF:
-    return word_to_endo(n, parse_word(s))
-
-
 # ---------------------------------------------------------------------------
 # Relation checking.  The three defining relation families of the
 # basis-conjugating group, instances indexed by pairwise distinct letters:
@@ -283,8 +282,3 @@ def perturbed_chi(n: int, i: int, j: int) -> EndoF:
             images.append(gen(n, k))
             inv_images.append(gen(n, k))
     return EndoF(n, tuple(images), tuple(inv_images))
-
-
-def format_endo(f: EndoF) -> str:
-    cols = [f"x{k+1} -> {format_x_word(im) or '1'}" for k, im in enumerate(f.images)]
-    return "; ".join(cols)

@@ -9,13 +9,7 @@ from __future__ import annotations
 from .conj import SearchBudget
 from .igroup import IElem, collect, generators
 from .prng import Lcg
-from .words import FreeWord, Token, word
-
-
-def random_x_word(rng: Lcg, rank: int, max_len: int) -> FreeWord:
-    length = rng.below(max_len + 1)
-    letters = [(1 + rng.below(rank), rng.sign()) for _ in range(length)]
-    return word(rank, letters)
+from .words import Token
 
 
 def random_gen_tokens(rng: Lcg, n: int, max_len: int) -> list[Token]:

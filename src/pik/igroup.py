@@ -295,15 +295,26 @@ def word_problem(n: int, word_or_tokens) -> bool:
     return collect(n, tokens).is_identity
 
 
+def _images(a: IElem) -> tuple[FreeWord, ...]:
+    """Images of x_1..x_n under the automorphism of a, in closed form.
+
+    y(m,i)^s conjugates F_m by x_i^-s and fixes x_{m+1..n}, so w_m acts on
+    F_m as conjugation by V_m, w_m with every sign flipped, and x_k goes to
+    P_k x_k P_k^-1 with P_k = V_n V_{n-1} ... V_max(k,2) (docs/NOTES.md).
+    """
+    n = a.n
+    images = []
+    p: tuple[Letter, ...] = ()
+    for k in range(n, 0, -1):
+        if k >= 2:  # P_1 = P_2
+            p = _join(p, tuple([(i, -s) for i, s in a.parts[n - k].letters]))
+        images.append(_words_raw(n, _join(_join(p, ((k, 1),)), _inverse(p))))
+    return tuple(reversed(images))
+
+
 def to_endo(a: IElem) -> EndoF:
     """The automorphism of F_n realized by a; a group homomorphism."""
-    n = a.n
-    acc = endos.identity_endo(n)
-    for m in range(n, 1, -1):
-        for i, sign in a.part(m).letters:
-            e = endos.y_gen(n, m, i)
-            acc = endos.compose(acc, e if sign > 0 else endos.inverse(e))
-    return acc
+    return EndoF(a.n, _images(a), _images(iinv(a)))
 
 
 def direct_endo(n: int, tokens: Iterable[Token]) -> EndoF:

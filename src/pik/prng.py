@@ -32,8 +32,5 @@ class Lcg:
             raise ValueError("bound must be positive")
         return self.u32() % n
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
     def sign(self) -> int:
         return 1 if self.u32() & 1 else -1

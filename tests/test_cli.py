@@ -24,7 +24,7 @@ def run_cli(args, **kwargs):
 
 class TestReportSchema:
     def test_empty_results(self):
-        assert emit_report([]) == {"schema": "pik/1", "checks": []}
+        assert emit_report([]) == {"schema": "pik/2", "checks": []}
 
     def test_passing_check(self):
         rep = emit_report([{"name": "x", "status": "pass", "details": {}}])
@@ -138,7 +138,7 @@ class TestVerifyAll:
         assert main(self.CFG + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         rep = json.loads(out1.read_text())
-        assert rep["schema"] == "pik/1"
+        assert rep["schema"] == "pik/2"
         assert all(c["status"] == "pass" for c in rep["checks"])
 
     def test_negative_control_drop_relator(self, tmp_path, capsys):

@@ -136,7 +136,7 @@ class TestPsi:
     @pytest.mark.parametrize("n,r", [(3, 2), (4, 2), (4, 3), (5, 4)])
     def test_psi_automorphism(self, n, r):
         rep = verify_psi_automorphism(n, r)
-        assert rep.block_is_identity and rep.block_unimodular and rep.injective
+        assert rep.block_is_identity and rep.injective
 
     def test_bad_r(self):
         with pytest.raises(DecompError):

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pik.endos import compose, is_identity
+from pik import igroup
+from pik.endos import compose, identity_endo, inverse, is_identity, y_gen
 from pik.fuzz import random_gen_tokens, random_ielem
 from pik.igroup import (
     IElem,
@@ -17,6 +18,7 @@ from pik.igroup import (
     direct_endo,
     format_ielem,
     format_level_word,
+    from_parts,
     gen_elem,
     gen_index,
     generators,
@@ -186,11 +188,56 @@ class TestGroupLaws:
         assert low.part(3) == e.part(3) and low.part(2) == e.part(2)
 
 
+@st.composite
+def _ielems(draw):
+    """An element at n = 2..5 from drawn level words; levels may be empty."""
+    n = draw(st.integers(2, 5))
+    return IElem(n, tuple(word(m, draw(_letters(m, 8))) for m in range(n, 1, -1)))
+
+
+def _to_endo_letterwise(a):
+    """The automorphism of a normal form by its definition: one y(m,i)^s per letter."""
+    acc = identity_endo(a.n)
+    for m in range(a.n, 1, -1):
+        for i, s in a.part(m).letters:
+            e = y_gen(a.n, m, i)
+            acc = compose(acc, e if s > 0 else inverse(e))
+    return acc
+
+
 class TestToEndo:
     def test_generator(self):
-        from pik.endos import y_gen
-
         assert to_endo(gen_elem(3, 3, 1)).images == y_gen(3, 3, 1).images
+
+    @given(_ielems())
+    @example(identity_elem(2))
+    @example(identity_elem(5))
+    @example(from_parts(4, {4: word(4, [(2, 1), (4, -1)]), 2: word(2, [(1, -1)])}))
+    @example(from_parts(5, {3: word(3, [(3, 1), (1, 1), (2, -1)])}))
+    @example(from_parts(3, {2: word(2, [(2, 1), (1, 1)])}))
+    def test_closed_form_matches_letterwise(self, a):
+        ref = _to_endo_letterwise(a)
+        got = to_endo(a)
+        assert got.images == ref.images
+        assert got.inv_images == ref.inv_images
+
+    @given(_ielems())
+    def test_inverse_images_are_images_of_inverse(self, a):
+        assert to_endo(a).inv_images == to_endo(iinv(a)).images
+
+    @given(_ielems().filter(lambda a: not a.is_identity), st.data())
+    def test_negative_control_one_sign_flipped(self, a, data):
+        # Flipping the sign of one letter of w_m flips exactly that letter of
+        # V_m in the closed form; the letterwise reference must notice.
+        levels = [m for m in range(2, a.n + 1) if a.part(m).letters]
+        m = data.draw(st.sampled_from(levels))
+        letters = list(a.part(m).letters)
+        p = data.draw(st.integers(0, len(letters) - 1))
+        letters[p] = (letters[p][0], -letters[p][1])
+        parts = {q: a.part(q) for q in range(2, a.n + 1)}
+        parts[m] = word(m, letters)
+        flipped = igroup._images(from_parts(a.n, parts))
+        assert flipped != _to_endo_letterwise(a).images
 
     def test_identity(self):
         assert is_identity(to_endo(identity_elem(3)))
