@@ -10,7 +10,7 @@ from .words import FreeWord, cyclic_reduce, free_conjugate, invert, multiply, pa
 from .endos import EndoF, apply, check_mccool_relations, chi, compose, y_gen
 from .magnus import NcPoly, gamma_degree, ia_degree, johnson_image, magnus_expand
 from .igroup import IElem, abelianize, act, gen_elem, iinv, imul, to_endo, word_problem
-from .conj import ConjResult, SearchBudget, conjugacy, peel, twisted_conjugate
+from .conj import ConjResult, SearchBudget, conjugacy
 from .lie import GradedLattice, LieElem, bracket, lattice_of, lyndon_basis, witt
 from .decomp import (
     PsiMap,
@@ -18,7 +18,6 @@ from .decomp import (
     build_psi,
     build_relators,
     gr_rank_table,
-    ideal_graded_piece,
     verify_psi_automorphism,
     verify_theorem_th1,
     verify_tilde_T,
@@ -55,7 +54,6 @@ __all__ = [
     "gen_elem",
     "gr_rank_table",
     "ia_degree",
-    "ideal_graded_piece",
     "iinv",
     "imul",
     "inner_degree_check",
@@ -67,10 +65,8 @@ __all__ = [
     "magnus_expand",
     "multiply",
     "parse_x_word",
-    "peel",
     "thu1_bound",
     "to_endo",
-    "twisted_conjugate",
     "verify_psi_automorphism",
     "verify_theorem_th1",
     "verify_tilde_T",

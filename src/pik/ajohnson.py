@@ -96,12 +96,6 @@ def l1_rank(n: int, c: int, D: int) -> int:
     return build_johnson_matrix(n, c, basic_commutators_In(n, c), D).rank
 
 
-def factor_rank(n: int, c: int, level: int, D: int) -> int:
-    """Rank contributed by weight-c commutators inside a single level factor."""
-    gens = [gen_elem(n, level, i) for i in range(1, level + 1)]
-    return build_johnson_matrix(n, c, left_normed(gens, c, commutator_elem), D).rank
-
-
 def basic_commutator_words(rank: int, c: int) -> list[FreeWord]:
     """Left-normed weight-c commutators of free generators, same scheme."""
     return left_normed([gen(rank, i) for i in range(1, rank + 1)], c, commutator)

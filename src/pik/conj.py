@@ -10,9 +10,10 @@ Verdicts are sound by construction:
 * ``conjugate`` always ships a witness that has been re-multiplied and
   checked;
 * ``not_conjugate`` only cites invariants that are independent of all search
-  choices: the abelianization (conjugation acts trivially on it), the forced
-  bottom-level free conjugacy, or a twisted abelianization / nilpotent
-  quotient obstruction at the bottom of the ladder;
+  choices: the abelianization (conjugation acts trivially on it) or the
+  forced bottom-level free conjugacy.  The twisted abelianization and
+  class-2 nilpotent quotient obstructions only prune ladder candidates and
+  never produce a verdict;
 * everything else is ``unknown`` together with the exhausted bounds.  The
   full twisted-conjugacy decision procedure from the literature is out of
   scope; bounded verified search replaces it and never fakes a "no".
@@ -30,7 +31,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .endos import EndoF, apply as endo_apply, automorphism, is_identity as endo_is_identity
+from .endos import (
+    EndoF,
+    apply as endo_apply,
+    automorphism,
+    identity_endo,
+    is_identity as endo_is_identity,
+)
 from .igroup import (
     IElem,
     abelianize,
@@ -139,58 +146,8 @@ class ConjResult:
 
 
 # ---------------------------------------------------------------------------
-# Peeling: reproduce the level decomposition of g x g^-1.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PeelLevel:
-    level: int
-    a: FreeWord  # conjugate of x's component by the lower conjugator prefix
-    b: Optional[IElem]  # product of the already-produced lower levels
-    t: FreeWord  # the resulting normal-form component of g x g^-1
-
-
-def peel(x: IElem, g: IElem) -> list[PeelLevel]:
-    """Per-level components of g x g^-1.
-
-    Level 2 produces t_2 = g_2 w_2 g_2^-1; level i >= 3 produces
-    t_i = g_i a_i B g_i^-1 B^-1 with a_i the conjugate of w_i by the lower
-    part of g and B the element with components (t_{i-1}, ..., t_2).  The
-    tuple (t_n, ..., t_2) is the normal form of g x g^-1.
-    """
-    if x.n != g.n:
-        raise ConjError("rank mismatch")
-    n = x.n
-    levels: list[PeelLevel] = []
-    t2 = multiply(multiply(g.part(2), x.part(2)), invert(g.part(2)))
-    levels.append(PeelLevel(2, x.part(2), None, t2))
-    for i in range(3, n + 1):
-        prefix = lower_part(g, i)
-        a_i = act_elem(prefix, x.part(i))
-        b_i = IElem(i - 1, tuple(lev.t for lev in reversed(levels)))
-        t_i = multiply(multiply(g.part(i), a_i), act_elem(b_i, invert(g.part(i))))
-        levels.append(PeelLevel(i, a_i, b_i, t_i))
-    return levels
-
-
-def peel_product(x: IElem, g: IElem) -> IElem:
-    """Reassemble the peeled levels into a normal form (round-trip oracle)."""
-    levels = peel(x, g)
-    return IElem(x.n, tuple(lev.t for lev in reversed(levels)))
-
-
-# ---------------------------------------------------------------------------
 # Twisted conjugacy in a free factor: g * a * twist(g^-1) = z.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwistedResult:
-    status: str  # "found" | "refuted" | "unknown"
-    witness: Optional[FreeWord] = None
-    reason: Optional[str] = None
-    bounds: Optional[dict] = None
 
 
 def _abelianization_rows(twist: EndoF) -> list[list[int]]:
@@ -394,41 +351,6 @@ def twisted_solutions(
     yield from _twisted_bidirectional(a, z, twist, budget, budget.solutions_per_level)
 
 
-def twisted_conjugate(
-    a: FreeWord, z: FreeWord, twist: EndoF, budget: Optional[SearchBudget] = None
-) -> TwistedResult:
-    """Decide g a twist(g^-1) = z as far as the budget allows.
-
-    found(g) is exact and verified.  refuted is only returned from complete
-    subcases (identity twist) or from the abelianization / class-2 nilpotent
-    obstructions, which hold for every g.  Everything else is unknown.
-    """
-    budget = budget or SearchBudget()
-    if not twist.invertible:
-        raise ConjError("twist must be a flagged automorphism")
-    if twist.rank != a.rank or a.rank != z.rank:
-        raise ConjError("rank mismatch")
-    if endo_is_identity(twist):
-        g0 = free_conjugate(a, z)
-        if g0 is None:
-            return TwistedResult("refuted", reason="free-conjugacy core mismatch")
-        return TwistedResult("found", witness=g0)
-    if not twisted_abelian_obstruction(a, z, twist):
-        return TwistedResult("refuted", reason="twisted-abelianization obstruction")
-    if not twisted_class2_obstruction(a, z, twist):
-        return TwistedResult("refuted", reason="nilpotent quotient obstruction (class 2)")
-    sols = _twisted_bidirectional(a, z, twist, budget, 1)
-    if sols:
-        g = sols[0]
-        if multiply(multiply(g, a), endo_apply(twist, invert(g))) != z:
-            raise WitnessError("twisted conjugator failed re-verification")
-        return TwistedResult("found", witness=g)
-    return TwistedResult(
-        "unknown",
-        bounds={"max_len": budget.max_len, "states": budget.twisted_states},
-    )
-
-
 # ---------------------------------------------------------------------------
 # The level ladder.
 # ---------------------------------------------------------------------------
@@ -447,9 +369,8 @@ def _level_twist(y: IElem, i: int) -> EndoF:
     return automorphism(images, inv_images)
 
 
-def _ladder(x: IElem, y: IElem, budget: SearchBudget):
-    """Returns (witness, trace) on success, ("refuted", reason) on sound
-    refutation, or raises _Exhausted when budgets run out."""
+def _ladder(x: IElem, y: IElem, budget: SearchBudget) -> tuple[IElem, tuple[LevelTrace, ...]]:
+    """Returns (witness, trace) on success, or raises _Exhausted when budgets run out."""
     n = x.n
     w2, z2 = x.part(2), y.part(2)
     nodes = [0]
@@ -458,25 +379,6 @@ def _ladder(x: IElem, y: IElem, budget: SearchBudget):
         nodes[0] += 1
         if nodes[0] > budget.ladder_nodes:
             raise _Exhausted()
-
-    def level2_candidates() -> Iterator[FreeWord]:
-        if w2.is_identity and z2.is_identity:
-            count = 0
-            for w in _all_words(2, budget.max_len):
-                yield w
-                count += 1
-                if count >= budget.twisted_states:
-                    return
-            return
-        g0 = free_conjugate(w2, z2)
-        if g0 is None:
-            return
-        yield from _coset_solutions(g0, centralizer_root(z2), budget)
-
-    if w2.is_identity != z2.is_identity or (
-        not w2.is_identity and free_conjugate(w2, z2) is None
-    ):
-        return ("refuted", "level-2 free-conjugacy core mismatch")
 
     def solve(i: int, gs: list[FreeWord], trace: list[LevelTrace]):
         # gs holds g_2 .. g_{i-1}
@@ -508,7 +410,7 @@ def _ladder(x: IElem, y: IElem, budget: SearchBudget):
                 return res
         return None
 
-    for g2 in level2_candidates():
+    for g2 in twisted_solutions(w2, z2, identity_endo(2), budget):
         spend()
         t = [
             LevelTrace(
@@ -683,10 +585,7 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
         _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, method="generator-walk")
     try:
-        out = _ladder(x, y, budget)
-        if isinstance(out, tuple) and out and out[0] == "refuted":
-            return ConjResult("not_conjugate", reason=out[1])
-        witness, trace = out
+        witness, trace = _ladder(x, y, budget)
         _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, levels=trace, method="ladder")
     except _Exhausted:

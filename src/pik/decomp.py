@@ -22,7 +22,6 @@ from typing import Optional
 from .igroup import gen_index, rank_of_abelianization
 from .lie import (
     DirectSumReport,
-    GradedLattice,
     LieElem,
     bracket,
     bracket_word,
@@ -247,15 +246,6 @@ def ideal_rows_by_degree(relators: RelatorSet, max_m: int) -> dict[int, list[Lie
     for m in range(3, max_m + 1):
         rows[m] = [bracket(e, g) for e in rows[m - 1] for g in gens]
     return rows
-
-
-def ideal_graded_piece(relators: RelatorSet, m: int) -> GradedLattice:
-    if m < 2:
-        raise DecompError("J has no component below degree 2")
-    rows = ideal_rows_by_degree(relators, m)[m]
-    return lattice_of(rows, m) if rows else GradedLattice(
-        alphabet_size(relators.n), m, lattice_from_rows([], len(lyndon_index(alphabet_size(relators.n), m)))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,40 +493,3 @@ def gr_rank_table(n: int, max_c: int) -> list[RankRow]:
         rank_j = lattice_of(j_rows[c], c).rank if c >= 2 else 0
         out.append(RankRow(c, factors, witt(k, c) - rank_j))
     return out
-
-
-# -- presentation check -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PresentationReport:
-    n: int
-    relators_in_j: bool
-    factor_pairs_form_basis: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.relators_in_j and self.factor_pairs_form_basis
-
-
-def presentation_check(n: int) -> PresentationReport:
-    """Degree-2 presentation sanity: relators die in the quotient and the
-    within-level pair brackets descend to a basis of it."""
-    rels = build_relators(n)
-    k = alphabet_size(n)
-    index = lyndon_index(k, 2)
-    dim = len(index)
-    j_lat = lattice_of(rels.elems(), 2)
-    in_j = all(j_lat.lattice.contains(coordinate_row(r.elem, index, dim)) for r in rels.relators)
-    pair_elems = []
-    for i in range(2, n + 1):
-        for b in range(1, i + 1):
-            for a in range(1, b):
-                pair_elems.append(pair_bracket(n, i, b, i, a))
-    stacked = [coordinate_row(e, index, dim) for e in rels.elems() + pair_elems]
-    full = lattice_from_rows(stacked, dim)
-    basis_ok = (
-        full.is_full_unimodular()
-        and j_lat.rank + len(pair_elems) == witt(k, 2)
-    )
-    return PresentationReport(n, in_j, basis_ok)

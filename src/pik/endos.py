@@ -15,13 +15,11 @@ transcribed from conjugation notation goes through this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .words import (
     FreeWord,
     Letter,
-    Token,
-    WordError,
     _inverse,
     _raw,
     gen,
@@ -105,13 +103,6 @@ def compose(f: EndoF, g: EndoF) -> EndoF:
     return EndoF(f.rank, images, inv)
 
 
-def compose_all(n: int, endos: Iterable[EndoF]) -> EndoF:
-    acc = identity_endo(n)
-    for e in endos:
-        acc = compose(acc, e)
-    return acc
-
-
 def inverse(f: EndoF) -> EndoF:
     if f.inv_images is None:
         raise EndoError("endomorphism is not flagged invertible")
@@ -184,22 +175,6 @@ def tau(g: FreeWord) -> EndoF:
 def commutator_endo(a: EndoF, b: EndoF) -> EndoF:
     """[a, b] = a^-1 b^-1 a b as a composition."""
     return compose(compose(compose(inverse(a), inverse(b)), a), b)
-
-
-def word_to_endo(n: int, tokens: Iterable[Token]) -> EndoF:
-    """Evaluate a word in c(i,j) / y(m,i) generators as an automorphism."""
-    acc = identity_endo(n)
-    for t in tokens:
-        if t.kind == "c":
-            base = chi(n, t.a, t.b)
-        elif t.kind == "y":
-            base = y_gen(n, t.a, t.b)
-        else:
-            raise WordError(f"cannot evaluate {t.kind!r}-generator as an automorphism")
-        factor = base if t.exp > 0 else inverse(base)
-        for _ in range(abs(t.exp)):
-            acc = compose(acc, factor)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -251,15 +251,6 @@ def commutator_elem(a: IElem, b: IElem) -> IElem:
     return imul(imul(imul(iinv(a), iinv(b)), a), b)
 
 
-def ipow(a: IElem, e: int) -> IElem:
-    if e < 0:
-        return ipow(iinv(a), -e)
-    acc = identity_elem(a.n)
-    for _ in range(e):
-        acc = imul(acc, a)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Words in the generators: collection, the word problem, abelianization.
 # ---------------------------------------------------------------------------
@@ -283,10 +274,6 @@ def collect(n: int, tokens: Iterable[Token]) -> IElem:
         for _ in range(abs(t.exp)):
             acc = imul(acc, g)
     return acc
-
-
-def parse_ielem(n: int, s: str) -> IElem:
-    return collect(n, parse_word(s))
 
 
 def word_problem(n: int, word_or_tokens) -> bool:

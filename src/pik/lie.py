@@ -557,146 +557,3 @@ def lattice_direct_sum_is_whole(parts: Sequence[Sequence[LieElem]], nvars: int, 
         witt_rank=witt(nvars, m),
         stacked_unimodular=stacked.is_full_unimodular(),
     )
-
-
-# ---------------------------------------------------------------------------
-# Generic elimination: splitting off the subalgebra on a letter subset.
-# ---------------------------------------------------------------------------
-
-
-def wreath_generators(
-    nvars: int, u_letters: Sequence[int], v_letters: Sequence[int], max_deg: int
-) -> list[LieElem]:
-    """The natural free generating set of the complement subalgebra.
-
-    For a split of the alphabet into U and V, the complement of L(U) is free
-    on the left-normed brackets [v, u_1, ..., u_a] with v in V and u_i in U,
-    listed here up to degree max_deg.
-    """
-    import itertools as _it
-
-    if set(u_letters) & set(v_letters):
-        raise LieError("letter blocks must be disjoint")
-    out = [lie_generator(nvars, v) for v in v_letters]
-    for a in range(1, max_deg):
-        for v in v_letters:
-            for us in _it.product(u_letters, repeat=a):
-                out.append(bracket_word(nvars, [v, *us]))
-    return out
-
-
-def elimination_certificate(
-    nvars: int, u_letters: Sequence[int], v_letters: Sequence[int], m: int
-) -> DirectSumReport:
-    """Degree-m certificate that L splits as L(U) plus the wreath complement.
-
-    The complement's degree-m piece is spanned by left-normed products of the
-    wreath generators; the certificate stacks it against the Lyndon basis of
-    L^m(U) and checks rank additivity plus Z-fullness.
-    """
-    import itertools as _it
-
-    u_part = []
-    for w in lyndon_words(len(u_letters), m):
-        flat = tuple(u_letters[a - 1] for a in w)
-        u_part.append(lie_from_tensor(nvars, m, lyndon_bracket(nvars, flat)))
-    gens = wreath_generators(nvars, u_letters, v_letters, m)
-    by_deg: dict[int, list[LieElem]] = {}
-    for e in gens:
-        by_deg.setdefault(e.degree, []).append(e)
-
-    def compositions(total: int, min_part: int = 1):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min_part, total + 1):
-            for rest in compositions(total - first, min_part):
-                yield (first,) + rest
-
-    wreath_rows: list[LieElem] = []
-    for comp in compositions(m):
-        if not all(d in by_deg for d in comp):
-            continue
-        for combo in _it.product(*(by_deg[d] for d in comp)):
-            e = combo[0]
-            for t in combo[1:]:
-                e = bracket(e, t)
-            if not e.is_zero:
-                wreath_rows.append(e)
-    return lattice_direct_sum_is_whole([u_part, wreath_rows], nvars, m)
-
-
-def smith_diagonal(rows: Sequence[Sequence[int]], dim: int) -> list[int]:
-    """Exact Smith normal form diagonal of the row matrix (small inputs)."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    diag: list[int] = []
-    top = 0
-    ncols = dim
-    while top < nrows and top < ncols:
-        # find a nonzero entry at or below/right of (top, top)
-        found = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if mat[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i0, j0 = found
-        mat[top], mat[i0] = mat[i0], mat[top]
-        for row in mat:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            # clear column with row ops
-            again = False
-            for i in range(top + 1, nrows):
-                if mat[i][top]:
-                    if mat[i][top] % mat[top][top] == 0:
-                        q = mat[i][top] // mat[top][top]
-                        mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
-                    else:
-                        x, y, g = _xgcd(mat[top][top], mat[i][top])
-                        ag, bg = mat[top][top] // g, mat[i][top] // g
-                        r_top = mat[top][:]
-                        r_i = mat[i][:]
-                        mat[top] = [x * a + y * b for a, b in zip(r_top, r_i)]
-                        mat[i] = [-bg * a + ag * b for a, b in zip(r_top, r_i)]
-                        again = True
-            # clear row with column ops
-            for j in range(top + 1, ncols):
-                if mat[top][j]:
-                    if mat[top][j] % mat[top][top] == 0:
-                        q = mat[top][j] // mat[top][top]
-                        for row in mat:
-                            row[j] -= q * row[top]
-                    else:
-                        x, y, g = _xgcd(mat[top][top], mat[top][j])
-                        ag, bg = mat[top][top] // g, mat[top][j] // g
-                        for row in mat:
-                            a, b = row[top], row[j]
-                            row[top] = x * a + y * b
-                            row[j] = -bg * a + ag * b
-                        again = True
-            if not again and all(not mat[i][top] for i in range(top + 1, nrows)) and all(
-                not mat[top][j] for j in range(top + 1, ncols)
-            ):
-                break
-        diag.append(abs(mat[top][top]))
-        top += 1
-    # enforce divisibility chain
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            if a and b and b % a:
-                g = _gcd(a, b)
-                diag[i], diag[j] = g, a * b // g
-    return [d for d in diag if d]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

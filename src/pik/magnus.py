@@ -256,13 +256,3 @@ def johnson_image(f: EndoF, c: int, D: int) -> tuple[NcPoly, ...]:
     if any(d is not None and d < c for d in depths):
         raise NotIAError(f"automorphism is not in filtration level {c}")
     return tuple(NcPoly(f.rank, D, p.homogeneous(c).terms) for p in expansions)
-
-
-def johnson_additive_check(f: EndoF, g: EndoF, c: int, D: int) -> bool:
-    """johnson_image(f o g) = johnson_image(f) + johnson_image(g) at level c."""
-    from .endos import compose
-
-    lhs = johnson_image(compose(f, g), c, D)
-    f_im = johnson_image(f, c, D)
-    g_im = johnson_image(g, c, D)
-    return all(l == a.add(b) for l, a, b in zip(lhs, f_im, g_im))

@@ -117,13 +117,6 @@ def multiply(a: FreeWord, b: FreeWord) -> FreeWord:
     return _raw(a.rank, _join(a.letters, b.letters))
 
 
-def multiply_all(rank: int, words: Iterable[FreeWord]) -> FreeWord:
-    acc = empty(rank)
-    for w in words:
-        acc = multiply(acc, w)
-    return acc
-
-
 def invert(a: FreeWord) -> FreeWord:
     return _raw(a.rank, _inverse(a.letters))
 
@@ -223,7 +216,7 @@ def centralizer_root(a: FreeWord) -> Optional[FreeWord]:
 #
 #   word := term (ws term)* | ""
 #   term := gen ("^" signed-int)?
-#   gen  := "x" int | "y(" int "," int ")" | "c(" int "," int ")"
+#   gen  := "x" int | "y(" int "," int ")"
 # ---------------------------------------------------------------------------
 
 
@@ -237,7 +230,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "x", "y" or "c"
+    kind: str  # "x" or "y"
     a: int
     b: int  # 0 for "x" tokens
     exp: int
@@ -269,7 +262,7 @@ def parse_word(s: str) -> list[Token]:
         if kind == "x":
             a, pos = _scan_int(s, pos + 1)
             b = 0
-        elif kind in ("y", "c"):
+        elif kind == "y":
             pos += 1
             if pos >= n or s[pos] != "(":
                 raise ParseError("expected '('", pos + 1)

@@ -5,7 +5,6 @@ from pik.ajohnson import (
     basic_commutator_words,
     basic_commutators_In,
     build_johnson_matrix,
-    factor_rank,
     inner_degree_check,
     l1_rank,
     left_normed,
@@ -72,22 +71,17 @@ class TestL1Rank:
 
     def test_factor_ranks_and_independence(self):
         # per-level pieces have the per-level Witt ranks and stack independently
+        from pik.igroup import commutator_elem
+
         n, c, D = 3, 2, 4
-        ranks = [factor_rank(n, c, level, D) for level in (2, 3)]
-        assert ranks == [witt(2, 2), witt(3, 2)]
-        rows = []
+        levels = []
         for level in (2, 3):
             gens = [gen_elem(n, level, i) for i in range(1, level + 1)]
-            from pik.igroup import commutator_elem
-
-            elems = [
-                commutator_elem(gens[a], gens[b])
-                for a in range(len(gens))
-                for b in range(a)
-            ]
-            rows.extend(build_johnson_matrix(n, c, elems, D).rows)
+            levels.append(build_johnson_matrix(n, c, left_normed(gens, c, commutator_elem), D))
+        assert [m.rank for m in levels] == [witt(2, 2), witt(3, 2)]
+        rows = [r for m in levels for r in m.rows]
         stacked = lattice_from_rows(rows, n * n ** (c + 1))
-        assert stacked.rank == sum(ranks)
+        assert stacked.rank == witt(2, 2) + witt(3, 2)
 
 
 class TestInnerDegree:

@@ -124,6 +124,11 @@ class TestSubcommands:
         err = json.loads(capsys.readouterr().err)
         assert err["column"] == 5
 
+    def test_c_generator_is_a_parse_error(self, capsys):
+        assert main(["igroup", "normal-form", "--n", "3", "c(1,2)"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["column"] == 1
+
 
 class TestVerifyAll:
     CFG = [

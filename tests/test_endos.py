@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,13 +13,11 @@ from pik.endos import (
     chi,
     commutator_endo,
     compose,
-    compose_all,
     identity_endo,
     inverse,
     is_identity,
     perturbed_chi,
     tau,
-    word_to_endo,
     y_gen,
 )
 from pik.words import gen, invert, multiply, parse_x_word, reduce_letters, word
@@ -93,7 +93,7 @@ class TestYGen:
     def test_literal_chi_composition(self):
         # y(m, i) is the product of chi(k, i) over k <= m, k != i
         for n, m, i in [(3, 3, 1), (4, 3, 2), (5, 4, 4), (4, 2, 1)]:
-            lit = compose_all(n, (chi(n, k, i) for k in range(1, m + 1) if k != i))
+            lit = reduce(compose, (chi(n, k, i) for k in range(1, m + 1) if k != i))
             assert lit.images == y_gen(n, m, i).images
 
     def test_inverse_conjugates_back(self):
@@ -186,19 +186,7 @@ class TestMcCool:
         assert any("chi(1,2)" in f for f in rep.failures)
 
 
-class TestWordToEndo:
-    def test_chi_word(self):
-        from pik.words import parse_word
-
-        f = word_to_endo(3, parse_word("c(1,2) c(1,2)^-1"))
-        assert is_identity(f)
-
-    def test_y_word(self):
-        from pik.words import parse_word
-
-        f = word_to_endo(3, parse_word("y(3,1)"))
-        assert f.images == y_gen(3, 3, 1).images
-
+class TestTau:
     def test_tau_inner(self):
         g = w("x1 x2", 2)
         f = tau(g)

@@ -26,7 +26,6 @@ from pik.igroup import (
     iinv,
     imul,
     lower_part,
-    parse_ielem,
     rank_of_abelianization,
     relation_instances,
     to_endo,
@@ -275,8 +274,8 @@ class TestCollection:
         assert word_problem(3, "y(3,1)^-1 y(2,1)^-1 y(3,1) y(2,1)")  # type (1)
         assert word_problem(3, "y(3,3)^-1 y(2,1)^-1 y(3,3) y(2,1)")  # type (2)
 
-    def test_parse_ielem_roundtrip(self):
-        e = parse_ielem(3, "y(3,1) y(2,2)^-1")
+    def test_parse_format_roundtrip(self):
+        e = collect(3, parse_word("y(3,1) y(2,2)^-1"))
         assert format_ielem(e) == "y(3,1) y(2,2)^-1"
 
     def test_invalid_generator(self):

@@ -21,7 +21,6 @@ from pik.lie import (
     lyndon_coordinates,
     lyndon_index,
     lyndon_words,
-    smith_diagonal,
     standard_factorization,
     witt,
 )
@@ -232,38 +231,6 @@ class TestIntLattice:
         assert lat.pivots() == [1] + [1 << 70] * (witt(3, 3) - 1)
         rep = lattice_direct_sum_is_whole([huge[:1], huge[1:]], 3, 3)
         assert rep.rank_sum == witt(3, 3) and not rep.stacked_unimodular
-
-    def test_smith_diagonal(self):
-        assert smith_diagonal([[2, 0], [0, 3]], 2) == [1, 6]
-        assert smith_diagonal([[1, 0], [0, 1]], 2) == [1, 1]
-        assert smith_diagonal([[2, 4], [6, 8]], 2) == [2, 4]
-        assert smith_diagonal([[0, 0]], 2) == []
-
-
-class TestElimination:
-    @pytest.mark.parametrize(
-        "nvars,u,v,m",
-        [
-            (3, [1], [2, 3], 2),
-            (3, [1], [2, 3], 3),
-            (4, [1, 2], [3, 4], 2),
-            (4, [1, 2], [3, 4], 3),
-            (5, [1, 2], [3, 4, 5], 2),
-        ],
-    )
-    def test_split_is_whole(self, nvars, u, v, m):
-        from pik.lie import elimination_certificate
-
-        rep = elimination_certificate(nvars, u, v, m)
-        assert rep.ok
-        assert rep.part_ranks[0] == witt(len(u), m)
-        assert rep.part_ranks[1] == witt(nvars, m) - witt(len(u), m)
-
-    def test_overlapping_blocks_rejected(self):
-        from pik.lie import wreath_generators
-
-        with pytest.raises(LieError):
-            wreath_generators(3, [1, 2], [2, 3], 2)
 
 
 class TestGradedLattices:

@@ -17,6 +17,7 @@ from pik.words import (
     invert,
     is_cyclically_reduced,
     multiply,
+    parse_word,
     parse_x_word,
     power,
     primitive_root,
@@ -225,6 +226,11 @@ class TestParser:
     def test_error_bad_char(self):
         with pytest.raises(ParseError):
             parse_x_word("z3", 3)
+
+    def test_c_generator_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_word("c(1,2)")
+        assert exc.value.column == 1
 
     def test_commutator_helper(self):
         a, b = w("x1", 2), w("x2", 2)
