@@ -15,7 +15,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .endos import EndoF, tau
 from .igroup import IElem, commutator_elem, gen_elem, generators, to_endo
-from .lie import lattice_from_rows, witt
+from .lie import IntLattice, lattice_from_rows, witt
 from .magnus import gamma_degree, ia_degree, johnson_image
 from .words import FreeWord, commutator, gen
 
@@ -40,8 +40,17 @@ def left_normed(gens: Sequence[T], c: int, comm: Callable[[T, T], T]) -> list[T]
         return list(gens)
     out = [comm(gens[a], gens[b]) for a in range(len(gens)) for b in range(a)]
     for _ in range(c - 2):
-        out = [comm(e, t) for e in out for t in gens]
+        out = left_normed_step(out, gens, comm)
     return out
+
+
+def left_normed_step(heads: Sequence[T], tails: Sequence[T], comm: Callable[[T, T], T]) -> list[T]:
+    """[h, t] for each head h, then each tail t.
+
+    Extending a list of left-normed commutators this way forms each prefix
+    once, in the order of itertools.product over (heads, tails).
+    """
+    return [comm(h, t) for h in heads for t in tails]
 
 
 def basic_commutators_In(n: int, c: int) -> list[IElem]:
@@ -66,23 +75,10 @@ def _johnson_row(f: EndoF, c: int, D: int) -> list[int]:
     return row
 
 
-@dataclass(frozen=True)
-class JohnsonMatrix:
-    n: int
-    c: int
-    truncation: int
-    rows: tuple[tuple[int, ...], ...]
-    rank: int
-
-
-def build_johnson_matrix(n: int, c: int, elems: Sequence[IElem], D: int) -> JohnsonMatrix:
-    rows = []
-    for e in elems:
-        f = to_endo(e)
-        rows.append(tuple(_johnson_row(f, c, D)))
-    dim = n * n ** (c + 1)
-    lat = lattice_from_rows(rows, dim)
-    return JohnsonMatrix(n, c, D, tuple(rows), lat.rank)
+def build_johnson_matrix(n: int, c: int, elems: Sequence[IElem], D: int) -> IntLattice:
+    """The lattice spanned by the degree-(c+1) Johnson rows of the elements."""
+    rows = [_johnson_row(to_endo(e), c, D) for e in elems]
+    return lattice_from_rows(rows, n * n ** (c + 1))
 
 
 def l1_rank(n: int, c: int, D: int) -> int:

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import ajohnson, conj, decomp, endos, fuzz, igroup, lie, magnus
@@ -127,11 +127,7 @@ def check_conjugacy_fuzz(cfg: RunConfig) -> dict:
     planted_fail = 0
     for _ in range(cfg.fuzz_conj):
         x, y, budget = fuzz.planted_conjugacy_case(rng, cfg.n, 8)
-        budget = SearchBudget(
-            max_len=cfg.budget_len,
-            coset=cfg.budget_coset,
-            gen_radius=budget.gen_radius,
-        )
+        budget = replace(budget, max_len=cfg.budget_len, coset=cfg.budget_coset)
         res = conj.conjugacy(x, y, budget)
         if res.verdict != "conjugate":
             planted_fail += 1

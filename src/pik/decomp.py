@@ -9,16 +9,18 @@ generates, and exact lattice certificates for the decomposition
     L^m  =  ( + L^m(Y_2) ... + L^m(Y_n) )  (+)  J^m
 
 as well as the splitting of J into the per-level ideals T_r.  All claims are
-verified over Z: rank additivity against the Witt rank plus a unimodular
-Hermite form for the stacked spanning set.
+verified over Z.  Each L^m(Y_i) is spanned by unit Lyndon vectors, so the
+decomposition needs one echelon of J^m's spanning set: rank additivity
+against the Witt rank, plus a pivot of 1 in absolute value on every Lyndon
+column outside the level factors (see docs/NOTES.md).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from .ajohnson import left_normed_step
 from .igroup import gen_index, rank_of_abelianization
 from .lie import (
     DirectSumReport,
@@ -32,7 +34,6 @@ from .lie import (
     lattice_of,
     lie_from_tensor,
     lie_generator,
-    lyndon_bracket,
     lyndon_index,
     lyndon_words,
     witt,
@@ -89,18 +90,11 @@ class Relator:
     j: int
     elem: LieElem
 
-    @property
-    def label(self) -> str:
-        return f"({self.kind}) m={self.m} i={self.i} r={self.r} j={self.j}"
-
 
 @dataclass(frozen=True)
 class RelatorSet:
     n: int
     relators: tuple[Relator, ...]
-
-    def elems(self) -> list[LieElem]:
-        return [rel.elem for rel in self.relators]
 
     def without(self, drop: Relator) -> "RelatorSet":
         kept = tuple(rel for rel in self.relators if rel is not drop)
@@ -151,9 +145,6 @@ class PsiMap:
     r: int
     domain: tuple[tuple[int, int, int], ...]  # (m, nu, l): pair [y(m,nu), y(r,l)]
     images: tuple[LieElem, ...]
-
-    def image_of(self, m: int, nu: int, l: int) -> LieElem:
-        return self.images[self.domain.index((m, nu, l))]
 
 
 def psi_image(n: int, r: int, m: int, nu: int, l: int) -> LieElem:
@@ -244,7 +235,7 @@ def ideal_rows_by_degree(relators: RelatorSet, max_m: int) -> dict[int, list[Lie
     gens = [lie_generator(k, a) for a in range(1, k + 1)]
     rows = {2: [rel.elem for rel in relators.relators]}
     for m in range(3, max_m + 1):
-        rows[m] = [bracket(e, g) for e in rows[m - 1] for g in gens]
+        rows[m] = left_normed_step(rows[m - 1], gens, bracket)
     return rows
 
 
@@ -307,11 +298,14 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
     rels = relators if relators is not None else build_relators(n)
     k = alphabet_size(n)
     j_rows = ideal_rows_by_degree(rels, max_m)
+    levels = [level_letters(n, i) for i in range(2, n + 1)]
     reports = []
     for m in range(2, max_m + 1):
-        y_parts = [_factor_basis(n, i, m) for i in range(2, n + 1)]
-        parts = y_parts + [j_rows[m]]
-        ds = lattice_direct_sum_is_whole(parts, k, m)
+        # a Lyndon word on one level's letters is Lyndon on the whole ordered
+        # alphabet with the same bracketing, so L^m(Y_i) is spanned by unit
+        # Lyndon vectors
+        units = [[tuple(ys[a - 1] for a in w) for w in lyndon_words(len(ys), m)] for ys in levels]
+        ds = lattice_direct_sum_is_whole(j_rows[m], units, k, m)
         reports.append(
             DegreeReport(
                 m=m,
@@ -324,43 +318,23 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
     return Th1Report(n, tuple(reports))
 
 
-def _factor_basis(n: int, i: int, m: int) -> list[LieElem]:
-    """Lyndon basis of L^m(Y_i) inside the flat alphabet.
-
-    A Lyndon word on a subset of the letters is Lyndon on the whole ordered
-    alphabet with the same standard bracketing, so these are unit coordinate
-    vectors of the big Lyndon basis.
-    """
-    k = alphabet_size(n)
-    subset = level_letters(n, i)
-    out = []
-    for w in lyndon_words(i, m):
-        flat = tuple(subset[a - 1] for a in w)
-        out.append(lie_from_tensor(k, m, lyndon_bracket(k, flat)))
-    return out
-
-
 # -- the per-level ideals T_r -----------------------------------------------
 
 
 def _c_elements(n: int, r: int, kappa: int) -> list[LieElem]:
     """The degree-kappa generators of T_r: psi images with Y_r then U_{r+1} tails."""
-    psi = build_psi(n, r)
-    if kappa == 2:
-        return list(psi.images)
     k = alphabet_size(n)
     y_tail = [lie_generator(k, a) for a in level_letters(n, r)]
     u_tail = [lie_generator(k, a) for a in upper_letters(n, r + 1)]
+    heads = list(build_psi(n, r).images)
     out = []
-    for a in range(kappa - 1):
-        b = kappa - 2 - a
-        for base in psi.images:
-            for ys in itertools.product(y_tail, repeat=a):
-                for us in itertools.product(u_tail, repeat=b):
-                    e = base
-                    for t in ys + us:
-                        e = bracket(e, t)
-                    out.append(e)
+    for a in range(kappa - 1):  # a letters of Y_r, then kappa - 2 - a of U_{r+1}
+        if a:
+            heads = left_normed_step(heads, y_tail, bracket)
+        elems = heads
+        for _ in range(kappa - 2 - a):
+            elems = left_normed_step(elems, u_tail, bracket)
+        out.extend(elems)
     return out
 
 
@@ -385,12 +359,10 @@ def t_r_rows(n: int, r: int, m: int) -> list[LieElem]:
 
     rows: list[LieElem] = []
     for comp in _compositions(m):
-        for combo in itertools.product(*(c_of(kappa) for kappa in comp)):
-            e = combo[0]
-            for t in combo[1:]:
-                e = bracket(e, t)
-            if not e.is_zero:
-                rows.append(e)
+        elems = c_of(comp[0])
+        for kappa in comp[1:]:
+            elems = left_normed_step(elems, c_of(kappa), bracket)
+        rows.extend(e for e in elems if not e.is_zero)
     return rows
 
 

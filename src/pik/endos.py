@@ -52,10 +52,6 @@ class EndoF:
             if im.rank != self.rank:
                 raise EndoError("image rank mismatch")
 
-    @property
-    def invertible(self) -> bool:
-        return self.inv_images is not None
-
 
 def identity_endo(n: int) -> EndoF:
     imgs = tuple(gen(n, i) for i in range(1, n + 1))

@@ -97,12 +97,11 @@ def _lyndon_bracket_poly(nvars: int, w: Word, maxdeg: int) -> NcPoly:
     )
 
 
-def lyndon_bracket(nvars: int, w: Word, maxdeg: Optional[int] = None) -> NcPoly:
+def lyndon_bracket(nvars: int, w: Word) -> NcPoly:
     """Standard bracketing of a Lyndon word as a tensor polynomial."""
     if not is_lyndon(w):
         raise LieError(f"{w} is not a Lyndon word")
-    D = maxdeg if maxdeg is not None else len(w)
-    return NcPoly(nvars, D, dict(_lyndon_bracket_terms(nvars, w)))
+    return NcPoly(nvars, len(w), dict(_lyndon_bracket_terms(nvars, w)))
 
 
 def lyndon_coordinates(nvars: int, degree: int, terms: dict[Word, int]) -> dict[Word, int]:
@@ -269,10 +268,6 @@ class IntLattice:
             self._mat = None
         return self._rows
 
-    def echelon_rows(self) -> "np.ndarray | list[list[int]]":
-        """The echelon rows, as the int64 ndarray when the lattice has one."""
-        return self._mat if self._mat is not None else self._rows
-
     @property
     def rank(self) -> int:
         return len(self.pivot_col)
@@ -353,10 +348,6 @@ class IntLattice:
         if self._mat is not None:
             return np.abs(self._mat[np.arange(self.rank), self.pivot_col]).tolist()
         return [abs(self._rows[i][c]) for i, c in enumerate(self.pivot_col)]
-
-    def is_full_unimodular(self) -> bool:
-        """True iff the lattice is all of Z^dim (Hermite form the identity)."""
-        return self.rank == self.dim and all(p == 1 for p in self.pivots())
 
 
 def _echelon_numpy(mat: np.ndarray) -> tuple[int, list[int], np.ndarray]:
@@ -517,43 +508,34 @@ class DirectSumReport:
     def ok(self) -> bool:
         return self.rank_sum == self.witt_rank and self.stacked_unimodular
 
-    def as_dict(self) -> dict:
-        return {
-            "m": self.degree,
-            "part_ranks": list(self.part_ranks),
-            "rank_sum": self.rank_sum,
-            "witt": self.witt_rank,
-            "snf_ones": self.stacked_unimodular,
-            "direct_sum": self.ok,
-        }
 
+def lattice_direct_sum_is_whole(
+    j: Sequence[LieElem], units: Sequence[Sequence[Word]], nvars: int, m: int
+) -> DirectSumReport:
+    """Certificate that span(j) and the unit vectors of units' Lyndon words
+    form a direct sum equal to all of L^m over Z.
 
-def _stack(blocks: Sequence["np.ndarray | list[list[int]]"], dim: int) -> "np.ndarray | list[list[int]]":
-    """Row blocks one under the other: int64 when every entry fits, else Python ints."""
-    try:
-        return np.concatenate([np.asarray(b, dtype=np.int64).reshape(-1, dim) for b in blocks])
-    except OverflowError:
-        return [r for b in blocks for r in (b.tolist() if isinstance(b, np.ndarray) else b)]
-
-
-def lattice_direct_sum_is_whole(parts: Sequence[Sequence[LieElem]], nvars: int, m: int) -> DirectSumReport:
-    """Certificate that the given spans form a direct sum equal to all of L^m.
-
-    Checks rank additivity against the Witt rank and that the stacked
-    spanning set generates the full integer lattice (Hermite pivots all 1,
-    equivalently Smith normal form all ones) -- a Z-direct-sum certificate,
-    not merely one over Q.  The stacked lattice is built from the parts'
-    echelon rows, which span the same lattices as their spanning sets.
+    Each part of units has one rank per word; rank additivity is checked
+    against the Witt rank.  With S the unit words and C the other degree-m
+    Lyndon words, the lattice spanned by e_S and j is Z^S (+) pi_C(j).  So it
+    is all of L^m iff one echelon of j, with the C columns first, has a
+    pivot of 1 in absolute value in every C column (see docs/NOTES.md).
     """
-    index = lyndon_index(nvars, m)
+    unit_words = {w for part in units for w in part}
+    words = lyndon_words(nvars, m)
+    if not unit_words <= set(words):
+        raise LieError(f"unit words must be Lyndon words of length {m}")
+    order = sorted(words, key=lambda w: w in unit_words)  # stable: C, then S
+    index = {w: k for k, w in enumerate(order)}
     dim = len(index)
-    lats = [lattice_from_rows(coordinate_rows(part, index, dim), dim) for part in parts]
-    stacked = lattice_from_rows(_stack([lat.echelon_rows() for lat in lats], dim), dim)
-    part_ranks = [lat.rank for lat in lats]
+    lat = lattice_from_rows(coordinate_rows(j, index, dim), dim)
+    c = dim - len(unit_words)
+    whole = lat.pivot_col[:c] == list(range(c)) and all(p == 1 for p in lat.pivots()[:c])
+    part_ranks = [len(part) for part in units] + [lat.rank]
     return DirectSumReport(
         degree=m,
         part_ranks=tuple(part_ranks),
         rank_sum=sum(part_ranks),
         witt_rank=witt(nvars, m),
-        stacked_unimodular=stacked.is_full_unimodular(),
+        stacked_unimodular=whole,
     )

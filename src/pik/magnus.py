@@ -49,10 +49,6 @@ class NcPoly:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, maxdeg: int) -> "NcPoly":
-        return cls(nvars, maxdeg)
-
-    @classmethod
     def one(cls, nvars: int, maxdeg: int) -> "NcPoly":
         return cls(nvars, maxdeg, {(): 1})
 
@@ -86,12 +82,6 @@ class NcPoly:
 
     def sub(self, other: "NcPoly") -> "NcPoly":
         return self.add(other.neg())
-
-    def scale(self, k: int) -> "NcPoly":
-        res = NcPoly(self.nvars, self.maxdeg)
-        if k:
-            res.terms = {m: k * c for m, c in self.terms.items()}
-        return res
 
     def mul(self, other: "NcPoly") -> "NcPoly":
         self._compatible(other)

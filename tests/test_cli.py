@@ -197,6 +197,31 @@ class TestVerifyAll:
         assert main(self.CFG) == 2
         assert "PIK_THREADS must be an integer" in json.loads(capsys.readouterr().err)["error"]
 
+    def test_conjugacy_fuzz_keeps_the_planted_budget(self, monkeypatch):
+        # each planted case seeds gen_radius and max_states so that its walk
+        # is complete; the run's length and coset budgets replace only those two
+        from types import SimpleNamespace
+
+        from pik import conj, fuzz
+        from pik.cli import check_conjugacy_fuzz
+        from pik.prng import Lcg
+
+        cfg = RunConfig(n=3, seed=7, fuzz_conj=6, budget_len=5, budget_coset=3)
+        rng = Lcg(cfg.seed + 1)
+        planted = [fuzz.planted_conjugacy_case(rng, cfg.n, 8)[2] for _ in range(cfg.fuzz_conj)]
+        seen = []
+
+        def fake(x, y, budget=None):
+            if budget is None:  # the abelianization refutations use the default budget
+                return SimpleNamespace(verdict="not_conjugate")
+            seen.append((budget.gen_radius, budget.max_states, budget.max_len, budget.coset))
+            return SimpleNamespace(verdict="conjugate")
+
+        monkeypatch.setattr(conj, "conjugacy", fake)
+        assert check_conjugacy_fuzz(cfg)["status"] == "pass"
+        assert seen == [(b.gen_radius, b.max_states, 5, 3) for b in planted]
+        assert {b.max_states for b in planted} == {400_000}
+
 
 def test_script_runs_from_any_directory(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

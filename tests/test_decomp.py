@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from pik.decomp import (
     DecompError,
+    Relator,
+    RelatorSet,
     alphabet_size,
     build_psi,
     build_relators,
@@ -21,9 +25,13 @@ from pik.lie import (
     bracket,
     coordinate_row,
     lattice_equal,
+    lattice_from_rows,
     lattice_of,
+    lie_from_tensor,
     lie_generator,
+    lyndon_bracket,
     lyndon_index,
+    lyndon_words,
     witt,
 )
 
@@ -82,7 +90,7 @@ class TestRelators:
 
     def test_span_rank(self):
         rels = build_relators(3)
-        lat = lattice_of(rels.elems(), 2)
+        lat = lattice_of([rel.elem for rel in rels.relators], 2)
         assert lat.rank == 6 == witt(5, 2) - witt(2, 2) - witt(3, 2)
 
     def test_all_degree_two(self):
@@ -113,7 +121,8 @@ class TestPsi:
         for n in (3, 4):
             rels = build_relators(n)
             all_images = [e for r in range(2, n) for e in build_psi(n, r).images]
-            assert lattice_equal(lattice_of(all_images, 2), lattice_of(rels.elems(), 2))
+            relator_elems = [rel.elem for rel in rels.relators]
+            assert lattice_equal(lattice_of(all_images, 2), lattice_of(relator_elems, 2))
 
     def test_image_set_equals_relators_per_r_block(self):
         # stronger: for each r the psi images coincide, up to sign, with the
@@ -200,6 +209,76 @@ class TestTheoremDecomposition:
             verify_theorem_th1(2, 3)
 
 
+def stacked_th1(n, max_m, rels):
+    """Oracle: the per-degree Th1 report from one lattice that stacks the
+    rows of each level factor's Lyndon basis, built by tensor brackets, and
+    the rows of J's spanning set."""
+    k = alphabet_size(n)
+    j_rows = ideal_rows_by_degree(rels, max_m)
+    out = []
+    for m in range(2, max_m + 1):
+        index = lyndon_index(k, m)
+        dim = len(index)
+        level_rows = []
+        for i in range(2, n + 1):
+            ys = level_letters(n, i)
+            flat = [tuple(ys[a - 1] for a in w) for w in lyndon_words(i, m)]
+            basis = [lie_from_tensor(k, m, lyndon_bracket(k, w)) for w in flat]
+            level_rows.append([coordinate_row(e, index, dim) for e in basis])
+        j = [coordinate_row(e, index, dim) for e in j_rows[m] if not e.is_zero]
+        ranks_y = [lattice_from_rows(rows, dim).rank for rows in level_rows]
+        rank_j = lattice_from_rows(j, dim).rank
+        stacked = lattice_from_rows([r for rows in level_rows for r in rows] + j, dim)
+        snf_ones = stacked.rank == dim and stacked.pivots() == [1] * dim
+        rank_sum = sum(ranks_y) + rank_j
+        out.append(
+            {
+                "m": m,
+                "rank_total": witt(k, m),
+                "rank_J": rank_j,
+                "ranks_Y": ranks_y,
+                "rank_sum": rank_sum,
+                "direct_sum": rank_sum == witt(k, m) and snf_ones,
+                "snf_ones": snf_ones,
+            }
+        )
+    return out
+
+
+class TestAgainstStackedLattice:
+    """The one-echelon certificate gives the report of the stacked lattice."""
+
+    @staticmethod
+    def check(n, max_m, rels):
+        got = verify_theorem_th1(n, max_m, relators=rels).as_dict()["per_degree"]
+        want = stacked_th1(n, max_m, rels)
+        assert got == want
+        return want[0]
+
+    @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
+    def test_each_relator_dropped(self, n, max_m):
+        rels = build_relators(n)
+        assert self.check(n, max_m, rels)["direct_sum"]
+        for victim in rels.relators:
+            assert self.check(n, max_m, rels.without(victim))["rank_sum"] == witt(alphabet_size(n), 2) - 1
+
+    @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
+    def test_relator_doubled(self, n, max_m):
+        rels = build_relators(n)
+        victim = rels.of_kind(3)[0]
+        doubled = lie_from_tensor(alphabet_size(n), 2, victim.elem.coords.add(victim.elem.coords))
+        swapped = tuple(replace(rel, elem=doubled) if rel is victim else rel for rel in rels.relators)
+        first = self.check(n, max_m, RelatorSet(n, swapped))
+        assert first["rank_sum"] == first["rank_total"] and not first["snf_ones"]
+
+    @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
+    def test_extra_within_level_pair(self, n, max_m):
+        rels = build_relators(n)
+        extra = Relator(1, n, 1, n, 2, pair_bracket(n, n, 1, n, 2))
+        first = self.check(n, max_m, RelatorSet(n, rels.relators + (extra,)))
+        assert first["rank_sum"] == first["rank_total"] + 1 and first["snf_ones"]
+
+
 class TestTildeT:
     def test_n3(self):
         rep = verify_tilde_T(3, 3)
@@ -246,6 +325,6 @@ class TestPresentation:
             if rel.kind == 3:
                 ymj = gen(k, letter(n, rel.m, rel.j))
                 word = multiply(word, invert(commutator(ym, ymj)))
-            assert gamma_degree(word, 4) == 2, rel.label
+            assert gamma_degree(word, 4) == 2, rel
             deg2 = magnus_expand(word, 2).homogeneous(2)
-            assert deg2.terms == rel.elem.coords.terms, rel.label
+            assert deg2.terms == rel.elem.coords.terms, rel

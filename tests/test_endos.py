@@ -154,7 +154,7 @@ class TestAutomorphismFlag:
     def test_checked_inverse(self):
         f = chi(3, 1, 2)
         g = automorphism(f.images, f.inv_images)
-        assert g.invertible
+        assert g.inv_images is not None
 
     def test_bad_inverse_rejected(self):
         f = chi(3, 1, 2)

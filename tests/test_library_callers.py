@@ -1,10 +1,12 @@
-"""Every top-level function and class in pik has a caller outside its unit tests.
+"""Every top-level function, class and method in pik has a caller outside its unit tests.
 
 The callers searched are the library itself (without the re-exports in
 ``__init__.py``), the benchmark (without its own tests) and the scripts.  A
 name counts as called when that code uses it by its own name, by an import
-alias or as an attribute of an imported pik module.  Uses inside the name's
-own definition, such as recursion, do not count.
+alias or as an attribute of an imported pik module.  A non-dunder method of
+a top-level class counts as called when that code reads an attribute of its
+name.  Uses inside the name's own definition, such as recursion, do not
+count.
 """
 
 import ast
@@ -85,9 +87,40 @@ def uncalled() -> set[tuple[str, str]]:
     return set(defined) - used
 
 
+def unread_methods() -> set[tuple[str, str, str]]:
+    """(module, class, method) of every non-dunder method of a top-level pik
+    class whose name nothing else reads as an attribute."""
+    trees = {p: ast.parse(p.read_text()) for p in _caller_files()}
+    methods = {
+        (p.stem, cls.name, f.name): f
+        for p, tree in trees.items()
+        if p.parent == PIK
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef) and not (f.name.startswith("__") and f.name.endswith("__"))
+    }
+    reads: dict[str, list[ast.Attribute]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    unread = set()
+    for key, f in methods.items():
+        own = {id(node) for node in ast.walk(f)}
+        if all(id(node) in own for node in reads.get(key[2], [])):
+            unread.add(key)
+    return unread
+
+
 def test_every_library_name_has_a_caller():
     found = uncalled()
     dead = sorted(f"{m}.{n}" for m, n in found - set(ALLOWED))
     assert not dead, f"no caller outside the unit tests: {', '.join(dead)}"
     stale = sorted(f"{m}.{n}" for m, n in set(ALLOWED) - found)
     assert not stale, f"allowed names that now have a caller or are gone: {', '.join(stale)}"
+
+
+def test_every_library_method_is_read():
+    dead = sorted(".".join(key) for key in unread_methods())
+    assert not dead, f"no caller outside the unit tests: {', '.join(dead)}"

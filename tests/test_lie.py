@@ -28,6 +28,10 @@ from pik.magnus import NcPoly
 from pik.prng import Lcg
 
 
+def scaled(p, k):
+    return NcPoly(p.nvars, p.maxdeg, {mono: k * c for mono, c in p.terms.items()})
+
+
 def brute_lyndon_words(nvars, m):
     """Oracle: words strictly smaller than all their proper rotations."""
     import itertools
@@ -125,7 +129,7 @@ class TestLyndonCoordinates:
             coeffs = [rng.below(7) - 3 for _ in basis]
             acc = NcPoly(3, 4)
             for c, e in zip(coeffs, basis):
-                acc = acc.add(e.coords.scale(c))
+                acc = acc.add(scaled(e.coords, c))
             got = lyndon_coordinates(3, 4, acc.terms)
             want = {e.lyndon[0][0]: c for c, e in zip(coeffs, basis) if c}
             assert got == want
@@ -162,11 +166,11 @@ class TestIntLattice:
         lat = IntLattice(2)
         lat.add([1, 5])
         lat.add([0, 1])
-        assert lat.is_full_unimodular()
+        assert lat.pivots() == [1, 1]  # all of Z^2
         lat2 = IntLattice(2)
         lat2.add([1, 0])
         lat2.add([0, 2])
-        assert not lat2.is_full_unimodular()
+        assert lat2.pivots() == [1, 2]  # index 2 in Z^2
 
     def test_hnf_canonical(self):
         a = IntLattice(3)
@@ -217,7 +221,6 @@ class TestIntLattice:
         rows = [[1, (1 << 32) - 1], [1 << 32, 0]]
         fast = lattice_from_rows(rows, 2)
         assert fast.pivots() == [1, (1 << 64) - (1 << 32)]
-        assert not fast.is_full_unimodular()
 
     def test_coefficients_beyond_int64(self, monkeypatch):
         # coefficients that do not fit int64 take the exact path from the start
@@ -225,11 +228,11 @@ class TestIntLattice:
 
         monkeypatch.setattr(lie_mod, "_NUMPY_THRESHOLD", 1)
         basis = lyndon_basis(3, 3)
-        huge = [lie_from_tensor(3, 3, e.coords.scale(1 << 70)) for e in basis]
+        huge = [lie_from_tensor(3, 3, scaled(e.coords, 1 << 70)) for e in basis]
         lat = lattice_of(huge + basis[:1], 3).lattice
         assert lat.rank == witt(3, 3)
         assert lat.pivots() == [1] + [1 << 70] * (witt(3, 3) - 1)
-        rep = lattice_direct_sum_is_whole([huge[:1], huge[1:]], 3, 3)
+        rep = lattice_direct_sum_is_whole(huge[1:], [lyndon_words(3, 3)[:1]], 3, 3)
         assert rep.rank_sum == witt(3, 3) and not rep.stacked_unimodular
 
 
@@ -238,12 +241,14 @@ class TestGradedLattices:
         basis = lyndon_basis(3, 3)
         lat = lattice_of(basis, 3)
         assert lat.rank == witt(3, 3)
-        assert lat.lattice.is_full_unimodular()
+        assert lat.lattice.pivots() == [1] * witt(3, 3)
 
     def test_direct_sum_whole_alphabet(self):
+        # the whole basis as J with no unit part, and as one unit part with J empty
         basis = lyndon_basis(3, 2)
-        rep = lattice_direct_sum_is_whole([basis], 3, 2)
-        assert rep.ok and rep.rank_sum == witt(3, 2)
+        for j, units in ((basis, []), ([], [lyndon_words(3, 2)])):
+            rep = lattice_direct_sum_is_whole(j, units, 3, 2)
+            assert rep.ok and rep.rank_sum == witt(3, 2)
 
     def test_equal_spans(self):
         basis = lyndon_basis(2, 3)
