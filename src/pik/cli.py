@@ -262,6 +262,7 @@ def _budget_from_args(args) -> SearchBudget:
         max_len=args.budget_len,
         coset=args.budget_coset,
         gen_radius=args.budget_radius,
+        max_states=args.budget_states,
     )
 
 
@@ -294,9 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     cj_sub = cj.add_subparsers(dest="subcommand", required=True)
     dec = cj_sub.add_parser("decide")
     dec.add_argument("--n", type=int, required=True)
-    dec.add_argument("--budget-len", type=int, default=16)
-    dec.add_argument("--budget-coset", type=int, default=8)
-    dec.add_argument("--budget-radius", type=int, default=8)
+    default = SearchBudget()
+    dec.add_argument("--budget-len", type=int, default=default.max_len)
+    dec.add_argument("--budget-coset", type=int, default=default.coset)
+    dec.add_argument("--budget-radius", type=int, default=default.gen_radius)
+    dec.add_argument("--budget-states", type=int, default=default.max_states)
     dec.add_argument("x_word")
     dec.add_argument("y_word")
 

@@ -40,6 +40,8 @@ from .endos import (
 )
 from .igroup import (
     IElem,
+    _conj_parts,
+    _lower_inverses,
     abelianize,
     act_elem,
     conj_by_gen,
@@ -58,6 +60,8 @@ from .magnus import magnus_expand
 from .words import (
     FreeWord,
     WitnessError,
+    _join,
+    _raw,
     centralizer_root,
     empty,
     free_conjugate,
@@ -90,6 +94,11 @@ class SearchBudget:
     ladder_nodes: int = 100
     twisted_states: int = 500
     solutions_per_level: int = 8
+
+    def __post_init__(self) -> None:
+        for name, value in self.as_dict().items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConjError(f"budget {name} must be a positive integer, got {value!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -228,21 +237,36 @@ def _letter_words(rank: int) -> list[FreeWord]:
     return out
 
 
+def _path_word(table: dict, key: tuple) -> tuple:
+    """s_k ... s_1 for the steps s_1, ..., s_k that led from the root to key."""
+    acc: tuple = ()
+    while True:
+        link = table[key]
+        if link is None:
+            return acc
+        key, s = link
+        acc = _join(acc, s)
+
+
 def _twisted_bidirectional(
     a: FreeWord, z: FreeWord, twist: EndoF, budget: SearchBudget, limit: int
 ) -> list[FreeWord]:
     """Solutions g of g a twist(g^-1) = z found by a two-sided letter walk.
 
     Forward states are g a twist(g^-1); backward states are u z twist(u^-1);
-    a meet at (g, u) yields the verified solution u^-1 g.
+    a meet at (g, u) yields the verified solution u^-1 g.  States are letter
+    tuples, and the tables hold (parent, step) links from which g and u are
+    rebuilt only at a meet.  As in _orbit_walk, a state's step is never
+    followed by its inverse, which leads back to the parent.
     """
     rank = a.rank
-    letters = _letter_words(rank)
-    twisted_inv = {w.letters: endo_apply(twist, invert(w)) for w in letters}
-    fwd: dict[tuple, FreeWord] = {a.letters: empty(rank)}
-    bwd: dict[tuple, FreeWord] = {z.letters: empty(rank)}
-    fwd_frontier = [a]
-    bwd_frontier = [z]
+    letter_words = _letter_words(rank)
+    letters = [w.letters for w in letter_words]
+    twisted_inv = [endo_apply(twist, invert(w)).letters for w in letter_words]
+    fwd: dict[tuple, Optional[tuple]] = {a.letters: None}
+    bwd: dict[tuple, Optional[tuple]] = {z.letters: None}
+    fwd_frontier = [(a.letters, -1)]
+    bwd_frontier = [(z.letters, -1)]
     found: list[FreeWord] = []
     seen: set[tuple] = set()
 
@@ -271,21 +295,20 @@ def _twisted_bidirectional(
         table = fwd if fwd_side else bwd
         other = bwd if fwd_side else fwd
         new_frontier = []
-        for state in frontier:
-            gword = table[state.letters]
-            for s in letters:
-                nstate = multiply(multiply(s, state), twisted_inv[s.letters])
-                if nstate.letters in table:
+        for state, made_by in frontier:
+            back = made_by ^ 1  # a root's -1 gives -2, which is no step
+            for k, s in enumerate(letters):
+                if k == back:
+                    continue
+                nstate = _join(_join(s, state), twisted_inv[k])
+                if nstate in table:
                     continue  # cross-pairs are checked at first insertion
-                ng = multiply(s, gword)
-                table[nstate.letters] = ng
-                new_frontier.append(nstate)
-                hit = other.get(nstate.letters)
-                if hit is not None:
-                    if fwd_side:
-                        meet(ng, hit)
-                    else:
-                        meet(hit, ng)
+                table[nstate] = (state, s)
+                new_frontier.append((nstate, k))
+                if nstate in other:
+                    g = _raw(rank, _path_word(fwd, nstate))
+                    u = _raw(rank, _path_word(bwd, nstate))
+                    meet(g, u)
                 if len(found) >= limit:
                     break
             if len(found) >= limit:
@@ -440,6 +463,10 @@ def _orbit_walk(
     Complete for conjugator generator-length up to the radius (subject to the
     state cap): forward states are g x g^-1, backward states h y h^-1, and a
     meet yields the witness h^-1 g.
+
+    States are the level letter tuples of normal forms.  A state's step is
+    never followed by its inverse (index ``step ^ 1``): that leads back to
+    the parent, which the table already holds (docs/NOTES.md).
     """
     n = x.n
     steps = []
@@ -450,8 +477,10 @@ def _orbit_walk(
 
     # tables map a state's parts to (parent parts, step index); conjugators
     # are reconstructed only at a meet.
-    fwd: dict[tuple, Optional[tuple]] = {x.parts: None}
-    bwd: dict[tuple, Optional[tuple]] = {y.parts: None}
+    xkey = tuple([w.letters for w in x.parts])
+    ykey = tuple([w.letters for w in y.parts])
+    fwd: dict[tuple, Optional[tuple]] = {xkey: None}
+    bwd: dict[tuple, Optional[tuple]] = {ykey: None}
 
     def conjugator_to(table: dict, key: tuple) -> IElem:
         acc = identity_elem(n)
@@ -462,7 +491,9 @@ def _orbit_walk(
             key, step_idx = link
             acc = imul(acc, steps[step_idx][3])
 
-    fwd_frontier, bwd_frontier = [x], [y]
+    # frontier entries: (state, index of the step that made it, or -1)
+    fwd_frontier = [(xkey, -1)]
+    bwd_frontier = [(ykey, -1)]
     depth = 0
     while (
         fwd_frontier
@@ -476,15 +507,17 @@ def _orbit_walk(
         table = fwd if fwd_side else bwd
         other = bwd if fwd_side else fwd
         new_frontier = []
-        for state in frontier:
-            key = state.parts
+        for key, made_by in frontier:
+            back = made_by ^ 1  # a root's -1 gives -2, which is no step
+            inv_key = _lower_inverses(n, key, n)
             for step_idx, (m, i, eps, _s) in enumerate(steps):
-                nstate = conj_by_gen(n, m, i, eps, state)
-                nkey = nstate.parts
+                if step_idx == back:
+                    continue
+                nkey = _conj_parts(n, m, i, eps, key, inv_key)
                 if nkey in table:
                     continue
                 table[nkey] = (key, step_idx)
-                new_frontier.append(nstate)
+                new_frontier.append((nkey, step_idx))
                 if nkey in other:
                     # fwd g: state = g x g^-1 ; bwd h: state = h y h^-1.  States
                     # are normal forms, so equal keys are equal elements and

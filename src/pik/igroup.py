@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from . import endos
 from .endos import EndoF
@@ -167,20 +167,43 @@ def act(a: FreeWord, b: FreeWord) -> FreeWord:
     return _words_raw(i, _conjugate_runs(b.letters, j, a.letters, _inverse(a.letters)))
 
 
-def _act_below(u: IElem, letters: tuple[Letter, ...], below: int) -> tuple[Letter, ...]:
-    """Act on a word by the components of u strictly below a level, lowest level first."""
+def _lower_inverses(
+    n: int, parts: tuple[tuple[Letter, ...], ...], below: int
+) -> tuple[tuple[Letter, ...], ...]:
+    """The inverses of the level letter tuples strictly below a level; () at and above it."""
+    return tuple([_inverse(p) if k > n - below else () for k, p in enumerate(parts)])
+
+
+def _act_below(
+    n: int,
+    parts: tuple[tuple[Letter, ...], ...],
+    letters: tuple[Letter, ...],
+    below: int,
+    inv_parts: Optional[tuple[tuple[Letter, ...], ...]] = None,
+) -> tuple[Letter, ...]:
+    """Act on a word by the level parts strictly below a level, lowest level first.
+
+    parts[k] holds the letters of the level-(n-k) component.  A caller that
+    acts many times by the same parts passes their inverses once as
+    inv_parts (see _lower_inverses); otherwise each is inverted when used.
+    """
     for j in range(2, below):
-        g = u.parts[u.n - j].letters
+        g = parts[n - j]
         if g and letters:
-            letters = _conjugate_runs(letters, j, g, _inverse(g))
+            g_inv = _inverse(g) if inv_parts is None else inv_parts[n - j]
+            letters = _conjugate_runs(letters, j, g, g_inv)
     return letters
+
+
+def _letter_parts(u: IElem) -> tuple[tuple[Letter, ...], ...]:
+    return tuple([w.letters for w in u.parts])
 
 
 def act_elem(u: IElem, b: FreeWord) -> FreeWord:
     """Conjugation of a level-i word by a whole lower element u (u.n < i)."""
     if not u.n < b.rank:
         raise IGroupError(f"element of level {u.n} cannot act on level {b.rank}")
-    return _words_raw(b.rank, _act_below(u, b.letters, u.n + 1))
+    return _words_raw(b.rank, _act_below(u.n, _letter_parts(u), b.letters, u.n + 1))
 
 
 def lower_part(a: IElem, below: int) -> IElem:
@@ -205,9 +228,10 @@ def imul(a: IElem, b: IElem) -> IElem:
     if a.n != b.n:
         raise IGroupError(f"rank mismatch: {a.n} != {b.n}")
     n = a.n
+    parts = _letter_parts(a)
     comps = []
     for m in range(n, 1, -1):
-        bm = _act_below(a, b.parts[n - m].letters, m)
+        bm = _act_below(n, parts, b.parts[n - m].letters, m)
         comps.append(multiply(a.parts[n - m], _words_raw(m, bm)))
     return _raw_elem(n, tuple(comps))
 
@@ -227,23 +251,42 @@ def conj_elem(g: IElem, x: IElem) -> IElem:
     return imul(g, imul(x, iinv(g)))
 
 
-def conj_by_gen(n: int, m: int, i: int, eps: int, u: IElem) -> IElem:
-    """y(m,i)^eps * u * y(m,i)^-eps in one collection pass.
+def _conj_parts(
+    n: int,
+    m: int,
+    i: int,
+    eps: int,
+    parts: tuple[tuple[Letter, ...], ...],
+    inv_parts: tuple[tuple[Letter, ...], ...],
+) -> tuple[tuple[Letter, ...], ...]:
+    """y(m,i)^eps u y(m,i)^-eps on the level letter tuples of u.
 
-    Levels above m are conjugated run by run, the level-m component becomes
-    y u_m (L . y^-1) with L the part of u below m, and lower levels are
-    untouched.
+    parts and inv_parts are as in _act_below; inv_parts is read only below
+    level m.  Levels above m are conjugated run by run, the level-m component
+    becomes y u_m (L . y^-1) with L the part of u below m, and lower levels
+    are untouched.
     """
     g, g_inv = ((i, eps),), ((i, -eps),)
-    parts = list(u.parts)
+    out = list(parts)
     for q in range(m + 1, n + 1):
         w = parts[n - q]
-        if w.letters:
-            parts[n - q] = _words_raw(q, _conjugate_runs(w.letters, m, g, g_inv))
-    tail = _words_raw(m, _act_below(u, g_inv, m))
-    head = multiply(_words_raw(m, g), u.parts[n - m])
-    parts[n - m] = multiply(head, tail)
-    return _raw_elem(n, tuple(parts))
+        if w:
+            out[n - q] = _conjugate_runs(w, m, g, g_inv)
+    tail = _act_below(n, parts, g_inv, m, inv_parts)
+    out[n - m] = _join(_join(g, parts[n - m]), tail)
+    return tuple(out)
+
+
+def conj_by_gen(n: int, m: int, i: int, eps: int, u: IElem) -> IElem:
+    """y(m,i)^eps * u * y(m,i)^-eps in one collection pass (see _conj_parts)."""
+    parts = _letter_parts(u)
+    new = _conj_parts(n, m, i, eps, parts, _lower_inverses(n, parts, m))
+    return _raw_elem(
+        n,
+        tuple(
+            [w if p is w.letters else _words_raw(w.rank, p) for w, p in zip(u.parts, new)]
+        ),
+    )
 
 
 def commutator_elem(a: IElem, b: IElem) -> IElem:

@@ -7,8 +7,18 @@ from pathlib import Path
 import pytest
 
 from pik.cli import _CHECKS, RunConfig, build_parser, emit_report, main, pool_size
+from pik.conj import SearchBudget, conjugacy
+from pik.igroup import collect
+from pik.words import parse_word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+BUDGET_FLAGS = {
+    "max_len": "--budget-len",
+    "coset": "--budget-coset",
+    "gen_radius": "--budget-radius",
+    "max_states": "--budget-states",
+}
 
 
 def run_cli(args, **kwargs):
@@ -84,6 +94,26 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "conjugate"
         assert "witness" in out
+
+    def test_conj_decide_replays_a_library_unknown(self, capsys):
+        # The bounds that callers in this repo change can be set again from
+        # the command line; the others keep their defaults.
+        xs, ys = "y(3,1) y(2,1)", "y(3,2)^-1 y(3,1) y(3,2) y(2,1)"
+        budget = SearchBudget(max_len=5, coset=3, gen_radius=2, max_states=300)
+        res = conjugacy(collect(3, parse_word(xs)), collect(3, parse_word(ys)), budget)
+        assert res.verdict == "unknown"
+        assert res.bounds == budget.as_dict()
+        flags = [arg for name, flag in BUDGET_FLAGS.items() for arg in (flag, str(res.bounds[name]))]
+        assert main(["conj", "decide", "--n", "3", *flags, xs, ys]) == 0
+        assert json.loads(capsys.readouterr().out) == res.as_dict()
+
+    @pytest.mark.parametrize("flag", sorted(BUDGET_FLAGS.values()))
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_conj_decide_rejects_a_budget_below_one(self, capsys, flag, value):
+        assert main(["conj", "decide", "--n", "3", flag, value, "y(2,1)", "y(2,2)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a positive integer" in json.loads(captured.err)["error"]
 
     def test_conj_decide_refuted(self, capsys):
         main(["conj", "decide", "--n", "3", "y(2,1)", "y(2,2)"])

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import pik.conj as conj_mod
 from pik.conj import (
     ConjError,
     SearchBudget,
@@ -21,6 +22,7 @@ from pik.igroup import (
     commutator_elem,
     conj_elem,
     gen_elem,
+    generators,
     identity_elem,
     iinv,
     imul,
@@ -312,3 +314,172 @@ sys.exit(f"returned {res.verdict} with an unchecked witness")
     )
     assert proc.returncode == 0, proc.stderr
     assert "re-verification" in proc.stdout
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("field", list(SearchBudget().as_dict()))
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, "3"])
+    def test_rejects_a_field_that_is_not_a_positive_int(self, field, value):
+        with pytest.raises(ConjError, match=field):
+            SearchBudget(**{field: value})
+
+    def test_accepts_one(self):
+        ones = {field: 1 for field in SearchBudget().as_dict()}
+        assert SearchBudget(**ones).as_dict() == ones
+
+
+# ---------------------------------------------------------------------------
+# The walks on letter tuples against the element-level walks they replace.
+# ---------------------------------------------------------------------------
+
+
+def _reference_orbit_walk(x, y, radius, max_states, sizes=None):
+    """The orbit walk on IElem states: conj_elem per step, every step tried.
+
+    Appends to ``sizes`` the state count at each depth boundary it passes.
+    """
+    n = x.n
+    steps = []
+    for m, i in generators(n):
+        s = gen_elem(n, m, i)
+        steps += [s, iinv(s)]
+    fwd, bwd = {x: None}, {y: None}
+
+    def conjugator_to(table, state):
+        acc = identity_elem(n)
+        while table[state] is not None:
+            state, k = table[state]
+            acc = imul(acc, steps[k])
+        return acc
+
+    fwd_frontier, bwd_frontier = [x], [y]
+    depth = 0
+    while fwd_frontier and bwd_frontier and depth < radius and len(fwd) + len(bwd) < max_states:
+        if sizes is not None:
+            sizes.append(len(fwd) + len(bwd))
+        depth += 1
+        fwd_side = len(fwd_frontier) <= len(bwd_frontier)
+        frontier = fwd_frontier if fwd_side else bwd_frontier
+        table, other = (fwd, bwd) if fwd_side else (bwd, fwd)
+        new_frontier = []
+        for state in frontier:
+            for k, s in enumerate(steps):
+                nstate = conj_elem(s, state)
+                if nstate in table:
+                    continue
+                table[nstate] = (state, k)
+                new_frontier.append(nstate)
+                if nstate in other:
+                    return imul(iinv(conjugator_to(bwd, nstate)), conjugator_to(fwd, nstate))
+        if fwd_side:
+            fwd_frontier = new_frontier
+        else:
+            bwd_frontier = new_frontier
+    return None
+
+
+def _reference_twisted_walk(a, z, twist, budget, limit):
+    """The twisted walk on FreeWord states with eagerly multiplied g-words."""
+    rank = a.rank
+    letters = [gen(rank, i, s) for i in range(1, rank + 1) for s in (1, -1)]
+    twisted_inv = {s.letters: endo_apply(twist, invert(s)) for s in letters}
+    fwd, bwd = {a.letters: empty(rank)}, {z.letters: empty(rank)}
+    fwd_frontier, bwd_frontier = [a], [z]
+    found, seen = [], set()
+
+    def meet(g, u):
+        cand = multiply(invert(u), g)
+        if cand.letters not in seen and solves(cand, a, z, twist):
+            seen.add(cand.letters)
+            found.append(cand)
+
+    if a == z:
+        meet(empty(rank), empty(rank))
+    depth = 0
+    while (
+        fwd_frontier
+        and bwd_frontier
+        and depth < budget.max_len
+        and len(fwd) + len(bwd) < budget.twisted_states
+        and len(found) < limit
+    ):
+        depth += 1
+        fwd_side = len(fwd_frontier) <= len(bwd_frontier)
+        frontier = fwd_frontier if fwd_side else bwd_frontier
+        table, other = (fwd, bwd) if fwd_side else (bwd, fwd)
+        new_frontier = []
+        for state in frontier:
+            gword = table[state.letters]
+            for s in letters:
+                nstate = multiply(multiply(s, state), twisted_inv[s.letters])
+                if nstate.letters in table:
+                    continue
+                ng = multiply(s, gword)
+                table[nstate.letters] = ng
+                new_frontier.append(nstate)
+                hit = other.get(nstate.letters)
+                if hit is not None:
+                    if fwd_side:
+                        meet(ng, hit)
+                    else:
+                        meet(hit, ng)
+                if len(found) >= limit:
+                    break
+            if len(found) >= limit:
+                break
+        if fwd_side:
+            fwd_frontier = new_frontier
+        else:
+            bwd_frontier = new_frontier
+    return found
+
+
+def _walk_pairs():
+    """Planted pairs at n = 3, 4 and x against x [a, b] at n = 3."""
+    rng = Lcg(4242)
+    pairs = [planted_conjugacy_case(rng, n, 5)[:2] for n in (3, 4) for _ in range(6)]
+    while len(pairs) < 18:
+        x = random_ielem(rng, 3, 6)
+        y = imul(x, commutator_elem(random_ielem(rng, 3, 2), random_ielem(rng, 3, 2)))
+        if y != x:
+            pairs.append((x, y))
+    return pairs
+
+
+class TestWalksAgainstReference:
+    # Both walks stop at a depth boundary once the state count reaches the
+    # cap.  A cap equal to one of the reference's boundary counts stops it
+    # exactly there, and one more lets it go on; a walk holding any other
+    # count at that boundary goes on, or stops, where the reference does not.
+
+    def test_orbit_walk(self):
+        found = 0
+        for x, y in _walk_pairs():
+            sizes = []
+            _reference_orbit_walk(x, y, 6, 10**6, sizes)
+            for cap in sorted({2, 700, *sizes, *(c + 1 for c in sizes)}):
+                got = conj_mod._orbit_walk(x, y, 6, cap)
+                assert got == _reference_orbit_walk(x, y, 6, cap), (x, y, cap)
+                found += got is not None
+        assert found  # the comparison covers meets, not only exhausted walks
+
+    def test_twisted_walk(self):
+        rng = Lcg(777)
+        cases = []
+        for n in (3, 4):
+            for _ in range(5):
+                lower = random_ielem(rng, n, 6)
+                twist = conj_mod._level_twist(lower, n)
+                a = random_ielem(rng, n, 5).part(n)
+                g = random_ielem(rng, n, 3).part(n)
+                cases.append((a, multiply(multiply(g, a), endo_apply(twist, invert(g))), twist))
+                cases.append((a, random_ielem(rng, n, 5).part(n), twist))
+        solved = 0
+        for a, z, twist in cases:
+            for states in (10, 40, 120, 400):
+                for limit in (1, 3):
+                    budget = SearchBudget(max_len=6, twisted_states=states)
+                    got = conj_mod._twisted_bidirectional(a, z, twist, budget, limit)
+                    assert got == _reference_twisted_walk(a, z, twist, budget, limit)
+                    solved += bool(got)
+        assert solved

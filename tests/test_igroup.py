@@ -133,6 +133,30 @@ class TestAction:
             act(gen(3, 1), gen(2, 1))
 
 
+@st.composite
+def _ielems(draw):
+    """An element at n = 2..5 from drawn level words; levels may be empty."""
+    n = draw(st.integers(2, 5))
+    return IElem(n, tuple(word(m, draw(_letters(m, 8))) for m in range(n, 1, -1)))
+
+
+@st.composite
+def _elem_and_step(draw):
+    """u drawn level by level or seeded at length 12, and a step y(m,i)^eps."""
+    u = draw(
+        st.one_of(
+            _ielems(),
+            st.builds(
+                lambda n, seed: random_ielem(Lcg(seed), n, 12),
+                st.integers(2, 5),
+                st.integers(0, 10**6),
+            ),
+        )
+    )
+    m, i = draw(st.sampled_from(generators(u.n)))
+    return u, m, i, draw(st.sampled_from([1, -1]))
+
+
 class TestGroupLaws:
     def test_imul_example(self):
         c = imul(gen_elem(3, 2, 1), gen_elem(3, 3, 2))
@@ -172,26 +196,23 @@ class TestGroupLaws:
             s = gen_elem(n, m, i) if eps > 0 else iinv(gen_elem(n, m, i))
             assert conj_by_gen(n, m, i, eps, u) == conj_elem(s, u)
 
-    @given(st.integers(2, 5), st.integers(0, 10**6), st.data())
-    def test_conj_by_gen_is_conjugation(self, n, seed, data):
-        u = random_ielem(Lcg(seed), n, 12)
-        m, i = data.draw(st.sampled_from(generators(n)))
-        eps = data.draw(st.sampled_from([1, -1]))
-        s = gen_elem(n, m, i) if eps > 0 else iinv(gen_elem(n, m, i))
-        assert conj_by_gen(n, m, i, eps, u) == conj_elem(s, u)
+    @given(_elem_and_step())
+    @example((identity_elem(2), 2, 1, 1))
+    @example((identity_elem(5), 4, 2, -1))
+    @example((from_parts(5, {5: word(5, [(1, 1), (5, -1)]), 2: word(2, [(2, 1)])}), 4, 1, 1))
+    @example((from_parts(4, {3: word(3, [(2, -1), (3, 1)])}), 4, 3, -1))
+    @example((from_parts(4, {2: word(2, [(1, 1)])}), 3, 1, 1))
+    def test_conj_by_gen_is_conjugation(self, case):
+        # conj_by_gen wraps igroup._conj_parts, the conjugacy walks' step.
+        u, m, i, eps = case
+        s = gen_elem(u.n, m, i) if eps > 0 else iinv(gen_elem(u.n, m, i))
+        assert conj_by_gen(u.n, m, i, eps, u) == conj_elem(s, u)
 
     def test_lower_part(self):
         e = imul(gen_elem(4, 4, 2), imul(gen_elem(4, 3, 1), gen_elem(4, 2, 2)))
         low = lower_part(e, 4)
         assert low.n == 3
         assert low.part(3) == e.part(3) and low.part(2) == e.part(2)
-
-
-@st.composite
-def _ielems(draw):
-    """An element at n = 2..5 from drawn level words; levels may be empty."""
-    n = draw(st.integers(2, 5))
-    return IElem(n, tuple(word(m, draw(_letters(m, 8))) for m in range(n, 1, -1)))
 
 
 def _to_endo_letterwise(a):
