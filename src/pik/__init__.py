@@ -9,7 +9,7 @@ Johnson Lie algebra.
 from .words import FreeWord, cyclic_reduce, free_conjugate, invert, multiply, parse_x_word
 from .endos import EndoF, apply, check_mccool_relations, chi, compose, y_gen
 from .magnus import NcPoly, gamma_degree, ia_degree, johnson_image, magnus_expand
-from .igroup import IElem, abelianize, act, gen_elem, iinv, imul, to_endo, word_problem
+from .igroup import IElem, abelianize, gen_elem, iinv, imul, to_endo, word_problem
 from .conj import ConjResult, SearchBudget, conjugacy
 from .lie import GradedLattice, LieElem, bracket, lattice_of, lyndon_basis, witt
 from .decomp import (
@@ -38,7 +38,6 @@ __all__ = [
     "PsiMap",
     "RelatorSet",
     "abelianize",
-    "act",
     "apply",
     "basic_commutators_In",
     "bracket",

@@ -39,8 +39,10 @@ class RunConfig:
     negative_control: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.n < 2 or self.max_degree < 1:
-            raise ValueError("bounds must be positive")
+        if self.n < 3:
+            raise ValueError(f"--n must be at least 3, got {self.n}")
+        if self.max_degree < 2:
+            raise ValueError(f"--max-degree must be at least 2, got {self.max_degree}")
         if min(self.budget_len, self.budget_coset) < 1:
             raise ValueError("budgets must be positive")
         if min(self.fuzz_words, self.fuzz_conj) < 0:
@@ -177,7 +179,7 @@ def check_rank_table(cfg: RunConfig) -> dict:
 def check_l1_ranks(cfg: RunConfig) -> dict:
     rows = []
     ok = True
-    for c in range(1, min(2, cfg.max_degree) + 1):
+    for c in (1, 2):
         got = ajohnson.l1_rank(cfg.n, c, c + 2)
         want = sum(lie.witt(i, c) for i in range(2, cfg.n + 1))
         rows.append({"c": c, "l1_rank": got, "expected": want})

@@ -27,9 +27,10 @@ the acceptance fuzz seeds its budgets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .endos import (
     EndoF,
@@ -229,23 +230,9 @@ def twisted_class2_obstruction(a: FreeWord, z: FreeWord, twist: EndoF) -> bool:
     return lat.contains(rhs)
 
 
-def _letter_words(rank: int) -> list[FreeWord]:
-    out = []
-    for i in range(1, rank + 1):
-        out.append(gen(rank, i))
-        out.append(gen(rank, i, -1))
-    return out
-
-
-def _path_word(table: dict, key: tuple) -> tuple:
-    """s_k ... s_1 for the steps s_1, ..., s_k that led from the root to key."""
-    acc: tuple = ()
-    while True:
-        link = table[key]
-        if link is None:
-            return acc
-        key, s = link
-        acc = _join(acc, s)
+def _letters(rank: int) -> list[tuple]:
+    """The one-letter words x_1, x_1^-1, x_2, ... as letter tuples; 2k+1 inverts 2k."""
+    return [((i, s),) for i in range(1, rank + 1) for s in (1, -1)]
 
 
 def _twisted_bidirectional(
@@ -254,69 +241,32 @@ def _twisted_bidirectional(
     """Solutions g of g a twist(g^-1) = z found by a two-sided letter walk.
 
     Forward states are g a twist(g^-1); backward states are u z twist(u^-1);
-    a meet at (g, u) yields the verified solution u^-1 g.  States are letter
-    tuples, and the tables hold (parent, step) links from which g and u are
-    rebuilt only at a meet.  As in _orbit_walk, a state's step is never
-    followed by its inverse, which leads back to the parent.
+    a meet at (g, u) yields the candidate u^-1 g, kept once it is verified.
+    When a = z the root is a meet, with the empty path.  Steps are the
+    letters, with their twisted inverses precomputed.
     """
     rank = a.rank
-    letter_words = _letter_words(rank)
-    letters = [w.letters for w in letter_words]
-    twisted_inv = [endo_apply(twist, invert(w)).letters for w in letter_words]
-    fwd: dict[tuple, Optional[tuple]] = {a.letters: None}
-    bwd: dict[tuple, Optional[tuple]] = {z.letters: None}
-    fwd_frontier = [(a.letters, -1)]
-    bwd_frontier = [(z.letters, -1)]
+    letters = _letters(rank)
+    twisted_inv = [endo_apply(twist, gen(rank, i, -s)).letters for ((i, s),) in letters]
+
+    def expand(state: tuple, back: int) -> list:
+        return [
+            (k, _join(_join(s, state), twisted_inv[k]))
+            for k, s in enumerate(letters)
+            if k != back
+        ]
+
     found: list[FreeWord] = []
     seen: set[tuple] = set()
-
-    def meet(g: FreeWord, u: FreeWord) -> None:
-        cand = multiply(invert(u), g)
-        key = cand.letters
-        if key in seen:
-            return
-        if multiply(multiply(cand, a), endo_apply(twist, invert(cand))) == z:
+    walk = _meet_walk(a.letters, z.letters, expand, budget.max_len, budget.twisted_states)
+    for path in itertools.chain([[]] if a == z else [], walk):
+        key = functools.reduce(_join, [letters[k] for k in path], ())
+        cand = _raw(rank, key)
+        if key not in seen and multiply(multiply(cand, a), endo_apply(twist, invert(cand))) == z:
             seen.add(key)
             found.append(cand)
-
-    if a == z:
-        meet(empty(rank), empty(rank))
-    depth = 0
-    while (
-        fwd_frontier
-        and bwd_frontier
-        and depth < budget.max_len
-        and len(fwd) + len(bwd) < budget.twisted_states
-        and len(found) < limit
-    ):
-        depth += 1
-        fwd_side = len(fwd_frontier) <= len(bwd_frontier)
-        frontier = fwd_frontier if fwd_side else bwd_frontier
-        table = fwd if fwd_side else bwd
-        other = bwd if fwd_side else fwd
-        new_frontier = []
-        for state, made_by in frontier:
-            back = made_by ^ 1  # a root's -1 gives -2, which is no step
-            for k, s in enumerate(letters):
-                if k == back:
-                    continue
-                nstate = _join(_join(s, state), twisted_inv[k])
-                if nstate in table:
-                    continue  # cross-pairs are checked at first insertion
-                table[nstate] = (state, s)
-                new_frontier.append((nstate, k))
-                if nstate in other:
-                    g = _raw(rank, _path_word(fwd, nstate))
-                    u = _raw(rank, _path_word(bwd, nstate))
-                    meet(g, u)
-                if len(found) >= limit:
-                    break
             if len(found) >= limit:
                 break
-        if fwd_side:
-            fwd_frontier = new_frontier
-        else:
-            bwd_frontier = new_frontier
     return found
 
 
@@ -336,14 +286,14 @@ def _all_words(rank: int, max_len: int) -> Iterator[FreeWord]:
     """Freely reduced words by length (used when the solution set is all of F)."""
     yield empty(rank)
     frontier = [empty(rank)]
-    letters = _letter_words(rank)
+    letters = _letters(rank)
     for _ in range(max_len):
         nxt = []
         for w in frontier:
             for s in letters:
-                if w.letters and w.letters[-1] == (s.letters[0][0], -s.letters[0][1]):
+                if w.letters and w.letters[-1] == (s[0][0], -s[0][1]):
                     continue
-                ext = FreeWord(rank, w.letters + s.letters)
+                ext = FreeWord(rank, w.letters + s)
                 nxt.append(ext)
                 yield ext
         frontier = nxt
@@ -406,9 +356,8 @@ def _ladder(x: IElem, y: IElem, budget: SearchBudget) -> tuple[IElem, tuple[Leve
     def solve(i: int, gs: list[FreeWord], trace: list[LevelTrace]):
         # gs holds g_2 .. g_{i-1}
         if i > n:
-            parts = tuple(reversed(gs))
-            return IElem(n, parts), tuple(trace)
-        prefix = IElem(i - 1, tuple(reversed(gs)))
+            return IElem(n, tuple([g.letters for g in reversed(gs)])), tuple(trace)
+        prefix = IElem(i - 1, tuple([g.letters for g in reversed(gs)]))
         a_i = act_elem(prefix, x.part(i))
         z_i = y.part(i)
         twist = _level_twist(y, i)
@@ -455,45 +404,39 @@ def _ladder(x: IElem, y: IElem, budget: SearchBudget) -> tuple[IElem, tuple[Leve
 # ---------------------------------------------------------------------------
 
 
-def _orbit_walk(
-    x: IElem, y: IElem, radius: int, max_states: int
-) -> Optional[IElem]:
-    """Bidirectional walk on the conjugation orbit in the generator metric.
+def _path(table: dict, key: tuple) -> list[int]:
+    """The step indices s_k, ..., s_1 of the steps s_1, ..., s_k that led from the root to key."""
+    path = []
+    link = table[key]
+    while link is not None:
+        key, step = link
+        path.append(step)
+        link = table[key]
+    return path
 
-    Complete for conjugator generator-length up to the radius (subject to the
-    state cap): forward states are g x g^-1, backward states h y h^-1, and a
-    meet yields the witness h^-1 g.
 
-    States are the level letter tuples of normal forms.  A state's step is
-    never followed by its inverse (index ``step ^ 1``): that leads back to
-    the parent, which the table already holds (docs/NOTES.md).
+def _meet_walk(
+    a_root: tuple,
+    b_root: tuple,
+    expand: Callable[[tuple, int], list[tuple[int, tuple]]],
+    radius: int,
+    max_states: int,
+) -> Iterator[list[int]]:
+    """Bidirectional breadth-first search between two roots; yields each meet.
+
+    expand(state, back) lists (k, state after step k) for every step index
+    k but back.  Step 2j+1 inverts step 2j, so a state made by step k is not
+    expanded by k ^ 1, which leads back to its parent (a root's -1 gives -2,
+    which is no step).  Each round grows the side with the smaller frontier
+    by one depth; the caps are read only between rounds.  A meet at a state
+    reached by g from a_root and by h from b_root is yielded as the steps
+    t_1, ..., t_r of h^-1 g, which carries a_root to b_root.  Why this
+    finds what a walk trying every step finds: docs/NOTES.md.
     """
-    n = x.n
-    steps = []
-    for m, i in generators(n):
-        s = gen_elem(n, m, i)
-        steps.append((m, i, 1, s))
-        steps.append((m, i, -1, iinv(s)))
-
-    # tables map a state's parts to (parent parts, step index); conjugators
-    # are reconstructed only at a meet.
-    xkey = tuple([w.letters for w in x.parts])
-    ykey = tuple([w.letters for w in y.parts])
-    fwd: dict[tuple, Optional[tuple]] = {xkey: None}
-    bwd: dict[tuple, Optional[tuple]] = {ykey: None}
-
-    def conjugator_to(table: dict, key: tuple) -> IElem:
-        acc = identity_elem(n)
-        while True:
-            link = table[key]
-            if link is None:
-                return acc
-            key, step_idx = link
-            acc = imul(acc, steps[step_idx][3])
-
-    # frontier entries: (state, index of the step that made it, or -1)
-    fwd_frontier = [(xkey, -1)]
-    bwd_frontier = [(ykey, -1)]
+    fwd: dict[tuple, Optional[tuple]] = {a_root: None}
+    bwd: dict[tuple, Optional[tuple]] = {b_root: None}
+    fwd_frontier = [(a_root, -1)]
+    bwd_frontier = [(b_root, -1)]
     depth = 0
     while (
         fwd_frontier
@@ -507,58 +450,75 @@ def _orbit_walk(
         table = fwd if fwd_side else bwd
         other = bwd if fwd_side else fwd
         new_frontier = []
-        for key, made_by in frontier:
-            back = made_by ^ 1  # a root's -1 gives -2, which is no step
-            inv_key = _lower_inverses(n, key, n)
-            for step_idx, (m, i, eps, _s) in enumerate(steps):
-                if step_idx == back:
-                    continue
-                nkey = _conj_parts(n, m, i, eps, key, inv_key)
-                if nkey in table:
-                    continue
-                table[nkey] = (key, step_idx)
-                new_frontier.append((nkey, step_idx))
-                if nkey in other:
-                    # fwd g: state = g x g^-1 ; bwd h: state = h y h^-1.  States
-                    # are normal forms, so equal keys are equal elements and
-                    # h^-1 g conjugates x to y; the caller re-multiplies it.
-                    g = conjugator_to(fwd, nkey)
-                    h = conjugator_to(bwd, nkey)
-                    return imul(iinv(h), g)
+        for state, made_by in frontier:
+            for k, nstate in expand(state, made_by ^ 1):
+                if nstate in table:
+                    continue  # cross-pairs are checked at first insertion
+                table[nstate] = (state, k)
+                new_frontier.append((nstate, k))
+                if nstate in other:
+                    yield [j ^ 1 for j in reversed(_path(bwd, nstate))] + _path(fwd, nstate)
         if fwd_side:
             fwd_frontier = new_frontier
         else:
             bwd_frontier = new_frontier
-    return None
 
 
-def _greedy_descent(u: IElem) -> tuple[IElem, IElem, int]:
+def _moves(n: int) -> list[tuple[int, int, int, IElem]]:
+    """(m, i, eps, y(m,i)^eps) for each generator; move 2k+1 inverts move 2k."""
+    moves = []
+    for m, i in generators(n):
+        s = gen_elem(n, m, i)
+        moves += [(m, i, 1, s), (m, i, -1, iinv(s))]
+    return moves
+
+
+def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[IElem]:
+    """Bidirectional walk on the conjugation orbit in the generator metric.
+
+    Complete for conjugator generator-length up to the radius (subject to the
+    state cap): forward states are g x g^-1, backward states h y h^-1, and a
+    meet yields the witness h^-1 g.  States are the parts of normal forms,
+    so equal states are equal elements; the caller re-multiplies the witness.
+    """
+    n = x.n
+    moves = _moves(n)
+
+    def expand(parts: tuple, back: int) -> list:
+        inv_parts = _lower_inverses(n, parts, n)
+        return [
+            (k, _conj_parts(n, m, i, eps, parts, inv_parts))
+            for k, (m, i, eps, _s) in enumerate(moves)
+            if k != back
+        ]
+
+    path = next(_meet_walk(x.parts, y.parts, expand, radius, max_states), None)
+    if path is None:
+        return None
+    return functools.reduce(imul, [moves[k][3] for k in path], identity_elem(n))
+
+
+def _greedy_descent(u: IElem) -> tuple[IElem, IElem]:
     """Shrink u inside its conjugacy class by single-generator conjugations.
 
     First-improvement descent on total component length; deterministic.
-    Returns (u_hat, c, steps) with u_hat = c u c^-1.
+    Returns (u_hat, c) with u_hat = c u c^-1.
     """
     n = u.n
-    moves = [(m, i, e) for (m, i) in generators(n) for e in (1, -1)]
-    elems = {
-        (m, i, e): (gen_elem(n, m, i) if e > 0 else iinv(gen_elem(n, m, i)))
-        for (m, i, e) in moves
-    }
+    moves = _moves(n)
     c = identity_elem(n)
-    steps = 0
     improved = True
     while improved:
         improved = False
         cur = u.total_length()
-        for m, i, e in moves:
+        for m, i, e, s in moves:
             v = conj_by_gen(n, m, i, e, u)
             if v.total_length() < cur:
                 u = v
-                c = imul(elems[(m, i, e)], c)
-                steps += 1
+                c = imul(s, c)
                 improved = True
                 break
-    return u, c, steps
+    return u, c
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +558,8 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
         # The bottom-level equation g_2 w_2 g_2^-1 = z_2 is forced; classical
         # free conjugacy decides it completely.
         return ConjResult("not_conjugate", reason="level-2 free-conjugacy core mismatch")
-    x_hat, cx, kx = _greedy_descent(x)
-    y_hat, cy, ky = _greedy_descent(y)
+    x_hat, cx = _greedy_descent(x)
+    y_hat, cy = _greedy_descent(y)
 
     def mapped(w: IElem) -> IElem:
         # w x_hat w^-1 = y_hat lifts to (cy^-1 w cx) x (cy^-1 w cx)^-1 = y

@@ -462,6 +462,7 @@ def gr_rank_table(n: int, max_c: int) -> list[RankRow]:
     out = []
     for c in range(1, max_c + 1):
         factors = sum(witt(i, c) for i in range(2, n + 1))
-        rank_j = lattice_of(j_rows[c], c).rank if c >= 2 else 0
+        # an empty spanning set (I_2 has no relators) spans the zero lattice
+        rank_j = lattice_of(j_rows[c], c).rank if c >= 2 and j_rows[c] else 0
         out.append(RankRow(c, factors, witt(k, c) - rank_j))
     return out

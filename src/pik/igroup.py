@@ -3,7 +3,9 @@
 An element is a tuple (w_n, ..., w_2) with w_m a freely reduced word in the
 level-m free factor H_m (rank m, letter l standing for the generator
 y(m, l)).  The tuple is the normal form: elements are equal iff the tuples
-are equal componentwise.
+are equal componentwise.  An IElem stores each w_m as its tuple of letters
+(l, +-1), the representation every operation here works on; part(m) views
+it as a rank-m FreeWord for callers that want the word API.
 
 Levels interact by conjugation: for j < i the level-j factor normalizes the
 level-i factor.  On generators, with the left action a . w = a w a^-1,
@@ -34,10 +36,10 @@ from .words import (
     empty,
     format_word,
     gen,
-    invert,
-    multiply,
     parse_word,
 )
+
+Part = tuple[Letter, ...]
 
 
 class IGroupError(ValueError):
@@ -46,35 +48,41 @@ class IGroupError(ValueError):
 
 @dataclass(frozen=True)
 class IElem:
-    """Normal form (w_n, ..., w_2); parts[k] is the level-(n-k) component."""
+    """Normal form (w_n, ..., w_2).
+
+    parts[k] is the letter tuple of the level-(n-k) component: letters
+    (l, +-1) with 1 <= l <= n-k, freely reduced.  Malformed letters raise
+    WordError, as they do for a FreeWord.
+    """
 
     n: int
-    parts: tuple[FreeWord, ...]
+    parts: tuple[Part, ...]
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise IGroupError(f"need n >= 2, got {self.n}")
         if len(self.parts) != self.n - 1:
             raise IGroupError(f"need {self.n - 1} components, got {len(self.parts)}")
-        for k, w in enumerate(self.parts):
-            if w.rank != self.n - k:
-                raise IGroupError(f"component at level {self.n - k} must have rank {self.n - k}")
+        for k, p in enumerate(self.parts):
+            if not isinstance(p, tuple):
+                raise IGroupError(f"component at level {self.n - k} must be a letter tuple")
+            FreeWord(self.n - k, p)  # raises WordError unless p is a reduced level word
 
     def part(self, m: int) -> FreeWord:
-        """The level-m component, 2 <= m <= n."""
+        """The level-m component as a rank-m word, 2 <= m <= n."""
         if not 2 <= m <= self.n:
             raise IGroupError(f"level {m} outside 2..{self.n}")
-        return self.parts[self.n - m]
+        return _words_raw(m, self.parts[self.n - m])
 
     @property
     def is_identity(self) -> bool:
-        return all(w.is_identity for w in self.parts)
+        return not any(self.parts)
 
     def total_length(self) -> int:
-        return sum(len(w) for w in self.parts)
+        return sum(map(len, self.parts))
 
 
-def _raw_elem(n: int, parts: tuple[FreeWord, ...]) -> IElem:
+def _raw_elem(n: int, parts: tuple[Part, ...]) -> IElem:
     # internal fast path: parts must already be valid components
     e = object.__new__(IElem)
     object.__setattr__(e, "n", n)
@@ -83,7 +91,7 @@ def _raw_elem(n: int, parts: tuple[FreeWord, ...]) -> IElem:
 
 
 def identity_elem(n: int) -> IElem:
-    return IElem(n, tuple(empty(m) for m in range(n, 1, -1)))
+    return IElem(n, ((),) * (n - 1))
 
 
 def from_parts(n: int, parts: dict[int, FreeWord]) -> IElem:
@@ -93,7 +101,7 @@ def from_parts(n: int, parts: dict[int, FreeWord]) -> IElem:
         w = parts.get(m, empty(m))
         if w.rank != m:
             raise IGroupError(f"word for level {m} has rank {w.rank}")
-        comps.append(w)
+        comps.append(w.letters)
     return IElem(n, tuple(comps))
 
 
@@ -125,9 +133,7 @@ def rank_of_abelianization(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _conjugate_runs(
-    letters: tuple[Letter, ...], j: int, g: tuple[Letter, ...], g_inv: tuple[Letter, ...]
-) -> tuple[Letter, ...]:
+def _conjugate_runs(letters: Part, j: int, g: Part, g_inv: Part) -> Part:
     """The level-i word ``letters`` acted on by a level-j word with letters g, j < i.
 
     The action is conjugation by g (read at level i) on the free factor
@@ -155,32 +161,18 @@ def _conjugate_runs(
     return tuple(itertools.chain.from_iterable(pieces))
 
 
-def act(a: FreeWord, b: FreeWord) -> FreeWord:
-    """a . b = a b a^-1 for a in a lower-level factor, b in a higher one.
-
-    Levels are the ranks: a is a word in H_j with j = a.rank, b in H_i with
-    i = b.rank, j < i.  Left action: act(uv, b) = act(u, act(v, b)).
-    """
-    j, i = a.rank, b.rank
-    if not j < i:
-        raise IGroupError(f"conjugator level {j} must be below target level {i}")
-    return _words_raw(i, _conjugate_runs(b.letters, j, a.letters, _inverse(a.letters)))
-
-
-def _lower_inverses(
-    n: int, parts: tuple[tuple[Letter, ...], ...], below: int
-) -> tuple[tuple[Letter, ...], ...]:
+def _lower_inverses(n: int, parts: tuple[Part, ...], below: int) -> tuple[Part, ...]:
     """The inverses of the level letter tuples strictly below a level; () at and above it."""
     return tuple([_inverse(p) if k > n - below else () for k, p in enumerate(parts)])
 
 
 def _act_below(
     n: int,
-    parts: tuple[tuple[Letter, ...], ...],
-    letters: tuple[Letter, ...],
+    parts: tuple[Part, ...],
+    letters: Part,
     below: int,
-    inv_parts: Optional[tuple[tuple[Letter, ...], ...]] = None,
-) -> tuple[Letter, ...]:
+    inv_parts: Optional[tuple[Part, ...]] = None,
+) -> Part:
     """Act on a word by the level parts strictly below a level, lowest level first.
 
     parts[k] holds the letters of the level-(n-k) component.  A caller that
@@ -195,15 +187,11 @@ def _act_below(
     return letters
 
 
-def _letter_parts(u: IElem) -> tuple[tuple[Letter, ...], ...]:
-    return tuple([w.letters for w in u.parts])
-
-
 def act_elem(u: IElem, b: FreeWord) -> FreeWord:
     """Conjugation of a level-i word by a whole lower element u (u.n < i)."""
     if not u.n < b.rank:
         raise IGroupError(f"element of level {u.n} cannot act on level {b.rank}")
-    return _words_raw(b.rank, _act_below(u.n, _letter_parts(u), b.letters, u.n + 1))
+    return _words_raw(b.rank, _act_below(u.n, u.parts, b.letters, u.n + 1))
 
 
 def lower_part(a: IElem, below: int) -> IElem:
@@ -228,22 +216,23 @@ def imul(a: IElem, b: IElem) -> IElem:
     if a.n != b.n:
         raise IGroupError(f"rank mismatch: {a.n} != {b.n}")
     n = a.n
-    parts = _letter_parts(a)
+    parts = a.parts
     comps = []
     for m in range(n, 1, -1):
-        bm = _act_below(n, parts, b.parts[n - m].letters, m)
-        comps.append(multiply(a.parts[n - m], _words_raw(m, bm)))
+        comps.append(_join(parts[n - m], _act_below(n, parts, b.parts[n - m], m)))
     return _raw_elem(n, tuple(comps))
 
 
 def iinv(a: IElem) -> IElem:
-    """Inverse in normal form: (w_n R)^-1 = (R^-1 . w_n^-1) R^-1, recursively."""
+    """Inverse in normal form: (w_m R)^-1 = (R^-1 . w_m^-1) R^-1, from level 2 up.
+
+    R is the part of a below level m, and inv holds the parts of R^-1.
+    """
     n = a.n
-    if n == 2:
-        return _raw_elem(2, (invert(a.part(2)),))
-    rest_inv = iinv(lower_part(a, n))
-    top = act_elem(rest_inv, invert(a.part(n)))
-    return _raw_elem(n, (top,) + rest_inv.parts)
+    inv: tuple[Part, ...] = ()
+    for m in range(2, n + 1):
+        inv = (_act_below(m - 1, inv, _inverse(a.parts[n - m]), m),) + inv
+    return _raw_elem(n, inv)
 
 
 def conj_elem(g: IElem, x: IElem) -> IElem:
@@ -256,9 +245,9 @@ def _conj_parts(
     m: int,
     i: int,
     eps: int,
-    parts: tuple[tuple[Letter, ...], ...],
-    inv_parts: tuple[tuple[Letter, ...], ...],
-) -> tuple[tuple[Letter, ...], ...]:
+    parts: tuple[Part, ...],
+    inv_parts: tuple[Part, ...],
+) -> tuple[Part, ...]:
     """y(m,i)^eps u y(m,i)^-eps on the level letter tuples of u.
 
     parts and inv_parts are as in _act_below; inv_parts is read only below
@@ -279,14 +268,7 @@ def _conj_parts(
 
 def conj_by_gen(n: int, m: int, i: int, eps: int, u: IElem) -> IElem:
     """y(m,i)^eps * u * y(m,i)^-eps in one collection pass (see _conj_parts)."""
-    parts = _letter_parts(u)
-    new = _conj_parts(n, m, i, eps, parts, _lower_inverses(n, parts, m))
-    return _raw_elem(
-        n,
-        tuple(
-            [w if p is w.letters else _words_raw(w.rank, p) for w, p in zip(u.parts, new)]
-        ),
-    )
+    return _raw_elem(n, _conj_parts(n, m, i, eps, u.parts, _lower_inverses(n, u.parts, m)))
 
 
 def commutator_elem(a: IElem, b: IElem) -> IElem:
@@ -334,10 +316,10 @@ def _images(a: IElem) -> tuple[FreeWord, ...]:
     """
     n = a.n
     images = []
-    p: tuple[Letter, ...] = ()
+    p: Part = ()
     for k in range(n, 0, -1):
         if k >= 2:  # P_1 = P_2
-            p = _join(p, tuple([(i, -s) for i, s in a.parts[n - k].letters]))
+            p = _join(p, tuple([(i, -s) for i, s in a.parts[n - k]]))
         images.append(_words_raw(n, _join(_join(p, ((k, 1),)), _inverse(p))))
     return tuple(reversed(images))
 
@@ -375,7 +357,7 @@ def format_level_word(w: FreeWord) -> str:
 
 
 def format_ielem(a: IElem) -> str:
-    chunks = [format_level_word(w) for w in a.parts if not w.is_identity]
+    chunks = [format_level_word(_words_raw(a.n - k, p)) for k, p in enumerate(a.parts) if p]
     return " ".join(chunks) if chunks else ""
 
 

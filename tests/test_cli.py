@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from pik import cli
 from pik.cli import _CHECKS, RunConfig, build_parser, emit_report, main, pool_size
 from pik.conj import SearchBudget, conjugacy
 from pik.igroup import collect
@@ -58,6 +59,10 @@ class TestReportSchema:
             RunConfig(fuzz_words=-1)
         with pytest.raises(ValueError):
             RunConfig(fuzz_conj=-1)
+        with pytest.raises(ValueError, match="--n must be at least 3"):
+            RunConfig(n=2)
+        with pytest.raises(ValueError, match="--max-degree must be at least 2"):
+            RunConfig(max_degree=1)
 
 
 class TestSubcommands:
@@ -140,6 +145,11 @@ class TestSubcommands:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [r["sum_witt_factors"] for r in rows] == [5, 4, 10]
 
+    def test_decomp_rank_table_n2(self, capsys):
+        assert main(["decomp", "rank-table", "--n", "2", "--max-degree", "2"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["sum_witt_factors"] for r in rows] == [2, 1]
+
     def test_ia_l1_rank(self, capsys):
         assert main(["ia", "l1-rank", "--n", "3", "--c", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["l1_rank"] == 4
@@ -221,6 +231,15 @@ class TestVerifyAll:
         assert pool_size("4", None) == 1
         with pytest.raises(ValueError, match="PIK_THREADS must be an integer"):
             pool_size("two", 8)
+
+    @pytest.mark.parametrize("flag, value", [("--n", "2"), ("--max-degree", "1")])
+    def test_bounds_rejected_before_any_check(self, flag, value, monkeypatch, capsys):
+        def run_checks(cfg):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "cmd_verify_all", run_checks)
+        assert main(["verify-all", flag, value]) == 2
+        assert flag in json.loads(capsys.readouterr().err)["error"]
 
     def test_threads_env_not_an_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("PIK_THREADS", "two")

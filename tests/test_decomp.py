@@ -307,6 +307,12 @@ class TestRankTable:
         assert [(r.c, r.via_factors) for r in rows] == [(1, 9), (2, 10)]
         assert all(r.ok for r in rows)
 
+    def test_n2_has_an_empty_ideal(self):
+        # I_2 is free of rank 2: no relators, so J^c is 0 in every degree
+        rows = gr_rank_table(2, 5)
+        assert [r.c for r in rows] == [1, 2, 3, 4, 5]
+        assert all(r.ok and r.via_quotient == witt(2, r.c) for r in rows)
+
 
 class TestPresentation:
     @pytest.mark.parametrize("n", [3, 4])

@@ -9,7 +9,6 @@ from pik.igroup import (
     IElem,
     IGroupError,
     abelianize,
-    act,
     act_elem,
     collect,
     commutator_elem,
@@ -32,7 +31,7 @@ from pik.igroup import (
     word_problem,
 )
 from pik.prng import Lcg
-from pik.words import FreeWord, free_conjugate, gen, parse_word, reduce_letters, word
+from pik.words import FreeWord, WordError, free_conjugate, gen, parse_word, reduce_letters, word
 
 
 def _elems(n, seed, count, size=8):
@@ -89,6 +88,11 @@ def _act_letterwise(a, b):
     return letters
 
 
+def act(a, b):
+    """a . b for a level word a below the level of b, through the action of an element."""
+    return act_elem(from_parts(a.rank, {a.rank: a}), b)
+
+
 class TestAction:
     @given(_level_pair())
     def test_matches_letterwise_definition(self, pair):
@@ -137,7 +141,7 @@ class TestAction:
 def _ielems(draw):
     """An element at n = 2..5 from drawn level words; levels may be empty."""
     n = draw(st.integers(2, 5))
-    return IElem(n, tuple(word(m, draw(_letters(m, 8))) for m in range(n, 1, -1)))
+    return IElem(n, tuple(word(m, draw(_letters(m, 8))).letters for m in range(n, 1, -1)))
 
 
 @st.composite
@@ -155,6 +159,32 @@ def _elem_and_step(draw):
     )
     m, i = draw(st.sampled_from(generators(u.n)))
     return u, m, i, draw(st.sampled_from([1, -1]))
+
+
+class TestIElemValidation:
+    def test_accepts_letter_tuples(self):
+        e = IElem(3, (((3, 1), (1, -1)), ((2, 1),)))
+        assert e == from_parts(3, {3: word(3, [(3, 1), (1, -1)]), 2: gen(2, 2)})
+
+    def test_wrong_component_count(self):
+        with pytest.raises(IGroupError):
+            IElem(3, ((),))
+
+    def test_part_not_a_letter_tuple(self):
+        with pytest.raises(IGroupError):
+            IElem(3, (gen(3, 1), ()))
+
+    def test_index_above_level(self):
+        with pytest.raises(WordError, match="outside 1..2"):
+            IElem(3, ((), ((3, 1),)))
+
+    def test_sign_not_unit(self):
+        with pytest.raises(WordError, match="sign"):
+            IElem(3, (((1, 2),), ()))
+
+    def test_unreduced_pair(self):
+        with pytest.raises(WordError, match="not freely reduced"):
+            IElem(3, (((2, 1), (2, -1)), ()))
 
 
 class TestGroupLaws:
@@ -345,8 +375,8 @@ class TestNormalFormUniqueness:
             u = random_ielem(rng, 4, 6)
             low = lower_part(u, 4)  # element of the bottom two levels
             w4 = random_ielem(rng, 4, 5).part(4)
-            embedded_low = IElem(4, (FreeWord(4, ()),) + low.parts)
-            h = IElem(4, (w4, FreeWord(3, ()), FreeWord(2, ())))
+            embedded_low = IElem(4, ((),) + low.parts)
+            h = IElem(4, (w4.letters, (), ()))
             got = act_elem(low, w4)
             expected = conj_elem(embedded_low, h).part(4)
             assert got == expected

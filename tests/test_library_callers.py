@@ -17,7 +17,6 @@ PIK = ROOT / "src" / "pik"
 
 # Names kept without such a caller, each for the reason given.
 ALLOWED = {
-    ("igroup", "act"): "the level action's entry point, targeted by its kernel test",
     ("ajohnson", "inner_degree_check"): "used by an acceptance test",
     ("decomp", "verify_psi_automorphism"): "the paper's F1-F3 maps, with no other check",
     ("magnus", "_letter_series"): "the reference that the letter-step test compares against",
