@@ -64,10 +64,10 @@ def basic_commutators_In(n: int, c: int) -> list[IElem]:
     return left_normed([gen_elem(n, m, i) for (m, i) in generators(n)], c, commutator_elem)
 
 
-def _johnson_row(f: EndoF, c: int, D: int) -> list[int]:
+def _johnson_row(f: EndoF, c: int) -> list[int]:
     """Concatenated degree-(c+1) Johnson coordinates over all generators."""
     n = f.rank
-    images = johnson_image(f, c + 1, D)
+    images = johnson_image(f, c + 1, c + 2)
     monos = list(itertools.product(range(1, n + 1), repeat=c + 1))
     row: list[int] = []
     for p in images:
@@ -75,9 +75,9 @@ def _johnson_row(f: EndoF, c: int, D: int) -> list[int]:
     return row
 
 
-def build_johnson_matrix(n: int, c: int, elems: Sequence[IElem], D: int) -> IntLattice:
+def build_johnson_matrix(n: int, c: int, elems: Sequence[IElem]) -> IntLattice:
     """The lattice spanned by the degree-(c+1) Johnson rows of the elements."""
-    rows = [_johnson_row(to_endo(e), c, D) for e in elems]
+    rows = [_johnson_row(to_endo(e), c) for e in elems]
     return lattice_from_rows(rows, n * n ** (c + 1))
 
 
@@ -86,10 +86,13 @@ def l1_rank(n: int, c: int, D: int) -> int:
 
     Conjugates do not move Johnson images modulo the next filtration level,
     so generator commutators alone give the full rank (see docs/NOTES.md).
+    The truncation degree D is checked (D >= c + 2) but computes nothing:
+    the Johnson rows read degree c + 1 only.  It stays in the signature
+    because the benchmark workloads and ``pik ia l1-rank`` pass it.
     """
     if D < c + 2:
         raise AJohnsonError(f"need truncation D >= c + 2, got D={D}")
-    return build_johnson_matrix(n, c, basic_commutators_In(n, c), D).rank
+    return build_johnson_matrix(n, c, basic_commutators_In(n, c)).rank
 
 
 def basic_commutator_words(rank: int, c: int) -> list[FreeWord]:

@@ -268,6 +268,21 @@ def _budget_from_args(args) -> SearchBudget:
     )
 
 
+def _config_from_args(args) -> RunConfig:
+    return RunConfig(
+        n=args.n,
+        max_degree=args.max_degree,
+        budget_len=args.budget_len,
+        budget_coset=args.budget_coset,
+        seed=args.seed,
+        fuzz_words=args.fuzz_words,
+        fuzz_conj=args.fuzz_conj,
+        output_format=args.format,
+        output_path=args.out,
+        negative_control=args.negative_control,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pik")
     sub = p.add_subparsers(dest="command", required=True)
@@ -335,19 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
     th.add_argument("--c", type=int, required=True)
 
     va = sub.add_parser("verify-all", help="run the full verification suite")
-    va.add_argument("--n", type=int, default=3)
-    va.add_argument("--max-degree", type=int, default=4)
-    va.add_argument("--seed", type=int, default=20240601)
-    va.add_argument("--fuzz-words", type=int, default=100)
-    va.add_argument("--fuzz-conj", type=int, default=40)
-    va.add_argument("--budget-len", type=int, default=10)
-    va.add_argument("--budget-coset", type=int, default=8)
-    va.add_argument("--format", choices=["json", "text"], default="json")
-    va.add_argument("--out", default=None)
+    cfg = RunConfig()
+    va.add_argument("--n", type=int, default=cfg.n)
+    va.add_argument("--max-degree", type=int, default=cfg.max_degree)
+    va.add_argument("--seed", type=int, default=cfg.seed)
+    va.add_argument("--fuzz-words", type=int, default=cfg.fuzz_words)
+    va.add_argument("--fuzz-conj", type=int, default=cfg.fuzz_conj)
+    va.add_argument("--budget-len", type=int, default=cfg.budget_len)
+    va.add_argument("--budget-coset", type=int, default=cfg.budget_coset)
+    va.add_argument("--format", choices=["json", "text"], default=cfg.output_format)
+    va.add_argument("--out", default=cfg.output_path)
     va.add_argument(
         "--negative-control",
         choices=["drop-relator", "perturb-chi"],
-        default=None,
+        default=cfg.negative_control,
         help="corrupt one input on purpose; the run must fail",
     )
 
@@ -460,19 +476,7 @@ def _dispatch(args) -> int:
             return 0 if rep.certified else 1
 
     if args.command == "verify-all":
-        cfg = RunConfig(
-            n=args.n,
-            max_degree=args.max_degree,
-            budget_len=args.budget_len,
-            budget_coset=args.budget_coset,
-            seed=args.seed,
-            fuzz_words=args.fuzz_words,
-            fuzz_conj=args.fuzz_conj,
-            output_format=args.format,
-            output_path=args.out,
-            negative_control=args.negative_control,
-        )
-        return cmd_verify_all(cfg)
+        return cmd_verify_all(_config_from_args(args))
 
     raise ValueError(f"unhandled command {args.command!r}")
 

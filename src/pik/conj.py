@@ -2,8 +2,9 @@
 
 The normal form peels conjugation level by level: the bottom level is
 ordinary conjugacy in a rank-2 free group, and each higher level is a
-twisted conjugacy equation g * a * phi(g^-1) = z in a free factor, the twist
-phi being the conjugation action of the already-matched lower levels.
+twisted conjugacy equation g * a * (b . g^-1) = z in a free factor, the twist
+being the action of y's part b below that level, which the already-matched
+lower levels of the conjugate equal.
 
 Verdicts are sound by construction:
 
@@ -11,9 +12,9 @@ Verdicts are sound by construction:
   checked;
 * ``not_conjugate`` only cites invariants that are independent of all search
   choices: the abelianization (conjugation acts trivially on it) or the
-  forced bottom-level free conjugacy.  The twisted abelianization and
-  class-2 nilpotent quotient obstructions only prune ladder candidates and
-  never produce a verdict;
+  forced bottom-level free conjugacy.  The twisted class-2 nilpotent
+  quotient obstruction only prunes ladder candidates and never produces a
+  verdict;
 * everything else is ``unknown`` together with the exhausted bounds.  The
   full twisted-conjugacy decision procedure from the literature is out of
   scope; bounded verified search replaces it and never fakes a "no".
@@ -32,13 +33,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .endos import (
-    EndoF,
-    apply as endo_apply,
-    automorphism,
-    identity_endo,
-    is_identity as endo_is_identity,
-)
 from .igroup import (
     IElem,
     _conj_parts,
@@ -156,21 +150,9 @@ class ConjResult:
 
 
 # ---------------------------------------------------------------------------
-# Twisted conjugacy in a free factor: g * a * twist(g^-1) = z.
+# Twisted conjugacy at a level: g * a * (b . g^-1) = z, where b is the part of
+# y below the level and acts through act_elem.
 # ---------------------------------------------------------------------------
-
-
-def _abelianization_rows(twist: EndoF) -> list[list[int]]:
-    """Generators of the image lattice of (Id - induced map on Z^rank)."""
-    n = twist.rank
-    rows = []
-    for l in range(1, n + 1):
-        col = [0] * n
-        col[l - 1] = 1
-        for idx, sign in twist.images[l - 1].letters:
-            col[idx - 1] -= sign
-        rows.append(col)
-    return rows
 
 
 def _abel(w: FreeWord) -> list[int]:
@@ -180,43 +162,27 @@ def _abel(w: FreeWord) -> list[int]:
     return v
 
 
-def _twist_is_ia(twist: EndoF) -> bool:
-    return all(
-        _abel(im) == [1 if k == l else 0 for k in range(twist.rank)]
-        for l, im in enumerate(twist.images)
-    )
-
-
-def twisted_abelian_obstruction(a: FreeWord, z: FreeWord, twist: EndoF) -> bool:
-    """True when the equation is solvable on the abelianization level."""
-    lat = IntLattice(a.rank)
-    lat.add_all(_abelianization_rows(twist))
-    rhs = [zz - aa for zz, aa in zip(_abel(z), _abel(a))]
-    return lat.contains(rhs)
-
-
 def _deg2_vector(p, nvars: int) -> list[int]:
     monos = list(itertools.product(range(1, nvars + 1), repeat=2))
     return [p.terms.get(m, 0) for m in monos]
 
 
-def twisted_class2_obstruction(a: FreeWord, z: FreeWord, twist: EndoF) -> bool:
+def twisted_class2_obstruction(a: FreeWord, z: FreeWord, images: tuple[FreeWord, ...]) -> bool:
     """Solvability of the equation modulo the third lower central term.
 
-    Valid for twists acting trivially on the abelianization: there the
-    equation linearizes in the abelianization of g, with the degree-2 Magnus
-    data of the twist entering through its Johnson matrix.  Exact over Z.
+    images[l-1] is b . x_l.  Each is a conjugate of x_l, so the twist acts
+    trivially on the abelianization and the equation linearizes in the
+    abelianization of g, with the degree-2 Magnus data of the twist entering
+    through its Johnson matrix.  Exact over Z.
     """
     n = a.rank
-    if not _twist_is_ia(twist):
-        return True  # obstruction not applicable
     alpha = _abel(a)
     pa = magnus_expand(a, 2).homogeneous(2)
     pz = magnus_expand(z, 2).homogeneous(2)
     rhs = [zz - aa for zz, aa in zip(_deg2_vector(pz, n), _deg2_vector(pa, n))]
     rows = []
-    for l in range(1, n + 1):
-        dev = multiply(twist.images[l - 1], invert(gen(n, l)))
+    for l, image in enumerate(images, 1):
+        dev = multiply(image, invert(gen(n, l)))
         jl = _deg2_vector(magnus_expand(dev, 2).homogeneous(2), n)
         row = []
         for i, jcol in enumerate(itertools.product(range(1, n + 1), repeat=2)):
@@ -236,18 +202,18 @@ def _letters(rank: int) -> list[tuple]:
 
 
 def _twisted_bidirectional(
-    a: FreeWord, z: FreeWord, twist: EndoF, budget: SearchBudget, limit: int
+    a: FreeWord, z: FreeWord, b: IElem, budget: SearchBudget, limit: int
 ) -> list[FreeWord]:
-    """Solutions g of g a twist(g^-1) = z found by a two-sided letter walk.
+    """Solutions g of g a (b . g^-1) = z found by a two-sided letter walk.
 
-    Forward states are g a twist(g^-1); backward states are u z twist(u^-1);
+    Forward states are g a (b . g^-1); backward states are u z (b . u^-1);
     a meet at (g, u) yields the candidate u^-1 g, kept once it is verified.
     When a = z the root is a meet, with the empty path.  Steps are the
     letters, with their twisted inverses precomputed.
     """
     rank = a.rank
     letters = _letters(rank)
-    twisted_inv = [endo_apply(twist, gen(rank, i, -s)).letters for ((i, s),) in letters]
+    twisted_inv = [act_elem(b, gen(rank, i, -s)).letters for ((i, s),) in letters]
 
     def expand(state: tuple, back: int) -> list:
         return [
@@ -262,7 +228,7 @@ def _twisted_bidirectional(
     for path in itertools.chain([[]] if a == z else [], walk):
         key = functools.reduce(_join, [letters[k] for k in path], ())
         cand = _raw(rank, key)
-        if key not in seen and multiply(multiply(cand, a), endo_apply(twist, invert(cand))) == z:
+        if key not in seen and multiply(multiply(cand, a), act_elem(b, invert(cand))) == z:
             seen.add(key)
             found.append(cand)
             if len(found) >= limit:
@@ -299,11 +265,29 @@ def _all_words(rank: int, max_len: int) -> Iterator[FreeWord]:
         frontier = nxt
 
 
+Twist = Optional[tuple[IElem, tuple[FreeWord, ...]]]
+
+
+def _lower_action(y: IElem, i: int) -> Twist:
+    """(b, images) for the part b of y below level i, with images[l-1] = b . y(i,l).
+
+    None when every image is its generator: then b acts as the identity.
+    """
+    b = lower_part(y, i)
+    images = tuple(act_elem(b, gen(i, l)) for l in range(1, i + 1))
+    if all(image == gen(i, l) for l, image in enumerate(images, 1)):
+        return None
+    return b, images
+
+
 def twisted_solutions(
-    a: FreeWord, z: FreeWord, twist: EndoF, budget: SearchBudget
+    a: FreeWord, z: FreeWord, twist: Twist, budget: SearchBudget
 ) -> Iterator[FreeWord]:
-    """Candidate solutions of g a twist(g^-1) = z, best-effort enumeration."""
-    if endo_is_identity(twist):
+    """Candidate solutions of g a (b . g^-1) = z, best-effort enumeration.
+
+    twist is _lower_action's (b, images), or None for plain conjugacy.
+    """
+    if twist is None:
         if a.is_identity and z.is_identity:
             count = 0
             for w in _all_words(a.rank, budget.max_len):
@@ -317,11 +301,10 @@ def twisted_solutions(
             return
         yield from _coset_solutions(g0, centralizer_root(z), budget)
         return
-    if not twisted_abelian_obstruction(a, z, twist):
+    b, images = twist
+    if not twisted_class2_obstruction(a, z, images):
         return
-    if not twisted_class2_obstruction(a, z, twist):
-        return
-    yield from _twisted_bidirectional(a, z, twist, budget, budget.solutions_per_level)
+    yield from _twisted_bidirectional(a, z, b, budget, budget.solutions_per_level)
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +316,14 @@ class _Exhausted(Exception):
     pass
 
 
-def _level_twist(y: IElem, i: int) -> EndoF:
-    """Conjugation action of the matched lower part of y on the level-i factor."""
-    b = lower_part(y, i)
-    b_inv = iinv(b)
-    images = tuple(act_elem(b, gen(i, l)) for l in range(1, i + 1))
-    inv_images = tuple(act_elem(b_inv, gen(i, l)) for l in range(1, i + 1))
-    return automorphism(images, inv_images)
-
-
 def _ladder(x: IElem, y: IElem, budget: SearchBudget) -> tuple[IElem, tuple[LevelTrace, ...]]:
-    """Returns (witness, trace) on success, or raises _Exhausted when budgets run out."""
+    """Returns (witness, trace) on success, or raises _Exhausted when budgets run out.
+
+    Level 2 is plain conjugacy; level i > 2 is twisted by the part of y
+    below it, whose data is worked out once here.
+    """
     n = x.n
-    w2, z2 = x.part(2), y.part(2)
+    twists: list[Twist] = [None] + [_lower_action(y, i) for i in range(3, n + 1)]
     nodes = [0]
 
     def spend() -> None:
@@ -353,50 +331,38 @@ def _ladder(x: IElem, y: IElem, budget: SearchBudget) -> tuple[IElem, tuple[Leve
         if nodes[0] > budget.ladder_nodes:
             raise _Exhausted()
 
-    def solve(i: int, gs: list[FreeWord], trace: list[LevelTrace]):
-        # gs holds g_2 .. g_{i-1}
+    def solve(i: int, path: list[tuple[FreeWord, FreeWord]]):
+        # path holds (a_k, g_k) for the levels k = 2 .. i-1
         if i > n:
-            return IElem(n, tuple([g.letters for g in reversed(gs)])), tuple(trace)
-        prefix = IElem(i - 1, tuple([g.letters for g in reversed(gs)]))
-        a_i = act_elem(prefix, x.part(i))
-        z_i = y.part(i)
-        twist = _level_twist(y, i)
-        spend()
-        for cand in twisted_solutions(a_i, z_i, twist, budget):
+            return path
+        if i == 2:
+            a_i = x.part(2)
+        else:
+            prefix = IElem(i - 1, tuple([g.letters for _, g in reversed(path)]))
+            a_i = act_elem(prefix, x.part(i))
             spend()
-            res = solve(
-                i + 1,
-                gs + [cand],
-                trace
-                + [
-                    LevelTrace(
-                        level=i,
-                        a_word=format_level_word(a_i),
-                        b_desc=format_ielem(lower_part(y, i)),
-                        twist_desc="identity" if endo_is_identity(twist) else "partial-inner",
-                        solution=format_level_word(cand),
-                    )
-                ],
-            )
+        for cand in twisted_solutions(a_i, y.part(i), twists[i - 2], budget):
+            spend()
+            res = solve(i + 1, path + [(a_i, cand)])
             if res is not None:
                 return res
         return None
 
-    for g2 in twisted_solutions(w2, z2, identity_endo(2), budget):
-        spend()
-        t = [
-            LevelTrace(
-                level=2,
-                a_word=format_level_word(w2),
-                b_desc="",
-                twist_desc="none",
-                solution=format_level_word(g2),
-            )
-        ]
-        res = solve(3, [g2], t)
-        if res is not None:
-            return res
-    raise _Exhausted()
+    path = solve(2, [])
+    if path is None:
+        raise _Exhausted()
+    witness = IElem(n, tuple([g.letters for _, g in reversed(path)]))
+    trace = tuple(
+        LevelTrace(
+            level=i,
+            a_word=format_level_word(a_i),
+            b_desc=format_ielem(lower_part(y, i)) if i > 2 else "",
+            twist_desc="none" if i == 2 else "identity" if twist is None else "partial-inner",
+            solution=format_level_word(g),
+        )
+        for i, (a_i, g), twist in zip(range(2, n + 1), path, twists)
+    )
+    return witness, trace
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,8 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
     """
     if n < 3:
         raise DecompError("need n >= 3")
+    if max_m < 2:
+        raise DecompError(f"need max degree >= 2, got {max_m}")
     rels = relators if relators is not None else build_relators(n)
     k = alphabet_size(n)
     j_rows = ideal_rows_by_degree(rels, max_m)
@@ -405,6 +407,8 @@ def verify_tilde_T(n: int, max_m: int) -> TildeTReport:
     """Certify that the T_r pieces sum directly to J, degree by degree."""
     if n < 3:
         raise DecompError("need n >= 3")
+    if max_m < 2:
+        raise DecompError(f"need max degree >= 2, got {max_m}")
     rels = build_relators(n)
     j_rows = ideal_rows_by_degree(rels, max_m)
     k = alphabet_size(n)
@@ -456,6 +460,8 @@ def gr_rank_table(n: int, max_c: int) -> list[RankRow]:
     Route one sums the Witt ranks of the free level factors; route two
     subtracts the computed rank of J^c from the Witt rank of the whole.
     """
+    if max_c < 1:
+        raise DecompError(f"need max degree >= 1, got {max_c}")
     rels = build_relators(n)
     k = alphabet_size(n)
     j_rows = ideal_rows_by_degree(rels, max_c) if max_c >= 2 else {}

@@ -73,11 +73,11 @@ class TestL1Rank:
         # per-level pieces have the per-level Witt ranks and stack independently
         from pik.igroup import commutator_elem
 
-        n, c, D = 3, 2, 4
+        n, c = 3, 2
         levels = []
         for level in (2, 3):
             gens = [gen_elem(n, level, i) for i in range(1, level + 1)]
-            levels.append(build_johnson_matrix(n, c, left_normed(gens, c, commutator_elem), D))
+            levels.append(build_johnson_matrix(n, c, left_normed(gens, c, commutator_elem)))
         assert [m.rank for m in levels] == [witt(2, 2), witt(3, 2)]
         rows = [r for m in levels for r in m.rows]
         stacked = lattice_from_rows(rows, n * n ** (c + 1))

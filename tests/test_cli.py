@@ -64,6 +64,10 @@ class TestReportSchema:
         with pytest.raises(ValueError, match="--max-degree must be at least 2"):
             RunConfig(max_degree=1)
 
+    def test_verify_all_defaults_are_run_config_defaults(self):
+        args = build_parser().parse_args(["verify-all"])
+        assert cli._config_from_args(args) == RunConfig()
+
 
 class TestSubcommands:
     def test_check_mccool(self, capsys):
@@ -149,6 +153,17 @@ class TestSubcommands:
         assert main(["decomp", "rank-table", "--n", "2", "--max-degree", "2"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [r["sum_witt_factors"] for r in rows] == [2, 1]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["verify", "--max-degree", "1"], ["rank-table", "--max-degree", "0"]],
+    )
+    def test_decomp_without_a_degree_is_an_error(self, args, capsys):
+        # no degree to certify: an input error, not a pass over nothing
+        assert main(["decomp", args[0], "--n", "3", *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max degree" in json.loads(captured.err)["error"]
 
     def test_ia_l1_rank(self, capsys):
         assert main(["ia", "l1-rank", "--n", "3", "--c", "2"]) == 0

@@ -10,14 +10,15 @@ from pik.conj import (
     ConjError,
     SearchBudget,
     conjugacy,
-    twisted_abelian_obstruction,
     twisted_class2_obstruction,
     twisted_solutions,
 )
-from pik.endos import apply as endo_apply, identity_endo, inverse, tau, y_gen
+from pik.endos import apply as endo_apply, automorphism
 from pik.fuzz import planted_conjugacy_case, random_ielem
 from pik.igroup import (
+    IElem,
     abelianize,
+    act_elem,
     collect,
     commutator_elem,
     conj_elem,
@@ -26,9 +27,10 @@ from pik.igroup import (
     identity_elem,
     iinv,
     imul,
+    lower_part,
 )
 from pik.prng import Lcg
-from pik.words import empty, gen, invert, multiply, parse_x_word
+from pik.words import empty, gen, invert, multiply, parse_word, parse_x_word
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,95 +40,86 @@ def w(s, rank=2):
     return parse_x_word(s, rank)
 
 
+def twist_by(b):
+    """The ladder's twist of level b.n + 1 by the lower element b."""
+    return conj_mod._lower_action(IElem(b.n + 1, ((),) + b.parts), b.n + 1)
+
+
+def images_of(b, i):
+    """b . y(i,1), ..., b . y(i,i) as level-i words."""
+    return tuple(act_elem(b, gen(i, l)) for l in range(1, i + 1))
+
+
 def first_solution(a, z, twist, budget=SearchBudget()):
-    """The first solution g of g a twist(g^-1) = z that the ladder would try."""
+    """The first solution g of g a (b . g^-1) = z that the ladder would try."""
     return next(twisted_solutions(a, z, twist, budget), None)
 
 
-def solves(g, a, z, twist):
-    return multiply(multiply(g, a), endo_apply(twist, invert(g))) == z
+def solves(g, a, z, b):
+    return multiply(multiply(g, a), act_elem(b, invert(g))) == z
 
 
 class TestTwistedObstructions:
-    def test_abelian_obstruction_identity_twist(self):
-        tw = identity_endo(2)
-        assert twisted_abelian_obstruction(w("x1 x2"), w("x2 x1"), tw)
-        assert not twisted_abelian_obstruction(w("x1"), w("x2"), tw)
-
-    def test_abelian_obstruction_nontrivial_twist(self):
-        # twist x1 |-> x1 x2, x2 |-> x2: Id - twistbar has image spanned by (0,-1)
-        from pik.endos import automorphism
-
-        tw = automorphism(
-            (w("x1 x2"), w("x2")),
-            (w("x1 x2^-1"), w("x2")),
-        )
-        # image of Id - induced map is spanned by (0,-1)
-        assert twisted_abelian_obstruction(w("x2"), w("x2 x2"), tw)
-        assert not twisted_abelian_obstruction(w("x1"), w("x1 x1"), tw)
-
     def test_class2_is_sound_on_solvable_cases(self):
         rng = Lcg(31337)
-        tw = tau(gen(2, 1))
+        b = gen_elem(2, 2, 1)
+        images = images_of(b, 3)
         for _ in range(40):
-            a = random_ielem(rng, 3, 6).part(2)
-            g = random_ielem(rng, 3, 6).part(2)
-            z = multiply(multiply(g, a), endo_apply(tw, invert(g)))
-            assert twisted_abelian_obstruction(a, z, tw)
-            assert twisted_class2_obstruction(a, z, tw)
+            a = random_ielem(rng, 3, 6).part(3)
+            g = random_ielem(rng, 3, 6).part(3)
+            z = multiply(multiply(g, a), act_elem(b, invert(g)))
+            assert twisted_class2_obstruction(a, z, images)
 
     def test_class2_sound_for_ladder_twists(self):
-        # the twists that actually occur: conjugation actions of lower parts
-        from pik.conj import _level_twist
-        from pik.igroup import lower_part
-
+        # the twists that actually occur: the actions of lower parts
         rng = Lcg(525)
         for _ in range(30):
             n = 3 + rng.below(2)
             y_elem = random_ielem(rng, n, 6)
             i = n
-            tw = _level_twist(y_elem, i)
+            b = lower_part(y_elem, i)
             a = random_ielem(rng, n, 6).part(i)
             g = random_ielem(rng, n, 6).part(i)
-            z = multiply(multiply(g, a), endo_apply(tw, invert(g)))
-            assert twisted_abelian_obstruction(a, z, tw)
-            assert twisted_class2_obstruction(a, z, tw)
+            z = multiply(multiply(g, a), act_elem(b, invert(g)))
+            assert twisted_class2_obstruction(a, z, images_of(b, i))
 
     def test_class2_refutes(self):
         # a and z agree on the abelianization but differ mod the third term
-        tw = tau(gen(2, 1))
-        a = w("x1")
-        z = w("x2 x1 x2^-1 x1 x1^-1")  # = x2 x1 x2^-1, same abelianization
-        ok_somewhere = twisted_class2_obstruction(a, z, tw)
+        twist = twist_by(gen_elem(2, 2, 1))
+        a = w("x1", 3)
+        z = w("x2 x1 x2^-1 x1 x1^-1", 3)  # = x2 x1 x2^-1, same abelianization
+        ok_somewhere = twisted_class2_obstruction(a, z, twist[1])
+        assert not ok_somewhere
         # x2 x1 x2^-1 IS twisted-conjugate to x1 here? verify by search; the
         # obstruction must never contradict an actual solution
-        if first_solution(a, z, tw) is not None:
+        if first_solution(a, z, twist) is not None:
             assert ok_somewhere
 
 
 class TestTwistedConjugate:
     def test_identity_twist_reduces_to_free(self):
-        g = first_solution(w("x1 x2"), w("x2 x1"), identity_endo(2))
+        g = first_solution(w("x1 x2"), w("x2 x1"), None)
         assert g is not None
         assert multiply(multiply(g, w("x1 x2")), invert(g)) == w("x2 x1")
 
     def test_identity_twist_refutes(self):
-        assert first_solution(w("x1"), w("x2"), identity_endo(2)) is None
+        assert first_solution(w("x1"), w("x2"), None) is None
 
     def test_inner_twist_witness(self):
-        # brute-force oracle over |g| <= 2 confirms a witness exists
-        tw = tau(gen(2, 1))
-        a, z = w("x2"), w("x1^-1 x2 x1")
+        # brute-force oracle over |g| <= 2 confirms a witness exists; y(2,1)
+        # acts on <x1, x2> as conjugation by x1 and fixes x3
+        b = gen_elem(2, 2, 1)
+        a, z = w("x2", 3), w("x1^-1 x2 x1", 3)
 
         def brute():
-            frontier = [empty(2)]
+            frontier = [empty(3)]
             seen = set()
             for _ in range(2):
                 nxt = []
                 for g in frontier:
-                    for i in (1, 2):
+                    for i in (1, 2, 3):
                         for s in (1, -1):
-                            h = multiply(g, gen(2, i, s))
+                            h = multiply(g, gen(3, i, s))
                             if h.letters not in seen:
                                 seen.add(h.letters)
                                 nxt.append(h)
@@ -134,26 +127,26 @@ class TestTwistedConjugate:
             for letters in seen:
                 from pik.words import FreeWord
 
-                g = FreeWord(2, letters)
-                if multiply(multiply(g, a), endo_apply(tw, invert(g))) == z:
+                g = FreeWord(3, letters)
+                if solves(g, a, z, b):
                     return g
             return None
 
         oracle = brute()
         assert oracle is not None
-        g = first_solution(a, z, tw)
-        assert g is not None and solves(g, a, z, tw)
+        g = first_solution(a, z, twist_by(b))
+        assert g is not None and solves(g, a, z, b)
 
     def test_planted_twisted_instances(self):
         rng = Lcg(808)
-        tw_base = y_gen(3, 2, 1)
-        tw = tau(parse_x_word("x1 x2", 3))
+        b = collect(2, parse_word("y(2,1) y(2,2)"))
+        twist = twist_by(b)
         for _ in range(25):
             a = random_ielem(rng, 4, 5).part(3)
             g = random_ielem(rng, 4, 5).part(3)
-            z = multiply(multiply(g, a), endo_apply(tw, invert(g)))
-            sol = first_solution(a, z, tw, SearchBudget(max_len=10, twisted_states=4000))
-            assert sol is not None and solves(sol, a, z, tw)
+            z = multiply(multiply(g, a), act_elem(b, invert(g)))
+            sol = first_solution(a, z, twist, SearchBudget(max_len=10, twisted_states=4000))
+            assert sol is not None and solves(sol, a, z, b)
 
 
 class TestConjugacy:
@@ -232,7 +225,7 @@ class TestConjugacy:
             assert conj_elem(res.witness, x) == y
 
     def test_refutations_name_only_the_two_invariants(self, monkeypatch):
-        # The twisted obstructions reject ladder candidates but never decide
+        # The twisted obstruction rejects ladder candidates but never decides
         # the instance: every "no" cites the abelianization or the level-2 core.
         import pik.conj as conj_mod
 
@@ -241,15 +234,14 @@ class TestConjugacy:
             "level-2 free-conjugacy core mismatch",
         }
         pruned = []
-        for name in ("twisted_abelian_obstruction", "twisted_class2_obstruction"):
-            real = getattr(conj_mod, name)
+        real = conj_mod.twisted_class2_obstruction
 
-            def counted(a, z, twist, real=real):
-                ok = real(a, z, twist)
-                pruned.append(not ok)
-                return ok
+        def counted(a, z, images):
+            ok = real(a, z, images)
+            pruned.append(not ok)
+            return ok
 
-            monkeypatch.setattr(conj_mod, name, counted)
+        monkeypatch.setattr(conj_mod, "twisted_class2_obstruction", counted)
         rng = Lcg(99)
         pairs = []
         while len(pairs) < 20:
@@ -283,6 +275,66 @@ class TestConjugacy:
         res = conjugacy(x, y, SearchBudget())
         assert res.verdict == "conjugate"
         assert conj_elem(res.witness, x) == y
+
+
+# Ladder-decided planted pairs (0-based cases 12 of Lcg(2003), 51 of Lcg(2004)) and the
+# levels the ladder reports for them; every twist above level 2 is partial-inner.
+LADDER_CASES = {
+    3: (
+        "y(3,3) y(2,1)^-1 y(2,2) y(2,1)",
+        "y(3,3)^-1 y(3,2)^-1 y(3,3)^-1 y(3,2) y(3,3) y(3,1)^-1 y(3,2) y(3,1) y(3,2)^-1"
+        " y(3,1)^-1 y(3,2)^-1 y(3,1) y(3,3) y(3,1)^-1 y(3,2) y(3,1) y(3,2) y(3,1)^-1"
+        " y(3,2)^-1 y(3,1) y(3,3) y(2,1)^-1 y(2,2) y(2,1)",
+        [
+            {
+                "level": 2,
+                "a": "y(2,1)^-1 y(2,2) y(2,1)",
+                "b": "",
+                "twist": "none",
+                "g": "y(2,1)^-1 y(2,2) y(2,1)",
+            },
+            {
+                "level": 3,
+                "a": "y(3,3)",
+                "b": "y(2,1)^-1 y(2,2) y(2,1)",
+                "twist": "partial-inner",
+                "g": "y(3,3)^-1 y(3,2)^-1 y(3,3)^-1 y(3,2)",
+            },
+        ],
+    ),
+    4: (
+        "y(3,2)^-1 y(2,1)^-1",
+        "y(4,1)^-1 y(4,2)^-1 y(4,1) y(4,2)^-1 y(4,1)^-1 y(4,1)^-1 y(4,2) y(4,1) y(4,2)^-1"
+        " y(4,1) y(4,2) y(4,2) y(3,2)^-1 y(3,2)^-1 y(3,1)^-1 y(3,2) y(3,1) y(2,1)^-1",
+        [
+            {"level": 2, "a": "y(2,1)^-1", "b": "", "twist": "none", "g": "y(2,1)^-1"},
+            {
+                "level": 3,
+                "a": "y(3,1)^-1 y(3,2)^-1 y(3,1)",
+                "b": "y(2,1)^-1",
+                "twist": "partial-inner",
+                "g": "y(3,2)^-1 y(3,1)",
+            },
+            {
+                "level": 4,
+                "a": "",
+                "b": "y(3,2)^-1 y(3,2)^-1 y(3,1)^-1 y(3,2) y(3,1) y(2,1)^-1",
+                "twist": "partial-inner",
+                "g": "y(4,1)^-1 y(4,2)^-1 y(4,1) y(4,2)",
+            },
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LADDER_CASES))
+def test_ladder_levels_are_pinned(n):
+    x_word, y_word, levels = LADDER_CASES[n]
+    x, y = collect(n, parse_word(x_word)), collect(n, parse_word(y_word))
+    res = conjugacy(x, y, SearchBudget(max_len=10))
+    assert res.method == "ladder"
+    assert res.as_dict()["levels"] == levels
+    assert conj_elem(res.witness, x) == y
 
 
 def test_unverified_witness_raises_under_optimize(tmp_path):
@@ -379,7 +431,10 @@ def _reference_orbit_walk(x, y, radius, max_states, sizes=None):
 
 
 def _reference_twisted_walk(a, z, twist, budget, limit):
-    """The twisted walk on FreeWord states with eagerly multiplied g-words."""
+    """The twisted walk on FreeWord states with eagerly multiplied g-words.
+
+    twist is an EndoF, applied with endos.apply.
+    """
     rank = a.rank
     letters = [gen(rank, i, s) for i in range(1, rank + 1) for s in (1, -1)]
     twisted_inv = {s.letters: endo_apply(twist, invert(s)) for s in letters}
@@ -389,7 +444,10 @@ def _reference_twisted_walk(a, z, twist, budget, limit):
 
     def meet(g, u):
         cand = multiply(invert(u), g)
-        if cand.letters not in seen and solves(cand, a, z, twist):
+        if (
+            cand.letters not in seen
+            and multiply(multiply(cand, a), endo_apply(twist, invert(cand))) == z
+        ):
             seen.add(cand.letters)
             found.append(cand)
 
@@ -468,18 +526,19 @@ class TestWalksAgainstReference:
         cases = []
         for n in (3, 4):
             for _ in range(5):
-                lower = random_ielem(rng, n, 6)
-                twist = conj_mod._level_twist(lower, n)
+                b = lower_part(random_ielem(rng, n, 6), n)
+                # the reference's own EndoF of b's action on level n
+                twist = automorphism(images_of(b, n), images_of(iinv(b), n))
                 a = random_ielem(rng, n, 5).part(n)
                 g = random_ielem(rng, n, 3).part(n)
-                cases.append((a, multiply(multiply(g, a), endo_apply(twist, invert(g))), twist))
-                cases.append((a, random_ielem(rng, n, 5).part(n), twist))
+                cases.append((a, multiply(multiply(g, a), endo_apply(twist, invert(g))), b, twist))
+                cases.append((a, random_ielem(rng, n, 5).part(n), b, twist))
         solved = 0
-        for a, z, twist in cases:
+        for a, z, b, twist in cases:
             for states in (10, 40, 120, 400):
                 for limit in (1, 3):
                     budget = SearchBudget(max_len=6, twisted_states=states)
-                    got = conj_mod._twisted_bidirectional(a, z, twist, budget, limit)
+                    got = conj_mod._twisted_bidirectional(a, z, b, budget, limit)
                     assert got == _reference_twisted_walk(a, z, twist, budget, limit)
                     solved += bool(got)
         assert solved

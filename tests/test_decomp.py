@@ -208,6 +208,11 @@ class TestTheoremDecomposition:
         with pytest.raises(DecompError):
             verify_theorem_th1(2, 3)
 
+    @pytest.mark.parametrize("max_m", [1, 0])
+    def test_requires_a_degree_to_certify(self, max_m):
+        with pytest.raises(DecompError, match="max degree"):
+            verify_theorem_th1(3, max_m)
+
 
 def stacked_th1(n, max_m, rels):
     """Oracle: the per-degree Th1 report from one lattice that stacks the
@@ -295,6 +300,10 @@ class TestTildeT:
         assert len(t_r_rows(4, 2, 2)) == 14
         assert len(t_r_rows(4, 3, 2)) == 12
 
+    def test_requires_a_degree_to_certify(self):
+        with pytest.raises(DecompError, match="max degree"):
+            verify_tilde_T(3, 1)
+
 
 class TestRankTable:
     def test_n3_values(self):
@@ -312,6 +321,10 @@ class TestRankTable:
         rows = gr_rank_table(2, 5)
         assert [r.c for r in rows] == [1, 2, 3, 4, 5]
         assert all(r.ok and r.via_quotient == witt(2, r.c) for r in rows)
+
+    def test_requires_a_degree(self):
+        with pytest.raises(DecompError, match="max degree"):
+            gr_rank_table(3, 0)
 
 
 class TestPresentation:

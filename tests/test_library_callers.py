@@ -19,6 +19,7 @@ PIK = ROOT / "src" / "pik"
 ALLOWED = {
     ("ajohnson", "inner_degree_check"): "used by an acceptance test",
     ("decomp", "verify_psi_automorphism"): "the paper's F1-F3 maps, with no other check",
+    ("endos", "automorphism"): "bench/tracer.py LAYERS wraps it by name",
     ("magnus", "_letter_series"): "the reference that the letter-step test compares against",
 }
 
