@@ -6,9 +6,10 @@ the group's Lie algebra computed two independent ways (per-level Witt sums
 vs. Witt rank of the whole minus the computed ideal rank), plus the rank of
 the degree-(c+1) piece realized inside the ambient IA filtration.
 
-Usage: rank_tables.py [max_n] [max_c]
+Usage: rank_tables.py [max_n] [max_c]   (max_n >= 3, max_c >= 1)
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -22,12 +23,20 @@ from pik.ajohnson import l1_rank
 from pik.decomp import gr_rank_table
 
 def main(argv):
-    max_n = int(argv[1]) if len(argv) > 1 else 4
-    max_c = int(argv[2]) if len(argv) > 2 else 3
-    for n in range(3, max_n + 1):
+    parser = argparse.ArgumentParser(description="Graded rank tables for n = 3..max_n.")
+    parser.add_argument("max_n", type=int, nargs="?", default=4)
+    parser.add_argument("max_c", type=int, nargs="?", default=3)
+    args = parser.parse_args(argv[1:])
+    if args.max_n < 3:
+        parser.error(f"max_n must be at least 3, got {args.max_n}")
+    if args.max_c < 1:
+        parser.error(f"max_c must be at least 1, got {args.max_c}")
+    for n in range(3, args.max_n + 1):
         print(f"n = {n}")
         print(f"  {'c':>3} {'factor sum':>11} {'whole - ideal':>14} {'johnson':>8}")
-        for row in gr_rank_table(n, max_c):
+        for row in gr_rank_table(n, args.max_c):
+            # The Johnson rows are dense: at (4,5) there are 26,244 rows of
+            # 16,384 entries, over 3 GB.
             embedded = l1_rank(n, row.c, row.c + 2) if row.c <= 3 else "-"
             mark = "" if row.ok else "  <-- MISMATCH"
             print(f"  {row.c:>3} {row.via_factors:>11} {row.via_quotient:>14} {embedded!s:>8}{mark}")

@@ -22,7 +22,7 @@ from .decomp import (
     verify_theorem_th1,
     verify_tilde_T,
 )
-from .ajohnson import basic_commutators_In, inner_degree_check, l1_rank, thu1_bound
+from .ajohnson import inner_degree_check, l1_rank
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "RelatorSet",
     "abelianize",
     "apply",
-    "basic_commutators_In",
     "bracket",
     "build_psi",
     "build_relators",
@@ -64,7 +63,6 @@ __all__ = [
     "magnus_expand",
     "multiply",
     "parse_x_word",
-    "thu1_bound",
     "to_endo",
     "verify_psi_automorphism",
     "verify_theorem_th1",

@@ -1,10 +1,12 @@
 """Bounded-degree verification of the embedding into the IA filtration.
 
 Weight-c commutators of the partial inner generators act trivially on the
-free group modulo depth c+1; their degree-(c+1) Johnson images, read off the
-Magnus expansion, coordinatize the graded pieces of the image Lie algebra.
-Rank identities against the per-level Witt numbers certify the embedding
-degree by degree.
+free group modulo depth c+1, and their degree-(c+1) Johnson images
+coordinatize the graded pieces of the image Lie algebra.  The Johnson map is
+a graded Lie homomorphism into the derivations of the free Lie algebra, so
+each image is the bracket of the generators' weight-1 derivations; no group
+element or automorphism is built.  Rank identities against the per-level
+Witt numbers certify the embedding degree by degree.
 """
 
 from __future__ import annotations
@@ -13,11 +15,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from .endos import EndoF, tau
-from .igroup import IElem, commutator_elem, gen_elem, generators, to_endo
-from .lie import IntLattice, lattice_from_rows, witt
-from .magnus import gamma_degree, ia_degree, johnson_image
+from .endos import tau
+from .igroup import generators
+from .lie import lattice_from_rows
+from .magnus import gamma_degree, ia_degree
 from .words import FreeWord, commutator, gen
+
+# A derivation of the tensor algebra: the term dicts of its images of X_1..X_n.
+Derivation = tuple[dict[tuple[int, ...], int], ...]
 
 
 class AJohnsonError(ValueError):
@@ -53,46 +58,61 @@ def left_normed_step(heads: Sequence[T], tails: Sequence[T], comm: Callable[[T, 
     return [comm(h, t) for h in heads for t in tails]
 
 
-def basic_commutators_In(n: int, c: int) -> list[IElem]:
-    """Left-normed weight-c commutators spanning the weight-c graded piece.
-
-    Weight 1: the generators in the documented order.  Weight c >= 2: all
-    [u1, u2, t3, ..., tc] with u1 > u2 in the generator order and arbitrary
-    trailing letters; by antisymmetry and the left-normed spanning property
-    these span modulo weight c+1.
-    """
-    return left_normed([gen_elem(n, m, i) for (m, i) in generators(n)], c, commutator_elem)
+def _generator_derivation(n: int, m: int, i: int) -> Derivation:
+    """tau_1(y(m, i)): X_k |-> [X_k, X_i] = X_k X_i - X_i X_k for k <= m, k != i."""
+    return tuple({(k, i): 1, (i, k): -1} if k <= m and k != i else {} for k in range(1, n + 1))
 
 
-def _johnson_row(f: EndoF, c: int) -> list[int]:
-    """Concatenated degree-(c+1) Johnson coordinates over all generators."""
-    n = f.rank
-    images = johnson_image(f, c + 1, c + 2)
-    monos = list(itertools.product(range(1, n + 1), repeat=c + 1))
-    row: list[int] = []
-    for p in images:
-        row.extend(p.terms.get(m, 0) for m in monos)
-    return row
+def _leibniz(d: Derivation, poly: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """d applied to a polynomial: each letter of a monomial in turn replaced by its image."""
+    out: dict[tuple[int, ...], int] = {}
+    for mono, coeff in poly.items():
+        for j, x in enumerate(mono):
+            for sub, s in d[x - 1].items():
+                key = mono[:j] + sub + mono[j + 1 :]
+                out[key] = out.get(key, 0) + coeff * s
+    return out
 
 
-def build_johnson_matrix(n: int, c: int, elems: Sequence[IElem]) -> IntLattice:
-    """The lattice spanned by the degree-(c+1) Johnson rows of the elements."""
-    rows = [_johnson_row(to_endo(e), c) for e in elems]
-    return lattice_from_rows(rows, n * n ** (c + 1))
+def _derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:
+    """[D1, D2] = D1 o D2 - D2 o D1, the Johnson image of the group commutator [f1, f2]."""
+    out = []
+    for a, b in zip(d1, d2):
+        image = _leibniz(d1, b)
+        for mono, s in _leibniz(d2, a).items():
+            image[mono] = image.get(mono, 0) - s
+        out.append({mono: s for mono, s in image.items() if s})
+    return tuple(out)
+
+
+def johnson_rows(n: int, c: int) -> list[list[int]]:
+    """Degree-(c+1) Johnson rows of the left-normed weight-c generator commutators,
+    in ``left_normed`` order: the images of X_1, ..., X_n, each read at the
+    degree-(c+1) monomials in itertools.product order."""
+    if n < 2:
+        raise AJohnsonError(f"I_n has no generators below n = 2, got n={n}")
+    gens = [_generator_derivation(n, m, i) for (m, i) in generators(n)]
+    derivations = left_normed(gens, c, _derivation_bracket)
+    column = {mono: j for j, mono in enumerate(itertools.product(range(1, n + 1), repeat=c + 1))}
+    rows = [[0] * (n * len(column)) for _ in derivations]
+    for row, d in zip(rows, derivations):
+        for k, image in enumerate(d):
+            for mono, s in image.items():
+                row[k * len(column) + column[mono]] = s
+    return rows
 
 
 def l1_rank(n: int, c: int, D: int) -> int:
     """Rank of the weight-c graded piece of the image Lie algebra.
 
-    Conjugates do not move Johnson images modulo the next filtration level,
-    so generator commutators alone give the full rank (see docs/NOTES.md).
-    The truncation degree D is checked (D >= c + 2) but computes nothing:
-    the Johnson rows read degree c + 1 only.  It stays in the signature
-    because the benchmark workloads and ``pik ia l1-rank`` pass it.
+    Generator commutators alone give the full rank, and their Johnson images
+    are brackets of the generators' derivations (see docs/NOTES.md).  The
+    truncation degree D is checked (D >= c + 2) but computes nothing; it
+    stays because the benchmark workloads and ``pik ia l1-rank`` pass it.
     """
     if D < c + 2:
         raise AJohnsonError(f"need truncation D >= c + 2, got D={D}")
-    return build_johnson_matrix(n, c, basic_commutators_In(n, c)).rank
+    return lattice_from_rows(johnson_rows(n, c), n * n ** (c + 1)).rank
 
 
 def basic_commutator_words(rank: int, c: int) -> list[FreeWord]:
@@ -129,25 +149,3 @@ def inner_degree_check(m: int, c: int, D: int) -> InnerDegreeReport:
         if got != c + 1:
             failures.append(f"tau({format_x_word(g)}): expected {c + 1}, got {got}")
     return InnerDegreeReport(m, c, checked, tuple(failures))
-
-
-@dataclass(frozen=True)
-class Thu1Report:
-    n: int
-    c: int
-    lhs: int
-    l1: int
-
-    @property
-    def certified(self) -> bool:
-        return self.l1 == self.lhs
-
-    def as_dict(self) -> dict:
-        return {"n": self.n, "c": self.c, "lhs": self.lhs, "certified": self.certified}
-
-
-def thu1_bound(n: int, c: int) -> Thu1Report:
-    """Certified lower bound for the rank of the degree-(c+1) piece of the
-    ambient IA Lie algebra: the image piece realizes sum_{i=2..n} witt(i, c)."""
-    lhs = sum(witt(i, c) for i in range(2, n + 1))
-    return Thu1Report(n, c, lhs, l1_rank(n, c, c + 2))

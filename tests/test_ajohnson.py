@@ -1,18 +1,43 @@
+import itertools
+import json
+
 import pytest
 
 from pik.ajohnson import (
     AJohnsonError,
     basic_commutator_words,
-    basic_commutators_In,
-    build_johnson_matrix,
     inner_degree_check,
+    johnson_rows,
     l1_rank,
     left_normed,
-    thu1_bound,
 )
-from pik.igroup import gen_elem, to_endo
+from pik.cli import main
+from pik.igroup import commutator_elem, gen_elem, generators, to_endo
 from pik.lie import lattice_from_rows, witt
-from pik.magnus import ia_degree
+from pik.magnus import ia_degree, johnson_image
+
+
+# The group-side path, kept here as the reference for the derivation rows:
+# commutators formed in I_n, turned into automorphisms, Magnus-expanded.
+
+
+def basic_commutators_In(n, c):
+    return left_normed([gen_elem(n, m, i) for (m, i) in generators(n)], c, commutator_elem)
+
+
+def group_johnson_rows(n, c, elems):
+    monos = list(itertools.product(range(1, n + 1), repeat=c + 1))
+    rows = []
+    for e in elems:
+        row = []
+        for p in johnson_image(to_endo(e), c + 1, c + 2):
+            row.extend(p.terms.get(m, 0) for m in monos)
+        rows.append(row)
+    return rows
+
+
+def build_johnson_matrix(n, c, elems):
+    return lattice_from_rows(group_johnson_rows(n, c, elems), n * n ** (c + 1))
 
 
 class TestBasicCommutators:
@@ -34,8 +59,6 @@ class TestBasicCommutators:
     def test_left_normed_order(self):
         # symbolic brackets record the order; the reference is the nested
         # enumeration: a > b, then the tail lexicographically
-        import itertools
-
         gens = ["p", "q", "r"]
         for c in (1, 2, 3, 4):
             want = list(gens) if c == 1 else []
@@ -68,11 +91,18 @@ class TestL1Rank:
     def test_truncation_precondition(self):
         with pytest.raises(AJohnsonError):
             l1_rank(3, 2, 3)
+        for n in (1, 0):  # no generators: nothing to certify
+            with pytest.raises(AJohnsonError, match="no generators"):
+                l1_rank(n, 1, 3)
+
+    @pytest.mark.parametrize("n,c", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+    def test_rows_equal_group_side(self, n, c):
+        # derivation brackets against commutators formed in the group: same
+        # rows, same order, same sign
+        assert johnson_rows(n, c) == group_johnson_rows(n, c, basic_commutators_In(n, c))
 
     def test_factor_ranks_and_independence(self):
         # per-level pieces have the per-level Witt ranks and stack independently
-        from pik.igroup import commutator_elem
-
         n, c = 3, 2
         levels = []
         for level in (2, 3):
@@ -96,10 +126,9 @@ class TestInnerDegree:
 
 
 class TestThu1:
-    def test_values(self):
-        rep = thu1_bound(3, 1)
-        assert rep.lhs == 5 and rep.certified
-        rep = thu1_bound(3, 2)
-        assert rep.lhs == 4 and rep.certified
-        rep = thu1_bound(4, 2)
-        assert rep.lhs == 10 and rep.certified
+    def test_values(self, capsys):
+        # the lower bound is the Witt sum, certified by l1_rank (pik ia thu1)
+        for n, c, lhs in ((3, 1, 5), (3, 2, 4), (4, 2, 10)):
+            assert main(["ia", "thu1", "--n", str(n), "--c", str(c)]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            assert rep == {"n": n, "c": c, "lhs": lhs, "certified": True}

@@ -169,6 +169,16 @@ class TestSubcommands:
         assert main(["ia", "l1-rank", "--n", "3", "--c", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["l1_rank"] == 4
 
+    @pytest.mark.parametrize(
+        "args", [["l1-rank", "--n", "1"], ["l1-rank", "--n", "0"], ["thu1", "--n", "1"]]
+    )
+    def test_ia_without_generators_is_an_error(self, args, capsys):
+        # I_1 has no generators: an input error, not a pass over nothing
+        assert main(["ia", *args, "--c", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no generators" in json.loads(captured.err)["error"]
+
     def test_ia_thu1(self, capsys):
         assert main(["ia", "thu1", "--n", "3", "--c", "1"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -296,3 +306,16 @@ def test_script_runs_from_any_directory(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "verify-all" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [["2", "3"], ["4", "0"], ["x"]])
+def test_rank_tables_rejects_bad_arguments(args, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = SRC.parent / "scripts" / "rank_tables.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), *args],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "rank_tables.py: error:" in proc.stderr

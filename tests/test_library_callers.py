@@ -21,6 +21,9 @@ ALLOWED = {
     ("decomp", "verify_psi_automorphism"): "the paper's F1-F3 maps, with no other check",
     ("endos", "automorphism"): "bench/tracer.py LAYERS wraps it by name",
     ("magnus", "_letter_series"): "the reference that the letter-step test compares against",
+    ("magnus", "johnson_image"): (
+        "bench/tracer.py LAYERS wraps it by name; the group-side oracle in tests uses it"
+    ),
 }
 
 DEFS = (ast.FunctionDef, ast.ClassDef)

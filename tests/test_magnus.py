@@ -233,12 +233,13 @@ class TestJohnson:
     def test_equals_truncated_homogeneous_part(self):
         # johnson_image expands at degree c; it must agree with the degree-c
         # part of the degree-D expansion and carry maxdeg D
-        from pik.ajohnson import basic_commutators_In
-        from pik.igroup import to_endo
+        from pik.ajohnson import left_normed
+        from pik.igroup import commutator_elem, gen_elem, generators, to_endo
         from pik.magnus import _deviations
 
         for n, c, D in ((3, 2, 4), (3, 3, 5), (3, 3, 6), (4, 2, 5)):
-            for e in basic_commutators_In(n, c - 1):
+            gens = [gen_elem(n, m, i) for (m, i) in generators(n)]
+            for e in left_normed(gens, c - 1, commutator_elem):
                 f = to_endo(e)
                 got = johnson_image(f, c, D)
                 want = tuple(magnus_expand(dw, D).homogeneous(c) for dw in _deviations(f))
