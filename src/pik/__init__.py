@@ -11,7 +11,7 @@ from .endos import EndoF, apply, check_mccool_relations, chi, compose, y_gen
 from .magnus import NcPoly, gamma_degree, ia_degree, johnson_image, magnus_expand
 from .igroup import IElem, abelianize, gen_elem, iinv, imul, to_endo, word_problem
 from .conj import ConjResult, SearchBudget, conjugacy
-from .lie import GradedLattice, LieElem, bracket, lattice_of, lyndon_basis, witt
+from .lie import LieElem, bracket, lyndon_basis, witt
 from .decomp import (
     PsiMap,
     RelatorSet,
@@ -33,7 +33,6 @@ __all__ = [
     "IElem",
     "ConjResult",
     "SearchBudget",
-    "GradedLattice",
     "LieElem",
     "PsiMap",
     "RelatorSet",
@@ -58,7 +57,6 @@ __all__ = [
     "invert",
     "johnson_image",
     "l1_rank",
-    "lattice_of",
     "lyndon_basis",
     "magnus_expand",
     "multiply",

@@ -12,32 +12,44 @@ as well as the splitting of J into the per-level ideals T_r.  All claims are
 verified over Z.  Each L^m(Y_i) is spanned by unit Lyndon vectors, so the
 decomposition needs one echelon of J^m's spanning set: rank additivity
 against the Witt rank, plus a pivot of 1 in absolute value on every Lyndon
-column outside the level factors (see docs/NOTES.md).
+column outside the level factors.  With y(m, i) of multidegree e_i, J^m
+splits into multidegree blocks, and the spanning rows are kept in tensor
+coordinates and read at each block's Lyndon words, one echelon per block
+(see docs/NOTES.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from operator import add
+from typing import Optional, Sequence
 
 from .ajohnson import left_normed_step
 from .igroup import gen_index, rank_of_abelianization
 from .lie import (
     DirectSumReport,
     LieElem,
-    bracket,
+    Terms,
+    Word,
+    block_lattices,
     bracket_word,
     coordinate_row,
     lattice_direct_sum_is_whole,
-    lattice_equal,
     lattice_from_rows,
-    lattice_of,
     lie_from_tensor,
-    lie_generator,
     lyndon_index,
     lyndon_words,
+    tensor_bracket,
     witt,
 )
+
+# The number of letters of each conjugating index 1..n: deg y(m, i) = e_i.
+Multidegree = tuple[int, ...]
+# A spanning row of an ideal: its tensor terms, and the multidegrees they may have.
+Row = tuple[Terms, frozenset[Multidegree]]
+# A partition of the degree-m Lyndon words, each part with its spanning rows.
+Blocks = list[tuple[list[Word], list[Terms]]]
 
 
 class DecompError(ValueError):
@@ -226,17 +238,87 @@ def verify_psi_automorphism(n: int, r: int) -> PsiReport:
 # Left-normed spanning: J^m is spanned by [s, t_1, ..., t_{m-2}] with s a
 # relator and the t's single letters; bracketing with longer elements reduces
 # to this by the Jacobi identity [x,[y,z]] = [x,y,z] - [x,z,y].
+#
+# Rows are kept in tensor coordinates with their multidegrees.  Each relator
+# kind is homogeneous (kind 3's two brackets both have degree e_i + e_j), and
+# so is bracketing with a letter, so J^m splits into multidegree blocks.
 # ---------------------------------------------------------------------------
 
 
-def ideal_rows_by_degree(relators: RelatorSet, max_m: int) -> dict[int, list[LieElem]]:
+@lru_cache(maxsize=None)
+def _conjugating_index(n: int) -> tuple[int, ...]:
+    """Conjugating index i of each flat letter y(m, i); position 0 is unused."""
+    return (0,) + tuple(i for m in range(2, n + 1) for i in range(1, m + 1))
+
+
+def _multidegree(n: int, w: Word) -> Multidegree:
+    conj = _conjugating_index(n)
+    d = [0] * n
+    for a in w:
+        d[conj[a] - 1] += 1
+    return tuple(d)
+
+
+def _row(n: int, e: LieElem) -> Row:
+    terms = e.coords.terms
+    return terms, frozenset(_multidegree(n, w) for w in terms)
+
+
+def _letter_rows(n: int, letters: Sequence[int]) -> list[Row]:
+    return [({(a,): 1}, frozenset({_multidegree(n, (a,))})) for a in letters]
+
+
+def _bracket_rows(a: Row, b: Row) -> Row:
+    return tensor_bracket(a[0], b[0]), frozenset(tuple(map(add, x, y)) for x in a[1] for y in b[1])
+
+
+def ideal_rows_by_degree(relators: RelatorSet, max_m: int) -> dict[int, list[Row]]:
     n = relators.n
-    k = alphabet_size(n)
-    gens = [lie_generator(k, a) for a in range(1, k + 1)]
-    rows = {2: [rel.elem for rel in relators.relators]}
+    letters = _letter_rows(n, range(1, alphabet_size(n) + 1))
+    rows = {2: [_row(n, rel.elem) for rel in relators.relators]}
     for m in range(3, max_m + 1):
-        rows[m] = left_normed_step(rows[m - 1], gens, bracket)
+        rows[m] = left_normed_step(rows[m - 1], letters, _bracket_rows)
     return rows
+
+
+def _blocks(n: int, m: int, *groups: Sequence[Row]) -> list[Blocks]:
+    """One partition of the degree-m Lyndon words into multidegree blocks,
+    read with each group's nonzero rows.
+
+    A row whose terms may have several multidegrees (a relator set given by
+    the caller can hold one) joins their blocks: multidegrees are merged by
+    union-find, so no row is ever split between blocks.
+    """
+    parent: dict[Multidegree, Multidegree] = {}
+
+    def find(d: Multidegree) -> Multidegree:
+        while parent.get(d, d) != d:
+            d = parent[d]
+        return d
+
+    for rows in groups:
+        for terms, degrees in rows:
+            if terms:
+                root, *rest = (find(d) for d in degrees)
+                for other in rest:
+                    if other != root:
+                        parent[other] = root
+    blocks: dict[Multidegree, tuple[list[Word], list[list[Terms]]]] = {}
+
+    def block(d: Multidegree) -> tuple[list[Word], list[list[Terms]]]:
+        return blocks.setdefault(find(d), ([], [[] for _ in groups]))
+
+    for w in lyndon_words(alphabet_size(n), m):
+        block(_multidegree(n, w))[0].append(w)
+    for g, rows in enumerate(groups):
+        for terms, degrees in rows:
+            if terms:
+                block(next(iter(degrees)))[1][g].append(terms)
+    return [[(words, rows[g]) for words, rows in blocks.values()] for g in range(len(groups))]
+
+
+def _rank(blocks: Blocks, n: int, m: int) -> int:
+    return sum(lat.rank for lat in block_lattices(blocks, alphabet_size(n), m))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +389,8 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
         # alphabet with the same bracketing, so L^m(Y_i) is spanned by unit
         # Lyndon vectors
         units = [[tuple(ys[a - 1] for a in w) for w in lyndon_words(len(ys), m)] for ys in levels]
-        ds = lattice_direct_sum_is_whole(j_rows[m], units, k, m)
+        (blocks,) = _blocks(n, m, j_rows[m])
+        ds = lattice_direct_sum_is_whole(blocks, units, k, m)
         reports.append(
             DegreeReport(
                 m=m,
@@ -323,19 +406,18 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
 # -- the per-level ideals T_r -----------------------------------------------
 
 
-def _c_elements(n: int, r: int, kappa: int) -> list[LieElem]:
+def _c_elements(n: int, r: int, kappa: int) -> list[Row]:
     """The degree-kappa generators of T_r: psi images with Y_r then U_{r+1} tails."""
-    k = alphabet_size(n)
-    y_tail = [lie_generator(k, a) for a in level_letters(n, r)]
-    u_tail = [lie_generator(k, a) for a in upper_letters(n, r + 1)]
-    heads = list(build_psi(n, r).images)
+    y_tail = _letter_rows(n, level_letters(n, r))
+    u_tail = _letter_rows(n, upper_letters(n, r + 1))
+    heads = [_row(n, e) for e in build_psi(n, r).images]
     out = []
     for a in range(kappa - 1):  # a letters of Y_r, then kappa - 2 - a of U_{r+1}
         if a:
-            heads = left_normed_step(heads, y_tail, bracket)
+            heads = left_normed_step(heads, y_tail, _bracket_rows)
         elems = heads
         for _ in range(kappa - 2 - a):
-            elems = left_normed_step(elems, u_tail, bracket)
+            elems = left_normed_step(elems, u_tail, _bracket_rows)
         out.extend(elems)
     return out
 
@@ -349,22 +431,22 @@ def _compositions(m: int, min_part: int = 2):
             yield (first,) + rest
 
 
-def t_r_rows(n: int, r: int, m: int) -> list[LieElem]:
+def t_r_rows(n: int, r: int, m: int) -> list[Row]:
     """Spanning set of the degree-m piece of T_r: left-normed products of
     generators of T_r with degrees composing m."""
-    cache: dict[int, list[LieElem]] = {}
+    cache: dict[int, list[Row]] = {}
 
-    def c_of(kappa: int) -> list[LieElem]:
+    def c_of(kappa: int) -> list[Row]:
         if kappa not in cache:
             cache[kappa] = _c_elements(n, r, kappa)
         return cache[kappa]
 
-    rows: list[LieElem] = []
+    rows: list[Row] = []
     for comp in _compositions(m):
         elems = c_of(comp[0])
         for kappa in comp[1:]:
-            elems = left_normed_step(elems, c_of(kappa), bracket)
-        rows.extend(e for e in elems if not e.is_zero)
+            elems = left_normed_step(elems, c_of(kappa), _bracket_rows)
+        rows.extend(row for row in elems if row[0])  # drop zero rows
     return rows
 
 
@@ -409,24 +491,28 @@ def verify_tilde_T(n: int, max_m: int) -> TildeTReport:
         raise DecompError("need n >= 3")
     if max_m < 2:
         raise DecompError(f"need max degree >= 2, got {max_m}")
-    rels = build_relators(n)
-    j_rows = ideal_rows_by_degree(rels, max_m)
+    j_rows = ideal_rows_by_degree(build_relators(n), max_m)
     k = alphabet_size(n)
     reports = []
     for m in range(2, max_m + 1):
-        j_lat = lattice_of(j_rows[m], m)
         per_r = [t_r_rows(n, r, m) for r in range(2, n)]
-        t_lats = [lattice_of(rows, m) if rows else None for rows in per_r]
-        t_ranks = tuple(lat.rank if lat else 0 for lat in t_lats)
-        stacked: list[LieElem] = [e for rows in per_r for e in rows]
-        stacked_lat = lattice_of(stacked, m)
+        stacked = [row for rows in per_r for row in rows]
+        # one partition for all groups, so the lattices compare block by block
+        j_blocks, stacked_blocks, *t_blocks = _blocks(n, m, j_rows[m], stacked, *per_r)
+        rank_j = stacked_rank = 0
+        sum_equals_j = True
+        for j_lat, stacked_lat in zip(block_lattices(j_blocks, k, m), block_lattices(stacked_blocks, k, m)):
+            rank_j += j_lat.rank
+            stacked_rank += stacked_lat.rank
+            sum_equals_j = sum_equals_j and j_lat.hnf() == stacked_lat.hnf()
+        t_ranks = tuple(_rank(blocks, n, m) for blocks in t_blocks)
         reports.append(
             TildeTDegreeReport(
                 m=m,
-                rank_j=j_lat.rank,
+                rank_j=rank_j,
                 t_ranks=t_ranks,
-                sum_equals_j=lattice_equal(stacked_lat, j_lat),
-                direct=sum(t_ranks) == stacked_lat.rank,
+                sum_equals_j=sum_equals_j,
+                direct=sum(t_ranks) == stacked_rank,
             )
         )
     return TildeTReport(n, tuple(reports))
@@ -462,13 +548,10 @@ def gr_rank_table(n: int, max_c: int) -> list[RankRow]:
     """
     if max_c < 1:
         raise DecompError(f"need max degree >= 1, got {max_c}")
-    rels = build_relators(n)
-    k = alphabet_size(n)
-    j_rows = ideal_rows_by_degree(rels, max_c) if max_c >= 2 else {}
+    j_rows = ideal_rows_by_degree(build_relators(n), max_c)
     out = []
     for c in range(1, max_c + 1):
         factors = sum(witt(i, c) for i in range(2, n + 1))
-        # an empty spanning set (I_2 has no relators) spans the zero lattice
-        rank_j = lattice_of(j_rows[c], c).rank if c >= 2 and j_rows[c] else 0
-        out.append(RankRow(c, factors, witt(k, c) - rank_j))
+        rank_j = _rank(_blocks(n, c, j_rows[c])[0], n, c) if c >= 2 else 0
+        out.append(RankRow(c, factors, witt(alphabet_size(n), c) - rank_j))
     return out

@@ -5,6 +5,10 @@ coordinates in the Lyndon basis are extracted by the triangular rewrite
 (the standard bracketing of a Lyndon word is the word itself plus
 lexicographically larger words).  Spans of homogeneous elements become
 integer lattices, with rank / Hermite form / fullness computed exactly.
+Large spans are read without the rewrite: an element's tensor coefficients
+at the Lyndon words are its Lyndon coordinates times a unitriangular
+matrix, so they give the same rank, and split into blocks that are
+echelonized one at a time.
 
 All integer linear algebra is fraction-free.  Large eliminations run on an
 int64 fast path with an overflow guard and fall back to exact big-integer
@@ -15,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .magnus import NcPoly
 
 Word = tuple[int, ...]
+Terms = dict[Word, int]  # a tensor polynomial: monomial -> nonzero coefficient
 
 
 class LieError(ValueError):
@@ -77,34 +82,38 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
     return w[: len(w) - len(v)], v
 
 
-def _tensor_commutator(a: NcPoly, b: NcPoly) -> NcPoly:
-    return a.mul(b).sub(b.mul(a))
+def tensor_bracket(a: Terms, b: Terms) -> Terms:
+    """ab - ba on tensor term dicts; monomials whose coefficient cancels are dropped."""
+    out: Terms = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            for w, c in ((u + v, x * y), (v + u, -x * y)):
+                acc = out.get(w, 0) + c
+                if acc:
+                    out[w] = acc
+                else:
+                    del out[w]
+    return out
 
 
 @lru_cache(maxsize=None)
-def _lyndon_bracket_terms(nvars: int, w: Word) -> tuple[tuple[Word, int], ...]:
+def _lyndon_bracket_terms(w: Word) -> tuple[tuple[Word, int], ...]:
     """Tensor terms of the standard bracketing of the Lyndon word w."""
-    p = _lyndon_bracket_poly(nvars, w, len(w))
-    return tuple(sorted(p.terms.items()))
-
-
-def _lyndon_bracket_poly(nvars: int, w: Word, maxdeg: int) -> NcPoly:
     if len(w) == 1:
-        return NcPoly.variable(nvars, maxdeg, w[0])
+        return ((w, 1),)
     u, v = standard_factorization(w)
-    return _tensor_commutator(
-        _lyndon_bracket_poly(nvars, u, maxdeg), _lyndon_bracket_poly(nvars, v, maxdeg)
-    )
+    p = tensor_bracket(dict(_lyndon_bracket_terms(u)), dict(_lyndon_bracket_terms(v)))
+    return tuple(sorted(p.items()))
 
 
 def lyndon_bracket(nvars: int, w: Word) -> NcPoly:
     """Standard bracketing of a Lyndon word as a tensor polynomial."""
     if not is_lyndon(w):
         raise LieError(f"{w} is not a Lyndon word")
-    return NcPoly(nvars, len(w), dict(_lyndon_bracket_terms(nvars, w)))
+    return NcPoly(nvars, len(w), dict(_lyndon_bracket_terms(w)))
 
 
-def lyndon_coordinates(nvars: int, degree: int, terms: dict[Word, int]) -> dict[Word, int]:
+def lyndon_coordinates(degree: int, terms: Terms) -> dict[Word, int]:
     """Coordinates of a homogeneous Lie element in the degree Lyndon basis.
 
     Triangular rewrite: repeatedly strip the lexicographically least monomial,
@@ -121,7 +130,7 @@ def lyndon_coordinates(nvars: int, degree: int, terms: dict[Word, int]) -> dict[
             raise NotLieElement(f"leading monomial {u} is not Lyndon")
         c = work[u]
         coords[u] = c
-        for mono, k in _lyndon_bracket_terms(nvars, u):
+        for mono, k in _lyndon_bracket_terms(u):
             acc = work.get(mono, 0) - c * k
             if acc:
                 work[mono] = acc
@@ -152,14 +161,10 @@ class LieElem:
             and self.coords == other.coords
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coords.is_zero
-
 
 def lie_from_tensor(nvars: int, degree: int, p: NcPoly) -> LieElem:
     """Wrap a tensor polynomial, verifying it lies in the Lie subspace."""
-    coords = lyndon_coordinates(nvars, degree, p.terms)
+    coords = lyndon_coordinates(degree, p.terms)
     return LieElem(nvars, degree, p, tuple(sorted(coords.items())))
 
 
@@ -172,9 +177,8 @@ def bracket(a: LieElem, b: LieElem) -> LieElem:
     if a.nvars != b.nvars:
         raise LieError("alphabet size mismatch")
     d = a.degree + b.degree
-    pa = NcPoly(a.nvars, d, a.coords.terms)
-    pb = NcPoly(b.nvars, d, b.coords.terms)
-    return lie_from_tensor(a.nvars, d, _tensor_commutator(pa, pb))
+    p = NcPoly(a.nvars, d, tensor_bracket(a.coords.terms, b.coords.terms))
+    return lie_from_tensor(a.nvars, d, p)
 
 
 def bracket_word(nvars: int, letters: Sequence[int]) -> LieElem:
@@ -422,21 +426,8 @@ def lattice_from_rows(rows: "Sequence[Sequence[int]] | np.ndarray", dim: int) ->
 
 
 # ---------------------------------------------------------------------------
-# Graded lattices of homogeneous Lie elements.
+# Lattices of Lie elements read at Lyndon words, block by block.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class GradedLattice:
-    """Span of homogeneous degree-m Lie elements in Lyndon coordinates."""
-
-    nvars: int
-    degree: int
-    lattice: IntLattice
-
-    @property
-    def rank(self) -> int:
-        return self.lattice.rank
 
 
 def lyndon_index(nvars: int, m: int) -> dict[Word, int]:
@@ -450,50 +441,58 @@ def coordinate_row(e: LieElem, index: dict[Word, int], dim: int) -> list[int]:
     return row
 
 
-def coordinate_rows(
-    elems: Sequence[LieElem], index: dict[Word, int], dim: int
-) -> "np.ndarray | list[list[int]]":
-    """Lyndon coordinates of the nonzero elements, one row each.
+def block_lattices(
+    blocks: Sequence[tuple[Sequence[Word], Sequence[Terms]]], nvars: int, m: int
+) -> Iterator[IntLattice]:
+    """One lattice per block, built as it is read: the rows' tensor
+    coefficients at the block's words.
 
-    The sparse coordinates are scattered straight into an int64 array; when
-    a coefficient does not fit int64 the rows are Python int lists instead.
+    Each block pairs some of the degree-m Lyndon words, in column order,
+    with homogeneous degree-m Lie elements given by their tensor terms.  The
+    blocks' words must partition the Lyndon words of length m (checked
+    here), and a row may have a nonzero coefficient at no Lyndon word of
+    another block (checked as the block is read); either violation raises
+    LieError.  The coefficients of a Lie element at the Lyndon words are its
+    Lyndon coordinates times a unitriangular matrix (see docs/NOTES.md), so
+    ranks read the same in both.
     """
-    nonzero = [e for e in elems if not e.is_zero]
+    where: dict[Word, tuple[int, int]] = {}
+    for b, (words, _) in enumerate(blocks):
+        for col, w in enumerate(words):
+            where[w] = (b, col)
+    if len(where) != sum(len(words) for words, _ in blocks) or where.keys() != set(
+        lyndon_words(nvars, m)
+    ):
+        raise LieError(f"blocks must partition the Lyndon words of length {m}")
+    return (_block_lattice(b, len(words), rows, where) for b, (words, rows) in enumerate(blocks))
+
+
+def _block_lattice(
+    b: int, dim: int, rows: Sequence[Terms], where: dict[Word, tuple[int, int]]
+) -> IntLattice:
+    """The rows of block b scattered into an int64 array, or into Python int
+    lists when a coefficient does not fit int64, then echelonized."""
     at_row: list[int] = []
     at_col: list[int] = []
     values: list[int] = []
-    for r, e in enumerate(nonzero):
-        for w, c in e.lyndon:
+    for r, terms in enumerate(rows):
+        for w, c in terms.items():
+            hit = where.get(w)
+            if hit is None:
+                continue
+            if hit[0] != b:
+                raise LieError(f"a row meets the Lyndon word {w} outside its block")
             at_row.append(r)
-            at_col.append(index[w])
+            at_col.append(hit[1])
             values.append(c)
-    mat = np.zeros((len(nonzero), dim), dtype=np.int64)
+    mat: "np.ndarray | list[list[int]]" = np.zeros((len(rows), dim), dtype=np.int64)
     try:
         mat[at_row, at_col] = np.array(values, dtype=np.int64)
     except OverflowError:
-        return [coordinate_row(e, index, dim) for e in nonzero]
-    return mat
-
-
-def lattice_of(spanning: Sequence[LieElem], m: int) -> GradedLattice:
-    """The integer lattice spanned by homogeneous degree-m elements."""
-    if not spanning:
-        raise LieError("need at least one element to fix the alphabet")
-    nvars = spanning[0].nvars
-    index = lyndon_index(nvars, m)
-    dim = len(index)
-    for e in spanning:
-        if e.nvars != nvars:
-            raise LieError("alphabet size mismatch in spanning set")
-        if not e.is_zero and e.degree != m:
-            raise LieError(f"inhomogeneous input: degree {e.degree}, expected {m}")
-    return GradedLattice(nvars, m, lattice_from_rows(coordinate_rows(spanning, index, dim), dim))
-
-
-def lattice_equal(a: GradedLattice, b: GradedLattice) -> bool:
-    if a.nvars != b.nvars or a.degree != b.degree:
-        return False
-    return a.lattice.hnf() == b.lattice.hnf()
+        mat = [[0] * dim for _ in rows]
+        for r, col, c in zip(at_row, at_col, values):
+            mat[r][col] = c
+    return lattice_from_rows(mat, dim)
 
 
 @dataclass(frozen=True)
@@ -510,28 +509,40 @@ class DirectSumReport:
 
 
 def lattice_direct_sum_is_whole(
-    j: Sequence[LieElem], units: Sequence[Sequence[Word]], nvars: int, m: int
+    blocks: Sequence[tuple[Sequence[Word], Sequence[Terms]]],
+    units: Sequence[Sequence[Word]],
+    nvars: int,
+    m: int,
 ) -> DirectSumReport:
-    """Certificate that span(j) and the unit vectors of units' Lyndon words
-    form a direct sum equal to all of L^m over Z.
+    """Certificate that the span J of the blocks' rows and the unit vectors
+    of units' Lyndon words form a direct sum equal to all of L^m over Z.
 
-    Each part of units has one rank per word; rank additivity is checked
-    against the Witt rank.  With S the unit words and C the other degree-m
-    Lyndon words, the lattice spanned by e_S and j is Z^S (+) pi_C(j).  So it
-    is all of L^m iff one echelon of j, with the C columns first, has a
-    pivot of 1 in absolute value in every C column (see docs/NOTES.md).
+    blocks is as for block_lattices.  Each part of units has one rank per
+    word; rank additivity is checked against the Witt rank.  With S the unit
+    words and C the other degree-m Lyndon words, the lattice spanned by e_S
+    and J is Z^S (+) pi_C(J).  The unitriangular change to tensor
+    coefficients maps Z^S onto itself when no standard bracketing P_s meets
+    a Lyndon word outside S (true of the level words; checked here).  So it
+    is all of L^m iff one echelon of each block's rows, with the C columns
+    first, has a pivot of 1 in absolute value in every C column (see
+    docs/NOTES.md).
     """
     unit_words = {w for part in units for w in part}
-    words = lyndon_words(nvars, m)
-    if not unit_words <= set(words):
+    if not unit_words <= set(lyndon_words(nvars, m)):
         raise LieError(f"unit words must be Lyndon words of length {m}")
-    order = sorted(words, key=lambda w: w in unit_words)  # stable: C, then S
-    index = {w: k for k, w in enumerate(order)}
-    dim = len(index)
-    lat = lattice_from_rows(coordinate_rows(j, index, dim), dim)
-    c = dim - len(unit_words)
-    whole = lat.pivot_col[:c] == list(range(c)) and all(p == 1 for p in lat.pivots()[:c])
-    part_ranks = [len(part) for part in units] + [lat.rank]
+    for s in unit_words:
+        for w, _ in _lyndon_bracket_terms(s):
+            if w not in unit_words and is_lyndon(w):
+                raise LieError(f"the bracketing of the unit word {s} meets the Lyndon word {w}")
+    # stable: C, then S
+    ordered = [(sorted(words, key=lambda w: w in unit_words), rows) for words, rows in blocks]
+    rank_j = 0
+    whole = True
+    for (words, _), lat in zip(ordered, block_lattices(ordered, nvars, m)):
+        c = sum(w not in unit_words for w in words)
+        whole = whole and lat.pivot_col[:c] == list(range(c)) and all(p == 1 for p in lat.pivots()[:c])
+        rank_j += lat.rank
+    part_ranks = [len(part) for part in units] + [rank_j]
     return DirectSumReport(
         degree=m,
         part_ranks=tuple(part_ranks),

@@ -83,25 +83,6 @@ class NcPoly:
     def sub(self, other: "NcPoly") -> "NcPoly":
         return self.add(other.neg())
 
-    def mul(self, other: "NcPoly") -> "NcPoly":
-        self._compatible(other)
-        D = self.maxdeg
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            room = D - len(m1)
-            for m2, c2 in other.terms.items():
-                if len(m2) > room:
-                    continue
-                mono = m1 + m2
-                acc = out.get(mono, 0) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        res = NcPoly(self.nvars, self.maxdeg)
-        res.terms = out
-        return res
-
     # -- inspection ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -114,10 +95,6 @@ class NcPoly:
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("NcPoly is not hashable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def sorted_terms(self) -> Iterator[tuple[Monomial, int]]:
         for mono in sorted(self.terms, key=lambda m: (len(m), m)):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from pik.ajohnson import left_normed_step
 from pik.decomp import (
     DecompError,
     Relator,
@@ -24,9 +25,7 @@ from pik.decomp import (
 from pik.lie import (
     bracket,
     coordinate_row,
-    lattice_equal,
     lattice_from_rows,
-    lattice_of,
     lie_from_tensor,
     lie_generator,
     lyndon_bracket,
@@ -34,6 +33,24 @@ from pik.lie import (
     lyndon_words,
     witt,
 )
+
+
+def lie_ideal_rows(relators, max_m):
+    """Oracle: J's left-normed spanning set as Lie elements, each bracket
+    checked to be a Lie element by the Lyndon rewrite."""
+    k = alphabet_size(relators.n)
+    gens = [lie_generator(k, a) for a in range(1, k + 1)]
+    rows = {2: [rel.elem for rel in relators.relators]}
+    for m in range(3, max_m + 1):
+        rows[m] = left_normed_step(rows[m - 1], gens, bracket)
+    return rows
+
+
+def lyndon_lattice(elems, k, m):
+    """The lattice of the elements' Lyndon coordinates."""
+    index = lyndon_index(k, m)
+    dim = len(index)
+    return lattice_from_rows([coordinate_row(e, index, dim) for e in elems if e.coords.terms], dim)
 
 
 def brute_relator_index_sets(n):
@@ -90,7 +107,7 @@ class TestRelators:
 
     def test_span_rank(self):
         rels = build_relators(3)
-        lat = lattice_of([rel.elem for rel in rels.relators], 2)
+        lat = lyndon_lattice([rel.elem for rel in rels.relators], 5, 2)
         assert lat.rank == 6 == witt(5, 2) - witt(2, 2) - witt(3, 2)
 
     def test_all_degree_two(self):
@@ -122,7 +139,8 @@ class TestPsi:
             rels = build_relators(n)
             all_images = [e for r in range(2, n) for e in build_psi(n, r).images]
             relator_elems = [rel.elem for rel in rels.relators]
-            assert lattice_equal(lattice_of(all_images, 2), lattice_of(relator_elems, 2))
+            k = alphabet_size(n)
+            assert lyndon_lattice(all_images, k, 2).hnf() == lyndon_lattice(relator_elems, k, 2).hnf()
 
     def test_image_set_equals_relators_per_r_block(self):
         # stronger: for each r the psi images coincide, up to sign, with the
@@ -154,17 +172,31 @@ class TestIdeal:
     def test_ideal_property(self):
         # bracketing J^m with any generator lands in J^{m+1}
         rels = build_relators(3)
-        rows = ideal_rows_by_degree(rels, 4)
+        rows = lie_ideal_rows(rels, 4)
         k = alphabet_size(3)
         for m in (2, 3):
-            nxt = lattice_of(rows[m + 1], m + 1)
+            nxt = lyndon_lattice(rows[m + 1], k, m + 1)
             index = lyndon_index(k, m + 1)
             dim = len(index)
             for e in rows[m][:6]:
                 for a in range(1, k + 1):
                     v = bracket(e, lie_generator(k, a))
-                    if not v.is_zero:
-                        assert nxt.lattice.contains(coordinate_row(v, index, dim))
+                    if v.coords.terms:
+                        assert nxt.contains(coordinate_row(v, index, dim))
+
+    @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
+    def test_rows_match_lie_brackets(self, n, max_m):
+        # the same spanning rows in the same order, each of one multidegree:
+        # its letters counted by conjugating index
+        conj = {letter(n, m, i): i for m in range(2, n + 1) for i in range(1, m + 1)}
+        got = ideal_rows_by_degree(build_relators(n), max_m)
+        want = lie_ideal_rows(build_relators(n), max_m)
+        assert got.keys() == want.keys()
+        for m, rows in got.items():
+            assert [terms for terms, _ in rows] == [e.coords.terms for e in want[m]]
+            for terms, degrees in rows:
+                seen = {tuple(sum(conj[a] == i for a in w) for i in range(1, n + 1)) for w in terms}
+                assert degrees == seen
 
 
 class TestTheoremDecomposition:
@@ -191,18 +223,32 @@ class TestTheoremDecomposition:
             assert fail.witt_rank - fail.direct_sum.rank_sum == 1
 
     def test_negative_control_same_on_both_lattice_paths(self, monkeypatch):
-        # the int64 path (every lattice, threshold 1) and the exact path
-        # (no lattice) must give the same failing report
+        # the int64 path (every block, threshold 1) and the exact path
+        # (no block) must give the same failing report
         import pik.lie as lie_mod
 
         rels = build_relators(3)
         perturbed = rels.without(rels.of_kind(3)[0])
-        reports = []
+        echelon = lie_mod._echelon_numpy
+        reports, int64_runs = [], []
         for threshold in (1, 10**12):
+            runs = []
             monkeypatch.setattr(lie_mod, "_NUMPY_THRESHOLD", threshold)
+            monkeypatch.setattr(lie_mod, "_echelon_numpy", lambda mat: runs.append(1) or echelon(mat))
             reports.append(verify_theorem_th1(3, 5, relators=perturbed).as_dict())
+            int64_runs.append(len(runs))
         assert reports[0] == reports[1]
         assert not reports[0]["ok"]
+        # the blocks are small, so at the default threshold most take the
+        # exact path: check that each run really took the path it names
+        assert int64_runs[0] > 0 and int64_runs[1] == 0
+
+    def test_n5_degree4(self):
+        rep = verify_theorem_th1(5, 4)
+        assert rep.ok
+        top = rep.degrees[-1]
+        assert top.m == 4
+        assert top.rank_j == witt(14, 4) - sum(witt(i, 4) for i in range(2, 6))
 
     def test_requires_n3(self):
         with pytest.raises(DecompError):
@@ -219,7 +265,7 @@ def stacked_th1(n, max_m, rels):
     rows of each level factor's Lyndon basis, built by tensor brackets, and
     the rows of J's spanning set."""
     k = alphabet_size(n)
-    j_rows = ideal_rows_by_degree(rels, max_m)
+    j_rows = lie_ideal_rows(rels, max_m)
     out = []
     for m in range(2, max_m + 1):
         index = lyndon_index(k, m)
@@ -230,7 +276,7 @@ def stacked_th1(n, max_m, rels):
             flat = [tuple(ys[a - 1] for a in w) for w in lyndon_words(i, m)]
             basis = [lie_from_tensor(k, m, lyndon_bracket(k, w)) for w in flat]
             level_rows.append([coordinate_row(e, index, dim) for e in basis])
-        j = [coordinate_row(e, index, dim) for e in j_rows[m] if not e.is_zero]
+        j = [coordinate_row(e, index, dim) for e in j_rows[m] if e.coords.terms]
         ranks_y = [lattice_from_rows(rows, dim).rank for rows in level_rows]
         rank_j = lattice_from_rows(j, dim).rank
         stacked = lattice_from_rows([r for rows in level_rows for r in rows] + j, dim)
@@ -275,6 +321,18 @@ class TestAgainstStackedLattice:
         swapped = tuple(replace(rel, elem=doubled) if rel is victim else rel for rel in rels.relators)
         first = self.check(n, max_m, RelatorSet(n, swapped))
         assert first["rank_sum"] == first["rank_total"] and not first["snf_ones"]
+
+    @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
+    def test_inhomogeneous_relator(self, n, max_m):
+        # a kind-3 relator (multidegree e_i + e_j) plus [y(2,1), y(3,3)]
+        # (e_1 + e_3): its rows join two multidegree blocks
+        rels = build_relators(n)
+        victim = rels.of_kind(3)[0]
+        mixed = lie_from_tensor(
+            alphabet_size(n), 2, victim.elem.coords.add(pair_bracket(n, 2, 1, 3, 3).coords)
+        )
+        swapped = tuple(replace(rel, elem=mixed) if rel is victim else rel for rel in rels.relators)
+        self.check(n, max_m, RelatorSet(n, swapped))
 
     @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
     def test_extra_within_level_pair(self, n, max_m):
