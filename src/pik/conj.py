@@ -31,12 +31,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .igroup import (
     IElem,
-    _conj_parts,
-    _lower_inverses,
+    _conj_steps,
     abelianize,
     act_elem,
     conj_by_gen,
@@ -215,11 +214,11 @@ def _twisted_bidirectional(
     letters = _letters(rank)
     twisted_inv = [act_elem(b, gen(rank, i, -s)).letters for ((i, s),) in letters]
 
-    def expand(state: tuple, back: int) -> list:
+    def expand(state: tuple, made_by: int) -> list:
         return [
             (k, _join(_join(s, state), twisted_inv[k]))
             for k, s in enumerate(letters)
-            if k != back
+            if k != made_by ^ 1
         ]
 
     found: list[FreeWord] = []
@@ -384,20 +383,21 @@ def _path(table: dict, key: tuple) -> list[int]:
 def _meet_walk(
     a_root: tuple,
     b_root: tuple,
-    expand: Callable[[tuple, int], list[tuple[int, tuple]]],
+    expand: Callable[[tuple, int], Iterable[tuple[int, tuple]]],
     radius: int,
     max_states: int,
 ) -> Iterator[list[int]]:
     """Bidirectional breadth-first search between two roots; yields each meet.
 
-    expand(state, back) lists (k, state after step k) for every step index
-    k but back.  Step 2j+1 inverts step 2j, so a state made by step k is not
-    expanded by k ^ 1, which leads back to its parent (a root's -1 gives -2,
-    which is no step).  Each round grows the side with the smaller frontier
-    by one depth; the caps are read only between rounds.  A meet at a state
+    expand(state, made_by) lists (k, state after step k), k increasing, for
+    the steps worth trying on a state made by step made_by (-1 at a root).
+    Step 2j+1 inverts step 2j, and no expand tries made_by ^ 1, which leads
+    back to the parent; the orbit walk also skips commuting steps
+    (_walk_steps).  Each round grows the side with the smaller frontier by
+    one depth; the caps are read only between rounds.  A meet at a state
     reached by g from a_root and by h from b_root is yielded as the steps
-    t_1, ..., t_r of h^-1 g, which carries a_root to b_root.  Why this
-    finds what a walk trying every step finds: docs/NOTES.md.
+    t_1, ..., t_r of h^-1 g, which carries a_root to b_root.  Why this finds
+    what a walk trying every step finds: docs/NOTES.md.
     """
     fwd: dict[tuple, Optional[tuple]] = {a_root: None}
     bwd: dict[tuple, Optional[tuple]] = {b_root: None}
@@ -417,10 +417,10 @@ def _meet_walk(
         other = bwd if fwd_side else fwd
         new_frontier = []
         for state, made_by in frontier:
-            for k, nstate in expand(state, made_by ^ 1):
-                if nstate in table:
+            for k, nstate in expand(state, made_by):
+                link = (state, k)
+                if table.setdefault(nstate, link) is not link:
                     continue  # cross-pairs are checked at first insertion
-                table[nstate] = (state, k)
                 new_frontier.append((nstate, k))
                 if nstate in other:
                     yield [j ^ 1 for j in reversed(_path(bwd, nstate))] + _path(fwd, nstate)
@@ -439,6 +439,40 @@ def _moves(n: int) -> list[tuple[int, int, int, IElem]]:
     return moves
 
 
+@functools.cache
+def _walk_steps(n: int) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]]:
+    """The orbit walk's steps after move a (-1 at a root), as indices and (m, i, eps).
+
+    Moves are ordered as in _moves.  Left out are a ^ 1 and every move k < a
+    whose generator commutes with a's: a state is first inserted by the
+    lexicographically least of its shortest step words, which never has
+    "a, then k" (docs/NOTES.md).  Generators y and z commute when z y z^-1 = y,
+    which the kernel decides; imul would add to call counts in the first run only.
+    """
+    gens = generators(n)
+    steps = tuple((m, i, eps) for m, i in gens for eps in (1, -1))
+    fixed = []  # fixed[g][h]: generator h conjugates generator g to itself
+    for m, i in gens:
+        y = gen_elem(n, m, i).parts
+        fixed.append([c == y for c in _conj_steps(n, y, [(r, j, 1) for r, j in gens])])
+    after = {}
+    for a in range(-1, len(steps)):
+        ks = tuple(k for k in range(len(steps)) if k != a ^ 1 and not (k < a and fixed[k // 2][a // 2]))
+        after[a] = (ks, tuple(steps[k] for k in ks))
+    return after
+
+
+def _orbit_expand(n: int) -> Callable[[tuple, int], Iterable[tuple[int, tuple]]]:
+    """The orbit walk's expand at rank n: a state's conjugates by the steps _walk_steps keeps."""
+    after = _walk_steps(n)
+
+    def expand(parts: tuple, made_by: int) -> Iterable[tuple[int, tuple]]:
+        ks, steps = after[made_by]
+        return zip(ks, _conj_steps(n, parts, steps))
+
+    return expand
+
+
 def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[IElem]:
     """Bidirectional walk on the conjugation orbit in the generator metric.
 
@@ -447,21 +481,11 @@ def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[IE
     meet yields the witness h^-1 g.  States are the parts of normal forms,
     so equal states are equal elements; the caller re-multiplies the witness.
     """
-    n = x.n
-    moves = _moves(n)
-
-    def expand(parts: tuple, back: int) -> list:
-        inv_parts = _lower_inverses(n, parts, n)
-        return [
-            (k, _conj_parts(n, m, i, eps, parts, inv_parts))
-            for k, (m, i, eps, _s) in enumerate(moves)
-            if k != back
-        ]
-
-    path = next(_meet_walk(x.parts, y.parts, expand, radius, max_states), None)
+    path = next(_meet_walk(x.parts, y.parts, _orbit_expand(x.n), radius, max_states), None)
     if path is None:
         return None
-    return functools.reduce(imul, [moves[k][3] for k in path], identity_elem(n))
+    moves = _moves(x.n)
+    return functools.reduce(imul, [moves[k][3] for k in path], identity_elem(x.n))
 
 
 def _greedy_descent(u: IElem) -> tuple[IElem, IElem]:

@@ -19,9 +19,8 @@ lower-level factors to the right across higher levels using this action.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import endos
 from .endos import EndoF
@@ -133,14 +132,12 @@ def rank_of_abelianization(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _conjugate_runs(letters: Part, j: int, g: Part, g_inv: Part) -> Part:
-    """The level-i word ``letters`` acted on by a level-j word with letters g, j < i.
+def _split_runs(letters: Part, j: int) -> list[Part]:
+    """The pieces h_0, r_1, h_1, ..., r_t, h_t of a level word.
 
-    The action is conjugation by g (read at level i) on the free factor
-    <y(i,1..j)> and fixes every y(i,l) with l > j (docs/NOTES.md).  So each
-    maximal run r of letters with index <= j becomes g r g^-1, reduced at its
-    two seams, and the letters above j stay.  Nothing cancels between pieces:
-    a conjugated run is nonempty and shares no generator with its neighbours.
+    Each r_s is a maximal run of letters of index <= j and each h_s holds the
+    letters above j between them, possibly none; a word with no letter of
+    index <= j is the one piece h_0.
     """
     pieces = []
     start = p = 0
@@ -153,37 +150,37 @@ def _conjugate_runs(letters: Part, j: int, g: Part, g_inv: Part) -> Part:
         while q < n and letters[q][0] <= j:
             q += 1
         pieces.append(letters[start:p])
-        pieces.append(_join(_join(g, letters[p:q]), g_inv))
+        pieces.append(letters[p:q])
         start = p = q
-    if not pieces:
-        return letters
     pieces.append(letters[start:])
-    return tuple(itertools.chain.from_iterable(pieces))
+    return pieces
 
 
-def _lower_inverses(n: int, parts: tuple[Part, ...], below: int) -> tuple[Part, ...]:
-    """The inverses of the level letter tuples strictly below a level; () at and above it."""
-    return tuple([_inverse(p) if k > n - below else () for k, p in enumerate(parts)])
+def _conjugate_runs(letters: Part, j: int, g: Part, g_inv: Part) -> Part:
+    """The level-i word ``letters`` acted on by a level-j word with letters g, j < i.
+
+    The action is conjugation by g (read at level i) on the free factor
+    <y(i,1..j)> and fixes every y(i,l) with l > j (docs/NOTES.md).  So each
+    maximal run r of letters with index <= j becomes g r g^-1, reduced at its
+    two seams, and the letters above j stay.  Nothing cancels between pieces:
+    a conjugated run is nonempty and shares no generator with its neighbours.
+    """
+    pieces = _split_runs(letters, j)
+    word = pieces[0]
+    for s in range(1, len(pieces), 2):
+        word += _join(_join(g, pieces[s]), g_inv) + pieces[s + 1]
+    return word
 
 
-def _act_below(
-    n: int,
-    parts: tuple[Part, ...],
-    letters: Part,
-    below: int,
-    inv_parts: Optional[tuple[Part, ...]] = None,
-) -> Part:
+def _act_below(n: int, parts: tuple[Part, ...], letters: Part, below: int) -> Part:
     """Act on a word by the level parts strictly below a level, lowest level first.
 
-    parts[k] holds the letters of the level-(n-k) component.  A caller that
-    acts many times by the same parts passes their inverses once as
-    inv_parts (see _lower_inverses); otherwise each is inverted when used.
+    parts[k] holds the letters of the level-(n-k) component.
     """
     for j in range(2, below):
         g = parts[n - j]
         if g and letters:
-            g_inv = _inverse(g) if inv_parts is None else inv_parts[n - j]
-            letters = _conjugate_runs(letters, j, g, g_inv)
+            letters = _conjugate_runs(letters, j, g, _inverse(g))
     return letters
 
 
@@ -240,35 +237,53 @@ def conj_elem(g: IElem, x: IElem) -> IElem:
     return imul(g, imul(x, iinv(g)))
 
 
-def _conj_parts(
-    n: int,
-    m: int,
-    i: int,
-    eps: int,
-    parts: tuple[Part, ...],
-    inv_parts: tuple[Part, ...],
-) -> tuple[Part, ...]:
-    """y(m,i)^eps u y(m,i)^-eps on the level letter tuples of u.
+def _conj_steps(
+    n: int, parts: tuple[Part, ...], steps: Iterable[tuple[int, int, int]]
+) -> list[tuple[Part, ...]]:
+    """The parts of y(m,i)^eps u y(m,i)^-eps for each step (m, i, eps), u given by its parts.
 
-    parts and inv_parts are as in _act_below; inv_parts is read only below
-    level m.  Levels above m are conjugated run by run, the level-m component
-    becomes y u_m (L . y^-1) with L the part of u below m, and lower levels
-    are untouched.
+    With a = y(m,i)^eps: each run r of letters of index <= m at a level above
+    m becomes a r a^-1 (one cancellation check at each end), the level-m
+    component becomes a (u_m P) a^-1 P^-1 with P = u_{m-1} ... u_max(i,2),
+    which is how the part of u below m acts on y(m,i)^-eps, and lower levels
+    are untouched (docs/NOTES.md).  The levels above m are split into runs,
+    and u_m P and P^-1 built for every i, once per m for all the steps given.
     """
-    g, g_inv = ((i, eps),), ((i, -eps),)
-    out = list(parts)
-    for q in range(m + 1, n + 1):
-        w = parts[n - q]
-        if w:
-            out[n - q] = _conjugate_runs(w, m, g, g_inv)
-    tail = _act_below(n, parts, g_inv, m, inv_parts)
-    out[n - m] = _join(_join(g, parts[n - m]), tail)
-    return tuple(out)
+    levels: dict[int, tuple[list, list[tuple[Part, Part]]]] = {}
+    out = []
+    for m, i, eps in steps:
+        got = levels.get(m)
+        if got is None:
+            splits = [(n - q, _split_runs(parts[n - q], m)) for q in range(m + 1, n + 1)]
+            w = parts[n - m]
+            lows = [(w, ())] * (m + 1)  # lows[i] = (u_m P, P^-1)
+            p: Part = ()
+            for j in range(m - 1, 1, -1):  # P = u_{m-1} ... u_j for i = j
+                p = _join(p, parts[n - j])
+                lows[j] = (_join(w, p), _inverse(p))
+            lows[1] = lows[2]
+            got = levels[m] = ([(k, r) for k, r in splits if len(r) > 1], lows)
+        up, lows = got
+        a, a_inv = (i, eps), (i, -eps)
+        new = list(parts)
+        for k, pieces in up:
+            word = pieces[0]
+            for s in range(1, len(pieces), 2):
+                r = pieces[s]
+                r = r[1:] if r[0] == a_inv else (a,) + r
+                word += (r[:-1] if r and r[-1] == a else r + (a_inv,)) + pieces[s + 1]
+            new[k] = word
+        wp, p_inv = lows[i]
+        left = wp[1:] if wp and wp[0] == a_inv else (a,) + wp
+        right = p_inv[1:] if p_inv and p_inv[0] == a else (a_inv,) + p_inv
+        new[n - m] = _join(left, right)
+        out.append(tuple(new))
+    return out
 
 
 def conj_by_gen(n: int, m: int, i: int, eps: int, u: IElem) -> IElem:
-    """y(m,i)^eps * u * y(m,i)^-eps in one collection pass (see _conj_parts)."""
-    return _raw_elem(n, _conj_parts(n, m, i, eps, u.parts, _lower_inverses(n, u.parts, m)))
+    """y(m,i)^eps * u * y(m,i)^-eps in one collection pass (see _conj_steps)."""
+    return _raw_elem(n, _conj_steps(n, u.parts, [(m, i, eps)])[0])
 
 
 def commutator_elem(a: IElem, b: IElem) -> IElem:

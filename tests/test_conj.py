@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from pik.endos import apply as endo_apply, automorphism
 from pik.fuzz import planted_conjugacy_case, random_ielem
 from pik.igroup import (
     IElem,
+    _conj_steps,
     abelianize,
     act_elem,
     collect,
@@ -542,3 +545,88 @@ class TestWalksAgainstReference:
                     assert got == _reference_twisted_walk(a, z, twist, budget, limit)
                     solved += bool(got)
         assert solved
+
+
+class TestWalkPruning:
+    def test_dropped_steps_commute(self):
+        # after move a the orbit walk drops a's inverse and exactly the
+        # moves k < a that commute with a, checked here by multiplying
+        for n in (2, 3, 4, 5):
+            moves = conj_mod._moves(n)
+            after = conj_mod._walk_steps(n)
+            assert after[-1] == (tuple(range(len(moves))), tuple(mv[:3] for mv in moves))
+            dropped = 0
+            for a, (_m, _i, _e, t) in enumerate(moves):
+                ks, steps = after[a]
+                assert steps == tuple(moves[k][:3] for k in ks)
+                for k, (_m, _i, _e, s) in enumerate(moves):
+                    commute = imul(s, t) == imul(t, s)
+                    if k == a ^ 1:
+                        assert k not in ks
+                    elif k not in ks:
+                        assert k < a and commute, (n, a, k)
+                        dropped += 1
+                    else:
+                        assert not (k < a and commute), (n, a, k)
+            assert dropped or n == 2, n  # y(2,1) and y(2,2) do not commute
+
+    def test_pruned_walk_yields_the_same_meets(self):
+        # every meet, in order, of the pruned orbit walk and of one that
+        # tries every step, inverse included, at radius 6 and no state cap
+        meets = 0
+        for x, y in _walk_pairs():
+            n = x.n
+            steps = [mv[:3] for mv in conj_mod._moves(n)]
+
+            def every(parts, made_by):
+                return enumerate(_conj_steps(n, parts, steps))
+
+            walk = conj_mod._meet_walk(x.parts, y.parts, every, 6, 10**7)
+            full = list(walk)
+            pruned = conj_mod._meet_walk(x.parts, y.parts, conj_mod._orbit_expand(n), 6, 10**7)
+            assert list(pruned) == full, (x, y)
+            meets += len(full)
+        assert meets
+
+
+def _pinned_stream():
+    """Planted pairs at n = 3 and 4, and x against x [a, b] at n = 3.
+
+    Among the planted pairs are two n=4 ones that only the full generator
+    walk decides; five of the x [a, b] pairs end unknown.
+    """
+    cases = []
+    for n, count in ((3, 40), (4, 80)):
+        rng = Lcg(13 + n)
+        cases += [planted_conjugacy_case(rng, n, 7) for _ in range(count)]
+    rng = Lcg(5)
+    while len(cases) < 126:
+        x = random_ielem(rng, 3, 6)
+        y = imul(x, commutator_elem(random_ielem(rng, 3, 2), random_ielem(rng, 3, 2)))
+        if y != x:
+            cases.append((x, y, None))
+    return cases
+
+
+# SHA-256 of the JSON of every ConjResult.as_dict() on _pinned_stream(), taken
+# before the orbit walk's kernel became _conj_steps with commuting steps
+# skipped.  A change that only makes the search faster keeps it.
+PINNED_SHA256 = "572cf459ca99f086fe138d2d0e5a636668d54d099c4ac77cac3a45b437732ef7"
+
+
+class TestPinnedOutputs:
+    def test_conjugacy_outputs_are_pinned(self, monkeypatch):
+        walk = conj_mod._orbit_walk
+        full_walks = []
+
+        def spy(x, y, radius, max_states):
+            got = walk(x, y, radius, max_states)
+            full_walks.append(got is not None and max_states == 400_000)
+            return got
+
+        monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
+        out = [conjugacy(x, y, budget).as_dict() for x, y, budget in _pinned_stream()]
+        assert sum(full_walks) == 2  # the budgeted walk, not the probe, decides these
+        assert [d["verdict"] for d in out].count("unknown") == 5
+        blob = json.dumps(out, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256

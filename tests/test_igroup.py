@@ -144,19 +144,22 @@ def _ielems(draw):
     return IElem(n, tuple(word(m, draw(_letters(m, 8))).letters for m in range(n, 1, -1)))
 
 
+def _any_ielems():
+    """Elements at n = 2..5 drawn level by level or seeded at length 12."""
+    return st.one_of(
+        _ielems(),
+        st.builds(
+            lambda n, seed: random_ielem(Lcg(seed), n, 12),
+            st.integers(2, 5),
+            st.integers(0, 10**6),
+        ),
+    )
+
+
 @st.composite
 def _elem_and_step(draw):
-    """u drawn level by level or seeded at length 12, and a step y(m,i)^eps."""
-    u = draw(
-        st.one_of(
-            _ielems(),
-            st.builds(
-                lambda n, seed: random_ielem(Lcg(seed), n, 12),
-                st.integers(2, 5),
-                st.integers(0, 10**6),
-            ),
-        )
-    )
+    """u drawn as in _any_ielems, and a step y(m,i)^eps."""
+    u = draw(_any_ielems())
     m, i = draw(st.sampled_from(generators(u.n)))
     return u, m, i, draw(st.sampled_from([1, -1]))
 
@@ -233,10 +236,29 @@ class TestGroupLaws:
     @example((from_parts(4, {3: word(3, [(2, -1), (3, 1)])}), 4, 3, -1))
     @example((from_parts(4, {2: word(2, [(1, 1)])}), 3, 1, 1))
     def test_conj_by_gen_is_conjugation(self, case):
-        # conj_by_gen wraps igroup._conj_parts, the conjugacy walks' step.
+        # conj_by_gen is igroup._conj_steps for one step.
         u, m, i, eps = case
         s = gen_elem(u.n, m, i) if eps > 0 else iinv(gen_elem(u.n, m, i))
         assert conj_by_gen(u.n, m, i, eps, u) == conj_elem(s, u)
+
+    @given(_any_ielems())
+    # with a = y(2,1): the level-4 runs (y(4,1)^-1 y(4,2)) and (y(4,2) y(4,1))
+    # start with a^-1 and end with a
+    @example(from_parts(4, {4: word(4, [(1, -1), (2, 1), (4, 1), (2, 1), (1, 1)]), 3: gen(3, 1)}))
+    # with a = y(2,1)^+-1: the level-3 runs are the single letters a and a^-1
+    @example(from_parts(3, {3: word(3, [(1, 1), (3, 1), (1, -1)]), 2: gen(2, 2)}))
+    # at m = 2 neither level above has a run; at m = 3 level 4 has one
+    @example(from_parts(4, {4: word(4, [(4, 1), (3, -1)]), 3: gen(3, 3), 2: gen(2, 1)}))
+    @example(identity_elem(2))
+    def test_conj_steps_is_conjugation(self, u):
+        # the walk kernel: one pass over u for every step, in any order
+        steps = [(m, i, eps) for m, i in generators(u.n) for eps in (1, -1)]
+        got = igroup._conj_steps(u.n, u.parts, steps)
+        assert len(got) == len(steps)
+        for (m, i, eps), parts in zip(steps, got):
+            s = gen_elem(u.n, m, i) if eps > 0 else iinv(gen_elem(u.n, m, i))
+            assert parts == conj_elem(s, u).parts, (m, i, eps)
+        assert igroup._conj_steps(u.n, u.parts, steps[::-1]) == got[::-1]
 
     def test_lower_part(self):
         e = imul(gen_elem(4, 4, 2), imul(gen_elem(4, 3, 1), gen_elem(4, 2, 2)))

@@ -5,11 +5,22 @@ The callers searched are the library itself (without the re-exports in
 name counts as called when that code uses it by its own name, by an import
 alias or as an attribute of an imported pik module.  A non-dunder method of
 a top-level class counts as called when that code reads an attribute of its
-name, on a receiver of that class or of a class the AST does not show.
-The receiver's class is shown by ``self`` inside the class, by a parameter
-annotated ``Cls``, and by a name or call bound to ``Cls(...)`` or to a call
-of a function annotated ``-> Cls``.  Uses inside the name's own
-definition, such as recursion, do not count.
+name, on a receiver that can be of that class or of a class the AST does not
+show.  The AST shows a receiver's class through:
+
+* ``self`` inside the class;
+* a parameter or name annotated ``Cls``, ``Optional[Cls]`` or ``Cls | None``;
+* a call of ``Cls(...)`` or of a function annotated ``-> Cls``;
+* a class-level (dataclass) field annotated ``Cls``, read on a receiver
+  whose class is shown;
+* an item of, or a ``for`` or comprehension target over, a name, call or
+  field annotated ``list[Cls]``, ``Sequence[Cls]`` or ``tuple[Cls, ...]``;
+* ``a or b`` of these, and a name bound only to these.
+
+A name bound to different classes can be any of them, and a read on it counts
+for each.  A name with one binding the AST does not type (a tuple target, a
+``with`` target, a subscript of an untyped value) has no class shown.  Uses
+inside the name's own definition, such as recursion, do not count.
 """
 
 import ast
@@ -94,55 +105,137 @@ def uncalled() -> set[tuple[str, str]]:
 
 
 def _named_class(ann: "ast.AST | None", classes: set[str]) -> "str | None":
-    """The class an annotation names (as a name or a string), else None."""
+    """The class an annotation names: Cls, "Cls", Optional[Cls] or Cls | None; else None."""
+    if isinstance(ann, ast.Subscript) and getattr(ann.value, "id", None) == "Optional":
+        ann = ann.slice
+    elif isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
+        if isinstance(ann.right, ast.Constant) and ann.right.value is None:
+            ann = ann.left
     name = ann.id if isinstance(ann, ast.Name) else ann.value if isinstance(ann, ast.Constant) else None
     return name if name in classes else None
 
 
-def _call_class(call: ast.AST, classes: set[str], returns: dict[str, str]) -> "str | None":
-    """The class a call returns: Cls(...), or a function annotated -> Cls."""
-    if not isinstance(call, ast.Call):
+def _item_class(ann: "ast.AST | None", classes: set[str]) -> "str | None":
+    """The class of the items of list[Cls], Sequence[Cls] or tuple[Cls, ...], else None."""
+    if not isinstance(ann, ast.Subscript):
         return None
-    f = call.func
-    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-    return name if name in classes else returns.get(name)
+    outer = ann.value.id if isinstance(ann.value, ast.Name) else getattr(ann.value, "attr", None)
+    inner = ann.slice
+    if outer == "tuple" and isinstance(inner, ast.Tuple) and len(inner.elts) == 2:
+        last = inner.elts[1]
+        inner = inner.elts[0] if isinstance(last, ast.Constant) and last.value is Ellipsis else None
+    elif outer not in ("list", "Sequence"):
+        return None
+    return _named_class(inner, classes)
 
 
-def _receiver_classes(
-    scope: ast.FunctionDef, owner: "str | None", classes: set[str], returns: dict[str, str]
-) -> dict[int, str]:
-    """id of each attribute read in a top-level function or method -> the
-    class of its receiver, where every binding of the receiver shows it:
-    self, a parameter annotated with the class, or a call that returns it."""
-    bound = {
-        id(node.targets[0]): _call_class(node.value, classes, returns)
-        for node in ast.walk(scope)
-        if isinstance(node, ast.Assign) and len(node.targets) == 1
-    }
-    first = scope.args.args[0] if owner and scope.args.args else None
-    bindings: dict[str, list] = {}
-    for node in ast.walk(scope):
-        if isinstance(node, ast.arg):
-            is_self = node is first and node.arg == "self"
-            cls = owner if is_self else _named_class(node.annotation, classes)
-            bindings.setdefault(node.arg, []).append(cls)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            bindings.setdefault(node.id, []).append(bound.get(id(node)))
-    local = {name: cls[0] for name, cls in bindings.items() if cls[0] and set(cls) == {cls[0]}}
-    out = {}
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            value = node.value
-            cls = local.get(value.id) if isinstance(value, ast.Name) else _call_class(value, classes, returns)
-            if cls:
-                out[id(node)] = cls
-    return out
+class _Types:
+    """What the AST shows of the library's classes: their fields' annotations
+    and the functions annotated to return a class or a sequence of one."""
+
+    def __init__(self, lib: dict[str, ast.Module], trees: list[ast.Module]):
+        self.classes = {n.name for tree in lib.values() for n in tree.body if isinstance(n, ast.ClassDef)}
+        self.fields = {
+            (cls.name, stmt.target.id): stmt.annotation
+            for tree in lib.values()
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+        # a function name counts as returning Cls (or a sequence of Cls) only
+        # when every def of it says so
+        returned: dict[str, set] = {}
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    returned.setdefault(node.name, set()).add(self.annotated(node.returns))
+        self.returns = {name: got.pop() for name, got in returned.items() if len(got) == 1}
+
+    def annotated(self, ann: "ast.AST | None") -> tuple:
+        """(the classes a value annotated ann can be, the classes of its items), None where unknown."""
+        cls, item = _named_class(ann, self.classes), _item_class(ann, self.classes)
+        return (frozenset([cls]) if cls else None, frozenset([item]) if item else None)
+
+    def of(self, node: ast.AST, local: dict, items: dict, want: int = 0) -> "frozenset | None":
+        """The classes an expression can be (want=0), or those of its items
+        (want=1), with local and items typing the names; None where unknown."""
+        if isinstance(node, ast.Name):
+            return (local, items)[want].get(node.id)
+        if isinstance(node, ast.Attribute):
+            owners = self.of(node.value, local, items)
+            found = [self.annotated(self.fields.get((cls, node.attr)))[want] for cls in owners or ()]
+            return frozenset().union(*found) if owners is not None and None not in found else None
+        if isinstance(node, ast.Subscript) and not isinstance(node.slice, ast.Slice):
+            return self.of(node.value, local, items, 1) if want == 0 else None
+        if isinstance(node, ast.BoolOp):
+            found = [self.of(v, local, items, want) for v in node.values]
+            return frozenset().union(*found) if None not in found else None
+        if not isinstance(node, ast.Call):
+            return None
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        if name in self.classes:
+            return frozenset([name]) if want == 0 else None
+        return self.returns.get(name, (None, None))[want]
+
+    def receivers(self, scope: ast.FunctionDef, owner: "str | None") -> dict[int, frozenset]:
+        """id of each attribute read in a top-level function or method -> the
+        classes its receiver can be, where every binding of the receiver shows them."""
+        # each binding of a name gives, from the names typed so far, the
+        # classes it binds and the classes of their items
+        how = {}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                how[id(node.targets[0])] = lambda local, items, v=node.value: (
+                    self.of(v, local, items),
+                    self.of(v, local, items, 1),
+                )
+            elif isinstance(node, ast.AnnAssign):
+                how[id(node.target)] = lambda local, items, a=node.annotation: self.annotated(a)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                how[id(node.target)] = lambda local, items, it=node.iter: (self.of(it, local, items, 1), None)
+        first = scope.args.args[0] if owner and scope.args.args else None
+        binds: dict[str, list] = {}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.arg):
+                got = self.annotated(node.annotation)
+                if node is first and node.arg == "self":
+                    got = (frozenset([owner]), None)
+                binds.setdefault(node.arg, []).append(lambda local, items, got=got: got)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                binds.setdefault(node.id, []).append(how.get(id(node), lambda local, items: (None, None)))
+        # A name can be any class one of its bindings gives, and is unknown
+        # (None) when one binding is.  Bindings can read other names, or the
+        # name itself (x = x or Cls()), so start every bound name at no class
+        # and widen until nothing changes; the widening is monotone, so it ends.
+        typed = [{name: frozenset() for name in binds}, {name: frozenset() for name in binds}]
+        while True:
+            got = {name: [bind(*typed) for bind in fs] for name, fs in binds.items()}
+            wider = [
+                {
+                    name: frozenset().union(*found) if None not in found else None
+                    for name, gs in got.items()
+                    for found in [[g[want] for g in gs]]
+                }
+                for want in (0, 1)
+            ]
+            if wider == typed:
+                break
+            typed = wider
+        out = {}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owners = self.of(node.value, *typed)
+                if owners:
+                    out[id(node)] = owners
+        return out
 
 
 def unread_methods(lib: dict[str, ast.Module], others: list[ast.Module]) -> set[tuple[str, str, str]]:
     """(module, class, method) of every non-dunder method of a top-level
     class of the lib modules whose name nothing else reads as an attribute
-    on a receiver of that class, or of a class the AST does not show."""
+    on a receiver that can be of that class, or of a class the AST does not show."""
     methods = {
         (stem, cls.name, f.name): f
         for stem, tree in lib.items()
@@ -152,31 +245,26 @@ def unread_methods(lib: dict[str, ast.Module], others: list[ast.Module]) -> set[
         if isinstance(f, ast.FunctionDef) and not (f.name.startswith("__") and f.name.endswith("__"))
     }
     trees = list(lib.values()) + others
-    classes = {n.name for tree in lib.values() for n in tree.body if isinstance(n, ast.ClassDef)}
-    # a function name counts as returning Cls only when every def of it says so
-    returned: dict[str, set] = {}
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef):
-                returned.setdefault(node.name, set()).add(_named_class(node.returns, classes))
-    returns = {name: cls.pop() for name, cls in returned.items() if len(cls) == 1 and None not in cls}
-    receiver: dict[int, str] = {}
+    types = _Types(lib, trees)
+    receiver: dict[int, frozenset] = {}
     for tree in trees:
         for top in tree.body:
             scopes = [(top, None)] if isinstance(top, ast.FunctionDef) else []
             if isinstance(top, ast.ClassDef):
                 scopes = [(f, top.name) for f in top.body if isinstance(f, ast.FunctionDef)]
             for scope, owner in scopes:
-                receiver.update(_receiver_classes(scope, owner, classes, returns))
+                receiver.update(types.receivers(scope, owner))
     has_method = {(cls, name) for _, cls, name in methods}
     reads: dict[tuple["str | None", str], list[ast.Attribute]] = {}
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                cls = receiver.get(id(node))
-                if (cls, node.attr) not in has_method:
-                    cls = None  # a field, or an inherited method: any class may own it
-                reads.setdefault((cls, node.attr), []).append(node)
+                owners = receiver.get(id(node), ())
+                keys = [(cls, node.attr) for cls in owners]
+                if not keys or any(key not in has_method for key in keys):
+                    keys = [(None, node.attr)]  # a field, or an inherited method: any class may own it
+                for key in keys:
+                    reads.setdefault(key, []).append(node)
     unread = set()
     for key, f in methods.items():
         own = {id(node) for node in ast.walk(f)}
@@ -248,3 +336,84 @@ def test_method_read_on_an_unknown_receiver_counts():
     lib = {stem: ast.parse(src) for stem, src in FIXTURE.items()}
     other = ast.parse("def f(x, y):\n    return x.as_dict(), y.size()\n")
     assert unread_methods(lib, [other]) == set()
+
+
+TYPED = {
+    "reports": """
+from dataclasses import dataclass
+
+
+class Part:
+    def as_dict(self):
+        return {}
+
+    def size(self):
+        return 0
+
+
+@dataclass
+class Whole:
+    parts: tuple[Part, ...]
+    best: Part
+
+    def as_dict(self):
+        return {"parts": [p.as_dict() for p in self.parts]}
+
+    def size(self):
+        return self.best.size()
+
+
+class Dead:
+    def as_dict(self):
+        return {}
+
+    def size(self):
+        return 0
+
+    def total(self):
+        return 0
+
+
+def wholes() -> list[Whole]:
+    return []
+""",
+    "user": """
+from typing import Optional, Sequence
+
+from .reports import Dead, Whole, wholes
+
+
+def show(others: Sequence[Dead], one: Optional[Whole] = None):
+    one = one or wholes()[0]
+    out = [w.size() for w in wholes()] + [one.as_dict()]
+    for o in others:
+        out.append(o.total())
+    return out
+""",
+}
+
+
+def test_method_read_through_loops_and_fields():
+    # p.as_dict() reads Part.as_dict through a comprehension over a field
+    # annotated tuple[Part, ...]; self.best.size() reads Part.size through a
+    # field annotated Part; w loops over a call annotated -> list[Whole];
+    # one is Optional[Whole] rebound with `or` to an item of that list; o
+    # loops over Sequence[Dead].
+    # So every read of as_dict and size has a typed receiver, and Dead's
+    # as_dict and size are unread although other classes' are read.
+    lib = {stem: ast.parse(src) for stem, src in TYPED.items()}
+    assert unread_methods(lib, []) == {("reports", "Dead", "as_dict"), ("reports", "Dead", "size")}
+
+
+def test_receiver_bound_to_two_classes_reads_both():
+    # r is a Live or a Dead, so r.size() reads both classes' size, and
+    # nothing reads either as_dict on a receiver of its class
+    lib = {stem: ast.parse(src) for stem, src in FIXTURE.items()}
+    other = ast.parse(
+        "from .reports import Dead, Live\n\n\ndef f(flag):\n"
+        "    r = Live()\n    if flag:\n        r = Dead()\n    return r.size()\n"
+    )
+    assert unread_methods({"reports": lib["reports"]}, [other]) == {
+        ("reports", "Live", "as_dict"),
+        ("reports", "Dead", "as_dict"),
+    }
