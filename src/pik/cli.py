@@ -118,8 +118,12 @@ def check_normal_form_fuzz(cfg: RunConfig) -> dict:
     bad = 0
     for _ in range(cfg.fuzz_words):
         tokens = fuzz.random_gen_tokens(rng, cfg.n, 30)
-        collected = igroup.collect(cfg.n, tokens)
-        if igroup.to_endo(collected) != igroup.direct_endo(cfg.n, tokens):
+        got = igroup.to_endo(igroup.collect(cfg.n, tokens))
+        direct = igroup.direct_endo(cfg.n, tokens)
+        # direct is an automorphism, so a one-sided inverse is the inverse.
+        if got.images != direct.images or not endos.is_identity(
+            endos.compose(endos.inverse(got), direct)
+        ):
             bad += 1
     return _check("normal_form_fuzz", bad == 0, {"cases": cfg.fuzz_words, "failures": bad})
 

@@ -173,6 +173,10 @@ def twisted_class2_obstruction(a: FreeWord, z: FreeWord, images: tuple[FreeWord,
     trivially on the abelianization and the equation linearizes in the
     abelianization of g, with the degree-2 Magnus data of the twist entering
     through its Johnson matrix.  Exact over Z.
+
+    Kept because it costs less than the walks it saves: on conj-hard it
+    rejects 255 of 459 twisted equations, each of which would otherwise be
+    walked to the budget for nothing (docs/NOTES.md, "Twisted conjugacy").
     """
     n = a.rank
     alpha = _abel(a)
@@ -215,8 +219,10 @@ def _twisted_bidirectional(
     twisted_inv = [act_elem(b, gen(rank, i, -s)).letters for ((i, s),) in letters]
 
     def expand(state: tuple, made_by: int) -> list:
+        # s is one letter: it cancels the first letter of state or goes in front.
+        head = state[0] if state else None
         return [
-            (k, _join(_join(s, state), twisted_inv[k]))
+            (k, _join(state[1:] if head == letters[k ^ 1][0] else s + state, twisted_inv[k]))
             for k, s in enumerate(letters)
             if k != made_by ^ 1
         ]

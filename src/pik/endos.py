@@ -10,6 +10,10 @@ Composition convention, fixed once for the whole package:
 
 and the group commutator is [a, b] = a^-1 b^-1 a b.  Every formula
 transcribed from conjugation notation goes through this convention.
+
+A map is known by its images alone.  compose, apply and is_identity read
+only images; an inverse is carried only where something inverts the map
+(see EndoF), and a commutator relation [a, b] = 1 is checked as ab = ba.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ class EndoError(ValueError):
 class EndoF:
     """Endomorphism of F_rank; images[k] is the image of x_{k+1}.
 
-    inv_images, when present, is a checked inverse: the endomorphism is then
-    a flagged automorphism.
+    inv_images, when present, is the inverse's images: the endomorphism is
+    then a flagged automorphism that inverse() can invert.  Only y_gen,
+    igroup.to_endo, automorphism (which checks it) and inverse (which swaps
+    it with images) set it; compose and the other constructors leave it None.
     """
 
     rank: int
@@ -54,8 +60,7 @@ class EndoF:
 
 
 def identity_endo(n: int) -> EndoF:
-    imgs = tuple(gen(n, i) for i in range(1, n + 1))
-    return EndoF(n, imgs, imgs)
+    return EndoF(n, tuple(gen(n, i) for i in range(1, n + 1)))
 
 
 def apply(f: EndoF, w: FreeWord) -> FreeWord:
@@ -87,16 +92,10 @@ def apply(f: EndoF, w: FreeWord) -> FreeWord:
 
 
 def compose(f: EndoF, g: EndoF) -> EndoF:
-    """compose(f, g)(x) = f(g(x)); inverses propagate when both are flagged."""
+    """compose(f, g)(x) = f(g(x)), by images; the result carries no inverse."""
     if f.rank != g.rank:
         raise EndoError(f"rank mismatch: {f.rank} != {g.rank}")
-    images = tuple(apply(f, im) for im in g.images)
-    inv = None
-    if f.inv_images is not None and g.inv_images is not None:
-        ginv = EndoF(g.rank, g.inv_images)
-        finv = EndoF(f.rank, f.inv_images)
-        inv = tuple(apply(ginv, im) for im in finv.images)
-    return EndoF(f.rank, images, inv)
+    return EndoF(f.rank, tuple(apply(f, im) for im in g.images))
 
 
 def inverse(f: EndoF) -> EndoF:
@@ -125,59 +124,46 @@ def chi(n: int, i: int, j: int) -> EndoF:
         raise EndoError(f"chi indices outside 1..{n}")
     if i == j:
         raise EndoError("chi requires i != j")
-    images = []
-    inv_images = []
-    for k in range(1, n + 1):
-        if k == i:
-            images.append(word(n, [(j, -1), (i, 1), (j, 1)]))
-            inv_images.append(word(n, [(j, 1), (i, 1), (j, -1)]))
-        else:
-            images.append(gen(n, k))
-            inv_images.append(gen(n, k))
-    return EndoF(n, tuple(images), tuple(inv_images))
+    images = [gen(n, k) for k in range(1, n + 1)]
+    images[i - 1] = word(n, [(j, -1), (i, 1), (j, 1)])
+    return EndoF(n, tuple(images))
 
 
 def y_gen(n: int, m: int, i: int) -> EndoF:
     """Conjugate x_1..x_m by x_i, fix x_{m+1}..x_n.
 
     Equals the composition chi(1,i) ... chi(m,i) with chi(i,i) omitted; the
-    factors commute since each moves a different generator.
+    factors commute since each moves a different generator.  Carries its
+    inverse, which igroup.direct_endo takes for a negative exponent.
     """
     if not (2 <= m <= n):
         raise EndoError(f"level m={m} outside 2..{n}")
     if not (1 <= i <= m):
         raise EndoError(f"conjugating index i={i} outside 1..{m}")
-    images = []
-    inv_images = []
-    for k in range(1, n + 1):
-        if k <= m and k != i:
-            images.append(word(n, [(i, -1), (k, 1), (i, 1)]))
-            inv_images.append(word(n, [(i, 1), (k, 1), (i, -1)]))
-        else:
-            images.append(gen(n, k))
-            inv_images.append(gen(n, k))
-    return EndoF(n, tuple(images), tuple(inv_images))
+
+    def conjugated(e: int) -> tuple[FreeWord, ...]:  # x_k |-> x_i^-e x_k x_i^e for k <= m
+        return tuple(
+            word(n, [(i, -e), (k, 1), (i, e)]) if k <= m and k != i else gen(n, k)
+            for k in range(1, n + 1)
+        )
+
+    return EndoF(n, conjugated(1), conjugated(-1))
 
 
 def tau(g: FreeWord) -> EndoF:
     """Inner automorphism w |-> g w g^-1."""
     n = g.rank
     ginv = invert(g)
-    images = tuple(multiply(multiply(g, gen(n, k)), ginv) for k in range(1, n + 1))
-    inv_images = tuple(multiply(multiply(ginv, gen(n, k)), g) for k in range(1, n + 1))
-    return EndoF(n, images, inv_images)
-
-
-def commutator_endo(a: EndoF, b: EndoF) -> EndoF:
-    """[a, b] = a^-1 b^-1 a b as a composition."""
-    return compose(compose(compose(inverse(a), inverse(b)), a), b)
+    return EndoF(n, tuple(multiply(multiply(g, gen(n, k)), ginv) for k in range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
 # Relation checking.  The three defining relation families of the
 # basis-conjugating group, instances indexed by pairwise distinct letters:
 #   [chi_ij, chi_kj] = [chi_ij, chi_kl] = [chi_ij chi_kj, chi_ik] = 1.
-# Evaluating on generators suffices for endomorphism equality.
+# In any group [a, b] = 1 exactly when ab = ba, so each instance is checked
+# as compose(a, b) == compose(b, a) on the generator images, which needs no
+# inverse.
 # ---------------------------------------------------------------------------
 
 
@@ -196,7 +182,7 @@ class RelationReport:
 
 
 def check_mccool_relations(n: int, chi_factory=chi) -> RelationReport:
-    """Evaluate every relation instance as automorphisms of F_n.
+    """Evaluate every relation instance as a commutation of maps of F_n.
 
     chi_factory is injectable so a perturbed generator can be used as a
     negative control.
@@ -206,10 +192,10 @@ def check_mccool_relations(n: int, chi_factory=chi) -> RelationReport:
     instances = 0
     failures: list[str] = []
 
-    def record(label: str, f: EndoF) -> None:
+    def record(label: str, a: EndoF, b: EndoF) -> None:
         nonlocal instances
         instances += 1
-        if not is_identity(f):
+        if compose(a, b).images != compose(b, a).images:
             failures.append(label)
 
     rng = range(1, n + 1)
@@ -219,19 +205,16 @@ def check_mccool_relations(n: int, chi_factory=chi) -> RelationReport:
                 if len({i, j, k}) != 3:
                     continue
                 a, b = chi_factory(n, i, j), chi_factory(n, k, j)
-                record(f"[chi({i},{j}),chi({k},{j})]", commutator_endo(a, b))
-                prod = compose(a, b)
+                record(f"[chi({i},{j}),chi({k},{j})]", a, b)
                 record(
                     f"[chi({i},{j})chi({k},{j}),chi({i},{k})]",
-                    commutator_endo(prod, chi_factory(n, i, k)),
+                    compose(a, b),
+                    chi_factory(n, i, k),
                 )
                 for l in rng:
                     if len({i, j, k, l}) != 4:
                         continue
-                    record(
-                        f"[chi({i},{j}),chi({k},{l})]",
-                        commutator_endo(a, chi_factory(n, k, l)),
-                    )
+                    record(f"[chi({i},{j}),chi({k},{l})]", a, chi_factory(n, k, l))
     return RelationReport(n, instances, tuple(failures))
 
 
@@ -243,13 +226,6 @@ def perturbed_chi(n: int, i: int, j: int) -> EndoF:
     """
     if (i, j) != (1, 2):
         return chi(n, i, j)
-    images = []
-    inv_images = []
-    for k in range(1, n + 1):
-        if k == i:
-            images.append(word(n, [(j, -1), (j, -1), (i, 1), (j, 1), (j, 1)]))
-            inv_images.append(word(n, [(j, 1), (j, 1), (i, 1), (j, -1), (j, -1)]))
-        else:
-            images.append(gen(n, k))
-            inv_images.append(gen(n, k))
-    return EndoF(n, tuple(images), tuple(inv_images))
+    images = [gen(n, k) for k in range(1, n + 1)]
+    images[i - 1] = word(n, [(j, -1), (j, -1), (i, 1), (j, 1), (j, 1)])
+    return EndoF(n, tuple(images))

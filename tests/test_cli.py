@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -225,6 +227,24 @@ class TestVerifyAll:
         rep = json.loads((tmp_path / "r.json").read_text())
         assert any(c["name"] == "mccool_relations" and c["status"] == "fail" for c in rep["checks"])
 
+    # SHA-256 of the report bytes of CFG, fixed before the endomorphism layer
+    # stopped carrying inverses through compose; a change that keeps every
+    # verdict keeps these bytes.
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "4fa9d2c654a3d54942e680755417eed70786ecd645aab269187fd58199581ec3"),
+            (
+                ["--negative-control", "perturb-chi"],
+                "5b21dd35966abcd48e20cc3fe5907ecac2cbba1337f1020614fb42b5346d379f",
+            ),
+        ],
+    )
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, extra, digest):
+        out = tmp_path / "r.json"
+        main(self.CFG + extra + ["--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_text_format(self, capsys):
         code = main(self.CFG + ["--format", "text"])
         assert code == 0
@@ -295,6 +315,24 @@ class TestVerifyAll:
         assert check_conjugacy_fuzz(cfg)["status"] == "pass"
         assert seen == [(b.gen_radius, b.max_states, 5, 3) for b in planted]
         assert {b.max_states for b in planted} == {400_000}
+
+    def test_normal_form_fuzz_checks_inverse_images(self, monkeypatch):
+        # Negative control: right images with a wrong inverse must fail.
+        from pik import igroup
+        from pik.cli import check_normal_form_fuzz
+
+        cfg = RunConfig(n=3, seed=7, fuzz_words=10)
+        assert check_normal_form_fuzz(cfg)["status"] == "pass"
+        real = igroup.to_endo
+
+        def wrong_inverse(a):
+            e = real(a)
+            return replace(e, inv_images=e.images)
+
+        monkeypatch.setattr(igroup, "to_endo", wrong_inverse)
+        res = check_normal_form_fuzz(cfg)
+        assert res["status"] == "fail"
+        assert res["details"] == {"cases": 10, "failures": 10}
 
 
 def test_script_runs_from_any_directory(tmp_path):

@@ -11,7 +11,6 @@ from pik.endos import (
     automorphism,
     check_mccool_relations,
     chi,
-    commutator_endo,
     compose,
     identity_endo,
     inverse,
@@ -61,8 +60,9 @@ class TestChi:
 
     def test_inverse_composes_to_identity(self):
         c = chi(3, 1, 2)
-        assert is_identity(compose(c, inverse(c)))
-        assert is_identity(compose(inverse(c), c))
+        c_inv = EndoF(3, (w("x2 x1 x2^-1"), w("x2"), w("x3")))
+        assert is_identity(compose(c, c_inv))
+        assert is_identity(compose(c_inv, c))
 
     def test_rejects_equal_indices(self):
         with pytest.raises(EndoError):
@@ -152,9 +152,17 @@ class TestComposeApply:
 
 class TestAutomorphismFlag:
     def test_checked_inverse(self):
-        f = chi(3, 1, 2)
+        f = y_gen(3, 3, 2)
         g = automorphism(f.images, f.inv_images)
         assert g.inv_images is not None
+
+    def test_only_inverting_constructors_flag(self):
+        # An inverse is carried only where something inverts the map.
+        f, g = y_gen(3, 3, 2), y_gen(3, 2, 1)
+        for e in (chi(3, 1, 2), perturbed_chi(3, 1, 2), tau(w("x1 x2")), identity_endo(3)):
+            assert e.inv_images is None
+        assert compose(f, g).inv_images is None
+        assert inverse(f).inv_images == f.images
 
     def test_bad_inverse_rejected(self):
         f = chi(3, 1, 2)
@@ -175,10 +183,17 @@ class TestMcCool:
         if n == 2:
             assert rep.instances == 0  # families need three distinct letters
 
-    def test_commutator_endo_convention(self):
-        a, b = chi(3, 1, 2), chi(3, 3, 2)
-        com = commutator_endo(a, b)
-        assert is_identity(com)
+    def test_commutator_endo_convention(self, commutator_endo):
+        # The relation check reads [a, b] = 1 as ab = ba: the two agree on
+        # every pair of flagged generators, commuting or not.
+        gens = [y_gen(3, m, i) for m in (2, 3) for i in range(1, m + 1)]
+        commuting = 0
+        for a in gens:
+            for b in gens:
+                ab_is_ba = compose(a, b).images == compose(b, a).images
+                assert is_identity(commutator_endo(a, b)) == ab_is_ba
+                commuting += ab_is_ba
+        assert 0 < commuting < len(gens) ** 2
 
     def test_perturbed_fails(self):
         rep = check_mccool_relations(3, chi_factory=perturbed_chi)
@@ -191,4 +206,4 @@ class TestTau:
         g = w("x1 x2", 2)
         f = tau(g)
         assert apply(f, w("x1", 2)) == multiply(multiply(g, w("x1", 2)), invert(g))
-        assert is_identity(compose(f, inverse(f)))
+        assert is_identity(compose(f, tau(invert(g))))

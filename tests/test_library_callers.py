@@ -14,12 +14,16 @@ show.  The AST shows a receiver's class through:
 * a class-level (dataclass) field annotated ``Cls``, read on a receiver
   whose class is shown;
 * an item of, or a ``for`` or comprehension target over, a name, call or
-  field annotated ``list[Cls]``, ``Sequence[Cls]`` or ``tuple[Cls, ...]``;
+  field annotated ``list[Cls]``, ``Sequence[Cls]``, ``tuple[Cls, ...]``,
+  ``Iterator[Cls]`` or ``Iterable[Cls]``;
+* a tuple target, element by element, over ``zip(...)`` or
+  ``enumerate(...)`` of such iterables, or assigned a tuple of such values;
 * ``a or b`` of these, and a name bound only to these.
 
 A name bound to different classes can be any of them, and a read on it counts
-for each.  A name with one binding the AST does not type (a tuple target, a
-``with`` target, a subscript of an untyped value) has no class shown.  Uses
+for each.  A name with one binding the AST does not type (a tuple target over
+anything else, a ``with`` target, a subscript of an untyped value) has no
+class shown.  Uses
 inside the name's own definition, such as recursion, do not count.
 """
 
@@ -116,7 +120,8 @@ def _named_class(ann: "ast.AST | None", classes: set[str]) -> "str | None":
 
 
 def _item_class(ann: "ast.AST | None", classes: set[str]) -> "str | None":
-    """The class of the items of list[Cls], Sequence[Cls] or tuple[Cls, ...], else None."""
+    """The class of the items of list[Cls], Sequence[Cls], tuple[Cls, ...],
+    Iterator[Cls] or Iterable[Cls], else None."""
     if not isinstance(ann, ast.Subscript):
         return None
     outer = ann.value.id if isinstance(ann.value, ast.Name) else getattr(ann.value, "attr", None)
@@ -124,7 +129,7 @@ def _item_class(ann: "ast.AST | None", classes: set[str]) -> "str | None":
     if outer == "tuple" and isinstance(inner, ast.Tuple) and len(inner.elts) == 2:
         last = inner.elts[1]
         inner = inner.elts[0] if isinstance(last, ast.Constant) and last.value is Ellipsis else None
-    elif outer not in ("list", "Sequence"):
+    elif outer not in ("list", "Sequence", "Iterator", "Iterable"):
         return None
     return _named_class(inner, classes)
 
@@ -185,16 +190,35 @@ class _Types:
         # each binding of a name gives, from the names typed so far, the
         # classes it binds and the classes of their items
         how = {}
+
+        def bind(target: ast.AST, value: ast.AST, want: int) -> None:
+            """target is bound to value (want=0) or to an item of it (want=1)."""
+            if not isinstance(target, ast.Tuple):
+                how[id(target)] = lambda local, items: (
+                    self.of(value, local, items, want),
+                    None if want else self.of(value, local, items, 1),
+                )
+                return
+            func = getattr(value, "func", None)
+            parts = []  # (value, want) for each element of the target
+            if want and isinstance(func, ast.Name) and func.id == "zip":
+                parts = [(arg, 1) for arg in value.args]
+            elif want and isinstance(func, ast.Name) and func.id == "enumerate":
+                parts = [(None, 0), (value.args[0], 1)]
+            elif not want and isinstance(value, ast.Tuple):
+                parts = [(elt, 0) for elt in value.elts]
+            if len(parts) == len(target.elts):
+                for elt, (v, w) in zip(target.elts, parts):
+                    if v is not None:
+                        bind(elt, v, w)
+
         for node in ast.walk(scope):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                how[id(node.targets[0])] = lambda local, items, v=node.value: (
-                    self.of(v, local, items),
-                    self.of(v, local, items, 1),
-                )
+                bind(node.targets[0], node.value, 0)
             elif isinstance(node, ast.AnnAssign):
                 how[id(node.target)] = lambda local, items, a=node.annotation: self.annotated(a)
             elif isinstance(node, (ast.For, ast.comprehension)):
-                how[id(node.target)] = lambda local, items, it=node.iter: (self.of(it, local, items, 1), None)
+                bind(node.target, node.iter, 1)
         first = scope.args.args[0] if owner and scope.args.args else None
         binds: dict[str, list] = {}
         for node in ast.walk(scope):
@@ -417,3 +441,23 @@ def test_receiver_bound_to_two_classes_reads_both():
         ("reports", "Live", "as_dict"),
         ("reports", "Dead", "as_dict"),
     }
+
+
+def test_tuple_targets_over_zip_and_enumerate():
+    # w unpacks an enumerate and a zip over wholes() -> list[Whole], and x
+    # a tuple of values; o unpacks an enumerate over Sequence[Dead].  The
+    # nested (a, b) unpacks an untyped iterable, so nothing is read on it.
+    # So as_dict and size are read only on Whole receivers.
+    lib = {"reports": ast.parse(TYPED["reports"])}
+    other = ast.parse(
+        "from typing import Sequence\n\nfrom .reports import Dead, wholes\n\n\n"
+        "def show(others: Sequence[Dead], pairs):\n"
+        "    out = [w.size() for _, w in enumerate(wholes())]\n"
+        "    for (a, b), w in zip(pairs, wholes()):\n"
+        "        out.append(w.as_dict())\n"
+        "    for i, o in enumerate(others, 1):\n"
+        "        out.append(o.total())\n"
+        "    x, y = wholes()[0], others[0]\n"
+        "    return out, x.size(), y.total(), a, b, i\n"
+    )
+    assert unread_methods(lib, [other]) == {("reports", "Dead", "as_dict"), ("reports", "Dead", "size")}
