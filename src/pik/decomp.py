@@ -13,9 +13,11 @@ verified over Z.  Each L^m(Y_i) is spanned by unit Lyndon vectors, so the
 decomposition needs one echelon of J^m's spanning set: rank additivity
 against the Witt rank, plus a pivot of 1 in absolute value on every Lyndon
 column outside the level factors.  With y(m, i) of multidegree e_i, J^m
-splits into multidegree blocks, and the spanning rows are kept in tensor
-coordinates and read at each block's Lyndon words, one echelon per block
-(see docs/NOTES.md).
+splits into multidegree blocks, one echelon each.  Each block of J^m is a
+dense integer matrix over all words of its multidegrees, stacked from the
+blocks of J^{m-1} bracketed with one letter each; the top degree is
+gathered straight at its Lyndon words, and every degree is read there (see
+docs/NOTES.md).  The T_r rows stay tensor term dicts, read in J's blocks.
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .ajohnson import left_normed_step
 from .igroup import gen_index, rank_of_abelianization
 from .lie import (
+    _INT64_GUARD,
     DirectSumReport,
+    IntLattice,
     LieElem,
     Terms,
     Word,
@@ -48,8 +54,8 @@ from .lie import (
 Multidegree = tuple[int, ...]
 # A spanning row of an ideal: its tensor terms, and the multidegrees they may have.
 Row = tuple[Terms, frozenset[Multidegree]]
-# A partition of the degree-m Lyndon words, each part with its spanning rows.
-Blocks = list[tuple[list[Word], list[Terms]]]
+# A block of J^m: its Lyndon words, and its spanning rows' coefficients at them.
+Block = tuple[list[Word], np.ndarray]
 
 
 class DecompError(ValueError):
@@ -239,9 +245,12 @@ def verify_psi_automorphism(n: int, r: int) -> PsiReport:
 # relator and the t's single letters; bracketing with longer elements reduces
 # to this by the Jacobi identity [x,[y,z]] = [x,y,z] - [x,z,y].
 #
-# Rows are kept in tensor coordinates with their multidegrees.  Each relator
-# kind is homogeneous (kind 3's two brackets both have degree e_i + e_j), and
-# so is bracketing with a letter, so J^m splits into multidegree blocks.
+# Each relator kind is homogeneous (kind 3's two brackets both have degree
+# e_i + e_j), and bracketing with a letter of conjugating index i adds e_i,
+# so J^m splits into multidegree blocks.  J^m is built block by block as
+# dense integer matrices over each block's words, from the blocks of
+# J^{m-1}; the top degree is gathered straight at its Lyndon words.  The
+# T_r rows stay tensor term dicts, each with the multidegrees it may have.
 # ---------------------------------------------------------------------------
 
 
@@ -259,6 +268,132 @@ def _multidegree(n: int, w: Word) -> Multidegree:
     return tuple(d)
 
 
+def _words_of(n: int, d: Multidegree) -> tuple[Word, ...]:
+    """All words of multidegree d, in lexicographic order."""
+    if not any(d):
+        return ((),)
+    conj = _conjugating_index(n)
+    out: list[Word] = []
+    for a in range(1, len(conj)):
+        i = conj[a] - 1
+        if d[i]:
+            rest = d[:i] + (d[i] - 1,) + d[i + 1 :]
+            out.extend((a,) + w for w in _words_of(n, rest))
+    return tuple(out)
+
+
+def _classes(groups: Sequence[frozenset[Multidegree]]) -> tuple[list[frozenset[Multidegree]], list[int]]:
+    """Join the multidegrees that share a group (union-find): the classes, in
+    order of first appearance, and the class of each group."""
+    parent: dict[Multidegree, Multidegree] = {}
+
+    def find(d: Multidegree) -> Multidegree:
+        while parent.get(d, d) != d:
+            d = parent[d]
+        return d
+
+    for group in groups:
+        root, *rest = (find(d) for d in group)
+        for other in rest:
+            if other != root:
+                parent[other] = root
+    index: dict[Multidegree, int] = {}
+    members: list[set[Multidegree]] = []
+    of_group = []
+    for group in groups:
+        root = find(next(iter(group)))
+        if root not in index:
+            index[root] = len(members)
+            members.append(set())
+        members[index[root]] |= group
+        of_group.append(index[root])
+    return [frozenset(ds) for ds in members], of_group
+
+
+@dataclass(frozen=True)
+class _TensorBlock:
+    """Spanning rows of J^m on one class of multidegrees, dense over all of
+    the class's words; col maps each word, in lexicographic order, to its column."""
+
+    degrees: frozenset[Multidegree]
+    col: dict[Word, int]
+    mat: np.ndarray
+
+
+def _class_columns(n: int, degrees: frozenset[Multidegree]) -> dict[Word, int]:
+    return {w: j for j, w in enumerate(sorted(w for d in degrees for w in _words_of(n, d)))}
+
+
+def _shifted(degrees: frozenset[Multidegree], i: int) -> frozenset[Multidegree]:
+    return frozenset(d[:i] + (d[i] + 1,) + d[i + 1 :] for d in degrees)
+
+
+# (source block, letter) pairs that reach one block of the next degree
+Feed = list[tuple[_TensorBlock, int]]
+
+
+def _feeds(n: int, below: Sequence[_TensorBlock]) -> tuple[list[frozenset[Multidegree]], list[Feed]]:
+    """The classes of J^m reached from the blocks of J^{m-1} by one letter,
+    and for each class the (block, letter) pairs that reach it."""
+    conj = _conjugating_index(n)
+    classes, of_shift = _classes([_shifted(b.degrees, i) for b in below for i in range(n)])
+    feeds: list[Feed] = [[] for _ in classes]
+    for s, b in enumerate(below):
+        for a in range(1, len(conj)):
+            feeds[of_shift[s * n + conj[a] - 1]].append((b, a))
+    return classes, feeds
+
+
+def _stacks(
+    feed: Feed, width: int, dtype: type
+) -> tuple[np.ndarray, list[tuple[np.ndarray, _TensorBlock, int]]]:
+    """A zero matrix with a stack of rows for each (block, letter) pair of
+    feed, as tall as the block, and the stacks as views into it."""
+    mat = np.zeros((sum(len(b.mat) for b, _ in feed), width), dtype=dtype)
+    stacks = []
+    r0 = 0
+    for b, a in feed:
+        stacks.append((mat[r0 : r0 + len(b.mat)], b, a))
+        r0 += len(b.mat)
+    return mat, stacks
+
+
+def _tensor_blocks(
+    relators: RelatorSet, top: int, dtype: type
+) -> Iterator[tuple[int, list[_TensorBlock]]]:
+    """J^m for 2 <= m <= top in tensor coordinates, one block per class.
+
+    Degree 2 is the relators' terms, their multidegrees joined by union-find.
+    Block t of J^m stacks, for each block b of J^{m-1} and each letter a
+    sending it to t, the rows x of b bracketed as x a - a x: the column of
+    u a gets +x(u) and that of a u gets -x(u), both maps injective on words.
+    """
+    n = relators.n
+    rows = [rel.elem.coords.terms for rel in relators.relators if rel.elem.coords.terms]
+    classes, of_row = _classes([frozenset(_multidegree(n, w) for w in terms) for terms in rows])
+    blocks = []
+    for c, degrees in enumerate(classes):
+        col = _class_columns(n, degrees)
+        own = [terms for terms, hit in zip(rows, of_row) if hit == c]
+        mat = np.zeros((len(own), len(col)), dtype=dtype)
+        for r, terms in enumerate(own):
+            for w, coeff in terms.items():
+                mat[r, col[w]] = coeff
+        blocks.append(_TensorBlock(degrees, col, mat))
+    yield 2, blocks
+    for m in range(3, top + 1):
+        classes, feeds = _feeds(n, blocks)
+        blocks = []
+        for degrees, feed in zip(classes, feeds):
+            col = _class_columns(n, degrees)
+            mat, stacks = _stacks(feed, len(col), dtype)
+            for part, b, a in stacks:
+                part[:, [col[u + (a,)] for u in b.col]] = b.mat
+                part[:, [col[(a,) + u] for u in b.col]] -= b.mat
+            blocks.append(_TensorBlock(degrees, col, mat))
+        yield m, blocks
+
+
 def _row(n: int, e: LieElem) -> Row:
     terms = e.coords.terms
     return terms, frozenset(_multidegree(n, w) for w in terms)
@@ -272,53 +407,77 @@ def _bracket_rows(a: Row, b: Row) -> Row:
     return tensor_bracket(a[0], b[0]), frozenset(tuple(map(add, x, y)) for x in a[1] for y in b[1])
 
 
-def ideal_rows_by_degree(relators: RelatorSet, max_m: int) -> dict[int, list[Row]]:
-    n = relators.n
-    letters = _letter_rows(n, range(1, alphabet_size(n) + 1))
-    rows = {2: [_row(n, rel.elem) for rel in relators.relators]}
-    for m in range(3, max_m + 1):
-        rows[m] = left_normed_step(rows[m - 1], letters, _bracket_rows)
-    return rows
-
-
-def _blocks(n: int, m: int, *groups: Sequence[Row]) -> list[Blocks]:
-    """One partition of the degree-m Lyndon words into multidegree blocks,
-    read with each group's nonzero rows.
-
-    A row whose terms may have several multidegrees (a relator set given by
-    the caller can hold one) joins their blocks: multidegrees are merged by
-    union-find, so no row is ever split between blocks.
-    """
-    parent: dict[Multidegree, Multidegree] = {}
-
-    def find(d: Multidegree) -> Multidegree:
-        while parent.get(d, d) != d:
-            d = parent[d]
-        return d
-
-    for rows in groups:
-        for terms, degrees in rows:
-            if terms:
-                root, *rest = (find(d) for d in degrees)
-                for other in rest:
-                    if other != root:
-                        parent[other] = root
-    blocks: dict[Multidegree, tuple[list[Word], list[list[Terms]]]] = {}
-
-    def block(d: Multidegree) -> tuple[list[Word], list[list[Terms]]]:
-        return blocks.setdefault(find(d), ([], [[] for _ in groups]))
-
+def _lyndon_parts(n: int, m: int, classes: Sequence[frozenset[Multidegree]]) -> list[list[Word]]:
+    """The degree-m Lyndon words of each class, then one part for each
+    multidegree outside the classes: a partition, in lexicographic order."""
+    class_of = {d: c for c, degrees in enumerate(classes) for d in degrees}
+    parts: list[list[Word]] = [[] for _ in classes]
+    rest: dict[Multidegree, list[Word]] = {}
     for w in lyndon_words(alphabet_size(n), m):
-        block(_multidegree(n, w))[0].append(w)
-    for g, rows in enumerate(groups):
-        for terms, degrees in rows:
-            if terms:
-                block(next(iter(degrees)))[1][g].append(terms)
-    return [[(words, rows[g]) for words, rows in blocks.values()] for g in range(len(groups))]
+        d = _multidegree(n, w)
+        c = class_of.get(d)
+        (parts[c] if c is not None else rest.setdefault(d, [])).append(w)
+    return parts + list(rest.values())
 
 
-def _rank(blocks: Blocks, n: int, m: int) -> int:
-    return sum(lat.rank for lat in block_lattices(blocks, alphabet_size(n), m))
+def _empty(parts: Sequence[list[Word]], dtype: type) -> list[Block]:
+    return [(words, np.zeros((0, len(words)), dtype=dtype)) for words in parts]
+
+
+def _cut(n: int, m: int, blocks: Sequence[_TensorBlock], dtype: type) -> list[Block]:
+    """J^m read at its Lyndon words: the tensor blocks cut to them."""
+    parts = _lyndon_parts(n, m, [b.degrees for b in blocks])
+    cut = [(words, b.mat.take([b.col[w] for w in words], axis=1)) for b, words in zip(blocks, parts)]
+    return cut + _empty(parts[len(blocks) :], dtype)
+
+
+def _gathered(n: int, m: int, below: Sequence[_TensorBlock], dtype: type) -> Iterator[Block]:
+    """J^m read at its Lyndon words, gathered from the blocks of J^{m-1} one
+    block at a time: row [x, a] has x(w[:-1]) at w when w ends with a, less
+    x(w[1:]) when w starts with a."""
+    classes, feeds = _feeds(n, below)
+    parts = _lyndon_parts(n, m, classes)
+    for words, feed in zip(parts, feeds):
+        ends: dict[int, list[tuple[int, Word]]] = {}
+        starts: dict[int, list[tuple[int, Word]]] = {}
+        for j, w in enumerate(words):
+            ends.setdefault(w[-1], []).append((j, w[:-1]))
+            starts.setdefault(w[0], []).append((j, w[1:]))
+        mat, stacks = _stacks(feed, len(words), dtype)
+        for part, b, a in stacks:
+            for at, sign in ((ends, 1), (starts, -1)):
+                hits = [(j, b.col[u]) for j, u in at.get(a, ()) if u in b.col]
+                if hits:
+                    js, us = zip(*hits)
+                    part[:, list(js)] += sign * b.mat[:, list(us)]
+        yield words, mat
+    yield from _empty(parts[len(classes) :], dtype)
+
+
+def ideal_rows_by_degree(relators: RelatorSet, max_m: int) -> dict[int, Iterable[Block]]:
+    """J^m for 2 <= m <= max_m, block by block: each block's Lyndon words, and
+    its spanning rows' tensor coefficients at them, one matrix row each.
+
+    The blocks of each degree partition its Lyndon words; a row has no
+    nonzero coefficient at a Lyndon word outside its block.  Below the top
+    degree the rows are J's tensor blocks cut to their Lyndon columns.  The
+    top degree is gathered from degree max_m - 1 with no tensor block, one
+    block at a time as it is read, so it can be read once.  Bracketing with
+    a letter at most doubles an entry, so the matrices hold Python ints when
+    max|coeff| 2^(max_m - 2) could pass the int64 guard.
+    """
+    if max_m < 2:
+        return {}
+    n = relators.n
+    coeffs = [abs(c) for rel in relators.relators for c in rel.elem.coords.terms.values()]
+    dtype = np.int64 if max(coeffs, default=0) << (max_m - 2) <= _INT64_GUARD else object
+    out: dict[int, Iterable[Block]] = {}
+    below: list[_TensorBlock] = []
+    for m, below in _tensor_blocks(relators, max(2, max_m - 1), dtype):
+        out[m] = _cut(n, m, below, dtype)
+    if max_m > 2:
+        out[max_m] = _gathered(n, max_m, below, dtype)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +540,13 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
         raise DecompError(f"need max degree >= 2, got {max_m}")
     rels = relators if relators is not None else build_relators(n)
     k = alphabet_size(n)
-    j_rows = ideal_rows_by_degree(rels, max_m)
     levels = [level_letters(n, i) for i in range(2, n + 1)]
     reports = []
-    for m in range(2, max_m + 1):
+    for m, blocks in ideal_rows_by_degree(rels, max_m).items():
         # a Lyndon word on one level's letters is Lyndon on the whole ordered
         # alphabet with the same bracketing, so L^m(Y_i) is spanned by unit
         # Lyndon vectors
         units = [[tuple(ys[a - 1] for a in w) for w in lyndon_words(len(ys), m)] for ys in levels]
-        (blocks,) = _blocks(n, m, j_rows[m])
         ds = lattice_direct_sum_is_whole(blocks, units, k, m)
         reports.append(
             DegreeReport(
@@ -485,34 +642,44 @@ class TildeTReport:
         return {"n": self.n, "ok": self.ok, "per_degree": [d.as_dict() for d in self.degrees]}
 
 
+def _in_blocks(
+    n: int, blocks: Sequence[Block], rows: Sequence[Row]
+) -> list[tuple[list[Word], list[Terms]]]:
+    """The rows grouped by the block of J that holds one of their
+    multidegrees; block_lattices refuses a row that meets a Lyndon word of
+    another block."""
+    block_of = {_multidegree(n, w): b for b, (words, _) in enumerate(blocks) for w in words}
+    grouped: list[list[Terms]] = [[] for _ in blocks]
+    for terms, degrees in rows:
+        grouped[block_of[next(iter(degrees))]].append(terms)
+    return [(words, g) for (words, _), g in zip(blocks, grouped)]
+
+
 def verify_tilde_T(n: int, max_m: int) -> TildeTReport:
     """Certify that the T_r pieces sum directly to J, degree by degree."""
     if n < 3:
         raise DecompError("need n >= 3")
     if max_m < 2:
         raise DecompError(f"need max degree >= 2, got {max_m}")
-    j_rows = ideal_rows_by_degree(build_relators(n), max_m)
     k = alphabet_size(n)
     reports = []
-    for m in range(2, max_m + 1):
+    for m, blocks in ideal_rows_by_degree(build_relators(n), max_m).items():
+        j_blocks = list(blocks)
         per_r = [t_r_rows(n, r, m) for r in range(2, n)]
         stacked = [row for rows in per_r for row in rows]
-        # one partition for all groups, so the lattices compare block by block
-        j_blocks, stacked_blocks, *t_blocks = _blocks(n, m, j_rows[m], stacked, *per_r)
-        rank_j = stacked_rank = 0
-        sum_equals_j = True
-        for j_lat, stacked_lat in zip(block_lattices(j_blocks, k, m), block_lattices(stacked_blocks, k, m)):
-            rank_j += j_lat.rank
-            stacked_rank += stacked_lat.rank
-            sum_equals_j = sum_equals_j and j_lat.hnf() == stacked_lat.hnf()
-        t_ranks = tuple(_rank(blocks, n, m) for blocks in t_blocks)
+        # the T_r rows are read in J's blocks, so the lattices compare block by block
+        j_lats: list[IntLattice] = [lattice_from_rows(mat, len(words)) for words, mat in j_blocks]
+        stacked_lats: list[IntLattice] = list(block_lattices(_in_blocks(n, j_blocks, stacked), k, m))
+        t_ranks = tuple(
+            sum(lat.rank for lat in block_lattices(_in_blocks(n, j_blocks, rows), k, m)) for rows in per_r
+        )
         reports.append(
             TildeTDegreeReport(
                 m=m,
-                rank_j=rank_j,
+                rank_j=sum(lat.rank for lat in j_lats),
                 t_ranks=t_ranks,
-                sum_equals_j=sum_equals_j,
-                direct=sum(t_ranks) == stacked_rank,
+                sum_equals_j=all(a.hnf() == b.hnf() for a, b in zip(j_lats, stacked_lats)),
+                direct=sum(t_ranks) == sum(lat.rank for lat in stacked_lats),
             )
         )
     return TildeTReport(n, tuple(reports))
@@ -548,10 +715,10 @@ def gr_rank_table(n: int, max_c: int) -> list[RankRow]:
     """
     if max_c < 1:
         raise DecompError(f"need max degree >= 1, got {max_c}")
-    j_rows = ideal_rows_by_degree(build_relators(n), max_c)
+    j_blocks = ideal_rows_by_degree(build_relators(n), max_c)
     out = []
     for c in range(1, max_c + 1):
         factors = sum(witt(i, c) for i in range(2, n + 1))
-        rank_j = _rank(_blocks(n, c, j_rows[c])[0], n, c) if c >= 2 else 0
+        rank_j = sum(lattice_from_rows(mat, len(words)).rank for words, mat in j_blocks.get(c, ()))
         out.append(RankRow(c, factors, witt(alphabet_size(n), c) - rank_j))
     return out

@@ -456,15 +456,15 @@ def block_lattices(
     Lyndon coordinates times a unitriangular matrix (see docs/NOTES.md), so
     ranks read the same in both.
     """
-    where: dict[Word, tuple[int, int]] = {}
-    for b, (words, _) in enumerate(blocks):
-        for col, w in enumerate(words):
-            where[w] = (b, col)
-    if len(where) != sum(len(words) for words, _ in blocks) or where.keys() != set(
-        lyndon_words(nvars, m)
-    ):
-        raise LieError(f"blocks must partition the Lyndon words of length {m}")
+    _check_partition([w for words, _ in blocks for w in words], nvars, m)
+    where = {w: (b, col) for b, (words, _) in enumerate(blocks) for col, w in enumerate(words)}
     return (_block_lattice(b, len(words), rows, where) for b, (words, rows) in enumerate(blocks))
+
+
+def _check_partition(words: Sequence[Word], nvars: int, m: int) -> None:
+    """Raise LieError unless words lists each Lyndon word of length m once."""
+    if len(set(words)) != len(words) or set(words) != set(lyndon_words(nvars, m)):
+        raise LieError(f"blocks must partition the Lyndon words of length {m}")
 
 
 def _block_lattice(
@@ -509,7 +509,7 @@ class DirectSumReport:
 
 
 def lattice_direct_sum_is_whole(
-    blocks: Sequence[tuple[Sequence[Word], Sequence[Terms]]],
+    blocks: Iterable[tuple[Sequence[Word], np.ndarray]],
     units: Sequence[Sequence[Word]],
     nvars: int,
     m: int,
@@ -517,15 +517,20 @@ def lattice_direct_sum_is_whole(
     """Certificate that the span J of the blocks' rows and the unit vectors
     of units' Lyndon words form a direct sum equal to all of L^m over Z.
 
-    blocks is as for block_lattices.  Each part of units has one rank per
-    word; rank additivity is checked against the Witt rank.  With S the unit
-    words and C the other degree-m Lyndon words, the lattice spanned by e_S
-    and J is Z^S (+) pi_C(J).  The unitriangular change to tensor
-    coefficients maps Z^S onto itself when no standard bracketing P_s meets
-    a Lyndon word outside S (true of the level words; checked here).  So it
-    is all of L^m iff one echelon of each block's rows, with the C columns
-    first, has a pivot of 1 in absolute value in every C column (see
-    docs/NOTES.md).
+    Each block pairs some of the degree-m Lyndon words with a matrix, one
+    column per word, whose rows are the tensor coefficients there of
+    homogeneous degree-m Lie elements; the caller guarantees that these have
+    no nonzero coefficient at another block's word.  blocks is read once, so
+    a generator can build each block as it is read; the blocks' words must
+    partition the Lyndon words of length m (checked once all are read).
+    Each part of units has one rank per word; rank additivity is checked
+    against the Witt rank.  With S the unit words and C the other degree-m
+    Lyndon words, the lattice spanned by e_S and J is Z^S (+) pi_C(J).  The
+    unitriangular change to tensor coefficients maps Z^S onto itself when no
+    standard bracketing P_s meets a Lyndon word outside S (true of the level
+    words; checked here).  So it is all of L^m iff one echelon of each
+    block's rows, with the C columns first, has a pivot of 1 in absolute
+    value in every C column (see docs/NOTES.md).
     """
     unit_words = {w for part in units for w in part}
     if not unit_words <= set(lyndon_words(nvars, m)):
@@ -534,14 +539,20 @@ def lattice_direct_sum_is_whole(
         for w, _ in _lyndon_bracket_terms(s):
             if w not in unit_words and is_lyndon(w):
                 raise LieError(f"the bracketing of the unit word {s} meets the Lyndon word {w}")
-    # stable: C, then S
-    ordered = [(sorted(words, key=lambda w: w in unit_words), rows) for words, rows in blocks]
+    seen: list[Word] = []
     rank_j = 0
     whole = True
-    for (words, _), lat in zip(ordered, block_lattices(ordered, nvars, m)):
+    for words, rows in blocks:
+        seen.extend(words)
+        if rows.shape[1] != len(words):
+            raise LieError(f"a block has {len(words)} words and {rows.shape[1]} columns")
+        # stable: C, then S
+        order = sorted(range(len(words)), key=lambda j: words[j] in unit_words)
+        lat = lattice_from_rows(rows.take(order, axis=1), len(words))
         c = sum(w not in unit_words for w in words)
         whole = whole and lat.pivot_col[:c] == list(range(c)) and all(p == 1 for p in lat.pivots()[:c])
         rank_j += lat.rank
+    _check_partition(seen, nvars, m)
     part_ranks = [len(part) for part in units] + [rank_j]
     return DirectSumReport(
         degree=m,

@@ -99,7 +99,7 @@ class TestL1Rank:
     def test_rows_equal_group_side(self, n, c):
         # derivation brackets against commutators formed in the group: same
         # rows, same order, same sign
-        assert johnson_rows(n, c) == group_johnson_rows(n, c, basic_commutators_In(n, c))
+        assert johnson_rows(n, c).tolist() == group_johnson_rows(n, c, basic_commutators_In(n, c))
 
     def test_factor_ranks_and_independence(self):
         # per-level pieces have the per-level Witt ranks and stack independently

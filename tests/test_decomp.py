@@ -1,5 +1,8 @@
+import hashlib
+import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pik.ajohnson import left_normed_step
@@ -7,6 +10,7 @@ from pik.decomp import (
     DecompError,
     Relator,
     RelatorSet,
+    _tensor_blocks,
     alphabet_size,
     build_psi,
     build_relators,
@@ -33,6 +37,7 @@ from pik.lie import (
     lyndon_words,
     witt,
 )
+from pik.magnus import NcPoly
 
 
 def lie_ideal_rows(relators, max_m):
@@ -44,6 +49,33 @@ def lie_ideal_rows(relators, max_m):
     for m in range(3, max_m + 1):
         rows[m] = left_normed_step(rows[m - 1], gens, bracket)
     return rows
+
+
+def mixed_relators(n):
+    """A kind-3 relator (multidegree e_i + e_j) plus [y(2,1), y(3,3)]
+    (e_1 + e_3) in its place: its rows join two multidegree blocks."""
+    rels = build_relators(n)
+    victim = rels.of_kind(3)[0]
+    mixed = victim.elem.coords.add(pair_bracket(n, 2, 1, 3, 3).coords)
+    swapped = replace(victim, elem=lie_from_tensor(alphabet_size(n), 2, mixed))
+    return RelatorSet(n, tuple(swapped if rel is victim else rel for rel in rels.relators))
+
+
+def assert_same_rows(blocks, elems, every_word):
+    """Each (words, matrix) block holds, in some order, the coefficients at its
+    words of the elements whose terms meet them; each element meets one
+    block, and with every_word all of its terms lie at that block's words."""
+    placed = [[] for _ in blocks]
+    for e in elems:
+        terms = e.coords.terms
+        hit = [b for b, (words, _) in enumerate(blocks) if any(w in terms for w in words)]
+        assert len(hit) == 1
+        if every_word:
+            assert terms.keys() <= set(blocks[hit[0]][0])
+        placed[hit[0]].append(terms)
+    for (words, mat), rows in zip(blocks, placed):
+        assert mat.shape == (len(rows), len(words))
+        assert sorted(mat.tolist()) == sorted([terms.get(w, 0) for w in words] for terms in rows)
 
 
 def lyndon_lattice(elems, k, m):
@@ -184,19 +216,23 @@ class TestIdeal:
                     if v.coords.terms:
                         assert nxt.contains(coordinate_row(v, index, dim))
 
-    @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
-    def test_rows_match_lie_brackets(self, n, max_m):
-        # the same spanning rows in the same order, each of one multidegree:
-        # its letters counted by conjugating index
-        conj = {letter(n, m, i): i for m in range(2, n + 1) for i in range(1, m + 1)}
-        got = ideal_rows_by_degree(build_relators(n), max_m)
-        want = lie_ideal_rows(build_relators(n), max_m)
-        assert got.keys() == want.keys()
-        for m, rows in got.items():
-            assert [terms for terms, _ in rows] == [e.coords.terms for e in want[m]]
-            for terms, degrees in rows:
-                seen = {tuple(sum(conj[a] == i for a in w) for i in range(1, n + 1)) for w in terms}
-                assert degrees == seen
+    @pytest.mark.parametrize(
+        "n,max_m,relators",
+        [(3, 4, build_relators), (4, 3, build_relators), (3, 4, mixed_relators), (4, 3, mixed_relators)],
+        ids=["3-4", "4-3", "3-4-mixed", "4-3-mixed"],
+    )
+    def test_rows_match_lie_brackets(self, n, max_m, relators):
+        # below the top degree, each tensor block holds the oracle's rows of
+        # its multidegrees at every word of the block; at every degree, each
+        # Lyndon block holds them at its Lyndon words
+        rels = relators(n)
+        want = lie_ideal_rows(rels, max_m)
+        for m, blocks in _tensor_blocks(rels, max_m - 1, np.int64):
+            assert_same_rows([(list(b.col), b.mat) for b in blocks], want[m], every_word=True)
+        got = ideal_rows_by_degree(rels, max_m)
+        assert list(got) == list(range(2, max_m + 1))
+        for m, blocks in got.items():
+            assert_same_rows(list(blocks), want[m], every_word=False)
 
 
 class TestTheoremDecomposition:
@@ -340,6 +376,37 @@ class TestAgainstStackedLattice:
         extra = Relator(1, n, 1, n, 2, pair_bracket(n, n, 1, n, 2))
         first = self.check(n, max_m, RelatorSet(n, rels.relators + (extra,)))
         assert first["rank_sum"] == first["rank_total"] + 1 and first["snf_ones"]
+
+    def test_relator_scaled_past_int64(self):
+        # The spanning rows' entries at most double per letter: at (3,5) the
+        # tensor rows of degree 4 reach 3c, so with c = 2**62 - 1 an int64
+        # build would wrap.  max|c| 2**(5 - 2) passes the int64 guard, so the
+        # blocks hold Python ints and the report is the exact one.
+        rels = build_relators(3)
+        victim = rels.of_kind(3)[0]
+        c = (1 << 62) - 1
+        terms = {w: c * x for w, x in victim.elem.coords.terms.items()}
+        big = replace(victim, elem=lie_from_tensor(alphabet_size(3), 2, NcPoly(5, 2, terms)))
+        scaled = RelatorSet(3, tuple(big if rel is victim else rel for rel in rels.relators))
+        blocks = ideal_rows_by_degree(scaled, 5).values()
+        assert all(mat.dtype == object for degree in blocks for _, mat in degree)
+        first = self.check(3, 5, scaled)
+        assert first["rank_sum"] == first["rank_total"] and not first["snf_ones"]
+
+
+# SHA-256 of the JSON of Th1Report.as_dict(), computed before J was built by
+# dense multidegree blocks.
+PINNED_TH1 = {
+    (3, 6): "0e256943438b08c86f17ca0caaad782beaf864fe4f5dd8560dd54f073082d75f",
+    (4, 4): "c90c578922a3d26efce6054e045b18aad49965cdcb6770f117c772bc09f448f0",
+    (5, 4): "c449092eb93869df2f10e70d71de79ae0081ed4e8cfd7bfaaa928e6d08d0d52a",
+}
+
+
+@pytest.mark.parametrize("n,max_m", sorted(PINNED_TH1))
+def test_th1_reports_are_pinned(n, max_m):
+    blob = json.dumps(verify_theorem_th1(n, max_m).as_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_TH1[(n, max_m)]
 
 
 class TestTildeT:

@@ -20,11 +20,13 @@ show.  The AST shows a receiver's class through:
   ``enumerate(...)`` of such iterables, or assigned a tuple of such values;
 * ``a or b`` of these, and a name bound only to these.
 
-A name bound to different classes can be any of them, and a read on it counts
-for each.  A name with one binding the AST does not type (a tuple target over
-anything else, a ``with`` target, a subscript of an untyped value) has no
-class shown.  Uses
-inside the name's own definition, such as recursion, do not count.
+A read on a name that an import binds to a pik module (``endos.is_identity``
+after ``from . import endos``) is a read of that module's own name, not of
+any method.  A name bound to different classes can be any of them, and a
+read on it counts for each.  A name with one binding the AST does not type
+(a tuple target over anything else, a ``with`` target, a subscript of an
+untyped value) has no class shown.  Uses inside the name's own definition,
+such as recursion, do not count.
 """
 
 import ast
@@ -256,6 +258,17 @@ class _Types:
         return out
 
 
+def _module_names(tree: ast.Module, stems: set[str]) -> set[str]:
+    """Local names that an import binds to one of the lib modules."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and _pik_module(node) == ""
+        for alias in node.names
+        if alias.name in stems
+    }
+
+
 def unread_methods(lib: dict[str, ast.Module], others: list[ast.Module]) -> set[tuple[str, str, str]]:
     """(module, class, method) of every non-dunder method of a top-level
     class of the lib modules whose name nothing else reads as an attribute
@@ -281,8 +294,11 @@ def unread_methods(lib: dict[str, ast.Module], others: list[ast.Module]) -> set[
     has_method = {(cls, name) for _, cls, name in methods}
     reads: dict[tuple["str | None", str], list[ast.Attribute]] = {}
     for tree in trees:
+        modules = _module_names(tree, set(lib))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    continue  # a module's own name, which uncalled() checks
                 owners = receiver.get(id(node), ())
                 keys = [(cls, node.attr) for cls in owners]
                 if not keys or any(key not in has_method for key in keys):
@@ -459,5 +475,16 @@ def test_tuple_targets_over_zip_and_enumerate():
         "        out.append(o.total())\n"
         "    x, y = wholes()[0], others[0]\n"
         "    return out, x.size(), y.total(), a, b, i\n"
+    )
+    assert unread_methods(lib, [other]) == {("reports", "Dead", "as_dict"), ("reports", "Dead", "size")}
+
+
+def test_module_attribute_is_not_a_method_read():
+    # helpers.size() reads the module function size, so Live.size (read on
+    # self) is live and Dead.size, which shares the name, is unread
+    lib = {"reports": ast.parse(FIXTURE["reports"]), "helpers": ast.parse("def size():\n    return 0\n")}
+    other = ast.parse(
+        "from . import helpers\nfrom .reports import Dead, Live\n\n\n"
+        "def f():\n    return helpers.size(), Live().as_dict(), Dead()\n"
     )
     assert unread_methods(lib, [other]) == {("reports", "Dead", "as_dict"), ("reports", "Dead", "size")}

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +33,14 @@ def scaled(p, k):
 def one_block(elems, nvars, m):
     """All degree-m Lyndon words as one block, holding the elements' tensor terms."""
     return [(lyndon_words(nvars, m), [e.coords.terms for e in elems])]
+
+
+def one_matrix(elems, nvars, m):
+    """All degree-m Lyndon words as one block, with the elements' tensor
+    coefficients there as the rows of a matrix of Python ints."""
+    words = lyndon_words(nvars, m)
+    rows = [[e.coords.terms.get(w, 0) for w in words] for e in elems]
+    return [(words, np.array(rows, dtype=object).reshape(len(elems), len(words)))]
 
 
 def brute_lyndon_words(nvars, m):
@@ -234,7 +243,7 @@ class TestIntLattice:
         (lat,) = block_lattices(one_block(huge + basis[:1], 3, 3), 3, 3)
         assert lat.rank == witt(3, 3)
         assert lat.pivots() == [1] + [1 << 70] * (witt(3, 3) - 1)
-        rep = lattice_direct_sum_is_whole(one_block(huge[1:], 3, 3), [lyndon_words(3, 3)[:1]], 3, 3)
+        rep = lattice_direct_sum_is_whole(one_matrix(huge[1:], 3, 3), [lyndon_words(3, 3)[:1]], 3, 3)
         assert rep.rank_sum == witt(3, 3) and not rep.stacked_unimodular
 
 
@@ -249,15 +258,15 @@ class TestGradedLattices:
         # the whole basis as J with no unit part, and as one unit part with J empty
         basis = lyndon_basis(3, 2)
         for j, units in ((basis, []), ([], [lyndon_words(3, 2)])):
-            rep = lattice_direct_sum_is_whole(one_block(j, 3, 2), units, 3, 2)
+            rep = lattice_direct_sum_is_whole(one_matrix(j, 3, 2), units, 3, 2)
             assert rep.ok and rep.rank_sum == witt(3, 2)
 
     def test_units_closed_under_bracketing(self):
         # P_(1,2,3) = [1,[2,3]] has the Lyndon word (1,3,2) among its terms,
         # so its unit vector does not survive the change to tensor coefficients
         with pytest.raises(LieError, match="meets the Lyndon word"):
-            lattice_direct_sum_is_whole(one_block([], 3, 3), [[(1, 2, 3)]], 3, 3)
-        rep = lattice_direct_sum_is_whole(one_block([], 3, 3), [[(1, 2, 3), (1, 3, 2)]], 3, 3)
+            lattice_direct_sum_is_whole(one_matrix([], 3, 3), [[(1, 2, 3)]], 3, 3)
+        rep = lattice_direct_sum_is_whole(one_matrix([], 3, 3), [[(1, 2, 3), (1, 3, 2)]], 3, 3)
         assert rep.rank_sum == 2 and not rep.stacked_unimodular
 
     def test_equal_spans(self):
@@ -279,3 +288,18 @@ class TestGradedLattices:
             block_lattices([(split[0], [a.coords.terms])], 2, 3)
         ok = block_lattices([(split[0], [a.coords.terms]), (split[1], [b.coords.terms])], 2, 3)
         assert [lat.rank for lat in ok] == [1, 1]
+
+    def test_direct_sum_blocks_checked_once_read(self):
+        # blocks are read once, so a generator is accepted; blocks that miss
+        # a word, repeat one, or give a matrix of the wrong width are refused
+        words = lyndon_words(2, 3)
+        rows = np.array([[1, 0], [0, 1]], dtype=np.int64)
+        blocks = ((words[j : j + 1], rows[j : j + 1, j : j + 1]) for j in range(2))
+        rep = lattice_direct_sum_is_whole(blocks, [], 2, 3)
+        assert rep.ok
+        with pytest.raises(LieError, match="partition"):
+            lattice_direct_sum_is_whole([(words[:1], rows[:1, :1])], [], 2, 3)
+        with pytest.raises(LieError, match="partition"):
+            lattice_direct_sum_is_whole([(words, rows), (words[:1], rows[:0, :1])], [], 2, 3)
+        with pytest.raises(LieError, match="columns"):
+            lattice_direct_sum_is_whole([(words, rows[:, :1])], [], 2, 3)
