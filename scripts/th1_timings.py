@@ -4,8 +4,8 @@
 Each case (n, m) runs ``decomp.verify_theorem_th1(n, m)`` in a fresh Python
 process, so no cache survives from one run to the next.  The child reports
 the wall time of the call and its peak RSS (``ru_maxrss``, which includes
-the interpreter and numpy).  The record for a label is the median of the
-repeats for each case, next to the raw runs.
+the interpreter and numpy).  The record for a label is the median of
+REPEAT runs for each case, next to the raw runs.
 
 Give each tree to compare as LABEL=SRC; the runs alternate between the
 trees, starting with a different one at each repeat, so drift in the
@@ -14,7 +14,7 @@ machine's speed falls on all of them alike:
     python scripts/th1_timings.py --tree before=../old/src --tree after=src
 
 With no --tree the checkout's own src is timed as "after".  Each label
-replaces its own record in the output file and keeps the others.
+replaces its own record in BENCH_th1.json and keeps the others.
 """
 
 import argparse
@@ -28,6 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ((3, 6), (4, 4), (4, 5), (5, 4))
+REPEAT = 3
+OUT = ROOT / "BENCH_th1.json"
 
 CHILD = """
 import json, resource, sys, time
@@ -57,11 +59,7 @@ def run_case(src: Path, n: int, m: int) -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC", help="a labelled pik source tree")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_th1.json")
-    parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv[1:])
-    if args.repeat < 1:
-        parser.error(f"--repeat must be at least 1, got {args.repeat}")
     trees = {}
     for spec in args.tree or [f"after={ROOT / 'src'}"]:
         label, sep, src = spec.partition("=")
@@ -72,7 +70,7 @@ def main(argv: list[str]) -> int:
     numpy_version = None
     for n, m in CASES:
         runs = {label: [] for label in trees}
-        for r in range(args.repeat):
+        for r in range(REPEAT):
             labels = list(trees)[r % len(trees) :] + list(trees)[: r % len(trees)]
             for label in labels:
                 runs[label].append(run_case(trees[label], n, m))
@@ -87,7 +85,7 @@ def main(argv: list[str]) -> int:
                 "runs_peak_rss_mb": [round(g["peak_rss_mb"], 1) for g in got],
             }
             print(f"{label}: ({n},{m}) {case['wall_s']} s, {case['peak_rss_mb']} MB")
-    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
+    bench = json.loads(OUT.read_text()) if OUT.exists() else {}
     bench["what"] = "verify_theorem_th1(n, m) wall time and peak RSS, median of fresh processes"
     bench["machine"] = {
         "python": platform.python_version(),
@@ -96,7 +94,7 @@ def main(argv: list[str]) -> int:
         "platform": platform.platform(),
     }
     bench.setdefault("runs", {}).update(records)
-    args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    OUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     return 0
 
 

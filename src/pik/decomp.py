@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -424,11 +424,13 @@ def _empty(parts: Sequence[list[Word]], dtype: type) -> list[Block]:
     return [(words, np.zeros((0, len(words)), dtype=dtype)) for words in parts]
 
 
-def _cut(n: int, m: int, blocks: Sequence[_TensorBlock], dtype: type) -> list[Block]:
-    """J^m read at its Lyndon words: the tensor blocks cut to them."""
+def _cut(n: int, m: int, blocks: Sequence[_TensorBlock], dtype: type) -> Iterator[Block]:
+    """J^m read at its Lyndon words: the tensor blocks cut to them, one block
+    at a time."""
     parts = _lyndon_parts(n, m, [b.degrees for b in blocks])
-    cut = [(words, b.mat.take([b.col[w] for w in words], axis=1)) for b, words in zip(blocks, parts)]
-    return cut + _empty(parts[len(blocks) :], dtype)
+    for b, words in zip(blocks, parts):
+        yield words, b.mat.take([b.col[w] for w in words], axis=1)
+    yield from _empty(parts[len(blocks) :], dtype)
 
 
 def _gathered(n: int, m: int, below: Sequence[_TensorBlock], dtype: type) -> Iterator[Block]:
@@ -454,30 +456,30 @@ def _gathered(n: int, m: int, below: Sequence[_TensorBlock], dtype: type) -> Ite
     yield from _empty(parts[len(classes) :], dtype)
 
 
-def ideal_rows_by_degree(relators: RelatorSet, max_m: int) -> dict[int, Iterable[Block]]:
-    """J^m for 2 <= m <= max_m, block by block: each block's Lyndon words, and
-    its spanning rows' tensor coefficients at them, one matrix row each.
+def ideal_rows_by_degree(relators: RelatorSet, max_m: int) -> Iterator[tuple[int, Iterator[Block]]]:
+    """J^m for 2 <= m <= max_m, degree by degree and block by block: each
+    block's Lyndon words, and its spanning rows' tensor coefficients at them,
+    one matrix row each.
 
     The blocks of each degree partition its Lyndon words; a row has no
     nonzero coefficient at a Lyndon word outside its block.  Below the top
     degree the rows are J's tensor blocks cut to their Lyndon columns.  The
-    top degree is gathered from degree max_m - 1 with no tensor block, one
-    block at a time as it is read, so it can be read once.  Bracketing with
-    a letter at most doubles an entry, so the matrices hold Python ints when
+    top degree is gathered from degree max_m - 1 with no tensor block.  All
+    of it is one pass: each degree's blocks are made as they are read, and
+    lattice_from_rows echelonizes a matrix in place.  Bracketing with a
+    letter at most doubles an entry, so the matrices hold Python ints when
     max|coeff| 2^(max_m - 2) could pass the int64 guard.
     """
     if max_m < 2:
-        return {}
+        return
     n = relators.n
     coeffs = [abs(c) for rel in relators.relators for c in rel.elem.coords.terms.values()]
     dtype = np.int64 if max(coeffs, default=0) << (max_m - 2) <= _INT64_GUARD else object
-    out: dict[int, Iterable[Block]] = {}
     below: list[_TensorBlock] = []
     for m, below in _tensor_blocks(relators, max(2, max_m - 1), dtype):
-        out[m] = _cut(n, m, below, dtype)
+        yield m, _cut(n, m, below, dtype)
     if max_m > 2:
-        out[max_m] = _gathered(n, max_m, below, dtype)
-    return out
+        yield max_m, _gathered(n, max_m, below, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +544,7 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
     k = alphabet_size(n)
     levels = [level_letters(n, i) for i in range(2, n + 1)]
     reports = []
-    for m, blocks in ideal_rows_by_degree(rels, max_m).items():
+    for m, blocks in ideal_rows_by_degree(rels, max_m):
         # a Lyndon word on one level's letters is Lyndon on the whole ordered
         # alphabet with the same bracketing, so L^m(Y_i) is spanned by unit
         # Lyndon vectors
@@ -663,7 +665,7 @@ def verify_tilde_T(n: int, max_m: int) -> TildeTReport:
         raise DecompError(f"need max degree >= 2, got {max_m}")
     k = alphabet_size(n)
     reports = []
-    for m, blocks in ideal_rows_by_degree(build_relators(n), max_m).items():
+    for m, blocks in ideal_rows_by_degree(build_relators(n), max_m):
         j_blocks = list(blocks)
         per_r = [t_r_rows(n, r, m) for r in range(2, n)]
         stacked = [row for rows in per_r for row in rows]
@@ -715,10 +717,12 @@ def gr_rank_table(n: int, max_c: int) -> list[RankRow]:
     """
     if max_c < 1:
         raise DecompError(f"need max degree >= 1, got {max_c}")
-    j_blocks = ideal_rows_by_degree(build_relators(n), max_c)
+    rank_j = {
+        c: sum(lattice_from_rows(mat, len(words)).rank for words, mat in blocks)
+        for c, blocks in ideal_rows_by_degree(build_relators(n), max_c)
+    }
     out = []
     for c in range(1, max_c + 1):
         factors = sum(witt(i, c) for i in range(2, n + 1))
-        rank_j = sum(lattice_from_rows(mat, len(words)).rank for words, mat in j_blocks.get(c, ()))
-        out.append(RankRow(c, factors, witt(alphabet_size(n), c) - rank_j))
+        out.append(RankRow(c, factors, witt(alphabet_size(n), c) - rank_j.get(c, 0)))
     return out
