@@ -13,9 +13,7 @@ from .igroup import IElem, abelianize, gen_elem, iinv, imul, to_endo, word_probl
 from .conj import ConjResult, SearchBudget, conjugacy
 from .lie import LieElem, bracket, lyndon_basis, witt
 from .decomp import (
-    PsiMap,
     RelatorSet,
-    build_psi,
     build_relators,
     gr_rank_table,
     verify_psi_automorphism,
@@ -34,12 +32,10 @@ __all__ = [
     "ConjResult",
     "SearchBudget",
     "LieElem",
-    "PsiMap",
     "RelatorSet",
     "abelianize",
     "apply",
     "bracket",
-    "build_psi",
     "build_relators",
     "check_mccool_relations",
     "chi",

@@ -47,17 +47,8 @@ def left_normed(gens: Sequence[T], c: int, comm: Callable[[T, T], T]) -> list[T]
         return list(gens)
     out = [comm(gens[a], gens[b]) for a in range(len(gens)) for b in range(a)]
     for _ in range(c - 2):
-        out = left_normed_step(out, gens, comm)
+        out = [comm(h, g) for h in out for g in gens]
     return out
-
-
-def left_normed_step(heads: Sequence[T], tails: Sequence[T], comm: Callable[[T, T], T]) -> list[T]:
-    """[h, t] for each head h, then each tail t.
-
-    Extending a list of left-normed commutators this way forms each prefix
-    once, in the order of itertools.product over (heads, tails).
-    """
-    return [comm(h, t) for h in heads for t in tails]
 
 
 def _generator_derivation(n: int, m: int, i: int) -> Derivation:

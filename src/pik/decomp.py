@@ -2,9 +2,10 @@
 
 The free Lie algebra L on the k = (n-1)(n+2)/2 letters y(2,1) < y(2,2) <
 y(3,1) < ... < y(n,n) carries the degree-2 relator set of the group's
-presentation.  This module builds that relator set, the per-level maps that
-realize it (cases F1-F3 below), the graded pieces of the ideal J it
-generates, and exact lattice certificates for the decomposition
+presentation.  This module builds that relator set, checks that its level-r
+part realizes the paper's per-level maps (cases F1-F3 below), builds the
+graded pieces of the ideals it generates, and gives exact lattice
+certificates for the decomposition
 
     L^m  =  ( + L^m(Y_2) ... + L^m(Y_n) )  (+)  J^m
 
@@ -17,28 +18,25 @@ splits into multidegree blocks, one echelon each.  Each block of J^m is a
 dense integer matrix over all words of its multidegrees, stacked from the
 blocks of J^{m-1} bracketed with one letter each; the top degree is
 gathered straight at its Lyndon words, and every degree is read there (see
-docs/NOTES.md).  The T_r rows stay tensor term dicts, read in J's blocks.
+docs/NOTES.md).  T_r is the ideal of L(U_r) generated by the level-r
+relators, so one builder makes J and every T_r, bracketing with every
+letter or with the letters of U_r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ajohnson import left_normed_step
 from .igroup import gen_index, rank_of_abelianization
 from .lie import (
     _INT64_GUARD,
     DirectSumReport,
-    IntLattice,
     LieElem,
-    Terms,
     Word,
-    block_lattices,
     bracket_word,
     coordinate_row,
     lattice_direct_sum_is_whole,
@@ -46,15 +44,12 @@ from .lie import (
     lie_from_tensor,
     lyndon_index,
     lyndon_words,
-    tensor_bracket,
     witt,
 )
 
 # The number of letters of each conjugating index 1..n: deg y(m, i) = e_i.
 Multidegree = tuple[int, ...]
-# A spanning row of an ideal: its tensor terms, and the multidegrees they may have.
-Row = tuple[Terms, frozenset[Multidegree]]
-# A block of J^m: its Lyndon words, and its spanning rows' coefficients at them.
+# A block of J^m or T_r^m: its Lyndon words, and its spanning rows' coefficients at them.
 Block = tuple[list[Word], np.ndarray]
 
 
@@ -123,6 +118,10 @@ class RelatorSet:
     def of_kind(self, kind: int) -> list[Relator]:
         return [rel for rel in self.relators if rel.kind == kind]
 
+    def level(self, r: int) -> "RelatorSet":
+        """The level-r relators, those with lower index r."""
+        return RelatorSet(self.n, tuple(rel for rel in self.relators if rel.r == r))
+
 
 def build_relators(n: int) -> RelatorSet:
     if n < 2:
@@ -147,46 +146,16 @@ def build_relators(n: int) -> RelatorSet:
 
 
 # ---------------------------------------------------------------------------
-# The per-level maps psi_{2,r} on the pair basis [U_{r+1}, Y_r]:
+# The paper's per-level maps psi_{2,r} on the pair basis [U_{r+1}, Y_r]:
 #   (F1) [y(m,i), y(r,i)]  |->  [y(m,i), y(r,i)]
 #   (F2) [y(m,i), y(r,j)]  |->  [y(m,i), y(r,j)]              (i > r)
 #   (F3) [y(m,i), y(r,j)]  |->  [y(m,i), y(r,j)] - [y(m,i), y(m,j)]
 #                                                     (i <= r, j != i)
-# The projection to the pair block is the identity, so the induced map on
-# [U_{r+1}, Y_r] is unimodular; the corrections lie in degree 2 of U_{r+1}.
+# are the level-r relators of kinds 1, 2 and 3, the pair (m, nu, l) being
+# (rel.m, rel.i, rel.j).  The projection to the pair block is the identity,
+# so the induced map on [U_{r+1}, Y_r] is unimodular; the corrections lie in
+# degree 2 of U_{r+1}.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PsiMap:
-    n: int
-    r: int
-    domain: tuple[tuple[int, int, int], ...]  # (m, nu, l): pair [y(m,nu), y(r,l)]
-    images: tuple[LieElem, ...]
-
-
-def psi_image(n: int, r: int, m: int, nu: int, l: int) -> LieElem:
-    if not (2 <= r < m <= n and 1 <= nu <= m and 1 <= l <= r):
-        raise DecompError(f"pair [y({m},{nu}), y({r},{l})] outside the psi domain")
-    if nu == l:
-        return pair_bracket(n, m, nu, r, l)
-    if nu > r:
-        return pair_bracket(n, m, nu, r, l)
-    diff = pair_bracket(n, m, nu, r, l).coords.sub(pair_bracket(n, m, nu, m, l).coords)
-    return lie_from_tensor(alphabet_size(n), 2, diff)
-
-
-def build_psi(n: int, r: int) -> PsiMap:
-    if not 2 <= r <= n - 1:
-        raise DecompError(f"need 2 <= r <= {n - 1}, got {r}")
-    domain = []
-    images = []
-    for m in range(r + 1, n + 1):
-        for nu in range(1, m + 1):
-            for l in range(1, r + 1):
-                domain.append((m, nu, l))
-                images.append(psi_image(n, r, m, nu, l))
-    return PsiMap(n, r, tuple(domain), tuple(images))
 
 
 @dataclass(frozen=True)
@@ -202,26 +171,27 @@ class PsiReport:
 
 
 def verify_psi_automorphism(n: int, r: int) -> PsiReport:
-    """The pair-block of psi is the identity (hence unimodular) and psi is 1-1."""
-    psi = build_psi(n, r)
+    """The pair-block of psi_{2,r} is the identity (hence unimodular) and
+    psi_{2,r} is 1-1: read off the level-r relators."""
+    if not 2 <= r <= n - 1:
+        raise DecompError(f"need 2 <= r <= {n - 1}, got {r}")
+    level = build_relators(n).level(r).relators
     k = alphabet_size(n)
     index = lyndon_index(k, 2)
     dim = len(index)
     y_r = set(level_letters(n, r))
     u_r1 = set(upper_letters(n, r + 1))
     # pair (m,nu,l) corresponds to the Lyndon word (letter(r,l), letter(m,nu))
-    pair_pos = {
-        (m, nu, l): index[(letter(n, r, l), letter(n, m, nu))] for (m, nu, l) in psi.domain
-    }
+    pair_pos = {(rel.m, rel.i, rel.j): index[(letter(n, r, rel.j), letter(n, rel.m, rel.i))] for rel in level}
     block_identity = True
     rows = []
-    for (m, nu, l), im in zip(psi.domain, psi.images):
-        row = coordinate_row(im, index, dim)
+    for rel in level:
+        row = coordinate_row(rel.elem, index, dim)
         rows.append(row)
         # the pair block: coordinates on Lyndon words mixing Y_r and U_{r+1};
         # sign flip because [y_u, y_t] = -P_(t,u) for t < u.
-        for (m2, nu2, l2), pos in pair_pos.items():
-            expected = -1 if (m2, nu2, l2) == (m, nu, l) else 0
+        for pair, pos in pair_pos.items():
+            expected = -1 if pair == (rel.m, rel.i, rel.j) else 0
             if row[pos] != expected:
                 block_identity = False
         for w, pos in index.items():
@@ -235,22 +205,22 @@ def verify_psi_automorphism(n: int, r: int) -> PsiReport:
         n=n,
         r=r,
         block_is_identity=block_identity,
-        injective=lat.rank == len(psi.domain),
+        injective=lat.rank == len(level),
     )
 
 
 # ---------------------------------------------------------------------------
-# Graded pieces of the ideal J generated by the relators (all of degree 2).
-# Left-normed spanning: J^m is spanned by [s, t_1, ..., t_{m-2}] with s a
-# relator and the t's single letters; bracketing with longer elements reduces
-# to this by the Jacobi identity [x,[y,z]] = [x,y,z] - [x,z,y].
+# Graded pieces of the ideal generated by some relators (all of degree 2) in
+# the free Lie algebra on some letters: J in L, and T_r in L(U_r).
+# Left-normed spanning: the degree-m piece is spanned by [s, t_1, ..., t_{m-2}]
+# with s a relator and the t's single letters; bracketing with longer elements
+# reduces to this by the Jacobi identity [x,[y,z]] = [x,y,z] - [x,z,y].
 #
 # Each relator kind is homogeneous (kind 3's two brackets both have degree
 # e_i + e_j), and bracketing with a letter of conjugating index i adds e_i,
-# so J^m splits into multidegree blocks.  J^m is built block by block as
-# dense integer matrices over each block's words, from the blocks of
-# J^{m-1}; the top degree is gathered straight at its Lyndon words.  The
-# T_r rows stay tensor term dicts, each with the multidegrees it may have.
+# so each piece splits into multidegree blocks.  It is built block by block
+# as dense integer matrices over each block's words, from the blocks of the
+# degree below; the top degree is gathered straight at its Lyndon words.
 # ---------------------------------------------------------------------------
 
 
@@ -312,8 +282,9 @@ def _classes(groups: Sequence[frozenset[Multidegree]]) -> tuple[list[frozenset[M
 
 @dataclass(frozen=True)
 class _TensorBlock:
-    """Spanning rows of J^m on one class of multidegrees, dense over all of
-    the class's words; col maps each word, in lexicographic order, to its column."""
+    """Spanning rows of an ideal's degree-m piece on one class of
+    multidegrees, dense over all of the class's words; col maps each word,
+    in lexicographic order, to its column."""
 
     degrees: frozenset[Multidegree]
     col: dict[Word, int]
@@ -332,14 +303,16 @@ def _shifted(degrees: frozenset[Multidegree], i: int) -> frozenset[Multidegree]:
 Feed = list[tuple[_TensorBlock, int]]
 
 
-def _feeds(n: int, below: Sequence[_TensorBlock]) -> tuple[list[frozenset[Multidegree]], list[Feed]]:
-    """The classes of J^m reached from the blocks of J^{m-1} by one letter,
-    and for each class the (block, letter) pairs that reach it."""
+def _feeds(
+    n: int, below: Sequence[_TensorBlock], letters: Sequence[int]
+) -> tuple[list[frozenset[Multidegree]], list[Feed]]:
+    """The classes of degree m reached from the blocks of degree m - 1 by
+    one letter, and for each class the (block, letter) pairs that reach it."""
     conj = _conjugating_index(n)
     classes, of_shift = _classes([_shifted(b.degrees, i) for b in below for i in range(n)])
     feeds: list[Feed] = [[] for _ in classes]
     for s, b in enumerate(below):
-        for a in range(1, len(conj)):
+        for a in letters:
             feeds[of_shift[s * n + conj[a] - 1]].append((b, a))
     return classes, feeds
 
@@ -359,14 +332,16 @@ def _stacks(
 
 
 def _tensor_blocks(
-    relators: RelatorSet, top: int, dtype: type
+    relators: RelatorSet, top: int, dtype: type, letters: Sequence[int]
 ) -> Iterator[tuple[int, list[_TensorBlock]]]:
-    """J^m for 2 <= m <= top in tensor coordinates, one block per class.
+    """The ideal's degree-m pieces for 2 <= m <= top in tensor coordinates,
+    one block per class.
 
     Degree 2 is the relators' terms, their multidegrees joined by union-find.
-    Block t of J^m stacks, for each block b of J^{m-1} and each letter a
-    sending it to t, the rows x of b bracketed as x a - a x: the column of
-    u a gets +x(u) and that of a u gets -x(u), both maps injective on words.
+    Block t of degree m stacks, for each block b of degree m - 1 and each of
+    the letters a sending it to t, the rows x of b bracketed as x a - a x:
+    the column of u a gets +x(u) and that of a u gets -x(u), both maps
+    injective on words.
     """
     n = relators.n
     rows = [rel.elem.coords.terms for rel in relators.relators if rel.elem.coords.terms]
@@ -382,7 +357,7 @@ def _tensor_blocks(
         blocks.append(_TensorBlock(degrees, col, mat))
     yield 2, blocks
     for m in range(3, top + 1):
-        classes, feeds = _feeds(n, blocks)
+        classes, feeds = _feeds(n, blocks, letters)
         blocks = []
         for degrees, feed in zip(classes, feeds):
             col = _class_columns(n, degrees)
@@ -392,19 +367,6 @@ def _tensor_blocks(
                 part[:, [col[(a,) + u] for u in b.col]] -= b.mat
             blocks.append(_TensorBlock(degrees, col, mat))
         yield m, blocks
-
-
-def _row(n: int, e: LieElem) -> Row:
-    terms = e.coords.terms
-    return terms, frozenset(_multidegree(n, w) for w in terms)
-
-
-def _letter_rows(n: int, letters: Sequence[int]) -> list[Row]:
-    return [({(a,): 1}, frozenset({_multidegree(n, (a,))})) for a in letters]
-
-
-def _bracket_rows(a: Row, b: Row) -> Row:
-    return tensor_bracket(a[0], b[0]), frozenset(tuple(map(add, x, y)) for x in a[1] for y in b[1])
 
 
 def _lyndon_parts(n: int, m: int, classes: Sequence[frozenset[Multidegree]]) -> list[list[Word]]:
@@ -425,19 +387,21 @@ def _empty(parts: Sequence[list[Word]], dtype: type) -> list[Block]:
 
 
 def _cut(n: int, m: int, blocks: Sequence[_TensorBlock], dtype: type) -> Iterator[Block]:
-    """J^m read at its Lyndon words: the tensor blocks cut to them, one block
-    at a time."""
+    """A degree-m piece read at its Lyndon words: the tensor blocks cut to
+    them, one block at a time."""
     parts = _lyndon_parts(n, m, [b.degrees for b in blocks])
     for b, words in zip(blocks, parts):
         yield words, b.mat.take([b.col[w] for w in words], axis=1)
     yield from _empty(parts[len(blocks) :], dtype)
 
 
-def _gathered(n: int, m: int, below: Sequence[_TensorBlock], dtype: type) -> Iterator[Block]:
-    """J^m read at its Lyndon words, gathered from the blocks of J^{m-1} one
-    block at a time: row [x, a] has x(w[:-1]) at w when w ends with a, less
-    x(w[1:]) when w starts with a."""
-    classes, feeds = _feeds(n, below)
+def _gathered(
+    n: int, m: int, below: Sequence[_TensorBlock], dtype: type, letters: Sequence[int]
+) -> Iterator[Block]:
+    """A degree-m piece read at its Lyndon words, gathered from the blocks
+    of degree m - 1 one block at a time: row [x, a] has x(w[:-1]) at w when w
+    ends with a, less x(w[1:]) when w starts with a."""
+    classes, feeds = _feeds(n, below, letters)
     parts = _lyndon_parts(n, m, classes)
     for words, feed in zip(parts, feeds):
         ends: dict[int, list[tuple[int, Word]]] = {}
@@ -456,19 +420,22 @@ def _gathered(n: int, m: int, below: Sequence[_TensorBlock], dtype: type) -> Ite
     yield from _empty(parts[len(classes) :], dtype)
 
 
-def ideal_rows_by_degree(relators: RelatorSet, max_m: int) -> Iterator[tuple[int, Iterator[Block]]]:
-    """J^m for 2 <= m <= max_m, degree by degree and block by block: each
-    block's Lyndon words, and its spanning rows' tensor coefficients at them,
-    one matrix row each.
+def ideal_rows_by_degree(
+    relators: RelatorSet, max_m: int, letters: Sequence[int]
+) -> Iterator[tuple[int, Iterator[Block]]]:
+    """The ideal generated by relators in the free Lie algebra on letters,
+    for 2 <= m <= max_m, degree by degree and block by block: each block's
+    Lyndon words, and its spanning rows' tensor coefficients at them, one
+    matrix row each.  J brackets with every letter; T_r with those of U_r.
 
     The blocks of each degree partition its Lyndon words; a row has no
     nonzero coefficient at a Lyndon word outside its block.  Below the top
-    degree the rows are J's tensor blocks cut to their Lyndon columns.  The
-    top degree is gathered from degree max_m - 1 with no tensor block.  All
-    of it is one pass: each degree's blocks are made as they are read, and
-    lattice_from_rows echelonizes a matrix in place.  Bracketing with a
-    letter at most doubles an entry, so the matrices hold Python ints when
-    max|coeff| 2^(max_m - 2) could pass the int64 guard.
+    degree the rows are the ideal's tensor blocks cut to their Lyndon
+    columns.  The top degree is gathered from degree max_m - 1 with no tensor
+    block.  All of it is one pass: each degree's blocks are made as they are
+    read, and lattice_from_rows echelonizes a matrix in place.  Bracketing
+    with a letter at most doubles an entry, so the matrices hold Python ints
+    when max|coeff| 2^(max_m - 2) could pass the int64 guard.
     """
     if max_m < 2:
         return
@@ -476,10 +443,10 @@ def ideal_rows_by_degree(relators: RelatorSet, max_m: int) -> Iterator[tuple[int
     coeffs = [abs(c) for rel in relators.relators for c in rel.elem.coords.terms.values()]
     dtype = np.int64 if max(coeffs, default=0) << (max_m - 2) <= _INT64_GUARD else object
     below: list[_TensorBlock] = []
-    for m, below in _tensor_blocks(relators, max(2, max_m - 1), dtype):
+    for m, below in _tensor_blocks(relators, max(2, max_m - 1), dtype, letters):
         yield m, _cut(n, m, below, dtype)
     if max_m > 2:
-        yield max_m, _gathered(n, max_m, below, dtype)
+        yield max_m, _gathered(n, max_m, below, dtype, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +511,7 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
     k = alphabet_size(n)
     levels = [level_letters(n, i) for i in range(2, n + 1)]
     reports = []
-    for m, blocks in ideal_rows_by_degree(rels, max_m):
+    for m, blocks in ideal_rows_by_degree(rels, max_m, range(1, k + 1)):
         # a Lyndon word on one level's letters is Lyndon on the whole ordered
         # alphabet with the same bracketing, so L^m(Y_i) is spanned by unit
         # Lyndon vectors
@@ -563,50 +530,6 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
 
 
 # -- the per-level ideals T_r -----------------------------------------------
-
-
-def _c_elements(n: int, r: int, kappa: int) -> list[Row]:
-    """The degree-kappa generators of T_r: psi images with Y_r then U_{r+1} tails."""
-    y_tail = _letter_rows(n, level_letters(n, r))
-    u_tail = _letter_rows(n, upper_letters(n, r + 1))
-    heads = [_row(n, e) for e in build_psi(n, r).images]
-    out = []
-    for a in range(kappa - 1):  # a letters of Y_r, then kappa - 2 - a of U_{r+1}
-        if a:
-            heads = left_normed_step(heads, y_tail, _bracket_rows)
-        elems = heads
-        for _ in range(kappa - 2 - a):
-            elems = left_normed_step(elems, u_tail, _bracket_rows)
-        out.extend(elems)
-    return out
-
-
-def _compositions(m: int, min_part: int = 2):
-    if m == 0:
-        yield ()
-        return
-    for first in range(min_part, m + 1):
-        for rest in _compositions(m - first, min_part):
-            yield (first,) + rest
-
-
-def t_r_rows(n: int, r: int, m: int) -> list[Row]:
-    """Spanning set of the degree-m piece of T_r: left-normed products of
-    generators of T_r with degrees composing m."""
-    cache: dict[int, list[Row]] = {}
-
-    def c_of(kappa: int) -> list[Row]:
-        if kappa not in cache:
-            cache[kappa] = _c_elements(n, r, kappa)
-        return cache[kappa]
-
-    rows: list[Row] = []
-    for comp in _compositions(m):
-        elems = c_of(comp[0])
-        for kappa in comp[1:]:
-            elems = left_normed_step(elems, c_of(kappa), _bracket_rows)
-        rows.extend(row for row in elems if row[0])  # drop zero rows
-    return rows
 
 
 @dataclass(frozen=True)
@@ -644,44 +567,54 @@ class TildeTReport:
         return {"n": self.n, "ok": self.ok, "per_degree": [d.as_dict() for d in self.degrees]}
 
 
-def _in_blocks(
-    n: int, blocks: Sequence[Block], rows: Sequence[Row]
-) -> list[tuple[list[Word], list[Terms]]]:
-    """The rows grouped by the block of J that holds one of their
-    multidegrees; block_lattices refuses a row that meets a Lyndon word of
-    another block."""
-    block_of = {_multidegree(n, w): b for b, (words, _) in enumerate(blocks) for w in words}
-    grouped: list[list[Terms]] = [[] for _ in blocks]
-    for terms, degrees in rows:
-        grouped[block_of[next(iter(degrees))]].append(terms)
-    return [(words, g) for (words, _), g in zip(blocks, grouped)]
+def _by_words(blocks: Iterator[Block]) -> Iterator[tuple[tuple[Word, ...], np.ndarray]]:
+    """A degree's blocks keyed by their Lyndon words, one at a time; a block
+    with no word holds nothing."""
+    return ((tuple(words), mat) for words, mat in blocks if words)
 
 
 def verify_tilde_T(n: int, max_m: int) -> TildeTReport:
-    """Certify that the T_r pieces sum directly to J, degree by degree."""
+    """Certify that the T_r pieces sum directly to J, degree by degree.
+
+    T_r is the ideal of L(U_r) generated by the level-r relators (see
+    docs/NOTES.md), so J and each T_r come from the one ideal builder.  All
+    of them split into the same multidegree blocks, and lattices that are
+    direct sums over the same blocks are equal iff they are equal per block.
+    """
     if n < 3:
         raise DecompError("need n >= 3")
     if max_m < 2:
         raise DecompError(f"need max degree >= 2, got {max_m}")
-    k = alphabet_size(n)
+    rels = build_relators(n)
+    j_degrees = ideal_rows_by_degree(rels, max_m, range(1, alphabet_size(n) + 1))
+    t_degrees = [ideal_rows_by_degree(rels.level(r), max_m, upper_letters(n, r)) for r in range(2, n)]
     reports = []
-    for m, blocks in ideal_rows_by_degree(build_relators(n), max_m):
-        j_blocks = list(blocks)
-        per_r = [t_r_rows(n, r, m) for r in range(2, n)]
-        stacked = [row for rows in per_r for row in rows]
-        # the T_r rows are read in J's blocks, so the lattices compare block by block
-        j_lats: list[IntLattice] = [lattice_from_rows(mat, len(words)) for words, mat in j_blocks]
-        stacked_lats: list[IntLattice] = list(block_lattices(_in_blocks(n, j_blocks, stacked), k, m))
-        t_ranks = tuple(
-            sum(lat.rank for lat in block_lattices(_in_blocks(n, j_blocks, rows), k, m)) for rows in per_r
-        )
+    for (m, j_blocks), *t_levels in zip(j_degrees, *t_degrees):
+        # J's blocks are read one at a time, each T_r block dropped once read
+        ts = [dict(_by_words(blocks)) for _, blocks in t_levels]
+        rank_j = stacked_rank = 0
+        t_ranks = [0] * len(ts)
+        sum_equals_j = True
+        for words, mat in _by_words(j_blocks):
+            if any(words not in t for t in ts):
+                raise DecompError(f"the blocks of J^{m} and of the T_r do not line up")
+            parts = [t.pop(words) for t in ts]
+            stacked = lattice_from_rows(np.vstack(parts), len(words))
+            for r, part in enumerate(parts):
+                t_ranks[r] += lattice_from_rows(part, len(words)).rank
+            j_lat = lattice_from_rows(mat, len(words))
+            rank_j += j_lat.rank
+            stacked_rank += stacked.rank
+            sum_equals_j = sum_equals_j and j_lat.hnf() == stacked.hnf()
+        if any(ts):
+            raise DecompError(f"the blocks of J^{m} and of the T_r do not line up")
         reports.append(
             TildeTDegreeReport(
                 m=m,
-                rank_j=sum(lat.rank for lat in j_lats),
-                t_ranks=t_ranks,
-                sum_equals_j=all(a.hnf() == b.hnf() for a, b in zip(j_lats, stacked_lats)),
-                direct=sum(t_ranks) == sum(lat.rank for lat in stacked_lats),
+                rank_j=rank_j,
+                t_ranks=tuple(t_ranks),
+                sum_equals_j=sum_equals_j,
+                direct=sum(t_ranks) == stacked_rank,
             )
         )
     return TildeTReport(n, tuple(reports))
@@ -719,7 +652,7 @@ def gr_rank_table(n: int, max_c: int) -> list[RankRow]:
         raise DecompError(f"need max degree >= 1, got {max_c}")
     rank_j = {
         c: sum(lattice_from_rows(mat, len(words)).rank for words, mat in blocks)
-        for c, blocks in ideal_rows_by_degree(build_relators(n), max_c)
+        for c, blocks in ideal_rows_by_degree(build_relators(n), max_c, range(1, alphabet_size(n) + 1))
     }
     out = []
     for c in range(1, max_c + 1):

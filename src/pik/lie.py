@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -441,58 +441,10 @@ def coordinate_row(e: LieElem, index: dict[Word, int], dim: int) -> list[int]:
     return row
 
 
-def block_lattices(
-    blocks: Sequence[tuple[Sequence[Word], Sequence[Terms]]], nvars: int, m: int
-) -> Iterator[IntLattice]:
-    """One lattice per block, built as it is read: the rows' tensor
-    coefficients at the block's words.
-
-    Each block pairs some of the degree-m Lyndon words, in column order,
-    with homogeneous degree-m Lie elements given by their tensor terms.  The
-    blocks' words must partition the Lyndon words of length m (checked
-    here), and a row may have a nonzero coefficient at no Lyndon word of
-    another block (checked as the block is read); either violation raises
-    LieError.  The coefficients of a Lie element at the Lyndon words are its
-    Lyndon coordinates times a unitriangular matrix (see docs/NOTES.md), so
-    ranks read the same in both.
-    """
-    _check_partition([w for words, _ in blocks for w in words], nvars, m)
-    where = {w: (b, col) for b, (words, _) in enumerate(blocks) for col, w in enumerate(words)}
-    return (_block_lattice(b, len(words), rows, where) for b, (words, rows) in enumerate(blocks))
-
-
 def _check_partition(words: Sequence[Word], nvars: int, m: int) -> None:
     """Raise LieError unless words lists each Lyndon word of length m once."""
     if len(set(words)) != len(words) or set(words) != set(lyndon_words(nvars, m)):
         raise LieError(f"blocks must partition the Lyndon words of length {m}")
-
-
-def _block_lattice(
-    b: int, dim: int, rows: Sequence[Terms], where: dict[Word, tuple[int, int]]
-) -> IntLattice:
-    """The rows of block b scattered into an int64 array, or into Python int
-    lists when a coefficient does not fit int64, then echelonized."""
-    at_row: list[int] = []
-    at_col: list[int] = []
-    values: list[int] = []
-    for r, terms in enumerate(rows):
-        for w, c in terms.items():
-            hit = where.get(w)
-            if hit is None:
-                continue
-            if hit[0] != b:
-                raise LieError(f"a row meets the Lyndon word {w} outside its block")
-            at_row.append(r)
-            at_col.append(hit[1])
-            values.append(c)
-    mat: "np.ndarray | list[list[int]]" = np.zeros((len(rows), dim), dtype=np.int64)
-    try:
-        mat[at_row, at_col] = np.array(values, dtype=np.int64)
-    except OverflowError:
-        mat = [[0] * dim for _ in rows]
-        for r, col, c in zip(at_row, at_col, values):
-            mat[r][col] = c
-    return lattice_from_rows(mat, dim)
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pik.ajohnson import left_normed_step
+import pik.decomp as decomp_mod
 from pik.decomp import (
     DecompError,
     Relator,
     RelatorSet,
+    _multidegree,
     _tensor_blocks,
     alphabet_size,
-    build_psi,
     build_relators,
     gr_rank_table,
     ideal_rows_by_degree,
     letter,
     level_letters,
     pair_bracket,
-    psi_image,
-    t_r_rows,
     upper_letters,
     verify_psi_automorphism,
     verify_theorem_th1,
@@ -35,6 +33,7 @@ from pik.lie import (
     lyndon_bracket,
     lyndon_index,
     lyndon_words,
+    tensor_bracket,
     witt,
 )
 from pik.magnus import NcPoly
@@ -47,7 +46,50 @@ def lie_ideal_rows(relators, max_m):
     gens = [lie_generator(k, a) for a in range(1, k + 1)]
     rows = {2: [rel.elem for rel in relators.relators]}
     for m in range(3, max_m + 1):
-        rows[m] = left_normed_step(rows[m - 1], gens, bracket)
+        rows[m] = [bracket(h, g) for h in rows[m - 1] for g in gens]
+    return rows
+
+
+def every_letter(n):
+    return range(1, alphabet_size(n) + 1)
+
+
+def t_r_rows(n, r, m):
+    """Oracle: a spanning set of the degree-m piece of T_r, as tensor term
+    dicts: left-normed products of the generators C_r of T_r with degrees
+    composing m.  The degree-kappa generators are the level-r relators
+    bracketed with a letters of Y_r, then kappa - 2 - a letters of U_{r+1}."""
+
+    def brackets(heads, tails):
+        return [tensor_bracket(h, t) for h in heads for t in tails]
+
+    def compositions(m):
+        if m == 0:
+            yield ()
+            return
+        for first in range(2, m + 1):
+            for rest in compositions(m - first):
+                yield (first,) + rest
+
+    y_tail = [{(a,): 1} for a in level_letters(n, r)]
+    u_tail = [{(a,): 1} for a in upper_letters(n, r + 1)]
+    relators = [rel.elem.coords.terms for rel in build_relators(n).level(r).relators]
+    c_of = {}
+    for kappa in range(2, m + 1):
+        heads, c_of[kappa] = relators, []
+        for a in range(kappa - 1):
+            if a:
+                heads = brackets(heads, y_tail)
+            elems = heads
+            for _ in range(kappa - 2 - a):
+                elems = brackets(elems, u_tail)
+            c_of[kappa].extend(elems)
+    rows = []
+    for comp in compositions(m):
+        elems = c_of[comp[0]]
+        for kappa in comp[1:]:
+            elems = brackets(elems, c_of[kappa])
+        rows.extend(terms for terms in elems if terms)
     return rows
 
 
@@ -147,48 +189,29 @@ class TestRelators:
             assert rel.elem.degree == 2
 
 
+def relator(n, kind, m, i, r, j):
+    (rel,) = [rel for rel in build_relators(n).of_kind(kind) if (rel.m, rel.i, rel.r, rel.j) == (m, i, r, j)]
+    return rel
+
+
 class TestPsi:
+    """psi_{2,r} sends the pair (m, nu, l) to the level-r relator of kind
+    F1, F2 or F3 with (m, i, j) = (m, nu, l)."""
+
     def test_f1(self):
-        img = psi_image(3, 2, 3, 1, 1)
-        assert img == pair_bracket(3, 3, 1, 2, 1)
+        assert relator(3, 1, 3, 1, 2, 1).elem == pair_bracket(3, 3, 1, 2, 1)
 
     def test_f2(self):
-        img = psi_image(3, 2, 3, 3, 1)
-        assert img == pair_bracket(3, 3, 3, 2, 1)
+        assert relator(3, 2, 3, 3, 2, 1).elem == pair_bracket(3, 3, 3, 2, 1)
 
     def test_f3(self):
-        img = psi_image(3, 2, 3, 1, 2)
         want = pair_bracket(3, 3, 1, 2, 2).coords.sub(pair_bracket(3, 3, 1, 3, 2).coords)
-        assert img.coords == want
+        assert relator(3, 3, 3, 1, 2, 2).elem.coords == want
 
     def test_domain_covers_pairs(self):
-        psi = build_psi(4, 2)
-        assert len(psi.domain) == len(upper_letters(4, 3)) * 2  # |U_3| x |Y_2|
-
-    def test_image_span_is_relator_span_per_r(self):
-        # the per-level images and the relator families cut out the same span
-        for n in (3, 4):
-            rels = build_relators(n)
-            all_images = [e for r in range(2, n) for e in build_psi(n, r).images]
-            relator_elems = [rel.elem for rel in rels.relators]
-            k = alphabet_size(n)
-            assert lyndon_lattice(all_images, k, 2).hnf() == lyndon_lattice(relator_elems, k, 2).hnf()
-
-    def test_image_set_equals_relators_per_r_block(self):
-        # stronger: for each r the psi images coincide, up to sign, with the
-        # relators whose lower index is r
-        for n in (3, 4):
-            rels = build_relators(n)
-            for r in range(2, n):
-                block = {tuple(sorted(rel.elem.lyndon)) for rel in rels.relators if rel.r == r}
-                imgs = set()
-                for e in build_psi(n, r).images:
-                    imgs.add(tuple(sorted(e.lyndon)))
-                    imgs.add(tuple(sorted((w, -c) for w, c in e.lyndon)))
-                assert block <= imgs
-                assert len(build_psi(n, r).images) == len(
-                    [rel for rel in rels.relators if rel.r == r]
-                )
+        level = build_relators(4).level(2).relators
+        assert len(level) == len(upper_letters(4, 3)) * 2  # |U_3| x |Y_2|
+        assert len({(rel.m, rel.i, rel.j) for rel in level}) == len(level)
 
     @pytest.mark.parametrize("n,r", [(3, 2), (4, 2), (4, 3), (5, 4)])
     def test_psi_automorphism(self, n, r):
@@ -197,7 +220,7 @@ class TestPsi:
 
     def test_bad_r(self):
         with pytest.raises(DecompError):
-            build_psi(3, 3)
+            verify_psi_automorphism(3, 3)
 
 
 class TestIdeal:
@@ -227,10 +250,10 @@ class TestIdeal:
         # Lyndon block holds them at its Lyndon words
         rels = relators(n)
         want = lie_ideal_rows(rels, max_m)
-        for m, blocks in _tensor_blocks(rels, max_m - 1, np.int64):
+        for m, blocks in _tensor_blocks(rels, max_m - 1, np.int64, every_letter(n)):
             assert_same_rows([(list(b.col), b.mat) for b in blocks], want[m], every_word=True)
         seen = []
-        for m, blocks in ideal_rows_by_degree(rels, max_m):
+        for m, blocks in ideal_rows_by_degree(rels, max_m, every_letter(n)):
             assert_same_rows(list(blocks), want[m], every_word=False)
             seen.append(m)
         assert seen == list(range(2, max_m + 1))
@@ -389,7 +412,7 @@ class TestAgainstStackedLattice:
         terms = {w: c * x for w, x in victim.elem.coords.terms.items()}
         big = replace(victim, elem=lie_from_tensor(alphabet_size(3), 2, NcPoly(5, 2, terms)))
         scaled = RelatorSet(3, tuple(big if rel is victim else rel for rel in rels.relators))
-        degrees = ideal_rows_by_degree(scaled, 5)
+        degrees = ideal_rows_by_degree(scaled, 5, every_letter(3))
         assert all(mat.dtype == object for _, blocks in degrees for _, mat in blocks)
         first = self.check(3, 5, scaled)
         assert first["rank_sum"] == first["rank_total"] and not first["snf_ones"]
@@ -423,12 +446,58 @@ class TestTildeT:
         assert rep.degrees[0].rank_j == 26
 
     def test_t_rows_degree2_counts(self):
-        assert len(t_r_rows(4, 2, 2)) == 14
-        assert len(t_r_rows(4, 3, 2)) == 12
+        # 14 and 12 level-r relators at n = 4, one row each
+        rels = build_relators(4)
+        for r, count in ((2, 14), (3, 12)):
+            ((m, blocks),) = ideal_rows_by_degree(rels.level(r), 2, upper_letters(4, r))
+            assert m == 2 and sum(len(mat) for _, mat in blocks) == count
+
+    @pytest.mark.parametrize("n,max_m", [(3, 5), (4, 4), (5, 3)])
+    def test_t_r_blocks_match_the_composition_oracle(self, n, max_m):
+        # T_r as the ideal of L(U_r) spans, multidegree by multidegree, what
+        # the left-normed products of T_r's generators span
+        rels = build_relators(n)
+        for r in range(2, n):
+            for m, blocks in ideal_rows_by_degree(rels.level(r), max_m, upper_letters(n, r)):
+                oracle = {}
+                for terms in t_r_rows(n, r, m):
+                    (d,) = {_multidegree(n, w) for w in terms}
+                    oracle.setdefault(d, []).append(terms)
+                for words, mat in blocks:
+                    (d,) = {_multidegree(n, w) for w in words}
+                    want = [[terms.get(w, 0) for w in words] for terms in oracle.pop(d, [])]
+                    got = lattice_from_rows(mat, len(words))
+                    assert got.hnf() == lattice_from_rows(want, len(words)).hnf()
+                # every oracle row met a block's Lyndon words
+                assert not oracle
+
+    def test_t_r_over_every_letter_is_not_direct(self, monkeypatch):
+        # negative control: T_r bracketed with every letter is the ideal of L
+        # that the level-r relators generate, and these overlap in degree 3
+        monkeypatch.setattr(decomp_mod, "upper_letters", lambda n, r: every_letter(n))
+        rep = verify_tilde_T(4, 3)
+        assert rep.degrees[0].ok
+        top = rep.degrees[1]
+        assert (top.rank_j, top.t_ranks, top.sum_equals_j, top.direct) == (210, (126, 108), True, False)
 
     def test_requires_a_degree_to_certify(self):
         with pytest.raises(DecompError, match="max degree"):
             verify_tilde_T(3, 1)
+
+
+# SHA-256 of the JSON of TildeTReport.as_dict(), computed while the T_r
+# rows were left-normed products of T_r's generators.
+PINNED_TILDE_T = {
+    (3, 5): "83fe813dda1f4c2293a990ecf3a92e8ee7c370e86678a13ce9a23a634f526d94",
+    (4, 4): "5e2e6a7710b601237d007ae0a1319485bf014f3db4cc247ef18d26099e005cb2",
+    (5, 3): "bbd2ef7a52db059f62aaac4d4dcf605901c4ad4d60a562bf000d768b7b630b47",
+}
+
+
+@pytest.mark.parametrize("n,max_m", sorted(PINNED_TILDE_T))
+def test_tilde_t_reports_are_pinned(n, max_m):
+    blob = json.dumps(verify_tilde_T(n, max_m).as_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_TILDE_T[(n, max_m)]
 
 
 class TestRankTable:

@@ -7,7 +7,6 @@ from pik.lie import (
     IntLattice,
     LieError,
     NotLieElement,
-    block_lattices,
     bracket,
     bracket_word,
     is_lyndon,
@@ -30,9 +29,14 @@ def scaled(p, k):
     return NcPoly(p.nvars, p.maxdeg, {mono: k * c for mono, c in p.terms.items()})
 
 
-def one_block(elems, nvars, m):
-    """All degree-m Lyndon words as one block, holding the elements' tensor terms."""
-    return [(lyndon_words(nvars, m), [e.coords.terms for e in elems])]
+def scattered(elems, words):
+    """The elements' tensor coefficients at words, one row each: an int64
+    matrix, or a matrix of Python ints when a coefficient does not fit int64."""
+    rows = [[e.coords.terms.get(w, 0) for w in words] for e in elems]
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(elems), len(words))
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(elems), len(words))
 
 
 def one_matrix(elems, nvars, m):
@@ -238,9 +242,15 @@ class TestIntLattice:
         import pik.lie as lie_mod
 
         monkeypatch.setattr(lie_mod, "_NUMPY_THRESHOLD", 1)
+        runs = []
+        echelon = lie_mod._echelon_numpy
+        monkeypatch.setattr(lie_mod, "_echelon_numpy", lambda mat: runs.append(1) or echelon(mat))
         basis = lyndon_basis(3, 3)
         huge = [lie_from_tensor(3, 3, scaled(e.coords, 1 << 70)) for e in basis]
-        (lat,) = block_lattices(one_block(huge + basis[:1], 3, 3), 3, 3)
+        mat = scattered(huge + basis[:1], lyndon_words(3, 3))
+        assert mat.dtype == object
+        lat = lattice_from_rows(mat, witt(3, 3))
+        assert not runs
         assert lat.rank == witt(3, 3)
         assert lat.pivots() == [1] + [1 << 70] * (witt(3, 3) - 1)
         rep = lattice_direct_sum_is_whole(one_matrix(huge[1:], 3, 3), [lyndon_words(3, 3)[:1]], 3, 3)
@@ -250,7 +260,7 @@ class TestIntLattice:
 class TestGradedLattices:
     def test_lattice_of_basis_is_full(self):
         # tensor coefficients at the Lyndon words are unitriangular on the basis
-        (lat,) = block_lattices(one_block(lyndon_basis(3, 3), 3, 3), 3, 3)
+        lat = lattice_from_rows(scattered(lyndon_basis(3, 3), lyndon_words(3, 3)), witt(3, 3))
         assert lat.rank == witt(3, 3)
         assert lat.pivots() == [1] * witt(3, 3)
 
@@ -272,22 +282,19 @@ class TestGradedLattices:
     def test_equal_spans(self):
         basis = lyndon_basis(2, 3)
         left_normed = [bracket_word(2, [1, 2, 2]), bracket_word(2, [1, 2, 1])]
-        (lat1,) = block_lattices(one_block(basis, 2, 3), 2, 3)
-        (lat2,) = block_lattices(one_block(left_normed, 2, 3), 2, 3)
+        words = lyndon_words(2, 3)
+        lat1 = lattice_from_rows(scattered(basis, words), len(words))
+        lat2 = lattice_from_rows(scattered(left_normed, words), len(words))
         assert lat1.hnf() == lat2.hnf()
 
-    def test_inhomogeneous_rejected(self):
-        # the Lyndon words (1,1,2) and (1,2,2) in blocks of their own: a row
-        # with terms in both is refused, and so are blocks that miss a word
+    def test_blocks_rank_apart(self):
+        # the Lyndon words (1,1,2) and (1,2,2) in blocks of their own: each
+        # block's rows, read at its words, have the rank they have together
         a, b = bracket_word(2, [1, 2, 1]), bracket_word(2, [1, 2, 2])
         split = [[(1, 1, 2)], [(1, 2, 2)]]
-        both = a.coords.add(b.coords).terms
-        with pytest.raises(LieError, match="outside its block"):
-            list(block_lattices([(split[0], [both]), (split[1], [])], 2, 3))
-        with pytest.raises(LieError, match="partition"):
-            block_lattices([(split[0], [a.coords.terms])], 2, 3)
-        ok = block_lattices([(split[0], [a.coords.terms]), (split[1], [b.coords.terms])], 2, 3)
-        assert [lat.rank for lat in ok] == [1, 1]
+        ranks = [lattice_from_rows(scattered([e], words), 1).rank for e, words in zip((a, b), split)]
+        assert ranks == [1, 1]
+        assert lattice_from_rows(scattered([a, b], lyndon_words(2, 3)), 2).rank == sum(ranks)
 
     def test_direct_sum_blocks_checked_once_read(self):
         # blocks are read once, so a generator is accepted; blocks that miss
