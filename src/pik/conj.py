@@ -11,27 +11,32 @@ Verdicts are sound by construction:
 * ``conjugate`` always ships a witness that has been re-multiplied and
   checked;
 * ``not_conjugate`` only cites invariants that are independent of all search
-  choices: the abelianization (conjugation acts trivially on it) or the
-  forced bottom-level free conjugacy.  The twisted class-2 nilpotent
-  quotient obstruction only prunes ladder candidates and never produces a
-  verdict;
+  choices: the abelianization (conjugation acts trivially on it), the
+  forced bottom-level free conjugacy, or the cycle type of the permutation
+  an element induces on Hom(F_n, Q) for Q = S_3 or S_4.  The twisted
+  class-2 nilpotent quotient obstruction only prunes ladder candidates and
+  never produces a verdict;
 * everything else is ``unknown`` together with the exhausted bounds.  The
   full twisted-conjugacy decision procedure from the literature is out of
   scope; bounded verified search replaces it and never fakes a "no".
 
 Search is layered: the level ladder with a centralizer-coset enumeration and
 bounded twisted searches first, then a bidirectional conjugation walk in the
-generator metric.  For planted instances the walk is complete once its
-radius covers the generator length of the planted conjugator, which is how
-the acceptance fuzz seeds its budgets.
+generator metric; a finite quotient runs before each of the two.  For
+planted instances the walk is complete once its radius covers the generator
+length of the planted conjugator, which is how the acceptance fuzz seeds
+its budgets.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
+
+import numpy as np
 
 from .igroup import (
     IElem,
@@ -174,9 +179,10 @@ def twisted_class2_obstruction(a: FreeWord, z: FreeWord, images: tuple[FreeWord,
     abelianization of g, with the degree-2 Magnus data of the twist entering
     through its Johnson matrix.  Exact over Z.
 
-    Kept because it costs less than the walks it saves: on conj-hard it
-    rejects 255 of 459 twisted equations, each of which would otherwise be
-    walked to the budget for nothing (docs/NOTES.md, "Twisted conjugacy").
+    Kept because it costs less than the walks it saves: on conj-hard, where
+    the ladder now runs only on the pairs S_3 does not refute, it rejects 51
+    of 68 twisted equations, each of which would otherwise be walked to the
+    budget for nothing (docs/NOTES.md, "Twisted conjugacy").
     """
     n = a.rank
     alpha = _abel(a)
@@ -518,6 +524,103 @@ def _greedy_descent(u: IElem) -> tuple[IElem, IElem]:
 
 
 # ---------------------------------------------------------------------------
+# Finite-quotient refutation: Aut(F_n) acts on Hom(F_n, Q) by rho -> rho o phi,
+# so conjugate elements permute it with equal cycle types (docs/NOTES.md).
+# ---------------------------------------------------------------------------
+
+# Q = S_k is used only while Hom(F_n, Q) has at most this many points: S_3
+# for n <= 5 and S_4 for n <= 3.
+MAX_QUOTIENT_POINTS = 20_000
+
+
+def symmetric_group(k: int) -> tuple[tuple[int, ...], ...]:
+    """The elements of S_k as tuples, identity first; the product a b is t -> a[b[t]]."""
+    return tuple(itertools.permutations(range(k)))
+
+
+@functools.cache
+def _group_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_k's flat product table, mul[a * |S_k| + b] = a b, and its table of inverses.
+
+    The cached arrays are read-only, as every caller shares them.
+    """
+    elems = symmetric_group(k)
+    index = {p: e for e, p in enumerate(elems)}
+    mul = np.array([index[tuple(a[t] for t in b)] for a in elems for b in elems], np.int64)
+    inv = np.argmax(mul.reshape(len(elems), -1) == 0, axis=1)  # a b = identity, index 0
+    mul.flags.writeable = inv.flags.writeable = False
+    return mul, inv
+
+
+@functools.cache
+def _hom_points(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hom(F_n, S_k) as an (n, |S_k|^n) array of the images of x_1..x_n, and their inverses.
+
+    The points are coded base |S_k|: point p sends x_j to (p // |S_k|^(j-1)) % |S_k|.
+    The cached arrays are read-only.
+    """
+    q = math.factorial(k)
+    codes = np.arange(q**n, dtype=np.int64)
+    homs = np.stack([(codes // q**j) % q for j in range(n)])
+    homs_inv = _group_tables(k)[1][homs]
+    homs.flags.writeable = homs_inv.flags.writeable = False
+    return homs, homs_inv
+
+
+def quotient_permutation(a: IElem, k: int) -> np.ndarray:
+    """The permutation rho -> rho o to_endo(a) of Hom(F_n, S_k), as an array of point codes.
+
+    Evaluated from the parts, as igroup._images builds the images: x_j goes to
+    P_j x_j P_j^-1 with P_j = V_n ... V_max(j,2), V_m being w_m with every
+    sign flipped.  So each point costs sum |w_m| table lookups, not the
+    length of the images.
+    """
+    n, q = a.n, math.factorial(k)
+    mul, inv = _group_tables(k)
+    homs, homs_inv = _hom_points(k, n)
+    p = None  # rho(P_j); None while P_j is empty
+    code = np.zeros(q**n, np.int64)
+    for j in range(n, 0, -1):
+        if j >= 2:  # P_1 = P_2
+            for i, s in a.parts[n - j]:
+                v = homs_inv[i - 1] if s > 0 else homs[i - 1]  # the letter (i, -s) of V_j
+                p = v if p is None else mul[p * q + v]
+        image = homs[j - 1] if p is None else mul[mul[p * q + homs[j - 1]] * q + inv[p]]
+        code += image * q ** (j - 1)
+    return code
+
+
+def _cycle_type(perm: np.ndarray) -> np.ndarray:
+    """The number of cycles of each length, indexed by the length.
+
+    Pointer doubling labels each point with the least point on its cycle:
+    after r rounds a label is the least of 2^r consecutive points of the
+    cycle, and no cycle is longer than the number of points.
+    """
+    label = np.arange(len(perm))
+    step, reach = perm, 1
+    while reach < len(perm):
+        label = np.minimum(label, label[step])
+        step, reach = step[step], 2 * reach
+    sizes = np.bincount(label)  # the cycle's length at its least point, 0 elsewhere
+    return np.bincount(sizes[sizes > 0])
+
+
+def _quotient_refutation(x: IElem, y: IElem, k: int) -> Optional[ConjResult]:
+    """not_conjugate when x and y permute Hom(F_n, S_k) with different cycle types.
+
+    None when they agree, or when Hom(F_n, S_k) has more than
+    MAX_QUOTIENT_POINTS points.
+    """
+    if math.factorial(k) ** x.n > MAX_QUOTIENT_POINTS:
+        return None
+    cx, cy = (_cycle_type(quotient_permutation(u, k)) for u in (x, y))
+    if np.array_equal(cx, cy):
+        return None
+    return ConjResult("not_conjugate", reason=f"finite-quotient (S_{k}) cycle type mismatch")
+
+
+# ---------------------------------------------------------------------------
 # The decision procedure.
 # ---------------------------------------------------------------------------
 
@@ -531,9 +634,11 @@ def _check_witness(witness: IElem, x: IElem, y: IElem) -> None:
 def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> ConjResult:
     """Sound verdicts only: invariants, then the ladder, then the orbit walk.
 
-    Greedy descent first shrinks both sides inside their classes; matching
-    minima settle the instance outright, and otherwise the descended pair
-    gets a cheap shallow probe.  The completeness walk runs on the original
+    The abelianization and the level-2 core refute first.  Greedy descent
+    then shrinks both sides inside their classes; matching minima settle the
+    instance outright, and otherwise the descended pair gets a cheap shallow
+    probe.  The cycle types on Hom(F_n, S_3) refute before the ladder, those
+    on Hom(F_n, S_4) after it.  The completeness walk runs on the original
     pair at the budgeted radius, so budgets seeded from a planted conjugator
     keep their guarantee.
     """
@@ -573,12 +678,21 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
         witness = mapped(witness)
         _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, method="generator-walk")
+    # The finite quotients run on the descended pair, which is conjugate to
+    # the original one and shorter: S_3 before the ladder, S_4 only after it,
+    # since the pairs the ladder decides would pay S_4's larger cost.
+    refuted = _quotient_refutation(x_hat, y_hat, 3)
+    if refuted is not None:
+        return refuted
     try:
         witness, trace = _ladder(x, y, budget)
         _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, levels=trace, method="ladder")
     except _Exhausted:
         pass
+    refuted = _quotient_refutation(x_hat, y_hat, 4)
+    if refuted is not None:
+        return refuted
     witness = _orbit_walk(x, y, budget.gen_radius, budget.max_states)
     if witness is not None:
         _check_witness(witness, x, y)

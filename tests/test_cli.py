@@ -108,8 +108,9 @@ class TestSubcommands:
 
     def test_conj_decide_replays_a_library_unknown(self, capsys):
         # The bounds that callers in this repo change can be set again from
-        # the command line; the others keep their defaults.
-        xs, ys = "y(3,1) y(2,1)", "y(3,2)^-1 y(3,1) y(3,2) y(2,1)"
+        # the command line; the others keep their defaults.  Both sides lie
+        # in H_3, where no finite quotient the solver tries tells them apart.
+        xs, ys = "y(3,1) y(3,2)", "y(3,1) y(3,2)^2 y(3,3) y(3,2)^-1 y(3,3)^-1"
         budget = SearchBudget(max_len=5, coset=3, gen_radius=2, max_states=300)
         res = conjugacy(collect(3, parse_word(xs)), collect(3, parse_word(ys)), budget)
         assert res.verdict == "unknown"

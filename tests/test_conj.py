@@ -6,12 +6,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pik.conj as conj_mod
 from pik.conj import (
+    MAX_QUOTIENT_POINTS,
     ConjError,
     SearchBudget,
     conjugacy,
+    quotient_permutation,
+    symmetric_group,
     twisted_class2_obstruction,
     twisted_solutions,
 )
@@ -31,12 +36,20 @@ from pik.igroup import (
     iinv,
     imul,
     lower_part,
+    to_endo,
 )
 from pik.prng import Lcg
 from pik.words import empty, gen, invert, multiply, parse_word, parse_x_word
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Both sides lie in H_3 (empty level-2 part); it is one of the two conj-hard
+# pairs that stay unknown under the default budget.
+H3_PAIR = (
+    collect(3, parse_word("y(3,1) y(3,2)")),
+    collect(3, parse_word("y(3,1) y(3,2)^2 y(3,3) y(3,2)^-1 y(3,3)^-1")),
+)
 
 
 def w(s, rank=2):
@@ -212,29 +225,35 @@ class TestConjugacy:
             conjugacy(identity_elem(3), identity_elem(4))
 
     def test_unknown_carries_bounds(self):
-        # an adversarial pair the bounded search cannot settle: same
-        # abelianization, conjugate bottom level, but (very likely) not
-        # conjugate overall; the verdict must then be unknown, never a fake no
+        # Same abelianization and conjugate bottom level, but the two sides
+        # permute Hom(F_3, S_3) with different cycle types: proven not
+        # conjugate before any search runs.
         from pik.words import parse_word
 
         x = collect(3, parse_word("y(3,1) y(2,1)"))
         y = collect(3, parse_word("y(3,2)^-1 y(3,1) y(3,2) y(2,1)"))
         budget = SearchBudget(gen_radius=2, max_states=300, ladder_nodes=10, twisted_states=60)
         res = conjugacy(x, y, budget)
-        assert res.verdict in ("unknown", "conjugate")
-        if res.verdict == "unknown":
-            assert res.bounds is not None
-        else:
-            assert conj_elem(res.witness, x) == y
+        assert res.verdict == "not_conjugate"
+        assert res.reason == "finite-quotient (S_3) cycle type mismatch"
+        # A pair in H_3 that neither finite quotient nor the bounded search
+        # settles: the verdict is unknown with the bounds, never a fake no.
+        x, y = H3_PAIR
+        res = conjugacy(x, y, budget)
+        assert res.verdict == "unknown"
+        assert res.bounds == budget.as_dict()
 
-    def test_refutations_name_only_the_two_invariants(self, monkeypatch):
+    def test_refutations_name_only_sound_invariants(self, monkeypatch):
         # The twisted obstruction rejects ladder candidates but never decides
-        # the instance: every "no" cites the abelianization or the level-2 core.
+        # the instance: every "no" cites the abelianization, the level-2 core
+        # or the cycle type on a finite quotient.
         import pik.conj as conj_mod
 
         reasons = {
             "abelianization mismatch (conjugation fixes the abelianization)",
             "level-2 free-conjugacy core mismatch",
+            "finite-quotient (S_3) cycle type mismatch",
+            "finite-quotient (S_4) cycle type mismatch",
         }
         pruned = []
         real = conj_mod.twisted_class2_obstruction
@@ -256,6 +275,18 @@ class TestConjugacy:
             (gen_elem(3, 2, 1), gen_elem(3, 2, 2)),
             (gen_elem(3, 3, 1), gen_elem(3, 3, 3)),
             (pairs[0][0], imul(pairs[0][0], gen_elem(3, 3, 2))),
+            # a conj-hard pair whose twisted equations the obstruction
+            # rejects; it still ends unknown
+            (
+                collect(3, parse_word("y(3,1) y(3,2)^-1 y(3,3)^-1 y(2,2) y(2,1) y(2,2) y(2,1)^-1")),
+                collect(
+                    3,
+                    parse_word(
+                        "y(3,1) y(3,2) y(3,1) y(3,2)^-1 y(3,1)^-1 y(3,2)^-1 y(3,3)^-1"
+                        " y(2,2) y(2,1) y(2,2) y(2,1)^-1"
+                    ),
+                ),
+            ),
         ]
         budget = SearchBudget(gen_radius=2, max_states=500, ladder_nodes=20, twisted_states=100)
         seen = set()
@@ -340,6 +371,18 @@ def test_ladder_levels_are_pinned(n):
     assert conj_elem(res.witness, x) == y
 
 
+def run_optimized(code, cwd):
+    """Run code in a fresh interpreter under -O, with this checkout's pik."""
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+
+
 def test_unverified_witness_raises_under_optimize(tmp_path):
     # Under -O every assert is stripped; the witness check must still run.
     code = """
@@ -359,16 +402,114 @@ except WitnessError as exc:
     sys.exit(0)
 sys.exit(f"returned {res.verdict} with an unchecked witness")
 """
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-    )
+    proc = run_optimized(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "re-verification" in proc.stdout
+
+
+def reference_permutation(a, k):
+    """rho -> rho o to_endo(a) on Hom(F_n, S_k), from the images letter by letter.
+
+    Point p sends x_j to element (p // |S_k|^(j-1)) % |S_k| of symmetric_group(k),
+    and the product of permutations a and b is t -> a[b[t]].
+    """
+    elems = symmetric_group(k)
+    index = {g: e for e, g in enumerate(elems)}
+    q = len(elems)
+    images = to_endo(a).images
+    perm = []
+    for p in range(q**a.n):
+        rho = [elems[p // q**j % q] for j in range(a.n)]
+        values = {(i, 1): g for i, g in enumerate(rho, 1)}
+        values.update({(i, -1): tuple(sorted(range(k), key=g.__getitem__)) for i, g in enumerate(rho, 1)})
+        code = 0
+        for j, image in enumerate(images):
+            value = tuple(range(k))
+            for letter in image.letters:
+                g = values[letter]
+                value = tuple(value[g[t]] for t in range(k))
+            code += index[value] * q**j
+        perm.append(code)
+    return perm
+
+
+def reference_cycle_type(perm):
+    """{length: number of cycles}, by walking each cycle."""
+    seen, counts = set(), {}
+    for start in range(len(perm)):
+        length, p = 0, start
+        while p not in seen:
+            seen.add(p)
+            p, length = perm[p], length + 1
+        if length:
+            counts[length] = counts.get(length, 0) + 1
+    return counts
+
+
+def seeded_elems(ns, max_len):
+    return st.builds(lambda n, seed: random_ielem(Lcg(seed), n, max_len), ns, st.integers(0, 10**6))
+
+
+def assert_matches_reference(a, k):
+    perm = quotient_permutation(a, k)
+    ref = reference_permutation(a, k)
+    assert perm.tolist() == ref
+    got = conj_mod._cycle_type(perm)
+    assert {c: int(m) for c, m in enumerate(got) if m} == reference_cycle_type(ref)
+
+
+class TestFiniteQuotient:
+    @settings(max_examples=30)
+    @given(seeded_elems(st.integers(2, 4), 8))
+    def test_permutation_matches_the_images_on_s3(self, a):
+        assert_matches_reference(a, 3)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_permutation_matches_the_images_on_s4(self, seed):
+        assert_matches_reference(random_ielem(Lcg(seed), 3, 8), 4)
+
+    @settings(max_examples=40)
+    @given(st.sampled_from([3, 4]), st.integers(0, 10**6))
+    def test_planted_pairs_are_never_refuted(self, n, seed):
+        x, y, _ = planted_conjugacy_case(Lcg(seed), n, 8)
+        for k in (3, 4):
+            assert conj_mod._quotient_refutation(x, y, k) is None
+
+    def test_point_cap(self):
+        # S_3 up to n = 5 and S_4 at n = 3 only; a Q over the cap is skipped.
+        assert 6**5 <= MAX_QUOTIENT_POINTS < 6**6
+        assert 24**3 <= MAX_QUOTIENT_POINTS < 24**4
+        x = collect(4, parse_word("y(3,1) y(2,1)"))
+        y = collect(4, parse_word("y(3,2)^-1 y(3,1) y(3,2) y(2,1)"))
+        assert conj_mod._quotient_refutation(x, y, 3) is not None
+        assert conj_mod._quotient_refutation(x, y, 4) is None
+
+    def test_h3_pair_stays_unknown(self):
+        # The stage's limit: this pair has the same cycle types on both
+        # quotients, and the bounded search finds no conjugator.
+        x, y = H3_PAIR
+        for k in (3, 4):
+            assert conj_mod._quotient_refutation(x, y, k) is None
+        res = conjugacy(x, y)
+        assert res.verdict == "unknown"
+        assert res.bounds == SearchBudget().as_dict()
+
+
+def test_quotient_refutation_runs_under_optimize(tmp_path):
+    # Under -O every assert is stripped; the refutation is explicit code.
+    code = """
+from pik.conj import conjugacy
+from pik.igroup import collect, commutator_elem, imul
+from pik.words import parse_word
+
+assert False, "assert statements must be stripped"
+x = collect(3, parse_word("y(3,1) y(2,1)"))
+y = imul(x, commutator_elem(collect(3, parse_word("y(3,1)")), collect(3, parse_word("y(3,2)"))))
+print(conjugacy(x, y).reason)
+"""
+    proc = run_optimized(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "finite-quotient (S_3) cycle type mismatch"
 
 
 class TestSearchBudget:
@@ -593,7 +734,8 @@ def _pinned_stream():
     """Planted pairs at n = 3 and 4, and x against x [a, b] at n = 3.
 
     Among the planted pairs are two n=4 ones that only the full generator
-    walk decides; five of the x [a, b] pairs end unknown.
+    walk decides.  Five of the x [a, b] pairs ended unknown until the
+    finite-quotient stage: S_3 refutes four of them and S_4 the fifth.
     """
     cases = []
     for n, count in ((3, 40), (4, 80)):
@@ -609,9 +751,10 @@ def _pinned_stream():
 
 
 # SHA-256 of the JSON of every ConjResult.as_dict() on _pinned_stream(), taken
-# before the orbit walk's kernel became _conj_steps with commuting steps
-# skipped.  A change that only makes the search faster keeps it.
-PINNED_SHA256 = "572cf459ca99f086fe138d2d0e5a636668d54d099c4ac77cac3a45b437732ef7"
+# when the finite-quotient stage was added; against the outputs before it,
+# only the five unknowns changed, each to not_conjugate with a finite-quotient
+# reason.  A change that only makes the search faster keeps it.
+PINNED_SHA256 = "bcb8b59883b6c1a3c0f21bd98a9702a27b31a0309a15007c229baada10fc6da9"
 
 
 class TestPinnedOutputs:
@@ -627,6 +770,9 @@ class TestPinnedOutputs:
         monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
         out = [conjugacy(x, y, budget).as_dict() for x, y, budget in _pinned_stream()]
         assert sum(full_walks) == 2  # the budgeted walk, not the probe, decides these
-        assert [d["verdict"] for d in out].count("unknown") == 5
+        assert [d["verdict"] for d in out].count("unknown") == 0
+        reasons = [d.get("reason", "") for d in out]
+        assert reasons.count("finite-quotient (S_3) cycle type mismatch") == 4
+        assert reasons.count("finite-quotient (S_4) cycle type mismatch") == 1
         blob = json.dumps(out, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256
