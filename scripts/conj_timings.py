@@ -1,0 +1,185 @@
+#!/usr/bin/env python3
+"""Time conjugacy stage by stage on the benchmark's streams and record it in a BENCH file.
+
+Each of the conj-planted and conj-hard streams, as ``bench/workloads.py``
+builds them for a 15 s run, is decided in a fresh Python process.  The child
+wraps the stages of ``pik.conj.conjugacy`` from outside (the functions it
+calls by name) and reports, for each stage, the wall time summed over the
+stream, the number of calls and, for the two orbit walks, the number of
+states they expand:
+
+    descent     _greedy_descent, on both sides of a pair
+    probe walk  the first _orbit_walk of a pair, between the descended sides
+    S_3, S_4    _quotient_refutation with k = 3 and k = 4
+    ladder      _ladder
+    full walk   the second _orbit_walk of a pair, the budgeted one
+
+"other" is the rest of the stream's wall time: equality, the abelianization,
+the level-2 core and the witness checks.  The child also reports its peak
+RSS (``ru_maxrss``) and a SHA-256 of the stream's ``ConjResult.as_dict()``
+outputs, so two trees can be seen to decide alike.  The wrappers add one
+Python call per stage call and per expanded state to what they time.
+
+Give each tree to compare as LABEL=SRC; the runs alternate between the
+trees, starting with a different one at each repeat, and a tree's record
+is the median of REPEAT runs next to the raw ones:
+
+    python scripts/conj_timings.py --tree before=../old/src --tree after=src
+
+With no --tree the checkout's own src is timed as "after".  Each label
+replaces its own record in BENCH_conj.json and keeps the others.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STREAMS = ("conj-planted", "conj-hard")
+STAGES = ("descent", "probe walk", "S_3", "ladder", "S_4", "full walk")
+SECONDS = 15
+REPEAT = 3
+OUT = ROOT / "BENCH_conj.json"
+
+CHILD = """
+import hashlib, json, resource, sys, time
+import pik
+from pik import conj
+sys.path.insert(0, sys.argv[1])
+import workloads
+
+STAGES = %r
+wall = dict.fromkeys(STAGES, 0.0)
+calls = dict.fromkeys(STAGES, 0)
+states = {"probe walk": 0, "full walk": 0}
+walks = [0]  # orbit walks so far in the current pair
+
+
+def timed(fn, stage_of):
+    def wrapper(*args):
+        stage = stage_of(*args)
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            wall[stage] += time.perf_counter() - start
+            calls[stage] += 1
+    return wrapper
+
+
+def walk_stage(*args):
+    walks[0] += 1
+    return "probe walk" if walks[0] == 1 else "full walk"
+
+
+def counted_expand(n, orbit_expand=conj._orbit_expand):
+    expand = orbit_expand(n)
+    stage = "probe walk" if walks[0] == 1 else "full walk"  # the walk that asked for it
+
+    def counted(state, made_by):
+        states[stage] += 1
+        return expand(state, made_by)
+
+    return counted
+
+
+def per_pair(x, y, budget=None, decide=conj.conjugacy):
+    walks[0] = 0
+    return decide(x, y, budget)
+
+
+conj._greedy_descent = timed(conj._greedy_descent, lambda u: "descent")
+conj._orbit_walk = timed(conj._orbit_walk, walk_stage)
+conj._quotient_refutation = timed(conj._quotient_refutation, lambda x, y, k: f"S_{k}")
+conj._ladder = timed(conj._ladder, lambda x, y, budget: "ladder")
+conj._orbit_expand = counted_expand
+conj.conjugacy = per_pair
+ops = workloads.WORKLOADS[sys.argv[2]](1, int(sys.argv[3]))
+start = time.perf_counter()
+outputs = [op.run() for op in ops]
+total = time.perf_counter() - start
+blob = json.dumps([res.as_dict() for res in outputs], sort_keys=True).encode()
+print(json.dumps({
+    "pik": pik.__file__,
+    "ops": len(ops),
+    "wall_s": total,
+    "stages": {s: {"wall_s": wall[s], "calls": calls[s], "states": states.get(s)} for s in STAGES},
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "outputs_sha256": hashlib.sha256(blob).hexdigest(),
+}))
+""" % (STAGES,)
+
+
+def run_stream(src: Path, stream: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    args = [sys.executable, "-c", CHILD, str(ROOT / "bench"), stream, str(SECONDS)]
+    out = subprocess.run(args, env=env, check=True, capture_output=True, text=True)
+    got = json.loads(out.stdout)
+    if not Path(got["pik"]).resolve().is_relative_to(src):
+        raise SystemExit(f"the child imported pik from outside {src}")
+    return got
+
+
+def summary(got: list[dict]) -> dict:
+    """The median over the runs of each figure, next to the raw wall times."""
+    if len({g["outputs_sha256"] for g in got}) != 1:
+        raise SystemExit("the runs of one tree decided the stream differently")
+    stages = {}
+    for s in STAGES:
+        stages[s] = {
+            "wall_s": round(statistics.median(g["stages"][s]["wall_s"] for g in got), 4),
+            "calls": got[0]["stages"][s]["calls"],
+        }
+        if got[0]["stages"][s]["states"] is not None:
+            stages[s]["states"] = got[0]["stages"][s]["states"]
+    other = [g["wall_s"] - sum(g["stages"][s]["wall_s"] for s in STAGES) for g in got]
+    stages["other"] = {"wall_s": round(statistics.median(other), 4)}
+    return {
+        "ops": got[0]["ops"],
+        "wall_s": round(statistics.median(g["wall_s"] for g in got), 4),
+        "peak_rss_mb": round(statistics.median(g["peak_rss_mb"] for g in got), 1),
+        "outputs_sha256": got[0]["outputs_sha256"],
+        "stages": stages,
+        "runs_wall_s": [round(g["wall_s"], 4) for g in got],
+    }
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", action="append", metavar="LABEL=SRC", help="a labelled pik source tree")
+    args = parser.parse_args(argv[1:])
+    trees = {}
+    for spec in args.tree or [f"after={ROOT / 'src'}"]:
+        label, sep, src = spec.partition("=")
+        if not (sep and label and label not in trees and (Path(src) / "pik" / "conj.py").is_file()):
+            parser.error(f"--tree wants a new LABEL=SRC with a pik package under SRC, got {spec!r}")
+        trees[label] = Path(src).resolve()
+    records = {label: {} for label in trees}
+    for stream in STREAMS:
+        runs = {label: [] for label in trees}
+        for r in range(REPEAT):
+            labels = list(trees)[r % len(trees) :] + list(trees)[: r % len(trees)]
+            for label in labels:
+                runs[label].append(run_stream(trees[label], stream))
+        for label, got in runs.items():
+            rec = records[label][stream] = summary(got)
+            stages = ", ".join(f"{s} {v['wall_s']}" for s, v in rec["stages"].items())
+            print(f"{label}: {stream} {rec['wall_s']} s ({stages}), {rec['peak_rss_mb']} MB")
+    bench = json.loads(OUT.read_text()) if OUT.exists() else {}
+    bench["what"] = (
+        f"conj.conjugacy on the conj-planted and conj-hard streams of a {SECONDS} s benchmark run: "
+        "wall time per stage and states expanded per orbit walk, median of fresh processes"
+    )
+    bench["machine"] = {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()}
+    bench.setdefault("runs", {}).update(records)
+    OUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -41,6 +41,7 @@ import numpy as np
 from .igroup import (
     IElem,
     _conj_steps,
+    _walk_form,
     abelianize,
     act_elem,
     conj_by_gen,
@@ -459,13 +460,14 @@ def _walk_steps(n: int) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int
     whose generator commutes with a's: a state is first inserted by the
     lexicographically least of its shortest step words, which never has
     "a, then k" (docs/NOTES.md).  Generators y and z commute when z y z^-1 = y,
-    which the kernel decides; imul would add to call counts in the first run only.
+    which the walk's kernel decides on the walk form of y; imul would add to
+    call counts in the first run only.
     """
     gens = generators(n)
     steps = tuple((m, i, eps) for m, i in gens for eps in (1, -1))
     fixed = []  # fixed[g][h]: generator h conjugates generator g to itself
     for m, i in gens:
-        y = gen_elem(n, m, i).parts
+        y = _walk_form(gen_elem(n, m, i).parts)
         fixed.append([c == y for c in _conj_steps(n, y, [(r, j, 1) for r, j in gens])])
     after = {}
     for a in range(-1, len(steps)):
@@ -475,12 +477,12 @@ def _walk_steps(n: int) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int
 
 
 def _orbit_expand(n: int) -> Callable[[tuple, int], Iterable[tuple[int, tuple]]]:
-    """The orbit walk's expand at rank n: a state's conjugates by the steps _walk_steps keeps."""
+    """The orbit walk's expand at rank n: a walk-form state's conjugates by the steps _walk_steps keeps."""
     after = _walk_steps(n)
 
-    def expand(parts: tuple, made_by: int) -> Iterable[tuple[int, tuple]]:
+    def expand(state: tuple, made_by: int) -> Iterable[tuple[int, tuple]]:
         ks, steps = after[made_by]
-        return zip(ks, _conj_steps(n, parts, steps))
+        return zip(ks, _conj_steps(n, state, steps))
 
     return expand
 
@@ -490,10 +492,12 @@ def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[IE
 
     Complete for conjugator generator-length up to the radius (subject to the
     state cap): forward states are g x g^-1, backward states h y h^-1, and a
-    meet yields the witness h^-1 g.  States are the parts of normal forms,
-    so equal states are equal elements; the caller re-multiplies the witness.
+    meet yields the witness h^-1 g.  States are the walk forms of normal
+    forms (igroup._walk_form), which is injective, so equal states are equal
+    elements; the caller re-multiplies the witness.
     """
-    path = next(_meet_walk(x.parts, y.parts, _orbit_expand(x.n), radius, max_states), None)
+    roots = _walk_form(x.parts), _walk_form(y.parts)
+    path = next(_meet_walk(*roots, _orbit_expand(x.n), radius, max_states), None)
     if path is None:
         return None
     moves = _moves(x.n)

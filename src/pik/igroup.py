@@ -4,8 +4,9 @@ An element is a tuple (w_n, ..., w_2) with w_m a freely reduced word in the
 level-m free factor H_m (rank m, letter l standing for the generator
 y(m, l)).  The tuple is the normal form: elements are equal iff the tuples
 are equal componentwise.  An IElem stores each w_m as its tuple of letters
-(l, +-1), the representation every operation here works on; part(m) views
-it as a rank-m FreeWord for callers that want the word API.
+(l, +-1), the representation every operation here works on but the orbit
+walk's kernel, which has its own encoding (the walk form, below); part(m)
+views it as a rank-m FreeWord for callers that want the word API.
 
 Levels interact by conjugation: for j < i the level-j factor normalizes the
 level-i factor.  On generators, with the left action a . w = a w a^-1,
@@ -19,6 +20,8 @@ lower-level factors to the right across higher levels using this action.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -237,53 +240,111 @@ def conj_elem(g: IElem, x: IElem) -> IElem:
     return imul(g, imul(x, iinv(g)))
 
 
-def _conj_steps(
-    n: int, parts: tuple[Part, ...], steps: Iterable[tuple[int, int, int]]
-) -> list[tuple[Part, ...]]:
-    """The parts of y(m,i)^eps u y(m,i)^-eps for each step (m, i, eps), u given by its parts.
+def conj_by_gen(n: int, m: int, i: int, eps: int, u: IElem) -> IElem:
+    """y(m,i)^eps * u * y(m,i)^-eps in one collection pass.
 
     With a = y(m,i)^eps: each run r of letters of index <= m at a level above
-    m becomes a r a^-1 (one cancellation check at each end), the level-m
-    component becomes a (u_m P) a^-1 P^-1 with P = u_{m-1} ... u_max(i,2),
-    which is how the part of u below m acts on y(m,i)^-eps, and lower levels
-    are untouched (docs/NOTES.md).  The levels above m are split into runs,
-    and u_m P and P^-1 built for every i, once per m for all the steps given.
+    m becomes a r a^-1, the level-m component becomes a (u_m P) a^-1 P^-1
+    with P = u_{m-1} ... u_max(i,2), which is how the part of u below m acts
+    on y(m,i)^-eps, and lower levels are untouched (docs/NOTES.md).  The
+    orbit walk runs the same formula on its own states (_conj_steps).
     """
-    levels: dict[int, tuple[list, list[tuple[Part, Part]]]] = {}
+    a, a_inv = ((i, eps),), ((i, -eps),)
+    parts = list(u.parts)
+    for k in range(n - m):  # the levels above m
+        if parts[k]:
+            parts[k] = _conjugate_runs(parts[k], m, a, a_inv)
+    p: Part = ()
+    for q in parts[n - m + 1 : n - max(i, 2) + 1]:  # u_{m-1}, ..., u_max(i,2)
+        p = _join(p, q)
+    parts[n - m] = _join(_join(a, _join(parts[n - m], p)), _join(a_inv, _inverse(p)))
+    return _raw_elem(n, tuple(parts))
+
+
+# ---------------------------------------------------------------------------
+# The walk form: the orbit walk's states.  A level word is a str with one
+# character per letter, (l, +1) as chr(2l) and (l, -1) as chr(2l+1), so a
+# letter's inverse is its code point XOR 1 and a state, one str per level,
+# hashes from the strs' cached hashes (docs/NOTES.md).
+# ---------------------------------------------------------------------------
+
+WalkState = tuple[str, ...]
+
+
+def _walk_form(parts: tuple[Part, ...]) -> WalkState:
+    """The walk form of an element's parts."""
+    return tuple(["".join([chr(2 * l + (s < 0)) for l, s in p]) for p in parts])
+
+
+@functools.cache
+def _walk_tables(n: int) -> tuple[dict[int, int], list]:
+    """The inverse table of the letters of rank n, and runs[j] for 2 <= j < n.
+
+    runs[j].split(w) is the pieces h_0, r_1, h_1, ..., r_t, h_t of
+    _split_runs(letters, j): the one group keeps each run of codes 2..2j+1.
+    """
+    flip = {c: c ^ 1 for c in range(2, 2 * n + 2)}
+    runs = [None, None] + [re.compile(f"([\\x02-\\U{2 * j + 1:08x}]+)") for j in range(2, n)]
+    return flip, runs
+
+
+def _walk_join(a: str, b: str) -> str:
+    """The reduced product of two reduced walk-form words."""
+    if not a or not b or ord(a[-1]) ^ 1 != ord(b[0]):
+        return a + b
+    c = 1
+    stop = min(len(a), len(b))
+    while c < stop and ord(a[-1 - c]) ^ 1 == ord(b[c]):
+        c += 1
+    return a[: len(a) - c] + b[c:]
+
+
+def _conj_steps(n: int, state: WalkState, steps: Iterable[tuple[int, int, int]]) -> list[WalkState]:
+    """The walk form of y(m,i)^eps u y(m,i)^-eps for each step (m, i, eps), u given by its walk form.
+
+    The formula of conj_by_gen, batched: the levels above m are split into
+    runs, and u_m P and P^-1 built for every i, once per m for all the steps
+    given.  With a = y(m,i)^eps, each run r becomes a r a^-1 with one
+    cancellation check at each end.
+    """
+    flip, runs = _walk_tables(n)
+    levels: dict[int, tuple[list[tuple[int, list[str]]], list[tuple[str, str]]]] = {}
     out = []
     for m, i, eps in steps:
         got = levels.get(m)
         if got is None:
-            splits = [(n - q, _split_runs(parts[n - q], m)) for q in range(m + 1, n + 1)]
-            w = parts[n - m]
-            lows = [(w, ())] * (m + 1)  # lows[i] = (u_m P, P^-1)
-            p: Part = ()
+            up = []
+            if m < n:
+                split = runs[m].split
+                for k in range(n - m):
+                    pieces = split(state[k])
+                    if len(pieces) > 1:
+                        up.append((k, pieces))
+            w = state[n - m]
+            lows = [(w, "")] * (m + 1)  # lows[i] = (u_m P, P^-1)
+            p = ""
             for j in range(m - 1, 1, -1):  # P = u_{m-1} ... u_j for i = j
-                p = _join(p, parts[n - j])
-                lows[j] = (_join(w, p), _inverse(p))
+                p = _walk_join(p, state[n - j])
+                lows[j] = (_walk_join(w, p), p[::-1].translate(flip))
             lows[1] = lows[2]
-            got = levels[m] = ([(k, r) for k, r in splits if len(r) > 1], lows)
+            got = levels[m] = (up, lows)
         up, lows = got
-        a, a_inv = (i, eps), (i, -eps)
-        new = list(parts)
+        a = chr(2 * i + (eps < 0))
+        a_inv = chr(2 * i + (eps > 0))
+        new = list(state)
         for k, pieces in up:
             word = pieces[0]
             for s in range(1, len(pieces), 2):
                 r = pieces[s]
-                r = r[1:] if r[0] == a_inv else (a,) + r
-                word += (r[:-1] if r and r[-1] == a else r + (a_inv,)) + pieces[s + 1]
+                r = r[1:] if r[0] == a_inv else a + r
+                word += (r[:-1] if r and r[-1] == a else r + a_inv) + pieces[s + 1]
             new[k] = word
         wp, p_inv = lows[i]
-        left = wp[1:] if wp and wp[0] == a_inv else (a,) + wp
-        right = p_inv[1:] if p_inv and p_inv[0] == a else (a_inv,) + p_inv
-        new[n - m] = _join(left, right)
+        left = wp[1:] if wp and wp[0] == a_inv else a + wp
+        right = p_inv[1:] if p_inv and p_inv[0] == a else a_inv + p_inv
+        new[n - m] = _walk_join(left, right)
         out.append(tuple(new))
     return out
-
-
-def conj_by_gen(n: int, m: int, i: int, eps: int, u: IElem) -> IElem:
-    """y(m,i)^eps * u * y(m,i)^-eps in one collection pass (see _conj_steps)."""
-    return _raw_elem(n, _conj_steps(n, u.parts, [(m, i, eps)])[0])
 
 
 def commutator_elem(a: IElem, b: IElem) -> IElem:

@@ -25,6 +25,7 @@ from pik.fuzz import planted_conjugacy_case, random_ielem
 from pik.igroup import (
     IElem,
     _conj_steps,
+    _walk_form,
     abelianize,
     act_elem,
     collect,
@@ -719,12 +720,12 @@ class TestWalkPruning:
             n = x.n
             steps = [mv[:3] for mv in conj_mod._moves(n)]
 
-            def every(parts, made_by):
-                return enumerate(_conj_steps(n, parts, steps))
+            def every(state, made_by):
+                return enumerate(_conj_steps(n, state, steps))
 
-            walk = conj_mod._meet_walk(x.parts, y.parts, every, 6, 10**7)
-            full = list(walk)
-            pruned = conj_mod._meet_walk(x.parts, y.parts, conj_mod._orbit_expand(n), 6, 10**7)
+            roots = _walk_form(x.parts), _walk_form(y.parts)
+            full = list(conj_mod._meet_walk(*roots, every, 6, 10**7))
+            pruned = conj_mod._meet_walk(*roots, conj_mod._orbit_expand(n), 6, 10**7)
             assert list(pruned) == full, (x, y)
             meets += len(full)
         assert meets

@@ -156,6 +156,11 @@ def _any_ielems():
     )
 
 
+def _from_walk_form(state):
+    """The letter tuples of a walk form: code 2l is (l, 1) and 2l + 1 is (l, -1)."""
+    return tuple(tuple((ord(c) >> 1, -1 if ord(c) & 1 else 1) for c in w) for w in state)
+
+
 @st.composite
 def _elem_and_step(draw):
     """u drawn as in _any_ielems, and a step y(m,i)^eps."""
@@ -236,7 +241,7 @@ class TestGroupLaws:
     @example((from_parts(4, {3: word(3, [(2, -1), (3, 1)])}), 4, 3, -1))
     @example((from_parts(4, {2: word(2, [(1, 1)])}), 3, 1, 1))
     def test_conj_by_gen_is_conjugation(self, case):
-        # conj_by_gen is igroup._conj_steps for one step.
+        # conj_by_gen: one step on letter tuples, the pair form.
         u, m, i, eps = case
         s = gen_elem(u.n, m, i) if eps > 0 else iinv(gen_elem(u.n, m, i))
         assert conj_by_gen(u.n, m, i, eps, u) == conj_elem(s, u)
@@ -251,14 +256,42 @@ class TestGroupLaws:
     @example(from_parts(4, {4: word(4, [(4, 1), (3, -1)]), 3: gen(3, 3), 2: gen(2, 1)}))
     @example(identity_elem(2))
     def test_conj_steps_is_conjugation(self, u):
-        # the walk kernel: one pass over u for every step, in any order
+        # the walk kernel: one pass over u's walk form for every step, in any order
         steps = [(m, i, eps) for m, i in generators(u.n) for eps in (1, -1)]
-        got = igroup._conj_steps(u.n, u.parts, steps)
+        state = igroup._walk_form(u.parts)
+        got = igroup._conj_steps(u.n, state, steps)
         assert len(got) == len(steps)
-        for (m, i, eps), parts in zip(steps, got):
+        for (m, i, eps), conj_state in zip(steps, got):
             s = gen_elem(u.n, m, i) if eps > 0 else iinv(gen_elem(u.n, m, i))
-            assert parts == conj_elem(s, u).parts, (m, i, eps)
-        assert igroup._conj_steps(u.n, u.parts, steps[::-1]) == got[::-1]
+            assert conj_state == igroup._walk_form(conj_elem(s, u).parts), (m, i, eps)
+        assert igroup._conj_steps(u.n, state, steps[::-1]) == got[::-1]
+
+    @given(_any_ielems())
+    @example(identity_elem(2))
+    def test_walk_form_is_injective(self, u):
+        # decoding each character recovers the parts, so no two parts share a walk form
+        assert _from_walk_form(igroup._walk_form(u.parts)) == u.parts
+
+    def test_walk_form_past_code_point_255(self):
+        # at n = 130 the letters of index 128..130 have code points 256..261
+        n = 130
+        rng = Lcg(21)
+        levels = {}
+        for m in (130, 129, 128, 3, 2):
+            letters = [(rng.below(m) + 1, rng.sign()) for _ in range(14)]
+            letters += [(l, rng.sign()) for l in range(max(2, m - 3), m + 1)]
+            levels[m] = FreeWord(m, reduce_letters(letters))
+        u = from_parts(n, levels)
+        state = igroup._walk_form(u.parts)
+        assert max(map(ord, "".join(state))) > 255
+        assert _from_walk_form(state) == u.parts
+        steps = [(m, i, eps) for m in (2, 3, 128, 129, 130) for i in (1, 2, 127, 128, 129, 130)
+                 if i <= m for eps in (1, -1)]
+        for (m, i, eps), conj_state in zip(steps, igroup._conj_steps(n, state, steps)):
+            s = gen_elem(n, m, i) if eps > 0 else iinv(gen_elem(n, m, i))
+            v = conj_elem(s, u)
+            assert conj_state == igroup._walk_form(v.parts), (m, i, eps)
+            assert conj_by_gen(n, m, i, eps, u) == v
 
     def test_lower_part(self):
         e = imul(gen_elem(4, 4, 2), imul(gen_elem(4, 3, 1), gen_elem(4, 2, 2)))
