@@ -77,8 +77,10 @@ def walk_stage(*args):
     return "probe walk" if walks[0] == 1 else "full walk"
 
 
-def counted_expand(n, orbit_expand=conj._orbit_expand):
-    expand = orbit_expand(n)
+def counted_expand(n, *low, orbit_expand=conj._orbit_expand):
+    expand = orbit_expand(n, *low)
+    if low:  # the ladder's walk at one level, not an orbit walk stage
+        return expand
     stage = "probe walk" if walks[0] == 1 else "full walk"  # the walk that asked for it
 
     def counted(state, made_by):

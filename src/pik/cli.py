@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import ajohnson, conj, decomp, endos, fuzz, igroup, lie, magnus
@@ -22,15 +22,13 @@ from .conj import SearchBudget
 from .prng import Lcg
 from .words import ParseError, parse_word, parse_x_word
 
-SCHEMA = "pik/2"
+SCHEMA = "pik/3"
 
 
 @dataclass(frozen=True)
 class RunConfig:
     n: int = 3
     max_degree: int = 4
-    budget_len: int = 10
-    budget_coset: int = 8
     seed: int = 20240601
     fuzz_words: int = 100
     fuzz_conj: int = 40
@@ -43,8 +41,6 @@ class RunConfig:
             raise ValueError(f"--n must be at least 3, got {self.n}")
         if self.max_degree < 2:
             raise ValueError(f"--max-degree must be at least 2, got {self.max_degree}")
-        if min(self.budget_len, self.budget_coset) < 1:
-            raise ValueError("budgets must be positive")
         if min(self.fuzz_words, self.fuzz_conj) < 0:
             raise ValueError("fuzz counts must be non-negative")
 
@@ -52,10 +48,6 @@ class RunConfig:
         return {
             "n": self.n,
             "max_degree": self.max_degree,
-            "budgets": {
-                "len": self.budget_len,
-                "coset": self.budget_coset,
-            },
             "seed": self.seed,
             "fuzz": {"words": self.fuzz_words, "conjugacy": self.fuzz_conj},
         }
@@ -133,7 +125,6 @@ def check_conjugacy_fuzz(cfg: RunConfig) -> dict:
     planted_fail = 0
     for _ in range(cfg.fuzz_conj):
         x, y, budget = fuzz.planted_conjugacy_case(rng, cfg.n, 8)
-        budget = replace(budget, max_len=cfg.budget_len, coset=cfg.budget_coset)
         res = conj.conjugacy(x, y, budget)
         if res.verdict != "conjugate":
             planted_fail += 1
@@ -170,7 +161,7 @@ def check_theorem_th1(cfg: RunConfig) -> dict:
 
 
 def check_tilde_t(cfg: RunConfig) -> dict:
-    rep = decomp.verify_tilde_T(cfg.n, min(cfg.max_degree, 3))
+    rep = decomp.verify_tilde_T(cfg.n, cfg.max_degree)
     return _check("tilde_T", rep.ok, rep.as_dict())
 
 
@@ -197,11 +188,6 @@ def _thu1_row(n: int, c: int) -> dict:
     return {"n": n, "c": c, "lhs": lhs, "certified": ajohnson.l1_rank(n, c, c + 2) == lhs}
 
 
-def check_thu1(cfg: RunConfig) -> dict:
-    rows = [_thu1_row(cfg.n, c) for c in (1, 2)]
-    return _check("thu1_bound", all(r["certified"] for r in rows), {"rows": rows})
-
-
 _CHECKS: list[Callable[[RunConfig], dict]] = [
     check_mccool,
     check_igroup_relations,
@@ -211,7 +197,6 @@ _CHECKS: list[Callable[[RunConfig], dict]] = [
     check_tilde_t,
     check_rank_table,
     check_l1_ranks,
-    check_thu1,
 ]
 
 
@@ -277,8 +262,6 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         n=args.n,
         max_degree=args.max_degree,
-        budget_len=args.budget_len,
-        budget_coset=args.budget_coset,
         seed=args.seed,
         fuzz_words=args.fuzz_words,
         fuzz_conj=args.fuzz_conj,
@@ -361,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--seed", type=int, default=cfg.seed)
     va.add_argument("--fuzz-words", type=int, default=cfg.fuzz_words)
     va.add_argument("--fuzz-conj", type=int, default=cfg.fuzz_conj)
-    va.add_argument("--budget-len", type=int, default=cfg.budget_len)
-    va.add_argument("--budget-coset", type=int, default=cfg.budget_coset)
     va.add_argument("--format", choices=["json", "text"], default=cfg.output_format)
     va.add_argument("--out", default=cfg.output_path)
     va.add_argument(

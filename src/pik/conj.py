@@ -16,16 +16,18 @@ Verdicts are sound by construction:
   an element induces on Hom(F_n, Q) for Q = S_3 or S_4.  The twisted
   class-2 nilpotent quotient obstruction only prunes ladder candidates and
   never produces a verdict;
-* everything else is ``unknown`` together with the exhausted bounds.  The
-  full twisted-conjugacy decision procedure from the literature is out of
-  scope; bounded verified search replaces it and never fakes a "no".
+* everything else is ``unknown`` together with the search budget, every
+  bound of which `pik conj decide` takes as a flag.  The full
+  twisted-conjugacy decision procedure from the literature is out of scope;
+  bounded verified search replaces it and never fakes a "no".
 
-Search is layered: the level ladder with a centralizer-coset enumeration and
-bounded twisted searches first, then a bidirectional conjugation walk in the
-generator metric; a finite quotient runs before each of the two.  For
-planted instances the walk is complete once its radius covers the generator
-length of the planted conjugator, which is how the acceptance fuzz seeds
-its budgets.
+Search is layered: the level ladder first, then a bidirectional conjugation
+walk in the generator metric; a finite quotient runs before each of the
+two.  The ladder enumerates a centralizer coset at untwisted levels and, at
+twisted ones, runs the same walk restricted to the level's generators, its
+own caps being module constants.  For planted instances the walk is
+complete once its radius covers the generator length of the planted
+conjugator, which is how the acceptance fuzz seeds its budgets.
 """
 
 from __future__ import annotations
@@ -76,24 +78,33 @@ class ConjError(ValueError):
     pass
 
 
+# The ladder's own caps.  No caller sets them, so they are constants and not
+# budgets: the ladder spends at most LADDER_NODES backtracking nodes, and each
+# twisted-conjugacy search holds at most TWISTED_STATES states and yields at
+# most SOLUTIONS_PER_LEVEL solutions.
+LADDER_NODES = 100
+TWISTED_STATES = 500
+SOLUTIONS_PER_LEVEL = 8
+
+# Q = S_k is used only while Hom(F_n, Q) has at most this many points: S_3
+# for n <= 5 and S_4 for n <= 3.
+MAX_QUOTIENT_POINTS = 20_000
+
+
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the incomplete parts of the search.
+    """The caps that callers set for the incomplete parts of the search.
 
-    max_len bounds twisted-level word searches, coset the centralizer
-    exponent range at complete levels.  gen_radius and max_states bound the
-    generator-metric conjugation walk; ladder_nodes bounds backtracking;
-    twisted_states and solutions_per_level bound each twisted-conjugacy
-    search and the solutions it yields per level.
+    max_len bounds the depth of each twisted-level search, coset the
+    centralizer exponent range at complete levels.  gen_radius and
+    max_states bound the generator-metric conjugation walk.  An unknown
+    reports all four, and `pik conj decide` takes each as a flag.
     """
 
     max_len: int = 16
     coset: int = 8
     gen_radius: int = 8
     max_states: int = 60_000
-    ladder_nodes: int = 100
-    twisted_states: int = 500
-    solutions_per_level: int = 8
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
@@ -106,9 +117,6 @@ class SearchBudget:
             "coset": self.coset,
             "gen_radius": self.gen_radius,
             "max_states": self.max_states,
-            "ladder_nodes": self.ladder_nodes,
-            "twisted_states": self.twisted_states,
-            "solutions_per_level": self.solutions_per_level,
         }
 
 
@@ -212,31 +220,24 @@ def _letters(rank: int) -> list[tuple]:
 
 
 def _twisted_bidirectional(
-    a: FreeWord, z: FreeWord, b: IElem, budget: SearchBudget, limit: int
+    a: FreeWord, z: FreeWord, b: IElem, max_len: int, max_states: int, limit: int
 ) -> list[FreeWord]:
-    """Solutions g of g a (b . g^-1) = z found by a two-sided letter walk.
+    """Solutions g of g a (b . g^-1) = z found by the orbit walk of (a, b) at one level.
 
-    Forward states are g a (b . g^-1); backward states are u z (b . u^-1);
-    a meet at (g, u) yields the candidate u^-1 g, kept once it is verified.
-    When a = z the root is a meet, with the empty path.  Steps are the
-    letters, with their twisted inverses precomputed.
+    With i = a.rank, y(i,l)^s sends the rank-i element whose top part is a
+    and whose lower part is b to y(i,l)^s a (b . y(i,l)^-s) over the same b
+    (conj_by_gen's formula, as b is below level i).  So the walk under the
+    level-i generators alone has forward states g a (b . g^-1) and backward
+    states u z (b . u^-1); a meet at (g, u) yields the candidate u^-1 g,
+    kept once it is verified.  When a = z the root is a meet, with the
+    empty path.
     """
     rank = a.rank
     letters = _letters(rank)
-    twisted_inv = [act_elem(b, gen(rank, i, -s)).letters for ((i, s),) in letters]
-
-    def expand(state: tuple, made_by: int) -> list:
-        # s is one letter: it cancels the first letter of state or goes in front.
-        head = state[0] if state else None
-        return [
-            (k, _join(state[1:] if head == letters[k ^ 1][0] else s + state, twisted_inv[k]))
-            for k, s in enumerate(letters)
-            if k != made_by ^ 1
-        ]
-
+    roots = _walk_form((a.letters,) + b.parts), _walk_form((z.letters,) + b.parts)
+    walk = _meet_walk(*roots, _orbit_expand(rank, rank), max_len, max_states)
     found: list[FreeWord] = []
     seen: set[tuple] = set()
-    walk = _meet_walk(a.letters, z.letters, expand, budget.max_len, budget.twisted_states)
     for path in itertools.chain([[]] if a == z else [], walk):
         key = functools.reduce(_join, [letters[k] for k in path], ())
         cand = _raw(rank, key)
@@ -293,20 +294,17 @@ def _lower_action(y: IElem, i: int) -> Twist:
 
 
 def twisted_solutions(
-    a: FreeWord, z: FreeWord, twist: Twist, budget: SearchBudget
+    a: FreeWord, z: FreeWord, twist: Twist, budget: SearchBudget, max_states: int = TWISTED_STATES
 ) -> Iterator[FreeWord]:
     """Candidate solutions of g a (b . g^-1) = z, best-effort enumeration.
 
     twist is _lower_action's (b, images), or None for plain conjugacy.
+    max_states caps the twisted walk's states and the words tried when
+    every word solves.
     """
     if twist is None:
         if a.is_identity and z.is_identity:
-            count = 0
-            for w in _all_words(a.rank, budget.max_len):
-                yield w
-                count += 1
-                if count >= budget.twisted_states:
-                    return
+            yield from itertools.islice(_all_words(a.rank, budget.max_len), max_states)
             return
         g0 = free_conjugate(a, z)
         if g0 is None:
@@ -316,7 +314,7 @@ def twisted_solutions(
     b, images = twist
     if not twisted_class2_obstruction(a, z, images):
         return
-    yield from _twisted_bidirectional(a, z, b, budget, budget.solutions_per_level)
+    yield from _twisted_bidirectional(a, z, b, budget.max_len, max_states, SOLUTIONS_PER_LEVEL)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +338,7 @@ def _ladder(x: IElem, y: IElem, budget: SearchBudget) -> tuple[IElem, tuple[Leve
 
     def spend() -> None:
         nodes[0] += 1
-        if nodes[0] > budget.ladder_nodes:
+        if nodes[0] > LADDER_NODES:
             raise _Exhausted()
 
     def solve(i: int, path: list[tuple[FreeWord, FreeWord]]):
@@ -405,7 +403,7 @@ def _meet_walk(
     expand(state, made_by) lists (k, state after step k), k increasing, for
     the steps worth trying on a state made by step made_by (-1 at a root).
     Step 2j+1 inverts step 2j, and no expand tries made_by ^ 1, which leads
-    back to the parent; the orbit walk also skips commuting steps
+    back to the parent, nor a step before made_by that commutes with it
     (_walk_steps).  Each round grows the side with the smaller frontier by
     one depth; the caps are read only between rounds.  A meet at a state
     reached by g from a_root and by h from b_root is yielded as the steps
@@ -453,17 +451,19 @@ def _moves(n: int) -> list[tuple[int, int, int, IElem]]:
 
 
 @functools.cache
-def _walk_steps(n: int) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]]:
+def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]]:
     """The orbit walk's steps after move a (-1 at a root), as indices and (m, i, eps).
 
-    Moves are ordered as in _moves.  Left out are a ^ 1 and every move k < a
-    whose generator commutes with a's: a state is first inserted by the
-    lexicographically least of its shortest step words, which never has
-    "a, then k" (docs/NOTES.md).  Generators y and z commute when z y z^-1 = y,
-    which the walk's kernel decides on the walk form of y; imul would add to
-    call counts in the first run only.
+    The moves are those of the generators of level low and above, ordered
+    as in _moves.  Left out are a ^ 1 and every move k < a whose generator
+    commutes with a's: a state is first inserted by the lexicographically
+    least of its shortest step words, which never has "a, then k"
+    (docs/NOTES.md).  Generators y and z commute when z y z^-1 = y, which
+    the walk's kernel decides on the walk form of y; imul would add to call
+    counts in the first run only.  Two generators of one level never
+    commute, so at low = n only a ^ 1 is left out.
     """
-    gens = generators(n)
+    gens = [(m, i) for m, i in generators(n) if m >= low]
     steps = tuple((m, i, eps) for m, i in gens for eps in (1, -1))
     fixed = []  # fixed[g][h]: generator h conjugates generator g to itself
     for m, i in gens:
@@ -476,9 +476,9 @@ def _walk_steps(n: int) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int
     return after
 
 
-def _orbit_expand(n: int) -> Callable[[tuple, int], Iterable[tuple[int, tuple]]]:
+def _orbit_expand(n: int, low: int = 2) -> Callable[[tuple, int], Iterable[tuple[int, tuple]]]:
     """The orbit walk's expand at rank n: a walk-form state's conjugates by the steps _walk_steps keeps."""
-    after = _walk_steps(n)
+    after = _walk_steps(n, low)
 
     def expand(state: tuple, made_by: int) -> Iterable[tuple[int, tuple]]:
         ks, steps = after[made_by]
@@ -531,11 +531,6 @@ def _greedy_descent(u: IElem) -> tuple[IElem, IElem]:
 # Finite-quotient refutation: Aut(F_n) acts on Hom(F_n, Q) by rho -> rho o phi,
 # so conjugate elements permute it with equal cycle types (docs/NOTES.md).
 # ---------------------------------------------------------------------------
-
-# Q = S_k is used only while Hom(F_n, Q) has at most this many points: S_3
-# for n <= 5 and S_4 for n <= 3.
-MAX_QUOTIENT_POINTS = 20_000
-
 
 def symmetric_group(k: int) -> tuple[tuple[int, ...], ...]:
     """The elements of S_k as tuples, identity first; the product a b is t -> a[b[t]]."""

@@ -37,7 +37,7 @@ def run_cli(args, **kwargs):
 
 class TestReportSchema:
     def test_empty_results(self):
-        assert emit_report([]) == {"schema": "pik/2", "checks": []}
+        assert emit_report([]) == {"schema": "pik/3", "checks": []}
 
     def test_passing_check(self):
         rep = emit_report([{"name": "x", "status": "pass", "details": {}}])
@@ -55,8 +55,6 @@ class TestReportSchema:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(n=1)
-        with pytest.raises(ValueError):
-            RunConfig(budget_len=0)
         with pytest.raises(ValueError):
             RunConfig(fuzz_words=-1)
         with pytest.raises(ValueError):
@@ -107,9 +105,10 @@ class TestSubcommands:
         assert "witness" in out
 
     def test_conj_decide_replays_a_library_unknown(self, capsys):
-        # The bounds that callers in this repo change can be set again from
-        # the command line; the others keep their defaults.  Both sides lie
-        # in H_3, where no finite quotient the solver tries tells them apart.
+        # Every bound an unknown names can be set again from the command
+        # line.  Both sides lie in H_3, where no finite quotient the solver
+        # tries tells them apart.
+        assert set(BUDGET_FLAGS) == set(SearchBudget().as_dict())
         xs, ys = "y(3,1) y(3,2)", "y(3,1) y(3,2)^2 y(3,3) y(3,2)^-1 y(3,3)^-1"
         budget = SearchBudget(max_len=5, coset=3, gen_radius=2, max_states=300)
         res = conjugacy(collect(3, parse_word(xs)), collect(3, parse_word(ys)), budget)
@@ -211,7 +210,7 @@ class TestVerifyAll:
         assert main(self.CFG + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         rep = json.loads(out1.read_text())
-        assert rep["schema"] == "pik/2"
+        assert rep["schema"] == "pik/3"
         assert all(c["status"] == "pass" for c in rep["checks"])
 
     def test_negative_control_drop_relator(self, tmp_path, capsys):
@@ -228,16 +227,16 @@ class TestVerifyAll:
         rep = json.loads((tmp_path / "r.json").read_text())
         assert any(c["name"] == "mccool_relations" and c["status"] == "fail" for c in rep["checks"])
 
-    # SHA-256 of the report bytes of CFG, fixed before the endomorphism layer
-    # stopped carrying inverses through compose; a change that keeps every
-    # verdict keeps these bytes.
+    # SHA-256 of the report bytes of CFG, re-pinned at schema pik/3, which
+    # dropped config.budgets and the thu1_bound check and changed nothing
+    # else in these reports; a change that keeps every verdict keeps them.
     @pytest.mark.parametrize(
         "extra, digest",
         [
-            ([], "4fa9d2c654a3d54942e680755417eed70786ecd645aab269187fd58199581ec3"),
+            ([], "d5beded3740c3bbe4ab0b5e15ca9a8f464c232e2aeefb526c9fa24f972443515"),
             (
                 ["--negative-control", "perturb-chi"],
-                "5b21dd35966abcd48e20cc3fe5907ecac2cbba1337f1020614fb42b5346d379f",
+                "71cb2a5d81cb3ab719eb4d4c593f2254747caf2d0991cca443c423460636e2e0",
             ),
         ],
     )
@@ -293,15 +292,15 @@ class TestVerifyAll:
         assert "PIK_THREADS must be an integer" in json.loads(capsys.readouterr().err)["error"]
 
     def test_conjugacy_fuzz_keeps_the_planted_budget(self, monkeypatch):
-        # each planted case seeds gen_radius and max_states so that its walk
-        # is complete; the run's length and coset budgets replace only those two
+        # each planted case seeds its budget so that its walk is complete,
+        # and conjugacy gets that budget unchanged
         from types import SimpleNamespace
 
         from pik import conj, fuzz
         from pik.cli import check_conjugacy_fuzz
         from pik.prng import Lcg
 
-        cfg = RunConfig(n=3, seed=7, fuzz_conj=6, budget_len=5, budget_coset=3)
+        cfg = RunConfig(n=3, seed=7, fuzz_conj=6)
         rng = Lcg(cfg.seed + 1)
         planted = [fuzz.planted_conjugacy_case(rng, cfg.n, 8)[2] for _ in range(cfg.fuzz_conj)]
         seen = []
@@ -309,12 +308,12 @@ class TestVerifyAll:
         def fake(x, y, budget=None):
             if budget is None:  # the abelianization refutations use the default budget
                 return SimpleNamespace(verdict="not_conjugate")
-            seen.append((budget.gen_radius, budget.max_states, budget.max_len, budget.coset))
+            seen.append(budget)
             return SimpleNamespace(verdict="conjugate")
 
         monkeypatch.setattr(conj, "conjugacy", fake)
         assert check_conjugacy_fuzz(cfg)["status"] == "pass"
-        assert seen == [(b.gen_radius, b.max_states, 5, 3) for b in planted]
+        assert seen == planted
         assert {b.max_states for b in planted} == {400_000}
 
     def test_normal_form_fuzz_checks_inverse_images(self, monkeypatch):

@@ -67,9 +67,9 @@ def images_of(b, i):
     return tuple(act_elem(b, gen(i, l)) for l in range(1, i + 1))
 
 
-def first_solution(a, z, twist, budget=SearchBudget()):
+def first_solution(a, z, twist, budget=SearchBudget(), max_states=conj_mod.TWISTED_STATES):
     """The first solution g of g a (b . g^-1) = z that the ladder would try."""
-    return next(twisted_solutions(a, z, twist, budget), None)
+    return next(twisted_solutions(a, z, twist, budget, max_states), None)
 
 
 def solves(g, a, z, b):
@@ -162,7 +162,7 @@ class TestTwistedConjugate:
             a = random_ielem(rng, 4, 5).part(3)
             g = random_ielem(rng, 4, 5).part(3)
             z = multiply(multiply(g, a), act_elem(b, invert(g)))
-            sol = first_solution(a, z, twist, SearchBudget(max_len=10, twisted_states=4000))
+            sol = first_solution(a, z, twist, SearchBudget(max_len=10), max_states=4000)
             assert sol is not None and solves(sol, a, z, b)
 
 
@@ -211,7 +211,7 @@ class TestConjugacy:
     def test_budget_monotonicity(self):
         # enlarging the budget never flips a definite verdict
         rng = Lcg(56)
-        small = SearchBudget(gen_radius=2, max_states=500, ladder_nodes=20, twisted_states=100)
+        small = SearchBudget(gen_radius=2, max_states=500)
         big = SearchBudget(gen_radius=6, max_states=20000)
         for _ in range(20):
             x = random_ielem(rng, 3, 5)
@@ -233,7 +233,7 @@ class TestConjugacy:
 
         x = collect(3, parse_word("y(3,1) y(2,1)"))
         y = collect(3, parse_word("y(3,2)^-1 y(3,1) y(3,2) y(2,1)"))
-        budget = SearchBudget(gen_radius=2, max_states=300, ladder_nodes=10, twisted_states=60)
+        budget = SearchBudget(gen_radius=2, max_states=300)
         res = conjugacy(x, y, budget)
         assert res.verdict == "not_conjugate"
         assert res.reason == "finite-quotient (S_3) cycle type mismatch"
@@ -289,7 +289,7 @@ class TestConjugacy:
                 ),
             ),
         ]
-        budget = SearchBudget(gen_radius=2, max_states=500, ladder_nodes=20, twisted_states=100)
+        budget = SearchBudget(gen_radius=2, max_states=500)
         seen = set()
         for x, y in pairs:
             res = conjugacy(x, y, budget)
@@ -575,7 +575,7 @@ def _reference_orbit_walk(x, y, radius, max_states, sizes=None):
     return None
 
 
-def _reference_twisted_walk(a, z, twist, budget, limit):
+def _reference_twisted_walk(a, z, twist, max_len, max_states, limit):
     """The twisted walk on FreeWord states with eagerly multiplied g-words.
 
     twist is an EndoF, applied with endos.apply.
@@ -602,8 +602,8 @@ def _reference_twisted_walk(a, z, twist, budget, limit):
     while (
         fwd_frontier
         and bwd_frontier
-        and depth < budget.max_len
-        and len(fwd) + len(bwd) < budget.twisted_states
+        and depth < max_len
+        and len(fwd) + len(bwd) < max_states
         and len(found) < limit
     ):
         depth += 1
@@ -682,9 +682,8 @@ class TestWalksAgainstReference:
         for a, z, b, twist in cases:
             for states in (10, 40, 120, 400):
                 for limit in (1, 3):
-                    budget = SearchBudget(max_len=6, twisted_states=states)
-                    got = conj_mod._twisted_bidirectional(a, z, b, budget, limit)
-                    assert got == _reference_twisted_walk(a, z, twist, budget, limit)
+                    got = conj_mod._twisted_bidirectional(a, z, b, 6, states, limit)
+                    assert got == _reference_twisted_walk(a, z, twist, 6, states, limit)
                     solved += bool(got)
         assert solved
 
@@ -711,6 +710,18 @@ class TestWalkPruning:
                     else:
                         assert not (k < a and commute), (n, a, k)
             assert dropped or n == 2, n  # y(2,1) and y(2,2) do not commute
+
+    def test_one_level_walk_drops_only_the_inverse(self):
+        # the ladder's walk steps with the top-level generators alone, no two
+        # of which commute
+        for n in (3, 4, 5):
+            moves = [mv[:3] for mv in conj_mod._moves(n)][-2 * n :]
+            after = conj_mod._walk_steps(n, n)
+            assert after[-1] == (tuple(range(2 * n)), tuple(moves))
+            for a in range(2 * n):
+                ks, steps = after[a]
+                assert ks == tuple(k for k in range(2 * n) if k != a ^ 1)
+                assert steps == tuple(moves[k] for k in ks)
 
     def test_pruned_walk_yields_the_same_meets(self):
         # every meet, in order, of the pruned orbit walk and of one that
