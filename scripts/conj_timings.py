@@ -17,7 +17,8 @@ states they expand:
 "other" is the rest of the stream's wall time: equality, the abelianization,
 the level-2 core and the witness checks.  The child also reports its peak
 RSS (``ru_maxrss``) and a SHA-256 of the stream's ``ConjResult.as_dict()``
-outputs, so two trees can be seen to decide alike.  The wrappers add one
+outputs, and the script prints whether the trees' SHA-256s agree, so two
+trees can be seen to decide alike.  The wrappers add one
 Python call per stage call and per expanded state to what they time.
 
 Give each tree to compare as LABEL=SRC; the runs alternate between the
@@ -43,7 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 STREAMS = ("conj-planted", "conj-hard")
 STAGES = ("descent", "probe walk", "S_3", "ladder", "S_4", "full walk")
 SECONDS = 15
-REPEAT = 3
+REPEAT = 7
 OUT = ROOT / "BENCH_conj.json"
 
 CHILD = """
@@ -172,6 +173,9 @@ def main(argv: list[str]) -> int:
             rec = records[label][stream] = summary(got)
             stages = ", ".join(f"{s} {v['wall_s']}" for s, v in rec["stages"].items())
             print(f"{label}: {stream} {rec['wall_s']} s ({stages}), {rec['peak_rss_mb']} MB")
+        if len(trees) > 1:
+            agree = len({records[label][stream]["outputs_sha256"] for label in trees}) == 1
+            print(f"{stream}: the trees' outputs_sha256 {'agree' if agree else 'DIFFER'}")
     bench = json.loads(OUT.read_text()) if OUT.exists() else {}
     bench["what"] = (
         f"conj.conjugacy on the conj-planted and conj-hard streams of a {SECONDS} s benchmark run: "

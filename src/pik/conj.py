@@ -43,7 +43,6 @@ import numpy as np
 from .igroup import (
     IElem,
     _conj_steps,
-    _walk_form,
     abelianize,
     act_elem,
     conj_by_gen,
@@ -62,10 +61,13 @@ from .magnus import magnus_expand
 from .words import (
     FreeWord,
     WitnessError,
+    _inverse,
     _join,
     _raw,
     centralizer_root,
+    decode,
     empty,
+    encode,
     free_conjugate,
     gen,
     invert,
@@ -170,7 +172,7 @@ class ConjResult:
 
 def _abel(w: FreeWord) -> list[int]:
     v = [0] * w.rank
-    for idx, sign in w.letters:
+    for idx, sign in decode(w.letters):
         v[idx - 1] += sign
     return v
 
@@ -214,9 +216,9 @@ def twisted_class2_obstruction(a: FreeWord, z: FreeWord, images: tuple[FreeWord,
     return lat.contains(rhs)
 
 
-def _letters(rank: int) -> list[tuple]:
-    """The one-letter words x_1, x_1^-1, x_2, ... as letter tuples; 2k+1 inverts 2k."""
-    return [((i, s),) for i in range(1, rank + 1) for s in (1, -1)]
+def _letters(rank: int) -> list[str]:
+    """The one-letter words x_1, x_1^-1, x_2, ... as word strs; 2k+1 inverts 2k."""
+    return [encode(((i, s),)) for i in range(1, rank + 1) for s in (1, -1)]
 
 
 def _twisted_bidirectional(
@@ -226,7 +228,7 @@ def _twisted_bidirectional(
 
     With i = a.rank, y(i,l)^s sends the rank-i element whose top part is a
     and whose lower part is b to y(i,l)^s a (b . y(i,l)^-s) over the same b
-    (conj_by_gen's formula, as b is below level i).  So the walk under the
+    (_conj_steps's formula, as b is below level i).  So the walk under the
     level-i generators alone has forward states g a (b . g^-1) and backward
     states u z (b . u^-1); a meet at (g, u) yields the candidate u^-1 g,
     kept once it is verified.  When a = z the root is a meet, with the
@@ -234,12 +236,12 @@ def _twisted_bidirectional(
     """
     rank = a.rank
     letters = _letters(rank)
-    roots = _walk_form((a.letters,) + b.parts), _walk_form((z.letters,) + b.parts)
+    roots = (a.letters,) + b.parts, (z.letters,) + b.parts
     walk = _meet_walk(*roots, _orbit_expand(rank, rank), max_len, max_states)
     found: list[FreeWord] = []
-    seen: set[tuple] = set()
+    seen: set[str] = set()
     for path in itertools.chain([[]] if a == z else [], walk):
-        key = functools.reduce(_join, [letters[k] for k in path], ())
+        key = functools.reduce(_join, [letters[k] for k in path], "")
         cand = _raw(rank, key)
         if key not in seen and multiply(multiply(cand, a), act_elem(b, invert(cand))) == z:
             seen.add(key)
@@ -270,7 +272,7 @@ def _all_words(rank: int, max_len: int) -> Iterator[FreeWord]:
         nxt = []
         for w in frontier:
             for s in letters:
-                if w.letters and w.letters[-1] == (s[0][0], -s[0][1]):
+                if w.letters[-1:] == _inverse(s):
                     continue
                 ext = FreeWord(rank, w.letters + s)
                 nxt.append(ext)
@@ -459,7 +461,7 @@ def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[
     commutes with a's: a state is first inserted by the lexicographically
     least of its shortest step words, which never has "a, then k"
     (docs/NOTES.md).  Generators y and z commute when z y z^-1 = y, which
-    the walk's kernel decides on the walk form of y; imul would add to call
+    the walk's kernel decides on the parts of y; imul would add to call
     counts in the first run only.  Two generators of one level never
     commute, so at low = n only a ^ 1 is left out.
     """
@@ -467,7 +469,7 @@ def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[
     steps = tuple((m, i, eps) for m, i in gens for eps in (1, -1))
     fixed = []  # fixed[g][h]: generator h conjugates generator g to itself
     for m, i in gens:
-        y = _walk_form(gen_elem(n, m, i).parts)
+        y = gen_elem(n, m, i).parts
         fixed.append([c == y for c in _conj_steps(n, y, [(r, j, 1) for r, j in gens])])
     after = {}
     for a in range(-1, len(steps)):
@@ -477,7 +479,7 @@ def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[
 
 
 def _orbit_expand(n: int, low: int = 2) -> Callable[[tuple, int], Iterable[tuple[int, tuple]]]:
-    """The orbit walk's expand at rank n: a walk-form state's conjugates by the steps _walk_steps keeps."""
+    """The orbit walk's expand at rank n: a state's conjugates by the steps _walk_steps keeps."""
     after = _walk_steps(n, low)
 
     def expand(state: tuple, made_by: int) -> Iterable[tuple[int, tuple]]:
@@ -492,12 +494,10 @@ def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[IE
 
     Complete for conjugator generator-length up to the radius (subject to the
     state cap): forward states are g x g^-1, backward states h y h^-1, and a
-    meet yields the witness h^-1 g.  States are the walk forms of normal
-    forms (igroup._walk_form), which is injective, so equal states are equal
-    elements; the caller re-multiplies the witness.
+    meet yields the witness h^-1 g.  States are the parts of normal forms,
+    so equal states are equal elements; the caller re-multiplies the witness.
     """
-    roots = _walk_form(x.parts), _walk_form(y.parts)
-    path = next(_meet_walk(*roots, _orbit_expand(x.n), radius, max_states), None)
+    path = next(_meet_walk(x.parts, y.parts, _orbit_expand(x.n), radius, max_states), None)
     if path is None:
         return None
     moves = _moves(x.n)
@@ -581,7 +581,7 @@ def quotient_permutation(a: IElem, k: int) -> np.ndarray:
     code = np.zeros(q**n, np.int64)
     for j in range(n, 0, -1):
         if j >= 2:  # P_1 = P_2
-            for i, s in a.parts[n - j]:
+            for i, s in decode(a.parts[n - j]):
                 v = homs_inv[i - 1] if s > 0 else homs[i - 1]  # the letter (i, -s) of V_j
                 p = v if p is None else mul[p * q + v]
         image = homs[j - 1] if p is None else mul[mul[p * q + homs[j - 1]] * q + inv[p]]

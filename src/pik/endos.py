@@ -23,9 +23,11 @@ from typing import Optional, Sequence
 
 from .words import (
     FreeWord,
-    Letter,
     _inverse,
+    _join,
     _raw,
+    decode,
+    encode,
     gen,
     invert,
     multiply,
@@ -67,28 +69,19 @@ def apply(f: EndoF, w: FreeWord) -> FreeWord:
     """Image of w under f, freely reduced."""
     if f.rank != w.rank:
         raise EndoError(f"rank mismatch: endo {f.rank}, word {w.rank}")
-    # Images and the output so far are reduced, so each pushed image cancels
-    # only against the tail of the output.  Each image is inverted at most
-    # once per call.
-    out: list[Letter] = []
-    pop = out.pop
-    inverted: dict[int, tuple[Letter, ...]] = {}
-    for idx, sign in w.letters:
+    # Images and the output so far are reduced, so each joined image cancels
+    # only at the seam.  Each image is inverted at most once per call.
+    out = ""
+    inverted: dict[int, str] = {}
+    for idx, sign in decode(w.letters):
         if sign > 0:
             img = f.images[idx - 1].letters
         else:
             img = inverted.get(idx)
             if img is None:
                 img = inverted[idx] = _inverse(f.images[idx - 1].letters)
-        c = 0
-        while out and c < len(img):
-            i, s = img[c]
-            if out[-1] != (i, -s):
-                break
-            pop()
-            c += 1
-        out.extend(img[c:])
-    return _raw(f.rank, tuple(out))
+        out = _join(out, img)
+    return _raw(f.rank, out)
 
 
 def compose(f: EndoF, g: EndoF) -> EndoF:
@@ -105,7 +98,7 @@ def inverse(f: EndoF) -> EndoF:
 
 
 def is_identity(f: EndoF) -> bool:
-    return all(im.letters == ((i + 1, 1),) for i, im in enumerate(f.images))
+    return all(decode(im.letters) == [(i, 1)] for i, im in enumerate(f.images, 1))
 
 
 def automorphism(images: Sequence[FreeWord], inv_images: Sequence[FreeWord]) -> EndoF:
@@ -143,7 +136,7 @@ def y_gen(n: int, m: int, i: int) -> EndoF:
 
     def conjugated(e: int) -> tuple[FreeWord, ...]:  # x_k |-> x_i^-e x_k x_i^e for k <= m
         return tuple(
-            word(n, [(i, -e), (k, 1), (i, e)]) if k <= m and k != i else gen(n, k)
+            _raw(n, encode([(i, -e), (k, 1), (i, e)] if k <= m and k != i else [(k, 1)]))
             for k in range(1, n + 1)
         )
 

@@ -3,10 +3,10 @@
 An element is a tuple (w_n, ..., w_2) with w_m a freely reduced word in the
 level-m free factor H_m (rank m, letter l standing for the generator
 y(m, l)).  The tuple is the normal form: elements are equal iff the tuples
-are equal componentwise.  An IElem stores each w_m as its tuple of letters
-(l, +-1), the representation every operation here works on but the orbit
-walk's kernel, which has its own encoding (the walk form, below); part(m)
-views it as a rank-m FreeWord for callers that want the word API.
+are equal componentwise.  An IElem stores each w_m as a word str of
+pik.words, the one encoding that every operation here, the orbit walk's
+kernel included, works on; part(m) views it as a rank-m FreeWord for callers
+that want the word API.
 
 Levels interact by conjugation: for j < i the level-j factor normalizes the
 level-i factor.  On generators, with the left action a . w = a w a^-1,
@@ -21,7 +21,6 @@ lower-level factors to the right across higher levels using this action.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,19 +28,21 @@ from . import endos
 from .endos import EndoF
 from .words import (
     FreeWord,
-    Letter,
     Token,
     WordError,
     _inverse,
     _join,
     _raw as _words_raw,
+    _runs,
+    decode,
     empty,
+    encode,
     format_word,
     gen,
     parse_word,
 )
 
-Part = tuple[Letter, ...]
+Part = str
 
 
 class IGroupError(ValueError):
@@ -52,9 +53,9 @@ class IGroupError(ValueError):
 class IElem:
     """Normal form (w_n, ..., w_2).
 
-    parts[k] is the letter tuple of the level-(n-k) component: letters
-    (l, +-1) with 1 <= l <= n-k, freely reduced.  Malformed letters raise
-    WordError, as they do for a FreeWord.
+    parts[k] is the word str of the level-(n-k) component: a reduced word
+    whose letters have index 1..n-k.  Malformed letters raise WordError, as
+    they do for a FreeWord.
     """
 
     n: int
@@ -66,8 +67,8 @@ class IElem:
         if len(self.parts) != self.n - 1:
             raise IGroupError(f"need {self.n - 1} components, got {len(self.parts)}")
         for k, p in enumerate(self.parts):
-            if not isinstance(p, tuple):
-                raise IGroupError(f"component at level {self.n - k} must be a letter tuple")
+            if not isinstance(p, str):
+                raise IGroupError(f"component at level {self.n - k} must be a word str")
             FreeWord(self.n - k, p)  # raises WordError unless p is a reduced level word
 
     def part(self, m: int) -> FreeWord:
@@ -93,7 +94,7 @@ def _raw_elem(n: int, parts: tuple[Part, ...]) -> IElem:
 
 
 def identity_elem(n: int) -> IElem:
-    return IElem(n, ((),) * (n - 1))
+    return IElem(n, ("",) * (n - 1))
 
 
 def from_parts(n: int, parts: dict[int, FreeWord]) -> IElem:
@@ -135,30 +136,6 @@ def rank_of_abelianization(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _split_runs(letters: Part, j: int) -> list[Part]:
-    """The pieces h_0, r_1, h_1, ..., r_t, h_t of a level word.
-
-    Each r_s is a maximal run of letters of index <= j and each h_s holds the
-    letters above j between them, possibly none; a word with no letter of
-    index <= j is the one piece h_0.
-    """
-    pieces = []
-    start = p = 0
-    n = len(letters)
-    while p < n:
-        if letters[p][0] > j:
-            p += 1
-            continue
-        q = p + 1
-        while q < n and letters[q][0] <= j:
-            q += 1
-        pieces.append(letters[start:p])
-        pieces.append(letters[p:q])
-        start = p = q
-    pieces.append(letters[start:])
-    return pieces
-
-
 def _conjugate_runs(letters: Part, j: int, g: Part, g_inv: Part) -> Part:
     """The level-i word ``letters`` acted on by a level-j word with letters g, j < i.
 
@@ -168,7 +145,7 @@ def _conjugate_runs(letters: Part, j: int, g: Part, g_inv: Part) -> Part:
     two seams, and the letters above j stay.  Nothing cancels between pieces:
     a conjugated run is nonempty and shares no generator with its neighbours.
     """
-    pieces = _split_runs(letters, j)
+    pieces = _runs(j).split(letters)
     word = pieces[0]
     for s in range(1, len(pieces), 2):
         word += _join(_join(g, pieces[s]), g_inv) + pieces[s + 1]
@@ -241,97 +218,60 @@ def conj_elem(g: IElem, x: IElem) -> IElem:
 
 
 def conj_by_gen(n: int, m: int, i: int, eps: int, u: IElem) -> IElem:
-    """y(m,i)^eps * u * y(m,i)^-eps in one collection pass.
+    """y(m,i)^eps * u * y(m,i)^-eps: one step of the orbit walk's kernel, _conj_steps."""
+    return _raw_elem(n, _conj_steps(n, u.parts, [(m, i, eps)])[0])
+
+
+@functools.cache
+def _kernel_tables(n: int) -> tuple[dict[tuple[int, int, int], tuple[str, str]], list]:
+    """The kernel's tables at rank n: step letters and run splits.
+
+    letters[(m, i, eps)] is (a, a^-1) for a = y(m,i)^eps, as words.encode
+    codes them, and splits[m] is words._runs(m).split, for 2 <= m <= n.
+    """
+    letters = {
+        (m, i, eps): (encode(((i, eps),)), encode(((i, -eps),)))
+        for m, i in generators(n)
+        for eps in (1, -1)
+    }
+    return letters, [None, None] + [_runs(m).split for m in range(2, n + 1)]
+
+
+def _conj_steps(n: int, parts: tuple[Part, ...], steps: Iterable[tuple[int, int, int]]) -> list[tuple[Part, ...]]:
+    """The parts of y(m,i)^eps u y(m,i)^-eps for each step (m, i, eps), u given by its parts.
 
     With a = y(m,i)^eps: each run r of letters of index <= m at a level above
     m becomes a r a^-1, the level-m component becomes a (u_m P) a^-1 P^-1
     with P = u_{m-1} ... u_max(i,2), which is how the part of u below m acts
-    on y(m,i)^-eps, and lower levels are untouched (docs/NOTES.md).  The
-    orbit walk runs the same formula on its own states (_conj_steps).
-    """
-    a, a_inv = ((i, eps),), ((i, -eps),)
-    parts = list(u.parts)
-    for k in range(n - m):  # the levels above m
-        if parts[k]:
-            parts[k] = _conjugate_runs(parts[k], m, a, a_inv)
-    p: Part = ()
-    for q in parts[n - m + 1 : n - max(i, 2) + 1]:  # u_{m-1}, ..., u_max(i,2)
-        p = _join(p, q)
-    parts[n - m] = _join(_join(a, _join(parts[n - m], p)), _join(a_inv, _inverse(p)))
-    return _raw_elem(n, tuple(parts))
-
-
-# ---------------------------------------------------------------------------
-# The walk form: the orbit walk's states.  A level word is a str with one
-# character per letter, (l, +1) as chr(2l) and (l, -1) as chr(2l+1), so a
-# letter's inverse is its code point XOR 1 and a state, one str per level,
-# hashes from the strs' cached hashes (docs/NOTES.md).
-# ---------------------------------------------------------------------------
-
-WalkState = tuple[str, ...]
-
-
-def _walk_form(parts: tuple[Part, ...]) -> WalkState:
-    """The walk form of an element's parts."""
-    return tuple(["".join([chr(2 * l + (s < 0)) for l, s in p]) for p in parts])
-
-
-@functools.cache
-def _walk_tables(n: int) -> tuple[dict[int, int], list]:
-    """The inverse table of the letters of rank n, and runs[j] for 2 <= j < n.
-
-    runs[j].split(w) is the pieces h_0, r_1, h_1, ..., r_t, h_t of
-    _split_runs(letters, j): the one group keeps each run of codes 2..2j+1.
-    """
-    flip = {c: c ^ 1 for c in range(2, 2 * n + 2)}
-    runs = [None, None] + [re.compile(f"([\\x02-\\U{2 * j + 1:08x}]+)") for j in range(2, n)]
-    return flip, runs
-
-
-def _walk_join(a: str, b: str) -> str:
-    """The reduced product of two reduced walk-form words."""
-    if not a or not b or ord(a[-1]) ^ 1 != ord(b[0]):
-        return a + b
-    c = 1
-    stop = min(len(a), len(b))
-    while c < stop and ord(a[-1 - c]) ^ 1 == ord(b[c]):
-        c += 1
-    return a[: len(a) - c] + b[c:]
-
-
-def _conj_steps(n: int, state: WalkState, steps: Iterable[tuple[int, int, int]]) -> list[WalkState]:
-    """The walk form of y(m,i)^eps u y(m,i)^-eps for each step (m, i, eps), u given by its walk form.
-
-    The formula of conj_by_gen, batched: the levels above m are split into
-    runs, and u_m P and P^-1 built for every i, once per m for all the steps
-    given.  With a = y(m,i)^eps, each run r becomes a r a^-1 with one
+    on a^-1, and lower levels are untouched (docs/NOTES.md).  The levels
+    above m are split into runs, and u_m P and P^-1 built for every i, once
+    per m for all the steps given.  Each run r becomes a r a^-1 with one
     cancellation check at each end.
     """
-    flip, runs = _walk_tables(n)
+    letters, splits = _kernel_tables(n)
     levels: dict[int, tuple[list[tuple[int, list[str]]], list[tuple[str, str]]]] = {}
     out = []
-    for m, i, eps in steps:
+    for step in steps:
+        m, i, _ = step
         got = levels.get(m)
         if got is None:
             up = []
-            if m < n:
-                split = runs[m].split
-                for k in range(n - m):
-                    pieces = split(state[k])
-                    if len(pieces) > 1:
-                        up.append((k, pieces))
-            w = state[n - m]
+            split = splits[m]
+            for k in range(n - m):
+                pieces = split(parts[k])
+                if len(pieces) > 1:
+                    up.append((k, pieces))
+            w = parts[n - m]
             lows = [(w, "")] * (m + 1)  # lows[i] = (u_m P, P^-1)
             p = ""
             for j in range(m - 1, 1, -1):  # P = u_{m-1} ... u_j for i = j
-                p = _walk_join(p, state[n - j])
-                lows[j] = (_walk_join(w, p), p[::-1].translate(flip))
+                p = _join(p, parts[n - j])
+                lows[j] = (_join(w, p), _inverse(p))
             lows[1] = lows[2]
             got = levels[m] = (up, lows)
         up, lows = got
-        a = chr(2 * i + (eps < 0))
-        a_inv = chr(2 * i + (eps > 0))
-        new = list(state)
+        a, a_inv = letters[step]
+        new = list(parts)
         for k, pieces in up:
             word = pieces[0]
             for s in range(1, len(pieces), 2):
@@ -342,7 +282,7 @@ def _conj_steps(n: int, state: WalkState, steps: Iterable[tuple[int, int, int]])
         wp, p_inv = lows[i]
         left = wp[1:] if wp and wp[0] == a_inv else a + wp
         right = p_inv[1:] if p_inv and p_inv[0] == a else a_inv + p_inv
-        new[n - m] = _walk_join(left, right)
+        new[n - m] = _join(left, right)
         out.append(tuple(new))
     return out
 
@@ -392,11 +332,11 @@ def _images(a: IElem) -> tuple[FreeWord, ...]:
     """
     n = a.n
     images = []
-    p: Part = ()
+    p = ""
     for k in range(n, 0, -1):
-        if k >= 2:  # P_1 = P_2
-            p = _join(p, tuple([(i, -s) for i, s in a.parts[n - k]]))
-        images.append(_words_raw(n, _join(_join(p, ((k, 1),)), _inverse(p))))
+        if k >= 2:  # P_1 = P_2; V_k is the inverse of w_k read backwards
+            p = _join(p, _inverse(a.parts[n - k][::-1]))
+        images.append(_words_raw(n, _join(_join(p, encode(((k, 1),))), _inverse(p))))
     return tuple(reversed(images))
 
 
@@ -422,7 +362,7 @@ def abelianize(a: IElem) -> tuple[int, ...]:
     """Exponent-sum vector over the documented generator order; length (n-1)(n+2)/2."""
     vec = [0] * rank_of_abelianization(a.n)
     for m in range(2, a.n + 1):
-        for i, sign in a.part(m).letters:
+        for i, sign in decode(a.parts[a.n - m]):
             vec[gen_index(a.n, m, i) - 1] += sign
     return tuple(vec)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .endos import EndoF
-from .words import FreeWord, gen, invert, multiply
+from .words import FreeWord, decode, gen, invert, multiply
 
 Monomial = tuple[int, ...]
 
@@ -147,7 +147,7 @@ def magnus_expand(w: FreeWord, D: int) -> NcPoly:
     """
     acc = NcPoly.one(w.rank, D)  # validates rank and D
     terms = acc.terms
-    for idx, sign in w.letters:
+    for idx, sign in decode(w.letters):
         out = dict(terms)
         if sign > 0:
             step = (idx,)

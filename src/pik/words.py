@@ -1,17 +1,27 @@
 """Freely reduced words in a free group of finite rank.
 
-A word is a sequence of letters ``(index, sign)`` with 1-based generator
-indices and sign +1 or -1.  Words are kept freely reduced at all times; the
-empty word is the group identity.  Everything here is a pure function on
-immutable values.
+A word is a str with one character per letter: x_l is chr(2l) and x_l^-1 is
+chr(2l+1), so a letter's inverse flips bit 0 of its code.  Every layer of
+pik holds its words this way.  Only this module knows the code layout:
+encode turns (index, sign) letters, with 1-based generator indices and sign
++1 or -1, into a word, and decode reads a word back as such letters; the
+pair form is for input and output only.  Words are kept freely reduced at
+all times; the empty str is the group identity.  Everything here is a pure
+function on immutable values.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 Letter = tuple[int, int]
+
+# The largest rank whose letters all have a code: chr(2 * MAX_RANK + 1) is
+# the last code point, 0x10FFFF.
+MAX_RANK = 557_055
 
 
 class WordError(ValueError):
@@ -22,36 +32,91 @@ class WitnessError(RuntimeError):
     """A computed witness failed its re-verification: a defect, never an answer."""
 
 
-def reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Freely reduce a letter sequence with a single stack pass."""
-    out: list[Letter] = []
-    for idx, sign in letters:
-        if out and out[-1][0] == idx and out[-1][1] == -sign:
+class _Codes(dict):
+    """The code of each (index, sign) letter, filled in as letters are met."""
+
+    def __missing__(self, letter: Letter) -> str:
+        idx, sign = letter
+        if sign not in (1, -1):
+            raise WordError(f"letter sign must be +1 or -1, got {sign}")
+        if not 1 <= idx <= MAX_RANK:
+            raise WordError(f"letter index {idx} outside 1..{MAX_RANK}")
+        code = self[letter] = chr(2 * idx + (sign < 0))
+        return code
+
+
+_CODES = _Codes()
+
+
+def encode(letters: Iterable[Letter]) -> str:
+    """The word str of (index, sign) letters, letter for letter: not reduced, no rank checked."""
+    return "".join(map(_CODES.__getitem__, letters))
+
+
+def decode(letters: str) -> list[Letter]:
+    """The (index, sign) letters of a word str."""
+    return [(c >> 1, -1 if c & 1 else 1) for c in map(ord, letters)]
+
+
+class _Flip(dict):
+    """str.translate's table of letter inverses, code c to c ^ 1, filled in as codes are met."""
+
+    def __missing__(self, c: int) -> int:
+        self[c] = c ^ 1
+        return c ^ 1
+
+
+_FLIP = _Flip()
+
+
+def _inverse(letters: str) -> str:
+    """The inverse of a reduced word: reversed, every letter flipped."""
+    return letters[::-1].translate(_FLIP)
+
+
+@functools.cache
+def _runs(j: int) -> re.Pattern:
+    """The pattern whose split cuts a word into h_0, r_1, h_1, ..., r_t, h_t.
+
+    The letters of index <= j are the codes 2..2j+1, so the one group
+    matches each maximal run r_s of them, and each h_s holds the letters
+    above j between two runs, possibly none.  A word with no letter of
+    index <= j is the one piece h_0.
+    """
+    return re.compile(f"([\\x02-\\U{2 * j + 1:08x}]+)")
+
+
+def reduce_letters(letters: str) -> str:
+    """Freely reduce a word str with a single stack pass."""
+    out: list[str] = []
+    for c in letters:
+        if out and ord(out[-1]) ^ 1 == ord(c):
             out.pop()
         else:
-            out.append((idx, sign))
-    return tuple(out)
+            out.append(c)
+    return "".join(out)
 
 
 @dataclass(frozen=True)
 class FreeWord:
-    """A freely reduced word over generators x_1..x_rank."""
+    """A freely reduced word over generators x_1..x_rank, as a word str."""
 
     rank: int
-    letters: tuple[Letter, ...] = ()
+    letters: str = ""
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise WordError(f"rank must be positive, got {self.rank}")
-        prev: Optional[Letter] = None
-        for idx, sign in self.letters:
-            if not 1 <= idx <= self.rank:
-                raise WordError(f"letter index {idx} outside 1..{self.rank}")
-            if sign not in (1, -1):
-                raise WordError(f"letter sign must be +1 or -1, got {sign}")
-            if prev is not None and prev[0] == idx and prev[1] == -sign:
-                raise WordError("word is not freely reduced")
-            prev = (idx, sign)
+        if not 1 <= self.rank <= MAX_RANK:
+            raise WordError(f"rank must be in 1..{MAX_RANK}, got {self.rank}")
+        letters = self.letters
+        if not isinstance(letters, str):
+            raise WordError(f"letters must be a word str, got {type(letters).__name__}")
+        top = chr(2 * self.rank + 1)
+        for c in letters:
+            if not "\x02" <= c <= top:
+                raise WordError(f"letter index {ord(c) >> 1} outside 1..{self.rank}")
+        # no letter may equal the flip of the one before it
+        if len(letters) > 1 and any(map(str.__eq__, letters[1:], letters.translate(_FLIP))):
+            raise WordError("word is not freely reduced")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -64,7 +129,7 @@ class FreeWord:
         return f"FreeWord({self.rank}, {format_x_word(self)!r})"
 
 
-def _raw(rank: int, letters: tuple[Letter, ...]) -> FreeWord:
+def _raw(rank: int, letters: str) -> FreeWord:
     # internal fast path: letters must already be reduced and in range
     w = object.__new__(FreeWord)
     object.__setattr__(w, "rank", rank)
@@ -73,41 +138,31 @@ def _raw(rank: int, letters: tuple[Letter, ...]) -> FreeWord:
 
 
 def word(rank: int, letters: Iterable[Letter] = ()) -> FreeWord:
-    """Build a word, freely reducing the input."""
-    return FreeWord(rank, reduce_letters(letters))
+    """Build a word from (index, sign) letters, freely reducing the input."""
+    return FreeWord(rank, reduce_letters(encode(letters)))
 
 
 def gen(rank: int, i: int, sign: int = 1) -> FreeWord:
-    return FreeWord(rank, ((i, sign),))
+    return FreeWord(rank, _CODES[i, sign])
 
 
 def empty(rank: int) -> FreeWord:
-    return FreeWord(rank, ())
+    return FreeWord(rank, "")
 
 
-def _join(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """The reduced product of two reduced letter tuples.
+def _join(a: str, b: str) -> str:
+    """The reduced product of two reduced words.
 
     Both factors are reduced, so letters can only cancel in pairs straddling
     the seam: a[-1-t] against b[t] for t = 0, 1, ...
     """
-    if not a or not b:
-        return a or b
-    idx, sign = b[0]
-    if a[-1] != (idx, -sign):
+    if not a or not b or ord(a[-1]) ^ 1 != ord(b[0]):
         return a + b
     c = 1
     stop = min(len(a), len(b))
-    while c < stop:
-        idx, sign = b[c]
-        if a[-1 - c] != (idx, -sign):
-            break
+    while c < stop and ord(a[-1 - c]) ^ 1 == ord(b[c]):
         c += 1
     return a[: len(a) - c] + b[c:]
-
-
-def _inverse(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    return tuple([(i, -s) for i, s in reversed(letters)])
 
 
 def multiply(a: FreeWord, b: FreeWord) -> FreeWord:
@@ -142,17 +197,11 @@ def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
 
 def cyclic_reduce(a: FreeWord) -> tuple[FreeWord, FreeWord]:
     """Split a = conjugator * core * conjugator^-1 with core cyclically reduced."""
-    letters = list(a.letters)
-    conj: list[Letter] = []
-    while len(letters) >= 2:
-        i0, s0 = letters[0]
-        i1, s1 = letters[-1]
-        if i0 == i1 and s0 == -s1:
-            conj.append(letters[0])
-            letters = letters[1:-1]
-        else:
-            break
-    return _raw(a.rank, tuple(letters)), _raw(a.rank, tuple(conj))
+    letters = a.letters
+    t = 0
+    while len(letters) - 2 * t >= 2 and ord(letters[t]) ^ 1 == ord(letters[-1 - t]):
+        t += 1
+    return _raw(a.rank, letters[t : len(letters) - t]), _raw(a.rank, letters[:t])
 
 
 def is_cyclically_reduced(a: FreeWord) -> bool:
@@ -160,7 +209,7 @@ def is_cyclically_reduced(a: FreeWord) -> bool:
     return core == a
 
 
-def _rotation(letters: tuple[Letter, ...], r: int) -> tuple[Letter, ...]:
+def _rotation(letters: str, r: int) -> str:
     return letters[r:] + letters[:r]
 
 
@@ -307,7 +356,7 @@ def parse_x_word(s: str, rank: int) -> FreeWord:
 def format_word(w: FreeWord, name_of: Callable[[int], str]) -> str:
     """Print letter by letter; inverse letters carry '^-1'."""
     parts = []
-    for idx, sign in w.letters:
+    for idx, sign in decode(w.letters):
         parts.append(name_of(idx) if sign > 0 else name_of(idx) + "^-1")
     return " ".join(parts)
 

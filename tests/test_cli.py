@@ -94,6 +94,13 @@ class TestSubcommands:
         assert {"monomial": [1, 2], "coeff": 1} in out
         assert {"monomial": [2, 1], "coeff": -1} in out
 
+    def test_magnus_expand_at_the_rank_cap(self, capsys):
+        # letters have codes up to rank 557,055; one rank more is refused at the boundary
+        assert main(["magnus", "expand", "--n", "557055", "--maxdeg", "1", "x557055"]) == 0
+        assert {"monomial": [557055], "coeff": 1} in json.loads(capsys.readouterr().out)
+        assert main(["magnus", "expand", "--n", "557056", "--maxdeg", "1", "x1"]) == 2
+        assert "rank must be in 1..557055" in json.loads(capsys.readouterr().err)["error"]
+
     def test_conj_decide(self, capsys):
         code = main(
             ["conj", "decide", "--n", "3", "--budget-len", "8", "--budget-coset", "4",

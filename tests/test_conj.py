@@ -25,7 +25,6 @@ from pik.fuzz import planted_conjugacy_case, random_ielem
 from pik.igroup import (
     IElem,
     _conj_steps,
-    _walk_form,
     abelianize,
     act_elem,
     collect,
@@ -40,7 +39,7 @@ from pik.igroup import (
     to_endo,
 )
 from pik.prng import Lcg
-from pik.words import empty, gen, invert, multiply, parse_word, parse_x_word
+from pik.words import decode, empty, gen, invert, multiply, parse_word, parse_x_word
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,7 +58,7 @@ def w(s, rank=2):
 
 def twist_by(b):
     """The ladder's twist of level b.n + 1 by the lower element b."""
-    return conj_mod._lower_action(IElem(b.n + 1, ((),) + b.parts), b.n + 1)
+    return conj_mod._lower_action(IElem(b.n + 1, ("",) + b.parts), b.n + 1)
 
 
 def images_of(b, i):
@@ -426,7 +425,7 @@ def reference_permutation(a, k):
         code = 0
         for j, image in enumerate(images):
             value = tuple(range(k))
-            for letter in image.letters:
+            for letter in decode(image.letters):
                 g = values[letter]
                 value = tuple(value[g[t]] for t in range(k))
             code += index[value] * q**j
@@ -734,7 +733,7 @@ class TestWalkPruning:
             def every(state, made_by):
                 return enumerate(_conj_steps(n, state, steps))
 
-            roots = _walk_form(x.parts), _walk_form(y.parts)
+            roots = x.parts, y.parts
             full = list(conj_mod._meet_walk(*roots, every, 6, 10**7))
             pruned = conj_mod._meet_walk(*roots, conj_mod._orbit_expand(n), 6, 10**7)
             assert list(pruned) == full, (x, y)

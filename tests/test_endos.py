@@ -19,7 +19,7 @@ from pik.endos import (
     tau,
     y_gen,
 )
-from pik.words import gen, invert, multiply, parse_x_word, reduce_letters, word
+from pik.words import decode, gen, invert, multiply, parse_x_word, word
 
 
 def w(s, rank=3):
@@ -40,10 +40,10 @@ def _endo_and_word(draw):
 
 def _expand_then_reduce(f, v):
     letters = []
-    for idx, sign in v.letters:
-        img = f.images[idx - 1].letters
+    for idx, sign in decode(v.letters):
+        img = decode(f.images[idx - 1].letters)
         letters += img if sign > 0 else [(i, -s) for i, s in reversed(img)]
-    return reduce_letters(letters)
+    return word(f.rank, letters).letters
 
 
 class TestChi:

@@ -31,7 +31,7 @@ from pik.igroup import (
     word_problem,
 )
 from pik.prng import Lcg
-from pik.words import FreeWord, WordError, free_conjugate, gen, parse_word, reduce_letters, word
+from pik.words import WordError, decode, encode, free_conjugate, gen, parse_word, word
 
 
 def _elems(n, seed, count, size=8):
@@ -76,16 +76,16 @@ def _level_pair(draw):
 
 def _act_letterwise(a, b):
     """The action by its definition on generators: one letter of a at a time, innermost first."""
-    letters = b.letters
-    for k, eps in reversed(a.letters):
+    v = b
+    for k, eps in reversed(decode(a.letters)):
         moved = []
-        for l, s in letters:
+        for l, s in decode(v.letters):
             if l == k or l > a.rank:
                 moved.append((l, s))
             else:
                 moved += [(k, eps), (l, s), (k, -eps)]
-        letters = reduce_letters(moved)
-    return letters
+        v = word(b.rank, moved)
+    return v.letters
 
 
 def act(a, b):
@@ -106,7 +106,7 @@ class TestAction:
         assert act(gen(2, 1), gen(3, 3)) == gen(3, 3)
 
     def test_inverse_conjugator(self):
-        got = act(FreeWord(2, ((1, -1),)), gen(3, 2))
+        got = act(word(2, [(1, -1)]), gen(3, 2))
         assert format_level_word(got) == "y(3,1)^-1 y(3,2) y(3,1)"
 
     def test_positive_conjugator(self):
@@ -156,11 +156,6 @@ def _any_ielems():
     )
 
 
-def _from_walk_form(state):
-    """The letter tuples of a walk form: code 2l is (l, 1) and 2l + 1 is (l, -1)."""
-    return tuple(tuple((ord(c) >> 1, -1 if ord(c) & 1 else 1) for c in w) for w in state)
-
-
 @st.composite
 def _elem_and_step(draw):
     """u drawn as in _any_ielems, and a step y(m,i)^eps."""
@@ -170,29 +165,31 @@ def _elem_and_step(draw):
 
 
 class TestIElemValidation:
-    def test_accepts_letter_tuples(self):
-        e = IElem(3, (((3, 1), (1, -1)), ((2, 1),)))
+    def test_accepts_word_strs(self):
+        e = IElem(3, (word(3, [(3, 1), (1, -1)]).letters, word(2, [(2, 1)]).letters))
         assert e == from_parts(3, {3: word(3, [(3, 1), (1, -1)]), 2: gen(2, 2)})
 
     def test_wrong_component_count(self):
         with pytest.raises(IGroupError):
-            IElem(3, ((),))
+            IElem(3, ("",))
 
-    def test_part_not_a_letter_tuple(self):
+    def test_part_not_a_word_str(self):
         with pytest.raises(IGroupError):
-            IElem(3, (gen(3, 1), ()))
+            IElem(3, (gen(3, 1), ""))
+        with pytest.raises(IGroupError):  # letter pairs are for input and output only
+            IElem(3, (((1, 1),), ""))
 
     def test_index_above_level(self):
         with pytest.raises(WordError, match="outside 1..2"):
-            IElem(3, ((), ((3, 1),)))
+            IElem(3, ("", word(3, [(3, 1)]).letters))
 
     def test_sign_not_unit(self):
         with pytest.raises(WordError, match="sign"):
-            IElem(3, (((1, 2),), ()))
+            IElem(3, (word(3, [(1, 2)]).letters, ""))
 
     def test_unreduced_pair(self):
         with pytest.raises(WordError, match="not freely reduced"):
-            IElem(3, (((2, 1), (2, -1)), ()))
+            IElem(3, (encode([(2, 1), (2, -1)]), ""))
 
 
 class TestGroupLaws:
@@ -241,7 +238,7 @@ class TestGroupLaws:
     @example((from_parts(4, {3: word(3, [(2, -1), (3, 1)])}), 4, 3, -1))
     @example((from_parts(4, {2: word(2, [(1, 1)])}), 3, 1, 1))
     def test_conj_by_gen_is_conjugation(self, case):
-        # conj_by_gen: one step on letter tuples, the pair form.
+        # conj_by_gen: one step of the walk kernel.
         u, m, i, eps = case
         s = gen_elem(u.n, m, i) if eps > 0 else iinv(gen_elem(u.n, m, i))
         assert conj_by_gen(u.n, m, i, eps, u) == conj_elem(s, u)
@@ -256,21 +253,14 @@ class TestGroupLaws:
     @example(from_parts(4, {4: word(4, [(4, 1), (3, -1)]), 3: gen(3, 3), 2: gen(2, 1)}))
     @example(identity_elem(2))
     def test_conj_steps_is_conjugation(self, u):
-        # the walk kernel: one pass over u's walk form for every step, in any order
+        # the walk kernel: one pass over u's parts for every step, in any order
         steps = [(m, i, eps) for m, i in generators(u.n) for eps in (1, -1)]
-        state = igroup._walk_form(u.parts)
-        got = igroup._conj_steps(u.n, state, steps)
+        got = igroup._conj_steps(u.n, u.parts, steps)
         assert len(got) == len(steps)
-        for (m, i, eps), conj_state in zip(steps, got):
+        for (m, i, eps), conj_parts in zip(steps, got):
             s = gen_elem(u.n, m, i) if eps > 0 else iinv(gen_elem(u.n, m, i))
-            assert conj_state == igroup._walk_form(conj_elem(s, u).parts), (m, i, eps)
-        assert igroup._conj_steps(u.n, state, steps[::-1]) == got[::-1]
-
-    @given(_any_ielems())
-    @example(identity_elem(2))
-    def test_walk_form_is_injective(self, u):
-        # decoding each character recovers the parts, so no two parts share a walk form
-        assert _from_walk_form(igroup._walk_form(u.parts)) == u.parts
+            assert conj_parts == conj_elem(s, u).parts, (m, i, eps)
+        assert igroup._conj_steps(u.n, u.parts, steps[::-1]) == got[::-1]
 
     def test_walk_form_past_code_point_255(self):
         # at n = 130 the letters of index 128..130 have code points 256..261
@@ -280,17 +270,16 @@ class TestGroupLaws:
         for m in (130, 129, 128, 3, 2):
             letters = [(rng.below(m) + 1, rng.sign()) for _ in range(14)]
             letters += [(l, rng.sign()) for l in range(max(2, m - 3), m + 1)]
-            levels[m] = FreeWord(m, reduce_letters(letters))
+            levels[m] = word(m, letters)
         u = from_parts(n, levels)
-        state = igroup._walk_form(u.parts)
-        assert max(map(ord, "".join(state))) > 255
-        assert _from_walk_form(state) == u.parts
+        assert max("".join(u.parts)) > "\xff"
+        assert all(word(m, decode(u.parts[n - m])) == levels[m] for m in levels)
         steps = [(m, i, eps) for m in (2, 3, 128, 129, 130) for i in (1, 2, 127, 128, 129, 130)
                  if i <= m for eps in (1, -1)]
-        for (m, i, eps), conj_state in zip(steps, igroup._conj_steps(n, state, steps)):
+        for (m, i, eps), conj_parts in zip(steps, igroup._conj_steps(n, u.parts, steps)):
             s = gen_elem(n, m, i) if eps > 0 else iinv(gen_elem(n, m, i))
             v = conj_elem(s, u)
-            assert conj_state == igroup._walk_form(v.parts), (m, i, eps)
+            assert conj_parts == v.parts, (m, i, eps)
             assert conj_by_gen(n, m, i, eps, u) == v
 
     def test_lower_part(self):
@@ -304,7 +293,7 @@ def _to_endo_letterwise(a):
     """The automorphism of a normal form by its definition: one y(m,i)^s per letter."""
     acc = identity_endo(a.n)
     for m in range(a.n, 1, -1):
-        for i, s in a.part(m).letters:
+        for i, s in decode(a.part(m).letters):
             e = y_gen(a.n, m, i)
             acc = compose(acc, e if s > 0 else inverse(e))
     return acc
@@ -338,7 +327,7 @@ class TestToEndo:
         # V_m in the closed form; the letterwise reference must notice.
         levels = [m for m in range(2, a.n + 1) if a.part(m).letters]
         m = data.draw(st.sampled_from(levels))
-        letters = list(a.part(m).letters)
+        letters = decode(a.part(m).letters)
         p = data.draw(st.integers(0, len(letters) - 1))
         letters[p] = (letters[p][0], -letters[p][1])
         parts = {q: a.part(q) for q in range(2, a.n + 1)}
@@ -432,8 +421,8 @@ class TestNormalFormUniqueness:
             u = random_ielem(rng, 4, 6)
             low = lower_part(u, 4)  # element of the bottom two levels
             w4 = random_ielem(rng, 4, 5).part(4)
-            embedded_low = IElem(4, ((),) + low.parts)
-            h = IElem(4, (w4.letters, (), ()))
+            embedded_low = IElem(4, ("",) + low.parts)
+            h = IElem(4, (w4.letters, "", ""))
             got = act_elem(low, w4)
             expected = conj_elem(embedded_low, h).part(4)
             assert got == expected

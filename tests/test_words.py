@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pik.words import (
+    MAX_RANK,
     FreeWord,
     ParseError,
     WordError,
@@ -10,7 +11,9 @@ from pik.words import (
     conjugate,
     centralizer_root,
     cyclic_reduce,
+    decode,
     empty,
+    encode,
     format_x_word,
     free_conjugate,
     gen,
@@ -83,11 +86,50 @@ class TestBasics:
 
     def test_unreduced_rejected(self):
         with pytest.raises(WordError):
-            FreeWord(2, ((1, 1), (1, -1)))
+            FreeWord(2, encode([(1, 1), (1, -1)]))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(WordError):
-            FreeWord(2, ((3, 1),))
+            FreeWord(2, encode([(3, 1)]))
+
+
+def _encoding_case(rank):
+    """Letters at a rank, drawn from all indices and from the top three."""
+    index = st.one_of(st.integers(1, rank), st.integers(max(1, rank - 2), rank))
+    return st.lists(st.tuples(index, st.sampled_from([1, -1])), max_size=12).map(lambda ls: (rank, ls))
+
+
+class TestEncoding:
+    # 127 and 128 straddle one-byte strs (codes up to 255); 557,055 is the cap
+    @given(st.sampled_from([1, 127, 128, 130, MAX_RANK]).flatmap(_encoding_case))
+    @example((MAX_RANK, [(MAX_RANK, -1), (MAX_RANK, 1), (1, 1)]))
+    @example((128, [(127, -1), (128, 1), (128, 1), (127, 1)]))
+    @example((1, [(1, 1), (1, -1), (1, -1)]))
+    @example((2, []))
+    def test_encode_decode_round_trip(self, case):
+        rank, letters = case
+        code = encode(letters)
+        assert len(code) == len(letters)
+        assert decode(code) == letters
+        v = word(rank, letters)
+        assert word(rank, decode(v.letters)) == v
+        assert decode(invert(v).letters) == [(i, -s) for i, s in reversed(decode(v.letters))]
+
+    def test_rank_cap(self):
+        assert gen(MAX_RANK, MAX_RANK, -1).letters == "\U0010ffff"
+        with pytest.raises(WordError):
+            FreeWord(MAX_RANK + 1, "")
+        with pytest.raises(WordError):
+            word(MAX_RANK + 1, [(1, 1)])
+        with pytest.raises(WordError):
+            encode([(MAX_RANK + 1, 1)])
+        with pytest.raises(WordError):
+            encode([(0, 1)])
+
+    def test_letter_pairs_rejected(self):
+        # pairs are for input and output only
+        with pytest.raises(WordError):
+            FreeWord(2, ((1, 1),))
 
 
 class TestCyclicReduce:
@@ -106,7 +148,7 @@ class TestCyclicReduce:
         core, conj = cyclic_reduce(a)
         # core is x2 x1 up to rotation and a = conj core conj^-1
         assert len(core) == 2
-        assert sorted(core.letters) == [(1, 1), (2, 1)]
+        assert sorted(decode(core.letters)) == [(1, 1), (2, 1)]
         assert multiply(multiply(conj, core), invert(conj)) == a
         assert is_cyclically_reduced(core)
 
@@ -127,7 +169,7 @@ class TestFreeConjugate:
         # conjugate iff some conjugator of length <= 3 works, for short words
         def brute(a, b):
             frontier = [empty(a.rank)]
-            seen = {(): None}
+            seen = {"": None}
             for _ in range(3):
                 nxt = []
                 for g in frontier:
