@@ -11,8 +11,10 @@ states they expand:
     descent     _greedy_descent, on both sides of a pair
     probe walk  the first _orbit_walk of a pair, between the descended sides
     S_3, S_4    _quotient_refutation with k = 3 and k = 4
-    ladder      _ladder
     full walk   the second _orbit_walk of a pair, the budgeted one
+    ladder      _ladder
+
+in the order conjugacy runs them.
 
 "other" is the rest of the stream's wall time: equality, the abelianization,
 the level-2 core and the witness checks.  The child also reports its peak
@@ -42,7 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STREAMS = ("conj-planted", "conj-hard")
-STAGES = ("descent", "probe walk", "S_3", "ladder", "S_4", "full walk")
+STAGES = ("descent", "probe walk", "S_3", "S_4", "full walk", "ladder")
 SECONDS = 15
 REPEAT = 7
 OUT = ROOT / "BENCH_conj.json"

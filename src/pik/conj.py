@@ -21,13 +21,15 @@ Verdicts are sound by construction:
   twisted-conjugacy decision procedure from the literature is out of scope;
   bounded verified search replaces it and never fakes a "no".
 
-Search is layered: the level ladder first, then a bidirectional conjugation
-walk in the generator metric; a finite quotient runs before each of the
-two.  The ladder enumerates a centralizer coset at untwisted levels and, at
-twisted ones, runs the same walk restricted to the level's generators, its
-own caps being module constants.  For planted instances the walk is
-complete once its radius covers the generator length of the planted
-conjugator, which is how the acceptance fuzz seeds its budgets.
+Search is layered by cost: a shallow probe walk between greedily descended
+representatives, then the finite quotients S_3 and S_4, then a
+bidirectional conjugation walk in the generator metric at the budgeted
+radius, and the level ladder last.  The ladder enumerates a centralizer
+coset at untwisted levels and, at twisted ones, runs the same walk
+restricted to the level's generators, its own caps being module constants.
+For planted instances the walk is complete once its radius covers the
+generator length of the planted conjugator, which is how the acceptance
+fuzz seeds its budgets.
 """
 
 from __future__ import annotations
@@ -191,9 +193,9 @@ def twisted_class2_obstruction(a: FreeWord, z: FreeWord, images: tuple[FreeWord,
     through its Johnson matrix.  Exact over Z.
 
     Kept because it costs less than the walks it saves: on conj-hard, where
-    the ladder now runs only on the pairs S_3 does not refute, it rejects 51
-    of 68 twisted equations, each of which would otherwise be walked to the
-    budget for nothing (docs/NOTES.md, "Twisted conjugacy").
+    the ladder now runs only on the two pairs that every other stage leaves
+    open, it rejects all 17 twisted equations, each of which would otherwise
+    be walked to the budget for nothing (docs/NOTES.md, "Twisted conjugacy").
     """
     n = a.rank
     alpha = _abel(a)
@@ -631,15 +633,15 @@ def _check_witness(witness: IElem, x: IElem, y: IElem) -> None:
 
 
 def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> ConjResult:
-    """Sound verdicts only: invariants, then the ladder, then the orbit walk.
+    """Sound verdicts only: invariants, then the orbit walk, then the ladder.
 
     The abelianization and the level-2 core refute first.  Greedy descent
     then shrinks both sides inside their classes; matching minima settle the
     instance outright, and otherwise the descended pair gets a cheap shallow
-    probe.  The cycle types on Hom(F_n, S_3) refute before the ladder, those
-    on Hom(F_n, S_4) after it.  The completeness walk runs on the original
-    pair at the budgeted radius, so budgets seeded from a planted conjugator
-    keep their guarantee.
+    probe.  The cycle types on Hom(F_n, S_3), then on Hom(F_n, S_4), refute
+    next.  The completeness walk runs on the original pair at the budgeted
+    radius, so budgets seeded from a planted conjugator keep their
+    guarantee, and the ladder runs last, on what the walk leaves open.
     """
     budget = budget or SearchBudget()
     if x.n != y.n:
@@ -678,22 +680,21 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
         _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, method="generator-walk")
     # The finite quotients run on the descended pair, which is conjugate to
-    # the original one and shorter: S_3 before the ladder, S_4 only after it,
-    # since the pairs the ladder decides would pay S_4's larger cost.
-    refuted = _quotient_refutation(x_hat, y_hat, 3)
-    if refuted is not None:
-        return refuted
-    try:
-        witness, trace = _ladder(x, y, budget)
-        _check_witness(witness, x, y)
-        return ConjResult("conjugate", witness=witness, levels=trace, method="ladder")
-    except _Exhausted:
-        pass
-    refuted = _quotient_refutation(x_hat, y_hat, 4)
-    if refuted is not None:
-        return refuted
+    # the original one and shorter.  Then the budgeted walk, and the ladder
+    # last: each stage is sound alone, so the order sets no verdict, only the
+    # cost and whose witness returns (docs/NOTES.md, "The order of
+    # conjugacy's stages").
+    for k in (3, 4):
+        refuted = _quotient_refutation(x_hat, y_hat, k)
+        if refuted is not None:
+            return refuted
     witness = _orbit_walk(x, y, budget.gen_radius, budget.max_states)
     if witness is not None:
         _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, method="generator-walk")
-    return ConjResult("unknown", bounds=budget.as_dict())
+    try:
+        witness, trace = _ladder(x, y, budget)
+    except _Exhausted:
+        return ConjResult("unknown", bounds=budget.as_dict())
+    _check_witness(witness, x, y)
+    return ConjResult("conjugate", witness=witness, levels=trace, method="ladder")

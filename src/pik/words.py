@@ -138,8 +138,17 @@ def _raw(rank: int, letters: str) -> FreeWord:
 
 
 def word(rank: int, letters: Iterable[Letter] = ()) -> FreeWord:
-    """Build a word from (index, sign) letters, freely reducing the input."""
-    return FreeWord(rank, reduce_letters(encode(letters)))
+    """Build a word from (index, sign) letters, freely reducing the input.
+
+    encode checks each sign and index, and the reduced word is checked
+    against the rank here, so FreeWord's checks do not run a second time.
+    """
+    if not 1 <= rank <= MAX_RANK:
+        raise WordError(f"rank must be in 1..{MAX_RANK}, got {rank}")
+    reduced = reduce_letters(encode(letters))
+    if reduced and max(reduced) > chr(2 * rank + 1):
+        raise WordError(f"letter index {ord(max(reduced)) >> 1} outside 1..{rank}")
+    return _raw(rank, reduced)
 
 
 def gen(rank: int, i: int, sign: int = 1) -> FreeWord:

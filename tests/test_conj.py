@@ -21,7 +21,7 @@ from pik.conj import (
     twisted_solutions,
 )
 from pik.endos import apply as endo_apply, automorphism
-from pik.fuzz import planted_conjugacy_case, random_ielem
+from pik.fuzz import planted_conjugacy_case, random_gen_tokens, random_ielem
 from pik.igroup import (
     IElem,
     _conj_steps,
@@ -311,8 +311,10 @@ class TestConjugacy:
         assert conj_elem(res.witness, x) == y
 
 
-# Ladder-decided planted pairs (0-based cases 12 of Lcg(2003), 51 of Lcg(2004)) and the
-# levels the ladder reports for them; every twist above level 2 is partial-inner.
+# Planted pairs (0-based cases 12 of Lcg(2003), 51 of Lcg(2004)) and the levels the
+# ladder reports for them; every twist above level 2 is partial-inner.  conjugacy
+# decides both by the full walk, which runs before the ladder, so the ladder is
+# called alone.
 LADDER_CASES = {
     3: (
         "y(3,3) y(2,1)^-1 y(2,2) y(2,1)",
@@ -365,9 +367,21 @@ LADDER_CASES = {
 def test_ladder_levels_are_pinned(n):
     x_word, y_word, levels = LADDER_CASES[n]
     x, y = collect(n, parse_word(x_word)), collect(n, parse_word(y_word))
-    res = conjugacy(x, y, SearchBudget(max_len=10))
+    witness, trace = conj_mod._ladder(x, y, SearchBudget(max_len=10))
+    assert [t.as_dict() for t in trace] == levels
+    assert conj_elem(witness, x) == y
+
+
+@pytest.mark.parametrize("seed", [9081, 9170, 9179])
+def test_ladder_decides_what_the_walk_misses(seed):
+    # x against a conjugate by up to 18 generators: the default budget's walk
+    # (radius 8) misses the conjugator, and the ladder, run last, finds one.
+    rng = Lcg(seed)
+    x = random_ielem(rng, 3, 8)
+    y = conj_elem(collect(3, random_gen_tokens(rng, 3, 18)), x)
+    res = conjugacy(x, y)
     assert res.method == "ladder"
-    assert res.as_dict()["levels"] == levels
+    assert [t.level for t in res.levels] == [2, 3]
     assert conj_elem(res.witness, x) == y
 
 
@@ -744,8 +758,10 @@ class TestWalkPruning:
 def _pinned_stream():
     """Planted pairs at n = 3 and 4, and x against x [a, b] at n = 3.
 
-    Among the planted pairs are two n=4 ones that only the full generator
-    walk decides.  Five of the x [a, b] pairs ended unknown until the
+    The full generator walk decides nine of the planted pairs: two n=4 ones
+    that neither the probe walk nor the ladder decides, and seven (cases 13,
+    16, 44, 62, 66, 109 and 118) that the ladder decided while it ran before
+    the walk.  Five of the x [a, b] pairs ended unknown until the
     finite-quotient stage: S_3 refutes four of them and S_4 the fifth.
     """
     cases = []
@@ -762,10 +778,15 @@ def _pinned_stream():
 
 
 # SHA-256 of the JSON of every ConjResult.as_dict() on _pinned_stream(), taken
-# when the finite-quotient stage was added; against the outputs before it,
-# only the five unknowns changed, each to not_conjugate with a finite-quotient
-# reason.  A change that only makes the search faster keeps it.
-PINNED_SHA256 = "bcb8b59883b6c1a3c0f21bd98a9702a27b31a0309a15007c229baada10fc6da9"
+# when the full walk was moved in front of the ladder; against the outputs
+# before it, only the seven pairs named in _pinned_stream changed, each from
+# method ladder to generator-walk, with a new witness and no levels.  A change
+# that only makes the search faster keeps it.
+PINNED_SHA256 = "4dcdf22533b9fe75c0622c8577643d5b6be97b6bc90f3eec3690b2b0ea52c350"
+# SHA-256 of the JSON of the [verdict, reason] list alone, taken before that
+# reorder: a change of which stage decides a pair, or of the witness it finds,
+# keeps it; a change of any verdict or reason does not.
+VERDICTS_SHA256 = "3c3529e40cfbdb0ba92d08899644fb7ea768da2e73c85110f0a2bff9d2e807ea"
 
 
 class TestPinnedOutputs:
@@ -780,10 +801,12 @@ class TestPinnedOutputs:
 
         monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
         out = [conjugacy(x, y, budget).as_dict() for x, y, budget in _pinned_stream()]
-        assert sum(full_walks) == 2  # the budgeted walk, not the probe, decides these
+        assert sum(full_walks) == 9  # the budgeted walk, not the probe, decides these
         assert [d["verdict"] for d in out].count("unknown") == 0
         reasons = [d.get("reason", "") for d in out]
         assert reasons.count("finite-quotient (S_3) cycle type mismatch") == 4
         assert reasons.count("finite-quotient (S_4) cycle type mismatch") == 1
+        verdicts = json.dumps([[d["verdict"], d.get("reason", "")] for d in out]).encode()
+        assert hashlib.sha256(verdicts).hexdigest() == VERDICTS_SHA256
         blob = json.dumps(out, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256

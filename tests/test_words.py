@@ -126,6 +126,16 @@ class TestEncoding:
         with pytest.raises(WordError):
             encode([(0, 1)])
 
+    def test_word_rejects_bad_input(self):
+        with pytest.raises(WordError, match="letter index 3 outside 1..2"):
+            word(2, [(1, 1), (3, -1)])
+        for sign in (0, 2):
+            with pytest.raises(WordError, match="sign"):
+                word(2, [(1, sign)])
+        for rank in (0, MAX_RANK + 1):
+            with pytest.raises(WordError, match="rank"):
+                word(rank, [])
+
     def test_letter_pairs_rejected(self):
         # pairs are for input and output only
         with pytest.raises(WordError):
