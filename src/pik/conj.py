@@ -297,18 +297,16 @@ def _lower_action(y: IElem, i: int) -> Twist:
     return b, images
 
 
-def twisted_solutions(
-    a: FreeWord, z: FreeWord, twist: Twist, budget: SearchBudget, max_states: int = TWISTED_STATES
-) -> Iterator[FreeWord]:
+def twisted_solutions(a: FreeWord, z: FreeWord, twist: Twist, budget: SearchBudget) -> Iterator[FreeWord]:
     """Candidate solutions of g a (b . g^-1) = z, best-effort enumeration.
 
     twist is _lower_action's (b, images), or None for plain conjugacy.
-    max_states caps the twisted walk's states and the words tried when
+    TWISTED_STATES caps the twisted walk's states and the words tried when
     every word solves.
     """
     if twist is None:
         if a.is_identity and z.is_identity:
-            yield from itertools.islice(_all_words(a.rank, budget.max_len), max_states)
+            yield from itertools.islice(_all_words(a.rank, budget.max_len), TWISTED_STATES)
             return
         g0 = free_conjugate(a, z)
         if g0 is None:
@@ -318,7 +316,7 @@ def twisted_solutions(
     b, images = twist
     if not twisted_class2_obstruction(a, z, images):
         return
-    yield from _twisted_bidirectional(a, z, b, budget.max_len, max_states, SOLUTIONS_PER_LEVEL)
+    yield from _twisted_bidirectional(a, z, b, budget.max_len, TWISTED_STATES, SOLUTIONS_PER_LEVEL)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ decomposition needs one echelon of J^m's spanning set: rank additivity
 against the Witt rank, plus a pivot of 1 in absolute value on every Lyndon
 column outside the level factors.  With y(m, i) of multidegree e_i, J^m
 splits into multidegree blocks, one echelon each.  Each block of J^m is a
-dense integer matrix over all words of its multidegrees, stacked from the
+dense integer matrix over all words of its multidegree, stacked from the
 blocks of J^{m-1} bracketed with one letter each; the top degree is
 gathered straight at its Lyndon words, and every degree is read there (see
 docs/NOTES.md).  T_r is the ideal of L(U_r) generated by the level-r
@@ -44,6 +44,7 @@ from .lie import (
     lie_from_tensor,
     lyndon_index,
     lyndon_words,
+    same_lattice,
     witt,
 )
 
@@ -252,69 +253,37 @@ def _words_of(n: int, d: Multidegree) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def _classes(groups: Sequence[frozenset[Multidegree]]) -> tuple[list[frozenset[Multidegree]], list[int]]:
-    """Join the multidegrees that share a group (union-find): the classes, in
-    order of first appearance, and the class of each group."""
-    parent: dict[Multidegree, Multidegree] = {}
-
-    def find(d: Multidegree) -> Multidegree:
-        while parent.get(d, d) != d:
-            d = parent[d]
-        return d
-
-    for group in groups:
-        root, *rest = (find(d) for d in group)
-        for other in rest:
-            if other != root:
-                parent[other] = root
-    index: dict[Multidegree, int] = {}
-    members: list[set[Multidegree]] = []
-    of_group = []
-    for group in groups:
-        root = find(next(iter(group)))
-        if root not in index:
-            index[root] = len(members)
-            members.append(set())
-        members[index[root]] |= group
-        of_group.append(index[root])
-    return [frozenset(ds) for ds in members], of_group
-
-
 @dataclass(frozen=True)
 class _TensorBlock:
-    """Spanning rows of an ideal's degree-m piece on one class of
-    multidegrees, dense over all of the class's words; col maps each word,
-    in lexicographic order, to its column."""
+    """Spanning rows of an ideal's degree-m piece of one multidegree, dense
+    over all of its words; col maps each word, in lexicographic order, to its
+    column."""
 
-    degrees: frozenset[Multidegree]
+    degree: Multidegree
     col: dict[Word, int]
     mat: np.ndarray
 
 
-def _class_columns(n: int, degrees: frozenset[Multidegree]) -> dict[Word, int]:
-    return {w: j for j, w in enumerate(sorted(w for d in degrees for w in _words_of(n, d)))}
-
-
-def _shifted(degrees: frozenset[Multidegree], i: int) -> frozenset[Multidegree]:
-    return frozenset(d[:i] + (d[i] + 1,) + d[i + 1 :] for d in degrees)
+def _columns(n: int, d: Multidegree) -> dict[Word, int]:
+    return {w: j for j, w in enumerate(_words_of(n, d))}
 
 
 # (source block, letter) pairs that reach one block of the next degree
 Feed = list[tuple[_TensorBlock, int]]
 
 
-def _feeds(
-    n: int, below: Sequence[_TensorBlock], letters: Sequence[int]
-) -> tuple[list[frozenset[Multidegree]], list[Feed]]:
-    """The classes of degree m reached from the blocks of degree m - 1 by
-    one letter, and for each class the (block, letter) pairs that reach it."""
+def _feeds(n: int, below: Sequence[_TensorBlock], letters: Sequence[int]) -> dict[Multidegree, Feed]:
+    """The multidegrees of degree m reached from the blocks of degree m - 1
+    by one letter, in the order they are first reached, each with the
+    (block, letter) pairs that reach it."""
     conj = _conjugating_index(n)
-    classes, of_shift = _classes([_shifted(b.degrees, i) for b in below for i in range(n)])
-    feeds: list[Feed] = [[] for _ in classes]
-    for s, b in enumerate(below):
+    feeds: dict[Multidegree, Feed] = {}
+    for b in below:
         for a in letters:
-            feeds[of_shift[s * n + conj[a] - 1]].append((b, a))
-    return classes, feeds
+            i = conj[a] - 1
+            d = b.degree[:i] + (b.degree[i] + 1,) + b.degree[i + 1 :]
+            feeds.setdefault(d, []).append((b, a))
+    return feeds
 
 
 def _stacks(
@@ -335,51 +304,55 @@ def _tensor_blocks(
     relators: RelatorSet, top: int, dtype: type, letters: Sequence[int]
 ) -> Iterator[tuple[int, list[_TensorBlock]]]:
     """The ideal's degree-m pieces for 2 <= m <= top in tensor coordinates,
-    one block per class.
+    one block per multidegree.
 
-    Degree 2 is the relators' terms, their multidegrees joined by union-find.
-    Block t of degree m stacks, for each block b of degree m - 1 and each of
-    the letters a sending it to t, the rows x of b bracketed as x a - a x:
-    the column of u a gets +x(u) and that of a u gets -x(u), both maps
-    injective on words.
+    Degree 2 is the relators' terms, grouped by multidegree; a relator whose
+    terms have more than one raises DecompError.  Block t of degree m stacks,
+    for each block b of degree m - 1 and each of the letters a sending it to
+    t, the rows x of b bracketed as x a - a x: the column of u a gets +x(u)
+    and that of a u gets -x(u), both maps injective on words.
     """
     n = relators.n
-    rows = [rel.elem.coords.terms for rel in relators.relators if rel.elem.coords.terms]
-    classes, of_row = _classes([frozenset(_multidegree(n, w) for w in terms) for terms in rows])
+    rows: dict[Multidegree, list[dict[Word, int]]] = {}
+    for rel in relators.relators:
+        terms = rel.elem.coords.terms
+        degrees = {_multidegree(n, w) for w in terms}
+        if len(degrees) > 1:
+            raise DecompError(
+                f"relator of kind {rel.kind} (m={rel.m}, i={rel.i}, r={rel.r}, j={rel.j}) "
+                f"has terms of multidegrees {sorted(degrees)}"
+            )
+        if terms:
+            rows.setdefault(degrees.pop(), []).append(terms)
     blocks = []
-    for c, degrees in enumerate(classes):
-        col = _class_columns(n, degrees)
-        own = [terms for terms, hit in zip(rows, of_row) if hit == c]
+    for d, own in rows.items():
+        col = _columns(n, d)
         mat = np.zeros((len(own), len(col)), dtype=dtype)
         for r, terms in enumerate(own):
             for w, coeff in terms.items():
                 mat[r, col[w]] = coeff
-        blocks.append(_TensorBlock(degrees, col, mat))
+        blocks.append(_TensorBlock(d, col, mat))
     yield 2, blocks
     for m in range(3, top + 1):
-        classes, feeds = _feeds(n, blocks, letters)
+        feeds = _feeds(n, blocks, letters)
         blocks = []
-        for degrees, feed in zip(classes, feeds):
-            col = _class_columns(n, degrees)
+        for d, feed in feeds.items():
+            col = _columns(n, d)
             mat, stacks = _stacks(feed, len(col), dtype)
             for part, b, a in stacks:
                 part[:, [col[u + (a,)] for u in b.col]] = b.mat
                 part[:, [col[(a,) + u] for u in b.col]] -= b.mat
-            blocks.append(_TensorBlock(degrees, col, mat))
+            blocks.append(_TensorBlock(d, col, mat))
         yield m, blocks
 
 
-def _lyndon_parts(n: int, m: int, classes: Sequence[frozenset[Multidegree]]) -> list[list[Word]]:
-    """The degree-m Lyndon words of each class, then one part for each
-    multidegree outside the classes: a partition, in lexicographic order."""
-    class_of = {d: c for c, degrees in enumerate(classes) for d in degrees}
-    parts: list[list[Word]] = [[] for _ in classes]
-    rest: dict[Multidegree, list[Word]] = {}
+def _lyndon_parts(n: int, m: int, degrees: Sequence[Multidegree]) -> list[list[Word]]:
+    """The degree-m Lyndon words of each of degrees, then one part for each
+    other multidegree: a partition, in lexicographic order."""
+    parts: dict[Multidegree, list[Word]] = {d: [] for d in degrees}
     for w in lyndon_words(alphabet_size(n), m):
-        d = _multidegree(n, w)
-        c = class_of.get(d)
-        (parts[c] if c is not None else rest.setdefault(d, [])).append(w)
-    return parts + list(rest.values())
+        parts.setdefault(_multidegree(n, w), []).append(w)
+    return list(parts.values())
 
 
 def _empty(parts: Sequence[list[Word]], dtype: type) -> list[Block]:
@@ -389,7 +362,7 @@ def _empty(parts: Sequence[list[Word]], dtype: type) -> list[Block]:
 def _cut(n: int, m: int, blocks: Sequence[_TensorBlock], dtype: type) -> Iterator[Block]:
     """A degree-m piece read at its Lyndon words: the tensor blocks cut to
     them, one block at a time."""
-    parts = _lyndon_parts(n, m, [b.degrees for b in blocks])
+    parts = _lyndon_parts(n, m, [b.degree for b in blocks])
     for b, words in zip(blocks, parts):
         yield words, b.mat.take([b.col[w] for w in words], axis=1)
     yield from _empty(parts[len(blocks) :], dtype)
@@ -401,9 +374,9 @@ def _gathered(
     """A degree-m piece read at its Lyndon words, gathered from the blocks
     of degree m - 1 one block at a time: row [x, a] has x(w[:-1]) at w when w
     ends with a, less x(w[1:]) when w starts with a."""
-    classes, feeds = _feeds(n, below, letters)
-    parts = _lyndon_parts(n, m, classes)
-    for words, feed in zip(parts, feeds):
+    feeds = _feeds(n, below, letters)
+    parts = _lyndon_parts(n, m, list(feeds))
+    for words, feed in zip(parts, feeds.values()):
         ends: dict[int, list[tuple[int, Word]]] = {}
         starts: dict[int, list[tuple[int, Word]]] = {}
         for j, w in enumerate(words):
@@ -417,7 +390,7 @@ def _gathered(
                     js, us = zip(*hits)
                     part[:, list(js)] += sign * b.mat[:, list(us)]
         yield words, mat
-    yield from _empty(parts[len(classes) :], dtype)
+    yield from _empty(parts[len(feeds) :], dtype)
 
 
 def ideal_rows_by_degree(
@@ -427,6 +400,8 @@ def ideal_rows_by_degree(
     for 2 <= m <= max_m, degree by degree and block by block: each block's
     Lyndon words, and its spanning rows' tensor coefficients at them, one
     matrix row each.  J brackets with every letter; T_r with those of U_r.
+    Each relator must be homogeneous: one whose terms have more than one
+    multidegree raises DecompError.
 
     The blocks of each degree partition its Lyndon words; a row has no
     nonzero coefficient at a Lyndon word outside its block.  Below the top
@@ -501,7 +476,7 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
     """Certify L^m = (+_i L^m(Y_i)) (+) J^m for 2 <= m <= max_m.
 
     Failure is reported, not raised, so perturbed relator sets can be used as
-    negative controls.
+    negative controls; a relator that is not homogeneous raises DecompError.
     """
     if n < 3:
         raise DecompError("need n >= 3")
@@ -605,7 +580,7 @@ def verify_tilde_T(n: int, max_m: int) -> TildeTReport:
             j_lat = lattice_from_rows(mat, len(words))
             rank_j += j_lat.rank
             stacked_rank += stacked.rank
-            sum_equals_j = sum_equals_j and j_lat.hnf() == stacked.hnf()
+            sum_equals_j = sum_equals_j and same_lattice(j_lat, stacked)
         if any(ts):
             raise DecompError(f"the blocks of J^{m} and of the T_r do not line up")
         reports.append(

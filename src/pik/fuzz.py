@@ -37,5 +37,5 @@ def planted_conjugacy_case(rng: Lcg, n: int, max_len: int):
     g = collect(n, g_tokens)
     y = conj_elem(g, x)
     glen = sum(abs(t.exp) for t in g_tokens)
-    budget = SearchBudget(gen_radius=max(glen, 1), coset=8, max_len=10, max_states=400_000)
+    budget = SearchBudget(gen_radius=max(glen, 1), max_len=10, max_states=400_000)
     return x, y, budget

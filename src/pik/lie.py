@@ -4,7 +4,7 @@ Homogeneous Lie elements are stored through their tensor-algebra image; the
 coordinates in the Lyndon basis are extracted by the triangular rewrite
 (the standard bracketing of a Lyndon word is the word itself plus
 lexicographically larger words).  Spans of homogeneous elements become
-integer lattices, with rank / Hermite form / fullness computed exactly.
+integer lattices, with rank / equality / fullness computed exactly.
 Large spans are read without the rewrite: an element's tensor coefficients
 at the Lyndon words are its Lyndon coordinates times a unitriangular
 matrix, so they give the same rank, and split into blocks that are
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -247,7 +248,7 @@ class IntLattice:
 
     A lattice built on the int64 path keeps its echelon rows as an ndarray:
     rank and pivots are read from it, and the rows become Python ints only
-    when ``rows`` is read (``add``, ``contains``, ``hnf``).
+    when ``rows`` is read (``add``, ``contains``).
     """
 
     def __init__(self, dim: int):
@@ -334,20 +335,6 @@ class IntLattice:
                 v[jj] -= q * row[jj]
         return True
 
-    def hnf(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical row Hermite form: positive pivots, entries above reduced."""
-        rows = [list(r) for r in self.rows]
-        for i in range(len(rows) - 1, -1, -1):
-            c = self.pivot_col[i]
-            if rows[i][c] < 0:
-                rows[i] = [-x for x in rows[i]]
-            piv = rows[i][c]
-            for k in range(i):
-                q = rows[k][c] // piv
-                if q:
-                    rows[k] = [a - q * b for a, b in zip(rows[k], rows[i])]
-        return tuple(tuple(r) for r in rows)
-
     def pivots(self) -> list[int]:
         if self._mat is not None:
             return np.abs(self._mat[np.arange(self.rank), self.pivot_col]).tolist()
@@ -423,6 +410,26 @@ def lattice_from_rows(rows: "Sequence[Sequence[int]] | np.ndarray", dim: int) ->
     lat = IntLattice(dim)
     lat.add_all(rows.tolist() if isinstance(rows, np.ndarray) else rows)
     return lat
+
+
+def same_lattice(a: IntLattice, b: IntLattice) -> bool:
+    """Whether a and b span the same lattice.
+
+    With c the lattice of a's and b's echelon rows together, a = b iff
+    rank a = rank c = rank b and the three products of |pivot| agree: a
+    sublattice of c of the same rank has c's pivot columns, and its index in
+    c is the quotient of the two products (see docs/NOTES.md).
+    """
+    if a.dim != b.dim:
+        raise LieError(f"lattices in Z^{a.dim} and Z^{b.dim}")
+    if a.rank != b.rank:
+        return False
+    if a._mat is not None and b._mat is not None:
+        rows: "list[list[int]] | np.ndarray" = np.vstack((a._mat, b._mat))
+    else:
+        rows = a.rows + b.rows
+    c = lattice_from_rows(rows, a.dim)
+    return c.rank == a.rank and prod(a.pivots()) == prod(c.pivots()) == prod(b.pivots())
 
 
 # ---------------------------------------------------------------------------

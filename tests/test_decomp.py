@@ -33,6 +33,7 @@ from pik.lie import (
     lyndon_bracket,
     lyndon_index,
     lyndon_words,
+    same_lattice,
     tensor_bracket,
     witt,
 )
@@ -91,16 +92,6 @@ def t_r_rows(n, r, m):
             elems = brackets(elems, c_of[kappa])
         rows.extend(terms for terms in elems if terms)
     return rows
-
-
-def mixed_relators(n):
-    """A kind-3 relator (multidegree e_i + e_j) plus [y(2,1), y(3,3)]
-    (e_1 + e_3) in its place: its rows join two multidegree blocks."""
-    rels = build_relators(n)
-    victim = rels.of_kind(3)[0]
-    mixed = victim.elem.coords.add(pair_bracket(n, 2, 1, 3, 3).coords)
-    swapped = replace(victim, elem=lie_from_tensor(alphabet_size(n), 2, mixed))
-    return RelatorSet(n, tuple(swapped if rel is victim else rel for rel in rels.relators))
 
 
 def assert_same_rows(blocks, elems, every_word):
@@ -239,16 +230,12 @@ class TestIdeal:
                     if v.coords.terms:
                         assert nxt.contains(coordinate_row(v, index, dim))
 
-    @pytest.mark.parametrize(
-        "n,max_m,relators",
-        [(3, 4, build_relators), (4, 3, build_relators), (3, 4, mixed_relators), (4, 3, mixed_relators)],
-        ids=["3-4", "4-3", "3-4-mixed", "4-3-mixed"],
-    )
-    def test_rows_match_lie_brackets(self, n, max_m, relators):
+    @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
+    def test_rows_match_lie_brackets(self, n, max_m):
         # below the top degree, each tensor block holds the oracle's rows of
-        # its multidegrees at every word of the block; at every degree, each
+        # its multidegree at every word of the block; at every degree, each
         # Lyndon block holds them at its Lyndon words
-        rels = relators(n)
+        rels = build_relators(n)
         want = lie_ideal_rows(rels, max_m)
         for m, blocks in _tensor_blocks(rels, max_m - 1, np.int64, every_letter(n)):
             assert_same_rows([(list(b.col), b.mat) for b in blocks], want[m], every_word=True)
@@ -385,14 +372,18 @@ class TestAgainstStackedLattice:
     @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
     def test_inhomogeneous_relator(self, n, max_m):
         # a kind-3 relator (multidegree e_i + e_j) plus [y(2,1), y(3,3)]
-        # (e_1 + e_3): its rows join two multidegree blocks
+        # (e_1 + e_3) has no block of its own, and is refused by name
         rels = build_relators(n)
         victim = rels.of_kind(3)[0]
         mixed = lie_from_tensor(
             alphabet_size(n), 2, victim.elem.coords.add(pair_bracket(n, 2, 1, 3, 3).coords)
         )
-        swapped = tuple(replace(rel, elem=mixed) if rel is victim else rel for rel in rels.relators)
-        self.check(n, max_m, RelatorSet(n, swapped))
+        swapped = RelatorSet(n, tuple(replace(rel, elem=mixed) if rel is victim else rel for rel in rels.relators))
+        named = rf"kind 3 \(m={victim.m}, i={victim.i}, r={victim.r}, j={victim.j}\)"
+        with pytest.raises(DecompError, match=named):
+            verify_theorem_th1(n, max_m, relators=swapped)
+        with pytest.raises(DecompError, match=named):
+            list(ideal_rows_by_degree(swapped, max_m, every_letter(n)))
 
     @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
     def test_extra_within_level_pair(self, n, max_m):
@@ -467,7 +458,7 @@ class TestTildeT:
                     (d,) = {_multidegree(n, w) for w in words}
                     want = [[terms.get(w, 0) for w in words] for terms in oracle.pop(d, [])]
                     got = lattice_from_rows(mat, len(words))
-                    assert got.hnf() == lattice_from_rows(want, len(words)).hnf()
+                    assert same_lattice(got, lattice_from_rows(want, len(words)))
                 # every oracle row met a block's Lyndon words
                 assert not oracle
 
@@ -479,6 +470,21 @@ class TestTildeT:
         assert rep.degrees[0].ok
         top = rep.degrees[1]
         assert (top.rank_j, top.t_ranks, top.sum_equals_j, top.direct) == (210, (126, 108), True, False)
+
+    def test_doubled_t_r_do_not_sum_to_j(self, monkeypatch):
+        # negative control: with every T_r block doubled and J's kept, the
+        # T_r stay direct but span 2 T_r, a proper sublattice of J, at
+        # every degree
+        build = decomp_mod.ideal_rows_by_degree
+        whole = build_relators(4)
+
+        def doubled(relators, max_m, letters):
+            for m, blocks in build(relators, max_m, letters):
+                yield m, (blocks if relators == whole else ((words, 2 * mat) for words, mat in blocks))
+
+        monkeypatch.setattr(decomp_mod, "ideal_rows_by_degree", doubled)
+        rep = verify_tilde_T(4, 3)
+        assert [(d.sum_equals_j, d.direct) for d in rep.degrees] == [(False, True), (False, True)]
 
     def test_requires_a_degree_to_certify(self):
         with pytest.raises(DecompError, match="max degree"):
