@@ -45,13 +45,13 @@ import numpy as np
 from .igroup import (
     IElem,
     _conj_steps,
+    _signed_gen,
     abelianize,
     act_elem,
     conj_by_gen,
     conj_elem,
     format_ielem,
     format_level_word,
-    gen_elem,
     generators,
     identity_elem,
     iinv,
@@ -443,13 +443,10 @@ def _meet_walk(
             bwd_frontier = new_frontier
 
 
-def _moves(n: int) -> list[tuple[int, int, int, IElem]]:
+@functools.cache
+def _moves(n: int) -> tuple[tuple[int, int, int, IElem], ...]:
     """(m, i, eps, y(m,i)^eps) for each generator; move 2k+1 inverts move 2k."""
-    moves = []
-    for m, i in generators(n):
-        s = gen_elem(n, m, i)
-        moves += [(m, i, 1, s), (m, i, -1, iinv(s))]
-    return moves
+    return tuple((m, i, eps, _signed_gen(n, m, i, eps)[0]) for m, i in generators(n) for eps in (1, -1))
 
 
 @functools.cache
@@ -469,7 +466,7 @@ def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[
     steps = tuple((m, i, eps) for m, i in gens for eps in (1, -1))
     fixed = []  # fixed[g][h]: generator h conjugates generator g to itself
     for m, i in gens:
-        y = gen_elem(n, m, i).parts
+        y = _signed_gen(n, m, i, 1)[0].parts
         fixed.append([c == y for c in _conj_steps(n, y, [(r, j, 1) for r, j in gens])])
     after = {}
     for a in range(-1, len(steps)):

@@ -69,6 +69,9 @@ def apply(f: EndoF, w: FreeWord) -> FreeWord:
     """Image of w under f, freely reduced."""
     if f.rank != w.rank:
         raise EndoError(f"rank mismatch: endo {f.rank}, word {w.rank}")
+    # A letter x_k, the commonest word compose applies f to, maps to its stored image.
+    if len(w.letters) == 1 and not ord(w.letters) & 1:
+        return f.images[(ord(w.letters) >> 1) - 1]
     # Images and the output so far are reduced, so each joined image cancels
     # only at the seam.  Each image is inverted at most once per call.
     out = ""
@@ -127,7 +130,7 @@ def y_gen(n: int, m: int, i: int) -> EndoF:
 
     Equals the composition chi(1,i) ... chi(m,i) with chi(i,i) omitted; the
     factors commute since each moves a different generator.  Carries its
-    inverse, which igroup.direct_endo takes for a negative exponent.
+    inverse, which igroup's generator table inverts for y(m,i)^-1.
     """
     if not (2 <= m <= n):
         raise EndoError(f"level m={m} outside 2..{n}")

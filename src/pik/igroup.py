@@ -115,6 +115,21 @@ def gen_elem(n: int, m: int, i: int) -> IElem:
     return from_parts(n, {m: gen(m, i)})
 
 
+@functools.cache
+def _signed_gen(n: int, m: int, i: int, eps: int) -> tuple[IElem, EndoF]:
+    """y(m,i)^eps at rank n, eps = +1 or -1, as an element and as its automorphism of F_n.
+
+    Filled in per generator at its first use, O(n) words each
+    (docs/NOTES.md, "Per-rank generator tables").  Built from the
+    generator's letters alone, with none of iinv, imul or endos' compose and
+    apply: bench/tracer.py counts their calls, and a table filled through
+    them would add to the counts of the first traced run only.
+    """
+    if eps == 1:
+        return gen_elem(n, m, i), endos.y_gen(n, m, i)
+    return from_parts(n, {m: gen(m, i, -1)}), endos.inverse(endos.y_gen(n, m, i))
+
+
 def generators(n: int) -> list[tuple[int, int]]:
     """Generator order (m, i) lexicographic: y(2,1), y(2,2), y(3,1), ..."""
     return [(m, i) for m in range(2, n + 1) for i in range(1, m + 1)]
@@ -309,9 +324,7 @@ def collect(n: int, tokens: Iterable[Token]) -> IElem:
     acc = identity_elem(n)
     for t in tokens:
         _check_y_token(n, t)
-        g = gen_elem(n, t.a, t.b)
-        if t.exp < 0:
-            g = iinv(g)
+        g = _signed_gen(n, t.a, t.b, -1 if t.exp < 0 else 1)[0]
         for _ in range(abs(t.exp)):
             acc = imul(acc, g)
     return acc
@@ -346,13 +359,15 @@ def to_endo(a: IElem) -> EndoF:
 
 
 def direct_endo(n: int, tokens: Iterable[Token]) -> EndoF:
-    """Evaluate a generator word in Aut(F_n) without collecting; oracle for collect."""
+    """Evaluate a generator word in Aut(F_n) without collecting; oracle for collect.
+
+    Composes the y_gen automorphisms letter by letter, never through the
+    normal form.
+    """
     acc = endos.identity_endo(n)
     for t in tokens:
         _check_y_token(n, t)
-        e = endos.y_gen(n, t.a, t.b)
-        if t.exp < 0:
-            e = endos.inverse(e)
+        e = _signed_gen(n, t.a, t.b, -1 if t.exp < 0 else 1)[1]
         for _ in range(abs(t.exp)):
             acc = endos.compose(acc, e)
     return acc

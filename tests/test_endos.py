@@ -139,6 +139,26 @@ class TestComposeApply:
         f, v = case
         assert apply(f, v).letters == _expand_then_reduce(f, v)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_apply_one_letter_is_expand_then_reduce(self, n):
+        maps = [y_gen(n, n, 1), inverse(y_gen(n, 2, 2)), chi(n, 2, 1), compose(y_gen(n, n, n), chi(n, 1, 2))]
+        for f in maps:
+            for k in range(1, n + 1):
+                for sign in (1, -1):
+                    v = word(n, [(k, sign)])
+                    assert apply(f, v).letters == _expand_then_reduce(f, v)
+
+    def test_one_letter_of_wrong_rank_raises(self):
+        f = y_gen(3, 3, 1)
+        for v in (gen(2, 1), gen(4, 4), gen(4, 1)):
+            with pytest.raises(EndoError):
+                apply(f, v)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_compose_with_identity_keeps_images(self, n):
+        for f in (y_gen(n, n, 1), inverse(y_gen(n, 2, 1)), compose(chi(n, 1, 2), y_gen(n, n, 2))):
+            assert compose(f, identity_endo(n)).images == f.images
+
     def test_compose_associative(self):
         a, b, c = chi(3, 1, 2), y_gen(3, 3, 1), chi(3, 3, 2)
         lhs = compose(compose(a, b), c)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pik import igroup
+from pik import conj, endos, igroup
 from pik.endos import compose, identity_endo, inverse, is_identity, y_gen
 from pik.fuzz import random_gen_tokens, random_ielem
 from pik.igroup import (
@@ -31,7 +31,7 @@ from pik.igroup import (
     word_problem,
 )
 from pik.prng import Lcg
-from pik.words import WordError, decode, encode, free_conjugate, gen, parse_word, word
+from pik.words import Token, WordError, decode, encode, free_conjugate, gen, parse_word, word
 
 
 def _elems(n, seed, count, size=8):
@@ -380,6 +380,57 @@ class TestCollection:
 
         with pytest.raises(WordError):
             collect(3, parse_word("y(4,1)"))
+
+
+class TestSignedGenTable:
+    """igroup._signed_gen: each y(m,i)^eps built once per rank, for collect, direct_endo and the walks."""
+
+    def test_entries_equal_fresh_values(self):
+        for n in range(2, 6):
+            for m, i in generators(n):
+                g, f = gen_elem(n, m, i), y_gen(n, m, i)
+                assert igroup._signed_gen(n, m, i, 1) == (g, f)
+                assert igroup._signed_gen(n, m, i, -1) == (iinv(g), inverse(f))
+
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_collect_matches_direct_endo_on_powers(self, power):
+        rng = Lcg(77 + power)
+        for n in (3, 4, 5):
+            gens = generators(n)
+            for _ in range(10):
+                picks = [gens[rng.below(len(gens))] for _ in range(rng.below(6) + 1)]
+                toks = [Token("y", m, i, power * rng.sign()) for m, i in picks]
+                a = collect(n, toks)
+                assert to_endo(a).images == direct_endo(n, toks).images
+                units = [Token("y", t.a, t.b, t.exp // abs(t.exp)) for t in toks for _ in range(abs(t.exp))]
+                assert a == collect(n, units)
+
+    def test_moves_are_one_tuple_per_rank(self):
+        for n in range(2, 6):
+            moves = conj._moves(n)
+            assert isinstance(moves, tuple) and conj._moves(n) is moves
+            assert [mv[:3] for mv in moves] == [(m, i, e) for m, i in generators(n) for e in (1, -1)]
+            for k in range(0, len(moves), 2):
+                assert moves[k][3] == gen_elem(n, *moves[k][:2])
+                assert moves[k + 1][3] == iinv(moves[k][3])
+
+    def test_filled_without_traced_functions(self, monkeypatch):
+        # bench/tracer.py counts calls of these; a table entry built through one
+        # of them would add to the counts of the first traced run only.
+        def traced(*args, **kwargs):
+            raise AssertionError("a per-rank table called a traced function")
+
+        for mod, name in [(igroup, "iinv"), (igroup, "imul"), (endos, "compose"), (endos, "apply"),
+                          (conj, "iinv"), (conj, "imul")]:
+            monkeypatch.setattr(mod, name, traced)
+        for table in (igroup._signed_gen, conj._moves, conj._walk_steps):
+            table.cache_clear()
+        for n in range(2, 6):
+            for m, i in generators(n):
+                for eps in (1, -1):
+                    igroup._signed_gen(n, m, i, eps)
+            conj._moves(n)
+            conj._walk_steps(n)
 
 
 class TestAbelianize:
