@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ((3, 6), (4, 4), (4, 5), (5, 4))
+CASES = ((3, 6), (4, 4), (4, 5), (5, 4), (4, 6), (5, 5))
 REPEAT = 3
 OUT = ROOT / "BENCH_th1.json"
 

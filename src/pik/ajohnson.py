@@ -15,8 +15,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-import numpy as np
-
 from .endos import tau
 from .igroup import generators
 from .lie import lattice_from_rows
@@ -78,36 +76,23 @@ def _derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     return tuple(out)
 
 
-def johnson_rows(n: int, c: int) -> np.ndarray:
+def johnson_rows(n: int, c: int) -> list[dict[int, int]]:
     """Degree-(c+1) Johnson rows of the left-normed weight-c generator commutators,
     in ``left_normed`` order: the images of X_1, ..., X_n, each read at the
     degree-(c+1) monomials in itertools.product order.
 
-    The images are scattered straight into an int64 array, or into an array
-    of Python ints when a coefficient does not fit int64.
+    Each row is sparse, {column: nonzero coefficient}, so no rows x n n^(c+1)
+    array is built.
     """
     if n < 2:
         raise AJohnsonError(f"I_n has no generators below n = 2, got n={n}")
     gens = [_generator_derivation(n, m, i) for (m, i) in generators(n)]
     derivations = left_normed(gens, c, _derivation_bracket)
     column = {mono: j for j, mono in enumerate(itertools.product(range(1, n + 1), repeat=c + 1))}
-    at_row: list[int] = []
-    at_col: list[int] = []
-    values: list[int] = []
-    for r, d in enumerate(derivations):
-        for k, image in enumerate(d):
-            for mono, s in image.items():
-                at_row.append(r)
-                at_col.append(k * len(column) + column[mono])
-                values.append(s)
-    shape = (len(derivations), n * len(column))
-    try:
-        rows = np.zeros(shape, dtype=np.int64)
-        rows[at_row, at_col] = np.array(values, dtype=np.int64)
-    except OverflowError:
-        rows = np.zeros(shape, dtype=object)
-        rows[at_row, at_col] = values
-    return rows
+    return [
+        {k * len(column) + column[mono]: s for k, image in enumerate(d) for mono, s in image.items()}
+        for d in derivations
+    ]
 
 
 def l1_rank(n: int, c: int, D: int) -> int:

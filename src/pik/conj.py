@@ -58,7 +58,7 @@ from .igroup import (
     imul,
     lower_part,
 )
-from .lie import IntLattice
+from .lie import lattice_from_rows
 from .magnus import magnus_expand
 from .words import (
     FreeWord,
@@ -213,9 +213,7 @@ def twisted_class2_obstruction(a: FreeWord, z: FreeWord, images: tuple[FreeWord,
             val = (alpha[v - 1] if u == l else 0) - (alpha[u - 1] if v == l else 0)
             row.append(val - jl[i])
         rows.append(row)
-    lat = IntLattice(n * n)
-    lat.add_all(rows)
-    return lat.contains(rhs)
+    return lattice_from_rows(rows, n * n).contains(rhs)
 
 
 def _letters(rank: int) -> list[str]:

@@ -33,7 +33,6 @@ import numpy as np
 
 from .igroup import gen_index, rank_of_abelianization
 from .lie import (
-    _INT64_GUARD,
     DirectSumReport,
     LieElem,
     Word,
@@ -48,6 +47,8 @@ from .lie import (
     witt,
 )
 
+# Ideal blocks whose entries could pass this bound hold Python ints, not int64.
+_INT64_GUARD = 1 << 60
 # The number of letters of each conjugating index 1..n: deg y(m, i) = e_i.
 Multidegree = tuple[int, ...]
 # A block of J^m or T_r^m: its Lyndon words, and its spanning rows' coefficients at them.
@@ -408,9 +409,9 @@ def ideal_rows_by_degree(
     degree the rows are the ideal's tensor blocks cut to their Lyndon
     columns.  The top degree is gathered from degree max_m - 1 with no tensor
     block.  All of it is one pass: each degree's blocks are made as they are
-    read, and lattice_from_rows echelonizes a matrix in place.  Bracketing
-    with a letter at most doubles an entry, so the matrices hold Python ints
-    when max|coeff| 2^(max_m - 2) could pass the int64 guard.
+    read.  Bracketing with a letter at most doubles an entry, so the
+    matrices hold Python ints when max|coeff| 2^(max_m - 2) could pass
+    _INT64_GUARD.
     """
     if max_m < 2:
         return
@@ -573,10 +574,11 @@ def verify_tilde_T(n: int, max_m: int) -> TildeTReport:
         for words, mat in _by_words(j_blocks):
             if any(words not in t for t in ts):
                 raise DecompError(f"the blocks of J^{m} and of the T_r do not line up")
-            parts = [t.pop(words) for t in ts]
-            stacked = lattice_from_rows(np.vstack(parts), len(words))
-            for r, part in enumerate(parts):
-                t_ranks[r] += lattice_from_rows(part, len(words)).rank
+            t_lats = [lattice_from_rows(t.pop(words), len(words)) for t in ts]
+            for r, t_lat in enumerate(t_lats):
+                t_ranks[r] += t_lat.rank
+            # the T_r echelon rows span the T_r with fewer rows than their spanning sets
+            stacked = lattice_from_rows([row for t_lat in t_lats for row in t_lat.rows], len(words))
             j_lat = lattice_from_rows(mat, len(words))
             rank_j += j_lat.rank
             stacked_rank += stacked.rank

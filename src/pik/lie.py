@@ -10,9 +10,8 @@ at the Lyndon words are its Lyndon coordinates times a unitriangular
 matrix, so they give the same rank, and split into blocks that are
 echelonized one at a time.
 
-All integer linear algebra is fraction-free.  Large eliminations run on an
-int64 fast path with an overflow guard and fall back to exact big-integer
-arithmetic when the guard trips.
+All integer linear algebra is one exact, fraction-free elimination on
+sparse rows of Python ints.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -228,188 +227,112 @@ def witt(nvars: int, c: int) -> int:
 # Exact integer lattices (row spans in Z^dim).
 # ---------------------------------------------------------------------------
 
-_INT64_GUARD = 1 << 60
-_NUMPY_THRESHOLD = 30_000
-_CHUNK_ENTRIES = 1 << 20  # rows of one elimination step are updated in blocks of this size
+SparseRow = dict[int, int]  # column -> nonzero entry
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return x, y, g
+def _sparse(row: "Sequence[int] | SparseRow", dim: int) -> SparseRow:
+    """A fresh sparse copy of a dense row of length dim or of a sparse row."""
+    if isinstance(row, dict):
+        if any(not 0 <= j < dim for j in row):
+            raise LieError(f"a sparse row has a column outside 0..{dim - 1}")
+        return {j: int(v) for j, v in row.items() if v}
+    if len(row) != dim:
+        raise LieError(f"vector length {len(row)} != dim {dim}")
+    return {j: int(v) for j, v in enumerate(row) if v}
 
 
 class IntLattice:
-    """Row span of integer vectors in Z^dim, kept in echelon form over Z.
+    """Row span of integer vectors in Z^dim, kept as an echelon basis of
+    sparse rows: row k is zero left of pivot_col[k], which increases."""
 
-    A lattice built on the int64 path keeps its echelon rows as an ndarray:
-    rank and pivots are read from it, and the rows become Python ints only
-    when ``rows`` is read (``add``, ``contains``).
-    """
-
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, rows: list[SparseRow], pivot_col: list[int]):
         self.dim = dim
-        self._rows: list[list[int]] = []
-        self._mat: Optional[np.ndarray] = None  # int64 echelon rows, not yet converted
-        self.pivot_col: list[int] = []  # pivot column of each row, increasing
-        self._col_of: dict[int, int] = {}  # pivot column -> row index
-
-    @classmethod
-    def _from_echelon(cls, mat: np.ndarray, pivot_col: list[int]) -> "IntLattice":
-        lat = cls(mat.shape[1])
-        lat._mat = mat
-        lat.pivot_col = pivot_col
-        lat._col_of = {c: k for k, c in enumerate(pivot_col)}
-        return lat
-
-    @property
-    def rows(self) -> list[list[int]]:
-        if self._mat is not None:
-            self._rows = self._mat.tolist()
-            self._mat = None
-        return self._rows
+        self.rows = rows
+        self.pivot_col = pivot_col
+        self._row_at = dict(zip(pivot_col, rows))
 
     @property
     def rank(self) -> int:
         return len(self.pivot_col)
 
-    def add(self, vec: Sequence[int]) -> bool:
-        """Insert a vector; returns True when the lattice grew or changed."""
-        v = list(vec)
-        if len(v) != self.dim:
-            raise LieError(f"vector length {len(v)} != dim {self.dim}")
-        changed = False
-        j = 0
-        while j < self.dim:
-            if not v[j]:
-                j += 1
-                continue
-            p = self._col_of.get(j)
-            if p is None:
-                from bisect import bisect_left
-
-                where = bisect_left(self.pivot_col, j)
-                self.rows.insert(where, v)
-                self.pivot_col.insert(where, j)
-                self._col_of = {c: k for k, c in enumerate(self.pivot_col)}
-                return True
-            row = self.rows[p]
-            a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
-                for jj in range(j, self.dim):
-                    v[jj] -= q * row[jj]
-            else:
-                x, y, g = _xgcd(a, b)
-                ag, mbg = a // g, -(b // g)
-                for jj in range(j, self.dim):
-                    aa, bb = row[jj], v[jj]
-                    row[jj] = x * aa + y * bb
-                    v[jj] = mbg * aa + ag * bb
-                changed = True
-        return changed
-
-    def add_all(self, vecs: Iterable[Sequence[int]]) -> None:
-        for v in vecs:
-            self.add(v)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        v = list(vec)
-        if len(v) != self.dim:
-            raise LieError(f"vector length {len(v)} != dim {self.dim}")
-        for j in range(self.dim):
-            if not v[j]:
-                continue
-            p = self._col_of.get(j)
-            if p is None:
+    def contains(self, vec: "Sequence[int] | SparseRow") -> bool:
+        v = _sparse(vec, self.dim)
+        while v:
+            j = min(v)
+            row = self._row_at.get(j)
+            if row is None:
                 return False
-            row = self.rows[p]
-            if v[j] % row[j]:
+            q, rem = divmod(v[j], row[j])
+            if rem:
                 return False
-            q = v[j] // row[j]
-            for jj in range(j, self.dim):
-                v[jj] -= q * row[jj]
+            for jj, x in row.items():
+                y = v.get(jj, 0) - q * x
+                if y:
+                    v[jj] = y
+                else:
+                    del v[jj]
         return True
 
     def pivots(self) -> list[int]:
-        if self._mat is not None:
-            return np.abs(self._mat[np.arange(self.rank), self.pivot_col]).tolist()
-        return [abs(self._rows[i][c]) for i, c in enumerate(self.pivot_col)]
+        return [abs(row[c]) for row, c in zip(self.rows, self.pivot_col)]
 
 
-def _echelon_numpy(mat: np.ndarray) -> tuple[int, list[int], np.ndarray]:
-    """In-place integer row echelon; raises OverflowError near int64 limits.
+def lattice_from_rows(rows: "Sequence[Sequence[int] | SparseRow] | np.ndarray", dim: int) -> IntLattice:
+    """Echelonize the span of rows over Z, exactly.
 
-    The guard is checked for each block of rows before the block is written,
-    so a trip leaves only completed row operations behind.
+    rows is an int64 or object array of shape (k, dim), or a sequence of
+    rows, each dense (length dim) or sparse ({column: entry}); the input is
+    not modified.  Columns are taken in increasing order, with an index from
+    each column to the live rows that are nonzero there.  At a column, the
+    live row with the least |entry| (then the fewest nonzeros, then the
+    lowest index) subtracts floor-quotient multiples of itself from the
+    others there; this repeats until one row is left, which is retired as
+    the column's pivot row.  Entries are Python ints, so nothing overflows.
     """
-    rows, cols = mat.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(cols):
-        if r == rows:
-            break
-        col = mat[r:, c]
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != dim:
+            raise LieError(f"a matrix of shape {rows.shape} for dim {dim}")
+        live: list[SparseRow] = [{} for _ in range(rows.shape[0])]
+        at_row, at_col = np.nonzero(rows)
+        for r, j, v in zip(at_row.tolist(), at_col.tolist(), rows[at_row, at_col].tolist()):
+            live[r][j] = v
+    else:
+        live = [_sparse(row, dim) for row in rows]
+    at: dict[int, set[int]] = {}  # column -> live rows nonzero there
+    for r, row in enumerate(live):
+        for j in row:
+            at.setdefault(j, set()).add(r)
+    echelon: list[SparseRow] = []
+    pivot_col: list[int] = []
+    for c in range(dim):
+        ids = at.get(c)
+        if not ids:
             continue
-        while nz.size > 1:
-            sel = nz[np.argmin(np.abs(col[nz]))]
-            piv = int(col[sel])
-            rest = nz[nz != sel]
-            q = col[rest] // piv
-            others = r + rest
-            # rows r.. are zero left of column c, so only columns c.. change
-            pivot_row = mat[r + sel, c:]
-            top = int(np.abs(pivot_row).max())
-            step = max(1, _CHUNK_ENTRIES // (cols - c))
-            for lo in range(0, others.size, step):
-                at, qs = others[lo : lo + step], q[lo : lo + step]
-                block = mat[at, c:]
-                # in Python ints: the int64 product of two maxima can itself wrap
-                if int(np.abs(block).max()) + (int(np.abs(qs).max()) + 1) * top > _INT64_GUARD:
-                    raise OverflowError("int64 elimination guard tripped")
-                block -= qs[:, None] * pivot_row
-                mat[at, c:] = block
-            col = mat[r:, c]
-            nz = np.flatnonzero(col)
-        sel = int(nz[0])
-        if sel != 0:
-            mat[[r, r + sel]] = mat[[r + sel, r]]
-        if mat[r, c] < 0:
-            mat[r] = -mat[r]
-        pivots.append(c)
-        r += 1
-    return r, pivots, mat
-
-
-def lattice_from_rows(rows: "Sequence[Sequence[int]] | np.ndarray", dim: int) -> IntLattice:
-    """Build an echelonized lattice, on the int64 fast path when it pays off.
-
-    rows is a sequence of integer rows or an int64 array of shape (k, dim).
-    An int64 array is echelonized in place, so its contents are consumed; the
-    builders below hand over arrays they own.  The exact path takes over when
-    an entry does not fit int64 or the elimination guard trips; a tripped
-    elimination has applied only unimodular row operations, so the partly
-    reduced rows still span the same lattice.
-    """
-    nrows = len(rows)
-    if nrows and nrows * dim >= _NUMPY_THRESHOLD:
-        try:
-            owned = isinstance(rows, np.ndarray) and rows.dtype == np.int64
-            mat = rows if owned else np.array(rows, dtype=np.int64)
-            if -_INT64_GUARD <= mat.min() and mat.max() <= _INT64_GUARD:
-                rank, pivcols, mat = _echelon_numpy(mat)
-                return IntLattice._from_echelon(mat[:rank], pivcols)
-        except OverflowError:
-            pass
-    lat = IntLattice(dim)
-    lat.add_all(rows.tolist() if isinstance(rows, np.ndarray) else rows)
-    return lat
+        while len(ids) > 1:
+            p = min(ids, key=lambda r: (abs(live[r][c]), len(live[r]), r))
+            prow = live[p]
+            a = prow[c]
+            for r in [r for r in ids if r != p]:
+                row = live[r]
+                q = row[c] // a
+                for j, x in prow.items():
+                    y = row.get(j)
+                    if y is None:
+                        row[j] = -q * x
+                        at[j].add(r)
+                        continue
+                    y -= q * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        at[j].discard(r)
+        (p,) = ids
+        for j in live[p]:
+            at[j].discard(p)
+        echelon.append(live[p])
+        pivot_col.append(c)
+    return IntLattice(dim, echelon, pivot_col)
 
 
 def same_lattice(a: IntLattice, b: IntLattice) -> bool:
@@ -424,11 +347,7 @@ def same_lattice(a: IntLattice, b: IntLattice) -> bool:
         raise LieError(f"lattices in Z^{a.dim} and Z^{b.dim}")
     if a.rank != b.rank:
         return False
-    if a._mat is not None and b._mat is not None:
-        rows: "list[list[int]] | np.ndarray" = np.vstack((a._mat, b._mat))
-    else:
-        rows = a.rows + b.rows
-    c = lattice_from_rows(rows, a.dim)
+    c = lattice_from_rows(a.rows + b.rows, a.dim)
     return c.rank == a.rank and prod(a.pivots()) == prod(c.pivots()) == prod(b.pivots())
 
 

@@ -269,26 +269,14 @@ class TestTheoremDecomposition:
             assert fail.m == 2
             assert fail.witt_rank - fail.direct_sum.rank_sum == 1
 
-    def test_negative_control_same_on_both_lattice_paths(self, monkeypatch):
-        # the int64 path (every block, threshold 1) and the exact path
-        # (no block) must give the same failing report
-        import pik.lie as lie_mod
-
+    def test_negative_control_matches_stacked_oracle(self):
+        # a perturbed relator set fails, with the report of the oracle that
+        # eliminates the level bases and J's spanning rows stacked together
         rels = build_relators(3)
         perturbed = rels.without(rels.of_kind(3)[0])
-        echelon = lie_mod._echelon_numpy
-        reports, int64_runs = [], []
-        for threshold in (1, 10**12):
-            runs = []
-            monkeypatch.setattr(lie_mod, "_NUMPY_THRESHOLD", threshold)
-            monkeypatch.setattr(lie_mod, "_echelon_numpy", lambda mat: runs.append(1) or echelon(mat))
-            reports.append(verify_theorem_th1(3, 5, relators=perturbed).as_dict())
-            int64_runs.append(len(runs))
-        assert reports[0] == reports[1]
-        assert not reports[0]["ok"]
-        # the blocks are small, so at the default threshold most take the
-        # exact path: check that each run really took the path it names
-        assert int64_runs[0] > 0 and int64_runs[1] == 0
+        got = verify_theorem_th1(3, 5, relators=perturbed).as_dict()
+        assert got["per_degree"] == stacked_th1(3, 5, perturbed)
+        assert not got["ok"]
 
     def test_n5_degree4(self):
         rep = verify_theorem_th1(5, 4)

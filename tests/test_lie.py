@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pik.lie import (
-    IntLattice,
     LieError,
     NotLieElement,
     bracket,
@@ -161,98 +160,166 @@ class TestLyndonCoordinates:
             lie_from_tensor(2, 2, p)
 
 
+def xgcd(a, b):
+    """(g, x, y) with x a + y b = g, g a gcd of a and b."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def reference_echelon(rows, dim):
+    """Oracle: a dense echelon grown one row at a time.  A row meeting an
+    existing pivot column is merged into that pivot row by the unimodular
+    extended-gcd step, so the pivot becomes the gcd and the row's entry 0.
+    Returns {pivot column: echelon row}, in column order."""
+    ech = {}
+    for vec in rows:
+        v = list(vec)
+        for j in range(dim):
+            if not v[j]:
+                continue
+            if j not in ech:
+                ech[j] = v
+                break
+            row = ech[j]
+            a, b = row[j], v[j]
+            g, x, y = xgcd(a, b)
+            ech[j] = [x * p + y * q for p, q in zip(row, v)]
+            v = [(a // g) * q - (b // g) * p for p, q in zip(row, v)]
+    return dict(sorted(ech.items()))
+
+
+def reference_contains(ech, vec):
+    v = list(vec)
+    for j in range(len(v)):
+        if not v[j]:
+            continue
+        if j not in ech or v[j] % ech[j][j]:
+            return False
+        q = v[j] // ech[j][j]
+        v = [x - q * y for x, y in zip(v, ech[j])]
+    return True
+
+
+def as_form(rows, dim, form):
+    """rows (dense lists) as lattice_from_rows input: dense, sparse, or an array."""
+    if form == "sparse":
+        return [{j: x for j, x in enumerate(row) if x} for row in rows]
+    if form == "int64" and all(abs(x) < 1 << 63 for row in rows for x in row):
+        return np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+    if form in ("int64", "object"):
+        return np.array(rows, dtype=object).reshape(len(rows), dim)
+    return rows
+
+
+ENTRIES = st.one_of(
+    st.integers(-4, 4), st.sampled_from([2**60 - 1, -(2**63), 2**64 + 1]), st.integers(-(2**70), 2**70)
+)
+
+
+@st.composite
+def lattice_cases(draw):
+    """(dim, rows, probes): probes are drawn vectors and integer
+    combinations of the rows, so some lie in the lattice."""
+    dim = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim), max_size=7))
+    probes = draw(st.lists(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim), max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        probes.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(dim)])
+    return dim, rows, probes
+
+
+def lcg_rows(seed, nrows, dim):
+    rng = Lcg(seed)
+    return [[rng.below(7) - 3 for _ in range(dim)] for _ in range(nrows)]
+
+
+def assert_matches_reference(dim, rows, probes, form):
+    """lattice_from_rows, given rows in form, has the oracle's rank, pivot
+    columns, |pivots| and membership on probes and rows, and leaves rows as they were."""
+    kept = [list(row) for row in rows]
+    given_rows = as_form(rows, dim, form)
+    lat = lattice_from_rows(given_rows, dim)
+    ref = reference_echelon(rows, dim)
+    assert lat.rank == len(ref)
+    assert lat.pivot_col == list(ref)
+    assert lat.pivots() == [abs(row[j]) for j, row in ref.items()]
+    for v in probes:
+        assert lat.contains(v) == reference_contains(ref, v)
+    assert all(lat.contains(row) for row in rows)
+    assert rows == kept
+    if form == "sparse":
+        assert given_rows == as_form(kept, dim, "sparse")
+
+
 class TestIntLattice:
     def test_rank_and_contains(self):
-        lat = IntLattice(3)
-        lat.add([2, 0, 0])
-        lat.add([0, 3, 0])
+        lat = lattice_from_rows([[2, 0, 0], [0, 3, 0]], 3)
         assert lat.rank == 2
         assert lat.contains([2, 3, 0])
         assert not lat.contains([1, 0, 0])
         assert not lat.contains([0, 0, 1])
 
     def test_gcd_combination(self):
-        lat = IntLattice(2)
-        lat.add([4, 0])
-        lat.add([6, 0])
+        lat = lattice_from_rows([[4, 0], [6, 0]], 2)
         assert lat.contains([2, 0])
         assert not lat.contains([1, 0])
 
     def test_full_unimodular(self):
-        lat = IntLattice(2)
-        lat.add([1, 5])
-        lat.add([0, 1])
-        assert lat.pivots() == [1, 1]  # all of Z^2
-        lat2 = IntLattice(2)
-        lat2.add([1, 0])
-        lat2.add([0, 2])
-        assert lat2.pivots() == [1, 2]  # index 2 in Z^2
+        assert lattice_from_rows([[1, 5], [0, 1]], 2).pivots() == [1, 1]  # all of Z^2
+        assert lattice_from_rows([[1, 0], [0, 2]], 2).pivots() == [1, 2]  # index 2 in Z^2
 
     def test_same_lattice(self):
-        a = IntLattice(3)
-        a.add([1, 2, 3])
-        a.add([0, 1, 1])
-        b = IntLattice(3)
-        b.add([1, 1, 2])  # row-equivalent generators
-        b.add([0, 1, 1])
+        a = lattice_from_rows([[1, 2, 3], [0, 1, 1]], 3)
+        b = lattice_from_rows([[1, 1, 2], [0, 1, 1]], 3)  # row-equivalent generators
         assert same_lattice(a, b)
         # the same rank and pivot columns, index 2
         assert not same_lattice(lattice_from_rows([[1, 0], [0, 1]], 2), lattice_from_rows([[1, 0], [0, 2]], 2))
 
-    def test_numpy_path_matches_exact(self):
-        rng = Lcg(99)
-        rows = [[rng.below(7) - 3 for _ in range(30)] for _ in range(40)]
-        import pik.lie as lie_mod
+    @given(case=lattice_cases(), form=st.sampled_from(["dense", "sparse", "int64", "object"]))
+    @example(case=(3, [[0, 0, 0], [0, 0, 0], [1, 2, 0]], [[2, 4, 0], [0, 0, 1]]), form="dense")
+    @example(case=(3, [[2, 4, 6], [2, 4, 6], [0, 3, 3]], [[2, 7, 9], [1, 2, 3]]), form="sparse")
+    @example(case=(3, [[-2, 1, 0], [-4, -1, 5], [0, -3, -6]], [[-2, -2, -6], [0, 3, 5]]), form="int64")
+    @example(case=(3, [[2**65, 3, 1], [2**64 + 1, -7, 0], [5, 2**66, 1]], [[2**64 + 6, 2**66 - 7, 1]]), form="object")
+    def test_matches_dense_reference(self, case, form):
+        # rank, pivot columns, |pivots| and membership are those of the
+        # lattice, so the sparse echelon must agree with the dense oracle
+        # on them whatever pivots either picks
+        assert_matches_reference(*case, form)
 
-        old = lie_mod._NUMPY_THRESHOLD
-        try:
-            lie_mod._NUMPY_THRESHOLD = 1  # force the fast path
-            fast = lattice_from_rows(rows, 30)
-        finally:
-            lie_mod._NUMPY_THRESHOLD = old
-        slow = IntLattice(30)
-        slow.add_all(rows)
-        assert fast.rank == slow.rank
-        assert same_lattice(fast, slow)
+    def test_random_rows_match_reference(self):
+        assert_matches_reference(30, lcg_rows(99, 40, 30), lcg_rows(7, 3, 30), "int64")
 
-    def test_int64_guard_falls_back_to_exact(self, monkeypatch):
-        # entries near 2**60 pass the entry check but trip the elimination
-        # guard; the exact path must still give the rank and the lattice
-        import pik.lie as lie_mod
-
+    def test_entries_near_2_60(self):
+        # entries whose elimination would pass int64
         big = (1 << 60) - 1
         rows = [[big, 3, 0, 1], [big - 2, 5, 7, 0], [3, big, 1, 1], [-2, 2, 7, -1]]
-        monkeypatch.setattr(lie_mod, "_NUMPY_THRESHOLD", 1)
-        fast = lattice_from_rows(rows, 4)
-        slow = IntLattice(4)
-        slow.add_all(rows)
-        assert fast.rank == slow.rank == 3
-        assert same_lattice(fast, slow)
+        assert lattice_from_rows(rows, 4).rank == 3
+        assert_matches_reference(4, rows, [[big + 3, big + 3, 1, 2]], "int64")
 
-    def test_int64_guard_does_not_wrap(self, monkeypatch):
-        # (q + 1) * max|pivot row| = (2**32 + 1)(2**32 - 1) = 2**64 - 1 wraps
-        # to -1 in int64; the guard must still see the true bound
-        import pik.lie as lie_mod
+    def test_rejects_rows_of_another_dim(self):
+        with pytest.raises(LieError):
+            lattice_from_rows([[1, 2]], 3)
+        with pytest.raises(LieError):
+            lattice_from_rows([{3: 1}], 3)
+        with pytest.raises(LieError):
+            lattice_from_rows(np.zeros((2, 2), dtype=np.int64), 3)
+        with pytest.raises(LieError):
+            lattice_from_rows([[1, 0]], 2).contains([1, 0, 0])
 
-        monkeypatch.setattr(lie_mod, "_NUMPY_THRESHOLD", 1)
-        rows = [[1, (1 << 32) - 1], [1 << 32, 0]]
-        fast = lattice_from_rows(rows, 2)
-        assert fast.pivots() == [1, (1 << 64) - (1 << 32)]
-
-    def test_coefficients_beyond_int64(self, monkeypatch):
-        # coefficients that do not fit int64 take the exact path from the start
-        import pik.lie as lie_mod
-
-        monkeypatch.setattr(lie_mod, "_NUMPY_THRESHOLD", 1)
-        runs = []
-        echelon = lie_mod._echelon_numpy
-        monkeypatch.setattr(lie_mod, "_echelon_numpy", lambda mat: runs.append(1) or echelon(mat))
+    def test_coefficients_beyond_int64(self):
+        # (q + 1) * max|pivot row| = (2**32 + 1)(2**32 - 1) = 2**64 - 1
+        # would wrap in int64; Python ints give the true pivot
+        assert lattice_from_rows([[1, (1 << 32) - 1], [1 << 32, 0]], 2).pivots() == [1, (1 << 64) - (1 << 32)]
         basis = lyndon_basis(3, 3)
         huge = [lie_from_tensor(3, 3, scaled(e.coords, 1 << 70)) for e in basis]
         mat = scattered(huge + basis[:1], lyndon_words(3, 3))
         assert mat.dtype == object
         lat = lattice_from_rows(mat, witt(3, 3))
-        assert not runs
         assert lat.rank == witt(3, 3)
         assert lat.pivots() == [1] + [1 << 70] * (witt(3, 3) - 1)
         rep = lattice_direct_sum_is_whole(one_matrix(huge[1:], 3, 3), [lyndon_words(3, 3)[:1]], 3, 3)
