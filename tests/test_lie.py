@@ -311,10 +311,12 @@ class TestIntLattice:
         with pytest.raises(LieError):
             lattice_from_rows([[1, 0]], 2).contains([1, 0, 0])
 
-    def test_coefficients_beyond_int64(self):
+    def test_int64_guard_does_not_wrap(self):
         # (q + 1) * max|pivot row| = (2**32 + 1)(2**32 - 1) = 2**64 - 1
         # would wrap in int64; Python ints give the true pivot
         assert lattice_from_rows([[1, (1 << 32) - 1], [1 << 32, 0]], 2).pivots() == [1, (1 << 64) - (1 << 32)]
+
+    def test_coefficients_beyond_int64(self):
         basis = lyndon_basis(3, 3)
         huge = [lie_from_tensor(3, 3, scaled(e.coords, 1 << 70)) for e in basis]
         mat = scattered(huge + basis[:1], lyndon_words(3, 3))
