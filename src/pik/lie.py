@@ -408,7 +408,8 @@ def lattice_direct_sum_is_whole(
     standard bracketing P_s meets a Lyndon word outside S (true of the level
     words; checked here).  So it is all of L^m iff one echelon of each
     block's rows, with the C columns first, has a pivot of 1 in absolute
-    value in every C column (see docs/NOTES.md).
+    value in every C column (see docs/NOTES.md).  A block whose rows are
+    already an echelon basis in that column order costs no elimination step.
     """
     unit_words = {w for part in units for w in part}
     if not unit_words <= set(lyndon_words(nvars, m)):
@@ -424,9 +425,11 @@ def lattice_direct_sum_is_whole(
         seen.extend(words)
         if rows.shape[1] != len(words):
             raise LieError(f"a block has {len(words)} words and {rows.shape[1]} columns")
-        # stable: C, then S
+        # stable: C, then S; a block already in that order is read as it is
         order = sorted(range(len(words)), key=lambda j: words[j] in unit_words)
-        lat = lattice_from_rows(rows.take(order, axis=1), len(words))
+        if order != list(range(len(words))):
+            rows = rows.take(order, axis=1)
+        lat = lattice_from_rows(rows, len(words))
         c = sum(w not in unit_words for w in words)
         whole = whole and lat.pivot_col[:c] == list(range(c)) and all(p == 1 for p in lat.pivots()[:c])
         rank_j += lat.rank

@@ -5,9 +5,10 @@ import pytest
 
 from pik.ajohnson import (
     AJohnsonError,
+    _derivation_bracket,
+    _generator_derivation,
     basic_commutator_words,
     inner_degree_check,
-    johnson_rows,
     l1_rank,
     left_normed,
 )
@@ -15,6 +16,19 @@ from pik.cli import main
 from pik.igroup import commutator_elem, gen_elem, generators, to_endo
 from pik.lie import lattice_from_rows, witt
 from pik.magnus import ia_degree, johnson_image
+
+
+def johnson_rows(n, c):
+    """Oracle: the degree-(c+1) Johnson rows of all the left-normed weight-c
+    generator commutators, as derivation brackets, in ``left_normed`` order:
+    the images of X_1, ..., X_n, each read at the degree-(c+1) monomials in
+    itertools.product order, as sparse rows {column: coefficient}."""
+    gens = [_generator_derivation(n, m, i) for (m, i) in generators(n)]
+    column = {mono: j for j, mono in enumerate(itertools.product(range(1, n + 1), repeat=c + 1))}
+    return [
+        {k * len(column) + column[mono]: s for k, image in enumerate(d) for mono, s in image.items()}
+        for d in left_normed(gens, c, _derivation_bracket)
+    ]
 
 
 # The group-side path, kept here as the reference for the derivation rows:
@@ -101,6 +115,14 @@ class TestL1Rank:
         # rows, same order, same sign, the derivation rows held sparse
         group = group_johnson_rows(n, c, basic_commutators_In(n, c))
         assert johnson_rows(n, c) == [{j: x for j, x in enumerate(row) if x} for row in group]
+
+    @pytest.mark.parametrize(
+        "n,c", [(3, c) for c in range(1, 6)] + [(4, c) for c in range(1, 5)] + [(5, c) for c in range(1, 4)]
+    )
+    def test_rank_equals_spanning_oracle(self, n, c):
+        # bracketing the echelon basis of each weight gives the rank of the
+        # whole left-normed spanning set
+        assert l1_rank(n, c, c + 2) == lattice_from_rows(johnson_rows(n, c), n * n ** (c + 1)).rank
 
     def test_factor_ranks_and_independence(self):
         # per-level pieces have the per-level Witt ranks and stack independently

@@ -94,21 +94,28 @@ def t_r_rows(n, r, m):
     return rows
 
 
-def assert_same_rows(blocks, elems, every_word):
-    """Each (words, matrix) block holds, in some order, the coefficients at its
-    words of the elements whose terms meet them; each element meets one
-    block, and with every_word all of its terms lie at that block's words."""
+def assert_same_lattices(blocks, elems, every_word, basis):
+    """Each (words, matrix) block spans, at its words, the lattice of the
+    coefficients there of the nonzero elements whose terms meet them; each
+    such element meets one block, and with every_word all of its terms lie
+    at that block's words.  With basis, each block has one row per unit of
+    its rank."""
     placed = [[] for _ in blocks]
     for e in elems:
         terms = e.coords.terms
+        if not terms:
+            continue
         hit = [b for b, (words, _) in enumerate(blocks) if any(w in terms for w in words)]
         assert len(hit) == 1
         if every_word:
             assert terms.keys() <= set(blocks[hit[0]][0])
         placed[hit[0]].append(terms)
     for (words, mat), rows in zip(blocks, placed):
-        assert mat.shape == (len(rows), len(words))
-        assert sorted(mat.tolist()) == sorted([terms.get(w, 0) for w in words] for terms in rows)
+        got = lattice_from_rows(mat, len(words))
+        want = lattice_from_rows([[terms.get(w, 0) for w in words] for terms in rows], len(words))
+        assert same_lattice(got, want)
+        if basis:
+            assert len(mat) == got.rank
 
 
 def lyndon_lattice(elems, k, m):
@@ -230,18 +237,21 @@ class TestIdeal:
                     if v.coords.terms:
                         assert nxt.contains(coordinate_row(v, index, dim))
 
-    @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
+    @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3), (3, 5), (4, 4)])
     def test_rows_match_lie_brackets(self, n, max_m):
-        # below the top degree, each tensor block holds the oracle's rows of
-        # its multidegree at every word of the block; at every degree, each
-        # Lyndon block holds them at its Lyndon words
+        # below the top degree, each tensor block is an echelon basis of the
+        # lattice of the oracle's rows of its multidegree at every word of
+        # the block; at every degree, each Lyndon block spans that lattice
+        # at its Lyndon words, below the top with one row per unit of rank.
+        # At (3,5) and (4,4) the oracle has more rows than the rank below
+        # the top (degree 4 at n=3: 150 for 129; degree 3 at n=4: 234 for 210).
         rels = build_relators(n)
         want = lie_ideal_rows(rels, max_m)
-        for m, blocks in _tensor_blocks(rels, max_m - 1, np.int64, every_letter(n)):
-            assert_same_rows([(list(b.col), b.mat) for b in blocks], want[m], every_word=True)
+        for m, blocks in _tensor_blocks(rels, max_m - 1, every_letter(n)):
+            assert_same_lattices([(list(b.col), b.mat) for b in blocks], want[m], every_word=True, basis=True)
         seen = []
         for m, blocks in ideal_rows_by_degree(rels, max_m, every_letter(n)):
-            assert_same_rows(list(blocks), want[m], every_word=False)
+            assert_same_lattices(list(blocks), want[m], every_word=False, basis=m < max_m)
             seen.append(m)
         assert seen == list(range(2, max_m + 1))
 
@@ -381,20 +391,41 @@ class TestAgainstStackedLattice:
         assert first["rank_sum"] == first["rank_total"] + 1 and first["snf_ones"]
 
     def test_relator_scaled_past_int64(self):
-        # The spanning rows' entries at most double per letter: at (3,5) the
-        # tensor rows of degree 4 reach 3c, so with c = 2**62 - 1 an int64
-        # build would wrap.  max|c| 2**(5 - 2) passes the int64 guard, so the
-        # blocks hold Python ints and the report is the exact one.
+        # Bracketing with a letter at most doubles an entry, and the reduced
+        # blocks of the scaled relator's multidegrees reach entries past
+        # 2**63 at (3,5) with c = 2**62 - 1, so an int64 build would wrap.
+        # Each block holds Python ints once twice its largest entry passes
+        # the int64 guard, so the report is the exact one.
         rels = build_relators(3)
         victim = rels.of_kind(3)[0]
         c = (1 << 62) - 1
         terms = {w: c * x for w, x in victim.elem.coords.terms.items()}
         big = replace(victim, elem=lie_from_tensor(alphabet_size(3), 2, NcPoly(5, 2, terms)))
         scaled = RelatorSet(3, tuple(big if rel is victim else rel for rel in rels.relators))
-        degrees = ideal_rows_by_degree(scaled, 5, every_letter(3))
-        assert all(mat.dtype == object for _, blocks in degrees for _, mat in blocks)
+        widest = 0
+        for _, blocks in ideal_rows_by_degree(scaled, 5, every_letter(3)):
+            for _, mat in blocks:
+                top = max((abs(int(x)) for x in mat.flat), default=0)
+                assert mat.dtype == object or 2 * top <= decomp_mod._INT64_GUARD
+                widest = max(widest, top.bit_length())
+        assert widest > 63
         first = self.check(3, 5, scaled)
         assert first["rank_sum"] == first["rank_total"] and not first["snf_ones"]
+
+    @pytest.mark.parametrize("n,max_m", [(3, 5), (4, 4)])
+    def test_python_ints_from_mid_build(self, n, max_m, monkeypatch):
+        # With the guard at 2, the degree-2 blocks (entries 1) hold int64 and
+        # the reduced blocks with an entry of 2 or more hold Python ints, so
+        # the build switches between the two; the reports are unchanged.
+        want = (verify_theorem_th1(n, max_m).as_dict(), verify_tilde_T(n, max_m).as_dict())
+        monkeypatch.setattr(decomp_mod, "_INT64_GUARD", 2)
+        dtypes = {
+            m: {b.mat.dtype for b in blocks}
+            for m, blocks in _tensor_blocks(build_relators(n), max_m, every_letter(n))
+        }
+        assert dtypes[2] == {np.dtype(np.int64)}
+        assert any(np.dtype(object) in seen for seen in dtypes.values())
+        assert (verify_theorem_th1(n, max_m).as_dict(), verify_tilde_T(n, max_m).as_dict()) == want
 
 
 # SHA-256 of the JSON of Th1Report.as_dict(), computed before J was built by
