@@ -8,7 +8,7 @@ the same word in Aut(F_n) letter by letter:
 
     collect      igroup.collect, generator word to normal form
     to_endo      igroup.to_endo, normal form to automorphism in closed form
-    direct_endo  igroup.direct_endo, the word's y_gen automorphisms composed
+    direct_endo  igroup.direct_endo, the word's y_gen automorphisms composed on image strs
 
 The child wraps the three functions from outside (the op calls them through
 the igroup module) and reports, for each, the wall time summed over the

@@ -48,6 +48,7 @@ from .igroup import (
     _signed_gen,
     abelianize,
     act_elem,
+    collect,
     conj_by_gen,
     conj_elem,
     format_ielem,
@@ -62,6 +63,7 @@ from .lie import lattice_from_rows
 from .magnus import magnus_expand
 from .words import (
     FreeWord,
+    Token,
     WitnessError,
     _inverse,
     _join,
@@ -495,8 +497,7 @@ def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[IE
     path = next(_meet_walk(x.parts, y.parts, _orbit_expand(x.n), radius, max_states), None)
     if path is None:
         return None
-    moves = _moves(x.n)
-    return functools.reduce(imul, [moves[k][3] for k in path], identity_elem(x.n))
+    return collect(x.n, [Token("y", *_moves(x.n)[k][:3]) for k in path])
 
 
 def _greedy_descent(u: IElem) -> tuple[IElem, IElem]:

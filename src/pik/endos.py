@@ -19,7 +19,7 @@ only images; an inverse is carried only where something inverts the map
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .words import (
     FreeWord,
@@ -65,26 +65,31 @@ def identity_endo(n: int) -> EndoF:
     return EndoF(n, tuple(gen(n, i) for i in range(1, n + 1)))
 
 
+def _substitute(images: Sequence[str], words: Iterable[str]) -> list[str]:
+    """Each word str with every x_k replaced by the str images[k-1], freely reduced.
+
+    Images and the output so far are reduced, so each joined image cancels
+    only at the seam.  Each image is inverted at most once per call.
+    """
+    table: dict[str, str] = {}  # letter to its image
+    out = []
+    for w in words:
+        acc = ""
+        for c in w:
+            img = table.get(c)
+            if img is None:
+                k = ord(c)
+                img = table[c] = _inverse(images[(k >> 1) - 1]) if k & 1 else images[(k >> 1) - 1]
+            acc = _join(acc, img) if acc else img
+        out.append(acc)
+    return out
+
+
 def apply(f: EndoF, w: FreeWord) -> FreeWord:
     """Image of w under f, freely reduced."""
     if f.rank != w.rank:
         raise EndoError(f"rank mismatch: endo {f.rank}, word {w.rank}")
-    # A letter x_k, the commonest word compose applies f to, maps to its stored image.
-    if len(w.letters) == 1 and not ord(w.letters) & 1:
-        return f.images[(ord(w.letters) >> 1) - 1]
-    # Images and the output so far are reduced, so each joined image cancels
-    # only at the seam.  Each image is inverted at most once per call.
-    out = ""
-    inverted: dict[int, str] = {}
-    for idx, sign in decode(w.letters):
-        if sign > 0:
-            img = f.images[idx - 1].letters
-        else:
-            img = inverted.get(idx)
-            if img is None:
-                img = inverted[idx] = _inverse(f.images[idx - 1].letters)
-        out = _join(out, img)
-    return _raw(f.rank, out)
+    return _raw(f.rank, _substitute([im.letters for im in f.images], (w.letters,))[0])
 
 
 def compose(f: EndoF, g: EndoF) -> EndoF:

@@ -320,14 +320,19 @@ def _check_y_token(n: int, t: Token) -> None:
 
 
 def collect(n: int, tokens: Iterable[Token]) -> IElem:
-    """Collect a word in the generators y(m,i) to its normal form."""
-    acc = identity_elem(n)
+    """Collect a word in the generators y(m,i) to its normal form.
+
+    Right-multiplying by y(m,i)^eps changes level m only, to the component
+    imul gives it: w_m (w_{m-1}...w_2 . y(m,i)^eps).
+    """
+    parts = list(identity_elem(n).parts)  # raises IGroupError for n < 2
     for t in tokens:
         _check_y_token(n, t)
-        g = _signed_gen(n, t.a, t.b, -1 if t.exp < 0 else 1)[0]
+        m = t.a
+        letter = _signed_gen(n, m, t.b, -1 if t.exp < 0 else 1)[0].parts[n - m]
         for _ in range(abs(t.exp)):
-            acc = imul(acc, g)
-    return acc
+            parts[n - m] = _join(parts[n - m], _act_below(n, parts, letter, m))
+    return _raw_elem(n, tuple(parts))
 
 
 def word_problem(n: int, word_or_tokens) -> bool:
@@ -362,15 +367,17 @@ def direct_endo(n: int, tokens: Iterable[Token]) -> EndoF:
     """Evaluate a generator word in Aut(F_n) without collecting; oracle for collect.
 
     Composes the y_gen automorphisms letter by letter, never through the
-    normal form.
+    normal form: acc o e substitutes acc's image strs into e's.
     """
-    acc = endos.identity_endo(n)
+    if n < 2:
+        raise IGroupError(f"need n >= 2, got {n}")
+    images = [im.letters for im in endos.identity_endo(n).images]
     for t in tokens:
         _check_y_token(n, t)
-        e = _signed_gen(n, t.a, t.b, -1 if t.exp < 0 else 1)[1]
+        e = [im.letters for im in _signed_gen(n, t.a, t.b, -1 if t.exp < 0 else 1)[1].images]
         for _ in range(abs(t.exp)):
-            acc = endos.compose(acc, e)
-    return acc
+            images = endos._substitute(images, e)
+    return EndoF(n, tuple(_words_raw(n, w) for w in images))
 
 
 def abelianize(a: IElem) -> tuple[int, ...]:

@@ -299,6 +299,24 @@ def _to_endo_letterwise(a):
     return acc
 
 
+def _direct_endo_letterwise(n, tokens):
+    """A generator word's automorphism by its definition: compose one y_gen or its inverse per unit."""
+    acc = identity_endo(n)
+    for t in tokens:
+        e = y_gen(n, t.a, t.b)
+        for _ in range(abs(t.exp)):
+            acc = compose(acc, e if t.exp > 0 else inverse(e))
+    return acc
+
+
+@st.composite
+def _gen_words(draw):
+    """A rank n = 2..5 and a generator word at n whose exponents include 0 and +-2."""
+    n = draw(st.integers(2, 5))
+    picks = st.tuples(st.sampled_from(generators(n)), st.sampled_from([-2, -1, 0, 1, 2]))
+    return n, [Token("y", m, i, e) for (m, i), e in draw(st.lists(picks, max_size=12))]
+
+
 class TestToEndo:
     def test_generator(self):
         assert to_endo(gen_elem(3, 3, 1)).images == y_gen(3, 3, 1).images
@@ -380,6 +398,31 @@ class TestCollection:
 
         with pytest.raises(WordError):
             collect(3, parse_word("y(4,1)"))
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_rank_below_two_raises(self, n):
+        with pytest.raises(IGroupError):
+            collect(n, [])
+        with pytest.raises(IGroupError):
+            direct_endo(n, [])
+
+    @given(_gen_words())
+    @example((2, []))
+    @example((5, [Token("y", 5, 3, 2), Token("y", 2, 1, 0), Token("y", 4, 4, -2), Token("y", 3, 1, -1)]))
+    def test_collect_matches_imul_fold(self, word):
+        n, toks = word
+        acc = identity_elem(n)
+        for t in toks:
+            for _ in range(abs(t.exp)):
+                acc = imul(acc, igroup._signed_gen(n, t.a, t.b, 1 if t.exp > 0 else -1)[0])
+        assert collect(n, toks) == acc
+
+    @given(_gen_words())
+    @example((2, []))
+    @example((5, [Token("y", 5, 3, 2), Token("y", 2, 1, 0), Token("y", 4, 4, -2), Token("y", 3, 1, -1)]))
+    def test_direct_endo_matches_compose_fold(self, word):
+        n, toks = word
+        assert direct_endo(n, toks).images == _direct_endo_letterwise(n, toks).images
 
 
 class TestSignedGenTable:
