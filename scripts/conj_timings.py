@@ -2,11 +2,12 @@
 """Time conjugacy stage by stage on the benchmark's streams and record it in a BENCH file.
 
 Each of the conj-planted and conj-hard streams, as ``bench/workloads.py``
-builds them for a 15 s run, is decided in a fresh Python process.  The child
-wraps the stages of ``pik.conj.conjugacy`` from outside (the functions it
-calls by name) and reports, for each stage, the wall time summed over the
-stream, the number of calls and, for the two orbit walks, the number of
-states they expand:
+builds them for a 15 s run, and conj-hard-n4, the same draws as conj-hard
+(``workloads.hard_pairs`` from ``Lcg(99)``) at rank 4, is decided in a fresh
+Python process.  The child wraps the stages of ``pik.conj.conjugacy`` from
+outside (the functions it calls by name) and reports, for each stage, the
+wall time summed over the stream, the number of calls and, for the two
+orbit walks, the number of states they expand:
 
     descent     _greedy_descent, on both sides of a pair
     probe walk  the first _orbit_walk of a pair, between the descended sides
@@ -18,10 +19,11 @@ in the order conjugacy runs them.
 
 "other" is the rest of the stream's wall time: equality, the abelianization,
 the level-2 core and the witness checks.  The child also reports its peak
-RSS (``ru_maxrss``) and a SHA-256 of the stream's ``ConjResult.as_dict()``
-outputs, and the script prints whether the trees' SHA-256s agree, so two
-trees can be seen to decide alike.  The wrappers add one
-Python call per stage call and per expanded state to what they time.
+RSS (``ru_maxrss``), the number of ``unknown`` verdicts and a SHA-256 of
+the stream's ``ConjResult.as_dict()`` outputs, and the script prints whether
+the trees' SHA-256s agree, so two trees can be seen to decide alike.  The
+wrappers add one Python call per stage call and per expanded state to what
+they time.
 
 Give each tree to compare as LABEL=SRC; the runs alternate between the
 trees, starting with a different one at each repeat, and a tree's record
@@ -43,7 +45,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STREAMS = ("conj-planted", "conj-hard")
+STREAMS = ("conj-planted", "conj-hard", "conj-hard-n4")
 STAGES = ("descent", "probe walk", "S_3", "S_4", "full walk", "ladder")
 SECONDS = 15
 REPEAT = 7
@@ -93,6 +95,19 @@ def counted_expand(n, *low, orbit_expand=conj._orbit_expand):
     return counted
 
 
+def hard_pairs_n4(seconds):
+    # workloads.hard_pairs's draws at rank 4, with conj-hard's default budget
+    rng, pairs = workloads.Lcg(99), []
+    while len(pairs) < max(1, 3 * seconds):
+        x = workloads.collect(4, workloads.gen_tokens(rng, 4, 8))
+        a = workloads.collect(4, workloads.gen_tokens(rng, 4, 2))
+        b = workloads.collect(4, workloads.gen_tokens(rng, 4, 2))
+        y = workloads.imul(x, workloads.commutator_elem(a, b))
+        if y != x:
+            pairs.append(workloads._hard_op(x, y, conj.SearchBudget().as_dict()))
+    return pairs
+
+
 def per_pair(x, y, budget=None, decide=conj.conjugacy):
     walks[0] = 0
     return decide(x, y, budget)
@@ -104,7 +119,10 @@ conj._quotient_refutation = timed(conj._quotient_refutation, lambda x, y, k: f"S
 conj._ladder = timed(conj._ladder, lambda x, y, budget: "ladder")
 conj._orbit_expand = counted_expand
 conj.conjugacy = per_pair
-ops = workloads.WORKLOADS[sys.argv[2]](1, int(sys.argv[3]))
+if sys.argv[2] == "conj-hard-n4":
+    ops = hard_pairs_n4(int(sys.argv[3]))
+else:
+    ops = workloads.WORKLOADS[sys.argv[2]](1, int(sys.argv[3]))
 start = time.perf_counter()
 outputs = [op.run() for op in ops]
 total = time.perf_counter() - start
@@ -115,6 +133,7 @@ print(json.dumps({
     "wall_s": total,
     "stages": {s: {"wall_s": wall[s], "calls": calls[s], "states": states.get(s)} for s in STAGES},
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "unknown": sum(res.verdict == "unknown" for res in outputs),
     "outputs_sha256": hashlib.sha256(blob).hexdigest(),
 }))
 """ % (STAGES,)
@@ -148,6 +167,7 @@ def summary(got: list[dict]) -> dict:
         "ops": got[0]["ops"],
         "wall_s": round(statistics.median(g["wall_s"] for g in got), 4),
         "peak_rss_mb": round(statistics.median(g["peak_rss_mb"] for g in got), 1),
+        "unknown": got[0]["unknown"],
         "outputs_sha256": got[0]["outputs_sha256"],
         "stages": stages,
         "runs_wall_s": [round(g["wall_s"], 4) for g in got],
@@ -174,14 +194,15 @@ def main(argv: list[str]) -> int:
         for label, got in runs.items():
             rec = records[label][stream] = summary(got)
             stages = ", ".join(f"{s} {v['wall_s']}" for s, v in rec["stages"].items())
-            print(f"{label}: {stream} {rec['wall_s']} s ({stages}), {rec['peak_rss_mb']} MB")
+            print(f"{label}: {stream} {rec['wall_s']} s ({stages}), {rec['peak_rss_mb']} MB, {rec['unknown']} unknown")
         if len(trees) > 1:
             agree = len({records[label][stream]["outputs_sha256"] for label in trees}) == 1
             print(f"{stream}: the trees' outputs_sha256 {'agree' if agree else 'DIFFER'}")
     bench = json.loads(OUT.read_text()) if OUT.exists() else {}
     bench["what"] = (
-        f"conj.conjugacy on the conj-planted and conj-hard streams of a {SECONDS} s benchmark run: "
-        "wall time per stage and states expanded per orbit walk, median of fresh processes"
+        f"conj.conjugacy on the conj-planted and conj-hard streams of a {SECONDS} s benchmark run "
+        "and on conj-hard's draws at rank 4 (conj-hard-n4): wall time per stage, states expanded "
+        "per orbit walk and unknown verdicts, median of fresh processes"
     )
     bench["machine"] = {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()}
     bench.setdefault("runs", {}).update(records)

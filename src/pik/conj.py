@@ -13,7 +13,8 @@ Verdicts are sound by construction:
 * ``not_conjugate`` only cites invariants that are independent of all search
   choices: the abelianization (conjugation acts trivially on it), the
   forced bottom-level free conjugacy, or the cycle type of the permutation
-  an element induces on Hom(F_n, Q) for Q = S_3 or S_4.  The twisted
+  an element induces on a piece {rho : rho(x_j) in C_j for every j} of
+  Hom(F_n, Q), for Q = S_3 or S_4 and classes C_j of Q.  The twisted
   class-2 nilpotent quotient obstruction only prunes ladder candidates and
   never produces a verdict;
 * everything else is ``unknown`` together with the search budget, every
@@ -36,9 +37,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -92,9 +92,10 @@ LADDER_NODES = 100
 TWISTED_STATES = 500
 SOLUTIONS_PER_LEVEL = 8
 
-# Q = S_k is used only while Hom(F_n, Q) has at most this many points: S_3
-# for n <= 5 and S_4 for n <= 3.
-MAX_QUOTIENT_POINTS = 20_000
+# Q = S_k is tried on the pieces {rho : rho(x_j) in C_j} of Hom(F_n, Q),
+# smallest first while they have at most this many points in all: every
+# piece of S_3 for n <= 5, and the 107 smallest of S_4's 125 at n = 3.
+MAX_QUOTIENT_POINTS = 8_000
 
 
 @dataclass(frozen=True)
@@ -524,8 +525,9 @@ def _greedy_descent(u: IElem) -> tuple[IElem, IElem]:
 
 
 # ---------------------------------------------------------------------------
-# Finite-quotient refutation: Aut(F_n) acts on Hom(F_n, Q) by rho -> rho o phi,
-# so conjugate elements permute it with equal cycle types (docs/NOTES.md).
+# Finite-quotient refutation: I_n acts on Hom(F_n, Q) by rho -> rho o phi and
+# maps each piece {rho : rho(x_j) in C_j} onto itself, so conjugate elements
+# permute every piece with equal cycle types (docs/NOTES.md).
 # ---------------------------------------------------------------------------
 
 def symmetric_group(k: int) -> tuple[tuple[int, ...], ...]:
@@ -533,86 +535,193 @@ def symmetric_group(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(range(k)))
 
 
-@functools.cache
-def _group_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """S_k's flat product table, mul[a * |S_k| + b] = a b, and its table of inverses.
+def _cycle_notation(p: tuple[int, ...]) -> str:
+    """p's cycle shape as the cycle notation of a representative on 1..k, longest cycle first."""
+    lengths, seen = [], set()
+    for start in range(len(p)):
+        t, length = start, 0
+        while t not in seen:
+            seen.add(t)
+            t, length = p[t], length + 1
+        if length:
+            lengths.append(length)
+    name, first = "", 1
+    for length in sorted(lengths, reverse=True):
+        if length > 1:
+            name += "(" + "".join(str(first + t) for t in range(length)) + ")"
+        first += length
+    return name or "()"
 
-    The cached arrays are read-only, as every caller shares them.
+
+@functools.cache
+def _classes(k: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """S_k's conjugacy classes, numbered in the order their first elements appear.
+
+    Returns each class's name (`_cycle_notation`), the elements listed class
+    by class in `symmetric_group` order, where each class starts in that
+    list, each class's size, and each element's position inside its class.
+    The identity's class is class 0.  The cached arrays are read-only.
+    """
+    shapes = [_cycle_notation(p) for p in symmetric_group(k)]
+    number = {s: c for c, s in enumerate(dict.fromkeys(shapes))}
+    cls = np.array([number[s] for s in shapes], np.int64)
+    members = np.argsort(cls, kind="stable")
+    sizes = np.bincount(cls)
+    start = np.cumsum(sizes) - sizes
+    pos = np.empty_like(members)
+    pos[members] = np.arange(len(members)) - start[cls[members]]
+    for a in (members, start, sizes, pos):
+        a.flags.writeable = False
+    return tuple(number), members, start, sizes, pos
+
+
+@functools.cache
+def _group_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_k's tables on element numbers, flat over pairs a * q + b, q = |S_k|.
+
+    times[a * q + b] = (a b) q, the product already scaled to index the next
+    lookup; inv[a] = a^-1; conj_pos[a * q + b] is the position of a b a^-1 in
+    its class.  The cached arrays are read-only, as every caller shares them.
     """
     elems = symmetric_group(k)
-    index = {p: e for e, p in enumerate(elems)}
+    q, index = len(elems), {p: e for e, p in enumerate(elems)}
     mul = np.array([index[tuple(a[t] for t in b)] for a in elems for b in elems], np.int64)
-    inv = np.argmax(mul.reshape(len(elems), -1) == 0, axis=1)  # a b = identity, index 0
-    mul.flags.writeable = inv.flags.writeable = False
-    return mul, inv
+    inv = np.argmax(mul.reshape(q, q) == 0, axis=1)  # a b = identity, index 0
+    a = np.repeat(np.arange(q), q)
+    conj_pos = _classes(k)[4][mul[mul * q + inv[a]]]
+    times = mul * q
+    for table in (times, inv, conj_pos):
+        table.flags.writeable = False
+    return times, inv, conj_pos
+
+
+class _Pieces(NamedTuple):
+    """The chosen pieces of Hom(F_n, S_k), their N points laid end to end.
+
+    classes[c, j] is the class of rho(x_{j+1}) on piece c, and piece[p] the
+    piece of point p.  homs[j, p] is rho(x_{j+1}) at p and homs_inv[j, p] its
+    inverse.  The point of a piece whose x_{j+1} goes to the element at
+    position pos_j of its class is base + sum_j pos_j * weight[j], base being
+    the piece's first point; base and weight are given per point.
+    """
+
+    classes: np.ndarray
+    piece: np.ndarray
+    homs: np.ndarray
+    homs_inv: np.ndarray
+    base: np.ndarray
+    weight: np.ndarray
+    longest: int
 
 
 @functools.cache
-def _hom_points(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hom(F_n, S_k) as an (n, |S_k|^n) array of the images of x_1..x_n, and their inverses.
+def _pieces(k: int, n: int) -> _Pieces:
+    """S_k's pieces at rank n, smallest first, while they have at most MAX_QUOTIENT_POINTS points.
 
-    The points are coded base |S_k|: point p sends x_j to (p // |S_k|^(j-1)) % |S_k|.
-    The cached arrays are read-only.
+    Pieces of equal size come in the lexicographic order of their class
+    tuples, and the first piece that would pass the cap ends the choice.  A
+    few numpy ops per rank coordinate build the lot: the number of class
+    tuples of each size gives the size of the first piece that does not fit,
+    and only the tuples up to that size are listed.  The cached arrays are
+    read-only.
     """
-    q = math.factorial(k)
-    codes = np.arange(q**n, dtype=np.int64)
-    homs = np.stack([(codes // q**j) % q for j in range(n)])
+    cap = MAX_QUOTIENT_POINTS
+    sizes = _classes(k)[3]
+    counts = np.zeros(cap + 1, np.int64)  # class tuples of each size, capped at cap + 1
+    counts[1] = 1
+    for _ in range(n):
+        grown = np.zeros_like(counts)
+        for s in sizes:
+            grown[: cap // s * s + 1 : s] += counts[: cap // s + 1]
+        counts = np.minimum(grown, cap + 1)
+    over = np.flatnonzero(np.cumsum(counts * np.arange(cap + 1)) > cap)
+    limit = over[0] if len(over) else cap
+    # Prefixes of the tuples up to that size, in lexicographic order; a prefix
+    # over it cannot shrink, one under it extends by identity classes.
+    tuples, size = np.zeros((1, 0), np.int64), np.ones(1, np.int64)
+    for _ in range(n):
+        last = np.tile(np.arange(len(sizes)), len(tuples))
+        tuples = np.column_stack([np.repeat(tuples, len(sizes), axis=0), last])
+        size = np.outer(size, sizes).ravel()
+        keep = size <= limit
+        tuples, size = tuples[keep], size[keep]
+    order = np.argsort(size, kind="stable")
+    order = order[np.cumsum(size[order]) <= cap]
+    classes, size = tuples[order], size[order]
+    piece = np.repeat(np.arange(len(size)), size)
+    radix = sizes[classes]
+    base = (np.cumsum(size) - size)[piece]
+    weight = (np.cumprod(radix, axis=1) // radix)[piece].T
+    position = (np.arange(len(piece)) - base) // weight % radix[piece].T
+    _, members, start, _, _ = _classes(k)
+    homs = members[start[classes[piece]].T + position]
     homs_inv = _group_tables(k)[1][homs]
-    homs.flags.writeable = homs_inv.flags.writeable = False
-    return homs, homs_inv
+    for a in (classes, piece, homs, homs_inv, base, weight):
+        a.flags.writeable = False
+    return _Pieces(classes, piece, homs, homs_inv, base, weight, int(size.max()))
 
 
 def quotient_permutation(a: IElem, k: int) -> np.ndarray:
-    """The permutation rho -> rho o to_endo(a) of Hom(F_n, S_k), as an array of point codes.
+    """The permutation rho -> rho o to_endo(a) of the chosen pieces of Hom(F_n, S_k), on their points.
 
     Evaluated from the parts, as igroup._images builds the images: x_j goes to
     P_j x_j P_j^-1 with P_j = V_n ... V_max(j,2), V_m being w_m with every
     sign flipped.  So each point costs sum |w_m| table lookups, not the
-    length of the images.
+    length of the images.  rho o to_endo(a) lies on rho's piece, where its
+    point is read off each image's position in its class.
     """
-    n, q = a.n, math.factorial(k)
-    mul, inv = _group_tables(k)
-    homs, homs_inv = _hom_points(k, n)
-    p = None  # rho(P_j); None while P_j is empty
-    code = np.zeros(q**n, np.int64)
+    n = a.n
+    times, _, conj_pos = _group_tables(k)
+    pieces = _pieces(k, n)
+    homs, homs_inv = pieces.homs, pieces.homs_inv
+    p = 0  # rho(P_j) |S_k|; the identity, element 0, while P_j is empty
+    point = pieces.base.copy()
     for j in range(n, 0, -1):
         if j >= 2:  # P_1 = P_2
             for i, s in decode(a.parts[n - j]):
-                v = homs_inv[i - 1] if s > 0 else homs[i - 1]  # the letter (i, -s) of V_j
-                p = v if p is None else mul[p * q + v]
-        image = homs[j - 1] if p is None else mul[mul[p * q + homs[j - 1]] * q + inv[p]]
-        code += image * q ** (j - 1)
-    return code
+                p = times[p + (homs_inv[i - 1] if s > 0 else homs[i - 1])]  # times the letter (i, -s) of V_j
+        point += conj_pos[p + homs[j - 1]] * pieces.weight[j - 1]
+    return point
 
 
-def _cycle_type(perm: np.ndarray) -> np.ndarray:
-    """The number of cycles of each length, indexed by the length.
+def _cycle_keys(perm: np.ndarray, key: np.ndarray, longest: int) -> np.ndarray:
+    """key * (N + 1) + length for each cycle of perm, key read at its least point; sorted.
 
     Pointer doubling labels each point with the least point on its cycle:
     after r rounds a label is the least of 2^r consecutive points of the
-    cycle, and no cycle is longer than the number of points.
+    cycle, and no cycle is longer than `longest`.
     """
     label = np.arange(len(perm))
     step, reach = perm, 1
-    while reach < len(perm):
+    while reach < longest:
         label = np.minimum(label, label[step])
         step, reach = step[step], 2 * reach
-    sizes = np.bincount(label)  # the cycle's length at its least point, 0 elsewhere
-    return np.bincount(sizes[sizes > 0])
+    length = np.bincount(label, minlength=len(perm))  # the cycle's length at its least point, 0 elsewhere
+    least = length > 0
+    return np.sort(key[least] * (len(perm) + 1) + length[least])
 
 
 def _quotient_refutation(x: IElem, y: IElem, k: int) -> Optional[ConjResult]:
-    """not_conjugate when x and y permute Hom(F_n, S_k) with different cycle types.
+    """not_conjugate when x and y permute a chosen piece of Hom(F_n, S_k) with different cycle types.
 
-    None when they agree, or when Hom(F_n, S_k) has more than
-    MAX_QUOTIENT_POINTS points.
+    The reason names the first such piece by its classes.  None when every
+    chosen piece (`_pieces`) agrees.
     """
-    if math.factorial(k) ** x.n > MAX_QUOTIENT_POINTS:
-        return None
-    cx, cy = (_cycle_type(quotient_permutation(u, k)) for u in (x, y))
+    pieces = _pieces(k, x.n)
+    cx, cy = (_cycle_keys(quotient_permutation(u, k), pieces.piece, pieces.longest) for u in (x, y))
     if np.array_equal(cx, cy):
         return None
-    return ConjResult("not_conjugate", reason=f"finite-quotient (S_{k}) cycle type mismatch")
+    # Where the sorted keys first part, the smaller key's piece has types
+    # that differ, and every piece before it agrees.
+    head = min(len(cx), len(cy))
+    differ = np.flatnonzero(cx[:head] != cy[:head])
+    at = differ[0] if len(differ) else head
+    c = min(int(keys[at]) for keys in (cx, cy) if at < len(keys)) // (len(pieces.piece) + 1)
+    names = _classes(k)[0]
+    classes = ", ".join(names[t] for t in pieces.classes[c])
+    return ConjResult(
+        "not_conjugate", reason=f"finite-quotient (S_{k}) cycle type mismatch on the piece of classes ({classes})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +741,8 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
     The abelianization and the level-2 core refute first.  Greedy descent
     then shrinks both sides inside their classes; matching minima settle the
     instance outright, and otherwise the descended pair gets a cheap shallow
-    probe.  The cycle types on Hom(F_n, S_3), then on Hom(F_n, S_4), refute
-    next.  The completeness walk runs on the original pair at the budgeted
+    probe.  The cycle types on the pieces of Hom(F_n, S_3), then on those
+    of Hom(F_n, S_4), refute next.  The completeness walk runs on the original pair at the budgeted
     radius, so budgets seeded from a planted conjugator keep their
     guarantee, and the ladder runs last, on what the walk leaves open.
     """

@@ -11,7 +11,7 @@ import pytest
 from pik import cli
 from pik.cli import _CHECKS, RunConfig, build_parser, emit_report, main, pool_size
 from pik.conj import SearchBudget, conjugacy
-from pik.igroup import collect
+from pik.igroup import collect, conj_elem, format_ielem
 from pik.words import parse_word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -113,10 +113,19 @@ class TestSubcommands:
 
     def test_conj_decide_replays_a_library_unknown(self, capsys):
         # Every bound an unknown names can be set again from the command
-        # line.  Both sides lie in H_3, where no finite quotient the solver
-        # tries tells them apart.
+        # line.  y is x conjugated by 14 random generator letters, beyond
+        # every bounded search: a conjugate pair, so unknown is the only
+        # honest verdict.
         assert set(BUDGET_FLAGS) == set(SearchBudget().as_dict())
-        xs, ys = "y(3,1) y(3,2)", "y(3,1) y(3,2)^2 y(3,3) y(3,2)^-1 y(3,3)^-1"
+        xs = "y(3,3) y(2,2)"
+        g = collect(
+            3,
+            parse_word(
+                "y(3,2) y(3,1)^-1 y(3,1)^-1 y(3,2) y(3,2) y(3,1) y(3,1) y(3,2)^-1 y(3,1)^-1"
+                " y(3,3)^-1 y(3,1) y(3,2) y(3,1) y(3,2)^-1 y(3,1)^-1 y(2,1) y(2,2) y(2,2)"
+            ),
+        )
+        ys = format_ielem(conj_elem(g, collect(3, parse_word(xs))))
         budget = SearchBudget(max_len=5, coset=3, gen_radius=2, max_states=300)
         res = conjugacy(collect(3, parse_word(xs)), collect(3, parse_word(ys)), budget)
         assert res.verdict == "unknown"
