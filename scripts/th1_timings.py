@@ -10,6 +10,13 @@ the interpreter and numpy).  The record for a label is the median of
 REPEAT runs for each case, next to the raw runs, keyed "n,m" for Th1 and
 "l1_rank n,c" for l1_rank.
 
+The child caps its own address space at AS_LIMIT bytes, so a case that
+needs more fails with a MemoryError instead of pushing the machine out of
+memory.  A run that does not exit 0 is recorded by its exit status in
+"runs_exit" (a negative status is the signal that killed it), and the
+medians are taken over the runs that completed; a case with none has no
+medians.  A run that completes with a wrong answer stops the script.
+
 Give each tree to compare as LABEL=SRC; the runs alternate between the
 trees, starting with a different one at each repeat, so drift in the
 machine's speed falls on all of them alike:
@@ -37,15 +44,19 @@ CASES = (
     ("th1", 5, 4),
     ("th1", 4, 6),
     ("th1", 5, 5),
+    ("th1", 6, 5),
+    ("th1", 4, 7),
     ("l1_rank", 3, 5),
     ("l1_rank", 4, 4),
     ("l1_rank", 5, 3),
 )
 REPEAT = 3
 OUT = ROOT / "BENCH_th1.json"
+AS_LIMIT = 4 << 30
 
-CHILD = """
+CHILD = f"""
 import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT}))
 import numpy, pik
 from pik.ajohnson import l1_rank
 from pik.decomp import verify_theorem_th1
@@ -58,16 +69,17 @@ else:
     ok = l1_rank(n, m, m + 2) == sum(witt(i, m) for i in range(2, n + 1))
 wall = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-out = {"pik": pik.__file__, "numpy": numpy.__version__, "ok": ok, "wall_s": wall, "peak_rss_mb": rss}
+out = {{"pik": pik.__file__, "numpy": numpy.__version__, "ok": ok, "wall_s": wall, "peak_rss_mb": rss}}
 print(json.dumps(out))
 """
 
 
 def run_case(src: Path, kind: str, n: int, m: int) -> dict:
+    """The child's report, or {"exit": status} if it did not exit 0."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD, kind, str(n), str(m)], env=env, check=True, capture_output=True, text=True
-    )
+    out = subprocess.run([sys.executable, "-c", CHILD, kind, str(n), str(m)], env=env, capture_output=True, text=True)
+    if out.returncode:
+        return {"exit": out.returncode}
     got = json.loads(out.stdout)
     if not Path(got["pik"]).resolve().is_relative_to(src):
         raise SystemExit(f"the child imported pik from outside {src}")
@@ -94,16 +106,22 @@ def main(argv: list[str]) -> int:
             for label in labels:
                 runs[label].append(run_case(trees[label], kind, n, m))
         for label, got in runs.items():
-            if not all(g["ok"] for g in got):
+            done = [g for g in got if "exit" not in g]
+            if not all(g["ok"] for g in done):
                 raise SystemExit(f"{kind} failed at ({n},{m}) on {label}")
-            numpy_version = got[0]["numpy"]
-            case = records[label][key] = {
-                "wall_s": round(statistics.median(g["wall_s"] for g in got), 4),
-                "peak_rss_mb": round(statistics.median(g["peak_rss_mb"] for g in got), 1),
-                "runs_wall_s": [round(g["wall_s"], 4) for g in got],
-                "runs_peak_rss_mb": [round(g["peak_rss_mb"], 1) for g in got],
-            }
-            print(f"{label}: {kind} ({n},{m}) {case['wall_s']} s, {case['peak_rss_mb']} MB")
+            case = records[label][key] = {"runs_exit": [g.get("exit", 0) for g in got]}
+            if done:
+                numpy_version = done[0]["numpy"]
+                case.update(
+                    wall_s=round(statistics.median(g["wall_s"] for g in done), 4),
+                    peak_rss_mb=round(statistics.median(g["peak_rss_mb"] for g in done), 1),
+                    runs_wall_s=[round(g["wall_s"], 4) for g in done],
+                    runs_peak_rss_mb=[round(g["peak_rss_mb"], 1) for g in done],
+                )
+                summary = f"{case['wall_s']} s, {case['peak_rss_mb']} MB"
+            else:
+                summary = "no run completed"
+            print(f"{label}: {kind} ({n},{m}) {summary}, exits {case['runs_exit']}")
     bench = json.loads(OUT.read_text()) if OUT.exists() else {}
     bench["what"] = (
         "verify_theorem_th1(n, m) (keys n,m) and l1_rank(n, c, c + 2) (keys l1_rank n,c) "

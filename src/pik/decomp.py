@@ -16,8 +16,8 @@ against the Witt rank, plus a pivot of 1 in absolute value on every Lyndon
 column outside the level factors.  With y(m, i) of multidegree e_i, J^m
 splits into multidegree blocks, one echelon each.  Each block of J^m below
 the top degree is stacked from the echelon rows of the blocks of J^{m-1},
-bracketed with one letter each, as a dense integer matrix over all words
-of its multidegree, and reduced to its own echelon rows, the Lyndon words
+bracketed with one letter each, as sparse integer rows over all words of
+its multidegree, and reduced to its own echelon rows, the Lyndon words
 outside the levels first: bracketing is Z-linear, so a basis brackets to
 what the whole spanning set brackets to, and that echelon, cut to the
 Lyndon words, is the certificate's.  The top degree is gathered straight at
@@ -33,8 +33,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .igroup import gen_index, rank_of_abelianization
 from .lie import (
@@ -54,13 +52,10 @@ from .lie import (
     witt,
 )
 
-# Reduced blocks whose brackets with a letter could pass this bound hold
-# Python ints, not int64.
-_INT64_GUARD = 1 << 60
 # The number of letters of each conjugating index 1..n: deg y(m, i) = e_i.
 Multidegree = tuple[int, ...]
 # A block of J^m or T_r^m: its Lyndon words, and the coefficients at them of rows spanning it.
-Block = tuple[list[Word], np.ndarray]
+Block = tuple[list[Word], list[SparseRow]]
 
 
 class DecompError(ValueError):
@@ -295,7 +290,7 @@ class _TensorBlock:
 
     degree: Multidegree
     col: dict[Word, int]
-    mat: np.ndarray
+    rows: list[SparseRow]
 
 
 def _columns(n: int, d: Multidegree, lyndon: list[Word]) -> dict[Word, int]:
@@ -305,23 +300,27 @@ def _columns(n: int, d: Multidegree, lyndon: list[Word]) -> dict[Word, int]:
     return {w: j for j, w in enumerate(lyndon + [w for w in _words_of(n, d) if w not in first])}
 
 
-def _reduced(d: Multidegree, col: dict[Word, int], rows: "np.ndarray | list[SparseRow]") -> _TensorBlock:
+def _reduced(d: Multidegree, col: dict[Word, int], rows: Sequence[SparseRow]) -> _TensorBlock:
     """The block spanned by rows, held as its echelon rows.
 
     Every pivot lies at a Lyndon column, since a nonzero Lie element has a
     nonzero tensor coefficient at some Lyndon word, so the rows cut to the
-    Lyndon columns are an echelon basis of the block read there.  The
-    rows hold int64 when twice their largest entry, a bound on the entries
-    of their brackets with a letter, is at most _INT64_GUARD; else Python
-    ints.
+    Lyndon columns are an echelon basis of the block read there.
     """
-    lat = lattice_from_rows(rows, len(col))
-    big = max((abs(x) for row in lat.rows for x in row.values()), default=0)
-    mat = np.zeros((lat.rank, len(col)), dtype=np.int64 if 2 * big <= _INT64_GUARD else object)
-    mat[[r for r, row in enumerate(lat.rows) for _ in row], [j for row in lat.rows for j in row]] = [
-        x for row in lat.rows for x in row.values()
-    ]
-    return _TensorBlock(d, col, mat)
+    return _TensorBlock(d, col, lattice_from_rows(rows, len(col)).rows)
+
+
+def _mapped(rows: Sequence[SparseRow], to: dict[int, list[tuple[int, int]]]) -> Iterator[SparseRow]:
+    """Each row sent through to: its entry x at column j adds sign * x at
+    column t for each (t, sign) of to[j]; a column not in to is dropped.
+    Entries that cancel are kept as zeros, which lattice_from_rows drops."""
+    for row in rows:
+        out: SparseRow = {}
+        for j in row.keys() & to.keys():
+            x = row[j]
+            for t, sign in to[j]:
+                out[t] = out.get(t, 0) + sign * x
+        yield out
 
 
 # (source block, letter) pairs that reach one block of the next degree
@@ -342,20 +341,6 @@ def _feeds(n: int, below: Sequence[_TensorBlock], letters: Sequence[int]) -> dic
     return feeds
 
 
-def _stacks(feed: Feed, width: int) -> tuple[np.ndarray, list[tuple[np.ndarray, _TensorBlock, int]]]:
-    """A zero matrix with a stack of rows for each (block, letter) pair of
-    feed, as tall as the block, and the stacks as views into it.  It holds
-    Python ints if any of the blocks does."""
-    dtype = np.result_type(*(b.mat.dtype for b, _ in feed))
-    mat = np.zeros((sum(len(b.mat) for b, _ in feed), width), dtype=dtype)
-    stacks = []
-    r0 = 0
-    for b, a in feed:
-        stacks.append((mat[r0 : r0 + len(b.mat)], b, a))
-        r0 += len(b.mat)
-    return mat, stacks
-
-
 def _tensor_blocks(
     relators: RelatorSet, top: int, letters: Sequence[int]
 ) -> Iterator[tuple[int, list[_TensorBlock]]]:
@@ -366,8 +351,9 @@ def _tensor_blocks(
     terms have more than one raises DecompError.  Block t of degree m
     stacks, for each block b of degree m - 1 and each of the letters a
     sending it to t, the echelon rows x of b bracketed as x a - a x: the
-    column of u a gets +x(u) and that of a u gets -x(u), both maps injective
-    on words.  Each stack is reduced to its echelon rows before it is kept.
+    column of u a gets +x(u) and that of a u gets -x(u), both summed, since
+    u a can be a u' for another word u'.  Each stack is reduced to its
+    echelon rows before it is kept.
     """
     n = relators.n
     rows: dict[Multidegree, list[Terms]] = {}
@@ -393,11 +379,11 @@ def _tensor_blocks(
         blocks = []
         for d, feed in feeds.items():
             col = _columns(n, d, lyndon.get(d, []))
-            mat, stacks = _stacks(feed, len(col))
-            for part, b, a in stacks:
-                part[:, [col[u + (a,)] for u in b.col]] = b.mat
-                part[:, [col[(a,) + u] for u in b.col]] -= b.mat
-            blocks.append(_reduced(d, col, mat))
+            stacked: list[SparseRow] = []
+            for b, a in feed:
+                to = {j: [(col[u + (a,)], 1), (col[(a,) + u], -1)] for u, j in b.col.items()}
+                stacked.extend(_mapped(b.rows, to))
+            blocks.append(_reduced(d, col, stacked))
         yield m, blocks
 
 
@@ -417,7 +403,7 @@ def _lyndon_parts(n: int, m: int, degrees: Sequence[Multidegree]) -> list[list[W
 
 
 def _empty(parts: Sequence[list[Word]]) -> list[Block]:
-    return [(words, np.zeros((0, len(words)), dtype=np.int64)) for words in parts]
+    return [(words, []) for words in parts]
 
 
 def _cut(n: int, m: int, blocks: Sequence[_TensorBlock]) -> Iterator[Block]:
@@ -425,7 +411,7 @@ def _cut(n: int, m: int, blocks: Sequence[_TensorBlock]) -> Iterator[Block]:
     their first columns, one block at a time."""
     parts = _lyndon_parts(n, m, [b.degree for b in blocks])
     for b, words in zip(blocks, parts):
-        yield words, b.mat[:, : len(words)]
+        yield words, [{j: x for j, x in row.items() if j < len(words)} for row in b.rows]
     yield from _empty(parts[len(blocks) :])
 
 
@@ -441,14 +427,15 @@ def _gathered(n: int, m: int, below: Sequence[_TensorBlock], letters: Sequence[i
         for j, w in enumerate(words):
             ends.setdefault(w[-1], []).append((j, w[:-1]))
             starts.setdefault(w[0], []).append((j, w[1:]))
-        mat, stacks = _stacks(feed, len(words))
-        for part, b, a in stacks:
+        rows: list[SparseRow] = []
+        for b, a in feed:
+            to: dict[int, list[tuple[int, int]]] = {}
             for at, sign in ((ends, 1), (starts, -1)):
-                hits = [(j, b.col[u]) for j, u in at.get(a, ()) if u in b.col]
-                if hits:
-                    js, us = zip(*hits)
-                    part[:, list(js)] += sign * b.mat[:, list(us)]
-        yield words, mat
+                for j, u in at.get(a, ()):
+                    if u in b.col:
+                        to.setdefault(b.col[u], []).append((j, sign))
+            rows.extend(_mapped(b.rows, to))
+        yield words, rows
     yield from _empty(parts[len(feeds) :])
 
 
@@ -459,9 +446,9 @@ def ideal_rows_by_degree(
     for 2 <= m <= max_m, degree by degree and block by block: each block's
     Lyndon words, those outside every level (C) before the level words (S),
     and the tensor coefficients at them of rows that span the block's
-    lattice, one matrix row each.  J brackets
-    with every letter; T_r with those of U_r.  Each relator must be
-    homogeneous: one whose terms have more than one multidegree raises
+    lattice, as sparse rows ({column: entry}, columns indexing the words).
+    J brackets with every letter; T_r with those of U_r.  Each relator must
+    be homogeneous: one whose terms have more than one multidegree raises
     DecompError.
 
     The blocks of each degree partition its Lyndon words; a row has no
@@ -470,10 +457,8 @@ def ideal_rows_by_degree(
     rows as its rank, with C columns first: the reduced tensor blocks cut
     to their Lyndon columns.  A top degree max_m > 2 holds the brackets of
     degree max_m - 1's echelon rows with each letter, gathered with no
-    tensor block.  All of it
-    is one pass: each degree's blocks are made as they are read.  A reduced
-    block holds Python ints when twice its largest entry passes
-    _INT64_GUARD, and so does every block it feeds; the others hold int64.
+    tensor block.  All of it is one pass: each degree's blocks are made as
+    they are read.
     """
     if max_m < 2:
         return
@@ -603,10 +588,10 @@ class TildeTReport:
         return {"n": self.n, "ok": self.ok, "per_degree": [d.as_dict() for d in self.degrees]}
 
 
-def _by_words(blocks: Iterator[Block]) -> Iterator[tuple[tuple[Word, ...], np.ndarray]]:
+def _by_words(blocks: Iterator[Block]) -> Iterator[tuple[tuple[Word, ...], list[SparseRow]]]:
     """A degree's blocks keyed by their Lyndon words, one at a time; a block
     with no word holds nothing."""
-    return ((tuple(words), mat) for words, mat in blocks if words)
+    return ((tuple(words), rows) for words, rows in blocks if words)
 
 
 def verify_tilde_T(n: int, max_m: int) -> TildeTReport:
@@ -631,7 +616,7 @@ def verify_tilde_T(n: int, max_m: int) -> TildeTReport:
         rank_j = stacked_rank = 0
         t_ranks = [0] * len(ts)
         sum_equals_j = True
-        for words, mat in _by_words(j_blocks):
+        for words, rows in _by_words(j_blocks):
             if any(words not in t for t in ts):
                 raise DecompError(f"the blocks of J^{m} and of the T_r do not line up")
             t_lats = [lattice_from_rows(t.pop(words), len(words)) for t in ts]
@@ -639,7 +624,7 @@ def verify_tilde_T(n: int, max_m: int) -> TildeTReport:
                 t_ranks[r] += t_lat.rank
             # the T_r echelon rows span the T_r with fewer rows than their spanning sets
             stacked = lattice_from_rows([row for t_lat in t_lats for row in t_lat.rows], len(words))
-            j_lat = lattice_from_rows(mat, len(words))
+            j_lat = lattice_from_rows(rows, len(words))
             rank_j += j_lat.rank
             stacked_rank += stacked.rank
             sum_equals_j = sum_equals_j and same_lattice(j_lat, stacked)
@@ -688,7 +673,7 @@ def gr_rank_table(n: int, max_c: int) -> list[RankRow]:
     if max_c < 1:
         raise DecompError(f"need max degree >= 1, got {max_c}")
     rank_j = {
-        c: sum(lattice_from_rows(mat, len(words)).rank for words, mat in blocks)
+        c: sum(lattice_from_rows(rows, len(words)).rank for words, rows in blocks)
         for c, blocks in ideal_rows_by_degree(build_relators(n), max_c, range(1, alphabet_size(n) + 1))
     }
     out = []

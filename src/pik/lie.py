@@ -21,8 +21,6 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .magnus import NcPoly
 
 Word = tuple[int, ...]
@@ -233,11 +231,11 @@ SparseRow = dict[int, int]  # column -> nonzero entry
 def _sparse(row: "Sequence[int] | SparseRow", dim: int) -> SparseRow:
     """A fresh sparse copy of a dense row of length dim or of a sparse row."""
     if isinstance(row, dict):
-        if any(not 0 <= j < dim for j in row):
-            raise LieError(f"a sparse row has a column outside 0..{dim - 1}")
+        if row and (min(row) < 0 or max(row) >= dim):
+            raise LieError(f"a sparse row has a column outside columns 0..{dim - 1}")
         return {j: int(v) for j, v in row.items() if v}
     if len(row) != dim:
-        raise LieError(f"vector length {len(row)} != dim {dim}")
+        raise LieError(f"a dense row has {len(row)} columns, not {dim}")
     return {j: int(v) for j, v in enumerate(row) if v}
 
 
@@ -277,27 +275,18 @@ class IntLattice:
         return [abs(row[c]) for row, c in zip(self.rows, self.pivot_col)]
 
 
-def lattice_from_rows(rows: "Sequence[Sequence[int] | SparseRow] | np.ndarray", dim: int) -> IntLattice:
+def lattice_from_rows(rows: "Iterable[Sequence[int] | SparseRow]", dim: int) -> IntLattice:
     """Echelonize the span of rows over Z, exactly.
 
-    rows is an int64 or object array of shape (k, dim), or a sequence of
-    rows, each dense (length dim) or sparse ({column: entry}); the input is
-    not modified.  Columns are taken in increasing order, with an index from
-    each column to the live rows that are nonzero there.  At a column, the
-    live row with the least |entry| (then the fewest nonzeros, then the
+    Each row is dense (length dim) or sparse ({column: entry}); the input
+    is not modified.  Columns are taken in increasing order, with an index
+    from each column to the live rows that are nonzero there.  At a column,
+    the live row with the least |entry| (then the fewest nonzeros, then the
     lowest index) subtracts floor-quotient multiples of itself from the
     others there; this repeats until one row is left, which is retired as
     the column's pivot row.  Entries are Python ints, so nothing overflows.
     """
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2 or rows.shape[1] != dim:
-            raise LieError(f"a matrix of shape {rows.shape} for dim {dim}")
-        live: list[SparseRow] = [{} for _ in range(rows.shape[0])]
-        at_row, at_col = np.nonzero(rows)
-        for r, j, v in zip(at_row.tolist(), at_col.tolist(), rows[at_row, at_col].tolist()):
-            live[r][j] = v
-    else:
-        live = [_sparse(row, dim) for row in rows]
+    live = [_sparse(row, dim) for row in rows]
     at: dict[int, set[int]] = {}  # column -> live rows nonzero there
     for r, row in enumerate(live):
         for j in row:
@@ -387,7 +376,7 @@ class DirectSumReport:
 
 
 def lattice_direct_sum_is_whole(
-    blocks: Iterable[tuple[Sequence[Word], np.ndarray]],
+    blocks: Iterable[tuple[Sequence[Word], Iterable[Sequence[int] | SparseRow]]],
     units: Sequence[Sequence[Word]],
     nvars: int,
     m: int,
@@ -395,12 +384,14 @@ def lattice_direct_sum_is_whole(
     """Certificate that the span J of the blocks' rows and the unit vectors
     of units' Lyndon words form a direct sum equal to all of L^m over Z.
 
-    Each block pairs some of the degree-m Lyndon words with a matrix, one
-    column per word, whose rows are the tensor coefficients there of
-    homogeneous degree-m Lie elements; the caller guarantees that these have
-    no nonzero coefficient at another block's word.  blocks is read once, so
-    a generator can build each block as it is read; the blocks' words must
-    partition the Lyndon words of length m (checked once all are read).
+    Each block pairs some of the degree-m Lyndon words with rows, sparse
+    ({column: entry}) or dense, one column per word, that are the tensor
+    coefficients there of homogeneous degree-m Lie elements; the caller
+    guarantees that these have no nonzero coefficient at another block's
+    word, and a row with a column past the block's words is refused.
+    blocks is read once, so a generator can build each block as it is
+    read; the blocks' words must partition the Lyndon words of length m
+    (checked once all are read).
     Each part of units has one rank per word; rank additivity is checked
     against the Witt rank.  With S the unit words and C the other degree-m
     Lyndon words, the lattice spanned by e_S and J is Z^S (+) pi_C(J).  The
@@ -423,12 +414,11 @@ def lattice_direct_sum_is_whole(
     whole = True
     for words, rows in blocks:
         seen.extend(words)
-        if rows.shape[1] != len(words):
-            raise LieError(f"a block has {len(words)} words and {rows.shape[1]} columns")
         # stable: C, then S; a block already in that order is read as it is
         order = sorted(range(len(words)), key=lambda j: words[j] in unit_words)
         if order != list(range(len(words))):
-            rows = rows.take(order, axis=1)
+            moved = {j: k for k, j in enumerate(order)}
+            rows = [{moved[j]: x for j, x in _sparse(row, len(words)).items()} for row in rows]
         lat = lattice_from_rows(rows, len(words))
         c = sum(w not in unit_words for w in words)
         whole = whole and lat.pivot_col[:c] == list(range(c)) and all(p == 1 for p in lat.pivots()[:c])

@@ -2,7 +2,6 @@ import hashlib
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import pik.decomp as decomp_mod
@@ -95,7 +94,7 @@ def t_r_rows(n, r, m):
 
 
 def assert_same_lattices(blocks, elems, every_word, basis):
-    """Each (words, matrix) block spans, at its words, the lattice of the
+    """Each (words, rows) block spans, at its words, the lattice of the
     coefficients there of the nonzero elements whose terms meet them; each
     such element meets one block, and with every_word all of its terms lie
     at that block's words.  With basis, each block has one row per unit of
@@ -110,12 +109,12 @@ def assert_same_lattices(blocks, elems, every_word, basis):
         if every_word:
             assert terms.keys() <= set(blocks[hit[0]][0])
         placed[hit[0]].append(terms)
-    for (words, mat), rows in zip(blocks, placed):
-        got = lattice_from_rows(mat, len(words))
-        want = lattice_from_rows([[terms.get(w, 0) for w in words] for terms in rows], len(words))
+    for (words, rows), oracle in zip(blocks, placed):
+        got = lattice_from_rows(rows, len(words))
+        want = lattice_from_rows([[terms.get(w, 0) for w in words] for terms in oracle], len(words))
         assert same_lattice(got, want)
         if basis:
-            assert len(mat) == got.rank
+            assert len(rows) == got.rank
 
 
 def lyndon_lattice(elems, k, m):
@@ -248,7 +247,7 @@ class TestIdeal:
         rels = build_relators(n)
         want = lie_ideal_rows(rels, max_m)
         for m, blocks in _tensor_blocks(rels, max_m - 1, every_letter(n)):
-            assert_same_lattices([(list(b.col), b.mat) for b in blocks], want[m], every_word=True, basis=True)
+            assert_same_lattices([(list(b.col), b.rows) for b in blocks], want[m], every_word=True, basis=True)
         seen = []
         for m, blocks in ideal_rows_by_degree(rels, max_m, every_letter(n)):
             assert_same_lattices(list(blocks), want[m], every_word=False, basis=m < max_m)
@@ -394,8 +393,7 @@ class TestAgainstStackedLattice:
         # Bracketing with a letter at most doubles an entry, and the reduced
         # blocks of the scaled relator's multidegrees reach entries past
         # 2**63 at (3,5) with c = 2**62 - 1, so an int64 build would wrap.
-        # Each block holds Python ints once twice its largest entry passes
-        # the int64 guard, so the report is the exact one.
+        # The rows hold Python ints, so the report is the exact one.
         rels = build_relators(3)
         victim = rels.of_kind(3)[0]
         c = (1 << 62) - 1
@@ -404,28 +402,12 @@ class TestAgainstStackedLattice:
         scaled = RelatorSet(3, tuple(big if rel is victim else rel for rel in rels.relators))
         widest = 0
         for _, blocks in ideal_rows_by_degree(scaled, 5, every_letter(3)):
-            for _, mat in blocks:
-                top = max((abs(int(x)) for x in mat.flat), default=0)
-                assert mat.dtype == object or 2 * top <= decomp_mod._INT64_GUARD
+            for _, rows in blocks:
+                top = max((abs(x) for row in rows for x in row.values()), default=0)
                 widest = max(widest, top.bit_length())
         assert widest > 63
         first = self.check(3, 5, scaled)
         assert first["rank_sum"] == first["rank_total"] and not first["snf_ones"]
-
-    @pytest.mark.parametrize("n,max_m", [(3, 5), (4, 4)])
-    def test_python_ints_from_mid_build(self, n, max_m, monkeypatch):
-        # With the guard at 2, the degree-2 blocks (entries 1) hold int64 and
-        # the reduced blocks with an entry of 2 or more hold Python ints, so
-        # the build switches between the two; the reports are unchanged.
-        want = (verify_theorem_th1(n, max_m).as_dict(), verify_tilde_T(n, max_m).as_dict())
-        monkeypatch.setattr(decomp_mod, "_INT64_GUARD", 2)
-        dtypes = {
-            m: {b.mat.dtype for b in blocks}
-            for m, blocks in _tensor_blocks(build_relators(n), max_m, every_letter(n))
-        }
-        assert dtypes[2] == {np.dtype(np.int64)}
-        assert any(np.dtype(object) in seen for seen in dtypes.values())
-        assert (verify_theorem_th1(n, max_m).as_dict(), verify_tilde_T(n, max_m).as_dict()) == want
 
 
 # SHA-256 of the JSON of Th1Report.as_dict(), computed before J was built by
@@ -460,7 +442,7 @@ class TestTildeT:
         rels = build_relators(4)
         for r, count in ((2, 14), (3, 12)):
             ((m, blocks),) = ideal_rows_by_degree(rels.level(r), 2, upper_letters(4, r))
-            assert m == 2 and sum(len(mat) for _, mat in blocks) == count
+            assert m == 2 and sum(len(rows) for _, rows in blocks) == count
 
     @pytest.mark.parametrize("n,max_m", [(3, 5), (4, 4), (5, 3)])
     def test_t_r_blocks_match_the_composition_oracle(self, n, max_m):
@@ -473,10 +455,10 @@ class TestTildeT:
                 for terms in t_r_rows(n, r, m):
                     (d,) = {_multidegree(n, w) for w in terms}
                     oracle.setdefault(d, []).append(terms)
-                for words, mat in blocks:
+                for words, rows in blocks:
                     (d,) = {_multidegree(n, w) for w in words}
                     want = [[terms.get(w, 0) for w in words] for terms in oracle.pop(d, [])]
-                    got = lattice_from_rows(mat, len(words))
+                    got = lattice_from_rows(rows, len(words))
                     assert same_lattice(got, lattice_from_rows(want, len(words)))
                 # every oracle row met a block's Lyndon words
                 assert not oracle
@@ -499,7 +481,11 @@ class TestTildeT:
 
         def doubled(relators, max_m, letters):
             for m, blocks in build(relators, max_m, letters):
-                yield m, (blocks if relators == whole else ((words, 2 * mat) for words, mat in blocks))
+                yield m, (
+                    blocks
+                    if relators == whole
+                    else ((words, [{j: 2 * x for j, x in row.items()} for row in rows]) for words, rows in blocks)
+                )
 
         monkeypatch.setattr(decomp_mod, "ideal_rows_by_degree", doubled)
         rep = verify_tilde_T(4, 3)

@@ -381,3 +381,14 @@ class TestGradedLattices:
             lattice_direct_sum_is_whole([(words, rows), (words[:1], rows[:0, :1])], [], 2, 3)
         with pytest.raises(LieError, match="columns"):
             lattice_direct_sum_is_whole([(words, rows[:, :1])], [], 2, 3)
+
+    def test_direct_sum_reads_sparse_rows(self):
+        # with (1,1,2) a unit word, the C word (1,2,2) is column 1 of the
+        # block and is read first; a sparse row past the block's words is refused
+        words = lyndon_words(2, 3)
+        units = [[(1, 1, 2)]]
+        for rows, whole in (([{1: 1}], True), ([{1: 2}], False), ([{0: 1}], False), ([{0: 5, 1: -1}], True)):
+            rep = lattice_direct_sum_is_whole([(words, rows)], units, 2, 3)
+            assert rep.rank_sum == 2 and rep.stacked_unimodular == whole
+        with pytest.raises(LieError, match="columns"):
+            lattice_direct_sum_is_whole([(words, [{2: 1}])], units, 2, 3)
