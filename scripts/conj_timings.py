@@ -10,8 +10,9 @@ wall time summed over the stream, the number of calls and, for the two
 orbit walks, the number of states they expand:
 
     descent     _greedy_descent, on both sides of a pair
+    S_3         _quotient_refutation with k = 3
     probe walk  the first _orbit_walk of a pair, between the descended sides
-    S_3, S_4    _quotient_refutation with k = 3 and k = 4
+    S_4         _quotient_refutation with k = 4
     full walk   the second _orbit_walk of a pair, the budgeted one
     ladder      _ladder
 
@@ -20,10 +21,10 @@ in the order conjugacy runs them.
 "other" is the rest of the stream's wall time: equality, the abelianization,
 the level-2 core and the witness checks.  The child also reports its peak
 RSS (``ru_maxrss``), the number of ``unknown`` verdicts and a SHA-256 of
-the stream's ``ConjResult.as_dict()`` outputs, and the script prints whether
-the trees' SHA-256s agree, so two trees can be seen to decide alike.  The
-wrappers add one Python call per stage call and per expanded state to what
-they time.
+the stream's ``ConjResult.as_dict()`` outputs.  ``outputs_agree`` in the
+BENCH file says, per stream, whether every record there has the same
+SHA-256, so two trees can be seen to decide alike.  The wrappers add one
+Python call per stage call and per expanded state to what they time.
 
 Give each tree to compare as LABEL=SRC; the runs alternate between the
 trees, starting with a different one at each repeat, and a tree's record
@@ -46,7 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STREAMS = ("conj-planted", "conj-hard", "conj-hard-n4")
-STAGES = ("descent", "probe walk", "S_3", "S_4", "full walk", "ladder")
+STAGES = ("descent", "S_3", "probe walk", "S_4", "full walk", "ladder")
 SECONDS = 15
 REPEAT = 7
 OUT = ROOT / "BENCH_conj.json"
@@ -206,6 +207,10 @@ def main(argv: list[str]) -> int:
     )
     bench["machine"] = {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()}
     bench.setdefault("runs", {}).update(records)
+    bench["outputs_agree"] = {
+        stream: len({rec[stream]["outputs_sha256"] for rec in bench["runs"].values() if stream in rec}) == 1
+        for stream in STREAMS
+    }
     OUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     return 0
 

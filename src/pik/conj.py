@@ -22,15 +22,15 @@ Verdicts are sound by construction:
   twisted-conjugacy decision procedure from the literature is out of scope;
   bounded verified search replaces it and never fakes a "no".
 
-Search is layered by cost: a shallow probe walk between greedily descended
-representatives, then the finite quotients S_3 and S_4, then a
-bidirectional conjugation walk in the generator metric at the budgeted
-radius, and the level ladder last.  The ladder enumerates a centralizer
-coset at untwisted levels and, at twisted ones, runs the same walk
-restricted to the level's generators, its own caps being module constants.
-For planted instances the walk is complete once its radius covers the
-generator length of the planted conjugator, which is how the acceptance
-fuzz seeds its budgets.
+Search is layered by cost: greedy descent, then the finite quotient S_3
+on the descended representatives, a shallow probe walk between them, the
+finite quotient S_4, a bidirectional conjugation walk in the generator
+metric at the budgeted radius, and the level ladder last.  The ladder
+enumerates a centralizer coset at untwisted levels and, at twisted ones,
+runs the same walk restricted to the level's generators, its own caps
+being module constants.  For planted instances the walk is complete once
+its radius covers the generator length of the planted conjugator, which
+is how the acceptance fuzz seeds its budgets.
 """
 
 from __future__ import annotations
@@ -91,6 +91,11 @@ class ConjError(ValueError):
 LADDER_NODES = 100
 TWISTED_STATES = 500
 SOLUTIONS_PER_LEVEL = 8
+
+# The probe walk's caps: its radius, and its state cap when the budget's
+# max_states is larger.
+PROBE_RADIUS = 4
+PROBE_STATES = 6_000
 
 # Q = S_k is tried on the pieces {rho : rho(x_j) in C_j} of Hom(F_n, Q),
 # smallest first while they have at most this many points in all: every
@@ -740,9 +745,10 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
 
     The abelianization and the level-2 core refute first.  Greedy descent
     then shrinks both sides inside their classes; matching minima settle the
-    instance outright, and otherwise the descended pair gets a cheap shallow
-    probe.  The cycle types on the pieces of Hom(F_n, S_3), then on those
-    of Hom(F_n, S_4), refute next.  The completeness walk runs on the original pair at the budgeted
+    instance outright.  Otherwise the cycle types on the pieces of
+    Hom(F_n, S_3) refute the descended pair, a cheap shallow probe walk
+    looks for a witness between its sides, and the pieces of Hom(F_n, S_4)
+    refute.  The completeness walk runs on the original pair at the budgeted
     radius, so budgets seeded from a planted conjugator keep their
     guarantee, and the ladder runs last, on what the walk leaves open.
     """
@@ -774,23 +780,26 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
         witness = mapped(identity_elem(x.n))
         _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, method="descent")
+    # The finite quotients run on the descended pair, which is conjugate to
+    # the original one and shorter: S_3 before the probe, which costs more
+    # and cannot decide a pair that S_3 refutes, and S_4 after it.  Each
+    # stage is sound alone, so the order sets no verdict, only the cost and
+    # whose witness returns (docs/NOTES.md, "The order of conjugacy's
+    # stages").
+    refuted = _quotient_refutation(x_hat, y_hat, 3)
+    if refuted is not None:
+        return refuted
     # cheap probe between the descended representatives; descent can land in
     # different local minima, so the completeness walk below stays on the
     # original pair with the budgeted radius.
-    witness = _orbit_walk(x_hat, y_hat, 4, min(6_000, budget.max_states))
+    witness = _orbit_walk(x_hat, y_hat, PROBE_RADIUS, min(PROBE_STATES, budget.max_states))
     if witness is not None:
         witness = mapped(witness)
         _check_witness(witness, x, y)
         return ConjResult("conjugate", witness=witness, method="generator-walk")
-    # The finite quotients run on the descended pair, which is conjugate to
-    # the original one and shorter.  Then the budgeted walk, and the ladder
-    # last: each stage is sound alone, so the order sets no verdict, only the
-    # cost and whose witness returns (docs/NOTES.md, "The order of
-    # conjugacy's stages").
-    for k in (3, 4):
-        refuted = _quotient_refutation(x_hat, y_hat, k)
-        if refuted is not None:
-            return refuted
+    refuted = _quotient_refutation(x_hat, y_hat, 4)
+    if refuted is not None:
+        return refuted
     witness = _orbit_walk(x, y, budget.gen_radius, budget.max_states)
     if witness is not None:
         _check_witness(witness, x, y)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -943,6 +944,34 @@ def _hard_stream():
         if y != x:
             pairs.append((x, y, None))
     return pairs
+
+
+def test_s3_runs_before_the_probe_walk(monkeypatch):
+    # Every conj-hard pair is non-conjugate.  S_3 runs on each of the 33 that
+    # descent leaves open, the probe walk only on the 3 that no S_3 piece
+    # refutes, and S_4 refutes those, so no pair reaches the full walk.
+    walk, refute = conj_mod._orbit_walk, conj_mod._quotient_refutation
+    stages = []
+
+    def walk_spy(x, y, radius, max_states):
+        stages[-1].append("walk")
+        return walk(x, y, radius, max_states)
+
+    def refute_spy(x, y, k):
+        got = refute(x, y, k)
+        stages[-1].append(f"S_{k}" if got is None else f"S_{k} refutes")
+        return got
+
+    monkeypatch.setattr(conj_mod, "_orbit_walk", walk_spy)
+    monkeypatch.setattr(conj_mod, "_quotient_refutation", refute_spy)
+    for x, y, budget in _hard_stream():
+        stages.append([])
+        assert conjugacy(x, y, budget).verdict == "not_conjugate"
+    assert Counter(map(tuple, stages)) == {
+        (): 12,
+        ("S_3 refutes",): 30,
+        ("S_3", "walk", "S_4 refutes"): 3,
+    }
 
 
 @pytest.mark.parametrize("stream, refutations", [(_hard_stream, 33), (_pinned_stream, 5)])
