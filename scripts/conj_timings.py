@@ -2,12 +2,16 @@
 """Time conjugacy stage by stage on the benchmark's streams and record it in a BENCH file.
 
 Each of the conj-planted and conj-hard streams, as ``bench/workloads.py``
-builds them for a 15 s run, and conj-hard-n4, the same draws as conj-hard
-(``workloads.hard_pairs`` from ``Lcg(99)``) at rank 4, is decided in a fresh
-Python process.  The child wraps the stages of ``pik.conj.conjugacy`` from
-outside (the functions it calls by name) and reports, for each stage, the
-wall time summed over the stream, the number of calls and, for the two
-orbit walks, the number of states they expand:
+builds them for a 15 s run, conj-hard-n4, the same draws as conj-hard
+(``workloads.hard_pairs`` from ``Lcg(99)``) at rank 4, and conj-long-n3, 60
+planted pairs at rank 3 from ``Lcg(5)`` whose conjugators have exactly 14
+generator letters, run under the default budget, is decided in a fresh
+Python process.  conj-long-n3 is the stream that spends measurable time
+in the ladder: the budgeted walk misses some of its conjugators, and
+those pairs end in the ladder.  The child wraps the stages of
+``pik.conj.conjugacy`` from outside (the functions it calls by name) and
+reports, for each stage, the wall time summed over the stream, the number
+of calls and, for the two orbit walks, the number of states they expand:
 
     descent     _greedy_descent, on both sides of a pair
     S_3         _quotient_refutation with k = 3
@@ -46,7 +50,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STREAMS = ("conj-planted", "conj-hard", "conj-hard-n4")
+STREAMS = ("conj-planted", "conj-hard", "conj-hard-n4", "conj-long-n3")
 STAGES = ("descent", "S_3", "probe walk", "S_4", "full walk", "ladder")
 SECONDS = 15
 REPEAT = 7
@@ -109,6 +113,17 @@ def hard_pairs_n4(seconds):
     return pairs
 
 
+def long_pairs_n3():
+    # ROADMAP Baseline's long planted conjugators: x from gen_tokens(rng, 3, 8),
+    # g of exactly 14 generator letters, y = g x g^-1, under the default budget
+    rng, ops = workloads.Lcg(5), []
+    for _ in range(60):
+        x = workloads.collect(3, workloads.gen_tokens(rng, 3, 8))
+        g = workloads.collect(3, workloads.tokens_of_length(rng, 3, 14))
+        ops.append(workloads._planted_op(x, workloads.conj_elem(g, x), conj.SearchBudget()))
+    return ops
+
+
 def per_pair(x, y, budget=None, decide=conj.conjugacy):
     walks[0] = 0
     return decide(x, y, budget)
@@ -122,6 +137,8 @@ conj._orbit_expand = counted_expand
 conj.conjugacy = per_pair
 if sys.argv[2] == "conj-hard-n4":
     ops = hard_pairs_n4(int(sys.argv[3]))
+elif sys.argv[2] == "conj-long-n3":
+    ops = long_pairs_n3()
 else:
     ops = workloads.WORKLOADS[sys.argv[2]](1, int(sys.argv[3]))
 start = time.perf_counter()
@@ -201,9 +218,10 @@ def main(argv: list[str]) -> int:
             print(f"{stream}: the trees' outputs_sha256 {'agree' if agree else 'DIFFER'}")
     bench = json.loads(OUT.read_text()) if OUT.exists() else {}
     bench["what"] = (
-        f"conj.conjugacy on the conj-planted and conj-hard streams of a {SECONDS} s benchmark run "
-        "and on conj-hard's draws at rank 4 (conj-hard-n4): wall time per stage, states expanded "
-        "per orbit walk and unknown verdicts, median of fresh processes"
+        f"conj.conjugacy on the conj-planted and conj-hard streams of a {SECONDS} s benchmark run, "
+        "on conj-hard's draws at rank 4 (conj-hard-n4) and on 60 planted pairs at rank 3 with "
+        "14-letter conjugators under the default budget (conj-long-n3, Lcg(5)): wall time per "
+        "stage, states expanded per orbit walk and unknown verdicts, median of fresh processes"
     )
     bench["machine"] = {"python": platform.python_version(), "cpus": os.cpu_count(), "platform": platform.platform()}
     bench.setdefault("runs", {}).update(records)

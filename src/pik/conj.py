@@ -14,9 +14,7 @@ Verdicts are sound by construction:
   choices: the abelianization (conjugation acts trivially on it), the
   forced bottom-level free conjugacy, or the cycle type of the permutation
   an element induces on a piece {rho : rho(x_j) in C_j for every j} of
-  Hom(F_n, Q), for Q = S_3 or S_4 and classes C_j of Q.  The twisted
-  class-2 nilpotent quotient obstruction only prunes ladder candidates and
-  never produces a verdict;
+  Hom(F_n, Q), for Q = S_3 or S_4 and classes C_j of Q;
 * everything else is ``unknown`` together with the search budget, every
   bound of which `pik conj decide` takes as a flag.  The full
   twisted-conjugacy decision procedure from the literature is out of scope;
@@ -28,9 +26,10 @@ finite quotient S_4, a bidirectional conjugation walk in the generator
 metric at the budgeted radius, and the level ladder last.  The ladder
 enumerates a centralizer coset at untwisted levels and, at twisted ones,
 runs the same walk restricted to the level's generators, its own caps
-being module constants.  For planted instances the walk is complete once
-its radius covers the generator length of the planted conjugator, which
-is how the acceptance fuzz seeds its budgets.
+being module constants; it prunes no equation before walking it.  For
+planted instances the walk is complete once its radius covers the
+generator length of the planted conjugator, which is how the acceptance
+fuzz seeds its budgets.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ from .igroup import (
     imul,
     lower_part,
 )
-from .lie import lattice_from_rows
-from .magnus import magnus_expand
 from .words import (
     FreeWord,
     Token,
@@ -180,50 +177,6 @@ class ConjResult:
 # ---------------------------------------------------------------------------
 
 
-def _abel(w: FreeWord) -> list[int]:
-    v = [0] * w.rank
-    for idx, sign in decode(w.letters):
-        v[idx - 1] += sign
-    return v
-
-
-def _deg2_vector(p, nvars: int) -> list[int]:
-    monos = list(itertools.product(range(1, nvars + 1), repeat=2))
-    return [p.terms.get(m, 0) for m in monos]
-
-
-def twisted_class2_obstruction(a: FreeWord, z: FreeWord, images: tuple[FreeWord, ...]) -> bool:
-    """Solvability of the equation modulo the third lower central term.
-
-    images[l-1] is b . x_l.  Each is a conjugate of x_l, so the twist acts
-    trivially on the abelianization and the equation linearizes in the
-    abelianization of g, with the degree-2 Magnus data of the twist entering
-    through its Johnson matrix.  Exact over Z.
-
-    Kept because it costs less than the walks it saves: on conj-hard, where
-    the ladder now runs only on the two pairs that every other stage leaves
-    open, it rejects all 17 twisted equations, each of which would otherwise
-    be walked to the budget for nothing (docs/NOTES.md, "Twisted conjugacy").
-    """
-    n = a.rank
-    alpha = _abel(a)
-    pa = magnus_expand(a, 2).homogeneous(2)
-    pz = magnus_expand(z, 2).homogeneous(2)
-    rhs = [zz - aa for zz, aa in zip(_deg2_vector(pz, n), _deg2_vector(pa, n))]
-    rows = []
-    for l, image in enumerate(images, 1):
-        dev = multiply(image, invert(gen(n, l)))
-        jl = _deg2_vector(magnus_expand(dev, 2).homogeneous(2), n)
-        row = []
-        for i, jcol in enumerate(itertools.product(range(1, n + 1), repeat=2)):
-            u, v = jcol
-            # coefficient of X_u X_v in e_l (x) alpha - alpha (x) e_l
-            val = (alpha[v - 1] if u == l else 0) - (alpha[u - 1] if v == l else 0)
-            row.append(val - jl[i])
-        rows.append(row)
-    return lattice_from_rows(rows, n * n).contains(rhs)
-
-
 def _letters(rank: int) -> list[str]:
     """The one-letter words x_1, x_1^-1, x_2, ... as word strs; 2k+1 inverts 2k."""
     return [encode(((i, s),)) for i in range(1, rank + 1) for s in (1, -1)]
@@ -288,27 +241,24 @@ def _all_words(rank: int, max_len: int) -> Iterator[FreeWord]:
         frontier = nxt
 
 
-Twist = Optional[tuple[IElem, tuple[FreeWord, ...]]]
+Twist = Optional[IElem]
 
 
 def _lower_action(y: IElem, i: int) -> Twist:
-    """(b, images) for the part b of y below level i, with images[l-1] = b . y(i,l).
-
-    None when every image is its generator: then b acts as the identity.
-    """
+    """The part b of y below level i, or None when b fixes every y(i,l): then b acts as the identity."""
     b = lower_part(y, i)
-    images = tuple(act_elem(b, gen(i, l)) for l in range(1, i + 1))
-    if all(image == gen(i, l) for l, image in enumerate(images, 1)):
+    if all(act_elem(b, gen(i, l)) == gen(i, l) for l in range(1, i + 1)):
         return None
-    return b, images
+    return b
 
 
 def twisted_solutions(a: FreeWord, z: FreeWord, twist: Twist, budget: SearchBudget) -> Iterator[FreeWord]:
     """Candidate solutions of g a (b . g^-1) = z, best-effort enumeration.
 
-    twist is _lower_action's (b, images), or None for plain conjugacy.
-    TWISTED_STATES caps the twisted walk's states and the words tried when
-    every word solves.
+    twist is _lower_action's lower part b, or None for plain conjugacy.
+    A twisted equation is left to the walk at its level, which yields only
+    solutions it has re-multiplied.  TWISTED_STATES caps that walk's states
+    and the words tried when every word solves.
     """
     if twist is None:
         if a.is_identity and z.is_identity:
@@ -319,10 +269,7 @@ def twisted_solutions(a: FreeWord, z: FreeWord, twist: Twist, budget: SearchBudg
             return
         yield from _coset_solutions(g0, centralizer_root(z), budget)
         return
-    b, images = twist
-    if not twisted_class2_obstruction(a, z, images):
-        return
-    yield from _twisted_bidirectional(a, z, b, budget.max_len, TWISTED_STATES, SOLUTIONS_PER_LEVEL)
+    yield from _twisted_bidirectional(a, z, twist, budget.max_len, TWISTED_STATES, SOLUTIONS_PER_LEVEL)
 
 
 # ---------------------------------------------------------------------------

@@ -247,29 +247,10 @@ class IntLattice:
         self.dim = dim
         self.rows = rows
         self.pivot_col = pivot_col
-        self._row_at = dict(zip(pivot_col, rows))
 
     @property
     def rank(self) -> int:
         return len(self.pivot_col)
-
-    def contains(self, vec: "Sequence[int] | SparseRow") -> bool:
-        v = _sparse(vec, self.dim)
-        while v:
-            j = min(v)
-            row = self._row_at.get(j)
-            if row is None:
-                return False
-            q, rem = divmod(v[j], row[j])
-            if rem:
-                return False
-            for jj, x in row.items():
-                y = v.get(jj, 0) - q * x
-                if y:
-                    v[jj] = y
-                else:
-                    del v[jj]
-        return True
 
     def pivots(self) -> list[int]:
         return [abs(row[c]) for row, c in zip(self.rows, self.pivot_col)]

@@ -234,7 +234,8 @@ class TestIdeal:
                 for a in range(1, k + 1):
                     v = bracket(e, lie_generator(k, a))
                     if v.coords.terms:
-                        assert nxt.contains(coordinate_row(v, index, dim))
+                        row = coordinate_row(v, index, dim)
+                        assert same_lattice(nxt, lattice_from_rows(nxt.rows + [row], dim))
 
     @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3), (3, 5), (4, 4)])
     def test_rows_match_lie_brackets(self, n, max_m):
