@@ -42,6 +42,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .igroup import (
+    _SEP,
     IElem,
     _conj_steps,
     _signed_gen,
@@ -197,8 +198,8 @@ def _twisted_bidirectional(
     """
     rank = a.rank
     letters = _letters(rank)
-    roots = (a.letters,) + b.parts, (z.letters,) + b.parts
-    walk = _meet_walk(*roots, _orbit_expand(rank, rank), max_len, max_states)
+    roots = (_SEP.join((w.letters,) + b.parts) for w in (a, z))
+    walk = _meet_walk(*roots, _orbit_expand(rank, rank), _orbit_step(rank, rank), max_len, max_states)
     found: list[FreeWord] = []
     seen: set[str] = set()
     for path in itertools.chain([[]] if a == z else [], walk):
@@ -335,40 +336,52 @@ def _ladder(x: IElem, y: IElem, budget: SearchBudget) -> tuple[IElem, tuple[Leve
 # ---------------------------------------------------------------------------
 
 
-def _path(table: dict, key: tuple) -> list[int]:
-    """The step indices s_k, ..., s_1 of the steps s_1, ..., s_k that led from the root to key."""
+def _path(table: dict[str, int], state: str, step: Callable[[str, int], str]) -> list[int]:
+    """The step indices s_k, ..., s_1 of the steps s_1, ..., s_k that led from the root to state.
+
+    table[state] is the step that made state, and step k ^ 1 takes it back
+    to its parent.
+    """
     path = []
-    link = table[key]
-    while link is not None:
-        key, step = link
-        path.append(step)
-        link = table[key]
+    k = table[state]
+    while k != -1:
+        path.append(k)
+        state = step(state, k ^ 1)
+        k = table[state]
     return path
 
 
 def _meet_walk(
-    a_root: tuple,
-    b_root: tuple,
-    expand: Callable[[tuple, int], Iterable[tuple[int, tuple]]],
+    a_root: str,
+    b_root: str,
+    expand: Callable[[str, int], Iterable[tuple[int, str]]],
+    step: Callable[[str, int], str],
     radius: int,
     max_states: int,
 ) -> Iterator[list[int]]:
     """Bidirectional breadth-first search between two roots; yields each meet.
 
     expand(state, made_by) lists (k, state after step k), k increasing, for
-    the steps worth trying on a state made by step made_by (-1 at a root).
-    Step 2j+1 inverts step 2j, and no expand tries made_by ^ 1, which leads
-    back to the parent, nor a step before made_by that commutes with it
-    (_walk_steps).  Each round grows the side with the smaller frontier by
-    one depth; the caps are read only between rounds.  A meet at a state
-    reached by g from a_root and by h from b_root is yielded as the steps
-    t_1, ..., t_r of h^-1 g, which carries a_root to b_root.  Why this finds
-    what a walk trying every step finds: docs/NOTES.md.
+    the steps worth trying on a state made by step made_by (-1 at a root),
+    and step(state, k) is the state after step k alone.  Step 2j+1 inverts
+    step 2j, and no expand tries made_by ^ 1, which leads back to the
+    parent, nor a step before made_by that commutes with it (_walk_steps).
+    Each table maps a state to the step that made it, -1 at its root.  Each
+    round grows the side with the smaller frontier by one depth; the caps
+    are read only between rounds, and the round at depth radius stores only
+    its meets.  A meet at a state reached by g from a_root and by h from
+    b_root is yielded as the steps t_1, ..., t_r of h^-1 g, which carries
+    a_root to b_root.  Why this finds what a walk trying every step finds:
+    docs/NOTES.md.
     """
-    fwd: dict[tuple, Optional[tuple]] = {a_root: None}
-    bwd: dict[tuple, Optional[tuple]] = {b_root: None}
-    fwd_frontier = [(a_root, -1)]
-    bwd_frontier = [(b_root, -1)]
+    fwd = {a_root: -1}
+    bwd = {b_root: -1}
+    fwd_frontier = [a_root]
+    bwd_frontier = [b_root]
+
+    def meet(state: str) -> list[int]:
+        return [j ^ 1 for j in reversed(_path(bwd, state, step))] + _path(fwd, state, step)
+
     depth = 0
     while (
         fwd_frontier
@@ -381,15 +394,22 @@ def _meet_walk(
         frontier = fwd_frontier if fwd_side else bwd_frontier
         table = fwd if fwd_side else bwd
         other = bwd if fwd_side else fwd
+        if depth == radius:  # the last round: a state that is no meet is never read again
+            for state in frontier:
+                for k, nstate in expand(state, table[state]):
+                    if nstate in other and nstate not in table:
+                        table[nstate] = k
+                        yield meet(nstate)
+            return
         new_frontier = []
-        for state, made_by in frontier:
-            for k, nstate in expand(state, made_by):
-                link = (state, k)
-                if table.setdefault(nstate, link) is not link:
+        for state in frontier:
+            for k, nstate in expand(state, table[state]):
+                if nstate in table:
                     continue  # cross-pairs are checked at first insertion
-                new_frontier.append((nstate, k))
+                table[nstate] = k
+                new_frontier.append(nstate)
                 if nstate in other:
-                    yield [j ^ 1 for j in reversed(_path(bwd, nstate))] + _path(fwd, nstate)
+                    yield meet(nstate)
         if fwd_side:
             fwd_frontier = new_frontier
         else:
@@ -411,7 +431,7 @@ def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[
     commutes with a's: a state is first inserted by the lexicographically
     least of its shortest step words, which never has "a, then k"
     (docs/NOTES.md).  Generators y and z commute when z y z^-1 = y, which
-    the walk's kernel decides on the parts of y; imul would add to call
+    the walk's kernel decides on the state of y; imul would add to call
     counts in the first run only.  Two generators of one level never
     commute, so at low = n only a ^ 1 is left out.
     """
@@ -419,7 +439,7 @@ def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[
     steps = tuple((m, i, eps) for m, i in gens for eps in (1, -1))
     fixed = []  # fixed[g][h]: generator h conjugates generator g to itself
     for m, i in gens:
-        y = _signed_gen(n, m, i, 1)[0].parts
+        y = _SEP.join(_signed_gen(n, m, i, 1)[0].parts)
         fixed.append([c == y for c in _conj_steps(n, y, [(r, j, 1) for r, j in gens])])
     after = {}
     for a in range(-1, len(steps)):
@@ -428,15 +448,25 @@ def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[
     return after
 
 
-def _orbit_expand(n: int, low: int = 2) -> Callable[[tuple, int], Iterable[tuple[int, tuple]]]:
+def _orbit_expand(n: int, low: int = 2) -> Callable[[str, int], Iterable[tuple[int, str]]]:
     """The orbit walk's expand at rank n: a state's conjugates by the steps _walk_steps keeps."""
     after = _walk_steps(n, low)
 
-    def expand(state: tuple, made_by: int) -> Iterable[tuple[int, tuple]]:
+    def expand(state: str, made_by: int) -> Iterable[tuple[int, str]]:
         ks, steps = after[made_by]
         return zip(ks, _conj_steps(n, state, steps))
 
     return expand
+
+
+def _orbit_step(n: int, low: int = 2) -> Callable[[str, int], str]:
+    """The orbit walk's step at rank n: a state's conjugate by move k of level low and above."""
+    steps = _walk_steps(n, low)[-1][1]
+
+    def step(state: str, k: int) -> str:
+        return _conj_steps(n, state, (steps[k],))[0]
+
+    return step
 
 
 def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[IElem]:
@@ -444,10 +474,12 @@ def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[IE
 
     Complete for conjugator generator-length up to the radius (subject to the
     state cap): forward states are g x g^-1, backward states h y h^-1, and a
-    meet yields the witness h^-1 g.  States are the parts of normal forms,
-    so equal states are equal elements; the caller re-multiplies the witness.
+    meet yields the witness h^-1 g.  States are the parts of normal forms
+    joined into one str, so equal states are equal elements; the caller
+    re-multiplies the witness.
     """
-    path = next(_meet_walk(x.parts, y.parts, _orbit_expand(x.n), radius, max_states), None)
+    roots = _SEP.join(x.parts), _SEP.join(y.parts)
+    path = next(_meet_walk(*roots, _orbit_expand(x.n), _orbit_step(x.n), radius, max_states), None)
     if path is None:
         return None
     return collect(x.n, [Token("y", *_moves(x.n)[k][:3]) for k in path])

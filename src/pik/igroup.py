@@ -4,9 +4,10 @@ An element is a tuple (w_n, ..., w_2) with w_m a freely reduced word in the
 level-m free factor H_m (rank m, letter l standing for the generator
 y(m, l)).  The tuple is the normal form: elements are equal iff the tuples
 are equal componentwise.  An IElem stores each w_m as a word str of
-pik.words, the one encoding that every operation here, the orbit walk's
-kernel included, works on; part(m) views it as a rank-m FreeWord for callers
-that want the word API.
+pik.words, the one encoding that every operation here works on; the orbit
+walk's kernel takes the parts joined into one str, level n first, with the
+separator _SEP between levels.  part(m) views a part as a rank-m FreeWord
+for callers that want the word API.
 
 Levels interact by conjugation: for j < i the level-j factor normalizes the
 level-i factor.  On generators, with the left action a . w = a w a^-1,
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from . import endos
 from .endos import EndoF
@@ -43,6 +44,9 @@ from .words import (
 )
 
 Part = str
+
+# The separator of the levels in a walk state; no letter has its code.
+_SEP = "\x00"
 
 
 class IGroupError(ValueError):
@@ -234,7 +238,8 @@ def conj_elem(g: IElem, x: IElem) -> IElem:
 
 def conj_by_gen(n: int, m: int, i: int, eps: int, u: IElem) -> IElem:
     """y(m,i)^eps * u * y(m,i)^-eps: one step of the orbit walk's kernel, _conj_steps."""
-    return _raw_elem(n, _conj_steps(n, u.parts, [(m, i, eps)])[0])
+    state = _conj_steps(n, _SEP.join(u.parts), [(m, i, eps)])[0]
+    return _raw_elem(n, tuple(state.split(_SEP)))
 
 
 @functools.cache
@@ -252,53 +257,58 @@ def _kernel_tables(n: int) -> tuple[dict[tuple[int, int, int], tuple[str, str]],
     return letters, [None, None] + [_runs(m).split for m in range(2, n + 1)]
 
 
-def _conj_steps(n: int, parts: tuple[Part, ...], steps: Iterable[tuple[int, int, int]]) -> list[tuple[Part, ...]]:
-    """The parts of y(m,i)^eps u y(m,i)^-eps for each step (m, i, eps), u given by its parts.
+def _conj_steps(n: int, state: str, steps: Iterable[tuple[int, int, int]]) -> list[str]:
+    """The walk states of y(m,i)^eps u y(m,i)^-eps for each step (m, i, eps), u given by its state.
 
-    With a = y(m,i)^eps: each run r of letters of index <= m at a level above
-    m becomes a r a^-1, the level-m component becomes a (u_m P) a^-1 P^-1
-    with P = u_{m-1} ... u_max(i,2), which is how the part of u below m acts
-    on a^-1, and lower levels are untouched (docs/NOTES.md).  The levels
-    above m are split into runs, and u_m P and P^-1 built for every i, once
-    per m for all the steps given.  Each run r becomes a r a^-1 with one
-    cancellation check at each end.
+    A walk state is u's parts joined by _SEP, level n first.  With
+    a = y(m,i)^eps: each run r of letters of index <= m at a level above m
+    becomes a r a^-1, the level-m component becomes a (u_m P) a^-1 P^-1 with
+    P = u_{m-1} ... u_max(i,2), which is how the part of u below m acts on
+    a^-1, and lower levels are untouched (docs/NOTES.md).  Once per m for
+    all the steps given, u_m P and P^-1 are built for every i, the levels
+    below m are one tail slice whose length their parts give, and the levels
+    above m, if they hold a letter, are split into runs in one split, _SEP
+    being no letter.  Each run r becomes a r a^-1 with one cancellation
+    check at each end.
     """
     letters, splits = _kernel_tables(n)
-    levels: dict[int, tuple[list[tuple[int, list[str]]], list[tuple[str, str]]]] = {}
+    parts = state.split(_SEP)
+    levels: dict[int, tuple[str, Optional[list[str]], str, list[tuple[str, str]]]] = {}
     out = []
     for step in steps:
         m, i, _ = step
         got = levels.get(m)
         if got is None:
-            up = []
-            split = splits[m]
-            for k in range(n - m):
-                pieces = split(parts[k])
-                if len(pieces) > 1:
-                    up.append((k, pieces))
             w = parts[n - m]
+            low = m - 2  # the length of the tail: the levels below m and their separators
             lows = [(w, "")] * (m + 1)  # lows[i] = (u_m P, P^-1)
             p = ""
             for j in range(m - 1, 1, -1):  # P = u_{m-1} ... u_j for i = j
-                p = _join(p, parts[n - j])
-                lows[j] = (_join(w, p), _inverse(p))
+                u_j = parts[n - j]
+                if u_j:
+                    low += len(u_j)
+                    p = _join(p, u_j) if p else u_j
+                    lows[j] = (_join(w, p), _inverse(p))
+                else:
+                    lows[j] = lows[j + 1]
             lows[1] = lows[2]
-            got = levels[m] = (up, lows)
-        up, lows = got
+            end = len(state) - low  # where level m ends
+            start = end - len(w)
+            head = state[:start]
+            pieces = splits[m](head) if start > n - m else None  # None: no letter above m
+            got = levels[m] = (head, pieces, state[end:], lows)
+        word, pieces, tail, lows = got
         a, a_inv = letters[step]
-        new = list(parts)
-        for k, pieces in up:
+        if pieces:
             word = pieces[0]
             for s in range(1, len(pieces), 2):
                 r = pieces[s]
                 r = r[1:] if r[0] == a_inv else a + r
                 word += (r[:-1] if r and r[-1] == a else r + a_inv) + pieces[s + 1]
-            new[k] = word
         wp, p_inv = lows[i]
         left = wp[1:] if wp and wp[0] == a_inv else a + wp
         right = p_inv[1:] if p_inv and p_inv[0] == a else a_inv + p_inv
-        new[n - m] = _join(left, right)
-        out.append(tuple(new))
+        out.append(word + _join(left, right) + tail)
     return out
 
 

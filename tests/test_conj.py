@@ -26,6 +26,7 @@ from pik.conj import (
 from pik.endos import apply as endo_apply, automorphism
 from pik.fuzz import planted_conjugacy_case, random_gen_tokens, random_ielem
 from pik.igroup import (
+    _SEP,
     IElem,
     _conj_steps,
     abelianize,
@@ -831,12 +832,57 @@ class TestWalkPruning:
             def every(state, made_by):
                 return enumerate(_conj_steps(n, state, steps))
 
-            roots = x.parts, y.parts
-            full = list(conj_mod._meet_walk(*roots, every, 6, 10**7))
-            pruned = conj_mod._meet_walk(*roots, conj_mod._orbit_expand(n), 6, 10**7)
+            roots = _SEP.join(x.parts), _SEP.join(y.parts)
+            step = conj_mod._orbit_step(n)
+            full = list(conj_mod._meet_walk(*roots, every, step, 6, 10**7))
+            pruned = conj_mod._meet_walk(*roots, conj_mod._orbit_expand(n), step, 6, 10**7)
             assert list(pruned) == full, (x, y)
             meets += len(full)
         assert meets
+
+    def test_last_round_yields_the_same_meets(self):
+        # every meet, in order, of the walk and of one that stores every
+        # state of its last round and keeps (parent, step) links, at each
+        # radius up to 6
+        meets = 0
+        for x, y in _walk_pairs():
+            expand = conj_mod._orbit_expand(x.n)
+            roots = _SEP.join(x.parts), _SEP.join(y.parts)
+            for radius in range(1, 7):
+                stored = list(_stored_meet_walk(*roots, expand, radius))
+                got = list(conj_mod._meet_walk(*roots, expand, conj_mod._orbit_step(x.n), radius, 10**7))
+                assert got == stored, (x, y, radius)
+                meets += len(stored)
+        assert meets
+
+
+def _stored_meet_walk(a_root, b_root, expand, radius):
+    """_meet_walk with no state cap, storing every state it makes with a (parent, step) link."""
+    fwd, bwd = {a_root: None}, {b_root: None}
+
+    def path(table, state):
+        steps = []
+        while table[state] is not None:
+            state, k = table[state]
+            steps.append(k)
+        return steps
+
+    frontiers = {True: [(a_root, -1)], False: [(b_root, -1)]}
+    for _ in range(radius):
+        if not (frontiers[True] and frontiers[False]):
+            break
+        fwd_side = len(frontiers[True]) <= len(frontiers[False])
+        table, other = (fwd, bwd) if fwd_side else (bwd, fwd)
+        new_frontier = []
+        for state, made_by in frontiers[fwd_side]:
+            for k, nstate in expand(state, made_by):
+                if nstate in table:
+                    continue
+                table[nstate] = (state, k)
+                new_frontier.append((nstate, k))
+                if nstate in other:
+                    yield [j ^ 1 for j in reversed(path(bwd, nstate))] + path(fwd, nstate)
+        frontiers[fwd_side] = new_frontier
 
 
 def _pinned_stream():

@@ -253,14 +253,33 @@ class TestGroupLaws:
     @example(from_parts(4, {4: word(4, [(4, 1), (3, -1)]), 3: gen(3, 3), 2: gen(2, 1)}))
     @example(identity_elem(2))
     def test_conj_steps_is_conjugation(self, u):
-        # the walk kernel: one pass over u's parts for every step, in any order
+        # the walk kernel: one pass over u's state for every step, in any order
         steps = [(m, i, eps) for m, i in generators(u.n) for eps in (1, -1)]
-        got = igroup._conj_steps(u.n, u.parts, steps)
+        state = igroup._SEP.join(u.parts)
+        got = igroup._conj_steps(u.n, state, steps)
         assert len(got) == len(steps)
-        for (m, i, eps), conj_parts in zip(steps, got):
+        for (m, i, eps), conj_state in zip(steps, got):
             s = gen_elem(u.n, m, i) if eps > 0 else iinv(gen_elem(u.n, m, i))
-            assert conj_parts == conj_elem(s, u).parts, (m, i, eps)
-        assert igroup._conj_steps(u.n, u.parts, steps[::-1]) == got[::-1]
+            assert tuple(conj_state.split(igroup._SEP)) == conj_elem(s, u).parts, (m, i, eps)
+        assert igroup._conj_steps(u.n, state, steps[::-1]) == got[::-1]
+
+    @given(_any_ielems())
+    @example(identity_elem(2))
+    @example(from_parts(4, {4: word(4, [(1, -1), (2, 1), (4, 1), (2, 1), (1, 1)]), 3: gen(3, 1)}))
+    def test_walk_step_back_is_the_parent(self, u):
+        # a walk state is u's parts joined by _SEP; each successor splits back
+        # to the conjugate's parts, and step k ^ 1 takes it back to u's state,
+        # which is how the walk finds a parent from the step that made a state
+        n = u.n
+        state = igroup._SEP.join(u.parts)
+        assert tuple(state.split(igroup._SEP)) == u.parts
+        step = conj._orbit_step(n)
+        successors = list(conj._orbit_expand(n)(state, -1))
+        assert [k for k, _ in successors] == list(range(len(conj._moves(n))))
+        for k, succ in successors:
+            assert tuple(succ.split(igroup._SEP)) == conj_elem(conj._moves(n)[k][3], u).parts, k
+            assert step(state, k) == succ
+            assert step(succ, k ^ 1) == state, k
 
     def test_walk_form_past_code_point_255(self):
         # at n = 130 the letters of index 128..130 have code points 256..261
@@ -276,10 +295,11 @@ class TestGroupLaws:
         assert all(word(m, decode(u.parts[n - m])) == levels[m] for m in levels)
         steps = [(m, i, eps) for m in (2, 3, 128, 129, 130) for i in (1, 2, 127, 128, 129, 130)
                  if i <= m for eps in (1, -1)]
-        for (m, i, eps), conj_parts in zip(steps, igroup._conj_steps(n, u.parts, steps)):
+        state = igroup._SEP.join(u.parts)
+        for (m, i, eps), conj_state in zip(steps, igroup._conj_steps(n, state, steps)):
             s = gen_elem(n, m, i) if eps > 0 else iinv(gen_elem(n, m, i))
             v = conj_elem(s, u)
-            assert conj_parts == v.parts, (m, i, eps)
+            assert tuple(conj_state.split(igroup._SEP)) == v.parts, (m, i, eps)
             assert conj_by_gen(n, m, i, eps, u) == v
 
     def test_lower_part(self):
