@@ -8,7 +8,7 @@ Johnson Lie algebra.
 
 from .words import FreeWord, cyclic_reduce, free_conjugate, invert, multiply, parse_x_word
 from .endos import EndoF, apply, check_mccool_relations, chi, compose, y_gen
-from .magnus import NcPoly, gamma_degree, ia_degree, johnson_image, magnus_expand
+from .magnus import gamma_degree, ia_degree, johnson_image, magnus_expand
 from .igroup import IElem, abelianize, gen_elem, iinv, imul, to_endo, word_problem
 from .conj import ConjResult, SearchBudget, conjugacy
 from .lie import LieElem, bracket, lyndon_basis, witt
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FreeWord",
     "EndoF",
-    "NcPoly",
     "IElem",
     "ConjResult",
     "SearchBudget",

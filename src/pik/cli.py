@@ -396,7 +396,8 @@ def _dispatch(args) -> int:
         w = parse_x_word(args.word, args.n)
         poly = magnus.magnus_expand(w, args.maxdeg)
         terms = [
-            {"monomial": list(mono), "coeff": coeff} for mono, coeff in poly.sorted_terms()
+            {"monomial": list(mono), "coeff": poly[mono]}
+            for mono in sorted(poly, key=lambda m: (len(m), m))
         ]
         sys.stdout.write(json.dumps(terms, sort_keys=True, indent=2) + "\n")
         return 0
@@ -425,7 +426,7 @@ def _dispatch(args) -> int:
                                 "lyndon_word": list(e.lyndon[0][0]),
                                 "tensor": [
                                     {"monomial": list(mono), "coeff": c}
-                                    for mono, c in e.coords.sorted_terms()
+                                    for mono, c in sorted(e.coords.items())
                                 ],
                             }
                             for e in basis

@@ -41,11 +41,13 @@ from .lie import (
     SparseRow,
     Terms,
     Word,
+    bracket,
     bracket_word,
     coordinate_row,
     lattice_direct_sum_is_whole,
     lattice_from_rows,
     lie_from_tensor,
+    lie_generator,
     lyndon_index,
     lyndon_words,
     same_lattice,
@@ -131,6 +133,7 @@ class RelatorSet:
 def build_relators(n: int) -> RelatorSet:
     if n < 2:
         raise DecompError("need n >= 2")
+    k = alphabet_size(n)
     out: list[Relator] = []
     for r in range(2, n):
         for m in range(r + 1, n + 1):
@@ -143,10 +146,9 @@ def build_relators(n: int) -> RelatorSet:
                 for j in range(1, r + 1):
                     if j == i:
                         continue
-                    elem = pair_bracket(n, m, i, r, j).coords.sub(
-                        pair_bracket(n, m, i, m, j).coords
-                    )
-                    out.append(Relator(3, m, i, r, j, lie_from_tensor(alphabet_size(n), 2, elem)))
+                    diff = lie_from_tensor(k, 1, {(letter(n, r, j),): 1, (letter(n, m, j),): -1})
+                    elem = bracket(lie_generator(k, letter(n, m, i)), diff)
+                    out.append(Relator(3, m, i, r, j, elem))
     return RelatorSet(n, tuple(out))
 
 
@@ -358,7 +360,7 @@ def _tensor_blocks(
     n = relators.n
     rows: dict[Multidegree, list[Terms]] = {}
     for rel in relators.relators:
-        terms = rel.elem.coords.terms
+        terms = rel.elem.coords
         degrees = {_multidegree(n, w) for w in terms}
         if len(degrees) > 1:
             raise DecompError(

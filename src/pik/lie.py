@@ -1,6 +1,7 @@
-"""Free Lie algebra over Z realized inside the truncated tensor algebra.
+"""Free Lie algebra over Z realized inside the tensor algebra.
 
-Homogeneous Lie elements are stored through their tensor-algebra image; the
+Homogeneous Lie elements are stored through their tensor-algebra image, a
+term dict {monomial: coefficient} with no zero coefficient stored; the
 coordinates in the Lyndon basis are extracted by the triangular rewrite
 (the standard bracketing of a Lyndon word is the word itself plus
 lexicographically larger words).  Spans of homogeneous elements become
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Iterable, Sequence
-
-from .magnus import NcPoly
 
 Word = tuple[int, ...]
 Terms = dict[Word, int]  # a tensor polynomial: monomial -> nonzero coefficient
@@ -104,11 +103,19 @@ def _lyndon_bracket_terms(w: Word) -> tuple[tuple[Word, int], ...]:
     return tuple(sorted(p.items()))
 
 
-def lyndon_bracket(nvars: int, w: Word) -> NcPoly:
-    """Standard bracketing of a Lyndon word as a tensor polynomial."""
+def _check_letters(nvars: int, words: Iterable[Word]) -> None:
+    """Raise LieError unless every letter of words is in 1..nvars."""
+    for w in words:
+        if not all(1 <= a <= nvars for a in w):
+            raise LieError(f"monomial {w} outside 1..{nvars}")
+
+
+def lyndon_bracket(nvars: int, w: Word) -> Terms:
+    """Standard bracketing of a Lyndon word over 1..nvars as tensor terms."""
     if not is_lyndon(w):
         raise LieError(f"{w} is not a Lyndon word")
-    return NcPoly(nvars, len(w), dict(_lyndon_bracket_terms(w)))
+    _check_letters(nvars, [w])
+    return dict(_lyndon_bracket_terms(w))
 
 
 def lyndon_coordinates(degree: int, terms: Terms) -> dict[Word, int]:
@@ -142,41 +149,35 @@ def lyndon_coordinates(degree: int, terms: Terms) -> dict[Word, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LieElem:
-    """Homogeneous free-Lie element; coords is its tensor-algebra image."""
+    """Homogeneous free-Lie element; coords is its tensor-algebra image,
+    with no zero coefficient, and lyndon its sorted Lyndon coordinates."""
 
     nvars: int
     degree: int
-    coords: NcPoly
+    coords: Terms
     lyndon: tuple[tuple[Word, int], ...]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LieElem)
-            and self.nvars == other.nvars
-            and self.degree == other.degree
-            and self.coords == other.coords
-        )
 
-
-def lie_from_tensor(nvars: int, degree: int, p: NcPoly) -> LieElem:
-    """Wrap a tensor polynomial, verifying it lies in the Lie subspace."""
-    coords = lyndon_coordinates(degree, p.terms)
-    return LieElem(nvars, degree, p, tuple(sorted(coords.items())))
+def lie_from_tensor(nvars: int, degree: int, p: Terms) -> LieElem:
+    """Wrap tensor terms over 1..nvars, verifying they lie in the Lie
+    subspace; zero coefficients are dropped."""
+    terms = {w: c for w, c in p.items() if c}
+    _check_letters(nvars, terms)
+    coords = lyndon_coordinates(degree, terms)
+    return LieElem(nvars, degree, terms, tuple(sorted(coords.items())))
 
 
 def lie_generator(nvars: int, i: int) -> LieElem:
-    return lie_from_tensor(nvars, 1, NcPoly.variable(nvars, 1, i))
+    return lie_from_tensor(nvars, 1, {(i,): 1})
 
 
 def bracket(a: LieElem, b: LieElem) -> LieElem:
     """Lie bracket ab - ba in tensor coordinates; degrees add."""
     if a.nvars != b.nvars:
         raise LieError("alphabet size mismatch")
-    d = a.degree + b.degree
-    p = NcPoly(a.nvars, d, tensor_bracket(a.coords.terms, b.coords.terms))
-    return lie_from_tensor(a.nvars, d, p)
+    return lie_from_tensor(a.nvars, a.degree + b.degree, tensor_bracket(a.coords, b.coords))
 
 
 def bracket_word(nvars: int, letters: Sequence[int]) -> LieElem:
@@ -191,8 +192,7 @@ def lyndon_basis(nvars: int, m: int) -> list[LieElem]:
     """Standard-bracketed Lyndon words of degree m, in lexicographic order."""
     out = []
     for w in lyndon_words(nvars, m):
-        p = lyndon_bracket(nvars, w)
-        out.append(LieElem(nvars, m, p, ((w, 1),)))
+        out.append(LieElem(nvars, m, lyndon_bracket(nvars, w), ((w, 1),)))
     return out
 
 

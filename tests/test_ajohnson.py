@@ -45,7 +45,7 @@ def group_johnson_rows(n, c, elems):
     for e in elems:
         row = []
         for p in johnson_image(to_endo(e), c + 1, c + 2):
-            row.extend(p.terms.get(m, 0) for m in monos)
+            row.extend(p.get(m, 0) for m in monos)
         rows.append(row)
     return rows
 

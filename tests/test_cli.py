@@ -101,6 +101,33 @@ class TestSubcommands:
         assert main(["magnus", "expand", "--n", "557056", "--maxdeg", "1", "x1"]) == 2
         assert "rank must be in 1..557055" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (
+                ["magnus", "expand", "--n", "3", "--maxdeg", "5", "x1^-1 x3 x2^2 x1"],
+                "f4913d602fb126035ffccf18a1535a78615941bbe3ae1d0314fc0429a6d20e07",
+            ),
+            (
+                ["magnus", "expand", "--n", "2", "--maxdeg", "3", "x1 x2 x1^-1 x2^-1"],
+                "6ec06a1aa2f7b77e2a904de36a9ed3dedda410fae0902870f345ce21ece15dcd",
+            ),
+            (
+                ["lie", "basis", "--N", "3", "--m", "3"],
+                "780677cc1ca2aafc58a4ef2ee57ba857636c04f798f8b1ff59ee3c1a910223bf",
+            ),
+        ],
+    )
+    def test_term_order_bytes(self, capsys, args, digest):
+        # the CLI orders the terms itself: by (length, monomial) for magnus
+        # expand, and by monomial for lie basis, whose terms share one degree
+        assert main(args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_magnus_expand_maxdeg_zero(self, capsys):
+        assert main(["magnus", "expand", "--n", "2", "--maxdeg", "0", "x1"]) == 2
+        assert "maxdeg must be positive" in json.loads(capsys.readouterr().err)["error"]
+
     def test_conj_decide(self, capsys):
         code = main(
             ["conj", "decide", "--n", "3", "--budget-len", "8", "--budget-coset", "4",

@@ -314,6 +314,26 @@ def unread_methods(lib: dict[str, ast.Module], others: list[ast.Module]) -> set[
     return unread
 
 
+def _imported_modules(stem: str) -> set[str]:
+    """The pik modules that the module stem imports from."""
+    tree = ast.parse((PIK / f"{stem}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (src := _pik_module(node)) is not None:
+            found |= {src} if src else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name[4:] for alias in node.names if alias.name.startswith("pik.")}
+    return found
+
+
+def test_tensor_modules_are_independent():
+    # lie and decomp hold tensor polynomials as plain term dicts, and the
+    # Magnus expansion returns the same dicts, so neither side imports the other
+    assert "magnus" not in _imported_modules("lie")
+    assert "magnus" not in _imported_modules("decomp")
+    assert "lie" not in _imported_modules("magnus")
+
+
 def test_every_library_name_has_a_caller():
     found = uncalled()
     dead = sorted(f"{m}.{n}" for m, n in found - set(ALLOWED))
