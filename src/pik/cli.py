@@ -93,9 +93,8 @@ def check_mccool(cfg: RunConfig) -> dict:
 def check_igroup_relations(cfg: RunConfig) -> dict:
     failures = []
     count = 0
-    for label, wordstr in igroup.relation_instances(cfg.n):
+    for label, tokens in igroup.relation_instances(cfg.n):
         count += 1
-        tokens = parse_word(wordstr)
         if not igroup.word_problem(cfg.n, tokens):
             failures.append(label + " (collection)")
         if not endos.is_identity(igroup.direct_endo(cfg.n, tokens)):

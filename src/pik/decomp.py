@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .igroup import gen_index, rank_of_abelianization
+from .igroup import gen_index, rank_of_abelianization, relator_indices
 from .lie import (
     DirectSumReport,
     LieElem,
@@ -42,7 +42,6 @@ from .lie import (
     Terms,
     Word,
     bracket,
-    bracket_word,
     coordinate_row,
     lattice_direct_sum_is_whole,
     lattice_from_rows,
@@ -86,18 +85,10 @@ def upper_letters(n: int, r: int) -> list[int]:
     return out
 
 
-def pair_bracket(n: int, m: int, nu: int, r: int, l: int) -> LieElem:
-    """[y(m,nu), y(r,l)] as a degree-2 Lie element over the flat alphabet."""
-    k = alphabet_size(n)
-    return bracket_word(k, [letter(n, m, nu), letter(n, r, l)])
-
-
 # ---------------------------------------------------------------------------
-# The relator set: all degree-2 elements
-#   (1) [y(m,i), y(r,i)]                     2 <= r < m <= n, i <= r
-#   (2) [y(m,i), y(r,j)]                     2 <= r < i <= m <= n, j <= r
-#   (3) [y(m,i), y(r,j)] - [y(m,i), y(m,j)]  2 <= r < m <= n, i <= r,
-#                                            j <= r, j != i
+# The relator set: one degree-2 Lie element for each (kind, m, i, r, j) of
+# pik.igroup.relator_indices, which defines the three families.  Each is one
+# bracket, [y(m,i), y(r,j)], or [y(m,i), y(r,j) - y(m,j)] for kind 3.
 # ---------------------------------------------------------------------------
 
 
@@ -135,20 +126,12 @@ def build_relators(n: int) -> RelatorSet:
         raise DecompError("need n >= 2")
     k = alphabet_size(n)
     out: list[Relator] = []
-    for r in range(2, n):
-        for m in range(r + 1, n + 1):
-            for i in range(1, r + 1):
-                out.append(Relator(1, m, i, r, i, pair_bracket(n, m, i, r, i)))
-            for i in range(r + 1, m + 1):
-                for j in range(1, r + 1):
-                    out.append(Relator(2, m, i, r, j, pair_bracket(n, m, i, r, j)))
-            for i in range(1, r + 1):
-                for j in range(1, r + 1):
-                    if j == i:
-                        continue
-                    diff = lie_from_tensor(k, 1, {(letter(n, r, j),): 1, (letter(n, m, j),): -1})
-                    elem = bracket(lie_generator(k, letter(n, m, i)), diff)
-                    out.append(Relator(3, m, i, r, j, elem))
+    for kind, m, i, r, j in relator_indices(n):
+        right = {(letter(n, r, j),): 1}
+        if kind == 3:
+            right[(letter(n, m, j),)] = -1
+        elem = bracket(lie_generator(k, letter(n, m, i)), lie_from_tensor(k, 1, right))
+        out.append(Relator(kind, m, i, r, j, elem))
     return RelatorSet(n, tuple(out))
 
 

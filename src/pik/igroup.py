@@ -410,36 +410,45 @@ def format_ielem(a: IElem) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Defining relation instances (used by tests and the verification driver):
-#   (1) [y(m,i), y(r,i)] = 1           2 <= r < m <= n, i <= r
-#   (2) [y(m,i), y(r,j)] = 1           2 <= r < i <= m <= n, 1 <= j <= r
-#   (3) [y(m,i), y(r,j)] = [y(m,i), y(m,j)]
-#                                      2 <= r < m <= n, i <= r, j <= r, j != i
+# The defining relators of the presentation.  relator_indices is the one
+# place the three families are written down; relation_instances builds
+# their group words from it, and pik.decomp.build_relators their Lie
+# relators.
 # ---------------------------------------------------------------------------
 
 
-def relation_instances(n: int) -> list[tuple[str, str]]:
-    """(label, word) pairs, each word trivial in the group."""
+def relator_indices(n: int) -> list[tuple[int, int, int, int, int]]:
+    """(kind, m, i, r, j) of each defining relator of I_n, where [a, b] = a^-1 b^-1 a b:
+
+      (1) [y(m,i), y(r,i)] = 1                  2 <= r < m <= n, i <= r  (j = i)
+      (2) [y(m,i), y(r,j)] = 1                  2 <= r < i <= m <= n, 1 <= j <= r
+      (3) [y(m,i), y(r,j)] = [y(m,i), y(m,j)]   2 <= r < m <= n, i <= r, j <= r, j != i
+
+    Ordered by r, then m; for each (r, m) kind 1 by i, then kind 2 and kind 3
+    by i, then j.
+    """
     out = []
     for r in range(2, n):
         for m in range(r + 1, n + 1):
-            for i in range(1, r + 1):
-                out.append(
-                    (f"(1) m={m} r={r} i={i}", f"y({m},{i})^-1 y({r},{i})^-1 y({m},{i}) y({r},{i})")
-                )
-            for i in range(r + 1, m + 1):
-                for j in range(1, r + 1):
-                    out.append(
-                        (
-                            f"(2) m={m} r={r} i={i} j={j}",
-                            f"y({m},{i})^-1 y({r},{j})^-1 y({m},{i}) y({r},{j})",
-                        )
-                    )
-            for i in range(1, r + 1):
-                for j in range(1, r + 1):
-                    if j == i:
-                        continue
-                    com1 = f"y({m},{i})^-1 y({r},{j})^-1 y({m},{i}) y({r},{j})"
-                    com2inv = f"y({m},{j})^-1 y({m},{i})^-1 y({m},{j}) y({m},{i})"
-                    out.append((f"(3) m={m} r={r} i={i} j={j}", f"{com1} {com2inv}"))
+            out.extend((1, m, i, r, i) for i in range(1, r + 1))
+            out.extend((2, m, i, r, j) for i in range(r + 1, m + 1) for j in range(1, r + 1))
+            out.extend((3, m, i, r, j) for i in range(1, r + 1) for j in range(1, r + 1) if j != i)
+    return out
+
+
+def _commutator_tokens(m: int, i: int, r: int, j: int) -> list[Token]:
+    """[y(m,i), y(r,j)] = y(m,i)^-1 y(r,j)^-1 y(m,i) y(r,j)."""
+    return [Token("y", m, i, -1), Token("y", r, j, -1), Token("y", m, i, 1), Token("y", r, j, 1)]
+
+
+def relation_instances(n: int) -> list[tuple[str, list[Token]]]:
+    """(label, tokens) of each relator of relator_indices(n), each word
+    trivial in the group: kind 3 is [y(m,i), y(r,j)] [y(m,j), y(m,i)]."""
+    out = []
+    for kind, m, i, r, j in relator_indices(n):
+        label = f"({kind}) m={m} r={r} i={i}" if kind == 1 else f"({kind}) m={m} r={r} i={i} j={j}"
+        tokens = _commutator_tokens(m, i, r, j)
+        if kind == 3:
+            tokens += _commutator_tokens(m, j, m, i)
+        out.append((label, tokens))
     return out

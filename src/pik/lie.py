@@ -180,14 +180,6 @@ def bracket(a: LieElem, b: LieElem) -> LieElem:
     return lie_from_tensor(a.nvars, a.degree + b.degree, tensor_bracket(a.coords, b.coords))
 
 
-def bracket_word(nvars: int, letters: Sequence[int]) -> LieElem:
-    """Left-normed bracket [y_{l1}, y_{l2}, ..., y_{lk}] of generators."""
-    acc = lie_generator(nvars, letters[0])
-    for l in letters[1:]:
-        acc = bracket(acc, lie_generator(nvars, l))
-    return acc
-
-
 def lyndon_basis(nvars: int, m: int) -> list[LieElem]:
     """Standard-bracketed Lyndon words of degree m, in lexicographic order."""
     out = []

@@ -37,6 +37,11 @@ def _letter_series(D: int, idx: int, sign: int) -> Terms:
     return terms
 
 
+def _check_maxdeg(D: int) -> None:
+    if D < 1:
+        raise MagnusError(f"maxdeg must be positive, got {D}")
+
+
 def _bump(out: Terms, mono: Monomial, c: int) -> None:
     acc = out.get(mono, 0) + c
     if acc:
@@ -52,8 +57,7 @@ def magnus_expand(w: FreeWord, D: int) -> Terms:
     p (1 + X_i)^-1 adds the runs -p X_i + p X_i^2 - ... up to degree D (see
     docs/NOTES.md).  No generic product is formed.
     """
-    if D < 1:
-        raise MagnusError(f"maxdeg must be positive, got {D}")
+    _check_maxdeg(D)
     terms: Terms = {(): 1}
     for idx, sign in decode(w.letters):
         out = dict(terms)
@@ -85,6 +89,7 @@ def gamma_degree(w: FreeWord, D: int) -> int:
     identity word is exact (it lies in every term of the series), every other
     word only bounded.  For c <= D the value is the exact lower-central depth.
     """
+    _check_maxdeg(D)
     if w.is_identity:
         return D + 1
     d = _depth(magnus_expand(w, D))
@@ -106,6 +111,7 @@ def ia_degree(f: EndoF, D: int) -> int:
     A return of D + 1 means "at least D+1".  Raises NotIAError when some
     deviation has depth 1, i.e. f acts nontrivially on the abelianization.
     """
+    _check_maxdeg(D)
     deg = D + 1
     for dw in _deviations(f):
         d = gamma_degree(dw, D)
@@ -115,18 +121,19 @@ def ia_degree(f: EndoF, D: int) -> int:
     return deg
 
 
-def johnson_image(f: EndoF, c: int, D: int) -> tuple[Terms, ...]:
+def johnson_image(f: EndoF, c: int) -> tuple[Terms, ...]:
     """Degree-c homogeneous parts of the expansions of all f(x_i) x_i^-1.
 
-    Requires f to fix F/gamma_c, i.e. ia_degree(f, D) >= c; the image then
-    determines f modulo the (c+1)-st filtration term and is additive on
-    compositions at that level.  Each deviation is expanded once, truncated
-    at degree c: truncation is a ring map, so the parts of degree <= c, and
-    with them the level test, are those of the degree-D expansion.
+    Requires f to fix F/gamma_c, i.e. ia_degree(f, D) >= c for any D >= c;
+    the image then determines f modulo the (c+1)-st filtration term and is
+    additive on compositions at that level.  Each deviation is expanded
+    once, truncated at degree c: truncation is a ring map, so the parts of
+    degree <= c, and with them the level test, are those of any deeper
+    expansion.
     """
-    if not c < D:
-        raise MagnusError(f"need c < D, got c={c}, D={D}")
-    expansions = [magnus_expand(dw, max(c, 1)) for dw in _deviations(f)]
+    if c < 1:
+        raise MagnusError(f"need c >= 1, got {c}")
+    expansions = [magnus_expand(dw, c) for dw in _deviations(f)]
     depths = [_depth(p) for p in expansions]
     if 1 in depths:
         raise NotIAError("endomorphism is not an IA automorphism")

@@ -12,7 +12,6 @@ from pik import ajohnson, conj, decomp, endos, fuzz, igroup, lie
 from pik.conj import SearchBudget
 from pik.igroup import abelianize, collect, conj_elem, direct_endo, to_endo, word_problem
 from pik.prng import Lcg
-from pik.words import parse_word
 
 
 def report(num: int, name: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -32,8 +31,7 @@ def test_02_presentation_relations():
     t0 = time.perf_counter()
     ok = True
     for n in range(3, 6):
-        for label, rel in igroup.relation_instances(n):
-            toks = parse_word(rel)
+        for label, toks in igroup.relation_instances(n):
             if not word_problem(n, toks):
                 ok = False
             if not endos.is_identity(direct_endo(n, toks)):

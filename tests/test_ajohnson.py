@@ -44,7 +44,7 @@ def group_johnson_rows(n, c, elems):
     rows = []
     for e in elems:
         row = []
-        for p in johnson_image(to_endo(e), c + 1, c + 2):
+        for p in johnson_image(to_endo(e), c + 1):
             row.extend(p.get(m, 0) for m in monos)
         rows.append(row)
     return rows

@@ -17,12 +17,12 @@ from pik.decomp import (
     ideal_rows_by_degree,
     letter,
     level_letters,
-    pair_bracket,
     upper_letters,
     verify_psi_automorphism,
     verify_theorem_th1,
     verify_tilde_T,
 )
+from pik.igroup import relation_instances, relator_indices
 from pik.lie import (
     bracket,
     coordinate_row,
@@ -36,6 +36,7 @@ from pik.lie import (
     tensor_bracket,
     witt,
 )
+from pik.words import Token, tokens_to_letters, word
 
 
 def added(a, b, k=1):
@@ -44,6 +45,12 @@ def added(a, b, k=1):
     for w, c in b.items():
         out[w] = out.get(w, 0) + k * c
     return {w: c for w, c in out.items() if c}
+
+
+def pair(n, m, nu, r, l):
+    """[y(m,nu), y(r,l)] over the flat alphabet."""
+    k = alphabet_size(n)
+    return bracket(lie_generator(k, letter(n, m, nu)), lie_generator(k, letter(n, r, l)))
 
 
 def lie_ideal_rows(relators, max_m):
@@ -131,6 +138,19 @@ def lyndon_lattice(elems, k, m):
     return lattice_from_rows([coordinate_row(e, index, dim) for e in elems if e.coords], dim)
 
 
+def instance_index(label, tokens):
+    """(kind, m, i, r, j) of a relation instance, read off its word
+    [y(m,i), y(r,j)], followed for kind 3 by [y(m,j), y(m,i)]."""
+
+    def comm(a, b):
+        return [Token("y", *a, -1), Token("y", *b, -1), Token("y", *a, 1), Token("y", *b, 1)]
+
+    kind = int(label[1])
+    (m, i), (r, j) = [(t.a, t.b) for t in tokens[:2]]
+    assert tokens == comm((m, i), (r, j)) + (comm((m, j), (m, i)) if kind == 3 else []), label
+    return kind, m, i, r, j
+
+
 def brute_relator_index_sets(n):
     """Oracle: enumerate the three families straight from their side conditions."""
     ones, twos, threes = set(), set(), set()
@@ -173,20 +193,29 @@ class TestRelators:
         assert [len(rels.of_kind(k)) for k in (1, 2, 3)] == [2, 2, 2]
 
     def test_counts_against_brute_force(self):
-        for n in (3, 4, 5):
-            ones, twos, threes = brute_relator_index_sets(n)
-            rels = build_relators(n)
-            assert {(r.m, r.i, r.r, r.j) for r in rels.of_kind(1)} == ones
-            assert {(r.m, r.i, r.r, r.j) for r in rels.of_kind(2)} == twos
-            assert {(r.m, r.i, r.r, r.j) for r in rels.of_kind(3)} == threes
+        # the enumerator, the Lie relators and the group words all list the
+        # oracle's index sets, once each and in the same order
+        for n in range(2, 7):
+            families = brute_relator_index_sets(n)
+            indices = relator_indices(n)
+            assert len(set(indices)) == len(indices) == sum(map(len, families)), n
+            for kind, want in enumerate(families, 1):
+                assert {t[1:] for t in indices if t[0] == kind} == want, (n, kind)
+            rels = build_relators(n).relators
+            assert [(r.kind, r.m, r.i, r.r, r.j) for r in rels] == indices, n
+            assert [instance_index(label, tokens) for label, tokens in relation_instances(n)] == indices, n
 
     def test_empty_for_n2(self):
         assert build_relators(2).relators == ()
 
     def test_span_rank(self):
-        rels = build_relators(3)
-        lat = lyndon_lattice([rel.elem for rel in rels.relators], 5, 2)
-        assert lat.rank == 6 == witt(5, 2) - witt(2, 2) - witt(3, 2)
+        # no relator is redundant: their count is the rank of their span,
+        # which is that of L^2 less the within-level pairs
+        for n in range(3, 7):
+            rels = build_relators(n).relators
+            k = alphabet_size(n)
+            lat = lyndon_lattice([rel.elem for rel in rels], k, 2)
+            assert lat.rank == len(rels) == witt(k, 2) - sum(witt(i, 2) for i in range(2, n + 1)), n
 
     def test_all_degree_two(self):
         for rel in build_relators(4).relators:
@@ -203,13 +232,13 @@ class TestPsi:
     F1, F2 or F3 with (m, i, j) = (m, nu, l)."""
 
     def test_f1(self):
-        assert relator(3, 1, 3, 1, 2, 1).elem == pair_bracket(3, 3, 1, 2, 1)
+        assert relator(3, 1, 3, 1, 2, 1).elem == pair(3, 3, 1, 2, 1)
 
     def test_f2(self):
-        assert relator(3, 2, 3, 3, 2, 1).elem == pair_bracket(3, 3, 3, 2, 1)
+        assert relator(3, 2, 3, 3, 2, 1).elem == pair(3, 3, 3, 2, 1)
 
     def test_f3(self):
-        want = added(pair_bracket(3, 3, 1, 2, 2).coords, pair_bracket(3, 3, 1, 3, 2).coords, -1)
+        want = added(pair(3, 3, 1, 2, 2).coords, pair(3, 3, 1, 3, 2).coords, -1)
         assert relator(3, 3, 3, 1, 2, 2).elem.coords == want
 
     def test_domain_covers_pairs(self):
@@ -380,7 +409,7 @@ class TestAgainstStackedLattice:
         # (e_1 + e_3) has no block of its own, and is refused by name
         rels = build_relators(n)
         victim = rels.of_kind(3)[0]
-        mixed = lie_from_tensor(alphabet_size(n), 2, added(victim.elem.coords, pair_bracket(n, 2, 1, 3, 3).coords))
+        mixed = lie_from_tensor(alphabet_size(n), 2, added(victim.elem.coords, pair(n, 2, 1, 3, 3).coords))
         swapped = RelatorSet(n, tuple(replace(rel, elem=mixed) if rel is victim else rel for rel in rels.relators))
         named = rf"kind 3 \(m={victim.m}, i={victim.i}, r={victim.r}, j={victim.j}\)"
         with pytest.raises(DecompError, match=named):
@@ -391,7 +420,7 @@ class TestAgainstStackedLattice:
     @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
     def test_extra_within_level_pair(self, n, max_m):
         rels = build_relators(n)
-        extra = Relator(1, n, 1, n, 2, pair_bracket(n, n, 1, n, 2))
+        extra = Relator(1, n, 1, n, 2, pair(n, n, 1, n, 2))
         first = self.check(n, max_m, RelatorSet(n, rels.relators + (extra,)))
         assert first["rank_sum"] == first["rank_total"] + 1 and first["snf_ones"]
 
@@ -546,16 +575,14 @@ class TestPresentation:
         # at lower-central depth exactly 2 and their degree-2 Magnus part is
         # the corresponding Lie relator
         from pik.magnus import gamma_degree, magnus_expand
-        from pik.words import commutator, gen, invert, multiply
 
         k = alphabet_size(n)
-        for rel in build_relators(n).relators:
-            ym = gen(k, letter(n, rel.m, rel.i))
-            yr = gen(k, letter(n, rel.r, rel.j))
-            word = commutator(ym, yr)
-            if rel.kind == 3:
-                ymj = gen(k, letter(n, rel.m, rel.j))
-                word = multiply(word, invert(commutator(ym, ymj)))
-            assert gamma_degree(word, 4) == 2, rel
-            deg2 = {w: c for w, c in magnus_expand(word, 2).items() if len(w) == 2}
+        instances = relation_instances(n)
+        relators = build_relators(n).relators
+        assert len(instances) == len(relators)
+        for (label, tokens), rel in zip(instances, relators):
+            assert instance_index(label, tokens) == (rel.kind, rel.m, rel.i, rel.r, rel.j), label
+            w = word(k, tokens_to_letters(tokens, lambda t: letter(n, t.a, t.b)))
+            assert gamma_degree(w, 4) == 2, rel
+            deg2 = {mono: c for mono, c in magnus_expand(w, 2).items() if len(mono) == 2}
             assert deg2 == rel.elem.coords, rel

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -397,10 +399,30 @@ class TestCollection:
 
     def test_relations_collapse(self):
         for n in (3, 4):
-            for label, rel in relation_instances(n):
-                toks = parse_word(rel)
+            for label, toks in relation_instances(n):
                 assert word_problem(n, toks), label
                 assert is_identity(direct_endo(n, toks)), label
+
+    @pytest.mark.parametrize(
+        "n,count,sha",
+        [
+            (3, 6, "ed7840181a60fb1d9012b7f3bd6fa404e40bad16d75da735118e0575396609a0"),
+            (4, 26, "2838397f442dec427ec98373048c20011f8b6cf72066b7e64ecbd5e0ff923848"),
+            (5, 71, "9c44bacf76229f89c61956116dd012ca534a3d4846d42dfe5d2a4c7977a5dcf5"),
+            (6, 155, "cf0dda826f9825fdcbc909eca7f341e50e5f43f6d7baa5533aaa8941e8451c6f"),
+            (7, 295, "d31376e5ead79da7afd339ced63032b02963bf9ff95f83361fe31dc003b86b6e"),
+        ],
+    )
+    def test_relation_instances_are_pinned(self, n, count, sha):
+        # each instance printed as "label<TAB>word", one a line, in order
+        def show(tokens):
+            assert all(t.kind == "y" and abs(t.exp) == 1 for t in tokens)
+            return " ".join(f"y({t.a},{t.b})" + ("^-1" if t.exp < 0 else "") for t in tokens)
+
+        instances = relation_instances(n)
+        lines = "\n".join(f"{label}\t{show(tokens)}" for label, tokens in instances)
+        assert len(instances) == count
+        assert hashlib.sha256(lines.encode()).hexdigest() == sha
 
     def test_word_problem_nontrivial(self):
         assert not word_problem(3, "y(2,1)")

@@ -30,6 +30,7 @@ such as recursion, do not count.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -332,6 +333,21 @@ def test_tensor_modules_are_independent():
     assert "magnus" not in _imported_modules("lie")
     assert "magnus" not in _imported_modules("decomp")
     assert "lie" not in _imported_modules("magnus")
+
+
+def test_tracer_layers_resolve():
+    # the benchmark's tracer wraps pik functions by name, so a renamed or
+    # deleted one would only show when a traced run starts
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    (layers,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS"
+    ]
+    named = [(layer, fn) for layer, fns in ast.literal_eval(layers).items() for fn in fns]
+    assert named
+    missing = [f"{layer}.{fn}" for layer, fn in named if not hasattr(importlib.import_module(f"pik.{layer}"), fn)]
+    assert not missing, f"bench/tracer.py LAYERS names what pik does not define: {', '.join(missing)}"
 
 
 def test_every_library_name_has_a_caller():

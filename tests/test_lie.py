@@ -7,7 +7,6 @@ from pik.lie import (
     LieError,
     NotLieElement,
     bracket,
-    bracket_word,
     is_lyndon,
     lattice_direct_sum_is_whole,
     lattice_from_rows,
@@ -133,8 +132,9 @@ class TestBracketing:
         assert total == {}
 
     def test_degree_additivity(self):
-        a = bracket_word(2, [1, 2])
-        b = bracket_word(2, [1, 2, 2])
+        y1, y2 = lie_generator(2, 1), lie_generator(2, 2)
+        a = bracket(y1, y2)
+        b = bracket(a, y2)
         assert bracket(a, b).degree == 5
 
 
@@ -380,7 +380,8 @@ class TestGradedLattices:
 
     def test_equal_spans(self):
         basis = lyndon_basis(2, 3)
-        left_normed = [bracket_word(2, [1, 2, 2]), bracket_word(2, [1, 2, 1])]
+        y12 = bracket(lie_generator(2, 1), lie_generator(2, 2))
+        left_normed = [bracket(y12, lie_generator(2, 2)), bracket(y12, lie_generator(2, 1))]
         words = lyndon_words(2, 3)
         lat1 = lattice_from_rows(scattered(basis, words), len(words))
         lat2 = lattice_from_rows(scattered(left_normed, words), len(words))
@@ -389,7 +390,8 @@ class TestGradedLattices:
     def test_blocks_rank_apart(self):
         # the Lyndon words (1,1,2) and (1,2,2) in blocks of their own: each
         # block's rows, read at its words, have the rank they have together
-        a, b = bracket_word(2, [1, 2, 1]), bracket_word(2, [1, 2, 2])
+        y12 = bracket(lie_generator(2, 1), lie_generator(2, 2))
+        a, b = bracket(y12, lie_generator(2, 1)), bracket(y12, lie_generator(2, 2))
         split = [[(1, 1, 2)], [(1, 2, 2)]]
         ranks = [lattice_from_rows(scattered([e], words), 1).rank for e, words in zip((a, b), split)]
         assert ranks == [1, 1]

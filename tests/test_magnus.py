@@ -81,6 +81,11 @@ class TestMagnusExpand:
     def test_rejects_maxdeg_below_one(self, D):
         with pytest.raises(MagnusError, match="maxdeg must be positive"):
             magnus_expand(w("x1"), D)
+        # the identity word and the identity map are refused before any shortcut
+        with pytest.raises(MagnusError, match="maxdeg must be positive"):
+            gamma_degree(word(2, []), D - 2)
+        with pytest.raises(MagnusError, match="maxdeg must be positive"):
+            ia_degree(identity_endo(3), D)
 
     @given(LETTERS3, st.integers(1, 5))
     @example([], 3)
@@ -211,38 +216,43 @@ class TestIaDegree:
 
 class TestJohnson:
     def test_partial_conjugation_image(self):
-        ji = johnson_image(y_gen(3, 2, 1), 2, 4)
+        ji = johnson_image(y_gen(3, 2, 1), 2)
         assert ji[0] == ji[2] == {}
         assert ji[1] == {(2, 1): 1, (1, 2): -1}
 
     def test_identity_image_zero(self):
-        ji = johnson_image(identity_endo(3), 2, 4)
+        ji = johnson_image(identity_endo(3), 2)
         assert all(p == {} for p in ji)
 
     def test_inner_image(self):
-        ji = johnson_image(tau(gen(2, 1)), 2, 4)
+        ji = johnson_image(tau(gen(2, 1)), 2)
         assert ji[0] == {}
         assert ji[1] == {(1, 2): 1, (2, 1): -1}
 
     def test_precondition(self):
         with pytest.raises(NotIAError):
-            johnson_image(tau(gen(2, 1)), 3, 5)  # tau_x1 is only at level 2
+            johnson_image(tau(gen(2, 1)), 3)  # tau_x1 is only at level 2
 
     def test_below_level_rejected(self):
         with pytest.raises(NotIAError, match="filtration level 3"):
-            johnson_image(y_gen(3, 3, 1), 3, 5)  # a generator sits at level 2
+            johnson_image(y_gen(3, 3, 1), 3)  # a generator sits at level 2
 
     def test_non_ia_rejected(self):
         from pik.endos import EndoF
 
         transvection = EndoF(3, (w("x1 x2", 3), w("x2", 3), w("x3", 3)))
-        for c, D in ((1, 3), (2, 4), (3, 5)):
+        for c in (1, 2, 3):
             with pytest.raises(NotIAError, match="not an IA automorphism"):
-                johnson_image(transvection, c, D)
+                johnson_image(transvection, c)
+
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_rejects_level_below_one(self, c):
+        with pytest.raises(MagnusError, match="need c >= 1"):
+            johnson_image(identity_endo(3), c)
 
     def test_equals_truncated_homogeneous_part(self):
         # johnson_image expands at degree c; it must agree with the degree-c
-        # part of the degree-D expansion
+        # part of the expansion at every deeper degree D
         from pik.ajohnson import left_normed
         from pik.igroup import commutator_elem, gen_elem, generators, to_endo
         from pik.magnus import _deviations
@@ -251,7 +261,7 @@ class TestJohnson:
             gens = [gen_elem(n, m, i) for (m, i) in generators(n)]
             for e in left_normed(gens, c - 1, commutator_elem):
                 f = to_endo(e)
-                got = johnson_image(f, c, D)
+                got = johnson_image(f, c)
                 want = tuple(
                     {m: v for m, v in magnus_expand(dw, D).items() if len(m) == c} for dw in _deviations(f)
                 )
@@ -265,11 +275,11 @@ class TestJohnson:
                 out[m] = out.get(m, 0) + c
             return {m: c for m, c in out.items() if c}
 
-        def additive(f, g, c, D):
-            lhs = johnson_image(compose(f, g), c, D)
-            pairs = zip(lhs, johnson_image(f, c, D), johnson_image(g, c, D))
+        def additive(f, g, c):
+            lhs = johnson_image(compose(f, g), c)
+            pairs = zip(lhs, johnson_image(f, c), johnson_image(g, c))
             return all(l == add(a, b) for l, a, b in pairs)
 
-        assert additive(y_gen(3, 2, 1), y_gen(3, 3, 2), 2, 4)
+        assert additive(y_gen(3, 2, 1), y_gen(3, 3, 2), 2)
         h = compose(y_gen(4, 4, 1), y_gen(4, 2, 2))
-        assert additive(h, y_gen(4, 3, 3), 2, 4)
+        assert additive(h, y_gen(4, 3, 3), 2)
