@@ -3,12 +3,11 @@
 
 Each Th1 case (n, m) runs ``decomp.verify_theorem_th1(n, m)``, and each
 l1_rank case (n, c) runs ``ajohnson.l1_rank(n, c, c + 2)`` and checks it
-against the sum of the per-level Witt ranks.  Every run is a fresh Python
-process, so no cache survives from one run to the next.  The child reports
-the wall time of the call and its peak RSS (``ru_maxrss``, which includes
-the interpreter and numpy).  The record for a label is the median of
-REPEAT runs for each case, next to the raw runs, keyed "n,m" for Th1 and
-"l1_rank n,c" for l1_rank.
+against the sum of the per-level Witt ranks.  ``timing.py`` runs each case
+REPEAT times per tree.  The child reports the wall time of the call and its
+peak RSS (``ru_maxrss``, which includes the interpreter and numpy).  The
+record for a label is the median of the runs for each case, next to the raw
+runs, keyed "n,m" for Th1 and "l1_rank n,c" for l1_rank.
 
 The child caps its own address space at AS_LIMIT bytes, so a case that
 needs more fails with a MemoryError instead of pushing the machine out of
@@ -16,27 +15,13 @@ memory.  A run that does not exit 0 is recorded by its exit status in
 "runs_exit" (a negative status is the signal that killed it), and the
 medians are taken over the runs that completed; a case with none has no
 medians.  A run that completes with a wrong answer stops the script.
-
-Give each tree to compare as LABEL=SRC; the runs alternate between the
-trees, starting with a different one at each repeat, so drift in the
-machine's speed falls on all of them alike:
-
-    python scripts/th1_timings.py --tree before=../old/src --tree after=src
-
-With no --tree the checkout's own src is timed as "after".  Each label
-replaces its own record in BENCH_th1.json and keeps the others.
 """
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import timing
+
 CASES = (
     ("th1", 3, 6),
     ("th1", 4, 4),
@@ -51,13 +36,13 @@ CASES = (
     ("l1_rank", 5, 3),
 )
 REPEAT = 3
-OUT = ROOT / "BENCH_th1.json"
+OUT = "BENCH_th1.json"
 AS_LIMIT = 4 << 30
 
 CHILD = f"""
 import json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT}))
-import numpy, pik
+import pik
 from pik.ajohnson import l1_rank
 from pik.decomp import verify_theorem_th1
 from pik.lie import witt
@@ -69,49 +54,22 @@ else:
     ok = l1_rank(n, m, m + 2) == sum(witt(i, m) for i in range(2, n + 1))
 wall = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-out = {{"pik": pik.__file__, "numpy": numpy.__version__, "ok": ok, "wall_s": wall, "peak_rss_mb": rss}}
-print(json.dumps(out))
+print(json.dumps({{"pik": pik.__file__, "ok": ok, "wall_s": wall, "peak_rss_mb": rss}}))
 """
 
 
-def run_case(src: Path, kind: str, n: int, m: int) -> dict:
-    """The child's report, or {"exit": status} if it did not exit 0."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", CHILD, kind, str(n), str(m)], env=env, capture_output=True, text=True)
-    if out.returncode:
-        return {"exit": out.returncode}
-    got = json.loads(out.stdout)
-    if not Path(got["pik"]).resolve().is_relative_to(src):
-        raise SystemExit(f"the child imported pik from outside {src}")
-    return got
-
-
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", action="append", metavar="LABEL=SRC", help="a labelled pik source tree")
-    args = parser.parse_args(argv[1:])
-    trees = {}
-    for spec in args.tree or [f"after={ROOT / 'src'}"]:
-        label, sep, src = spec.partition("=")
-        if not (sep and label and label not in trees and (Path(src) / "pik" / "decomp.py").is_file()):
-            parser.error(f"--tree wants a new LABEL=SRC with a pik package under SRC, got {spec!r}")
-        trees[label] = Path(src).resolve()
+    trees = timing.trees(argv, __doc__)
     records = {label: {} for label in trees}
-    numpy_version = None
     for kind, n, m in CASES:
         key = f"{n},{m}" if kind == "th1" else f"{kind} {n},{m}"
-        runs = {label: [] for label in trees}
-        for r in range(REPEAT):
-            labels = list(trees)[r % len(trees) :] + list(trees)[: r % len(trees)]
-            for label in labels:
-                runs[label].append(run_case(trees[label], kind, n, m))
+        runs = timing.alternate(trees, REPEAT, timing.run, CHILD, kind, n, m)
         for label, got in runs.items():
             done = [g for g in got if "exit" not in g]
             if not all(g["ok"] for g in done):
                 raise SystemExit(f"{kind} failed at ({n},{m}) on {label}")
             case = records[label][key] = {"runs_exit": [g.get("exit", 0) for g in got]}
             if done:
-                numpy_version = done[0]["numpy"]
                 case.update(
                     wall_s=round(statistics.median(g["wall_s"] for g in done), 4),
                     peak_rss_mb=round(statistics.median(g["peak_rss_mb"] for g in done), 1),
@@ -122,19 +80,11 @@ def main(argv: list[str]) -> int:
             else:
                 summary = "no run completed"
             print(f"{label}: {kind} ({n},{m}) {summary}, exits {case['runs_exit']}")
-    bench = json.loads(OUT.read_text()) if OUT.exists() else {}
-    bench["what"] = (
+    what = (
         "verify_theorem_th1(n, m) (keys n,m) and l1_rank(n, c, c + 2) (keys l1_rank n,c) "
         "wall time and peak RSS, median of fresh processes"
     )
-    bench["machine"] = {
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "cpus": os.cpu_count(),
-        "platform": platform.platform(),
-    }
-    bench.setdefault("runs", {}).update(records)
-    OUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    timing.write_bench(OUT, what, records)
     return 0
 
 

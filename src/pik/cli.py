@@ -11,6 +11,7 @@ more workers than checks or CPUs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -217,30 +218,26 @@ def pool_size(raw: Optional[str], cpus: Optional[int]) -> int:
 
 def cmd_verify_all(cfg: RunConfig) -> int:
     threads = pool_size(os.environ.get("PIK_THREADS"), os.cpu_count())
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    try:  # an --out that cannot be written is a bad input, found before any check runs
+        out = open(cfg.output_path, "w") if cfg.output_path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {cfg.output_path}: {exc.strerror}") from None
+    with out as fh:
+        if threads > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_check, [(i, cfg) for i in range(len(_CHECKS))]))
-    else:
-        results = [fn(cfg) for fn in _CHECKS]
-    report = emit_report(results, cfg)
-    text = _dump(report) if cfg.output_format == "json" else _report_text(report)
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(fn, cfg) for fn in _CHECKS]
+                results = [f.result() for f in futures]
+        else:
+            results = [fn(cfg) for fn in _CHECKS]
+        report = emit_report(results, cfg)
+        fh.write(_dump(report) if cfg.output_format == "json" else _report_text(report))
     failed = [c["name"] for c in results if c["status"] != "pass"]
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
-
-
-def _run_check(item: tuple[int, RunConfig]) -> dict:
-    idx, cfg = item
-    return _CHECKS[idx](cfg)
 
 
 # ---------------------------------------------------------------------------

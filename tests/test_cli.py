@@ -329,6 +329,15 @@ class TestVerifyAll:
         assert main(["verify-all", flag, value]) == 2
         assert flag in json.loads(capsys.readouterr().err)["error"]
 
+    def test_unwritable_out_rejected_before_any_check(self, tmp_path, monkeypatch, capsys):
+        def check(cfg):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "_CHECKS", [check])
+        out = tmp_path / "missing" / "r.json"
+        assert main(["verify-all", "--out", str(out)]) == 2
+        assert str(out) in json.loads(capsys.readouterr().err)["error"]
+
     def test_threads_env_not_an_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("PIK_THREADS", "two")
         assert main(self.CFG) == 2

@@ -1,0 +1,88 @@
+"""Smoke tests of the timing scripts: each child runs once through the shared runner, and --tree is checked.
+
+A stage hook that no longer fits pik (a renamed function, a new signature)
+makes its child fail, and the runner stops on it.  Nothing here writes a
+BENCH file.
+"""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+import conj_timings  # noqa: E402
+import normal_form_timings  # noqa: E402
+import th1_timings  # noqa: E402
+import timing  # noqa: E402
+
+SRC = timing.ROOT / "src"
+CONJ, NF = conj_timings, normal_form_timings
+CHILDREN = {  # the longest first
+    "conj-long-n3": (timing.run_stages, CONJ.STAGES, CONJ.HOOKS, "conj-long-n3", 1),
+    "conj-planted": (timing.run_stages, CONJ.STAGES, CONJ.HOOKS, "conj-planted", 1),
+    "normal-form": (timing.run_stages, NF.STAGES, NF.HOOKS, NF.SEED, 1),
+    "th1": (timing.run, th1_timings.CHILD, "th1", 3, 3),
+    "l1_rank": (timing.run, th1_timings.CHILD, "l1_rank", 3, 3),
+}
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """Each child's report to come, two children at a time, so the five take about as long as conj-long-n3."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield {name: pool.submit(run_one, SRC, *args) for name, (run_one, *args) in CHILDREN.items()}
+
+
+def result(reports, name):
+    return reports[name].result(timeout=120)
+
+
+@pytest.mark.parametrize("kind", ["th1", "l1_rank"])
+def test_th1_child(kind, reports):
+    got = result(reports, kind)
+    assert got["ok"] is True
+    assert got["wall_s"] > 0
+
+
+def test_normal_form_child(reports):
+    rec = timing.medians([result(reports, "normal-form")])
+    assert rec["ops"] == 66
+    assert list(rec["stages"]) == [*NF.STAGES, "other"]
+    assert all(rec["stages"][s]["calls"] == 66 for s in NF.STAGES)
+
+
+@pytest.mark.parametrize("stream, reached", [("conj-planted", CONJ.STAGES[:-1]), ("conj-long-n3", ["ladder"])])
+def test_conj_child(stream, reached, reports):
+    rec = timing.medians([result(reports, stream)])
+    assert list(rec["stages"]) == [*CONJ.STAGES, "other"]
+    assert all(rec["stages"][s]["calls"] > 0 for s in reached)
+    assert {s for s, stage in rec["stages"].items() if "states" in stage} == {"probe walk", "full walk"}
+    assert 0 <= rec["unknown"] <= rec["ops"]
+
+
+def test_a_failed_run_shows_its_stderr(tmp_path, capsys):
+    (tmp_path / "pik").mkdir()
+    (tmp_path / "pik" / "__init__.py").write_text('raise RuntimeError("broken tree")\n')
+    got = timing.run(tmp_path, "import pik")
+    assert got["exit"] == 1 and got["stderr"].endswith("RuntimeError: broken tree")
+    with pytest.raises(SystemExit, match="exited 1"):
+        timing.run_stages(tmp_path, ("stage",), "report([], str)\n")
+    assert capsys.readouterr().err.count("RuntimeError: broken tree") == 2
+
+
+@pytest.mark.parametrize("specs", [["after"], ["=src"], ["a=src", "a=src"], ["a=."]])
+def test_bad_tree_exits_2(specs, monkeypatch):
+    monkeypatch.chdir(timing.ROOT)
+    argv = ["conj_timings.py"]
+    for spec in specs:
+        argv += ["--tree", spec]
+    with pytest.raises(SystemExit) as exc:
+        timing.trees(argv, CONJ.__doc__)
+    assert exc.value.code == 2
+
+
+def test_trees_default_to_the_checkout():
+    assert timing.trees(["th1_timings.py"], th1_timings.__doc__) == {"after": SRC}
