@@ -2,9 +2,10 @@
 """Print graded rank tables for a range of ranks and degrees.
 
 For each n the table shows, per degree c, the rank of the graded piece of
-the group's Lie algebra computed two independent ways (per-level Witt sums
-vs. Witt rank of the whole minus the computed ideal rank), plus the rank of
-the degree-(c+1) piece realized inside the ambient IA filtration.
+the group's Lie algebra both ways the Th1 direct-sum certificate gives it
+(per-level Witt sums vs. Witt rank of the whole minus the rank of the ideal
+J), read off one Th1 report per n, plus the rank of the degree-(c+1) piece
+realized inside the ambient IA filtration.
 
 Usage: rank_tables.py [max_n] [max_c]   (max_n >= 3, max_c >= 1)
 """

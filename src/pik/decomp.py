@@ -16,20 +16,19 @@ against the Witt rank, plus a pivot of 1 in absolute value on every Lyndon
 column outside the level factors.  With y(m, i) of multidegree e_i, J^m
 splits into multidegree blocks, one echelon each.  Each block of J^m below
 the top degree is stacked from the echelon rows of the blocks of J^{m-1},
-bracketed with one letter each, as sparse integer rows over all words of
-its multidegree, and reduced to its own echelon rows, the Lyndon words
-outside the levels first: bracketing is Z-linear, so a basis brackets to
-what the whole spanning set brackets to, and that echelon, cut to the
-Lyndon words, is the certificate's.  The top degree is gathered straight at
-its Lyndon words, and every degree is read there (see docs/NOTES.md,
-"Bracketing a basis").  T_r is the ideal of L(U_r) generated by the level-r
-relators, so one builder makes J and every T_r, bracketing with every
-letter or with the letters of U_r.
+bracketed with one letter each, as sparse integer rows over the words of
+its multidegree that they meet, and reduced to its own echelon rows, the
+Lyndon words outside the levels first: bracketing is Z-linear, so a basis
+brackets to what the whole spanning set brackets to, and that echelon,
+cut to the Lyndon words, is the certificate's.  The top degree is
+gathered straight at its Lyndon words, and every degree is read there (see
+docs/NOTES.md, "Bracketing a basis").  T_r is the ideal of L(U_r)
+generated by the level-r relators, so one builder makes J and every T_r,
+bracketing with every letter or with the letters of U_r.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -236,29 +235,6 @@ def _multidegree(n: int, w: Word) -> Multidegree:
     return tuple(d)
 
 
-def _index_sequences(d: Multidegree) -> Iterator[tuple[int, ...]]:
-    """The distinct sequences of conjugating indices (from 0) with d[i] copies of i."""
-    if not any(d):
-        yield ()
-        return
-    for i, k in enumerate(d):
-        if k:
-            for rest in _index_sequences(d[:i] + (k - 1,) + d[i + 1 :]):
-                yield (i,) + rest
-
-
-def _words_of(n: int, d: Multidegree) -> list[Word]:
-    """All words of multidegree d, in lexicographic order: for each sequence
-    of conjugating indices, every choice of a letter of each index."""
-    conj = _conjugating_index(n)
-    by_index = [[a for a in range(1, len(conj)) if conj[a] == i + 1] for i in range(n)]
-    out: list[Word] = []
-    for seq in _index_sequences(d):
-        out.extend(itertools.product(*(by_index[i] for i in seq)))
-    out.sort()
-    return out
-
-
 def _c_then_s(n: int, words: Sequence[Word]) -> list[Word]:
     """Lyndon words, those outside every level (C) before the level words
     (S), each part in the order given."""
@@ -269,20 +245,15 @@ def _c_then_s(n: int, words: Sequence[Word]) -> list[Word]:
 @dataclass(frozen=True)
 class _TensorBlock:
     """Echelon rows of an ideal's degree-m piece of one multidegree, over
-    all of its words.  col maps each word to its column: the Lyndon words in
-    C-then-S order, lexicographic within each part, then the other words in
-    lexicographic order."""
+    the words its spanning rows meet.  col maps each word to its column:
+    every Lyndon word of the multidegree in C-then-S order, lexicographic
+    within each part, then each other word in the order it was first met.
+    No pivot lies at a non-Lyndon column (see _reduced), so their order is
+    never read: the next degree maps rows by word."""
 
     degree: Multidegree
     col: dict[Word, int]
     rows: list[SparseRow]
-
-
-def _columns(n: int, d: Multidegree, lyndon: list[Word]) -> dict[Word, int]:
-    """Columns for the words of multidegree d: its Lyndon words as given,
-    then the other words in lexicographic order."""
-    first = set(lyndon)
-    return {w: j for j, w in enumerate(lyndon + [w for w in _words_of(n, d) if w not in first])}
 
 
 def _reduced(d: Multidegree, col: dict[Word, int], rows: Sequence[SparseRow]) -> _TensorBlock:
@@ -355,18 +326,22 @@ def _tensor_blocks(
     lyndon = _lyndon_by_degree(n, 2)
     blocks = []
     for d, own in rows.items():
-        col = _columns(n, d, lyndon.get(d, []))
-        blocks.append(_reduced(d, col, [{col[w]: x for w, x in terms.items()} for terms in own]))
+        col = {w: j for j, w in enumerate(lyndon.get(d, []))}
+        own_rows = [{col.setdefault(w, len(col)): x for w, x in terms.items()} for terms in own]
+        blocks.append(_reduced(d, col, own_rows))
     yield 2, blocks
     for m in range(3, top + 1):
         lyndon = _lyndon_by_degree(n, m)
         feeds = _feeds(n, blocks, letters)
         blocks = []
         for d, feed in feeds.items():
-            col = _columns(n, d, lyndon.get(d, []))
+            col = {w: j for j, w in enumerate(lyndon.get(d, []))}
             stacked: list[SparseRow] = []
             for b, a in feed:
-                to = {j: [(col[u + (a,)], 1), (col[(a,) + u], -1)] for u, j in b.col.items()}
+                to = {
+                    j: [(col.setdefault(u + (a,), len(col)), 1), (col.setdefault((a,) + u, len(col)), -1)]
+                    for u, j in b.col.items()
+                }
                 stacked.extend(_mapped(b.rows, to))
             blocks.append(_reduced(d, col, stacked))
         yield m, blocks
@@ -508,9 +483,10 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
 
     Failure is reported, not raised, so perturbed relator sets can be used as
     negative controls; a relator that is not homogeneous raises DecompError.
+    I_2 is free (no relators), so at n = 2 J is 0 and L^m is L^m(Y_2).
     """
-    if n < 3:
-        raise DecompError("need n >= 3")
+    if n < 2:
+        raise DecompError("need n >= 2")
     if max_m < 2:
         raise DecompError(f"need max degree >= 2, got {max_m}")
     rels = relators if relators is not None else build_relators(n)
@@ -650,19 +626,15 @@ class RankRow:
 
 
 def gr_rank_table(n: int, max_c: int) -> list[RankRow]:
-    """Graded ranks of the group's Lie algebra, two independent routes.
+    """Graded ranks of the group's Lie algebra, read off Th1.
 
-    Route one sums the Witt ranks of the free level factors; route two
-    subtracts the computed rank of J^c from the Witt rank of the whole.
+    Row c >= 2 is degree c of verify_theorem_th1: the sum of the Witt ranks
+    of the free level factors (ranks_Y) against the Witt rank of the whole
+    less rank J^c.  J^1 = 0, so row 1 is k both ways.
     """
     if max_c < 1:
         raise DecompError(f"need max degree >= 1, got {max_c}")
-    rank_j = {
-        c: sum(lattice_from_rows(rows, len(words)).rank for words, rows in blocks)
-        for c, blocks in ideal_rows_by_degree(build_relators(n), max_c, range(1, alphabet_size(n) + 1))
-    }
-    out = []
-    for c in range(1, max_c + 1):
-        factors = sum(witt(i, c) for i in range(2, n + 1))
-        out.append(RankRow(c, factors, witt(alphabet_size(n), c) - rank_j.get(c, 0)))
-    return out
+    th1 = verify_theorem_th1(n, max(max_c, 2))
+    k = alphabet_size(n)
+    rows = [RankRow(d.m, sum(d.ranks_y), d.witt_rank - d.rank_j) for d in th1.degrees]
+    return [RankRow(1, k, k)] + rows[: max_c - 1]

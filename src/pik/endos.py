@@ -19,13 +19,12 @@ only images; an inverse is carried only where something inverts the map
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .words import (
     FreeWord,
-    _inverse,
-    _join,
     _raw,
+    _substitute,
     decode,
     encode,
     gen,
@@ -63,26 +62,6 @@ class EndoF:
 
 def identity_endo(n: int) -> EndoF:
     return EndoF(n, tuple(gen(n, i) for i in range(1, n + 1)))
-
-
-def _substitute(images: Sequence[str], words: Iterable[str]) -> list[str]:
-    """Each word str with every x_k replaced by the str images[k-1], freely reduced.
-
-    Images and the output so far are reduced, so each joined image cancels
-    only at the seam.  Each image is inverted at most once per call.
-    """
-    table: dict[str, str] = {}  # letter to its image
-    out = []
-    for w in words:
-        acc = ""
-        for c in w:
-            img = table.get(c)
-            if img is None:
-                k = ord(c)
-                img = table[c] = _inverse(images[(k >> 1) - 1]) if k & 1 else images[(k >> 1) - 1]
-            acc = _join(acc, img) if acc else img
-        out.append(acc)
-    return out
 
 
 def apply(f: EndoF, w: FreeWord) -> FreeWord:

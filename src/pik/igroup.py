@@ -35,6 +35,7 @@ from .words import (
     _join,
     _raw as _words_raw,
     _runs,
+    _substitute,
     decode,
     empty,
     encode,
@@ -386,7 +387,7 @@ def direct_endo(n: int, tokens: Iterable[Token]) -> EndoF:
         _check_y_token(n, t)
         e = [im.letters for im in _signed_gen(n, t.a, t.b, -1 if t.exp < 0 else 1)[1].images]
         for _ in range(abs(t.exp)):
-            images = endos._substitute(images, e)
+            images = _substitute(images, e)
     return EndoF(n, tuple(_words_raw(n, w) for w in images))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 Letter = tuple[int, int]
 
@@ -172,6 +172,26 @@ def _join(a: str, b: str) -> str:
     while c < stop and ord(a[-1 - c]) ^ 1 == ord(b[c]):
         c += 1
     return a[: len(a) - c] + b[c:]
+
+
+def _substitute(images: Sequence[str], words: Iterable[str]) -> list[str]:
+    """Each word str with every x_k replaced by the str images[k-1], freely reduced.
+
+    Images and the output so far are reduced, so each joined image cancels
+    only at the seam.  Each image is inverted at most once per call.
+    """
+    table: dict[str, str] = {}  # letter to its image
+    out = []
+    for w in words:
+        acc = ""
+        for c in w:
+            img = table.get(c)
+            if img is None:
+                k = ord(c)
+                img = table[c] = _inverse(images[(k >> 1) - 1]) if k & 1 else images[(k >> 1) - 1]
+            acc = _join(acc, img) if acc else img
+        out.append(acc)
+    return out
 
 
 def multiply(a: FreeWord, b: FreeWord) -> FreeWord:

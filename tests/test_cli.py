@@ -37,7 +37,7 @@ def run_cli(args, **kwargs):
 
 class TestReportSchema:
     def test_empty_results(self):
-        assert emit_report([]) == {"schema": "pik/3", "checks": []}
+        assert emit_report([]) == {"schema": "pik/4", "checks": []}
 
     def test_passing_check(self):
         rep = emit_report([{"name": "x", "status": "pass", "details": {}}])
@@ -253,7 +253,7 @@ class TestVerifyAll:
         assert main(self.CFG + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         rep = json.loads(out1.read_text())
-        assert rep["schema"] == "pik/3"
+        assert rep["schema"] == "pik/4"
         assert all(c["status"] == "pass" for c in rep["checks"])
 
     def test_negative_control_drop_relator(self, tmp_path, capsys):
@@ -270,18 +270,20 @@ class TestVerifyAll:
         rep = json.loads((tmp_path / "r.json").read_text())
         assert any(c["name"] == "mccool_relations" and c["status"] == "fail" for c in rep["checks"])
 
-    # SHA-256 of the report bytes of CFG, re-pinned at schema pik/3, which
-    # dropped config.budgets and the thu1_bound check and changed nothing
-    # else in these reports; a change that keeps every verdict keeps them.
+    # SHA-256 of the report bytes of CFG, re-pinned at schema pik/4, which
+    # dropped the gr_rank_table check (its agree is theorem_th1's rank_sum ==
+    # rank_total on the same relators) and changed nothing else in these
+    # reports; a change that keeps every verdict keeps them.
     @pytest.mark.parametrize(
         "extra, digest",
         [
-            ([], "d5beded3740c3bbe4ab0b5e15ca9a8f464c232e2aeefb526c9fa24f972443515"),
+            ([], "0945c60f0a7ce2f3b462c45be76e1bda6d55a8cca66c480e34f6c5ccd6e22043"),
             (
                 ["--negative-control", "perturb-chi"],
-                "71cb2a5d81cb3ab719eb4d4c593f2254747caf2d0991cca443c423460636e2e0",
+                "f60ecaebc421ee87cb482ffe3d4022b778881bdf078a3df77a9de3d7ee916569",
             ),
         ],
+        ids=["default", "perturb-chi"],  # a re-pin keeps the test ids
     )
     def test_report_bytes_are_pinned(self, tmp_path, capsys, extra, digest):
         out = tmp_path / "r.json"
@@ -409,3 +411,17 @@ def test_rank_tables_rejects_bad_arguments(args, tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "rank_tables.py: error:" in proc.stderr
+
+
+def test_rank_tables_runs_from_any_directory(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = SRC.parent / "scripts" / "rank_tables.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "3", "3"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:] if line.strip()]
+    assert [int(row[1]) for row in rows] == [5, 4, 10]
+    assert [int(row[2]) for row in rows] == [5, 4, 10]
+    assert "MISMATCH" not in proc.stdout

@@ -331,9 +331,13 @@ class TestTheoremDecomposition:
         assert top.m == 4
         assert top.rank_j == witt(14, 4) - sum(witt(i, 4) for i in range(2, 6))
 
-    def test_requires_n3(self):
+    def test_n2_is_free_and_n1_is_refused(self):
+        # I_2 is free: relator_indices(2) is empty, so J is 0 in every degree
+        rep = verify_theorem_th1(2, 5)
+        assert rep.ok
+        assert [(d.m, d.rank_j) for d in rep.degrees] == [(2, 0), (3, 0), (4, 0), (5, 0)]
         with pytest.raises(DecompError):
-            verify_theorem_th1(2, 3)
+            verify_theorem_th1(1, 3)
 
     @pytest.mark.parametrize("max_m", [1, 0])
     def test_requires_a_degree_to_certify(self, max_m):
@@ -566,6 +570,27 @@ class TestRankTable:
     def test_requires_a_degree(self):
         with pytest.raises(DecompError, match="max degree"):
             gr_rank_table(3, 0)
+
+    @pytest.mark.parametrize("n,max_c", [(2, 5), (3, 6), (4, 4), (5, 3)])
+    def test_rows_match_the_ideal_ranks(self, n, max_c):
+        # oracle: witt(k, c) less the ranks of J's blocks, built apart from Th1
+        k = alphabet_size(n)
+        rank_j = {
+            c: sum(lattice_from_rows(rows, len(words)).rank for words, rows in blocks)
+            for c, blocks in ideal_rows_by_degree(build_relators(n), max_c, range(1, k + 1))
+        }
+        want = [
+            (c, sum(witt(i, c) for i in range(2, n + 1)), witt(k, c) - rank_j.get(c, 0))
+            for c in range(1, max_c + 1)
+        ]
+        assert [(r.c, r.via_factors, r.via_quotient) for r in gr_rank_table(n, max_c)] == want
+
+    def test_a_dropped_relator_shows_at_degree_2(self, monkeypatch):
+        rels = build_relators(3)
+        monkeypatch.setattr(decomp_mod, "build_relators", lambda n: rels.without(rels.of_kind(3)[0]))
+        row = gr_rank_table(3, 3)[1].as_dict()
+        assert row["c"] == 2 and row["agree"] is False
+        assert row["witt_minus_rank_J"] - row["sum_witt_factors"] == 1
 
 
 class TestPresentation:
