@@ -4,7 +4,9 @@
 Each Th1 case (n, m) runs ``decomp.verify_theorem_th1(n, m)``, and each
 l1_rank case (n, c) runs ``ajohnson.l1_rank(n, c, c + 2)`` and checks it
 against the sum of the per-level Witt ranks.  ``timing.py`` runs each case
-REPEAT times per tree.  The child reports the wall time of the call and its
+REPEAT times per tree.  The child reports the wall time of the call, the
+part of it spent inside ``lie.lattice_from_rows`` (the echelon, timed with
+``timing.py``'s stage hook, which adds one Python call per echelon), and its
 peak RSS (``ru_maxrss``, which includes the interpreter and numpy).  The
 record for a label is the median of the runs for each case, next to the raw
 runs, keyed "n,m" for Th1 and "l1_rank n,c" for l1_rank.
@@ -40,21 +42,24 @@ OUT = "BENCH_th1.json"
 AS_LIMIT = 4 << 30
 
 CHILD = f"""
-import json, resource, sys, time
+import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT}))
+STAGES = ("echelon",)
+{timing.TIMED}
 import pik
-from pik.ajohnson import l1_rank
-from pik.decomp import verify_theorem_th1
-from pik.lie import witt
+from pik import ajohnson, decomp, lie
+echelon = timed(lie.lattice_from_rows, lambda rows, dim: "echelon")
+for module in (lie, decomp, ajohnson):
+    module.lattice_from_rows = echelon
 kind, n, m = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 start = time.perf_counter()
 if kind == "th1":
-    ok = verify_theorem_th1(n, m).ok
+    ok = decomp.verify_theorem_th1(n, m).ok
 else:
-    ok = l1_rank(n, m, m + 2) == sum(witt(i, m) for i in range(2, n + 1))
-wall = time.perf_counter() - start
+    ok = ajohnson.l1_rank(n, m, m + 2) == sum(lie.witt(i, m) for i in range(2, n + 1))
+total = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({{"pik": pik.__file__, "ok": ok, "wall_s": wall, "peak_rss_mb": rss}}))
+print(json.dumps({{"pik": pik.__file__, "ok": ok, "wall_s": total, "echelon_s": wall["echelon"], "peak_rss_mb": rss}}))
 """
 
 
@@ -72,17 +77,18 @@ def main(argv: list[str]) -> int:
             if done:
                 case.update(
                     wall_s=round(statistics.median(g["wall_s"] for g in done), 4),
+                    echelon_s=round(statistics.median(g["echelon_s"] for g in done), 4),
                     peak_rss_mb=round(statistics.median(g["peak_rss_mb"] for g in done), 1),
                     runs_wall_s=[round(g["wall_s"], 4) for g in done],
                     runs_peak_rss_mb=[round(g["peak_rss_mb"], 1) for g in done],
                 )
-                summary = f"{case['wall_s']} s, {case['peak_rss_mb']} MB"
+                summary = f"{case['wall_s']} s ({case['echelon_s']} s echelon), {case['peak_rss_mb']} MB"
             else:
                 summary = "no run completed"
             print(f"{label}: {kind} ({n},{m}) {summary}, exits {case['runs_exit']}")
     what = (
         "verify_theorem_th1(n, m) (keys n,m) and l1_rank(n, c, c + 2) (keys l1_rank n,c) "
-        "wall time and peak RSS, median of fresh processes"
+        "wall time, time inside lie.lattice_from_rows (echelon_s) and peak RSS, median of fresh processes"
     )
     timing.write_bench(OUT, what, records)
     return 0

@@ -35,15 +35,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-STAGE_HEAD = """
-import hashlib, json, resource, sys, time
-import pik
-sys.path.insert(0, sys.argv[1])
-import workloads
+# The stage hooks of a child that defines STAGES: timed(fn, stage_of) adds
+# each call's wall time to wall[stage_of(*args)] and counts it in calls.
+TIMED = """
+import time
 
 wall = dict.fromkeys(STAGES, 0.0)
 calls = dict.fromkeys(STAGES, 0)
-states = {}  # states expanded, for the stages that count them
 
 
 def timed(fn, stage_of):
@@ -56,6 +54,15 @@ def timed(fn, stage_of):
             wall[stage] += time.perf_counter() - start
             calls[stage] += 1
     return wrapper
+"""
+
+STAGE_HEAD = """
+import hashlib, json, resource, sys
+import pik
+sys.path.insert(0, sys.argv[1])
+import workloads
+""" + TIMED + """
+states = {}  # states expanded, for the stages that count them
 
 
 def report(ops, as_json, **counts):

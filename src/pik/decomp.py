@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .igroup import gen_index, rank_of_abelianization, relator_indices
 from .lie import (
@@ -55,7 +56,7 @@ from .lie import (
 # The number of letters of each conjugating index 1..n: deg y(m, i) = e_i.
 Multidegree = tuple[int, ...]
 # A block of J^m or T_r^m: its Lyndon words, and the coefficients at them of rows spanning it.
-Block = tuple[list[Word], list[SparseRow]]
+Block = tuple[Sequence[Word], list[SparseRow]]
 
 
 class DecompError(ValueError):
@@ -268,14 +269,18 @@ def _reduced(d: Multidegree, col: dict[Word, int], rows: Sequence[SparseRow]) ->
 
 def _mapped(rows: Sequence[SparseRow], to: dict[int, list[tuple[int, int]]]) -> Iterator[SparseRow]:
     """Each row sent through to: its entry x at column j adds sign * x at
-    column t for each (t, sign) of to[j]; a column not in to is dropped.
-    Entries that cancel are kept as zeros, which lattice_from_rows drops."""
+    column t for each (t, sign) of to[j]; a column not in to is dropped,
+    and so is an entry that cancels."""
     for row in rows:
         out: SparseRow = {}
         for j in row.keys() & to.keys():
             x = row[j]
             for t, sign in to[j]:
-                out[t] = out.get(t, 0) + sign * x
+                y = out.get(t, 0) + sign * x
+                if y:
+                    out[t] = y
+                else:
+                    del out[t]
         yield out
 
 
@@ -326,7 +331,7 @@ def _tensor_blocks(
     lyndon = _lyndon_by_degree(n, 2)
     blocks = []
     for d, own in rows.items():
-        col = {w: j for j, w in enumerate(lyndon.get(d, []))}
+        col = {w: j for j, w in enumerate(lyndon.get(d, ()))}
         own_rows = [{col.setdefault(w, len(col)): x for w, x in terms.items()} for terms in own]
         blocks.append(_reduced(d, col, own_rows))
     yield 2, blocks
@@ -335,7 +340,7 @@ def _tensor_blocks(
         feeds = _feeds(n, blocks, letters)
         blocks = []
         for d, feed in feeds.items():
-            col = {w: j for j, w in enumerate(lyndon.get(d, []))}
+            col = {w: j for j, w in enumerate(lyndon.get(d, ()))}
             stacked: list[SparseRow] = []
             for b, a in feed:
                 to = {
@@ -347,22 +352,25 @@ def _tensor_blocks(
         yield m, blocks
 
 
-def _lyndon_by_degree(n: int, m: int) -> dict[Multidegree, list[Word]]:
-    """The degree-m Lyndon words by multidegree, each part in C-then-S order."""
+@lru_cache(maxsize=None)
+def _lyndon_by_degree(n: int, m: int) -> Mapping[Multidegree, tuple[Word, ...]]:
+    """The degree-m Lyndon words by multidegree, each part in C-then-S
+    order; built once and read-only, as lyndon_words is."""
     parts: dict[Multidegree, list[Word]] = {}
     for w in lyndon_words(alphabet_size(n), m):
         parts.setdefault(_multidegree(n, w), []).append(w)
-    return {d: _c_then_s(n, words) for d, words in parts.items()}
+    return MappingProxyType({d: tuple(_c_then_s(n, words)) for d, words in parts.items()})
 
 
-def _lyndon_parts(n: int, m: int, degrees: Sequence[Multidegree]) -> list[list[Word]]:
+def _lyndon_parts(n: int, m: int, degrees: Sequence[Multidegree]) -> list[tuple[Word, ...]]:
     """The degree-m Lyndon words of each of degrees, then one part for each
     other multidegree: a partition, each part in C-then-S order."""
     parts = _lyndon_by_degree(n, m)
-    return [parts.pop(d, []) for d in degrees] + list(parts.values())
+    chosen = set(degrees)
+    return [parts.get(d, ()) for d in degrees] + [words for d, words in parts.items() if d not in chosen]
 
 
-def _empty(parts: Sequence[list[Word]]) -> list[Block]:
+def _empty(parts: Sequence[Sequence[Word]]) -> list[Block]:
     return [(words, []) for words in parts]
 
 

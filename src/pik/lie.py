@@ -17,8 +17,10 @@ sparse rows of Python ints.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import prod
 from typing import Iterable, Sequence
 
@@ -221,10 +223,15 @@ SparseRow = dict[int, int]  # column -> nonzero entry
 
 
 def _sparse(row: "Sequence[int] | SparseRow", dim: int) -> SparseRow:
-    """A fresh sparse copy of a dense row of length dim or of a sparse row."""
+    """row, dense of length dim or sparse, as a sparse row: a clean sparse
+    row (nonzero Python ints, columns in range) itself, any other row a
+    fresh copy of Python ints with no zero."""
     if isinstance(row, dict):
         if row and (min(row) < 0 or max(row) >= dim):
             raise LieError(f"a sparse row has a column outside columns 0..{dim - 1}")
+        entries = row.values()
+        if set(map(type, entries)) <= {int} and 0 not in entries:
+            return row
         return {j: int(v) for j, v in row.items() if v}
     if len(row) != dim:
         raise LieError(f"a dense row has {len(row)} columns, not {dim}")
@@ -252,47 +259,76 @@ def lattice_from_rows(rows: "Iterable[Sequence[int] | SparseRow]", dim: int) -> 
     """Echelonize the span of rows over Z, exactly.
 
     Each row is dense (length dim) or sparse ({column: entry}); the input
-    is not modified.  Columns are taken in increasing order, with an index
-    from each column to the live rows that are nonzero there.  At a column,
-    the live row with the least |entry| (then the fewest nonzeros, then the
-    lowest index) subtracts floor-quotient multiples of itself from the
-    others there; this repeats until one row is left, which is retired as
-    the column's pivot row.  Entries are Python ints, so nothing overflows.
+    is not modified.  A clean sparse row (nonzero Python ints) is used as
+    it is and copied only when the elimination first changes it, so the
+    echelon may hold input rows themselves: neither is to be modified
+    afterwards.  Columns are taken in increasing order, with a bucket for
+    each column of the live rows whose first nonzero is there.  At a
+    column, the live row with the least |entry| (then the fewest nonzeros,
+    then the lowest index) subtracts floor-quotient multiples of itself
+    from the others there; a row whose entry there falls to zero moves to
+    the bucket of its new first column, read off a heap of its other
+    columns made when the row was first changed.  This repeats until one
+    row is left, which is retired as the column's pivot row.  Entries are
+    Python ints, so nothing overflows.
     """
-    live = [_sparse(row, dim) for row in rows]
-    at: dict[int, set[int]] = {}  # column -> live rows nonzero there
-    for r, row in enumerate(live):
-        for j in row:
-            at.setdefault(j, set()).add(r)
+    live: list[SparseRow] = []
+    given: set[int] = set()  # live rows that are the caller's dicts, copied on their first change
+    first: defaultdict[int, list[int]] = defaultdict(list)  # column -> live rows whose first nonzero is there
+    for row in rows:
+        sparse = _sparse(row, dim)
+        if sparse:
+            if sparse is row:
+                given.add(len(live))
+            first[min(sparse)].append(len(live))
+            live.append(sparse)
+    # a changed live row's columns past its first, some since cancelled, as a heap
+    cols: list[list[int] | None] = [None] * len(live)
     echelon: list[SparseRow] = []
     pivot_col: list[int] = []
     for c in range(dim):
-        ids = at.get(c)
-        if not ids:
+        ids = first.pop(c, None)
+        if ids is None:
             continue
         while len(ids) > 1:
             p = min(ids, key=lambda r: (abs(live[r][c]), len(live[r]), r))
             prow = live[p]
             a = prow[c]
-            for r in [r for r in ids if r != p]:
+            kept = [p]
+            for r in ids:
+                if r == p:
+                    continue
                 row = live[r]
+                h = cols[r]
+                if h is None:
+                    if r in given:
+                        row = live[r] = dict(row)
+                    h = cols[r] = sorted(row)
+                    del h[0]  # c
                 q = row[c] // a
                 for j, x in prow.items():
                     y = row.get(j)
                     if y is None:
                         row[j] = -q * x
-                        at[j].add(r)
+                        heappush(h, j)
                         continue
                     y -= q * x
                     if y:
                         row[j] = y
                     else:
                         del row[j]
-                        at[j].discard(r)
-        (p,) = ids
-        for j in live[p]:
-            at[j].discard(p)
-        echelon.append(live[p])
+                if c in row:
+                    kept.append(r)
+                elif row:
+                    f = heappop(h)
+                    while f not in row:
+                        f = heappop(h)
+                    first[f].append(r)
+                else:
+                    cols[r] = None
+            ids = kept
+        cols[ids[0]] = None
+        echelon.append(live[ids[0]])
         pivot_col.append(c)
     return IntLattice(dim, echelon, pivot_col)
 
@@ -335,6 +371,22 @@ def _check_partition(words: Sequence[Word], nvars: int, m: int) -> None:
         raise LieError(f"blocks must partition the Lyndon words of length {m}")
 
 
+@lru_cache(maxsize=None)
+def _unit_words(units: tuple[tuple[Word, ...], ...], nvars: int, m: int) -> frozenset[Word]:
+    """The words of units, once checked to be Lyndon words of length m whose
+    standard bracketings meet no Lyndon word outside them."""
+    unit_words = frozenset(w for part in units for w in part)
+    lyndon = set(lyndon_words(nvars, m))
+    if not unit_words <= lyndon:
+        raise LieError(f"unit words must be Lyndon words of length {m}")
+    for s in unit_words:
+        # the terms of P_s are words of length m on s's letters
+        for w, _ in _lyndon_bracket_terms(s):
+            if w not in unit_words and w in lyndon:
+                raise LieError(f"the bracketing of the unit word {s} meets the Lyndon word {w}")
+    return unit_words
+
+
 @dataclass(frozen=True)
 class DirectSumReport:
     degree: int
@@ -375,13 +427,7 @@ def lattice_direct_sum_is_whole(
     value in every C column (see docs/NOTES.md).  A block whose rows are
     already an echelon basis in that column order costs no elimination step.
     """
-    unit_words = {w for part in units for w in part}
-    if not unit_words <= set(lyndon_words(nvars, m)):
-        raise LieError(f"unit words must be Lyndon words of length {m}")
-    for s in unit_words:
-        for w, _ in _lyndon_bracket_terms(s):
-            if w not in unit_words and is_lyndon(w):
-                raise LieError(f"the bracketing of the unit word {s} meets the Lyndon word {w}")
+    unit_words = _unit_words(tuple(map(tuple, units)), nvars, m)
     seen: list[Word] = []
     rank_j = 0
     whole = True

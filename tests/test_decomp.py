@@ -1,10 +1,12 @@
 import hashlib
 import json
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 
 import pik.decomp as decomp_mod
+import pik.lie as lie_mod
 from pik.decomp import (
     DecompError,
     Relator,
@@ -548,6 +550,39 @@ PINNED_TILDE_T = {
 def test_tilde_t_reports_are_pinned(n, max_m):
     blob = json.dumps(verify_tilde_T(n, max_m).as_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED_TILDE_T[(n, max_m)]
+
+
+def test_cached_tables_survive_every_certificate():
+    # the Lyndon words by multidegree and the checked unit words are built
+    # once and read by every certificate after: one that changed a table
+    # would show in the reports made after it
+    for cached in (decomp_mod._lyndon_by_degree, lie_mod._unit_words):
+        cached.cache_clear()
+    rels = build_relators(4)
+    reports = [
+        verify_theorem_th1(4, 4),
+        verify_tilde_T(4, 4),
+        verify_theorem_th1(4, 4, relators=rels.without(rels.of_kind(3)[0])),
+        verify_theorem_th1(4, 4),
+    ]
+    blobs = [json.dumps(rep.as_dict(), sort_keys=True).encode() for rep in reports]
+    first, tilde, _, again = (hashlib.sha256(blob).hexdigest() for blob in blobs)
+    assert first == again == PINNED_TH1[(4, 4)]
+    assert tilde == PINNED_TILDE_T[(4, 4)]
+    fail = reports[2].first_failure()
+    assert not reports[2].ok and fail.m == 2 and fail.witt_rank - fail.direct_sum.rank_sum == 1
+    k = alphabet_size(4)
+    levels = [level_letters(4, i) for i in range(2, 5)]
+    for m in range(2, 5):
+        table = decomp_mod._lyndon_by_degree(4, m)
+        assert isinstance(table, MappingProxyType) and all(type(words) is tuple for words in table.values())
+        assert table == decomp_mod._lyndon_by_degree.__wrapped__(4, m)
+        with pytest.raises(TypeError):
+            table[(0,) * 4] = ()
+        units = tuple(tuple(tuple(ys[a - 1] for a in w) for w in lyndon_words(len(ys), m)) for ys in levels)
+        unit_words = lie_mod._unit_words(units, k, m)
+        assert type(unit_words) is frozenset and unit_words == {w for part in units for w in part}
+    assert lie_mod._unit_words.cache_info().currsize == 3  # one per degree, each read by the three Th1 runs
 
 
 class TestRankTable:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -243,6 +245,13 @@ def as_form(rows, dim, form):
     return rows
 
 
+def snapshot(rows):
+    """rows as lists of (column, entry type, entry), in their own order."""
+    return [
+        [(j, type(x), x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row))] for row in rows
+    ]
+
+
 ENTRIES = st.one_of(
     st.integers(-4, 4), st.sampled_from([2**60 - 1, -(2**63), 2**64 + 1]), st.integers(-(2**70), 2**70)
 )
@@ -318,6 +327,45 @@ class TestIntLattice:
         # lattice, so the sparse echelon must agree with the dense oracle
         # on them whatever pivots either picks
         assert_matches_reference(*case, form)
+
+    @given(case=lattice_cases(), form=st.sampled_from(["dense", "sparse", "int64", "object"]), twice=st.booleans())
+    @example(case=(2, [[2, 1], [3, 1]], []), form="sparse", twice=True)
+    def test_input_rows_unchanged(self, case, form, twice):
+        # a clean sparse row is used as given and copied only when the
+        # elimination first changes it, also when the same row is given twice
+        dim, rows, _ = case
+        given_rows = list(as_form(rows, dim, form))
+        if twice:
+            given_rows += given_rows
+        kept = copy.deepcopy(given_rows)
+        lat = lattice_from_rows(given_rows, dim)
+        assert snapshot(given_rows) == snapshot(kept)
+        fresh = lattice_from_rows(kept, dim)
+        assert snapshot(lat.rows) == snapshot(fresh.rows)
+        assert lat.pivot_col == fresh.pivot_col
+
+    def test_unclean_sparse_rows_read_as_python_ints(self):
+        # numpy.int64 entries, True and explicit zeros are copied to Python
+        # ints, so the elimination passes 2**63 exactly: q = 2 at column 0
+        # gives -3 * 2**62 - 2, and then 7 * 2**62 + 5 at column 1
+        big = np.int64(2**62)
+        rows = [
+            {0: np.int64(2), 1: big + 1, 2: 0},
+            {0: np.int64(5), 1: -big, 2: True},
+            {2: True, 1: np.int64(0)},
+        ]
+        clean = [{0: 2, 1: 2**62 + 1}, {0: 5, 1: -(2**62), 2: 1}, {2: 1}]
+        kept = copy.deepcopy(rows)
+        for row, want in zip(rows, clean):
+            # a row alone is retired as read, with no step to convert it
+            assert snapshot(lattice_from_rows([row], 3).rows) == snapshot([want])
+        lat = lattice_from_rows(rows, 3)
+        want = lattice_from_rows(clean, 3)
+        assert snapshot(lat.rows) == snapshot(want.rows)
+        assert lat.pivot_col == want.pivot_col == [0, 1, 2]
+        assert lat.pivots() == [1, 7 * 2**62 + 5, 1]
+        assert all(type(x) is int for row in lat.rows for x in row.values())
+        assert snapshot(rows) == snapshot(kept)
 
     def test_random_rows_match_reference(self):
         assert_matches_reference(30, lcg_rows(99, 40, 30), lcg_rows(7, 3, 30), "int64")
