@@ -10,7 +10,7 @@ through which the op calls them:
 
     collect      igroup.collect, generator word to normal form
     to_endo      igroup.to_endo, normal form to automorphism in closed form
-    direct_endo  igroup.direct_endo, the word's y_gen automorphisms composed on image strs
+    direct_endo  igroup.direct_endo, the word's y_gen automorphisms composed as conjugators W_k
 
 Each stage's record also has the mean time per call.  The child hashes
 every op's two image tuples.

@@ -60,10 +60,6 @@ class EndoF:
                 raise EndoError("image rank mismatch")
 
 
-def identity_endo(n: int) -> EndoF:
-    return EndoF(n, tuple(gen(n, i) for i in range(1, n + 1)))
-
-
 def apply(f: EndoF, w: FreeWord) -> FreeWord:
     """Image of w under f, freely reduced."""
     if f.rank != w.rank:

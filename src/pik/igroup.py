@@ -33,9 +33,9 @@ from .words import (
     WordError,
     _inverse,
     _join,
+    _letter_conjugate,
     _raw as _words_raw,
     _runs,
-    _substitute,
     decode,
     empty,
     encode,
@@ -333,16 +333,24 @@ def _check_y_token(n: int, t: Token) -> None:
 def collect(n: int, tokens: Iterable[Token]) -> IElem:
     """Collect a word in the generators y(m,i) to its normal form.
 
-    Right-multiplying by y(m,i)^eps changes level m only, to the component
-    imul gives it: w_m (w_{m-1}...w_2 . y(m,i)^eps).
+    Right-multiplying by a = y(m,i)^eps changes level m only, to the
+    component imul gives it: w_m (w_{m-1}...w_2 . a).  The levels below m act
+    on the letter a as conjugation by P = w_{m-1} ... w_max(i,2), the walk
+    kernel's P (_conj_steps, docs/NOTES.md), so w_m becomes w_m P a P^-1.
     """
     parts = list(identity_elem(n).parts)  # raises IGroupError for n < 2
     for t in tokens:
         _check_y_token(n, t)
-        m = t.a
-        letter = _signed_gen(n, m, t.b, -1 if t.exp < 0 else 1)[0].parts[n - m]
+        m, i = t.a, t.b
+        p = ""
+        for j in range(m - 1, max(i, 2) - 1, -1):
+            u_j = parts[n - j]
+            if u_j:
+                p = _join(p, u_j) if p else u_j
+        letter = _signed_gen(n, m, i, -1 if t.exp < 0 else 1)[0].parts[n - m]
+        conjugated = _letter_conjugate(p, letter)
         for _ in range(abs(t.exp)):
-            parts[n - m] = _join(parts[n - m], _act_below(n, parts, letter, m))
+            parts[n - m] = _join(parts[n - m], conjugated)
     return _raw_elem(n, tuple(parts))
 
 
@@ -365,7 +373,7 @@ def _images(a: IElem) -> tuple[FreeWord, ...]:
     for k in range(n, 0, -1):
         if k >= 2:  # P_1 = P_2; V_k is the inverse of w_k read backwards
             p = _join(p, _inverse(a.parts[n - k][::-1]))
-        images.append(_words_raw(n, _join(_join(p, encode(((k, 1),))), _inverse(p))))
+        images.append(_words_raw(n, _letter_conjugate(p, encode(((k, 1),)))))
     return tuple(reversed(images))
 
 
@@ -374,21 +382,56 @@ def to_endo(a: IElem) -> EndoF:
     return EndoF(a.n, _images(a), _images(iinv(a)))
 
 
+@functools.cache
+def _gen_conjugators(n: int, m: int, i: int, eps: int) -> tuple[tuple, tuple]:
+    """y(m,i)^eps's automorphism e of F_n, as conjugators read off its images in _signed_gen.
+
+    Each image e(x_k) must be u x_k u^-1 for a word u; any other image
+    raises IGroupError.  Returns (conjugators, moved): conjugators holds
+    each distinct nonempty u with its letters as (index - 1, one-letter
+    word), and moved holds (k - 1, u, x_k x_k^-1) for each x_k whose u is
+    nonempty.  Like _signed_gen, its values depend only on (n, m, i, eps).
+    """
+    conjugators: dict[str, tuple] = {}
+    moved = []
+    for k, image in enumerate(_signed_gen(n, m, i, eps)[1].images, 1):
+        s = image.letters
+        half = len(s) // 2
+        u = s[:half]
+        if s[half:] != encode(((k, 1),)) + _inverse(u):
+            raise IGroupError(f"image of x{k} under y({m},{i})^{eps} is not u x{k} u^-1")
+        if u:
+            conjugators[u] = tuple((l - 1, encode(((l, sign),))) for l, sign in decode(u))
+            moved.append((k - 1, u, encode(((k, 1), (k, -1)))))
+    return tuple(conjugators.items()), tuple(moved)
+
+
 def direct_endo(n: int, tokens: Iterable[Token]) -> EndoF:
     """Evaluate a generator word in Aut(F_n) without collecting; oracle for collect.
 
     Composes the y_gen automorphisms letter by letter, never through the
-    normal form: acc o e substitutes acc's image strs into e's.
+    normal form.  acc sends each x_k to W_k x_k W_k^-1 with W_k reduced and
+    not ending in x_k^+-1.  For each image e(x_k) = u x_k u^-1 of a unit e,
+    acc o e sends x_k to acc(u) W_k x_k W_k^-1 acc(u)^-1, so W_k becomes
+    acc(u) W_k with its trailing x_k^+-1 stripped (docs/NOTES.md).
     """
     if n < 2:
         raise IGroupError(f"need n >= 2, got {n}")
-    images = [im.letters for im in endos.identity_endo(n).images]
+    ws = [""] * n
     for t in tokens:
         _check_y_token(n, t)
-        e = [im.letters for im in _signed_gen(n, t.a, t.b, -1 if t.exp < 0 else 1)[1].images]
+        conjugators, moved = _gen_conjugators(n, t.a, t.b, -1 if t.exp < 0 else 1)
         for _ in range(abs(t.exp)):
-            images = _substitute(images, e)
-    return EndoF(n, tuple(_words_raw(n, w) for w in images))
+            acc_of = {}  # acc(u) for each u, all read before any W_k changes
+            for u, letters in conjugators:
+                acc_u = ""
+                for l, x in letters:
+                    acc_u = _join(acc_u, _letter_conjugate(ws[l], x))
+                acc_of[u] = acc_u
+            for k, u, x_pm in moved:
+                ws[k] = _join(acc_of[u], ws[k]).rstrip(x_pm)
+    images = (_letter_conjugate(w, encode(((k, 1),))) for k, w in enumerate(ws, 1))
+    return EndoF(n, tuple(_words_raw(n, image) for image in images))
 
 
 def abelianize(a: IElem) -> tuple[int, ...]:

@@ -174,6 +174,18 @@ def _join(a: str, b: str) -> str:
     return a[: len(a) - c] + b[c:]
 
 
+def _letter_conjugate(w: str, x: str) -> str:
+    """The reduced word w x w^-1 of a reduced word w and a one-letter word x.
+
+    w's trailing letters x^+-1 cancel against their inverses around x, so
+    they are stripped.  What is left of w ends in neither x nor x^-1, so
+    nothing cancels at either side of x and the concatenation is reduced.
+    """
+    while w and ord(w[-1]) | 1 == ord(x) | 1:
+        w = w[:-1]
+    return w + x + _inverse(w) if w else x
+
+
 def _substitute(images: Sequence[str], words: Iterable[str]) -> list[str]:
     """Each word str with every x_k replaced by the str images[k-1], freely reduced.
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pik import conj, endos, igroup
-from pik.endos import compose, identity_endo, inverse, is_identity, y_gen
+from pik.endos import EndoF, compose, inverse, is_identity, y_gen
 from pik.fuzz import random_gen_tokens, random_ielem
 from pik.igroup import (
     IElem,
@@ -311,6 +312,11 @@ class TestGroupLaws:
         assert low.part(3) == e.part(3) and low.part(2) == e.part(2)
 
 
+def identity_endo(n):
+    """The identity of F_n, by its images x_1, ..., x_n."""
+    return EndoF(n, tuple(gen(n, i) for i in range(1, n + 1)))
+
+
 def _to_endo_letterwise(a):
     """The automorphism of a normal form by its definition: one y(m,i)^s per letter."""
     acc = identity_endo(a.n)
@@ -467,6 +473,35 @@ class TestCollection:
         assert direct_endo(n, toks).images == _direct_endo_letterwise(n, toks).images
 
 
+class TestDirectEndoConjugators:
+    """igroup.direct_endo keeps a conjugator W_k per generator, read off each unit's images."""
+
+    def test_stripped_conjugator(self):
+        # y(2,2) sends x1 to x2^-1 x1 x2, and after y(2,1) acc(x2^-1) = x1^-1 x2^-1 x1,
+        # so W_1 = x1^-1 x2^-1 x1 ends in x1 and is stripped to x1^-1 x2^-1
+        toks = parse_word("y(2,1) y(2,2)")
+        got = direct_endo(2, toks)
+        assert got.images == _direct_endo_letterwise(2, toks).images
+        assert got.images == (word(2, [(1, -1), (2, -1), (1, 1), (2, 1), (1, 1)]), word(2, [(1, -1), (2, 1), (1, 1)]))
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            [(2, 1), (1, 1)],  # even length
+            [(3, 1), (2, 1), (3, 1)],  # x2 in the middle, but not conjugated
+            [(3, -1), (1, 1), (3, 1)],  # conjugate of x1, not of x2
+        ],
+    )
+    def test_image_not_a_conjugate_raises(self, image, monkeypatch):
+        n = 3
+        g, e = igroup._signed_gen(n, 3, 1, 1)
+        bad = EndoF(n, (e.images[0], word(n, image), e.images[2]))
+        monkeypatch.setattr(igroup, "_signed_gen", lambda *args: (g, bad))
+        monkeypatch.setattr(igroup, "_gen_conjugators", functools.cache(igroup._gen_conjugators.__wrapped__))
+        with pytest.raises(IGroupError, match="image of x2"):
+            direct_endo(n, [Token("y", 3, 1, 1)])
+
+
 class TestSignedGenTable:
     """igroup._signed_gen: each y(m,i)^eps built once per rank, for collect, direct_endo and the walks."""
 
@@ -508,12 +543,13 @@ class TestSignedGenTable:
         for mod, name in [(igroup, "iinv"), (igroup, "imul"), (endos, "compose"), (endos, "apply"),
                           (conj, "iinv"), (conj, "imul")]:
             monkeypatch.setattr(mod, name, traced)
-        for table in (igroup._signed_gen, conj._moves, conj._walk_steps):
+        for table in (igroup._signed_gen, igroup._gen_conjugators, conj._moves, conj._walk_steps):
             table.cache_clear()
         for n in range(2, 6):
             for m, i in generators(n):
                 for eps in (1, -1):
                     igroup._signed_gen(n, m, i, eps)
+                    igroup._gen_conjugators(n, m, i, eps)
             conj._moves(n)
             conj._walk_steps(n)
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pik.endos import automorphism, compose, identity_endo, tau, y_gen
+from pik.endos import EndoF, automorphism, compose, tau, y_gen
 from pik.magnus import (
     MagnusError,
     NotIAError,
@@ -13,6 +13,11 @@ from pik.magnus import (
     magnus_expand,
 )
 from pik.words import commutator, gen, invert, parse_x_word, word
+
+
+def identity_endo(n):
+    """The identity of F_n, by its images x_1, ..., x_n."""
+    return EndoF(n, tuple(gen(n, i) for i in range(1, n + 1)))
 
 
 def w(s, rank=2):

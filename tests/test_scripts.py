@@ -52,6 +52,8 @@ def test_normal_form_child(reports):
     assert rec["ops"] == 66
     assert list(rec["stages"]) == [*NF.STAGES, "other"]
     assert all(rec["stages"][s]["calls"] == 66 for s in NF.STAGES)
+    # the ops' images as they were when collect acted by run splits and direct_endo composed image strs
+    assert rec["outputs_sha256"] == "83325064ffa3ee2aae43e17700c399bd4024c36c4322b93a95dca7d1b3c8385b"
 
 
 @pytest.mark.parametrize("stream, reached", [("conj-planted", CONJ.STAGES[:-1]), ("conj-long-n3", ["ladder"])])
