@@ -5,7 +5,8 @@ For each n the table shows, per degree c, the rank of the graded piece of
 the group's Lie algebra both ways the Th1 direct-sum certificate gives it
 (per-level Witt sums vs. Witt rank of the whole minus the rank of the ideal
 J), read off one Th1 report per n, plus the rank of the degree-(c+1) piece
-realized inside the ambient IA filtration.
+realized inside the ambient IA filtration.  A row is marked MISMATCH when
+any of the three differs from the others.
 
 Usage: rank_tables.py [max_n] [max_c]   (max_n >= 3, max_c >= 1)
 """
@@ -39,7 +40,7 @@ def main(argv):
             # l1_rank brackets each weight's echelon basis: (4,5) takes 0.35 s
             # and 45 MB peak RSS (2-vCPU box).
             embedded = l1_rank(n, row.c, row.c + 2)
-            mark = "" if row.ok else "  <-- MISMATCH"
+            mark = "" if row.ok and embedded == row.via_quotient else "  <-- MISMATCH"
             print(f"  {row.c:>3} {row.via_factors:>11} {row.via_quotient:>14} {embedded!s:>8}{mark}")
         print()
 

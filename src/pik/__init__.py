@@ -16,9 +16,9 @@ from .decomp import (
     RelatorSet,
     build_relators,
     gr_rank_table,
+    verify_lie_certificates,
     verify_psi_automorphism,
     verify_theorem_th1,
-    verify_tilde_T,
 )
 from .ajohnson import inner_degree_check, l1_rank
 
@@ -57,9 +57,9 @@ __all__ = [
     "multiply",
     "parse_x_word",
     "to_endo",
+    "verify_lie_certificates",
     "verify_psi_automorphism",
     "verify_theorem_th1",
-    "verify_tilde_T",
     "witt",
     "word_problem",
     "y_gen",

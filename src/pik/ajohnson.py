@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
+from .decomp import Relator
 from .endos import tau
 from .igroup import generators
 from .lie import lattice_from_rows
@@ -121,6 +122,32 @@ def l1_rank(n: int, c: int, D: int) -> int:
             return lat.rank
         weight += 1
         derivations = [_derivation_bracket(_derivation(row, monos, n), g) for row in lat.rows for g in gens]
+
+
+def nonzero_relators(n: int, relators: Iterable[Relator]) -> list[tuple[int, int, int, int, int]]:
+    """(kind, m, i, r, j) of each relator that the Johnson map does not send to 0.
+
+    A relator's Lie element is read with each letter y(m, i) as D_{m,i} =
+    tau_1(y(m, i)) and each tensor word as the composite of its letters'
+    derivations, so [a, b] is [D_a, D_b] and kind 3, [y(m,i), y(r,j) - y(m,j)],
+    is [D_{m,i}, D_{r,j} - D_{m,j}] (see docs/NOTES.md, "The embedding
+    certificate").
+    """
+    gens = [_generator_derivation(n, m, i) for (m, i) in generators(n)]
+    out = []
+    for rel in relators:
+        for k in range(1, n + 1):
+            image: dict[tuple[int, ...], int] = {}
+            for w, coeff in rel.elem.coords.items():
+                poly = {(k,): coeff}
+                for a in reversed(w):
+                    poly = _leibniz(gens[a - 1], poly)
+                for mono, s in poly.items():
+                    image[mono] = image.get(mono, 0) + s
+            if any(image.values()):
+                out.append((rel.kind, rel.m, rel.i, rel.r, rel.j))
+                break
+    return out
 
 
 def basic_commutator_words(rank: int, c: int) -> list[FreeWord]:

@@ -23,7 +23,7 @@ from .conj import SearchBudget
 from .prng import Lcg
 from .words import ParseError, parse_word, parse_x_word
 
-SCHEMA = "pik/4"
+SCHEMA = "pik/5"
 
 
 @dataclass(frozen=True)
@@ -145,43 +145,36 @@ def check_conjugacy_fuzz(cfg: RunConfig) -> dict:
     )
 
 
-def check_theorem_th1(cfg: RunConfig) -> dict:
+def _embedding_row(n: int, c: int, lhs: int) -> dict:
+    """Whether l1_rank(n, c, c + 2), the rank of the weight-c image piece, is lhs."""
+    return {"c": c, "lhs": lhs, "certified": ajohnson.l1_rank(n, c, c + 2) == lhs}
+
+
+def check_lie_certificates(cfg: RunConfig) -> dict:
+    """Th1, the T_r splitting with the F1-F3 maps it rests on, and the
+    Johnson embedding, from one build of J (see docs/NOTES.md, "The
+    embedding certificate").  Each embedding row compares the image's rank
+    with rank L^c / J^c: k at c = 1, else Th1's witt_rank - rank_J."""
     rels = decomp.build_relators(cfg.n)
     if cfg.negative_control == "drop-relator":
         rels = rels.without(rels.of_kind(3)[0])
-    rep = decomp.verify_theorem_th1(cfg.n, cfg.max_degree, relators=rels)
-    details = rep.as_dict()
-    fail = rep.first_failure()
+    th1, tilde = decomp.verify_lie_certificates(cfg.n, cfg.max_degree, rels)
+    th1_details = th1.as_dict()
+    fail = th1.first_failure()
     if fail is not None:
-        details["first_failure"] = {
-            "m": fail.m,
-            "rank_deficit": fail.witt_rank - fail.direct_sum.rank_sum,
-        }
-    return _check("theorem_th1", rep.ok, details)
-
-
-def check_tilde_t(cfg: RunConfig) -> dict:
-    rep = decomp.verify_tilde_T(cfg.n, cfg.max_degree)
-    return _check("tilde_T", rep.ok, rep.as_dict())
-
-
-def _l1_row(n: int, c: int) -> tuple[int, int]:
-    """l1_rank(n, c, c + 2) and the lower bound sum_{i=2..n} witt(i, c) it should realize."""
-    return ajohnson.l1_rank(n, c, c + 2), sum(lie.witt(i, c) for i in range(2, n + 1))
-
-
-def check_l1_ranks(cfg: RunConfig) -> dict:
-    rows = []
-    for c in (1, 2):
-        got, want = _l1_row(cfg.n, c)
-        rows.append({"c": c, "l1_rank": got, "expected": want})
-    return _check("l1_rank_identity", all(r["l1_rank"] == r["expected"] for r in rows), {"rows": rows})
-
-
-def _thu1_row(n: int, c: int) -> dict:
-    """The image piece of weight c realizes the lower bound sum_{i=2..n} witt(i, c)."""
-    got, lhs = _l1_row(n, c)
-    return {"n": n, "c": c, "lhs": lhs, "certified": got == lhs}
+        th1_details["first_failure"] = {"m": fail.m, "rank_deficit": fail.witt_rank - fail.direct_sum.rank_sum}
+    psi = [decomp.verify_psi_automorphism(cfg.n, r, rels) for r in range(2, cfg.n)]
+    ranks = [decomp.alphabet_size(cfg.n)] + [d.witt_rank - d.rank_j for d in th1.degrees]
+    rows = [_embedding_row(cfg.n, c, rank) for c, rank in enumerate(ranks, 1)]
+    nonzero = ajohnson.nonzero_relators(cfg.n, rels.relators)
+    ok = th1.ok and tilde.ok and all(p.ok for p in psi) and all(r["certified"] for r in rows) and not nonzero
+    details = {
+        "theorem_th1": th1_details,
+        "tilde_T": tilde.as_dict(),
+        "psi_maps": [p.as_dict() for p in psi],
+        "johnson_embedding": {"rows": rows, "relators": len(rels.relators), "nonzero_relators": nonzero},
+    }
+    return _check("lie_certificates", ok, details)
 
 
 _CHECKS: list[Callable[[RunConfig], dict]] = [
@@ -189,9 +182,7 @@ _CHECKS: list[Callable[[RunConfig], dict]] = [
     check_igroup_relations,
     check_normal_form_fuzz,
     check_conjugacy_fuzz,
-    check_theorem_th1,
-    check_tilde_t,
-    check_l1_ranks,
+    check_lie_certificates,
 ]
 
 
@@ -449,8 +440,9 @@ def _dispatch(args) -> int:
             _print({"n": args.n, "c": args.c, "l1_rank": rank})
             return 0
         if args.subcommand == "thu1":
-            row = _thu1_row(args.n, args.c)
-            _print(row)
+            # the lower bound sum_{i=2..n} witt(i, c), which Th1 shows is rank L^c / J^c
+            row = _embedding_row(args.n, args.c, sum(lie.witt(i, args.c) for i in range(2, args.n + 1)))
+            _print({"n": args.n, **row})
             return 0 if row["certified"] else 1
 
     if args.command == "verify-all":

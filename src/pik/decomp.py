@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .igroup import gen_index, rank_of_abelianization, relator_indices
 from .lie import (
@@ -159,44 +159,32 @@ class PsiReport:
     def ok(self) -> bool:
         return self.block_is_identity and self.injective
 
+    def as_dict(self) -> dict:
+        return {"r": self.r, "block_is_identity": self.block_is_identity, "injective": self.injective}
 
-def verify_psi_automorphism(n: int, r: int) -> PsiReport:
+
+def verify_psi_automorphism(n: int, r: int, relators: Optional[RelatorSet] = None) -> PsiReport:
     """The pair-block of psi_{2,r} is the identity (hence unimodular) and
-    psi_{2,r} is 1-1: read off the level-r relators."""
+    psi_{2,r} is 1-1: read off the level-r relators, by default those of
+    build_relators(n)."""
     if not 2 <= r <= n - 1:
         raise DecompError(f"need 2 <= r <= {n - 1}, got {r}")
-    level = build_relators(n).level(r).relators
-    k = alphabet_size(n)
-    index = lyndon_index(k, 2)
-    dim = len(index)
+    level = (relators if relators is not None else build_relators(n)).level(r).relators
+    index = lyndon_index(alphabet_size(n), 2)
     y_r = set(level_letters(n, r))
-    u_r1 = set(upper_letters(n, r + 1))
-    # pair (m,nu,l) corresponds to the Lyndon word (letter(r,l), letter(m,nu))
-    pair_pos = {(rel.m, rel.i, rel.j): index[(letter(n, r, rel.j), letter(n, rel.m, rel.i))] for rel in level}
-    block_identity = True
-    rows = []
-    for rel in level:
-        row = coordinate_row(rel.elem, index, dim)
-        rows.append(row)
-        # the pair block: coordinates on Lyndon words mixing Y_r and U_{r+1};
-        # sign flip because [y_u, y_t] = -P_(t,u) for t < u.
-        for pair, pos in pair_pos.items():
-            expected = -1 if pair == (rel.m, rel.i, rel.j) else 0
-            if row[pos] != expected:
-                block_identity = False
-        for w, pos in index.items():
-            if row[pos] and not (w[0] in y_r and w[1] in u_r1):
-                # corrections must avoid the pair block entirely unless they
-                # live in L^2(U_{r+1})
-                if w[0] in y_r or w[1] in y_r:
-                    block_identity = False
-    lat = lattice_from_rows(rows, dim)
-    return PsiReport(
-        n=n,
-        r=r,
-        block_is_identity=block_identity,
-        injective=lat.rank == len(level),
+    # the pair [y(m,nu), y(r,l)] is the Lyndon word (letter(r,l), letter(m,nu)):
+    # Y_r's letters precede U_{r+1}'s
+    pairs = {(y, u) for y in y_r for u in upper_letters(n, r + 1)}
+    own = [(letter(n, r, rel.j), letter(n, rel.m, rel.i)) for rel in level]
+    # the block is square, each pair one relator's, and each relator is -1
+    # at its own pair ([y_u, y_t] = -P_(t,u) for t < u) with its other
+    # Lyndon words in L^2(U_{r+1})
+    block_identity = sorted(own) == sorted(pairs) and all(
+        dict(rel.elem.lyndon).get(pair) == -1 and all(w == pair or not y_r & set(w) for w, _ in rel.elem.lyndon)
+        for rel, pair in zip(level, own)
     )
+    rows = [coordinate_row(rel.elem, index, len(index)) for rel in level]
+    return PsiReport(n, r, block_identity, injective=lattice_from_rows(rows, len(index)).rank == len(level))
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +474,18 @@ class Th1Report:
         return {"n": self.n, "ok": self.ok, "per_degree": [d.as_dict() for d in self.degrees]}
 
 
+def _th1_degree(n: int, m: int, blocks: Iterable[Block]) -> DegreeReport:
+    """Degree m of Th1 from the blocks of J^m, read once."""
+    k = alphabet_size(n)
+    # a Lyndon word on one level's letters is Lyndon on the whole ordered
+    # alphabet with the same bracketing, so L^m(Y_i) is spanned by unit
+    # Lyndon vectors
+    levels = [level_letters(n, i) for i in range(2, n + 1)]
+    units = [[tuple(ys[a - 1] for a in w) for w in lyndon_words(len(ys), m)] for ys in levels]
+    ds = lattice_direct_sum_is_whole(blocks, units, k, m)
+    return DegreeReport(m=m, witt_rank=witt(k, m), rank_j=ds.part_ranks[-1], ranks_y=ds.part_ranks[:-1], direct_sum=ds)
+
+
 def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None) -> Th1Report:
     """Certify L^m = (+_i L^m(Y_i)) (+) J^m for 2 <= m <= max_m.
 
@@ -498,25 +498,8 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
     if max_m < 2:
         raise DecompError(f"need max degree >= 2, got {max_m}")
     rels = relators if relators is not None else build_relators(n)
-    k = alphabet_size(n)
-    levels = [level_letters(n, i) for i in range(2, n + 1)]
-    reports = []
-    for m, blocks in ideal_rows_by_degree(rels, max_m, range(1, k + 1)):
-        # a Lyndon word on one level's letters is Lyndon on the whole ordered
-        # alphabet with the same bracketing, so L^m(Y_i) is spanned by unit
-        # Lyndon vectors
-        units = [[tuple(ys[a - 1] for a in w) for w in lyndon_words(len(ys), m)] for ys in levels]
-        ds = lattice_direct_sum_is_whole(blocks, units, k, m)
-        reports.append(
-            DegreeReport(
-                m=m,
-                witt_rank=witt(k, m),
-                rank_j=ds.part_ranks[-1],
-                ranks_y=ds.part_ranks[:-1],
-                direct_sum=ds,
-            )
-        )
-    return Th1Report(n, tuple(reports))
+    degrees = ideal_rows_by_degree(rels, max_m, range(1, alphabet_size(n) + 1))
+    return Th1Report(n, tuple(_th1_degree(n, m, blocks) for m, blocks in degrees))
 
 
 # -- the per-level ideals T_r -----------------------------------------------
@@ -557,58 +540,56 @@ class TildeTReport:
         return {"n": self.n, "ok": self.ok, "per_degree": [d.as_dict() for d in self.degrees]}
 
 
-def _by_words(blocks: Iterator[Block]) -> Iterator[tuple[tuple[Word, ...], list[SparseRow]]]:
-    """A degree's blocks keyed by their Lyndon words, one at a time; a block
-    with no word holds nothing."""
-    return ((tuple(words), rows) for words, rows in blocks if words)
-
-
-def verify_tilde_T(n: int, max_m: int) -> TildeTReport:
-    """Certify that the T_r pieces sum directly to J, degree by degree.
+def verify_lie_certificates(
+    n: int, max_m: int, relators: Optional[RelatorSet] = None
+) -> tuple[Th1Report, TildeTReport]:
+    """Th1 and the splitting of J into the T_r, for 2 <= m <= max_m, from
+    one pass over J.
 
     T_r is the ideal of L(U_r) generated by the level-r relators (see
     docs/NOTES.md), so J and each T_r come from the one ideal builder.  All
     of them split into the same multidegree blocks, and lattices that are
     direct sums over the same blocks are equal iff they are equal per block.
+    Each block of J is echelonized once: its lattice is compared with the
+    stacked echelons of the T_r there, and its echelon rows feed Th1, which
+    finds them reduced.  Failure is reported, as in verify_theorem_th1.
     """
     if n < 3:
         raise DecompError("need n >= 3")
     if max_m < 2:
         raise DecompError(f"need max degree >= 2, got {max_m}")
-    rels = build_relators(n)
+    rels = relators if relators is not None else build_relators(n)
     j_degrees = ideal_rows_by_degree(rels, max_m, range(1, alphabet_size(n) + 1))
     t_degrees = [ideal_rows_by_degree(rels.level(r), max_m, upper_letters(n, r)) for r in range(2, n)]
-    reports = []
+    th1, tilde = [], []
     for (m, j_blocks), *t_levels in zip(j_degrees, *t_degrees):
-        # J's blocks are read one at a time, each T_r block dropped once read
-        ts = [dict(_by_words(blocks)) for _, blocks in t_levels]
-        rank_j = stacked_rank = 0
+        # J's blocks are read one at a time; each T_r block, keyed by its
+        # words (a block with none holds nothing), is dropped once read
+        ts = [{tuple(words): rows for words, rows in blocks if words} for _, blocks in t_levels]
         t_ranks = [0] * len(ts)
-        sum_equals_j = True
-        for words, rows in _by_words(j_blocks):
-            if any(words not in t for t in ts):
-                raise DecompError(f"the blocks of J^{m} and of the T_r do not line up")
-            t_lats = [lattice_from_rows(t.pop(words), len(words)) for t in ts]
-            for r, t_lat in enumerate(t_lats):
-                t_ranks[r] += t_lat.rank
-            # the T_r echelon rows span the T_r with fewer rows than their spanning sets
-            stacked = lattice_from_rows([row for t_lat in t_lats for row in t_lat.rows], len(words))
-            j_lat = lattice_from_rows(rows, len(words))
-            rank_j += j_lat.rank
-            stacked_rank += stacked.rank
-            sum_equals_j = sum_equals_j and same_lattice(j_lat, stacked)
+        stacked: list[tuple[int, bool]] = []  # per block: rank of the stacked T_r, and whether it is J's lattice
+
+        def echelons() -> Iterator[Block]:
+            for words, rows in j_blocks:
+                j_lat = lattice_from_rows(rows, len(words))
+                if words:
+                    if any(tuple(words) not in t for t in ts):
+                        raise DecompError(f"the blocks of J^{m} and of the T_r do not line up")
+                    t_lats = [lattice_from_rows(t.pop(tuple(words)), len(words)) for t in ts]
+                    for r, t_lat in enumerate(t_lats):
+                        t_ranks[r] += t_lat.rank
+                    # the T_r echelon rows span the T_r with fewer rows than their spanning sets
+                    t_sum = lattice_from_rows([row for t_lat in t_lats for row in t_lat.rows], len(words))
+                    stacked.append((t_sum.rank, same_lattice(j_lat, t_sum)))
+                yield words, j_lat.rows
+
+        degree = _th1_degree(n, m, echelons())
         if any(ts):
             raise DecompError(f"the blocks of J^{m} and of the T_r do not line up")
-        reports.append(
-            TildeTDegreeReport(
-                m=m,
-                rank_j=rank_j,
-                t_ranks=tuple(t_ranks),
-                sum_equals_j=sum_equals_j,
-                direct=sum(t_ranks) == stacked_rank,
-            )
-        )
-    return TildeTReport(n, tuple(reports))
+        th1.append(degree)
+        direct = sum(t_ranks) == sum(rank for rank, _ in stacked)
+        tilde.append(TildeTDegreeReport(m, degree.rank_j, tuple(t_ranks), all(same for _, same in stacked), direct))
+    return Th1Report(n, tuple(th1)), TildeTReport(n, tuple(tilde))
 
 
 # -- rank table --------------------------------------------------------------

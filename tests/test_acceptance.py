@@ -95,7 +95,7 @@ def test_05_and_07_decomposition_and_ranks():
 
 def test_06_per_level_splitting():
     t0 = time.perf_counter()
-    ok = decomp.verify_tilde_T(3, 3).ok and decomp.verify_tilde_T(4, 3).ok
+    ok = decomp.verify_lie_certificates(3, 3)[1].ok and decomp.verify_lie_certificates(4, 3)[1].ok
     report(6, "per-level ideal splitting m<=3", ok, time.perf_counter() - t0, 120.0)
 
 

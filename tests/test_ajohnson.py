@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,8 +12,11 @@ from pik.ajohnson import (
     inner_degree_check,
     l1_rank,
     left_normed,
+    nonzero_relators,
 )
 from pik.cli import main
+from pik.decomp import alphabet_size, build_relators, letter
+from pik.lie import bracket, lie_generator
 from pik.igroup import commutator_elem, gen_elem, generators, to_endo
 from pik.lie import lattice_from_rows, witt
 from pik.magnus import ia_degree, johnson_image
@@ -155,3 +159,24 @@ class TestThu1:
             assert main(["ia", "thu1", "--n", str(n), "--c", str(c)]) == 0
             rep = json.loads(capsys.readouterr().out)
             assert rep == {"n": n, "c": c, "lhs": lhs, "certified": True}
+
+
+class TestRelatorsGoToZero:
+    @pytest.mark.parametrize("n,count", [(3, 6), (4, 26), (5, 71), (6, 155)])
+    def test_every_relator_goes_to_zero(self, n, count):
+        rels = build_relators(n).relators
+        assert len(rels) == count
+        assert nonzero_relators(n, rels) == []
+
+    def test_kind_3_without_its_correction_is_named(self):
+        # [y(m,i), y(r,j)] alone is not a relator: its derivation bracket is
+        # [D_{m,i}, D_{r,j}] != 0, and the check names the relator by its indices
+        n = 4
+        rels = build_relators(n).relators
+        victim = next(rel for rel in rels if rel.kind == 3)
+        k = alphabet_size(n)
+        lost = bracket(lie_generator(k, letter(n, victim.m, victim.i)), lie_generator(k, letter(n, victim.r, victim.j)))
+        broken = [replace(rel, elem=lost) if rel is victim else rel for rel in rels]
+        assert nonzero_relators(n, broken) == [(3, victim.m, victim.i, victim.r, victim.j)]
+        gens = dict(zip(generators(n), (_generator_derivation(n, m, i) for m, i in generators(n))))
+        assert any(_derivation_bracket(gens[victim.m, victim.i], gens[victim.r, victim.j]))

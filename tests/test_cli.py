@@ -37,7 +37,7 @@ def run_cli(args, **kwargs):
 
 class TestReportSchema:
     def test_empty_results(self):
-        assert emit_report([]) == {"schema": "pik/4", "checks": []}
+        assert emit_report([]) == {"schema": "pik/5", "checks": []}
 
     def test_passing_check(self):
         rep = emit_report([{"name": "x", "status": "pass", "details": {}}])
@@ -253,7 +253,7 @@ class TestVerifyAll:
         assert main(self.CFG + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         rep = json.loads(out1.read_text())
-        assert rep["schema"] == "pik/4"
+        assert rep["schema"] == "pik/5"
         assert all(c["status"] == "pass" for c in rep["checks"])
 
     def test_negative_control_drop_relator(self, tmp_path, capsys):
@@ -261,8 +261,8 @@ class TestVerifyAll:
         assert code == 1
         rep = json.loads((tmp_path / "r.json").read_text())
         failing = {c["name"]: c for c in rep["checks"] if c["status"] == "fail"}
-        assert "theorem_th1" in failing
-        assert failing["theorem_th1"]["details"]["first_failure"] == {"m": 2, "rank_deficit": 1}
+        assert "lie_certificates" in failing
+        assert failing["lie_certificates"]["details"]["theorem_th1"]["first_failure"] == {"m": 2, "rank_deficit": 1}
 
     def test_negative_control_perturb_chi(self, tmp_path, capsys):
         code = main(self.CFG + ["--negative-control", "perturb-chi", "--out", str(tmp_path / "r.json")])
@@ -270,17 +270,19 @@ class TestVerifyAll:
         rep = json.loads((tmp_path / "r.json").read_text())
         assert any(c["name"] == "mccool_relations" and c["status"] == "fail" for c in rep["checks"])
 
-    # SHA-256 of the report bytes of CFG, re-pinned at schema pik/4, which
-    # dropped the gr_rank_table check (its agree is theorem_th1's rank_sum ==
-    # rank_total on the same relators) and changed nothing else in these
-    # reports; a change that keeps every verdict keeps them.
+    # SHA-256 of the report bytes of CFG, re-pinned at schema pik/5, which
+    # folded theorem_th1, tilde_T and l1_rank_identity into lie_certificates
+    # (their details unchanged, as its theorem_th1 and tilde_T parts) and
+    # added the F1-F3 maps and the embedding at every degree; the other
+    # checks' entries did not change.  A change that keeps every verdict
+    # keeps them.
     @pytest.mark.parametrize(
         "extra, digest",
         [
-            ([], "0945c60f0a7ce2f3b462c45be76e1bda6d55a8cca66c480e34f6c5ccd6e22043"),
+            ([], "9f7c6b40319fcc83e24267f0d3e93a881e40ba00a72fcc0d390df353a6434422"),
             (
                 ["--negative-control", "perturb-chi"],
-                "f60ecaebc421ee87cb482ffe3d4022b778881bdf078a3df77a9de3d7ee916569",
+                "15d05aed3d516fe051c554eca75c3b21429a5081eb1fdbb0e6e3769c77320b47",
             ),
         ],
         ids=["default", "perturb-chi"],  # a re-pin keeps the test ids
@@ -289,6 +291,47 @@ class TestVerifyAll:
         out = tmp_path / "r.json"
         main(self.CFG + extra + ["--out", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_lie_certificates_parts(self, tmp_path):
+        # one check: the embedding row of each degree certifies rank L^c / J^c,
+        # which Th1 reads as the per-level Witt sum, and every relator goes to 0
+        out = tmp_path / "r.json"
+        assert main(self.CFG + ["--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert [c["name"] for c in rep["checks"]] == [
+            "mccool_relations", "igroup_relations", "normal_form_fuzz", "conjugacy_fuzz", "lie_certificates"
+        ]
+        details = rep["checks"][-1]["details"]
+        assert details["johnson_embedding"] == {
+            "rows": [{"c": c, "lhs": lhs, "certified": True} for c, lhs in ((1, 5), (2, 4), (3, 10))],
+            "relators": 6,
+            "nonzero_relators": [],
+        }
+        assert details["psi_maps"] == [{"r": 2, "block_is_identity": True, "injective": True}]
+        assert [d["rank_J"] for d in details["tilde_T"]["per_degree"]] == [
+            d["rank_J"] for d in details["theorem_th1"]["per_degree"]
+        ]
+
+    def test_j_is_built_once_per_run(self, tmp_path, monkeypatch):
+        # the ideal of the whole relator set over every letter is entered
+        # once: Th1 and the T_r splitting read the same echelons of J
+        from pik import decomp
+
+        build = decomp.ideal_rows_by_degree
+        whole = decomp.build_relators(4)
+        every = list(range(1, decomp.alphabet_size(4) + 1))
+        seen = []
+
+        def spy(relators, max_m, letters):
+            if relators == whole and list(letters) == every:
+                seen.append(max_m)
+            return build(relators, max_m, letters)
+
+        monkeypatch.setattr(decomp, "ideal_rows_by_degree", spy)
+        monkeypatch.delenv("PIK_THREADS", raising=False)
+        cfg = ["verify-all", "--n", "4", "--max-degree", "3", "--fuzz-words", "2", "--fuzz-conj", "2"]
+        assert main(cfg + ["--out", str(tmp_path / "r.json")]) == 0
+        assert seen == [3]
 
     def test_text_format(self, capsys):
         code = main(self.CFG + ["--format", "text"])
@@ -425,3 +468,17 @@ def test_rank_tables_runs_from_any_directory(tmp_path):
     assert [int(row[1]) for row in rows] == [5, 4, 10]
     assert [int(row[2]) for row in rows] == [5, 4, 10]
     assert "MISMATCH" not in proc.stdout
+
+
+def test_rank_tables_flags_a_johnson_mismatch(monkeypatch, capsys):
+    # negative control: an embedded rank one too high marks its rows, though
+    # the two Th1 columns agree
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("rank_tables", SRC.parent / "scripts" / "rank_tables.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "l1_rank", lambda n, c, D: 5 if c == 1 else 0)
+    script.main(["rank_tables.py", "3", "2"])
+    rows = [line for line in capsys.readouterr().out.splitlines()[2:] if line.strip()]
+    assert ["MISMATCH" in row for row in rows] == [False, True]

@@ -20,9 +20,9 @@ from pik.decomp import (
     letter,
     level_letters,
     upper_letters,
+    verify_lie_certificates,
     verify_psi_automorphism,
     verify_theorem_th1,
-    verify_tilde_T,
 )
 from pik.igroup import relation_instances, relator_indices
 from pik.lie import (
@@ -257,6 +257,20 @@ class TestPsi:
         with pytest.raises(DecompError):
             verify_psi_automorphism(3, 3)
 
+    def test_read_from_the_relator_set_given(self):
+        # negative controls at n = 4, r = 2: a dropped relator leaves its
+        # pair out of the block, and a kind-3 relator whose y(r,j) is
+        # y(m,j) puts no -1 at its own pair; the other level is untouched
+        rels = build_relators(4)
+        victim = rels.of_kind(3)[0]
+        assert verify_psi_automorphism(4, 2, rels) == verify_psi_automorphism(4, 2)
+        wrong = replace(victim, elem=pair(4, victim.m, victim.i, victim.m, victim.j))
+        swapped = RelatorSet(4, tuple(wrong if rel is victim else rel for rel in rels.relators))
+        for bad in (rels.without(victim), swapped):
+            rep = verify_psi_automorphism(4, 2, bad)
+            assert not rep.block_is_identity and rep.injective
+            assert verify_psi_automorphism(4, 3, bad).ok
+
 
 class TestIdeal:
     def test_ideal_property(self):
@@ -462,18 +476,24 @@ PINNED_TH1 = {
 
 @pytest.mark.parametrize("n,max_m", sorted(PINNED_TH1))
 def test_th1_reports_are_pinned(n, max_m):
-    blob = json.dumps(verify_theorem_th1(n, max_m).as_dict(), sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == PINNED_TH1[(n, max_m)]
+    # the Th1-only entry point and the one pass that also splits J agree
+    for rep in (verify_theorem_th1(n, max_m), verify_lie_certificates(n, max_m)[0]):
+        blob = json.dumps(rep.as_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_TH1[(n, max_m)]
+
+
+def tilde_t(n, max_m):
+    return verify_lie_certificates(n, max_m)[1]
 
 
 class TestTildeT:
     def test_n3(self):
-        rep = verify_tilde_T(3, 3)
+        rep = tilde_t(3, 3)
         assert rep.ok
         assert rep.degrees[0].t_ranks == (6,)
 
     def test_n4_block_ranks(self):
-        rep = verify_tilde_T(4, 2)
+        rep = tilde_t(4, 2)
         assert rep.ok
         assert rep.degrees[0].t_ranks == (14, 12)
         assert rep.degrees[0].rank_j == 26
@@ -508,7 +528,7 @@ class TestTildeT:
         # negative control: T_r bracketed with every letter is the ideal of L
         # that the level-r relators generate, and these overlap in degree 3
         monkeypatch.setattr(decomp_mod, "upper_letters", lambda n, r: every_letter(n))
-        rep = verify_tilde_T(4, 3)
+        rep = tilde_t(4, 3)
         assert rep.degrees[0].ok
         top = rep.degrees[1]
         assert (top.rank_j, top.t_ranks, top.sum_equals_j, top.direct) == (210, (126, 108), True, False)
@@ -529,12 +549,25 @@ class TestTildeT:
                 )
 
         monkeypatch.setattr(decomp_mod, "ideal_rows_by_degree", doubled)
-        rep = verify_tilde_T(4, 3)
+        rep = tilde_t(4, 3)
         assert [(d.sum_equals_j, d.direct) for d in rep.degrees] == [(False, True), (False, True)]
+
+    def test_one_pass_under_a_dropped_relator(self):
+        # Th1 fails exactly as the Th1-only entry point says.  The T_r of
+        # the smaller set split its J^2, which the relators span, but not
+        # J^3: [T_3, Y_2] lies in T_2 only by the level-2 relator of each
+        # pair (see docs/NOTES.md), and one of those is gone
+        rels = build_relators(4)
+        dropped = rels.without(rels.of_kind(3)[0])
+        th1, tilde = verify_lie_certificates(4, 4, dropped)
+        assert th1.as_dict() == verify_theorem_th1(4, 4, relators=dropped).as_dict()
+        assert not th1.ok and tilde.degrees[0].ok
+        assert [(d.sum_equals_j, d.direct) for d in tilde.degrees[1:]] == [(False, True), (False, True)]
+        assert [d.rank_j for d in tilde.degrees] == [d.rank_j for d in th1.degrees]
 
     def test_requires_a_degree_to_certify(self):
         with pytest.raises(DecompError, match="max degree"):
-            verify_tilde_T(3, 1)
+            verify_lie_certificates(3, 1)
 
 
 # SHA-256 of the JSON of TildeTReport.as_dict(), computed while the T_r
@@ -548,7 +581,7 @@ PINNED_TILDE_T = {
 
 @pytest.mark.parametrize("n,max_m", sorted(PINNED_TILDE_T))
 def test_tilde_t_reports_are_pinned(n, max_m):
-    blob = json.dumps(verify_tilde_T(n, max_m).as_dict(), sort_keys=True).encode()
+    blob = json.dumps(tilde_t(n, max_m).as_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED_TILDE_T[(n, max_m)]
 
 
@@ -561,16 +594,16 @@ def test_cached_tables_survive_every_certificate():
     rels = build_relators(4)
     reports = [
         verify_theorem_th1(4, 4),
-        verify_tilde_T(4, 4),
+        *verify_lie_certificates(4, 4),
         verify_theorem_th1(4, 4, relators=rels.without(rels.of_kind(3)[0])),
         verify_theorem_th1(4, 4),
     ]
     blobs = [json.dumps(rep.as_dict(), sort_keys=True).encode() for rep in reports]
-    first, tilde, _, again = (hashlib.sha256(blob).hexdigest() for blob in blobs)
-    assert first == again == PINNED_TH1[(4, 4)]
+    first, th1, tilde, _, again = (hashlib.sha256(blob).hexdigest() for blob in blobs)
+    assert first == th1 == again == PINNED_TH1[(4, 4)]
     assert tilde == PINNED_TILDE_T[(4, 4)]
-    fail = reports[2].first_failure()
-    assert not reports[2].ok and fail.m == 2 and fail.witt_rank - fail.direct_sum.rank_sum == 1
+    fail = reports[3].first_failure()
+    assert not reports[3].ok and fail.m == 2 and fail.witt_rank - fail.direct_sum.rank_sum == 1
     k = alphabet_size(4)
     levels = [level_letters(4, i) for i in range(2, 5)]
     for m in range(2, 5):
@@ -582,7 +615,7 @@ def test_cached_tables_survive_every_certificate():
         units = tuple(tuple(tuple(ys[a - 1] for a in w) for w in lyndon_words(len(ys), m)) for ys in levels)
         unit_words = lie_mod._unit_words(units, k, m)
         assert type(unit_words) is frozenset and unit_words == {w for part in units for w in part}
-    assert lie_mod._unit_words.cache_info().currsize == 3  # one per degree, each read by the three Th1 runs
+    assert lie_mod._unit_words.cache_info().currsize == 3  # one per degree, each read by the four Th1 runs
 
 
 class TestRankTable:

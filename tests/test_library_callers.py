@@ -39,7 +39,6 @@ PIK = ROOT / "src" / "pik"
 # Names kept without such a caller, each for the reason given.
 ALLOWED = {
     ("ajohnson", "inner_degree_check"): "used by an acceptance test",
-    ("decomp", "verify_psi_automorphism"): "the paper's F1-F3 maps, with no other check",
     ("endos", "automorphism"): "bench/tracer.py LAYERS wraps it by name",
     ("magnus", "_letter_series"): "the reference that the letter-step test compares against",
     ("magnus", "johnson_image"): (
