@@ -552,20 +552,27 @@ def verify_lie_certificates(
     direct sums over the same blocks are equal iff they are equal per block.
     Each block of J is echelonized once: its lattice is compared with the
     stacked echelons of the T_r there, and its echelon rows feed Th1, which
-    finds them reduced.  Failure is reported, as in verify_theorem_th1.
+    finds them reduced.  A T_r whose relators and letters are J's (T_2 at
+    n = 3, where every relator has level 2 and U_2 is every letter) is J,
+    and reads J's echelon instead of building its own.  Failure is
+    reported, as in verify_theorem_th1.
     """
     if n < 3:
         raise DecompError("need n >= 3")
     if max_m < 2:
         raise DecompError(f"need max degree >= 2, got {max_m}")
     rels = relators if relators is not None else build_relators(n)
-    j_degrees = ideal_rows_by_degree(rels, max_m, range(1, alphabet_size(n) + 1))
-    t_degrees = [ideal_rows_by_degree(rels.level(r), max_m, upper_letters(n, r)) for r in range(2, n)]
+    letters = list(range(1, alphabet_size(n) + 1))
+    j_degrees = ideal_rows_by_degree(rels, max_m, letters)
+    t_degrees = [  # None for a T_r that is J
+        None if level == rels and ups == letters else ideal_rows_by_degree(level, max_m, ups)
+        for level, ups in ((rels.level(r), upper_letters(n, r)) for r in range(2, n))
+    ]
     th1, tilde = [], []
-    for (m, j_blocks), *t_levels in zip(j_degrees, *t_degrees):
+    for m, j_blocks in j_degrees:
         # J's blocks are read one at a time; each T_r block, keyed by its
         # words (a block with none holds nothing), is dropped once read
-        ts = [{tuple(words): rows for words, rows in blocks if words} for _, blocks in t_levels]
+        ts = [None if t is None else {tuple(words): rows for words, rows in next(t)[1] if words} for t in t_degrees]
         t_ranks = [0] * len(ts)
         stacked: list[tuple[int, bool]] = []  # per block: rank of the stacked T_r, and whether it is J's lattice
 
@@ -573,9 +580,9 @@ def verify_lie_certificates(
             for words, rows in j_blocks:
                 j_lat = lattice_from_rows(rows, len(words))
                 if words:
-                    if any(tuple(words) not in t for t in ts):
+                    if any(t is not None and tuple(words) not in t for t in ts):
                         raise DecompError(f"the blocks of J^{m} and of the T_r do not line up")
-                    t_lats = [lattice_from_rows(t.pop(tuple(words)), len(words)) for t in ts]
+                    t_lats = [j_lat if t is None else lattice_from_rows(t.pop(tuple(words)), len(words)) for t in ts]
                     for r, t_lat in enumerate(t_lats):
                         t_ranks[r] += t_lat.rank
                     # the T_r echelon rows span the T_r with fewer rows than their spanning sets

@@ -18,8 +18,8 @@ only images; an inverse is carried only where something inverts the map
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 from .words import (
     FreeWord,
@@ -44,13 +44,19 @@ class EndoF:
 
     inv_images, when present, is the inverse's images: the endomorphism is
     then a flagged automorphism that inverse() can invert.  Only y_gen,
-    igroup.to_endo, automorphism (which checks it) and inverse (which swaps
-    it with images) set it; compose and the other constructors leave it None.
+    automorphism (which checks it) and inverse (which swaps it with images)
+    set it; compose and the other constructors leave it None.
+    igroup.to_endo instead sets _inv_builder, which makes the inverse's
+    images when inverse() asks for them, so a map that is never inverted
+    never builds them.  The builder is not compared and not shown.
     """
 
     rank: int
     images: tuple[FreeWord, ...]
     inv_images: Optional[tuple[FreeWord, ...]] = None
+    _inv_builder: Optional[Callable[[], tuple[FreeWord, ...]]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.images) != self.rank:
@@ -75,9 +81,12 @@ def compose(f: EndoF, g: EndoF) -> EndoF:
 
 
 def inverse(f: EndoF) -> EndoF:
-    if f.inv_images is None:
-        raise EndoError("endomorphism is not flagged invertible")
-    return EndoF(f.rank, f.inv_images, f.images)
+    inv_images = f.inv_images
+    if inv_images is None:
+        if f._inv_builder is None:
+            raise EndoError("endomorphism is not flagged invertible")
+        inv_images = f._inv_builder()
+    return EndoF(f.rank, inv_images, f.images)
 
 
 def is_identity(f: EndoF) -> bool:

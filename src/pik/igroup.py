@@ -28,6 +28,7 @@ from typing import Iterable, Optional
 from . import endos
 from .endos import EndoF
 from .words import (
+    _FLIP,
     FreeWord,
     Token,
     WordError,
@@ -371,15 +372,19 @@ def _images(a: IElem) -> tuple[FreeWord, ...]:
     images = []
     p = ""
     for k in range(n, 0, -1):
-        if k >= 2:  # P_1 = P_2; V_k is the inverse of w_k read backwards
-            p = _join(p, _inverse(a.parts[n - k][::-1]))
+        if k >= 2:  # P_1 = P_2
+            p = _join(p, a.parts[n - k].translate(_FLIP))
         images.append(_words_raw(n, _letter_conjugate(p, encode(((k, 1),)))))
     return tuple(reversed(images))
 
 
 def to_endo(a: IElem) -> EndoF:
-    """The automorphism of F_n realized by a; a group homomorphism."""
-    return EndoF(a.n, _images(a), _images(iinv(a)))
+    """The automorphism of F_n realized by a; a group homomorphism.
+
+    Its images are built now; its inverse's, those of iinv(a), only when
+    endos.inverse asks for them.
+    """
+    return EndoF(a.n, _images(a), _inv_builder=lambda: _images(iinv(a)))
 
 
 @functools.cache

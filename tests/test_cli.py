@@ -314,12 +314,11 @@ class TestVerifyAll:
 
     def test_j_is_built_once_per_run(self, tmp_path, monkeypatch):
         # the ideal of the whole relator set over every letter is entered
-        # once: Th1 and the T_r splitting read the same echelons of J
+        # once: Th1 and the T_r splitting read the same echelons of J, and
+        # at n = 3, where T_2 has J's relators and letters, so does T_2
         from pik import decomp
 
         build = decomp.ideal_rows_by_degree
-        whole = decomp.build_relators(4)
-        every = list(range(1, decomp.alphabet_size(4) + 1))
         seen = []
 
         def spy(relators, max_m, letters):
@@ -329,9 +328,13 @@ class TestVerifyAll:
 
         monkeypatch.setattr(decomp, "ideal_rows_by_degree", spy)
         monkeypatch.delenv("PIK_THREADS", raising=False)
-        cfg = ["verify-all", "--n", "4", "--max-degree", "3", "--fuzz-words", "2", "--fuzz-conj", "2"]
-        assert main(cfg + ["--out", str(tmp_path / "r.json")]) == 0
-        assert seen == [3]
+        for n in (3, 4):
+            whole = decomp.build_relators(n)
+            every = list(range(1, decomp.alphabet_size(n) + 1))
+            seen.clear()
+            cfg = ["verify-all", "--n", str(n), "--max-degree", "3", "--fuzz-words", "2", "--fuzz-conj", "2"]
+            assert main(cfg + ["--out", str(tmp_path / "r.json")]) == 0
+            assert seen == [3]
 
     def test_text_format(self, capsys):
         code = main(self.CFG + ["--format", "text"])

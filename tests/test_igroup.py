@@ -365,7 +365,22 @@ class TestToEndo:
 
     @given(_ielems())
     def test_inverse_images_are_images_of_inverse(self, a):
-        assert to_endo(a).inv_images == to_endo(iinv(a)).images
+        assert inverse(to_endo(a)).images == to_endo(iinv(a)).images
+
+    def test_inverse_images_built_only_on_inverse(self, monkeypatch):
+        # to_endo's images need no iinv; inverting its map needs one
+        a = from_parts(4, {4: word(4, [(2, 1), (4, -1)]), 3: word(3, [(1, 1)]), 2: word(2, [(1, -1)])})
+        calls = []
+
+        def spy(b):
+            calls.append(b)
+            return iinv(b)
+
+        monkeypatch.setattr(igroup, "iinv", spy)
+        e = to_endo(a)
+        assert calls == []
+        assert inverse(e).images == to_endo(iinv(a)).images
+        assert calls == [a]
 
     @given(_ielems().filter(lambda a: not a.is_identity), st.data())
     def test_negative_control_one_sign_flipped(self, a, data):
