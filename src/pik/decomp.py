@@ -42,12 +42,10 @@ from .lie import (
     Terms,
     Word,
     bracket,
-    coordinate_row,
     lattice_direct_sum_is_whole,
     lattice_from_rows,
     lie_from_tensor,
     lie_generator,
-    lyndon_index,
     lyndon_words,
     same_lattice,
     witt,
@@ -135,6 +133,15 @@ def build_relators(n: int) -> RelatorSet:
     return RelatorSet(n, tuple(out))
 
 
+def _relators_for(n: int, relators: Optional[RelatorSet]) -> RelatorSet:
+    """relators, by default build_relators(n); a set for another n raises DecompError."""
+    if relators is None:
+        return build_relators(n)
+    if relators.n != n:
+        raise DecompError(f"the relators are those of n = {relators.n}, not of n = {n}")
+    return relators
+
+
 # ---------------------------------------------------------------------------
 # The paper's per-level maps psi_{2,r} on the pair basis [U_{r+1}, Y_r]:
 #   (F1) [y(m,i), y(r,i)]  |->  [y(m,i), y(r,i)]
@@ -166,11 +173,11 @@ class PsiReport:
 def verify_psi_automorphism(n: int, r: int, relators: Optional[RelatorSet] = None) -> PsiReport:
     """The pair-block of psi_{2,r} is the identity (hence unimodular) and
     psi_{2,r} is 1-1: read off the level-r relators, by default those of
-    build_relators(n)."""
+    build_relators(n); relators for another n raise DecompError."""
     if not 2 <= r <= n - 1:
         raise DecompError(f"need 2 <= r <= {n - 1}, got {r}")
-    level = (relators if relators is not None else build_relators(n)).level(r).relators
-    index = lyndon_index(alphabet_size(n), 2)
+    level = _relators_for(n, relators).level(r).relators
+    index = {w: j for j, w in enumerate(lyndon_words(alphabet_size(n), 2))}
     y_r = set(level_letters(n, r))
     # the pair [y(m,nu), y(r,l)] is the Lyndon word (letter(r,l), letter(m,nu)):
     # Y_r's letters precede U_{r+1}'s
@@ -183,7 +190,7 @@ def verify_psi_automorphism(n: int, r: int, relators: Optional[RelatorSet] = Non
         dict(rel.elem.lyndon).get(pair) == -1 and all(w == pair or not y_r & set(w) for w, _ in rel.elem.lyndon)
         for rel, pair in zip(level, own)
     )
-    rows = [coordinate_row(rel.elem, index, len(index)) for rel in level]
+    rows = [{index[w]: c for w, c in rel.elem.lyndon} for rel in level]
     return PsiReport(n, r, block_identity, injective=lattice_from_rows(rows, len(index)).rank == len(level))
 
 
@@ -490,14 +497,15 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
     """Certify L^m = (+_i L^m(Y_i)) (+) J^m for 2 <= m <= max_m.
 
     Failure is reported, not raised, so perturbed relator sets can be used as
-    negative controls; a relator that is not homogeneous raises DecompError.
+    negative controls; a relator that is not homogeneous, or relators for
+    another n, raise DecompError.
     I_2 is free (no relators), so at n = 2 J is 0 and L^m is L^m(Y_2).
     """
     if n < 2:
         raise DecompError("need n >= 2")
     if max_m < 2:
         raise DecompError(f"need max degree >= 2, got {max_m}")
-    rels = relators if relators is not None else build_relators(n)
+    rels = _relators_for(n, relators)
     degrees = ideal_rows_by_degree(rels, max_m, range(1, alphabet_size(n) + 1))
     return Th1Report(n, tuple(_th1_degree(n, m, blocks) for m, blocks in degrees))
 
@@ -555,13 +563,13 @@ def verify_lie_certificates(
     finds them reduced.  A T_r whose relators and letters are J's (T_2 at
     n = 3, where every relator has level 2 and U_2 is every letter) is J,
     and reads J's echelon instead of building its own.  Failure is
-    reported, as in verify_theorem_th1.
+    reported and bad input raised, as in verify_theorem_th1.
     """
     if n < 3:
         raise DecompError("need n >= 3")
     if max_m < 2:
         raise DecompError(f"need max degree >= 2, got {max_m}")
-    rels = relators if relators is not None else build_relators(n)
+    rels = _relators_for(n, relators)
     letters = list(range(1, alphabet_size(n) + 1))
     j_degrees = ideal_rows_by_degree(rels, max_m, letters)
     t_degrees = [  # None for a T_r that is J

@@ -222,22 +222,6 @@ def witt(nvars: int, c: int) -> int:
 SparseRow = dict[int, int]  # column -> nonzero entry
 
 
-def _sparse(row: "Sequence[int] | SparseRow", dim: int) -> SparseRow:
-    """row, dense of length dim or sparse, as a sparse row: a clean sparse
-    row (nonzero Python ints, columns in range) itself, any other row a
-    fresh copy of Python ints with no zero."""
-    if isinstance(row, dict):
-        if row and (min(row) < 0 or max(row) >= dim):
-            raise LieError(f"a sparse row has a column outside columns 0..{dim - 1}")
-        entries = row.values()
-        if set(map(type, entries)) <= {int} and 0 not in entries:
-            return row
-        return {j: int(v) for j, v in row.items() if v}
-    if len(row) != dim:
-        raise LieError(f"a dense row has {len(row)} columns, not {dim}")
-    return {j: int(v) for j, v in enumerate(row) if v}
-
-
 class IntLattice:
     """Row span of integer vectors in Z^dim, kept as an echelon basis of
     sparse rows: row k is zero left of pivot_col[k], which increases."""
@@ -255,13 +239,15 @@ class IntLattice:
         return [abs(row[c]) for row, c in zip(self.rows, self.pivot_col)]
 
 
-def lattice_from_rows(rows: "Iterable[Sequence[int] | SparseRow]", dim: int) -> IntLattice:
+def lattice_from_rows(rows: Iterable[SparseRow], dim: int) -> IntLattice:
     """Echelonize the span of rows over Z, exactly.
 
-    Each row is dense (length dim) or sparse ({column: entry}); the input
-    is not modified.  A clean sparse row (nonzero Python ints) is used as
-    it is and copied only when the elimination first changes it, so the
-    echelon may hold input rows themselves: neither is to be modified
+    Each row is sparse, {column: entry} with columns in 0..dim-1 and no
+    zero entry; a row of another kind raises LieError.  Entries are Python
+    ints, as every caller builds them (their type is not checked), so
+    nothing overflows.  The input is not modified: a row is used
+    as it is and copied only when the elimination first changes it, so the
+    echelon may hold input rows themselves, and neither is to be modified
     afterwards.  Columns are taken in increasing order, with a bucket for
     each column of the live rows whose first nonzero is there.  At a
     column, the live row with the least |entry| (then the fewest nonzeros,
@@ -269,19 +255,21 @@ def lattice_from_rows(rows: "Iterable[Sequence[int] | SparseRow]", dim: int) -> 
     from the others there; a row whose entry there falls to zero moves to
     the bucket of its new first column, read off a heap of its other
     columns made when the row was first changed.  This repeats until one
-    row is left, which is retired as the column's pivot row.  Entries are
-    Python ints, so nothing overflows.
+    row is left, which is retired as the column's pivot row.
     """
     live: list[SparseRow] = []
-    given: set[int] = set()  # live rows that are the caller's dicts, copied on their first change
     first: defaultdict[int, list[int]] = defaultdict(list)  # column -> live rows whose first nonzero is there
     for row in rows:
-        sparse = _sparse(row, dim)
-        if sparse:
-            if sparse is row:
-                given.add(len(live))
-            first[min(sparse)].append(len(live))
-            live.append(sparse)
+        if not isinstance(row, dict):
+            raise LieError(f"a row is a {type(row).__name__}, not a sparse row {{column: entry}}")
+        if row:
+            lo = min(row)
+            if lo < 0 or max(row) >= dim:
+                raise LieError(f"a sparse row has a column outside columns 0..{dim - 1}")
+            if 0 in row.values():
+                raise LieError("a sparse row holds an explicit zero")
+            first[lo].append(len(live))
+            live.append(row)
     # a changed live row's columns past its first, some since cancelled, as a heap
     cols: list[list[int] | None] = [None] * len(live)
     echelon: list[SparseRow] = []
@@ -300,9 +288,8 @@ def lattice_from_rows(rows: "Iterable[Sequence[int] | SparseRow]", dim: int) -> 
                     continue
                 row = live[r]
                 h = cols[r]
-                if h is None:
-                    if r in given:
-                        row = live[r] = dict(row)
+                if h is None:  # the caller's row, changed for the first time
+                    row = live[r] = dict(row)
                     h = cols[r] = sorted(row)
                     del h[0]  # c
                 q = row[c] // a
@@ -354,17 +341,6 @@ def same_lattice(a: IntLattice, b: IntLattice) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def lyndon_index(nvars: int, m: int) -> dict[Word, int]:
-    return {w: k for k, w in enumerate(lyndon_words(nvars, m))}
-
-
-def coordinate_row(e: LieElem, index: dict[Word, int], dim: int) -> list[int]:
-    row = [0] * dim
-    for w, c in e.lyndon:
-        row[index[w]] = c
-    return row
-
-
 def _check_partition(words: Sequence[Word], nvars: int, m: int) -> None:
     """Raise LieError unless words lists each Lyndon word of length m once."""
     if len(set(words)) != len(words) or set(words) != set(lyndon_words(nvars, m)):
@@ -401,7 +377,7 @@ class DirectSumReport:
 
 
 def lattice_direct_sum_is_whole(
-    blocks: Iterable[tuple[Sequence[Word], Iterable[Sequence[int] | SparseRow]]],
+    blocks: Iterable[tuple[Sequence[Word], Iterable[SparseRow]]],
     units: Sequence[Sequence[Word]],
     nvars: int,
     m: int,
@@ -409,8 +385,8 @@ def lattice_direct_sum_is_whole(
     """Certificate that the span J of the blocks' rows and the unit vectors
     of units' Lyndon words form a direct sum equal to all of L^m over Z.
 
-    Each block pairs some of the degree-m Lyndon words with rows, sparse
-    ({column: entry}) or dense, one column per word, that are the tensor
+    Each block pairs some of the degree-m Lyndon words with sparse rows
+    (see lattice_from_rows), one column per word, that are the tensor
     coefficients there of homogeneous degree-m Lie elements; the caller
     guarantees that these have no nonzero coefficient at another block's
     word, and a row with a column past the block's words is refused.
@@ -424,8 +400,10 @@ def lattice_direct_sum_is_whole(
     standard bracketing P_s meets a Lyndon word outside S (true of the level
     words; checked here).  So it is all of L^m iff one echelon of each
     block's rows, with the C columns first, has a pivot of 1 in absolute
-    value in every C column (see docs/NOTES.md).  A block whose rows are
-    already an echelon basis in that column order costs no elimination step.
+    value in every C column (see docs/NOTES.md).  Each block lists its C
+    words before its S words, so its columns are in that order as given; a
+    block that lists a unit word before a C word raises LieError.  A block
+    whose rows are already an echelon basis costs no elimination step.
     """
     unit_words = _unit_words(tuple(map(tuple, units)), nvars, m)
     seen: list[Word] = []
@@ -433,13 +411,11 @@ def lattice_direct_sum_is_whole(
     whole = True
     for words, rows in blocks:
         seen.extend(words)
-        # stable: C, then S; a block already in that order is read as it is
-        order = sorted(range(len(words)), key=lambda j: words[j] in unit_words)
-        if order != list(range(len(words))):
-            moved = {j: k for k, j in enumerate(order)}
-            rows = [{moved[j]: x for j, x in _sparse(row, len(words)).items()} for row in rows]
+        is_unit = [w in unit_words for w in words]
+        c = is_unit.count(False)
+        if any(is_unit[:c]):
+            raise LieError(f"a block lists the unit word {words[is_unit.index(True)]} before a C word")
         lat = lattice_from_rows(rows, len(words))
-        c = sum(w not in unit_words for w in words)
         whole = whole and lat.pivot_col[:c] == list(range(c)) and all(p == 1 for p in lat.pivots()[:c])
         rank_j += lat.rank
     _check_partition(seen, nvars, m)

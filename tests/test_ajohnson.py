@@ -44,13 +44,12 @@ def basic_commutators_In(n, c):
 
 
 def group_johnson_rows(n, c, elems):
+    """The elements' degree-(c+1) Johnson images as sparse rows, laid out as johnson_rows lays them."""
     monos = list(itertools.product(range(1, n + 1), repeat=c + 1))
     rows = []
     for e in elems:
-        row = []
-        for p in johnson_image(to_endo(e), c + 1):
-            row.extend(p.get(m, 0) for m in monos)
-        rows.append(row)
+        dense = [p.get(m, 0) for p in johnson_image(to_endo(e), c + 1) for m in monos]
+        rows.append({j: x for j, x in enumerate(dense) if x})
     return rows
 
 
@@ -116,9 +115,9 @@ class TestL1Rank:
     @pytest.mark.parametrize("n,c", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
     def test_rows_equal_group_side(self, n, c):
         # derivation brackets against commutators formed in the group: same
-        # rows, same order, same sign, the derivation rows held sparse
+        # rows, same order, same sign
         group = group_johnson_rows(n, c, basic_commutators_In(n, c))
-        assert johnson_rows(n, c) == [{j: x for j, x in enumerate(row) if x} for row in group]
+        assert johnson_rows(n, c) == group
 
     @pytest.mark.parametrize(
         "n,c", [(3, c) for c in range(1, 6)] + [(4, c) for c in range(1, 5)] + [(5, c) for c in range(1, 4)]

@@ -5,6 +5,7 @@ from types import MappingProxyType
 
 import pytest
 
+import pik.ajohnson as ajohnson_mod
 import pik.decomp as decomp_mod
 import pik.lie as lie_mod
 from pik.decomp import (
@@ -27,12 +28,10 @@ from pik.decomp import (
 from pik.igroup import relation_instances, relator_indices
 from pik.lie import (
     bracket,
-    coordinate_row,
     lattice_from_rows,
     lie_from_tensor,
     lie_generator,
     lyndon_bracket,
-    lyndon_index,
     lyndon_words,
     same_lattice,
     tensor_bracket,
@@ -47,6 +46,21 @@ def added(a, b, k=1):
     for w, c in b.items():
         out[w] = out.get(w, 0) + k * c
     return {w: c for w, c in out.items() if c}
+
+
+def lyndon_index(k, m):
+    """Each degree-m Lyndon word over 1..k, mapped to its column."""
+    return {w: j for j, w in enumerate(lyndon_words(k, m))}
+
+
+def lyndon_row(e, index):
+    """A Lie element's Lyndon coordinates as a sparse row over index's columns."""
+    return {index[w]: c for w, c in e.lyndon}
+
+
+def at_words(terms, words):
+    """Tensor terms read at words, as a sparse row over their positions."""
+    return {j: terms[w] for j, w in enumerate(words) if w in terms}
 
 
 def pair(n, m, nu, r, l):
@@ -127,7 +141,7 @@ def assert_same_lattices(blocks, elems, every_word, basis):
         placed[hit[0]].append(terms)
     for (words, rows), oracle in zip(blocks, placed):
         got = lattice_from_rows(rows, len(words))
-        want = lattice_from_rows([[terms.get(w, 0) for w in words] for terms in oracle], len(words))
+        want = lattice_from_rows([at_words(terms, words) for terms in oracle], len(words))
         assert same_lattice(got, want)
         if basis:
             assert len(rows) == got.rank
@@ -137,7 +151,7 @@ def lyndon_lattice(elems, k, m):
     """The lattice of the elements' Lyndon coordinates."""
     index = lyndon_index(k, m)
     dim = len(index)
-    return lattice_from_rows([coordinate_row(e, index, dim) for e in elems if e.coords], dim)
+    return lattice_from_rows([lyndon_row(e, index) for e in elems if e.coords], dim)
 
 
 def instance_index(label, tokens):
@@ -257,6 +271,11 @@ class TestPsi:
         with pytest.raises(DecompError):
             verify_psi_automorphism(3, 3)
 
+    def test_relators_of_another_n(self):
+        # I_3's relators read as I_4's would report a failing psi
+        with pytest.raises(DecompError, match="n = 3, not of n = 4"):
+            verify_psi_automorphism(4, 2, build_relators(3))
+
     def test_read_from_the_relator_set_given(self):
         # negative controls at n = 4, r = 2: a dropped relator leaves its
         # pair out of the block, and a kind-3 relator whose y(r,j) is
@@ -286,7 +305,7 @@ class TestIdeal:
                 for a in range(1, k + 1):
                     v = bracket(e, lie_generator(k, a))
                     if v.coords:
-                        row = coordinate_row(v, index, dim)
+                        row = lyndon_row(v, index)
                         assert same_lattice(nxt, lattice_from_rows(nxt.rows + [row], dim))
 
     @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3), (3, 5), (4, 4)])
@@ -360,6 +379,10 @@ class TestTheoremDecomposition:
         with pytest.raises(DecompError, match="max degree"):
             verify_theorem_th1(3, max_m)
 
+    def test_relators_of_another_n(self):
+        with pytest.raises(DecompError, match="n = 4, not of n = 3"):
+            verify_theorem_th1(3, 3, build_relators(4))
+
 
 def stacked_th1(n, max_m, rels):
     """Oracle: the per-degree Th1 report from one lattice that stacks the
@@ -376,8 +399,8 @@ def stacked_th1(n, max_m, rels):
             ys = level_letters(n, i)
             flat = [tuple(ys[a - 1] for a in w) for w in lyndon_words(i, m)]
             basis = [lie_from_tensor(k, m, lyndon_bracket(k, w)) for w in flat]
-            level_rows.append([coordinate_row(e, index, dim) for e in basis])
-        j = [coordinate_row(e, index, dim) for e in j_rows[m] if e.coords]
+            level_rows.append([lyndon_row(e, index) for e in basis])
+        j = [lyndon_row(e, index) for e in j_rows[m] if e.coords]
         ranks_y = [lattice_from_rows(rows, dim).rank for rows in level_rows]
         rank_j = lattice_from_rows(j, dim).rank
         stacked = lattice_from_rows([r for rows in level_rows for r in rows] + j, dim)
@@ -518,7 +541,7 @@ class TestTildeT:
                     oracle.setdefault(d, []).append(terms)
                 for words, rows in blocks:
                     (d,) = {_multidegree(n, w) for w in words}
-                    want = [[terms.get(w, 0) for w in words] for terms in oracle.pop(d, [])]
+                    want = [at_words(terms, words) for terms in oracle.pop(d, [])]
                     got = lattice_from_rows(rows, len(words))
                     assert same_lattice(got, lattice_from_rows(want, len(words)))
                 # every oracle row met a block's Lyndon words
@@ -569,6 +592,10 @@ class TestTildeT:
         with pytest.raises(DecompError, match="max degree"):
             verify_lie_certificates(3, 1)
 
+    def test_relators_of_another_n(self):
+        with pytest.raises(DecompError, match="n = 3, not of n = 4"):
+            verify_lie_certificates(4, 3, build_relators(3))
+
 
 # SHA-256 of the JSON of TildeTReport.as_dict(), computed while the T_r
 # rows were left-normed products of T_r's generators.
@@ -616,6 +643,37 @@ def test_cached_tables_survive_every_certificate():
         unit_words = lie_mod._unit_words(units, k, m)
         assert type(unit_words) is frozenset and unit_words == {w for part in units for w in part}
     assert lie_mod._unit_words.cache_info().currsize == 3  # one per degree, each read by the four Th1 runs
+
+
+def test_every_row_the_lattice_layer_reads_is_clean(monkeypatch):
+    # the row contract of lie.lattice_from_rows, which converts nothing:
+    # every row a dict of nonzero Python ints at columns 0..dim-1, as each
+    # module that calls it binds it
+    echelon = lie_mod.lattice_from_rows
+    seen = []
+
+    def spy(rows, dim):
+        rows = list(rows)
+        for row in rows:
+            assert type(row) is dict
+            assert all(type(j) is int and 0 <= j < dim for j in row)
+            assert all(type(x) is int and x != 0 for x in row.values())
+        seen.append(len(rows))
+        return echelon(rows, dim)
+
+    for module in (lie_mod, decomp_mod, ajohnson_mod):
+        monkeypatch.setattr(module, "lattice_from_rows", spy)
+    rows_read = []
+    for run in (
+        lambda: verify_lie_certificates(4, 4),
+        lambda: verify_theorem_th1(2, 5),  # J is 0: every block is empty
+        lambda: ajohnson_mod.l1_rank(3, 4, 6),
+        lambda: verify_psi_automorphism(4, 2),
+    ):
+        seen.clear()
+        run()
+        rows_read.append(sum(seen) if seen else None)
+    assert rows_read[1] == 0 and all(rows_read[i] > 0 for i in (0, 2, 3))
 
 
 class TestRankTable:

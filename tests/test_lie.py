@@ -1,6 +1,5 @@
 import copy
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -39,21 +38,16 @@ def added(*ps):
 
 
 def scattered(elems, words):
-    """The elements' tensor coefficients at words, one row each: an int64
-    matrix, or a matrix of Python ints when a coefficient does not fit int64."""
-    rows = [[e.coords.get(w, 0) for w in words] for e in elems]
-    try:
-        return np.array(rows, dtype=np.int64).reshape(len(elems), len(words))
-    except OverflowError:
-        return np.array(rows, dtype=object).reshape(len(elems), len(words))
+    """The elements' tensor coefficients at words, one sparse row each."""
+    return [{j: e.coords[w] for j, w in enumerate(words) if w in e.coords} for e in elems]
 
 
-def one_matrix(elems, nvars, m):
-    """All degree-m Lyndon words as one block, with the elements' tensor
-    coefficients there as the rows of a matrix of Python ints."""
-    words = lyndon_words(nvars, m)
-    rows = [[e.coords.get(w, 0) for w in words] for e in elems]
-    return [(words, np.array(rows, dtype=object).reshape(len(elems), len(words)))]
+def one_matrix(elems, nvars, m, units=()):
+    """All degree-m Lyndon words as one block, C words (those outside
+    units) first, with the elements' tensor coefficients there as its rows."""
+    unit_words = {w for part in units for w in part}
+    words = sorted(lyndon_words(nvars, m), key=lambda w: w in unit_words)
+    return [(words, scattered(elems, words))]
 
 
 def brute_lyndon_words(nvars, m):
@@ -230,26 +224,18 @@ def reference_contains(ech, vec):
 
 
 def in_lattice(lat, vec):
-    """Whether vec lies in lat: adding it as a row leaves the lattice the same."""
-    return same_lattice(lat, lattice_from_rows(lat.rows + [vec], lat.dim))
+    """Whether vec (dense) lies in lat: adding it as a row leaves the lattice the same."""
+    return same_lattice(lat, lattice_from_rows(lat.rows + sparse_rows([vec]), lat.dim))
 
 
-def as_form(rows, dim, form):
-    """rows (dense lists) as lattice_from_rows input: dense, sparse, or an array."""
-    if form == "sparse":
-        return [{j: x for j, x in enumerate(row) if x} for row in rows]
-    if form == "int64" and all(abs(x) < 1 << 63 for row in rows for x in row):
-        return np.array(rows, dtype=np.int64).reshape(len(rows), dim)
-    if form in ("int64", "object"):
-        return np.array(rows, dtype=object).reshape(len(rows), dim)
-    return rows
+def sparse_rows(rows):
+    """rows (dense lists) as lattice_from_rows input: {column: nonzero entry}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def snapshot(rows):
-    """rows as lists of (column, entry type, entry), in their own order."""
-    return [
-        [(j, type(x), x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row))] for row in rows
-    ]
+    """Sparse rows as lists of (column, entry type, entry), in their own order."""
+    return [[(j, type(x), x) for j, x in row.items()] for row in rows]
 
 
 ENTRIES = st.one_of(
@@ -275,11 +261,11 @@ def lcg_rows(seed, nrows, dim):
     return [[rng.below(7) - 3 for _ in range(dim)] for _ in range(nrows)]
 
 
-def assert_matches_reference(dim, rows, probes, form):
-    """lattice_from_rows, given rows in form, has the oracle's rank, pivot
-    columns, |pivots| and membership on probes and rows, and leaves rows as they were."""
-    kept = [list(row) for row in rows]
-    given_rows = as_form(rows, dim, form)
+def assert_matches_reference(dim, rows, probes):
+    """lattice_from_rows, given rows (dense lists) as sparse rows, has the
+    dense oracle's rank, pivot columns, |pivots| and membership on probes
+    and rows, and leaves the sparse rows as they were."""
+    given_rows = sparse_rows(rows)
     lat = lattice_from_rows(given_rows, dim)
     ref = reference_echelon(rows, dim)
     assert lat.rank == len(ref)
@@ -288,53 +274,51 @@ def assert_matches_reference(dim, rows, probes, form):
     for v in probes:
         assert in_lattice(lat, v) == reference_contains(ref, v)
     assert all(in_lattice(lat, row) for row in rows)
-    assert rows == kept
-    if form == "sparse":
-        assert given_rows == as_form(kept, dim, "sparse")
+    assert given_rows == sparse_rows(rows)
 
 
 class TestIntLattice:
     def test_rank_and_contains(self):
-        lat = lattice_from_rows([[2, 0, 0], [0, 3, 0]], 3)
+        lat = lattice_from_rows([{0: 2}, {1: 3}], 3)
         assert lat.rank == 2
         assert in_lattice(lat, [2, 3, 0])
         assert not in_lattice(lat, [1, 0, 0])
         assert not in_lattice(lat, [0, 0, 1])
 
     def test_gcd_combination(self):
-        lat = lattice_from_rows([[4, 0], [6, 0]], 2)
+        lat = lattice_from_rows([{0: 4}, {0: 6}], 2)
         assert in_lattice(lat, [2, 0])
         assert not in_lattice(lat, [1, 0])
 
     def test_full_unimodular(self):
-        assert lattice_from_rows([[1, 5], [0, 1]], 2).pivots() == [1, 1]  # all of Z^2
-        assert lattice_from_rows([[1, 0], [0, 2]], 2).pivots() == [1, 2]  # index 2 in Z^2
+        assert lattice_from_rows([{0: 1, 1: 5}, {1: 1}], 2).pivots() == [1, 1]  # all of Z^2
+        assert lattice_from_rows([{0: 1}, {1: 2}], 2).pivots() == [1, 2]  # index 2 in Z^2
 
     def test_same_lattice(self):
-        a = lattice_from_rows([[1, 2, 3], [0, 1, 1]], 3)
-        b = lattice_from_rows([[1, 1, 2], [0, 1, 1]], 3)  # row-equivalent generators
+        a = lattice_from_rows(sparse_rows([[1, 2, 3], [0, 1, 1]]), 3)
+        b = lattice_from_rows(sparse_rows([[1, 1, 2], [0, 1, 1]]), 3)  # row-equivalent generators
         assert same_lattice(a, b)
         # the same rank and pivot columns, index 2
-        assert not same_lattice(lattice_from_rows([[1, 0], [0, 1]], 2), lattice_from_rows([[1, 0], [0, 2]], 2))
+        assert not same_lattice(lattice_from_rows([{0: 1}, {1: 1}], 2), lattice_from_rows([{0: 1}, {1: 2}], 2))
 
-    @given(case=lattice_cases(), form=st.sampled_from(["dense", "sparse", "int64", "object"]))
-    @example(case=(3, [[0, 0, 0], [0, 0, 0], [1, 2, 0]], [[2, 4, 0], [0, 0, 1]]), form="dense")
-    @example(case=(3, [[2, 4, 6], [2, 4, 6], [0, 3, 3]], [[2, 7, 9], [1, 2, 3]]), form="sparse")
-    @example(case=(3, [[-2, 1, 0], [-4, -1, 5], [0, -3, -6]], [[-2, -2, -6], [0, 3, 5]]), form="int64")
-    @example(case=(3, [[2**65, 3, 1], [2**64 + 1, -7, 0], [5, 2**66, 1]], [[2**64 + 6, 2**66 - 7, 1]]), form="object")
-    def test_matches_dense_reference(self, case, form):
+    @given(case=lattice_cases())
+    @example(case=(3, [[0, 0, 0], [0, 0, 0], [1, 2, 0]], [[2, 4, 0], [0, 0, 1]]))
+    @example(case=(3, [[2, 4, 6], [2, 4, 6], [0, 3, 3]], [[2, 7, 9], [1, 2, 3]]))
+    @example(case=(3, [[-2, 1, 0], [-4, -1, 5], [0, -3, -6]], [[-2, -2, -6], [0, 3, 5]]))
+    @example(case=(3, [[2**65, 3, 1], [2**64 + 1, -7, 0], [5, 2**66, 1]], [[2**64 + 6, 2**66 - 7, 1]]))
+    def test_matches_dense_reference(self, case):
         # rank, pivot columns, |pivots| and membership are those of the
         # lattice, so the sparse echelon must agree with the dense oracle
         # on them whatever pivots either picks
-        assert_matches_reference(*case, form)
+        assert_matches_reference(*case)
 
-    @given(case=lattice_cases(), form=st.sampled_from(["dense", "sparse", "int64", "object"]), twice=st.booleans())
-    @example(case=(2, [[2, 1], [3, 1]], []), form="sparse", twice=True)
-    def test_input_rows_unchanged(self, case, form, twice):
-        # a clean sparse row is used as given and copied only when the
-        # elimination first changes it, also when the same row is given twice
+    @given(case=lattice_cases(), twice=st.booleans())
+    @example(case=(2, [[2, 1], [3, 1]], []), twice=True)
+    def test_input_rows_unchanged(self, case, twice):
+        # a row is used as given and copied only when the elimination
+        # first changes it, also when the same row is given twice
         dim, rows, _ = case
-        given_rows = list(as_form(rows, dim, form))
+        given_rows = sparse_rows(rows)
         if twice:
             given_rows += given_rows
         kept = copy.deepcopy(given_rows)
@@ -344,63 +328,48 @@ class TestIntLattice:
         assert snapshot(lat.rows) == snapshot(fresh.rows)
         assert lat.pivot_col == fresh.pivot_col
 
-    def test_unclean_sparse_rows_read_as_python_ints(self):
-        # numpy.int64 entries, True and explicit zeros are copied to Python
-        # ints, so the elimination passes 2**63 exactly: q = 2 at column 0
-        # gives -3 * 2**62 - 2, and then 7 * 2**62 + 5 at column 1
-        big = np.int64(2**62)
-        rows = [
-            {0: np.int64(2), 1: big + 1, 2: 0},
-            {0: np.int64(5), 1: -big, 2: True},
-            {2: True, 1: np.int64(0)},
-        ]
-        clean = [{0: 2, 1: 2**62 + 1}, {0: 5, 1: -(2**62), 2: 1}, {2: 1}]
-        kept = copy.deepcopy(rows)
-        for row, want in zip(rows, clean):
-            # a row alone is retired as read, with no step to convert it
-            assert snapshot(lattice_from_rows([row], 3).rows) == snapshot([want])
-        lat = lattice_from_rows(rows, 3)
-        want = lattice_from_rows(clean, 3)
-        assert snapshot(lat.rows) == snapshot(want.rows)
-        assert lat.pivot_col == want.pivot_col == [0, 1, 2]
-        assert lat.pivots() == [1, 7 * 2**62 + 5, 1]
-        assert all(type(x) is int for row in lat.rows for x in row.values())
-        assert snapshot(rows) == snapshot(kept)
+    def test_rejects_rows_that_are_not_clean_sparse(self):
+        # a dense row, and an explicit zero, which would be read as a pivot of 0
+        with pytest.raises(LieError, match="not a sparse row"):
+            lattice_from_rows([[1, 0, 2]], 3)
+        with pytest.raises(LieError, match="not a sparse row"):
+            lattice_from_rows([{0: 1}, (0, 1, 0)], 3)
+        with pytest.raises(LieError, match="explicit zero"):
+            lattice_from_rows([{0: 1, 2: 0}], 3)
+        with pytest.raises(LieError, match="explicit zero"):
+            lattice_from_rows([{1: 0}], 3)
 
     def test_random_rows_match_reference(self):
-        assert_matches_reference(30, lcg_rows(99, 40, 30), lcg_rows(7, 3, 30), "int64")
+        assert_matches_reference(30, lcg_rows(99, 40, 30), lcg_rows(7, 3, 30))
 
     def test_entries_near_2_60(self):
         # entries whose elimination would pass int64
         big = (1 << 60) - 1
         rows = [[big, 3, 0, 1], [big - 2, 5, 7, 0], [3, big, 1, 1], [-2, 2, 7, -1]]
-        assert lattice_from_rows(rows, 4).rank == 3
-        assert_matches_reference(4, rows, [[big + 3, big + 3, 1, 2]], "int64")
+        assert lattice_from_rows(sparse_rows(rows), 4).rank == 3
+        assert_matches_reference(4, rows, [[big + 3, big + 3, 1, 2]])
 
     def test_rejects_rows_of_another_dim(self):
-        with pytest.raises(LieError):
-            lattice_from_rows([[1, 2]], 3)
-        with pytest.raises(LieError):
+        with pytest.raises(LieError, match="columns"):
             lattice_from_rows([{3: 1}], 3)
+        with pytest.raises(LieError, match="columns"):
+            lattice_from_rows([{0: 1, -1: 1}], 3)
         with pytest.raises(LieError):
-            lattice_from_rows(np.zeros((2, 2), dtype=np.int64), 3)
-        with pytest.raises(LieError):
-            in_lattice(lattice_from_rows([[1, 0]], 2), [1, 0, 0])
+            in_lattice(lattice_from_rows([{0: 1}], 2), [0, 0, 1])
 
     def test_int64_guard_does_not_wrap(self):
         # (q + 1) * max|pivot row| = (2**32 + 1)(2**32 - 1) = 2**64 - 1
         # would wrap in int64; Python ints give the true pivot
-        assert lattice_from_rows([[1, (1 << 32) - 1], [1 << 32, 0]], 2).pivots() == [1, (1 << 64) - (1 << 32)]
+        assert lattice_from_rows([{0: 1, 1: (1 << 32) - 1}, {0: 1 << 32}], 2).pivots() == [1, (1 << 64) - (1 << 32)]
 
     def test_coefficients_beyond_int64(self):
         basis = lyndon_basis(3, 3)
         huge = [lie_from_tensor(3, 3, scaled(e.coords, 1 << 70)) for e in basis]
-        mat = scattered(huge + basis[:1], lyndon_words(3, 3))
-        assert mat.dtype == object
-        lat = lattice_from_rows(mat, witt(3, 3))
+        lat = lattice_from_rows(scattered(huge + basis[:1], lyndon_words(3, 3)), witt(3, 3))
         assert lat.rank == witt(3, 3)
         assert lat.pivots() == [1] + [1 << 70] * (witt(3, 3) - 1)
-        rep = lattice_direct_sum_is_whole(one_matrix(huge[1:], 3, 3), [lyndon_words(3, 3)[:1]], 3, 3)
+        units = [lyndon_words(3, 3)[:1]]
+        rep = lattice_direct_sum_is_whole(one_matrix(huge[1:], 3, 3, units), units, 3, 3)
         assert rep.rank_sum == witt(3, 3) and not rep.stacked_unimodular
 
 
@@ -415,15 +384,16 @@ class TestGradedLattices:
         # the whole basis as J with no unit part, and as one unit part with J empty
         basis = lyndon_basis(3, 2)
         for j, units in ((basis, []), ([], [lyndon_words(3, 2)])):
-            rep = lattice_direct_sum_is_whole(one_matrix(j, 3, 2), units, 3, 2)
+            rep = lattice_direct_sum_is_whole(one_matrix(j, 3, 2, units), units, 3, 2)
             assert rep.ok and rep.rank_sum == witt(3, 2)
 
     def test_units_closed_under_bracketing(self):
         # P_(1,2,3) = [1,[2,3]] has the Lyndon word (1,3,2) among its terms,
         # so its unit vector does not survive the change to tensor coefficients
         with pytest.raises(LieError, match="meets the Lyndon word"):
-            lattice_direct_sum_is_whole(one_matrix([], 3, 3), [[(1, 2, 3)]], 3, 3)
-        rep = lattice_direct_sum_is_whole(one_matrix([], 3, 3), [[(1, 2, 3), (1, 3, 2)]], 3, 3)
+            lattice_direct_sum_is_whole(one_matrix([], 3, 3, [[(1, 2, 3)]]), [[(1, 2, 3)]], 3, 3)
+        units = [[(1, 2, 3), (1, 3, 2)]]
+        rep = lattice_direct_sum_is_whole(one_matrix([], 3, 3, units), units, 3, 3)
         assert rep.rank_sum == 2 and not rep.stacked_unimodular
 
     def test_equal_spans(self):
@@ -447,26 +417,33 @@ class TestGradedLattices:
 
     def test_direct_sum_blocks_checked_once_read(self):
         # blocks are read once, so a generator is accepted; blocks that miss
-        # a word, repeat one, or give a matrix of the wrong width are refused
+        # a word, repeat one, or give a row past the block's words are refused
         words = lyndon_words(2, 3)
-        rows = np.array([[1, 0], [0, 1]], dtype=np.int64)
-        blocks = ((words[j : j + 1], rows[j : j + 1, j : j + 1]) for j in range(2))
+        blocks = ((words[j : j + 1], [{0: 1}]) for j in range(2))
         rep = lattice_direct_sum_is_whole(blocks, [], 2, 3)
         assert rep.ok
         with pytest.raises(LieError, match="partition"):
-            lattice_direct_sum_is_whole([(words[:1], rows[:1, :1])], [], 2, 3)
+            lattice_direct_sum_is_whole([(words[:1], [{0: 1}])], [], 2, 3)
         with pytest.raises(LieError, match="partition"):
-            lattice_direct_sum_is_whole([(words, rows), (words[:1], rows[:0, :1])], [], 2, 3)
+            lattice_direct_sum_is_whole([(words, [{0: 1}, {1: 1}]), (words[:1], [])], [], 2, 3)
         with pytest.raises(LieError, match="columns"):
-            lattice_direct_sum_is_whole([(words, rows[:, :1])], [], 2, 3)
+            lattice_direct_sum_is_whole([(words[:1], [{0: 1}, {1: 1}])], [], 2, 3)
 
     def test_direct_sum_reads_sparse_rows(self):
-        # with (1,1,2) a unit word, the C word (1,2,2) is column 1 of the
-        # block and is read first; a sparse row past the block's words is refused
-        words = lyndon_words(2, 3)
+        # with (1,1,2) a unit word, the block lists the C word (1,2,2) first,
+        # as column 0; a sparse row past the block's words is refused
+        words = [(1, 2, 2), (1, 1, 2)]
         units = [[(1, 1, 2)]]
-        for rows, whole in (([{1: 1}], True), ([{1: 2}], False), ([{0: 1}], False), ([{0: 5, 1: -1}], True)):
+        for rows, whole in (([{0: 1}], True), ([{0: 2}], False), ([{1: 1}], False), ([{1: 5, 0: -1}], True)):
             rep = lattice_direct_sum_is_whole([(words, rows)], units, 2, 3)
             assert rep.rank_sum == 2 and rep.stacked_unimodular == whole
         with pytest.raises(LieError, match="columns"):
             lattice_direct_sum_is_whole([(words, [{2: 1}])], units, 2, 3)
+
+    def test_direct_sum_refuses_a_unit_word_before_a_c_word(self):
+        # the C columns come first as the caller lists them; nothing reorders them
+        units = [[(1, 1, 2)]]
+        with pytest.raises(LieError, match=r"unit word \(1, 1, 2\) before a C word"):
+            lattice_direct_sum_is_whole([(lyndon_words(2, 3), [{1: 1}])], units, 2, 3)
+        split = [([(1, 1, 2)], []), ([(1, 2, 2)], [{0: 1}])]  # a block of unit words alone
+        assert lattice_direct_sum_is_whole(split, units, 2, 3).ok
