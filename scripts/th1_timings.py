@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Time the Th1 direct-sum certificate and l1_rank, and record them in a BENCH file.
+"""Time the Th1 direct-sum certificate, l1_rank and both Lie certificates, and record them in a BENCH file.
 
-Each Th1 case (n, m) runs ``decomp.verify_theorem_th1(n, m)``, and each
+Each Th1 case (n, m) runs ``decomp.verify_theorem_th1(n, m)``, each
 l1_rank case (n, c) runs ``ajohnson.l1_rank(n, c, c + 2)`` and checks it
-against the sum of the per-level Witt ranks.  ``timing.py`` runs each case
-REPEAT times per tree.  The child reports the wall time of the call, the
-part of it spent inside ``lie.lattice_from_rows`` (the echelon, timed with
-``timing.py``'s stage hook, which adds one Python call per echelon), and its
-peak RSS (``ru_maxrss``, which includes the interpreter and numpy).  The
-record for a label is the median of the runs for each case, next to the raw
-runs, keyed "n,m" for Th1 and "l1_rank n,c" for l1_rank.
+against the sum of the per-level Witt ranks, and each certs case (n, m)
+runs ``decomp.verify_lie_certificates(n, m)``, Th1 and the splitting of J
+into the T_r from one pass over J, which must pass both.  ``timing.py``
+runs each case REPEAT times per tree.  The child reports the wall time of
+the call, the part of it spent inside ``lie.lattice_from_rows`` (the
+echelon, timed with ``timing.py``'s stage hook, which adds one Python call
+per echelon), and its peak RSS (``ru_maxrss``, which includes the
+interpreter and numpy).  The record for a label is the median of the runs
+for each case, next to the raw runs, keyed "n,m" for Th1, "l1_rank n,c"
+for l1_rank and "certs n,m" for the certs cases.
 
 The child caps its own address space at AS_LIMIT bytes, so a case that
 needs more fails with a MemoryError instead of pushing the machine out of
@@ -36,6 +39,9 @@ CASES = (
     ("l1_rank", 3, 5),
     ("l1_rank", 4, 4),
     ("l1_rank", 5, 3),
+    ("certs", 4, 5),
+    ("certs", 4, 6),
+    ("certs", 5, 5),
 )
 REPEAT = 3
 OUT = "BENCH_th1.json"
@@ -55,6 +61,9 @@ kind, n, m = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 start = time.perf_counter()
 if kind == "th1":
     ok = decomp.verify_theorem_th1(n, m).ok
+elif kind == "certs":
+    th1, tilde = decomp.verify_lie_certificates(n, m)
+    ok = th1.ok and tilde.ok
 else:
     ok = ajohnson.l1_rank(n, m, m + 2) == sum(lie.witt(i, m) for i in range(2, n + 1))
 total = time.perf_counter() - start
@@ -87,7 +96,8 @@ def main(argv: list[str]) -> int:
                 summary = "no run completed"
             print(f"{label}: {kind} ({n},{m}) {summary}, exits {case['runs_exit']}")
     what = (
-        "verify_theorem_th1(n, m) (keys n,m) and l1_rank(n, c, c + 2) (keys l1_rank n,c) "
+        "verify_theorem_th1(n, m) (keys n,m), l1_rank(n, c, c + 2) (keys l1_rank n,c) and "
+        "verify_lie_certificates(n, m) (keys certs n,m) "
         "wall time, time inside lie.lattice_from_rows (echelon_s) and peak RSS, median of fresh processes"
     )
     timing.write_bench(OUT, what, records)

@@ -45,7 +45,6 @@ from .igroup import (
     _SEP,
     IElem,
     _conj_steps,
-    _signed_gen,
     abelianize,
     act_elem,
     collect,
@@ -53,6 +52,8 @@ from .igroup import (
     conj_elem,
     format_ielem,
     format_level_word,
+    from_parts,
+    gen_elem,
     generators,
     identity_elem,
     iinv,
@@ -246,11 +247,10 @@ Twist = Optional[IElem]
 
 
 def _lower_action(y: IElem, i: int) -> Twist:
-    """The part b of y below level i, or None when b fixes every y(i,l): then b acts as the identity."""
+    """The part b of y below level i, or None when b is the identity, the
+    one lower part that acts on level i as the identity (docs/NOTES.md)."""
     b = lower_part(y, i)
-    if all(act_elem(b, gen(i, l)) == gen(i, l) for l in range(1, i + 1)):
-        return None
-    return b
+    return None if b.is_identity else b
 
 
 def twisted_solutions(a: FreeWord, z: FreeWord, twist: Twist, budget: SearchBudget) -> Iterator[FreeWord]:
@@ -419,7 +419,7 @@ def _meet_walk(
 @functools.cache
 def _moves(n: int) -> tuple[tuple[int, int, int, IElem], ...]:
     """(m, i, eps, y(m,i)^eps) for each generator; move 2k+1 inverts move 2k."""
-    return tuple((m, i, eps, _signed_gen(n, m, i, eps)[0]) for m, i in generators(n) for eps in (1, -1))
+    return tuple((m, i, eps, from_parts(n, {m: gen(m, i, eps)})) for m, i in generators(n) for eps in (1, -1))
 
 
 @functools.cache
@@ -439,7 +439,7 @@ def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[
     steps = tuple((m, i, eps) for m, i in gens for eps in (1, -1))
     fixed = []  # fixed[g][h]: generator h conjugates generator g to itself
     for m, i in gens:
-        y = _SEP.join(_signed_gen(n, m, i, 1)[0].parts)
+        y = _SEP.join(gen_elem(n, m, i).parts)
         fixed.append([c == y for c in _conj_steps(n, y, [(r, j, 1) for r, j in gens])])
     after = {}
     for a in range(-1, len(steps)):

@@ -357,49 +357,37 @@ def _lyndon_by_degree(n: int, m: int) -> Mapping[Multidegree, tuple[Word, ...]]:
     return MappingProxyType({d: tuple(_c_then_s(n, words)) for d, words in parts.items()})
 
 
-def _lyndon_parts(n: int, m: int, degrees: Sequence[Multidegree]) -> list[tuple[Word, ...]]:
-    """The degree-m Lyndon words of each of degrees, then one part for each
-    other multidegree: a partition, each part in C-then-S order."""
-    parts = _lyndon_by_degree(n, m)
-    chosen = set(degrees)
-    return [parts.get(d, ()) for d in degrees] + [words for d, words in parts.items() if d not in chosen]
-
-
-def _empty(parts: Sequence[Sequence[Word]]) -> list[Block]:
-    return [(words, []) for words in parts]
-
-
 def _cut(n: int, m: int, blocks: Sequence[_TensorBlock]) -> Iterator[Block]:
-    """A degree-m piece read at its Lyndon words: the reduced blocks cut to
-    their first columns, one block at a time."""
-    parts = _lyndon_parts(n, m, [b.degree for b in blocks])
-    for b, words in zip(blocks, parts):
-        yield words, [{j: x for j, x in row.items() if j < len(words)} for row in b.rows]
-    yield from _empty(parts[len(blocks) :])
+    """A degree-m piece read at its Lyndon words, one block at a time in
+    _lyndon_by_degree's order: each reduced block cut to its first columns,
+    and no rows where no block lies."""
+    rows = {b.degree: b.rows for b in blocks}
+    for d, words in _lyndon_by_degree(n, m).items():
+        yield words, [{j: x for j, x in row.items() if j < len(words)} for row in rows.get(d, ())]
 
 
 def _gathered(n: int, m: int, below: Sequence[_TensorBlock], letters: Sequence[int]) -> Iterator[Block]:
     """A degree-m piece read at its Lyndon words, gathered from the blocks
-    of degree m - 1 one block at a time: row [x, a] has x(w[:-1]) at w when w
-    ends with a, less x(w[1:]) when w starts with a."""
+    of degree m - 1 one block at a time in _lyndon_by_degree's order: row
+    [x, a] has x(w[:-1]) at w when w ends with a, less x(w[1:]) when w
+    starts with a.  A multidegree that no feed reaches has no rows."""
     feeds = _feeds(n, below, letters)
-    parts = _lyndon_parts(n, m, list(feeds))
-    for words, feed in zip(parts, feeds.values()):
-        ends: dict[int, list[tuple[int, Word]]] = {}
-        starts: dict[int, list[tuple[int, Word]]] = {}
-        for j, w in enumerate(words):
-            ends.setdefault(w[-1], []).append((j, w[:-1]))
-            starts.setdefault(w[0], []).append((j, w[1:]))
+    for d, words in _lyndon_by_degree(n, m).items():
         rows: list[SparseRow] = []
-        for b, a in feed:
-            to: dict[int, list[tuple[int, int]]] = {}
-            for at, sign in ((ends, 1), (starts, -1)):
-                for j, u in at.get(a, ()):
-                    if u in b.col:
-                        to.setdefault(b.col[u], []).append((j, sign))
-            rows.extend(_mapped(b.rows, to))
+        if d in feeds:
+            ends: dict[int, list[tuple[int, Word]]] = {}
+            starts: dict[int, list[tuple[int, Word]]] = {}
+            for j, w in enumerate(words):
+                ends.setdefault(w[-1], []).append((j, w[:-1]))
+                starts.setdefault(w[0], []).append((j, w[1:]))
+            for b, a in feeds[d]:
+                to: dict[int, list[tuple[int, int]]] = {}
+                for at, sign in ((ends, 1), (starts, -1)):
+                    for j, u in at.get(a, ()):
+                        if u in b.col:
+                            to.setdefault(b.col[u], []).append((j, sign))
+                rows.extend(_mapped(b.rows, to))
         yield words, rows
-    yield from _empty(parts[len(feeds) :])
 
 
 def ideal_rows_by_degree(
@@ -414,7 +402,11 @@ def ideal_rows_by_degree(
     be homogeneous: one whose terms have more than one multidegree raises
     DecompError.
 
-    The blocks of each degree partition its Lyndon words; a row has no
+    Each degree lists one block per multidegree that has Lyndon words, in
+    the order of _lyndon_by_degree(n, m) whatever the relators and letters,
+    so the blocks of two ideals of one rank line up by position; a
+    multidegree that the ideal does not reach has its words and no rows.
+    The blocks partition the degree's Lyndon words, and a row has no
     nonzero coefficient at a Lyndon word outside its block.  Degree 2 and
     every degree below max_m hold an echelon basis of each block, as many
     rows as its rank, with C columns first: the reduced tensor blocks cut
@@ -556,8 +548,9 @@ def verify_lie_certificates(
 
     T_r is the ideal of L(U_r) generated by the level-r relators (see
     docs/NOTES.md), so J and each T_r come from the one ideal builder.  All
-    of them split into the same multidegree blocks, and lattices that are
-    direct sums over the same blocks are equal iff they are equal per block.
+    of them split into the same multidegree blocks, listed in the same
+    order, and lattices that are direct sums over the same blocks are equal
+    iff they are equal per block.
     Each block of J is echelonized once: its lattice is compared with the
     stacked echelons of the T_r there, and its echelon rows feed Th1, which
     finds them reduced.  A T_r whose relators and letters are J's (T_2 at
@@ -578,29 +571,25 @@ def verify_lie_certificates(
     ]
     th1, tilde = [], []
     for m, j_blocks in j_degrees:
-        # J's blocks are read one at a time; each T_r block, keyed by its
-        # words (a block with none holds nothing), is dropped once read
-        ts = [None if t is None else {tuple(words): rows for words, rows in next(t)[1] if words} for t in t_degrees]
-        t_ranks = [0] * len(ts)
+        # every ideal lists a degree's blocks in one order, so J's block and
+        # each T_r's are read side by side, one block at a time
+        t_pieces = [next(t)[1] for t in t_degrees if t is not None]
+        t_ranks = [0] * len(t_degrees)
         stacked: list[tuple[int, bool]] = []  # per block: rank of the stacked T_r, and whether it is J's lattice
 
         def echelons() -> Iterator[Block]:
-            for words, rows in j_blocks:
+            for (words, rows), *t_blocks in zip(j_blocks, *t_pieces, strict=True):
                 j_lat = lattice_from_rows(rows, len(words))
-                if words:
-                    if any(t is not None and tuple(words) not in t for t in ts):
-                        raise DecompError(f"the blocks of J^{m} and of the T_r do not line up")
-                    t_lats = [j_lat if t is None else lattice_from_rows(t.pop(tuple(words)), len(words)) for t in ts]
-                    for r, t_lat in enumerate(t_lats):
-                        t_ranks[r] += t_lat.rank
-                    # the T_r echelon rows span the T_r with fewer rows than their spanning sets
-                    t_sum = lattice_from_rows([row for t_lat in t_lats for row in t_lat.rows], len(words))
-                    stacked.append((t_sum.rank, same_lattice(j_lat, t_sum)))
+                own = iter(t_blocks)
+                t_lats = [j_lat if t is None else lattice_from_rows(next(own)[1], len(words)) for t in t_degrees]
+                for r, t_lat in enumerate(t_lats):
+                    t_ranks[r] += t_lat.rank
+                # the T_r echelon rows span the T_r with fewer rows than their spanning sets
+                t_sum = lattice_from_rows([row for t_lat in t_lats for row in t_lat.rows], len(words))
+                stacked.append((t_sum.rank, same_lattice(j_lat, t_sum)))
                 yield words, j_lat.rows
 
         degree = _th1_degree(n, m, echelons())
-        if any(ts):
-            raise DecompError(f"the blocks of J^{m} and of the T_r do not line up")
         th1.append(degree)
         direct = sum(t_ranks) == sum(rank for rank, _ in stacked)
         tilde.append(TildeTDegreeReport(m, degree.rank_j, tuple(t_ranks), all(same for _, same in stacked), direct))

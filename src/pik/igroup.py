@@ -121,21 +121,6 @@ def gen_elem(n: int, m: int, i: int) -> IElem:
     return from_parts(n, {m: gen(m, i)})
 
 
-@functools.cache
-def _signed_gen(n: int, m: int, i: int, eps: int) -> tuple[IElem, EndoF]:
-    """y(m,i)^eps at rank n, eps = +1 or -1, as an element and as its automorphism of F_n.
-
-    Filled in per generator at its first use, O(n) words each
-    (docs/NOTES.md, "Per-rank generator tables").  Built from the
-    generator's letters alone, with none of iinv, imul or endos' compose and
-    apply: bench/tracer.py counts their calls, and a table filled through
-    them would add to the counts of the first traced run only.
-    """
-    if eps == 1:
-        return gen_elem(n, m, i), endos.y_gen(n, m, i)
-    return from_parts(n, {m: gen(m, i, -1)}), endos.inverse(endos.y_gen(n, m, i))
-
-
 def generators(n: int) -> list[tuple[int, int]]:
     """Generator order (m, i) lexicographic: y(2,1), y(2,2), y(3,1), ..."""
     return [(m, i) for m in range(2, n + 1) for i in range(1, m + 1)]
@@ -340,6 +325,7 @@ def collect(n: int, tokens: Iterable[Token]) -> IElem:
     kernel's P (_conj_steps, docs/NOTES.md), so w_m becomes w_m P a P^-1.
     """
     parts = list(identity_elem(n).parts)  # raises IGroupError for n < 2
+    letters = _kernel_tables(n)[0]
     for t in tokens:
         _check_y_token(n, t)
         m, i = t.a, t.b
@@ -348,8 +334,7 @@ def collect(n: int, tokens: Iterable[Token]) -> IElem:
             u_j = parts[n - j]
             if u_j:
                 p = _join(p, u_j) if p else u_j
-        letter = _signed_gen(n, m, i, -1 if t.exp < 0 else 1)[0].parts[n - m]
-        conjugated = _letter_conjugate(p, letter)
+        conjugated = _letter_conjugate(p, letters[m, i, -1 if t.exp < 0 else 1][0])
         for _ in range(abs(t.exp)):
             parts[n - m] = _join(parts[n - m], conjugated)
     return _raw_elem(n, tuple(parts))
@@ -389,17 +374,21 @@ def to_endo(a: IElem) -> EndoF:
 
 @functools.cache
 def _gen_conjugators(n: int, m: int, i: int, eps: int) -> tuple[tuple, tuple]:
-    """y(m,i)^eps's automorphism e of F_n, as conjugators read off its images in _signed_gen.
+    """y(m,i)^eps's automorphism e of F_n, as conjugators read off its images.
 
     Each image e(x_k) must be u x_k u^-1 for a word u; any other image
     raises IGroupError.  Returns (conjugators, moved): conjugators holds
     each distinct nonempty u with its letters as (index - 1, one-letter
     word), and moved holds (k - 1, u, x_k x_k^-1) for each x_k whose u is
-    nonempty.  Like _signed_gen, its values depend only on (n, m, i, eps).
+    nonempty.  Its values depend only on (n, m, i, eps).  The images are
+    endos.y_gen's, or for eps = -1 those of the inverse that y_gen carries,
+    so filling the table calls none of the functions bench/tracer.py counts
+    (docs/NOTES.md, "Per-rank generator tables").
     """
+    e = endos.y_gen(n, m, i)
     conjugators: dict[str, tuple] = {}
     moved = []
-    for k, image in enumerate(_signed_gen(n, m, i, eps)[1].images, 1):
+    for k, image in enumerate((e if eps == 1 else endos.inverse(e)).images, 1):
         s = image.letters
         half = len(s) // 2
         u = s[:half]

@@ -149,6 +149,22 @@ class TestTwistedConjugate:
         g = first_solution(a, z, twist_by(b))
         assert g is not None and solves(g, a, z, b)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_lower_action_is_none_iff_identity(self, n):
+        # the lower part b of y below level i fixes every y(i,l) only when
+        # b = 1; short random words often have no letter below i
+        rng = Lcg(31 + n)
+        fixed = 0
+        for _ in range(300):
+            y = random_ielem(rng, n, 4)
+            for i in range(3, n + 1):
+                b = lower_part(y, i)
+                fixes = all(act_elem(b, gen(i, l)) == gen(i, l) for l in range(1, i + 1))
+                assert fixes == b.is_identity
+                assert (conj_mod._lower_action(y, i) is None) == fixes
+                fixed += fixes
+        assert 0 < fixed < 300 * (n - 2)
+
     def test_planted_twisted_instances(self):
         rng = Lcg(808)
         b = collect(2, parse_word("y(2,1) y(2,2)"))

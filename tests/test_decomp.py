@@ -12,6 +12,7 @@ from pik.decomp import (
     DecompError,
     Relator,
     RelatorSet,
+    _lyndon_by_degree,
     _multidegree,
     _tensor_blocks,
     alphabet_size,
@@ -527,6 +528,22 @@ class TestTildeT:
         for r, count in ((2, 14), (3, 12)):
             ((m, blocks),) = ideal_rows_by_degree(rels.level(r), 2, upper_letters(4, r))
             assert m == 2 and sum(len(rows) for _, rows in blocks) == count
+
+    @pytest.mark.parametrize("n,max_m", [(4, 4), (5, 3)])
+    def test_blocks_line_up_in_lyndon_order(self, n, max_m):
+        # J and every T_r list each degree's blocks, the gathered top degree
+        # included, in the order _lyndon_by_degree lists the multidegrees
+        rels = build_relators(n)
+        ideals = [ideal_rows_by_degree(rels, max_m, every_letter(n))]
+        ideals += [ideal_rows_by_degree(rels.level(r), max_m, upper_letters(n, r)) for r in range(2, n)]
+        degrees = []
+        for pieces in zip(*ideals, strict=True):
+            (m,) = {m for m, _ in pieces}
+            want = list(_lyndon_by_degree(n, m).values())
+            for _, blocks in pieces:
+                assert [words for words, _ in blocks] == want
+            degrees.append(m)
+        assert degrees == list(range(2, max_m + 1))
 
     @pytest.mark.parametrize("n,max_m", [(3, 5), (4, 4), (5, 3)])
     def test_t_r_blocks_match_the_composition_oracle(self, n, max_m):

@@ -476,8 +476,9 @@ class TestCollection:
         n, toks = word
         acc = identity_elem(n)
         for t in toks:
+            g = gen_elem(n, t.a, t.b)
             for _ in range(abs(t.exp)):
-                acc = imul(acc, igroup._signed_gen(n, t.a, t.b, 1 if t.exp > 0 else -1)[0])
+                acc = imul(acc, g if t.exp > 0 else iinv(g))
         assert collect(n, toks) == acc
 
     @given(_gen_words())
@@ -509,23 +510,31 @@ class TestDirectEndoConjugators:
     )
     def test_image_not_a_conjugate_raises(self, image, monkeypatch):
         n = 3
-        g, e = igroup._signed_gen(n, 3, 1, 1)
+        e = y_gen(n, 3, 1)
         bad = EndoF(n, (e.images[0], word(n, image), e.images[2]))
-        monkeypatch.setattr(igroup, "_signed_gen", lambda *args: (g, bad))
+        monkeypatch.setattr(endos, "y_gen", lambda *args: bad)
         monkeypatch.setattr(igroup, "_gen_conjugators", functools.cache(igroup._gen_conjugators.__wrapped__))
         with pytest.raises(IGroupError, match="image of x2"):
             direct_endo(n, [Token("y", 3, 1, 1)])
 
 
 class TestSignedGenTable:
-    """igroup._signed_gen: each y(m,i)^eps built once per rank, for collect, direct_endo and the walks."""
+    """The per-rank tables of the y(m,i)^eps, each entry built once per rank: the kernel's
+    letters, which collect reads, direct_endo's conjugators and the walks' moves."""
 
     def test_entries_equal_fresh_values(self):
         for n in range(2, 6):
+            letters = igroup._kernel_tables(n)[0]
             for m, i in generators(n):
                 g, f = gen_elem(n, m, i), y_gen(n, m, i)
-                assert igroup._signed_gen(n, m, i, 1) == (g, f)
-                assert igroup._signed_gen(n, m, i, -1) == (iinv(g), inverse(f))
+                for eps, a, e in ((1, g, f), (-1, iinv(g), inverse(f))):
+                    assert letters[m, i, eps] == (a.parts[n - m], iinv(a).parts[n - m])
+                    conjugators, moved = igroup._gen_conjugators(n, m, i, eps)
+                    images = [word(n, [(k, 1)]) for k in range(1, n + 1)]
+                    for k, u, _ in moved:
+                        images[k] = word(n, decode(u) + [(k + 1, 1)] + [(l, -s) for l, s in reversed(decode(u))])
+                    assert tuple(images) == e.images
+                    assert [u for u, _ in conjugators] == list(dict.fromkeys(u for _, u, _ in moved))
 
     @pytest.mark.parametrize("power", [2, 3])
     def test_collect_matches_direct_endo_on_powers(self, power):
@@ -558,12 +567,12 @@ class TestSignedGenTable:
         for mod, name in [(igroup, "iinv"), (igroup, "imul"), (endos, "compose"), (endos, "apply"),
                           (conj, "iinv"), (conj, "imul")]:
             monkeypatch.setattr(mod, name, traced)
-        for table in (igroup._signed_gen, igroup._gen_conjugators, conj._moves, conj._walk_steps):
+        for table in (igroup._kernel_tables, igroup._gen_conjugators, conj._moves, conj._walk_steps):
             table.cache_clear()
         for n in range(2, 6):
+            igroup._kernel_tables(n)
             for m, i in generators(n):
                 for eps in (1, -1):
-                    igroup._signed_gen(n, m, i, eps)
                     igroup._gen_conjugators(n, m, i, eps)
             conj._moves(n)
             conj._walk_steps(n)

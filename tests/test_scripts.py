@@ -26,12 +26,13 @@ CHILDREN = {  # the longest first
     "normal-form": (timing.run_stages, NF.STAGES, NF.HOOKS, NF.SEED, 1),
     "th1": (timing.run, th1_timings.CHILD, "th1", 3, 3),
     "l1_rank": (timing.run, th1_timings.CHILD, "l1_rank", 3, 3),
+    "certs": (timing.run, th1_timings.CHILD, "certs", 3, 4),
 }
 
 
 @pytest.fixture(scope="module")
 def reports():
-    """Each child's report to come, two children at a time, so the five take about as long as conj-long-n3."""
+    """Each child's report to come, two children at a time, so the six take about as long as conj-long-n3."""
     with ThreadPoolExecutor(max_workers=2) as pool:
         yield {name: pool.submit(run_one, SRC, *args) for name, (run_one, *args) in CHILDREN.items()}
 
@@ -40,7 +41,7 @@ def result(reports, name):
     return reports[name].result(timeout=120)
 
 
-@pytest.mark.parametrize("kind", ["th1", "l1_rank"])
+@pytest.mark.parametrize("kind", ["th1", "l1_rank", "certs"])
 def test_th1_child(kind, reports):
     got = result(reports, kind)
     assert got["ok"] is True
