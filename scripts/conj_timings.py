@@ -19,8 +19,9 @@ and the two orbit walks also count the states they expand:
     full walk   the second _orbit_walk of a pair, the budgeted one
     ladder      _ladder
 
-"other" is equality, the abelianization, the level-2 core and the witness
-checks.  Counting states adds one Python call per expanded state to what
+"other" is equality, the abelianization, the level-2 core and
+``_conjugate``: each witness is collected from its step path and
+re-multiplied there.  Counting states adds one Python call per expanded state to what
 the walks time.  The child also counts the ``unknown`` verdicts, and hashes
 the stream's ``ConjResult.as_dict()`` outputs.  ``outputs_agree`` in the
 BENCH file says, per stream, whether every record there has the same SHA-256.

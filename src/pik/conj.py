@@ -28,8 +28,9 @@ enumerates a centralizer coset at untwisted levels and, at twisted ones,
 runs the same walk restricted to the level's generators, its own caps
 being module constants; it prunes no equation before walking it.  For
 planted instances the walk is complete once its radius covers the
-generator length of the planted conjugator, which is how the acceptance
-fuzz seeds its budgets.
+generator length of the planted conjugator, while max_states does not
+bind, which is how the acceptance fuzz seeds its budgets; at n = 6 it binds
+on `verify-all` planted cases 9 and 21, which end unknown.
 """
 
 from __future__ import annotations
@@ -52,12 +53,9 @@ from .igroup import (
     conj_elem,
     format_ielem,
     format_level_word,
-    from_parts,
     gen_elem,
     generators,
     identity_elem,
-    iinv,
-    imul,
     lower_part,
 )
 from .words import (
@@ -72,7 +70,6 @@ from .words import (
     empty,
     encode,
     free_conjugate,
-    gen,
     invert,
     multiply,
     power,
@@ -417,17 +414,13 @@ def _meet_walk(
 
 
 @functools.cache
-def _moves(n: int) -> tuple[tuple[int, int, int, IElem], ...]:
-    """(m, i, eps, y(m,i)^eps) for each generator; move 2k+1 inverts move 2k."""
-    return tuple((m, i, eps, from_parts(n, {m: gen(m, i, eps)})) for m, i in generators(n) for eps in (1, -1))
-
-
-@functools.cache
 def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]]:
     """The orbit walk's steps after move a (-1 at a root), as indices and (m, i, eps).
 
-    The moves are those of the generators of level low and above, ordered
-    as in _moves.  Left out are a ^ 1 and every move k < a whose generator
+    The moves are those of the generators of level low and above, in
+    `generators` order with eps = 1, -1, so move 2j+1 inverts move 2j; at
+    low = 2, [-1][1] is the step table that numbers descent's steps and the
+    orbit walk's paths.  Left out are a ^ 1 and every move k < a whose generator
     commutes with a's: a state is first inserted by the lexicographically
     least of its shortest step words, which never has "a, then k"
     (docs/NOTES.md).  Generators y and z commute when z y z^-1 = y, which
@@ -469,43 +462,47 @@ def _orbit_step(n: int, low: int = 2) -> Callable[[str, int], str]:
     return step
 
 
-def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[IElem]:
+def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[list[int]]:
     """Bidirectional walk on the conjugation orbit in the generator metric.
 
     Complete for conjugator generator-length up to the radius (subject to the
     state cap): forward states are g x g^-1, backward states h y h^-1, and a
-    meet yields the witness h^-1 g.  States are the parts of normal forms
-    joined into one str, so equal states are equal elements; the caller
-    re-multiplies the witness.
+    meet yields h^-1 g as a path in the step table, or None.  States are the
+    parts of normal forms joined into one str, so equal states are equal
+    elements; the caller collects and re-multiplies the witness.
     """
     roots = _SEP.join(x.parts), _SEP.join(y.parts)
-    path = next(_meet_walk(*roots, _orbit_expand(x.n), _orbit_step(x.n), radius, max_states), None)
-    if path is None:
-        return None
-    return collect(x.n, [Token("y", *_moves(x.n)[k][:3]) for k in path])
+    return next(_meet_walk(*roots, _orbit_expand(x.n), _orbit_step(x.n), radius, max_states), None)
 
 
-def _greedy_descent(u: IElem) -> tuple[IElem, IElem]:
+def _greedy_descent(u: IElem) -> tuple[IElem, list[int]]:
     """Shrink u inside its conjugacy class by single-generator conjugations.
 
     First-improvement descent on total component length; deterministic.
-    Returns (u_hat, c) with u_hat = c u c^-1.
+    Returns (u_hat, steps), the steps taken in order, so u_hat = c u c^-1
+    with c their product last first.
     """
     n = u.n
-    moves = _moves(n)
-    c = identity_elem(n)
+    table = _walk_steps(n)[-1][1]
+    steps = []
     improved = True
     while improved:
         improved = False
         cur = u.total_length()
-        for m, i, e, s in moves:
+        for k, (m, i, e) in enumerate(table):
             v = conj_by_gen(n, m, i, e, u)
             if v.total_length() < cur:
                 u = v
-                c = imul(s, c)
+                steps.append(k)
                 improved = True
                 break
-    return u, c
+    return u, steps
+
+
+def _step_product(n: int, path: Iterable[int]) -> IElem:
+    """The product, in order, of the steps of path in the step table (_walk_steps)."""
+    table = _walk_steps(n)[-1][1]
+    return collect(n, [Token("y", *table[k]) for k in path])
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +710,11 @@ def _quotient_refutation(x: IElem, y: IElem, k: int) -> Optional[ConjResult]:
 # ---------------------------------------------------------------------------
 
 
-def _check_witness(witness: IElem, x: IElem, y: IElem) -> None:
-    """Re-multiply a witness before it is returned; explicit so it survives ``python -O``."""
+def _conjugate(x: IElem, y: IElem, witness: IElem, method: str, levels: tuple[LevelTrace, ...] = ()) -> ConjResult:
+    """The conjugate verdict, once the witness is re-multiplied; explicit so it survives ``python -O``."""
     if conj_elem(witness, x) != y:
         raise WitnessError("conjugator failed re-verification")
+    return ConjResult("conjugate", witness=witness, levels=levels, method=method)
 
 
 def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> ConjResult:
@@ -748,17 +746,14 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
         # The bottom-level equation g_2 w_2 g_2^-1 = z_2 is forced; classical
         # free conjugacy decides it completely.
         return ConjResult("not_conjugate", reason="level-2 free-conjugacy core mismatch")
-    x_hat, cx = _greedy_descent(x)
-    y_hat, cy = _greedy_descent(y)
-
-    def mapped(w: IElem) -> IElem:
-        # w x_hat w^-1 = y_hat lifts to (cy^-1 w cx) x (cy^-1 w cx)^-1 = y
-        return imul(iinv(cy), imul(w, cx))
-
+    n = x.n
+    x_hat, dx = _greedy_descent(x)
+    y_hat, dy = _greedy_descent(y)
+    # With cx and cy the products of the reversed descent steps, a path w
+    # from x_hat to y_hat lifts to the witness cy^-1 w cx from x to y.
+    undo_y, redo_x = [k ^ 1 for k in dy], dx[::-1]
     if x_hat == y_hat:
-        witness = mapped(identity_elem(x.n))
-        _check_witness(witness, x, y)
-        return ConjResult("conjugate", witness=witness, method="descent")
+        return _conjugate(x, y, _step_product(n, undo_y + redo_x), "descent")
     # The finite quotients run on the descended pair, which is conjugate to
     # the original one and shorter: S_3 before the probe, which costs more
     # and cannot decide a pair that S_3 refutes, and S_4 after it.  Each
@@ -771,21 +766,17 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
     # cheap probe between the descended representatives; descent can land in
     # different local minima, so the completeness walk below stays on the
     # original pair with the budgeted radius.
-    witness = _orbit_walk(x_hat, y_hat, PROBE_RADIUS, min(PROBE_STATES, budget.max_states))
-    if witness is not None:
-        witness = mapped(witness)
-        _check_witness(witness, x, y)
-        return ConjResult("conjugate", witness=witness, method="generator-walk")
+    path = _orbit_walk(x_hat, y_hat, PROBE_RADIUS, min(PROBE_STATES, budget.max_states))
+    if path is not None:
+        return _conjugate(x, y, _step_product(n, undo_y + path + redo_x), "generator-walk")
     refuted = _quotient_refutation(x_hat, y_hat, 4)
     if refuted is not None:
         return refuted
-    witness = _orbit_walk(x, y, budget.gen_radius, budget.max_states)
-    if witness is not None:
-        _check_witness(witness, x, y)
-        return ConjResult("conjugate", witness=witness, method="generator-walk")
+    path = _orbit_walk(x, y, budget.gen_radius, budget.max_states)
+    if path is not None:
+        return _conjugate(x, y, _step_product(n, path), "generator-walk")
     try:
         witness, trace = _ladder(x, y, budget)
     except _Exhausted:
         return ConjResult("unknown", bounds=budget.as_dict())
-    _check_witness(witness, x, y)
-    return ConjResult("conjugate", witness=witness, levels=trace, method="ladder")
+    return _conjugate(x, y, witness, "ladder", trace)

@@ -28,7 +28,8 @@ def random_ielem(rng: Lcg, n: int, max_len: int) -> IElem:
 
 def planted_conjugacy_case(rng: Lcg, n: int, max_len: int):
     """(x, y, budget) with y = g x g^-1 planted; the budget is seeded so the
-    generator-metric walk is complete for the planted conjugator."""
+    generator-metric walk is complete for the planted conjugator while
+    max_states does not bind (at n = 6 it binds on planted cases 9 and 21)."""
     from .igroup import conj_elem
 
     x_tokens = random_gen_tokens(rng, n, max_len)

@@ -105,6 +105,9 @@ def identity_elem(n: int) -> IElem:
 
 def from_parts(n: int, parts: dict[int, FreeWord]) -> IElem:
     """Build an element from a {level: word} mapping; missing levels are empty."""
+    for m in parts:
+        if not 2 <= m <= n:
+            raise IGroupError(f"level {m} is outside 2..{n}")
     comps = []
     for m in range(n, 1, -1):
         w = parts.get(m, empty(m))

@@ -43,7 +43,7 @@ from pik.igroup import (
     to_endo,
 )
 from pik.prng import Lcg
-from pik.words import decode, empty, gen, invert, multiply, parse_word, parse_x_word
+from pik.words import Token, WitnessError, decode, empty, gen, invert, multiply, parse_word, parse_x_word
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -423,6 +423,55 @@ sys.exit(f"returned {res.verdict} with an unchecked witness")
     assert "re-verification" in proc.stdout
 
 
+def _exit_cases():
+    """(x, y, budget) for a pair decided at each conjugate exit after equality.
+
+    Cases 0, 1 and 13 of _pinned_stream's n = 3 draws, and the first pair of
+    test_ladder_decides_what_the_walk_misses.
+    """
+    rng = Lcg(16)
+    planted = [planted_conjugacy_case(rng, 3, 7) for _ in range(14)]
+    rng = Lcg(9081)
+    x = random_ielem(rng, 3, 8)
+    ladder = (x, conj_elem(collect(3, random_gen_tokens(rng, 3, 18)), x), None)
+    return {"descent": planted[0], "probe walk": planted[1], "full walk": planted[13], "ladder": ladder}
+
+
+@pytest.mark.parametrize("exit", ["descent", "probe walk", "full walk", "ladder"])
+def test_every_conjugate_exit_checks_its_witness(monkeypatch, exit):
+    x, y, budget = _exit_cases()[exit]
+    walk, walks = conj_mod._orbit_walk, []
+
+    def spy(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
+    res = conjugacy(x, y, budget)
+    walk_exit = ("probe walk", "full walk")[len(walks) - 1] if walks else None
+    assert (walk_exit if res.method == "generator-walk" else res.method) == exit
+    monkeypatch.setattr(conj_mod, "conj_elem", lambda g, u: u)  # corrupted: no witness re-multiplies to y
+    with pytest.raises(WitnessError, match="re-verification"):
+        conjugacy(x, y, budget)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_descent_steps_conjugate_u_to_u_hat(n):
+    # the product c of descent's steps, last first, has c u c^-1 = u_hat, and
+    # each step shortens u
+    rng = Lcg(300 + n)
+    table = conj_mod._walk_steps(n)[-1][1]
+    descended = 0
+    for _ in range(30):
+        u = random_ielem(rng, n, 10)
+        u_hat, steps = conj_mod._greedy_descent(u)
+        c = collect(n, [Token("y", *table[k]) for k in reversed(steps)])
+        assert conj_elem(c, u) == u_hat
+        assert u_hat.total_length() <= u.total_length() - len(steps)
+        descended += bool(steps)
+    assert descended
+
+
 def element_class(g):
     """The class of the permutation g, as the cycle notation of its shape on 1..k, longest cycle first."""
     seen, lengths = set(), []
@@ -775,7 +824,8 @@ class TestWalksAgainstReference:
             sizes = []
             _reference_orbit_walk(x, y, 6, 10**6, sizes)
             for cap in sorted({2, 700, *sizes, *(c + 1 for c in sizes)}):
-                got = conj_mod._orbit_walk(x, y, 6, cap)
+                path = conj_mod._orbit_walk(x, y, 6, cap)
+                got = None if path is None else conj_mod._step_product(x.n, path)
                 assert got == _reference_orbit_walk(x, y, 6, cap), (x, y, cap)
                 found += got is not None
         assert found  # the comparison covers meets, not only exhausted walks
@@ -807,14 +857,18 @@ class TestWalkPruning:
         # after move a the orbit walk drops a's inverse and exactly the
         # moves k < a that commute with a, checked here by multiplying
         for n in (2, 3, 4, 5):
-            moves = conj_mod._moves(n)
             after = conj_mod._walk_steps(n)
-            assert after[-1] == (tuple(range(len(moves))), tuple(mv[:3] for mv in moves))
+            table = after[-1][1]
+            assert after[-1][0] == tuple(range(len(table)))
+            assert table == tuple((m, i, e) for m, i in generators(n) for e in (1, -1))
+            moves = []
+            for m, i, e in table:
+                moves.append(gen_elem(n, m, i) if e > 0 else iinv(gen_elem(n, m, i)))
             dropped = 0
-            for a, (_m, _i, _e, t) in enumerate(moves):
+            for a, t in enumerate(moves):
                 ks, steps = after[a]
-                assert steps == tuple(moves[k][:3] for k in ks)
-                for k, (_m, _i, _e, s) in enumerate(moves):
+                assert steps == tuple(table[k] for k in ks)
+                for k, s in enumerate(moves):
                     commute = imul(s, t) == imul(t, s)
                     if k == a ^ 1:
                         assert k not in ks
@@ -829,7 +883,7 @@ class TestWalkPruning:
         # the ladder's walk steps with the top-level generators alone, no two
         # of which commute
         for n in (3, 4, 5):
-            moves = [mv[:3] for mv in conj_mod._moves(n)][-2 * n :]
+            moves = conj_mod._walk_steps(n)[-1][1][-2 * n :]
             after = conj_mod._walk_steps(n, n)
             assert after[-1] == (tuple(range(2 * n)), tuple(moves))
             for a in range(2 * n):
@@ -843,7 +897,7 @@ class TestWalkPruning:
         meets = 0
         for x, y in _walk_pairs():
             n = x.n
-            steps = [mv[:3] for mv in conj_mod._moves(n)]
+            steps = conj_mod._walk_steps(n)[-1][1]
 
             def every(state, made_by):
                 return enumerate(_conj_steps(n, state, steps))

@@ -176,6 +176,12 @@ class TestIElemValidation:
         with pytest.raises(IGroupError):
             IElem(3, ("",))
 
+    @pytest.mark.parametrize("level", [4, 1])
+    def test_from_parts_level_outside_range(self, level):
+        # a level above n or below 2 has no factor; it is named, not dropped
+        with pytest.raises(IGroupError, match=f"level {level} is outside 2..3"):
+            from_parts(3, {level: gen(level, 1)})
+
     def test_part_not_a_word_str(self):
         with pytest.raises(IGroupError):
             IElem(3, (gen(3, 1), ""))
@@ -277,10 +283,13 @@ class TestGroupLaws:
         state = igroup._SEP.join(u.parts)
         assert tuple(state.split(igroup._SEP)) == u.parts
         step = conj._orbit_step(n)
+        table = conj._walk_steps(n)[-1][1]
         successors = list(conj._orbit_expand(n)(state, -1))
-        assert [k for k, _ in successors] == list(range(len(conj._moves(n))))
+        assert [k for k, _ in successors] == list(range(len(table)))
         for k, succ in successors:
-            assert tuple(succ.split(igroup._SEP)) == conj_elem(conj._moves(n)[k][3], u).parts, k
+            m, i, eps = table[k]
+            s = gen_elem(n, m, i) if eps > 0 else iinv(gen_elem(n, m, i))
+            assert tuple(succ.split(igroup._SEP)) == conj_elem(s, u).parts, k
             assert step(state, k) == succ
             assert step(succ, k ^ 1) == state, k
 
@@ -549,32 +558,21 @@ class TestSignedGenTable:
                 units = [Token("y", t.a, t.b, t.exp // abs(t.exp)) for t in toks for _ in range(abs(t.exp))]
                 assert a == collect(n, units)
 
-    def test_moves_are_one_tuple_per_rank(self):
-        for n in range(2, 6):
-            moves = conj._moves(n)
-            assert isinstance(moves, tuple) and conj._moves(n) is moves
-            assert [mv[:3] for mv in moves] == [(m, i, e) for m, i in generators(n) for e in (1, -1)]
-            for k in range(0, len(moves), 2):
-                assert moves[k][3] == gen_elem(n, *moves[k][:2])
-                assert moves[k + 1][3] == iinv(moves[k][3])
-
     def test_filled_without_traced_functions(self, monkeypatch):
         # bench/tracer.py counts calls of these; a table entry built through one
         # of them would add to the counts of the first traced run only.
         def traced(*args, **kwargs):
             raise AssertionError("a per-rank table called a traced function")
 
-        for mod, name in [(igroup, "iinv"), (igroup, "imul"), (endos, "compose"), (endos, "apply"),
-                          (conj, "iinv"), (conj, "imul")]:
+        for mod, name in [(igroup, "iinv"), (igroup, "imul"), (endos, "compose"), (endos, "apply")]:
             monkeypatch.setattr(mod, name, traced)
-        for table in (igroup._kernel_tables, igroup._gen_conjugators, conj._moves, conj._walk_steps):
+        for table in (igroup._kernel_tables, igroup._gen_conjugators, conj._walk_steps):
             table.cache_clear()
         for n in range(2, 6):
             igroup._kernel_tables(n)
             for m, i in generators(n):
                 for eps in (1, -1):
                     igroup._gen_conjugators(n, m, i, eps)
-            conj._moves(n)
             conj._walk_steps(n)
 
 
