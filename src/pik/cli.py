@@ -24,6 +24,8 @@ from .prng import Lcg
 from .words import ParseError, parse_word, parse_x_word
 
 SCHEMA = "pik/5"
+OUTPUT_FORMATS = ("json", "text")
+NEGATIVE_CONTROLS = ("drop-relator", "perturb-chi")
 
 
 @dataclass(frozen=True)
@@ -33,11 +35,17 @@ class RunConfig:
     seed: int = 20240601
     fuzz_words: int = 100
     fuzz_conj: int = 40
-    output_format: str = "json"  # "json" | "text"
+    output_format: str = "json"  # one of OUTPUT_FORMATS
     output_path: Optional[str] = None
-    negative_control: Optional[str] = None
+    negative_control: Optional[str] = None  # None or one of NEGATIVE_CONTROLS
 
     def __post_init__(self) -> None:
+        if self.output_format not in OUTPUT_FORMATS:
+            raise ValueError(f"--format must be one of {', '.join(OUTPUT_FORMATS)}, got {self.output_format!r}")
+        if self.negative_control not in (None, *NEGATIVE_CONTROLS):
+            raise ValueError(
+                f"--negative-control must be one of {', '.join(NEGATIVE_CONTROLS)}, got {self.negative_control!r}"
+            )
         if self.n < 3:
             raise ValueError(f"--n must be at least 3, got {self.n}")
         if self.max_degree < 2:
@@ -298,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     bs = li_sub.add_parser("basis")
     bs.add_argument("--N", type=int, required=True)
     bs.add_argument("--m", type=int, required=True)
-    bs.add_argument("--format", choices=["json", "text"], default="json")
+    bs.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
 
     dc = sub.add_parser("decomp", help="graded decomposition certificates")
     dc_sub = dc.add_subparsers(dest="subcommand", required=True)
     dv = dc_sub.add_parser("verify")
     dv.add_argument("--n", type=int, required=True)
     dv.add_argument("--max-degree", type=int, required=True)
-    dv.add_argument("--format", choices=["json", "text"], default="json")
+    dv.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
     rt = dc_sub.add_parser("rank-table")
     rt.add_argument("--n", type=int, required=True)
     rt.add_argument("--max-degree", type=int, required=True)
@@ -326,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--seed", type=int, default=cfg.seed)
     va.add_argument("--fuzz-words", type=int, default=cfg.fuzz_words)
     va.add_argument("--fuzz-conj", type=int, default=cfg.fuzz_conj)
-    va.add_argument("--format", choices=["json", "text"], default=cfg.output_format)
+    va.add_argument("--format", choices=OUTPUT_FORMATS, default=cfg.output_format)
     va.add_argument("--out", default=cfg.output_path)
     va.add_argument(
         "--negative-control",
-        choices=["drop-relator", "perturb-chi"],
+        choices=NEGATIVE_CONTROLS,
         default=cfg.negative_control,
         help="corrupt one input on purpose; the run must fail",
     )

@@ -67,7 +67,6 @@ from .words import (
     _raw,
     centralizer_root,
     decode,
-    empty,
     encode,
     free_conjugate,
     invert,
@@ -211,63 +210,40 @@ def _twisted_bidirectional(
     return found
 
 
-def _coset_solutions(
-    g0: FreeWord, root: Optional[FreeWord], budget: SearchBudget
-) -> Iterator[FreeWord]:
-    """g0 times the centralizer coset, by increasing exponent magnitude."""
-    yield g0
-    if root is None:
-        return
-    for k in range(1, budget.coset + 1):
-        yield multiply(power(root, k), g0)
-        yield multiply(power(root, -k), g0)
-
-
 def _all_words(rank: int, max_len: int) -> Iterator[FreeWord]:
     """Freely reduced words by length (used when the solution set is all of F)."""
-    yield empty(rank)
-    frontier = [empty(rank)]
     letters = _letters(rank)
+    frontier = [""]
+    yield _raw(rank, "")
     for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for s in letters:
-                if w.letters[-1:] == _inverse(s):
-                    continue
-                ext = FreeWord(rank, w.letters + s)
-                nxt.append(ext)
-                yield ext
-        frontier = nxt
+        frontier = [w + s for w in frontier for s in letters if w[-1:] != _inverse(s)]
+        yield from (_raw(rank, w) for w in frontier)
 
 
-Twist = Optional[IElem]
-
-
-def _lower_action(y: IElem, i: int) -> Twist:
-    """The part b of y below level i, or None when b is the identity, the
-    one lower part that acts on level i as the identity (docs/NOTES.md)."""
-    b = lower_part(y, i)
-    return None if b.is_identity else b
-
-
-def twisted_solutions(a: FreeWord, z: FreeWord, twist: Twist, budget: SearchBudget) -> Iterator[FreeWord]:
+def twisted_solutions(a: FreeWord, z: FreeWord, b: Optional[IElem], budget: SearchBudget) -> Iterator[FreeWord]:
     """Candidate solutions of g a (b . g^-1) = z, best-effort enumeration.
 
-    twist is _lower_action's lower part b, or None for plain conjugacy.
-    A twisted equation is left to the walk at its level, which yields only
+    b is the part of y below the level, None at level 2; only b = 1 acts on
+    the level as the identity (docs/NOTES.md).  Untwisted, every word solves
+    a = z = 1; otherwise the solutions are free_conjugate's g0 times the
+    centralizer of z, cyclic as z != 1 (g a g^-1 = 1 forces a = 1).  A
+    twisted equation is left to the walk at its level, which yields only
     solutions it has re-multiplied.  TWISTED_STATES caps that walk's states
     and the words tried when every word solves.
     """
-    if twist is None:
-        if a.is_identity and z.is_identity:
-            yield from itertools.islice(_all_words(a.rank, budget.max_len), TWISTED_STATES)
-            return
+    if b is not None and not b.is_identity:
+        yield from _twisted_bidirectional(a, z, b, budget.max_len, TWISTED_STATES, SOLUTIONS_PER_LEVEL)
+    elif a.is_identity and z.is_identity:
+        yield from itertools.islice(_all_words(a.rank, budget.max_len), TWISTED_STATES)
+    else:
         g0 = free_conjugate(a, z)
         if g0 is None:
             return
-        yield from _coset_solutions(g0, centralizer_root(z), budget)
-        return
-    yield from _twisted_bidirectional(a, z, twist, budget.max_len, TWISTED_STATES, SOLUTIONS_PER_LEVEL)
+        root = centralizer_root(z)
+        yield g0  # then by increasing exponent magnitude
+        for k in range(1, budget.coset + 1):
+            yield multiply(power(root, k), g0)
+            yield multiply(power(root, -k), g0)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +259,10 @@ def _ladder(x: IElem, y: IElem, budget: SearchBudget) -> tuple[IElem, tuple[Leve
     """Returns (witness, trace) on success, or raises _Exhausted when budgets run out.
 
     Level 2 is plain conjugacy; level i > 2 is twisted by the part of y
-    below it, whose data is worked out once here.
+    below it, worked out once here.
     """
     n = x.n
-    twists: list[Twist] = [None] + [_lower_action(y, i) for i in range(3, n + 1)]
+    lower = [None] + [lower_part(y, i) for i in range(3, n + 1)]
     nodes = [0]
 
     def spend() -> None:
@@ -304,7 +280,7 @@ def _ladder(x: IElem, y: IElem, budget: SearchBudget) -> tuple[IElem, tuple[Leve
             prefix = IElem(i - 1, tuple([g.letters for _, g in reversed(path)]))
             a_i = act_elem(prefix, x.part(i))
             spend()
-        for cand in twisted_solutions(a_i, y.part(i), twists[i - 2], budget):
+        for cand in twisted_solutions(a_i, y.part(i), lower[i - 2], budget):
             spend()
             res = solve(i + 1, path + [(a_i, cand)])
             if res is not None:
@@ -319,11 +295,11 @@ def _ladder(x: IElem, y: IElem, budget: SearchBudget) -> tuple[IElem, tuple[Leve
         LevelTrace(
             level=i,
             a_word=format_level_word(a_i),
-            b_desc=format_ielem(lower_part(y, i)) if i > 2 else "",
-            twist_desc="none" if i == 2 else "identity" if twist is None else "partial-inner",
+            b_desc="" if b is None else format_ielem(b),
+            twist_desc="none" if b is None else "identity" if b.is_identity else "partial-inner",
             solution=format_level_word(g),
         )
-        for i, (a_i, g), twist in zip(range(2, n + 1), path, twists)
+        for i, (a_i, g), b in zip(range(2, n + 1), path, lower)
     )
     return witness, trace
 

@@ -48,12 +48,14 @@ class EndoF:
     set it; compose and the other constructors leave it None.
     igroup.to_endo instead sets _inv_builder, which makes the inverse's
     images when inverse() asks for them, so a map that is never inverted
-    never builds them.  The builder is not compared and not shown.
+    never builds them.  Maps are equal when their images are: neither the
+    inverse's images nor the builder is compared, and the builder is not
+    shown.
     """
 
     rank: int
     images: tuple[FreeWord, ...]
-    inv_images: Optional[tuple[FreeWord, ...]] = None
+    inv_images: Optional[tuple[FreeWord, ...]] = field(default=None, compare=False)
     _inv_builder: Optional[Callable[[], tuple[FreeWord, ...]]] = field(
         default=None, compare=False, repr=False
     )

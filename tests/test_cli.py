@@ -63,6 +63,11 @@ class TestReportSchema:
             RunConfig(n=2)
         with pytest.raises(ValueError, match="--max-degree must be at least 2"):
             RunConfig(max_degree=1)
+        # a library caller's misspelling is refused, not run as no control or as text
+        with pytest.raises(ValueError, match="--negative-control must be one of drop-relator, perturb-chi"):
+            RunConfig(negative_control="drop_relator")
+        with pytest.raises(ValueError, match="--format must be one of json, text, got 'yaml'"):
+            RunConfig(output_format="yaml")
 
     def test_verify_all_defaults_are_run_config_defaults(self):
         args = build_parser().parse_args(["verify-all"])
@@ -183,11 +188,15 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["count"] == 1
         assert out["basis"][0]["lyndon_word"] == [1, 2]
+        assert main(["lie", "basis", "--N", "3", "--m", "3", "--format", "text"]) == 0
+        assert capsys.readouterr().out.split() == ["112", "113", "122", "123", "132", "133", "223", "233"]
 
     def test_decomp_verify(self, capsys):
         assert main(["decomp", "verify", "--n", "3", "--max-degree", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] and out["per_degree"][0]["rank_J"] == 6
+        assert main(["decomp", "verify", "--n", "3", "--max-degree", "3", "--format", "text"]) == 0
+        assert capsys.readouterr().out == "m=2: J=6 Y=[1, 3] ok=True\nm=3: J=30 Y=[2, 8] ok=True\n"
 
     def test_decomp_rank_table(self, capsys):
         assert main(["decomp", "rank-table", "--n", "3", "--max-degree", "3"]) == 0

@@ -27,7 +27,6 @@ from pik.endos import apply as endo_apply, automorphism
 from pik.fuzz import planted_conjugacy_case, random_gen_tokens, random_ielem
 from pik.igroup import (
     _SEP,
-    IElem,
     _conj_steps,
     abelianize,
     act_elem,
@@ -43,7 +42,7 @@ from pik.igroup import (
     to_endo,
 )
 from pik.prng import Lcg
-from pik.words import Token, WitnessError, decode, empty, gen, invert, multiply, parse_word, parse_x_word
+from pik.words import Token, WitnessError, decode, empty, encode, gen, invert, multiply, parse_word, parse_x_word
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -89,19 +88,14 @@ def w(s, rank=2):
     return parse_x_word(s, rank)
 
 
-def twist_by(b):
-    """The ladder's twist of level b.n + 1 by the lower element b: b, or None if b acts trivially."""
-    return conj_mod._lower_action(IElem(b.n + 1, ("",) + b.parts), b.n + 1)
-
-
 def images_of(b, i):
     """b . y(i,1), ..., b . y(i,i) as level-i words."""
     return tuple(act_elem(b, gen(i, l)) for l in range(1, i + 1))
 
 
-def first_solution(a, z, twist, budget=SearchBudget()):
-    """The first solution g of g a (b . g^-1) = z that the ladder would try."""
-    return next(twisted_solutions(a, z, twist, budget), None)
+def first_solution(a, z, b, budget=SearchBudget()):
+    """The first solution g of g a (b . g^-1) = z that the ladder would try; b is None at level 2."""
+    return next(twisted_solutions(a, z, b, budget), None)
 
 
 def solves(g, a, z, b):
@@ -146,34 +140,45 @@ class TestTwistedConjugate:
 
         oracle = brute()
         assert oracle is not None
-        g = first_solution(a, z, twist_by(b))
+        g = first_solution(a, z, b)
         assert g is not None and solves(g, a, z, b)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_lower_action_is_none_iff_identity(self, n):
         # the lower part b of y below level i fixes every y(i,l) only when
-        # b = 1; short random words often have no letter below i
+        # b = 1; short random words often have no letter below i.  So an
+        # identity b leaves plain conjugacy, solved as at level 2 (b = None):
+        # a conjugate pair by the centralizer coset, a = z = 1 by all words.
         rng = Lcg(31 + n)
         fixed = 0
+        untwisted = {}  # a = 1 and a != 1: the first identity b with each, and its level's part a
         for _ in range(300):
             y = random_ielem(rng, n, 4)
             for i in range(3, n + 1):
                 b = lower_part(y, i)
                 fixes = all(act_elem(b, gen(i, l)) == gen(i, l) for l in range(1, i + 1))
                 assert fixes == b.is_identity
-                assert (conj_mod._lower_action(y, i) is None) == fixes
                 fixed += fixes
+                if fixes:
+                    untwisted.setdefault(y.part(i).is_identity, (b, y.part(i)))
         assert 0 < fixed < 300 * (n - 2)
+        assert set(untwisted) == {True, False}
+        budget = SearchBudget(max_len=3, coset=2)
+        for b, a in untwisted.values():
+            g = parse_x_word("x1 x2^-1 x3", a.rank)
+            z = multiply(multiply(g, a), invert(g))
+            got = list(twisted_solutions(a, z, b, budget))
+            assert got == list(twisted_solutions(a, z, None, budget))
+            assert got and all(solves(h, a, z, b) for h in got)
 
     def test_planted_twisted_instances(self):
         rng = Lcg(808)
         b = collect(2, parse_word("y(2,1) y(2,2)"))
-        twist = twist_by(b)
         for _ in range(25):
             a = random_ielem(rng, 4, 5).part(3)
             g = random_ielem(rng, 4, 5).part(3)
             z = multiply(multiply(g, a), act_elem(b, invert(g)))
-            sol = first_solution(a, z, twist, SearchBudget(max_len=10))
+            sol = first_solution(a, z, b, SearchBudget(max_len=10))
             assert sol is not None and solves(sol, a, z, b)
 
 
@@ -385,6 +390,42 @@ def test_ladder_decides_what_the_walk_misses(seed):
     assert res.method == "ladder"
     assert [t.level for t in res.levels] == [2, 3]
     assert conj_elem(res.witness, x) == y
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_all_words_lists_the_reduced_words_by_length(rank):
+    letters = [(i, e) for i in range(1, rank + 1) for e in (1, -1)]
+    brute = [
+        encode(t)
+        for length in range(5)
+        for t in itertools.product(letters, repeat=length)
+        if all(p != (q[0], -q[1]) for p, q in zip(t, t[1:]))
+    ]
+    assert [g.letters for g in conj_mod._all_words(rank, 4)] == brute
+
+
+def test_h3_pair_exhausts_the_ladder_over_all_words(monkeypatch):
+    # x in H_3 against its conjugate by 18 generator letters, drawn from Lcg(39)
+    # as bench/workloads.py draws them: level 2 reads 1 = 1, so the ladder
+    # tries all words there and runs out of nodes before any decides.
+    rng = Lcg(39)
+    x = collect(3, [t for t in random_gen_tokens(rng, 3, 12) if t.a == 3])
+    gens = generators(3)
+    g = collect(3, [Token("y", *gens[rng.below(len(gens))], rng.sign()) for _ in range(18)])
+    y = conj_elem(g, x)
+    assert x.part(2).is_identity and y.part(2).is_identity
+    all_words, calls = conj_mod._all_words, []
+
+    def spy(rank, max_len):
+        calls.append((rank, max_len))
+        return all_words(rank, max_len)
+
+    monkeypatch.setattr(conj_mod, "_all_words", spy)
+    assert conjugacy(x, y).as_dict() == {"verdict": "unknown", "bounds": SearchBudget().as_dict()}
+    assert calls == [(2, 16)]
+    with pytest.raises(conj_mod._Exhausted) as exc:
+        conj_mod._ladder(x, y, SearchBudget())
+    assert exc.traceback[-1].name == "spend"  # the node cap, not an exhausted search
 
 
 def run_optimized(code, cwd):

@@ -188,6 +188,16 @@ class TestAutomorphismFlag:
         assert compose(f, g).inv_images is None
         assert inverse(f).inv_images == f.images
 
+    def test_equality_reads_images_alone(self):
+        # a map is known by its images: one that carries its inverse equals
+        # one built from the same images without it
+        for m, i in ((2, 1), (3, 2)):
+            f = y_gen(3, m, i)
+            bare = EndoF(3, f.images)
+            assert f.inv_images is not None and bare.inv_images is None
+            assert f == bare and hash(f) == hash(bare)
+        assert y_gen(3, 3, 2) != EndoF(3, y_gen(3, 3, 2).inv_images)
+
     def test_bad_inverse_rejected(self):
         f = chi(3, 1, 2)
         with pytest.raises(EndoError):

@@ -57,6 +57,15 @@ def test_normal_form_child(reports):
     assert rec["outputs_sha256"] == "83325064ffa3ee2aae43e17700c399bd4024c36c4322b93a95dca7d1b3c8385b"
 
 
+# Each child's outputs_sha256: conj-long-n3's is BENCH_conj.json's and covers
+# every byte of the ladder's level traces; conj-planted's is that of the
+# stream drawn for one second, shorter than BENCH_conj.json's.
+CONJ_OUTPUTS_SHA256 = {
+    "conj-planted": "d9b4958690b92d059e93b889955266b9b736c755d512a6bbf3865b47a9d500c0",
+    "conj-long-n3": "3c8ec9795c59fb0195543ab19aa400ed7046a8b054de7259338b88df1cdd76b2",
+}
+
+
 @pytest.mark.parametrize("stream, reached", [("conj-planted", CONJ.STAGES[:-1]), ("conj-long-n3", ["ladder"])])
 def test_conj_child(stream, reached, reports):
     rec = timing.medians([result(reports, stream)])
@@ -64,6 +73,7 @@ def test_conj_child(stream, reached, reports):
     assert all(rec["stages"][s]["calls"] > 0 for s in reached)
     assert {s for s, stage in rec["stages"].items() if "states" in stage} == {"probe walk", "full walk"}
     assert 0 <= rec["unknown"] <= rec["ops"]
+    assert rec["outputs_sha256"] == CONJ_OUTPUTS_SHA256[stream]
 
 
 def test_a_failed_run_shows_its_stderr(tmp_path, capsys):
