@@ -424,8 +424,9 @@ def _dispatch(args) -> int:
                     }
                 )
             else:
+                sep = " " if args.N >= 10 else ""  # a letter of two digits needs a separator
                 for e in basis:
-                    print("".join(str(a) for a in e.lyndon[0][0]))
+                    print(sep.join(str(a) for a in e.lyndon[0][0]))
             return 0
 
     if args.command == "decomp":

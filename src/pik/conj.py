@@ -105,7 +105,11 @@ class SearchBudget:
     max_len bounds the depth of each twisted-level search, coset the
     centralizer exponent range at complete levels.  gen_radius and
     max_states bound the generator-metric conjugation walk.  An unknown
-    reports all four, and `pik conj decide` takes each as a flag.
+    reports all four, and `pik conj decide` takes each as a flag.  Its
+    bounds are the budget in force, not the caps that ran out: the ladder's
+    node cap LADDER_NODES can bind before max_len does, as on the Lcg(39)
+    H_3 pair of tests/test_conj.py, where the ladder draws 51 words of
+    _all_words(2, 16), none longer than 3 letters.
     """
 
     max_len: int = 16
@@ -342,10 +346,10 @@ def _meet_walk(
     Each table maps a state to the step that made it, -1 at its root.  Each
     round grows the side with the smaller frontier by one depth; the caps
     are read only between rounds, and the round at depth radius stores only
-    its meets.  A meet at a state reached by g from a_root and by h from
-    b_root is yielded as the steps t_1, ..., t_r of h^-1 g, which carries
-    a_root to b_root.  Why this finds what a walk trying every step finds:
-    docs/NOTES.md.
+    its meets, in a frontier that is never expanded.  A meet at a state
+    reached by g from a_root and by h from b_root is yielded as the steps
+    t_1, ..., t_r of h^-1 g, which carries a_root to b_root.  Why this finds
+    what a walk trying every step finds: docs/NOTES.md.
     """
     fwd = {a_root: -1}
     bwd = {b_root: -1}
@@ -367,17 +371,11 @@ def _meet_walk(
         frontier = fwd_frontier if fwd_side else bwd_frontier
         table = fwd if fwd_side else bwd
         other = bwd if fwd_side else fwd
-        if depth == radius:  # the last round: a state that is no meet is never read again
-            for state in frontier:
-                for k, nstate in expand(state, table[state]):
-                    if nstate in other and nstate not in table:
-                        table[nstate] = k
-                        yield meet(nstate)
-            return
+        last = depth == radius  # a state that is no meet is never read after the last round
         new_frontier = []
         for state in frontier:
             for k, nstate in expand(state, table[state]):
-                if nstate in table:
+                if nstate in table or last and nstate not in other:
                     continue  # cross-pairs are checked at first insertion
                 table[nstate] = k
                 new_frontier.append(nstate)

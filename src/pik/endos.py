@@ -42,23 +42,18 @@ class EndoError(ValueError):
 class EndoF:
     """Endomorphism of F_rank; images[k] is the image of x_{k+1}.
 
-    inv_images, when present, is the inverse's images: the endomorphism is
-    then a flagged automorphism that inverse() can invert.  Only y_gen,
-    automorphism (which checks it) and inverse (which swaps it with images)
-    set it; compose and the other constructors leave it None.
-    igroup.to_endo instead sets _inv_builder, which makes the inverse's
-    images when inverse() asks for them, so a map that is never inverted
-    never builds them.  Maps are equal when their images are: neither the
-    inverse's images nor the builder is compared, and the builder is not
-    shown.
+    _inverse, when present, makes the inverse's images: the endomorphism is
+    then a flagged automorphism that inverse() can invert, and a map that
+    is never inverted never builds them.  Only y_gen, automorphism (which
+    checks the images it is given), inverse (which hands back this map's
+    images) and igroup.to_endo set it; compose and the other constructors
+    leave it None.  Maps are equal when their images are: _inverse is
+    neither compared nor shown.
     """
 
     rank: int
     images: tuple[FreeWord, ...]
-    inv_images: Optional[tuple[FreeWord, ...]] = field(default=None, compare=False)
-    _inv_builder: Optional[Callable[[], tuple[FreeWord, ...]]] = field(
-        default=None, compare=False, repr=False
-    )
+    _inverse: Optional[Callable[[], tuple[FreeWord, ...]]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.images) != self.rank:
@@ -83,12 +78,9 @@ def compose(f: EndoF, g: EndoF) -> EndoF:
 
 
 def inverse(f: EndoF) -> EndoF:
-    inv_images = f.inv_images
-    if inv_images is None:
-        if f._inv_builder is None:
-            raise EndoError("endomorphism is not flagged invertible")
-        inv_images = f._inv_builder()
-    return EndoF(f.rank, inv_images, f.images)
+    if f._inverse is None:
+        raise EndoError("endomorphism is not flagged invertible")
+    return EndoF(f.rank, f._inverse(), lambda: f.images)
 
 
 def is_identity(f: EndoF) -> bool:
@@ -102,7 +94,7 @@ def automorphism(images: Sequence[FreeWord], inv_images: Sequence[FreeWord]) -> 
     finv = EndoF(n, tuple(inv_images))
     if not (is_identity(compose(f, finv)) and is_identity(compose(finv, f))):
         raise EndoError("stored inverse does not compose to the identity")
-    return EndoF(n, tuple(images), tuple(inv_images))
+    return EndoF(n, f.images, lambda: finv.images)
 
 
 def chi(n: int, i: int, j: int) -> EndoF:
@@ -120,8 +112,9 @@ def y_gen(n: int, m: int, i: int) -> EndoF:
     """Conjugate x_1..x_m by x_i, fix x_{m+1}..x_n.
 
     Equals the composition chi(1,i) ... chi(m,i) with chi(i,i) omitted; the
-    factors commute since each moves a different generator.  Carries its
-    inverse, which igroup's generator table inverts for y(m,i)^-1.
+    factors commute since each moves a different generator.  Its inverse's
+    images, y(m,i)^-1's, are made without composing, and igroup's generator
+    table reads them.
     """
     if not (2 <= m <= n):
         raise EndoError(f"level m={m} outside 2..{n}")
@@ -134,7 +127,7 @@ def y_gen(n: int, m: int, i: int) -> EndoF:
             for k in range(1, n + 1)
         )
 
-    return EndoF(n, conjugated(1), conjugated(-1))
+    return EndoF(n, conjugated(1), lambda: conjugated(-1))
 
 
 def tau(g: FreeWord) -> EndoF:

@@ -372,7 +372,7 @@ def to_endo(a: IElem) -> EndoF:
     Its images are built now; its inverse's, those of iinv(a), only when
     endos.inverse asks for them.
     """
-    return EndoF(a.n, _images(a), _inv_builder=lambda: _images(iinv(a)))
+    return EndoF(a.n, _images(a), lambda: _images(iinv(a)))
 
 
 @functools.cache
@@ -384,7 +384,7 @@ def _gen_conjugators(n: int, m: int, i: int, eps: int) -> tuple[tuple, tuple]:
     each distinct nonempty u with its letters as (index - 1, one-letter
     word), and moved holds (k - 1, u, x_k x_k^-1) for each x_k whose u is
     nonempty.  Its values depend only on (n, m, i, eps).  The images are
-    endos.y_gen's, or for eps = -1 those of the inverse that y_gen carries,
+    endos.y_gen's, or for eps = -1 those that y_gen's inverse field makes,
     so filling the table calls none of the functions bench/tracer.py counts
     (docs/NOTES.md, "Per-rank generator tables").
     """

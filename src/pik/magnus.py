@@ -24,19 +24,6 @@ class MagnusError(ValueError):
     pass
 
 
-def _letter_series(D: int, idx: int, sign: int) -> Terms:
-    """Magnus image of a single letter: 1 + X or the truncated inverse series."""
-    terms: Terms = {(): 1}
-    if sign > 0:
-        terms[(idx,)] = 1
-    else:
-        coeff = -1
-        for d in range(1, D + 1):
-            terms[(idx,) * d] = coeff
-            coeff = -coeff
-    return terms
-
-
 def _check_maxdeg(D: int) -> None:
     if D < 1:
         raise MagnusError(f"maxdeg must be positive, got {D}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pik import cli
+from pik import cli, lie
 from pik.cli import _CHECKS, RunConfig, build_parser, emit_report, main, pool_size
 from pik.conj import SearchBudget, conjugacy
 from pik.igroup import collect, conj_elem, format_ielem
@@ -190,6 +190,14 @@ class TestSubcommands:
         assert out["basis"][0]["lyndon_word"] == [1, 2]
         assert main(["lie", "basis", "--N", "3", "--m", "3", "--format", "text"]) == 0
         assert capsys.readouterr().out.split() == ["112", "113", "122", "123", "132", "133", "223", "233"]
+
+    def test_lie_basis_text_two_digit_letters(self, capsys):
+        # at N >= 10 a letter can have two digits: (1, 1, 12) and (1, 11, 2)
+        # must print as different lines that read back as the Lyndon words
+        assert main(["lie", "basis", "--N", "12", "--m", "3", "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(set(lines)) == len(lines)
+        assert [tuple(map(int, line.split())) for line in lines] == list(lie.lyndon_words(12, 3))
 
     def test_decomp_verify(self, capsys):
         assert main(["decomp", "verify", "--n", "3", "--max-degree", "3"]) == 0
@@ -436,12 +444,47 @@ class TestVerifyAll:
 
         def wrong_inverse(a):
             e = real(a)
-            return replace(e, inv_images=e.images)
+            return replace(e, _inverse=lambda: e.images)
 
         monkeypatch.setattr(igroup, "to_endo", wrong_inverse)
         res = check_normal_form_fuzz(cfg)
         assert res["status"] == "fail"
         assert res["details"] == {"cases": 10, "failures": 10}
+
+    def test_conjugacy_fuzz_fails_on_wrong_verdicts(self, monkeypatch):
+        # Negative control: a conjugacy that refutes the planted pairs and
+        # finds the refutable ones conjugate must fail both counts.
+        from types import SimpleNamespace
+
+        from pik import conj
+        from pik.cli import check_conjugacy_fuzz
+
+        def wrong(x, y, budget=None):
+            return SimpleNamespace(verdict="conjugate" if budget is None else "not_conjugate")
+
+        monkeypatch.setattr(conj, "conjugacy", wrong)
+        cfg = RunConfig(n=3, seed=7, fuzz_conj=6)
+        res = check_conjugacy_fuzz(cfg)
+        assert res["status"] == "fail"
+        assert res["details"]["planted_failures"] == cfg.fuzz_conj
+        assert res["details"]["refuted_failures"] > 0
+
+    def test_igroup_relations_flags_a_nontrivial_word(self, monkeypatch):
+        # Negative control: a relator that is not trivial must fail both the
+        # collection and the automorphism check, under its own label.
+        from pik import igroup
+        from pik.cli import check_igroup_relations
+        from pik.words import Token
+
+        real = igroup.relation_instances
+
+        def planted(n):
+            return real(n) + [("planted y(2,1)", [Token("y", 2, 1, 1)])]
+
+        monkeypatch.setattr(igroup, "relation_instances", planted)
+        res = check_igroup_relations(RunConfig(n=3))
+        assert res["status"] == "fail"
+        assert res["details"]["failures"] == ["planted y(2,1) (collection)", "planted y(2,1) (automorphism)"]
 
 
 def test_script_runs_from_any_directory(tmp_path):

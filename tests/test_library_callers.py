@@ -40,7 +40,6 @@ PIK = ROOT / "src" / "pik"
 ALLOWED = {
     ("ajohnson", "inner_degree_check"): "used by an acceptance test",
     ("endos", "automorphism"): "bench/tracer.py LAYERS wraps it by name",
-    ("magnus", "_letter_series"): "the reference that the letter-step test compares against",
     ("magnus", "johnson_image"): (
         "bench/tracer.py LAYERS wraps it by name; the group-side oracle in tests uses it"
     ),

@@ -6,7 +6,6 @@ from pik.endos import EndoF, automorphism, compose, tau, y_gen
 from pik.magnus import (
     MagnusError,
     NotIAError,
-    _letter_series,
     gamma_degree,
     ia_degree,
     johnson_image,
@@ -24,6 +23,20 @@ def w(s, rank=2):
     return parse_x_word(s, rank)
 
 
+def letter_series(D, idx, sign):
+    """Reference Magnus image of a single letter: 1 + X or the truncated
+    inverse series 1 - X + X^2 - ... up to degree D."""
+    terms = {(): 1}
+    if sign > 0:
+        terms[(idx,)] = 1
+    else:
+        coeff = -1
+        for d in range(1, D + 1):
+            terms[(idx,) * d] = coeff
+            coeff = -coeff
+    return terms
+
+
 def nc_mul(a, b, D):
     """Reference product of term dicts truncated above degree D: every pair
     of monomials that fits, with the zero coefficients dropped."""
@@ -39,7 +52,7 @@ def series_product(letters, D):
     """Reference expansion: the product of the letters' series with nc_mul."""
     acc = {(): 1}
     for idx, sign in letters:
-        acc = nc_mul(acc, _letter_series(D, idx, sign), D)
+        acc = nc_mul(acc, letter_series(D, idx, sign), D)
     return acc
 
 
