@@ -7,16 +7,16 @@ builds them for a 15 s run, conj-hard-n4, the same draws as conj-hard
 planted pairs at rank 3 from ``Lcg(5)`` whose conjugators have exactly 14
 generator letters, run under the default budget, is a stream of
 ``timing.py``, run REPEAT times per tree.  conj-long-n3 is the stream that
-spends measurable time in the ladder: the budgeted walk misses some of its
+spends measurable time in the ladder: both walks miss some of its
 conjugators, and those pairs end in the ladder.  The stages are the
 functions ``pik.conj.conjugacy`` calls by name, in the order it runs them,
 and the two orbit walks also count the states they expand:
 
     descent     _greedy_descent, on both sides of a pair
     S_3         _quotient_refutation with k = 3
-    probe walk  the first _orbit_walk of a pair, between the descended sides
     S_4         _quotient_refutation with k = 4
-    full walk   the second _orbit_walk of a pair, the budgeted one
+    probe walk  the first _orbit_walk of a pair, between the descended sides
+    full walk   the second _orbit_walk of a pair, on the original sides
     ladder      _ladder
 
 "other" is equality, the abelianization, the level-2 core and
@@ -32,7 +32,7 @@ import sys
 import timing
 
 STREAMS = ("conj-planted", "conj-hard", "conj-hard-n4", "conj-long-n3")
-STAGES = ("descent", "S_3", "probe walk", "S_4", "full walk", "ladder")
+STAGES = ("descent", "S_3", "S_4", "probe walk", "full walk", "ladder")
 SECONDS = 15
 REPEAT = 7
 OUT = "BENCH_conj.json"

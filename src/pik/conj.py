@@ -20,10 +20,10 @@ Verdicts are sound by construction:
   twisted-conjugacy decision procedure from the literature is out of scope;
   bounded verified search replaces it and never fakes a "no".
 
-Search is layered by cost: greedy descent, then the finite quotient S_3
-on the descended representatives, a shallow probe walk between them, the
-finite quotient S_4, a bidirectional conjugation walk in the generator
-metric at the budgeted radius, and the level ladder last.  The ladder
+Search is layered by cost: greedy descent, then the finite quotients S_3
+and S_4 on the descended representatives, a probe walk between them, a
+bidirectional conjugation walk on the original pair in the generator metric,
+both walks at the budgeted radius, and the level ladder last.  The ladder
 enumerates a centralizer coset at untwisted levels and, at twisted ones,
 runs the same walk restricted to the level's generators, its own caps
 being module constants; it prunes no equation before walking it.  For
@@ -87,9 +87,8 @@ LADDER_NODES = 100
 TWISTED_STATES = 500
 SOLUTIONS_PER_LEVEL = 8
 
-# The probe walk's caps: its radius, and its state cap when the budget's
-# max_states is larger.
-PROBE_RADIUS = 4
+# The probe walk's state cap when the budget's max_states is larger; its
+# radius is the budget's gen_radius.
 PROBE_STATES = 6_000
 
 # Q = S_k is tried on the pieces {rho : rho(x_j) in C_j} of Hom(F_n, Q),
@@ -697,11 +696,12 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
     The abelianization and the level-2 core refute first.  Greedy descent
     then shrinks both sides inside their classes; matching minima settle the
     instance outright.  Otherwise the cycle types on the pieces of
-    Hom(F_n, S_3) refute the descended pair, a cheap shallow probe walk
-    looks for a witness between its sides, and the pieces of Hom(F_n, S_4)
-    refute.  The completeness walk runs on the original pair at the budgeted
-    radius, so budgets seeded from a planted conjugator keep their
-    guarantee, and the ladder runs last, on what the walk leaves open.
+    Hom(F_n, S_3), then of Hom(F_n, S_4), refute the descended pair, and a
+    probe walk looks for a witness between its sides at the budgeted radius,
+    under at most PROBE_STATES states.  The completeness walk runs on the
+    original pair at the budgeted radius and state cap, so budgets seeded
+    from a planted conjugator keep their guarantee, and the ladder runs
+    last, on what the walk leaves open.
     """
     budget = budget or SearchBudget()
     if x.n != y.n:
@@ -729,23 +729,20 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
     if x_hat == y_hat:
         return _conjugate(x, y, _step_product(n, undo_y + redo_x), "descent")
     # The finite quotients run on the descended pair, which is conjugate to
-    # the original one and shorter: S_3 before the probe, which costs more
-    # and cannot decide a pair that S_3 refutes, and S_4 after it.  Each
-    # stage is sound alone, so the order sets no verdict, only the cost and
-    # whose witness returns (docs/NOTES.md, "The order of conjugacy's
-    # stages").
-    refuted = _quotient_refutation(x_hat, y_hat, 3)
-    if refuted is not None:
-        return refuted
-    # cheap probe between the descended representatives; descent can land in
-    # different local minima, so the completeness walk below stays on the
-    # original pair with the budgeted radius.
-    path = _orbit_walk(x_hat, y_hat, PROBE_RADIUS, min(PROBE_STATES, budget.max_states))
+    # the original one and shorter, and both before the probe, which costs
+    # more and cannot decide a pair that they refute.  Each stage is sound
+    # alone, so the order sets no verdict, only the cost and whose witness
+    # returns (docs/NOTES.md, "The order of conjugacy's stages").
+    for k in (3, 4):
+        refuted = _quotient_refutation(x_hat, y_hat, k)
+        if refuted is not None:
+            return refuted
+    # The probe walks between the descended representatives to the budget's
+    # radius under its own state cap; descent can land in different local
+    # minima, so the completeness walk below stays on the original pair.
+    path = _orbit_walk(x_hat, y_hat, budget.gen_radius, min(PROBE_STATES, budget.max_states))
     if path is not None:
         return _conjugate(x, y, _step_product(n, undo_y + path + redo_x), "generator-walk")
-    refuted = _quotient_refutation(x_hat, y_hat, 4)
-    if refuted is not None:
-        return refuted
     path = _orbit_walk(x, y, budget.gen_radius, budget.max_states)
     if path is not None:
         return _conjugate(x, y, _step_product(n, path), "generator-walk")

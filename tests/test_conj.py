@@ -467,15 +467,17 @@ sys.exit(f"returned {res.verdict} with an unchecked witness")
 def _exit_cases():
     """(x, y, budget) for a pair decided at each conjugate exit after equality.
 
-    Cases 0, 1 and 13 of _pinned_stream's n = 3 draws, and the first pair of
-    test_ladder_decides_what_the_walk_misses.
+    Cases 0, 1 and 3 of _pinned_stream's n = 3 draws, and the first pair of
+    test_ladder_decides_what_the_walk_misses.  On case 3 descent ends in
+    local minima that the probe does not join within the planted radius of
+    2, and the full walk on the original pair does.
     """
     rng = Lcg(16)
-    planted = [planted_conjugacy_case(rng, 3, 7) for _ in range(14)]
+    planted = [planted_conjugacy_case(rng, 3, 7) for _ in range(4)]
     rng = Lcg(9081)
     x = random_ielem(rng, 3, 8)
     ladder = (x, conj_elem(collect(3, random_gen_tokens(rng, 3, 18)), x), None)
-    return {"descent": planted[0], "probe walk": planted[1], "full walk": planted[13], "ladder": ladder}
+    return {"descent": planted[0], "probe walk": planted[1], "full walk": planted[3], "ladder": ladder}
 
 
 @pytest.mark.parametrize("exit", ["descent", "probe walk", "full walk", "ladder"])
@@ -966,6 +968,23 @@ class TestWalkPruning:
                 meets += len(stored)
         assert meets
 
+    def test_last_round_stores_only_meets(self):
+        # at each meet yielded in the round at depth == radius, read while the
+        # walk is suspended on it, every state that round has stored so far
+        # is in the other side's table
+        stored = 0
+        for x, y in _walk_pairs():
+            expand, step = conj_mod._orbit_expand(x.n), conj_mod._orbit_step(x.n)
+            roots = _SEP.join(x.parts), _SEP.join(y.parts)
+            for radius in range(1, 7):
+                walk = conj_mod._meet_walk(*roots, expand, step, radius, 10**7)
+                for _ in walk:
+                    round_ = walk.gi_frame.f_locals
+                    if round_["depth"] == radius:
+                        assert all(s in round_["other"] for s in round_["new_frontier"]), (x, y, radius)
+                        stored += len(round_["new_frontier"])
+        assert stored
+
 
 def _stored_meet_walk(a_root, b_root, expand, radius):
     """_meet_walk with no state cap, storing every state it makes with a (parent, step) link."""
@@ -999,12 +1018,12 @@ def _stored_meet_walk(a_root, b_root, expand, radius):
 def _pinned_stream():
     """Planted pairs at n = 3 and 4, and x against x [a, b] at n = 3.
 
-    The full generator walk decides nine of the planted pairs: two n=4 ones
-    that neither the probe walk nor the ladder decides, and seven (cases 13,
-    16, 44, 62, 66, 109 and 118) that the ladder decided while it ran before
-    the walk.  Five of the x [a, b] pairs ended unknown until the
-    finite-quotient stage: pieces of S_3 refute four of them (cases 120,
-    121, 122 and 124) and a piece of S_4 the fifth (case 123).
+    The full generator walk decides eight of the planted pairs, cases 3,
+    16, 66, 91, 107, 109, 112 and 117, where the probe at the planted
+    radius does not join the descended sides.  Five of the x [a, b] pairs
+    ended unknown until the finite-quotient stage: pieces of S_3 refute four
+    of them (cases 120, 121, 122 and 124) and a piece of S_4 the fifth
+    (case 123).
     """
     cases = []
     for n, count in ((3, 40), (4, 80)):
@@ -1020,11 +1039,12 @@ def _pinned_stream():
 
 
 # SHA-256 of the JSON of every ConjResult.as_dict() on _pinned_stream(), taken
-# when the finite quotients moved to pieces; against the outputs before it,
-# only the reasons of the five refuted pairs named in _pinned_stream changed,
-# each now naming its piece.  A change that only makes the search faster
-# keeps it.
-PINNED_SHA256 = "d1e45615cebaf02fa306b1007af0c995190753b42696b254b349d07edce1d127"
+# when the probe walk moved behind S_4 and to the budget's radius; against the
+# outputs before it, only the witnesses of cases 3 and 112 changed, each now
+# found by the full walk where the probe had joined the descended sides at
+# radius 4, beyond their planted radii of 2 and 1.  A change that only makes
+# the search faster keeps it.
+PINNED_SHA256 = "9dd9689a018271bf4a6b46fef431f1396ec269e5ed4364c71d8a22fecddfe479"
 # SHA-256 of the JSON of the [verdict, reason] list alone: a change of which
 # stage decides a pair, or of the witness it finds, keeps it; a change of any
 # verdict or reason does not.
@@ -1043,7 +1063,7 @@ class TestPinnedOutputs:
 
         monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
         out = [conjugacy(x, y, budget).as_dict() for x, y, budget in _pinned_stream()]
-        assert sum(full_walks) == 9  # the budgeted walk, not the probe, decides these
+        assert sum(full_walks) == 8  # the budgeted walk, not the probe, decides these
         assert [d["verdict"] for d in out].count("unknown") == 0
         reasons = [reason_kind(d.get("reason", "")) for d in out]
         assert reasons.count("finite-quotient (S_3)") == 4
@@ -1066,10 +1086,10 @@ def _hard_stream():
     return pairs
 
 
-def test_s3_runs_before_the_probe_walk(monkeypatch):
+def test_both_quotients_run_before_any_walk(monkeypatch):
     # Every conj-hard pair is non-conjugate.  S_3 runs on each of the 33 that
-    # descent leaves open, the probe walk only on the 3 that no S_3 piece
-    # refutes, and S_4 refutes those, so no pair reaches the full walk.
+    # descent leaves open and refutes 30, S_4 refutes the other 3, and no
+    # pair reaches an orbit walk.
     walk, refute = conj_mod._orbit_walk, conj_mod._quotient_refutation
     stages = []
 
@@ -1090,8 +1110,54 @@ def test_s3_runs_before_the_probe_walk(monkeypatch):
     assert Counter(map(tuple, stages)) == {
         (): 12,
         ("S_3 refutes",): 30,
-        ("S_3", "walk", "S_4 refutes"): 3,
+        ("S_3", "S_4 refutes"): 3,
     }
+
+
+def _long_n3_pair(index):
+    """Pair index of scripts/conj_timings.py's conj-long-n3: x conjugated by 14 generator letters, drawn from Lcg(5)."""
+    rng, gens = Lcg(5), generators(3)
+    for _ in range(index + 1):
+        x = random_ielem(rng, 3, 8)
+        g = collect(3, [Token("y", *gens[rng.below(len(gens))], rng.sign()) for _ in range(14)])
+    return x, conj_elem(g, x)
+
+
+@pytest.mark.parametrize("budget", [SearchBudget(), SearchBudget(gen_radius=5, max_states=3_000)])
+def test_probe_walks_the_descended_pair_to_the_budget_radius(monkeypatch, budget):
+    # the first orbit walk joins the descended sides, at the budget's radius
+    # under the smaller of PROBE_STATES and the budget's state cap
+    x, y = _long_n3_pair(10)
+    walk, calls = conj_mod._orbit_walk, []
+
+    def spy(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
+    conjugacy(x, y, budget)
+    x_hat, y_hat = conj_mod._greedy_descent(x)[0], conj_mod._greedy_descent(y)[0]
+    assert (x_hat, y_hat) != (x, y)
+    assert calls[0] == (x_hat, y_hat, budget.gen_radius, min(conj_mod.PROBE_STATES, budget.max_states))
+
+
+def test_probe_decides_a_long_planted_pair(monkeypatch):
+    # conj-long-n3 pair 10: the full walk at the default radius of 8 does not
+    # join x and y, but their descended sides are 8 steps apart, and the probe
+    # joins them within its 6,000 states
+    x, y = _long_n3_pair(10)
+    walk, found = conj_mod._orbit_walk, []
+
+    def spy(*args):
+        path = walk(*args)
+        found.append(path is not None)
+        return path
+
+    monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
+    res = conjugacy(x, y)
+    assert (res.verdict, res.method, found) == ("conjugate", "generator-walk", [True])
+    assert conj_elem(res.witness, x) == y
+    assert walk(x, y, SearchBudget().gen_radius, SearchBudget().max_states) is None
 
 
 @pytest.mark.parametrize("stream, refutations", [(_hard_stream, 33), (_pinned_stream, 5)])

@@ -61,8 +61,8 @@ def test_normal_form_child(reports):
 # every byte of the ladder's level traces; conj-planted's is that of the
 # stream drawn for one second, shorter than BENCH_conj.json's.
 CONJ_OUTPUTS_SHA256 = {
-    "conj-planted": "d9b4958690b92d059e93b889955266b9b736c755d512a6bbf3865b47a9d500c0",
-    "conj-long-n3": "3c8ec9795c59fb0195543ab19aa400ed7046a8b054de7259338b88df1cdd76b2",
+    "conj-planted": "97f3ad348692f87658da738db23e22b8e64acdd898a152ed1c3cee6f28760b31",
+    "conj-long-n3": "4885e74df6b0023abfebf52e7ce12d7b58c44a0a94f99b136f2310bcfbe0a290",
 }
 
 
