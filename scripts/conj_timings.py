@@ -6,18 +6,21 @@ builds them for a 15 s run, conj-hard-n4, the same draws as conj-hard
 (``workloads.hard_pairs`` from ``Lcg(99)``) at rank 4, and conj-long-n3, 60
 planted pairs at rank 3 from ``Lcg(5)`` whose conjugators have exactly 14
 generator letters, run under the default budget, is a stream of
-``timing.py``, run REPEAT times per tree.  conj-long-n3 is the stream that
-spends measurable time in the ladder: both walks miss some of its
-conjugators, and those pairs end in the ladder.  The stages are the
-functions ``pik.conj.conjugacy`` calls by name, in the order it runs them,
-and the two orbit walks also count the states they expand:
+``timing.py``, run REPEAT times per tree.  conj-long-n3's conjugators lie
+beyond the full walk's radius, so it is the stream that times the plateau
+on long conjugators.  The stages are the functions ``pik.conj.conjugacy``
+calls by name, in the order it runs them, and the plateau and the full walk
+also count the states they expand:
 
     descent     _greedy_descent, on both sides of a pair
     S_3         _quotient_refutation with k = 3
     S_4         _quotient_refutation with k = 4
-    probe walk  the first _orbit_walk of a pair, between the descended sides
-    full walk   the second _orbit_walk of a pair, on the original sides
+    plateau     _plateau_walk, between the descended sides
+    full walk   _orbit_walk, on the original sides
     ladder      _ladder
+
+A tree from before the plateau stage ran a probe walk, its first
+``_orbit_walk`` of a pair, in the plateau's place; it is timed as plateau.
 
 "other" is equality, the abelianization, the level-2 core and
 ``_conjugate``: each witness is collected from its step path and
@@ -32,7 +35,7 @@ import sys
 import timing
 
 STREAMS = ("conj-planted", "conj-hard", "conj-hard-n4", "conj-long-n3")
-STAGES = ("descent", "S_3", "S_4", "probe walk", "full walk", "ladder")
+STAGES = ("descent", "S_3", "S_4", "plateau", "full walk", "ladder")
 SECONDS = 15
 REPEAT = 7
 OUT = "BENCH_conj.json"
@@ -40,20 +43,27 @@ OUT = "BENCH_conj.json"
 HOOKS = """
 from pik import conj
 
-states.update({"probe walk": 0, "full walk": 0})
+states.update({"plateau": 0, "full walk": 0})
+PROBE = not hasattr(conj, "_plateau_walk")  # a tree whose first orbit walk is a probe
 walks = [0]  # orbit walks so far in the current pair
+searching = [None]  # the stage that asks for expand next
+
+
+def enter(stage):
+    searching[0] = stage
+    return stage
 
 
 def walk_stage(*args):
     walks[0] += 1
-    return "probe walk" if walks[0] == 1 else "full walk"
+    return enter("plateau" if PROBE and walks[0] == 1 else "full walk")
 
 
 def counted_expand(n, *low, orbit_expand=conj._orbit_expand):
     expand = orbit_expand(n, *low)
-    if low:  # the ladder's walk at one level, not an orbit walk stage
+    if low:  # the ladder's walk at one level, not a searching stage
         return expand
-    stage = "probe walk" if walks[0] == 1 else "full walk"  # the walk that asked for it
+    stage = searching[0]  # the stage that asked for it
 
     def counted(state, made_by):
         states[stage] += 1
@@ -93,6 +103,8 @@ def per_pair(x, y, budget=None, decide=conj.conjugacy):
 
 conj._greedy_descent = timed(conj._greedy_descent, lambda u: "descent")
 conj._orbit_walk = timed(conj._orbit_walk, walk_stage)
+if not PROBE:
+    conj._plateau_walk = timed(conj._plateau_walk, lambda x, y: enter("plateau"))
 conj._quotient_refutation = timed(conj._quotient_refutation, lambda x, y, k: f"S_{k}")
 conj._ladder = timed(conj._ladder, lambda x, y, budget: "ladder")
 conj._orbit_expand = counted_expand
@@ -123,7 +135,8 @@ def main(argv: list[str]) -> int:
         f"conj.conjugacy on the conj-planted and conj-hard streams of a {SECONDS} s benchmark run, "
         "on conj-hard's draws at rank 4 (conj-hard-n4) and on 60 planted pairs at rank 3 with "
         "14-letter conjugators under the default budget (conj-long-n3, Lcg(5)): wall time per "
-        "stage, states expanded per orbit walk and unknown verdicts, median of fresh processes"
+        "stage, states expanded by the plateau and the full walk and unknown verdicts, median of "
+        "fresh processes; a tree before the plateau stage has its probe walk timed as plateau"
     )
 
     def outputs_agree(runs):

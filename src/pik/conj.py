@@ -21,22 +21,25 @@ Verdicts are sound by construction:
   bounded verified search replaces it and never fakes a "no".
 
 Search is layered by cost: greedy descent, then the finite quotients S_3
-and S_4 on the descended representatives, a probe walk between them, a
-bidirectional conjugation walk on the original pair in the generator metric,
-both walks at the budgeted radius, and the level ladder last.  The ladder
+and S_4 on the descended representatives, descent over plateaus between
+them, a bidirectional conjugation walk on the original pair in the
+generator metric at the budgeted radius, and the level ladder last.  The
+plateau stage walks each side through states no more than a small slack
+longer than the least length found, and joins the sides at a shared state
+of least length; its slacks and cap are module constants.  The ladder
 enumerates a centralizer coset at untwisted levels and, at twisted ones,
 runs the same walk restricted to the level's generators, its own caps
 being module constants; it prunes no equation before walking it.  For
 planted instances the walk is complete once its radius covers the
 generator length of the planted conjugator, while max_states does not
-bind, which is how the acceptance fuzz seeds its budgets; at n = 6 it binds
-on `verify-all` planted cases 9 and 21, which end unknown.
+bind, which is how the acceptance fuzz seeds its budgets.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -87,9 +90,12 @@ LADDER_NODES = 100
 TWISTED_STATES = 500
 SOLUTIONS_PER_LEVEL = 8
 
-# The probe walk's state cap when the budget's max_states is larger; its
-# radius is the budget's gen_radius.
-PROBE_STATES = 6_000
+# The plateau stage's slacks, tried in turn, and its cap on the states each
+# side inserts per slack.  Every state of an orbit has the length parity of
+# the root (docs/NOTES.md, "Descent over plateaus"), so odd slacks are
+# skipped.
+PLATEAU_SLACKS = (2, 4, 6, 8)
+PLATEAU_STATES = 2_000
 
 # Q = S_k is tried on the pieces {rho : rho(x_j) in C_j} of Hom(F_n, Q),
 # smallest first while they have at most this many points in all: every
@@ -472,6 +478,62 @@ def _greedy_descent(u: IElem) -> tuple[IElem, list[int]]:
     return u, steps
 
 
+def _plateau(n: int, root: str, table: dict[str, int], cap: int, slack: int) -> list[str]:
+    """The states of least length L that the walk on root's plateau at this slack finds, in the order found.
+
+    Walks breadth-first from root over every step, keeping a state only if
+    its length (its letters, len(state) - (n - 2)) is at most L + slack, L
+    being the least length found so far; at the first state shorter than L
+    it restarts from that state.  It stops when the component is exhausted
+    or after cap inserted states.  No commuting step is pruned: that
+    argument is about depth order, not length.  table maps each state to the
+    step that first made it, is shared across calls, and is never
+    overwritten, so _path rebuilds every state's path from the side's root.
+    """
+    expand = _orbit_expand(n)
+    least = len(root) - (n - 2)
+    seen, queue, found = {root}, deque([root]), [root]
+    inserted = 0
+    while queue and inserted < cap:
+        for k, nstate in expand(queue.popleft(), -1):
+            length = len(nstate) - (n - 2)
+            if nstate in seen or length > least + slack:
+                continue
+            table.setdefault(nstate, k)
+            inserted += 1
+            if length < least:
+                least, seen, queue, found = length, {nstate}, deque([nstate]), [nstate]
+                break
+            seen.add(nstate)
+            queue.append(nstate)
+            if length == least:
+                found.append(nstate)
+    return found
+
+
+def _plateau_walk(x: IElem, y: IElem) -> Optional[list[int]]:
+    """A path from x to y through their plateaus, or None: the steps of h^-1 g at a shared least state.
+
+    Each slack of PLATEAU_SLACKS walks both plateaus under PLATEAU_STATES
+    states a side; the first slack at which both reach the same least
+    length and share a state of it joins them, at the least shared state so
+    that the choice is deterministic.  One table per side, rooted at x or
+    y, survives every restart and slack.
+    """
+    n = x.n
+    roots = _SEP.join(x.parts), _SEP.join(y.parts)
+    tables = {roots[0]: -1}, {roots[1]: -1}
+    step = _orbit_step(n)
+    for slack in PLATEAU_SLACKS:
+        # each side's states of its least length; they share one only if the lengths agree
+        sx, sy = (_plateau(n, root, table, PLATEAU_STATES, slack) for root, table in zip(roots, tables))
+        shared = set(sx).intersection(sy)
+        if shared:
+            meet = min(shared)
+            return [j ^ 1 for j in reversed(_path(tables[1], meet, step))] + _path(tables[0], meet, step)
+    return None
+
+
 def _step_product(n: int, path: Iterable[int]) -> IElem:
     """The product, in order, of the steps of path in the step table (_walk_steps)."""
     table = _walk_steps(n)[-1][1]
@@ -691,17 +753,16 @@ def _conjugate(x: IElem, y: IElem, witness: IElem, method: str, levels: tuple[Le
 
 
 def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> ConjResult:
-    """Sound verdicts only: invariants, then the orbit walk, then the ladder.
+    """Sound verdicts only: invariants, then the searches, then the ladder.
 
     The abelianization and the level-2 core refute first.  Greedy descent
     then shrinks both sides inside their classes; matching minima settle the
     instance outright.  Otherwise the cycle types on the pieces of
-    Hom(F_n, S_3), then of Hom(F_n, S_4), refute the descended pair, and a
-    probe walk looks for a witness between its sides at the budgeted radius,
-    under at most PROBE_STATES states.  The completeness walk runs on the
-    original pair at the budgeted radius and state cap, so budgets seeded
-    from a planted conjugator keep their guarantee, and the ladder runs
-    last, on what the walk leaves open.
+    Hom(F_n, S_3), then of Hom(F_n, S_4), refute the descended pair, and the
+    plateau stage (_plateau_walk) looks for a witness between its sides.
+    The completeness walk runs on the original pair at the budgeted radius
+    and state cap, so budgets seeded from a planted conjugator keep their
+    guarantee, and the ladder runs last, on what the walk leaves open.
     """
     budget = budget or SearchBudget()
     if x.n != y.n:
@@ -729,7 +790,7 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
     if x_hat == y_hat:
         return _conjugate(x, y, _step_product(n, undo_y + redo_x), "descent")
     # The finite quotients run on the descended pair, which is conjugate to
-    # the original one and shorter, and both before the probe, which costs
+    # the original one and shorter, and both before the plateau, which costs
     # more and cannot decide a pair that they refute.  Each stage is sound
     # alone, so the order sets no verdict, only the cost and whose witness
     # returns (docs/NOTES.md, "The order of conjugacy's stages").
@@ -737,12 +798,12 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
         refuted = _quotient_refutation(x_hat, y_hat, k)
         if refuted is not None:
             return refuted
-    # The probe walks between the descended representatives to the budget's
-    # radius under its own state cap; descent can land in different local
-    # minima, so the completeness walk below stays on the original pair.
-    path = _orbit_walk(x_hat, y_hat, budget.gen_radius, min(PROBE_STATES, budget.max_states))
+    # The plateau stage joins the descended representatives through states
+    # of near-least length under caps of its own; it carries no completeness
+    # guarantee, so the budgeted walk below still runs on the original pair.
+    path = _plateau_walk(x_hat, y_hat)
     if path is not None:
-        return _conjugate(x, y, _step_product(n, undo_y + path + redo_x), "generator-walk")
+        return _conjugate(x, y, _step_product(n, undo_y + path + redo_x), "plateau")
     path = _orbit_walk(x, y, budget.gen_radius, budget.max_states)
     if path is not None:
         return _conjugate(x, y, _step_product(n, path), "generator-walk")

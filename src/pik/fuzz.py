@@ -29,7 +29,9 @@ def random_ielem(rng: Lcg, n: int, max_len: int) -> IElem:
 def planted_conjugacy_case(rng: Lcg, n: int, max_len: int):
     """(x, y, budget) with y = g x g^-1 planted; the budget is seeded so the
     generator-metric walk is complete for the planted conjugator while
-    max_states does not bind (at n = 6 it binds on planted cases 9 and 21)."""
+    max_states does not bind.  It would bind before radius 8 on `verify-all`
+    planted case 21 at n = 6 and cases 9 and 21 at n = 7; descent over
+    plateaus decides them before the walk runs."""
     from .igroup import conj_elem
 
     x_tokens = random_gen_tokens(rng, n, max_len)

@@ -11,7 +11,7 @@ import pytest
 from pik import cli, lie
 from pik.cli import _CHECKS, RunConfig, build_parser, emit_report, main, pool_size
 from pik.conj import SearchBudget, conjugacy
-from pik.igroup import collect, conj_elem, format_ielem
+from pik.igroup import collect
 from pik.words import parse_word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -145,19 +145,12 @@ class TestSubcommands:
 
     def test_conj_decide_replays_a_library_unknown(self, capsys):
         # Every bound an unknown names can be set again from the command
-        # line.  y is x conjugated by 14 random generator letters, beyond
-        # every bounded search: a conjugate pair, so unknown is the only
-        # honest verdict.
+        # line.  y is x [a, b], pair 69 of conj-hard's draws at rank 3: no
+        # invariant tells its sides apart and no search joins them, so
+        # unknown is the only honest verdict.
         assert set(BUDGET_FLAGS) == set(SearchBudget().as_dict())
-        xs = "y(3,3) y(2,2)"
-        g = collect(
-            3,
-            parse_word(
-                "y(3,2) y(3,1)^-1 y(3,1)^-1 y(3,2) y(3,2) y(3,1) y(3,1) y(3,2)^-1 y(3,1)^-1"
-                " y(3,3)^-1 y(3,1) y(3,2) y(3,1) y(3,2)^-1 y(3,1)^-1 y(2,1) y(2,2) y(2,2)"
-            ),
-        )
-        ys = format_ielem(conj_elem(g, collect(3, parse_word(xs))))
+        xs = "y(3,2) y(3,1)^-1 y(2,2)^2"
+        ys = "y(3,2) y(3,1)^-1 y(3,2)^-1 y(3,3)^2 y(3,2) y(3,3)^-2 y(2,2)^2"
         budget = SearchBudget(max_len=5, coset=3, gen_radius=2, max_states=300)
         res = conjugacy(collect(3, parse_word(xs)), collect(3, parse_word(ys)), budget)
         assert res.verdict == "unknown"
@@ -432,6 +425,13 @@ class TestVerifyAll:
         assert check_conjugacy_fuzz(cfg)["status"] == "pass"
         assert seen == planted
         assert {b.max_states for b in planted} == {400_000}
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_conjugacy_fuzz_passes_at_ranks_6_and_7(self, n):
+        # with the planted budgets unchanged: the full walk hits their
+        # 400,000-state cap before radius 8 at these ranks, and descent over
+        # plateaus decides every planted case first
+        assert cli.check_conjugacy_fuzz(RunConfig(n=n))["status"] == "pass"
 
     def test_normal_form_fuzz_checks_inverse_images(self, monkeypatch):
         # Negative control: right images with a wrong inverse must fail.

@@ -56,9 +56,9 @@ H3_PAIR = (
 )
 
 # A planted pair whose conjugator, 14 generator letters drawn at random
-# (Lcg(5), case 57), lies beyond every search the default budget allows.  The
-# pair is conjugate, so no refutation can ever apply to it, and `unknown` is
-# the only honest verdict however strong the refutations become.
+# (Lcg(5), case 57), lies beyond the radius of the default budget's walk.
+# The pair is conjugate, so no refutation can ever apply to it; it ended
+# unknown until descent over plateaus joined its descended sides.
 LONG_CONJUGATOR = (
     "y(3,2) y(3,1)^-1 y(3,1)^-1 y(3,2) y(3,2) y(3,1) y(3,1) y(3,2)^-1 y(3,1)^-1"
     " y(3,3)^-1 y(3,1) y(3,2) y(3,1) y(3,2)^-1 y(3,1)^-1 y(2,1) y(2,2) y(2,2)"
@@ -66,6 +66,14 @@ LONG_CONJUGATOR = (
 LONG_PAIR = (
     collect(3, parse_word("y(3,3) y(2,2)")),
     conj_elem(collect(3, parse_word(LONG_CONJUGATOR)), collect(3, parse_word("y(3,3) y(2,2)"))),
+)
+
+# x against x [a, b], pair 69 of conj-hard's draws at rank 3 (Lcg(99), counted
+# from 0): no abelianization, level-2 core or piece of S_3 or S_4 tells its
+# sides apart, and no search joins them, so it ends unknown.
+OPEN_PAIR = (
+    collect(3, parse_word("y(3,2) y(3,1)^-1 y(2,2)^2")),
+    collect(3, parse_word("y(3,2) y(3,1)^-1 y(3,2)^-1 y(3,3)^2 y(3,2) y(3,3)^-2 y(2,2)^2")),
 )
 
 # SHA-256 of the JSON of every ConjResult.as_dict() in
@@ -253,9 +261,9 @@ class TestConjugacy:
         res = conjugacy(x, y, budget)
         assert res.verdict == "not_conjugate"
         assert res.reason == "finite-quotient (S_3) cycle type mismatch on the piece of classes ((12), (123), ())"
-        # A conjugate pair whose conjugator no bounded search reaches: the
-        # verdict is unknown with the bounds, never a fake no.
-        x, y = LONG_PAIR
+        # A pair that no invariant refutes and no search joins: the verdict
+        # is unknown with the bounds, never a fake no.
+        x, y = OPEN_PAIR
         res = conjugacy(x, y, budget)
         assert res.verdict == "unknown"
         assert res.bounds == budget.as_dict()
@@ -283,13 +291,8 @@ class TestConjugacy:
             (gen_elem(3, 2, 1), gen_elem(3, 2, 2)),
             (gen_elem(3, 3, 1), gen_elem(3, 3, 3)),
             (pairs[0][0], imul(pairs[0][0], gen_elem(3, 3, 2))),
-            # x against x [a, b], drawn further along this stream, whose twisted
-            # equations have no solution the ladder's walk finds; no piece of
-            # S_3 or S_4 tells its sides apart, and it ends unknown
-            (
-                collect(3, parse_word("y(3,2) y(3,1)^-1 y(2,2)^2")),
-                collect(3, parse_word("y(3,2) y(3,1)^-1 y(3,2)^-1 y(3,3)^2 y(3,2) y(3,3)^-2 y(2,2)^2")),
-            ),
+            # whose twisted equations have no solution the ladder's walk finds
+            OPEN_PAIR,
         ]
         budget = SearchBudget(gen_radius=2, max_states=500)
         seen = set()
@@ -379,10 +382,17 @@ def test_ladder_levels_are_pinned(n):
     assert conj_elem(witness, x) == y
 
 
+def no_plateau(monkeypatch):
+    """Leave the plateau stage out of conjugacy, so a pair it decides reaches the full walk and the ladder."""
+    monkeypatch.setattr(conj_mod, "_plateau_walk", lambda x, y: None)
+
+
 @pytest.mark.parametrize("seed", [9081, 9170, 9179])
-def test_ladder_decides_what_the_walk_misses(seed):
+def test_ladder_decides_what_the_walk_misses(monkeypatch, seed):
     # x against a conjugate by up to 18 generators: the default budget's walk
     # (radius 8) misses the conjugator, and the ladder, run last, finds one.
+    # The plateau decides each of them first, so it is left out here.
+    no_plateau(monkeypatch)
     rng = Lcg(seed)
     x = random_ielem(rng, 3, 8)
     y = conj_elem(collect(3, random_gen_tokens(rng, 3, 18)), x)
@@ -407,7 +417,9 @@ def test_all_words_lists_the_reduced_words_by_length(rank):
 def test_h3_pair_exhausts_the_ladder_over_all_words(monkeypatch):
     # x in H_3 against its conjugate by 18 generator letters, drawn from Lcg(39)
     # as bench/workloads.py draws them: level 2 reads 1 = 1, so the ladder
-    # tries all words there and runs out of nodes before any decides.
+    # tries all words there and runs out of nodes before any decides.  The
+    # plateau decides the pair first, so it is left out here.
+    no_plateau(monkeypatch)
     rng = Lcg(39)
     x = collect(3, [t for t in random_gen_tokens(rng, 3, 12) if t.a == 3])
     gens = generators(3)
@@ -468,31 +480,25 @@ def _exit_cases():
     """(x, y, budget) for a pair decided at each conjugate exit after equality.
 
     Cases 0, 1 and 3 of _pinned_stream's n = 3 draws, and the first pair of
-    test_ladder_decides_what_the_walk_misses.  On case 3 descent ends in
-    local minima that the probe does not join within the planted radius of
-    2, and the full walk on the original pair does.
+    test_ladder_decides_what_the_walk_misses.  The plateau decides cases 1
+    and 3 and the ladder's pair; with the plateau left out, the full walk
+    on the original pair decides case 3 and the ladder the last pair.
     """
     rng = Lcg(16)
     planted = [planted_conjugacy_case(rng, 3, 7) for _ in range(4)]
     rng = Lcg(9081)
     x = random_ielem(rng, 3, 8)
     ladder = (x, conj_elem(collect(3, random_gen_tokens(rng, 3, 18)), x), None)
-    return {"descent": planted[0], "probe walk": planted[1], "full walk": planted[3], "ladder": ladder}
+    return {"descent": planted[0], "plateau": planted[1], "full walk": planted[3], "ladder": ladder}
 
 
-@pytest.mark.parametrize("exit", ["descent", "probe walk", "full walk", "ladder"])
+@pytest.mark.parametrize("exit", ["descent", "plateau", "full walk", "ladder"])
 def test_every_conjugate_exit_checks_its_witness(monkeypatch, exit):
     x, y, budget = _exit_cases()[exit]
-    walk, walks = conj_mod._orbit_walk, []
-
-    def spy(*args):
-        walks.append(walk(*args))
-        return walks[-1]
-
-    monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
+    if exit in ("full walk", "ladder"):
+        no_plateau(monkeypatch)
     res = conjugacy(x, y, budget)
-    walk_exit = ("probe walk", "full walk")[len(walks) - 1] if walks else None
-    assert (walk_exit if res.method == "generator-walk" else res.method) == exit
+    assert {"generator-walk": "full walk"}.get(res.method, res.method) == exit
     monkeypatch.setattr(conj_mod, "conj_elem", lambda g, u: u)  # corrupted: no witness re-multiplies to y
     with pytest.raises(WitnessError, match="re-verification"):
         conjugacy(x, y, budget)
@@ -691,10 +697,10 @@ class TestFiniteQuotient:
         piece = ["()", "(123)", "(12)"]
         assert piece_cycle_type(x, 3, piece) != piece_cycle_type(y, 3, piece)
 
-    def test_long_planted_conjugator_stays_unknown(self):
-        # The stage's limit: a conjugate pair is never refuted, and when no
-        # bounded search reaches its conjugator the verdict is unknown.
-        x, y = LONG_PAIR
+    def test_an_unrefuted_pair_stays_unknown(self):
+        # The stage's limit: a pair that no piece tells apart and no search
+        # joins ends unknown, never a fake no.
+        x, y = OPEN_PAIR
         for k in (3, 4):
             assert conj_mod._quotient_refutation(x, y, k) is None
         res = conjugacy(x, y)
@@ -1018,9 +1024,8 @@ def _stored_meet_walk(a_root, b_root, expand, radius):
 def _pinned_stream():
     """Planted pairs at n = 3 and 4, and x against x [a, b] at n = 3.
 
-    The full generator walk decides eight of the planted pairs, cases 3,
-    16, 66, 91, 107, 109, 112 and 117, where the probe at the planted
-    radius does not join the descended sides.  Five of the x [a, b] pairs
+    Descent or the plateau decides every planted pair that is not equal,
+    so no full generator walk runs.  Five of the x [a, b] pairs
     ended unknown until the finite-quotient stage: pieces of S_3 refute four
     of them (cases 120, 121, 122 and 124) and a piece of S_4 the fifth
     (case 123).
@@ -1039,12 +1044,12 @@ def _pinned_stream():
 
 
 # SHA-256 of the JSON of every ConjResult.as_dict() on _pinned_stream(), taken
-# when the probe walk moved behind S_4 and to the budget's radius; against the
-# outputs before it, only the witnesses of cases 3 and 112 changed, each now
-# found by the full walk where the probe had joined the descended sides at
-# radius 4, beyond their planted radii of 2 and 1.  A change that only makes
-# the search faster keeps it.
-PINNED_SHA256 = "9dd9689a018271bf4a6b46fef431f1396ec269e5ed4364c71d8a22fecddfe479"
+# when descent over plateaus took the probe walk's place; against the outputs
+# before it, the 33 pairs that the probe or the full walk had decided changed
+# their method from generator-walk to plateau, and 8 of them, cases 12, 21,
+# 35, 47, 62, 73, 101 and 112, their witness.  A change that only makes the
+# search faster keeps it.
+PINNED_SHA256 = "92ae1a7e87b6795754d8ca5eac999e49c4e6d2bffbccf15e0635e8a157dc972a"
 # SHA-256 of the JSON of the [verdict, reason] list alone: a change of which
 # stage decides a pair, or of the witness it finds, keeps it; a change of any
 # verdict or reason does not.
@@ -1053,17 +1058,16 @@ VERDICTS_SHA256 = "c6c1d6a95789111364ab37099fc39ff7cfdfa62806be2f084d216fbf88205
 
 class TestPinnedOutputs:
     def test_conjugacy_outputs_are_pinned(self, monkeypatch):
-        walk = conj_mod._orbit_walk
-        full_walks = []
+        walk, walks = conj_mod._orbit_walk, []
 
-        def spy(x, y, radius, max_states):
-            got = walk(x, y, radius, max_states)
-            full_walks.append(got is not None and max_states == 400_000)
-            return got
+        def spy(*args):
+            walks.append(args)
+            return walk(*args)
 
         monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
         out = [conjugacy(x, y, budget).as_dict() for x, y, budget in _pinned_stream()]
-        assert sum(full_walks) == 8  # the budgeted walk, not the probe, decides these
+        assert walks == []  # the plateau decides every planted pair that descent leaves open
+        assert [d.get("method") for d in out].count("plateau") == 33
         assert [d["verdict"] for d in out].count("unknown") == 0
         reasons = [reason_kind(d.get("reason", "")) for d in out]
         assert reasons.count("finite-quotient (S_3)") == 4
@@ -1089,13 +1093,17 @@ def _hard_stream():
 def test_both_quotients_run_before_any_walk(monkeypatch):
     # Every conj-hard pair is non-conjugate.  S_3 runs on each of the 33 that
     # descent leaves open and refutes 30, S_4 refutes the other 3, and no
-    # pair reaches an orbit walk.
-    walk, refute = conj_mod._orbit_walk, conj_mod._quotient_refutation
+    # pair reaches the plateau or an orbit walk.
+    walk, plateau, refute = conj_mod._orbit_walk, conj_mod._plateau_walk, conj_mod._quotient_refutation
     stages = []
 
     def walk_spy(x, y, radius, max_states):
         stages[-1].append("walk")
         return walk(x, y, radius, max_states)
+
+    def plateau_spy(x, y):
+        stages[-1].append("plateau")
+        return plateau(x, y)
 
     def refute_spy(x, y, k):
         got = refute(x, y, k)
@@ -1103,6 +1111,7 @@ def test_both_quotients_run_before_any_walk(monkeypatch):
         return got
 
     monkeypatch.setattr(conj_mod, "_orbit_walk", walk_spy)
+    monkeypatch.setattr(conj_mod, "_plateau_walk", plateau_spy)
     monkeypatch.setattr(conj_mod, "_quotient_refutation", refute_spy)
     for x, y, budget in _hard_stream():
         stages.append([])
@@ -1114,50 +1123,71 @@ def test_both_quotients_run_before_any_walk(monkeypatch):
     }
 
 
-def _long_n3_pair(index):
-    """Pair index of scripts/conj_timings.py's conj-long-n3: x conjugated by 14 generator letters, drawn from Lcg(5)."""
-    rng, gens = Lcg(5), generators(3)
-    for _ in range(index + 1):
+def _long_n3_pairs():
+    """scripts/conj_timings.py's conj-long-n3: 60 pairs of x conjugated by 14 generator letters, drawn from Lcg(5)."""
+    rng, gens, pairs = Lcg(5), generators(3), []
+    for _ in range(60):
         x = random_ielem(rng, 3, 8)
         g = collect(3, [Token("y", *gens[rng.below(len(gens))], rng.sign()) for _ in range(14)])
-    return x, conj_elem(g, x)
+        pairs.append((x, conj_elem(g, x)))
+    return pairs
 
 
-@pytest.mark.parametrize("budget", [SearchBudget(), SearchBudget(gen_radius=5, max_states=3_000)])
-def test_probe_walks_the_descended_pair_to_the_budget_radius(monkeypatch, budget):
-    # the first orbit walk joins the descended sides, at the budget's radius
-    # under the smaller of PROBE_STATES and the budget's state cap
-    x, y = _long_n3_pair(10)
-    walk, calls = conj_mod._orbit_walk, []
+def test_plateau_decides_long_planted_pairs(monkeypatch):
+    # conj-long-n3's 60 pairs and LONG_PAIR: conjugators drawn as 14
+    # generator letters, beyond the default budget's radius of 8.  Each pair
+    # that equality and descent leave open is decided by the plateau; 17 of
+    # conj-long-n3's pairs ended unknown before it, and LONG_PAIR did too.
+    walk, walks = conj_mod._orbit_walk, []
 
     def spy(*args):
-        calls.append(args)
+        walks.append(args)
         return walk(*args)
 
     monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
-    conjugacy(x, y, budget)
-    x_hat, y_hat = conj_mod._greedy_descent(x)[0], conj_mod._greedy_descent(y)[0]
-    assert (x_hat, y_hat) != (x, y)
-    assert calls[0] == (x_hat, y_hat, budget.gen_radius, min(conj_mod.PROBE_STATES, budget.max_states))
+    pairs = _long_n3_pairs() + [LONG_PAIR]
+    methods = Counter()
+    for x, y in pairs:
+        res = conjugacy(x, y)
+        assert res.verdict == "conjugate" and conj_elem(res.witness, x) == y
+        methods[res.method] += 1
+    assert methods == {"equality": 4, "descent": 11, "plateau": 46}
+    assert walks == []
+    monkeypatch.undo()
+    assert conj_mod._orbit_walk(*LONG_PAIR, SearchBudget().gen_radius, SearchBudget().max_states) is None
 
 
-def test_probe_decides_a_long_planted_pair(monkeypatch):
-    # conj-long-n3 pair 10: the full walk at the default radius of 8 does not
-    # join x and y, but their descended sides are 8 steps apart, and the probe
-    # joins them within its 6,000 states
-    x, y = _long_n3_pair(10)
-    walk, found = conj_mod._orbit_walk, []
+@settings(max_examples=60, deadline=None)
+@given(seeded_elems(st.integers(3, 5), 12))
+def test_every_step_keeps_the_length_parity(u):
+    # A reduced word's length has the parity of its exponent sum, and the
+    # sum over all parts is fixed by the abelianization, which conjugation
+    # fixes: so the plateau's odd slacks would join nothing that the even
+    # slack below them does not.
+    n = u.n
+    state = _SEP.join(u.parts)
+    for nstate in _conj_steps(n, state, conj_mod._walk_steps(n)[-1][1]):
+        assert (len(nstate) - len(state)) % 2 == 0
 
-    def spy(*args):
-        path = walk(*args)
-        found.append(path is not None)
-        return path
 
-    monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
-    res = conjugacy(x, y)
-    assert (res.verdict, res.method, found) == ("conjugate", "generator-walk", [True])
-    assert conj_elem(res.witness, x) == y
-    assert walk(x, y, SearchBudget().gen_radius, SearchBudget().max_states) is None
+def test_plateau_tables_rebuild_every_path():
+    # across restarts and slacks, each side's table holds for every state in
+    # it a step path from its root; every state returned has the least length
+    restarts = 0
+    for side in itertools.chain.from_iterable(_long_n3_pairs()[:8]):
+        u = conj_mod._greedy_descent(side)[0]
+        root = _SEP.join(u.parts)
+        table = {root: -1}
+        for slack in conj_mod.PLATEAU_SLACKS:
+            found = conj_mod._plateau(3, root, table, 100, slack)
+            least = len(found[0]) - 1
+            assert all(len(state) - 1 == least for state in found)
+            restarts += least < u.total_length()
+        step = conj_mod._orbit_step(3)
+        for state in table:
+            c = conj_mod._step_product(3, conj_mod._path(table, state, step))
+            assert _SEP.join(conj_elem(c, u).parts) == state
+    assert restarts  # plateaus that went below descent's local minimum
 
 
 @pytest.mark.parametrize("stream, refutations", [(_hard_stream, 33), (_pinned_stream, 5)])

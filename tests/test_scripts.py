@@ -57,21 +57,28 @@ def test_normal_form_child(reports):
     assert rec["outputs_sha256"] == "83325064ffa3ee2aae43e17700c399bd4024c36c4322b93a95dca7d1b3c8385b"
 
 
-# Each child's outputs_sha256: conj-long-n3's is BENCH_conj.json's and covers
-# every byte of the ladder's level traces; conj-planted's is that of the
-# stream drawn for one second, shorter than BENCH_conj.json's.
+# Each child's outputs_sha256, taken when descent over plateaus took the probe
+# walk's place: conj-long-n3's is BENCH_conj.json's and covers the plateau's
+# witnesses of its 45 pairs that descent leaves open; conj-planted's is that
+# of the stream drawn for one second, shorter than BENCH_conj.json's.
 CONJ_OUTPUTS_SHA256 = {
-    "conj-planted": "97f3ad348692f87658da738db23e22b8e64acdd898a152ed1c3cee6f28760b31",
-    "conj-long-n3": "4885e74df6b0023abfebf52e7ce12d7b58c44a0a94f99b136f2310bcfbe0a290",
+    "conj-planted": "e0a8406e7617d6c446100e78c5d517d14316bd9e30aef6a33d08ee0b529bfba5",
+    "conj-long-n3": "179e1a95a57b06b8b026fb0eb42e07dea3f59e21ff89b01bef0fbe72b7fe7658",
 }
 
 
-@pytest.mark.parametrize("stream, reached", [("conj-planted", CONJ.STAGES[:-1]), ("conj-long-n3", ["ladder"])])
+# The stages each stream reaches: the plateau decides every planted pair
+# that descent leaves open, so neither the full walk nor the ladder runs.
+REACHED = ["descent", "S_3", "S_4", "plateau"]
+
+
+@pytest.mark.parametrize("stream, reached", [("conj-planted", REACHED), ("conj-long-n3", REACHED)])
 def test_conj_child(stream, reached, reports):
     rec = timing.medians([result(reports, stream)])
     assert list(rec["stages"]) == [*CONJ.STAGES, "other"]
-    assert all(rec["stages"][s]["calls"] > 0 for s in reached)
-    assert {s for s, stage in rec["stages"].items() if "states" in stage} == {"probe walk", "full walk"}
+    assert [s for s in CONJ.STAGES if rec["stages"][s]["calls"] > 0] == reached
+    assert rec["stages"]["plateau"]["states"] > 0
+    assert {s for s, stage in rec["stages"].items() if "states" in stage} == {"plateau", "full walk"}
     assert 0 <= rec["unknown"] <= rec["ops"]
     assert rec["outputs_sha256"] == CONJ_OUTPUTS_SHA256[stream]
 
