@@ -25,8 +25,8 @@ and S_4 on the descended representatives, descent over plateaus between
 them, a bidirectional conjugation walk on the original pair in the
 generator metric at the budgeted radius, and the level ladder last.  The
 plateau stage walks each side through states no more than a small slack
-longer than the least length found, and joins the sides at a shared state
-of least length; its slacks and cap are module constants.  The ladder
+longer than the least length found, and joins the sides at the first state
+that both have reached; its slacks and cap are module constants.  The ladder
 enumerates a centralizer coset at untwisted levels and, at twisted ones,
 runs the same walk restricted to the level's generators, its own caps
 being module constants; it prunes no equation before walking it.  For
@@ -478,21 +478,21 @@ def _greedy_descent(u: IElem) -> tuple[IElem, list[int]]:
     return u, steps
 
 
-def _plateau(n: int, root: str, table: dict[str, int], cap: int, slack: int) -> list[str]:
-    """The states of least length L that the walk on root's plateau at this slack finds, in the order found.
+def _plateau(n: int, root: str, table: dict[str, int], other: dict[str, int], cap: int, slack: int) -> Optional[str]:
+    """The first state that the walk on root's plateau at this slack inserts and other holds, or None.
 
     Walks breadth-first from root over every step, keeping a state only if
     its length (its letters, len(state) - (n - 2)) is at most L + slack, L
     being the least length found so far; at the first state shorter than L
-    it restarts from that state.  It stops when the component is exhausted
-    or after cap inserted states.  No commuting step is pruned: that
-    argument is about depth order, not length.  table maps each state to the
-    step that first made it, is shared across calls, and is never
+    it restarts from that state.  It stops at a meet, when the component is
+    exhausted or after cap inserted states.  No commuting step is pruned:
+    that argument is about depth order, not length.  table maps each state
+    to the step that first made it, is shared across calls, and is never
     overwritten, so _path rebuilds every state's path from the side's root.
     """
     expand = _orbit_expand(n)
     least = len(root) - (n - 2)
-    seen, queue, found = {root}, deque([root]), [root]
+    seen, queue = {root}, deque([root])
     inserted = 0
     while queue and inserted < cap:
         for k, nstate in expand(queue.popleft(), -1):
@@ -500,37 +500,35 @@ def _plateau(n: int, root: str, table: dict[str, int], cap: int, slack: int) -> 
             if nstate in seen or length > least + slack:
                 continue
             table.setdefault(nstate, k)
+            if nstate in other:
+                return nstate
             inserted += 1
             if length < least:
-                least, seen, queue, found = length, {nstate}, deque([nstate]), [nstate]
+                least, seen, queue = length, {nstate}, deque([nstate])
                 break
             seen.add(nstate)
             queue.append(nstate)
-            if length == least:
-                found.append(nstate)
-    return found
+    return None
 
 
 def _plateau_walk(x: IElem, y: IElem) -> Optional[list[int]]:
-    """A path from x to y through their plateaus, or None: the steps of h^-1 g at a shared least state.
+    """A path from x to y through their plateaus, or None: the steps of h^-1 g at the first state both reach.
 
-    Each slack of PLATEAU_SLACKS walks both plateaus under PLATEAU_STATES
-    states a side; the first slack at which both reach the same least
-    length and share a state of it joins them, at the least shared state so
-    that the choice is deterministic.  One table per side, rooted at x or
-    y, survives every restart and slack.
+    Each slack of PLATEAU_SLACKS walks x's plateau and then y's under
+    PLATEAU_STATES states a side, each walk holding the other side's table,
+    and the first state that a walk inserts and the other table holds joins
+    them; deque and dict order make it the same in every process.  One
+    table per side, rooted at x or y, survives every restart and slack.
     """
     n = x.n
     roots = _SEP.join(x.parts), _SEP.join(y.parts)
     tables = {roots[0]: -1}, {roots[1]: -1}
     step = _orbit_step(n)
     for slack in PLATEAU_SLACKS:
-        # each side's states of its least length; they share one only if the lengths agree
-        sx, sy = (_plateau(n, root, table, PLATEAU_STATES, slack) for root, table in zip(roots, tables))
-        shared = set(sx).intersection(sy)
-        if shared:
-            meet = min(shared)
-            return [j ^ 1 for j in reversed(_path(tables[1], meet, step))] + _path(tables[0], meet, step)
+        for side in (0, 1):
+            meet = _plateau(n, roots[side], tables[side], tables[1 - side], PLATEAU_STATES, slack)
+            if meet is not None:
+                return [j ^ 1 for j in reversed(_path(tables[1], meet, step))] + _path(tables[0], meet, step)
     return None
 
 

@@ -1044,12 +1044,11 @@ def _pinned_stream():
 
 
 # SHA-256 of the JSON of every ConjResult.as_dict() on _pinned_stream(), taken
-# when descent over plateaus took the probe walk's place; against the outputs
-# before it, the 33 pairs that the probe or the full walk had decided changed
-# their method from generator-walk to plateau, and 8 of them, cases 12, 21,
-# 35, 47, 62, 73, 101 and 112, their witness.  A change that only makes the
-# search faster keeps it.
-PINNED_SHA256 = "92ae1a7e87b6795754d8ca5eac999e49c4e6d2bffbccf15e0635e8a157dc972a"
+# when the plateau began to stop at the first state both sides reach; against
+# the outputs before it, which joined the sides at the least shared state of
+# least length, cases 12, 21, 35, 73 and 101 changed their witness and no
+# pair its method.  A change that only makes the search faster keeps it.
+PINNED_SHA256 = "0617c3065970f3ca04b3ea5f248babf05751d14c7a959b14ebce97a272ff5d3a"
 # SHA-256 of the JSON of the [verdict, reason] list alone: a change of which
 # stage decides a pair, or of the witness it finds, keeps it; a change of any
 # verdict or reason does not.
@@ -1172,22 +1171,51 @@ def test_every_step_keeps_the_length_parity(u):
 
 def test_plateau_tables_rebuild_every_path():
     # across restarts and slacks, each side's table holds for every state in
-    # it a step path from its root; every state returned has the least length
-    restarts = 0
-    for side in itertools.chain.from_iterable(_long_n3_pairs()[:8]):
-        u = conj_mod._greedy_descent(side)[0]
-        root = _SEP.join(u.parts)
-        table = {root: -1}
+    # it a step path from its root, and every meet a walk returns is a state
+    # of both sides' tables
+    restarts = meets = 0
+    step = conj_mod._orbit_step(3)
+    for pair in _long_n3_pairs()[:8]:
+        us = [conj_mod._greedy_descent(side)[0] for side in pair]
+        roots = [_SEP.join(u.parts) for u in us]
+        tables = [{root: -1} for root in roots]
         for slack in conj_mod.PLATEAU_SLACKS:
-            found = conj_mod._plateau(3, root, table, 100, slack)
-            least = len(found[0]) - 1
-            assert all(len(state) - 1 == least for state in found)
-            restarts += least < u.total_length()
-        step = conj_mod._orbit_step(3)
-        for state in table:
-            c = conj_mod._step_product(3, conj_mod._path(table, state, step))
-            assert _SEP.join(conj_elem(c, u).parts) == state
+            for side in (0, 1):
+                meet = conj_mod._plateau(3, roots[side], tables[side], tables[1 - side], 100, slack)
+                if meet is not None:
+                    assert meet in tables[0] and meet in tables[1]
+                    meets += 1
+        for u, table in zip(us, tables):
+            restarts += min(map(len, table)) - 1 < u.total_length()
+            for state in table:
+                c = conj_mod._step_product(3, conj_mod._path(table, state, step))
+                assert _SEP.join(conj_elem(c, u).parts) == state
     assert restarts  # plateaus that went below descent's local minimum
+    assert meets
+
+
+def test_plateau_stops_at_the_first_meet(monkeypatch):
+    # The states the plateau expands over conj-long-n3's 60 pairs, none of
+    # which reaches the full walk: 1,207 when each walk stops at the first
+    # state that the other side's table holds.  Walking both sides to the
+    # end of each slack and then intersecting their least states expanded
+    # 2,417.
+    orbit_expand, expanded = conj_mod._orbit_expand, [0]
+
+    def counted_expand(n, *low):
+        expand = orbit_expand(n, *low)
+
+        def counted(state, made_by):
+            expanded[0] += 1
+            return expand(state, made_by)
+
+        return counted
+
+    monkeypatch.setattr(conj_mod, "_orbit_expand", counted_expand)
+    monkeypatch.setattr(conj_mod, "_orbit_walk", lambda *args: pytest.fail("the full walk ran"))
+    for x, y in _long_n3_pairs():
+        assert conjugacy(x, y).verdict == "conjugate"
+    assert expanded[0] == 1207
 
 
 @pytest.mark.parametrize("stream, refutations", [(_hard_stream, 33), (_pinned_stream, 5)])

@@ -57,13 +57,14 @@ def test_normal_form_child(reports):
     assert rec["outputs_sha256"] == "83325064ffa3ee2aae43e17700c399bd4024c36c4322b93a95dca7d1b3c8385b"
 
 
-# Each child's outputs_sha256, taken when descent over plateaus took the probe
-# walk's place: conj-long-n3's is BENCH_conj.json's and covers the plateau's
+# Each child's outputs_sha256, taken when the plateau began to stop at the
+# first state both sides reach, which moved witnesses of both streams and no
+# method: conj-long-n3's is BENCH_conj.json's and covers the plateau's
 # witnesses of its 45 pairs that descent leaves open; conj-planted's is that
 # of the stream drawn for one second, shorter than BENCH_conj.json's.
 CONJ_OUTPUTS_SHA256 = {
-    "conj-planted": "e0a8406e7617d6c446100e78c5d517d14316bd9e30aef6a33d08ee0b529bfba5",
-    "conj-long-n3": "179e1a95a57b06b8b026fb0eb42e07dea3f59e21ff89b01bef0fbe72b7fe7658",
+    "conj-planted": "8a5b87b2b1592fdee60b8b99bb0df0b332d6b0ac763bf58c194e357aa8d6fe2e",
+    "conj-long-n3": "75c9577a75d32f86d4a843620c020ffe4cbc16401fdfd0e40c2536b6c7d92927",
 }
 
 
