@@ -19,9 +19,6 @@ also count the states they expand:
     full walk   _orbit_walk, on the original sides
     ladder      _ladder
 
-A tree from before the plateau stage ran a probe walk, its first
-``_orbit_walk`` of a pair, in the plateau's place; it is timed as plateau.
-
 "other" is equality, the abelianization, the level-2 core and
 ``_conjugate``: each witness is collected from its step path and
 re-multiplied there.  Counting states adds one Python call per expanded state to what
@@ -44,19 +41,12 @@ HOOKS = """
 from pik import conj
 
 states.update({"plateau": 0, "full walk": 0})
-PROBE = not hasattr(conj, "_plateau_walk")  # a tree whose first orbit walk is a probe
-walks = [0]  # orbit walks so far in the current pair
 searching = [None]  # the stage that asks for expand next
 
 
 def enter(stage):
     searching[0] = stage
     return stage
-
-
-def walk_stage(*args):
-    walks[0] += 1
-    return enter("plateau" if PROBE and walks[0] == 1 else "full walk")
 
 
 def counted_expand(n, *low, orbit_expand=conj._orbit_expand):
@@ -96,19 +86,12 @@ def long_pairs_n3():
     return ops
 
 
-def per_pair(x, y, budget=None, decide=conj.conjugacy):
-    walks[0] = 0
-    return decide(x, y, budget)
-
-
 conj._greedy_descent = timed(conj._greedy_descent, lambda u: "descent")
-conj._orbit_walk = timed(conj._orbit_walk, walk_stage)
-if not PROBE:
-    conj._plateau_walk = timed(conj._plateau_walk, lambda x, y: enter("plateau"))
+conj._orbit_walk = timed(conj._orbit_walk, lambda *args: enter("full walk"))
+conj._plateau_walk = timed(conj._plateau_walk, lambda x, y: enter("plateau"))
 conj._quotient_refutation = timed(conj._quotient_refutation, lambda x, y, k: f"S_{k}")
 conj._ladder = timed(conj._ladder, lambda x, y, budget: "ladder")
 conj._orbit_expand = counted_expand
-conj.conjugacy = per_pair
 if sys.argv[2] == "conj-hard-n4":
     ops = hard_pairs_n4(int(sys.argv[3]))
 elif sys.argv[2] == "conj-long-n3":
@@ -136,7 +119,7 @@ def main(argv: list[str]) -> int:
         "on conj-hard's draws at rank 4 (conj-hard-n4) and on 60 planted pairs at rank 3 with "
         "14-letter conjugators under the default budget (conj-long-n3, Lcg(5)): wall time per "
         "stage, states expanded by the plateau and the full walk and unknown verdicts, median of "
-        "fresh processes; a tree before the plateau stage has its probe walk timed as plateau"
+        "fresh processes"
     )
 
     def outputs_agree(runs):

@@ -24,9 +24,10 @@ Search is layered by cost: greedy descent, then the finite quotients S_3
 and S_4 on the descended representatives, descent over plateaus between
 them, a bidirectional conjugation walk on the original pair in the
 generator metric at the budgeted radius, and the level ladder last.  The
-plateau stage walks each side through states no more than a small slack
-longer than the least length found, and joins the sides at the first state
-that both have reached; its slacks and cap are module constants.  The ladder
+plateau stage walks both sides in lockstep through states no more than a
+small slack longer than the least length found, and joins them at the
+first state that both have reached; its slacks and cap are module
+constants.  The ladder
 enumerates a centralizer coset at untwisted levels and, at twisted ones,
 runs the same walk restricted to the level's generators, its own caps
 being module constants; it prunes no equation before walking it.  For
@@ -458,37 +459,45 @@ def _greedy_descent(u: IElem) -> tuple[IElem, list[int]]:
     """Shrink u inside its conjugacy class by single-generator conjugations.
 
     First-improvement descent on total component length; deterministic.
+    Each try asks _conj_steps for one level's moves at once, levels in
+    step-table order, and the first shorter successor is taken with
+    conj_by_gen: the steps are those of trying one move at a time.
     Returns (u_hat, steps), the steps taken in order, so u_hat = c u c^-1
     with c their product last first.
     """
     n = u.n
     table = _walk_steps(n)[-1][1]
-    steps = []
-    improved = True
-    while improved:
-        improved = False
-        cur = u.total_length()
-        for k, (m, i, e) in enumerate(table):
-            v = conj_by_gen(n, m, i, e, u)
-            if v.total_length() < cur:
-                u = v
-                steps.append(k)
-                improved = True
+    state, steps = _SEP.join(u.parts), []
+    k = 0  # the level's first move; level m has the 2m moves (m, i, +-1)
+    while k < len(table):
+        level = table[k : k + 2 * table[k][0]]
+        for j, nstate in enumerate(_conj_steps(n, state, level), k):
+            if len(nstate) < len(state):
+                u, state = conj_by_gen(n, *table[j], u), nstate
+                steps.append(j)
+                k = 0
                 break
+        else:
+            k += len(level)
     return u, steps
 
 
-def _plateau(n: int, root: str, table: dict[str, int], other: dict[str, int], cap: int, slack: int) -> Optional[str]:
-    """The first state that the walk on root's plateau at this slack inserts and other holds, or None.
+def _plateau(
+    n: int, root: str, table: dict[str, int], other: dict[str, int], cap: int, slack: int
+) -> Iterator[Optional[str]]:
+    """The walk on root's plateau at this slack: None after each expanded state, and last the meet, if any.
 
     Walks breadth-first from root over every step, keeping a state only if
     its length (its letters, len(state) - (n - 2)) is at most L + slack, L
     being the least length found so far; at the first state shorter than L
-    it restarts from that state.  It stops at a meet, when the component is
-    exhausted or after cap inserted states.  No commuting step is pruned:
-    that argument is about depth order, not length.  table maps each state
-    to the step that first made it, is shared across calls, and is never
-    overwritten, so _path rebuilds every state's path from the side's root.
+    it restarts from that state.  It stops at a meet, the first state it
+    inserts that other holds, which it yields; when the component is
+    exhausted; or after cap inserted states.  No commuting step is pruned:
+    that argument is about depth order, not length.  The walk reads only its
+    own seen set and queue, so the states it inserts do not depend on what
+    runs between its expansions.  table maps each state to the step that
+    first made it, is shared across calls, and is never overwritten, so
+    _path rebuilds every state's path from the side's root.
     """
     expand = _orbit_expand(n)
     least = len(root) - (n - 2)
@@ -501,32 +510,36 @@ def _plateau(n: int, root: str, table: dict[str, int], other: dict[str, int], ca
                 continue
             table.setdefault(nstate, k)
             if nstate in other:
-                return nstate
+                yield nstate
+                return
             inserted += 1
             if length < least:
                 least, seen, queue = length, {nstate}, deque([nstate])
                 break
             seen.add(nstate)
             queue.append(nstate)
-    return None
+        yield None
 
 
 def _plateau_walk(x: IElem, y: IElem) -> Optional[list[int]]:
     """A path from x to y through their plateaus, or None: the steps of h^-1 g at the first state both reach.
 
-    Each slack of PLATEAU_SLACKS walks x's plateau and then y's under
-    PLATEAU_STATES states a side, each walk holding the other side's table,
-    and the first state that a walk inserts and the other table holds joins
-    them; deque and dict order make it the same in every process.  One
-    table per side, rooted at x or y, survives every restart and slack.
+    Each slack of PLATEAU_SLACKS walks x's plateau and y's in lockstep, one
+    expanded state each in turn, under PLATEAU_STATES states a side, each
+    walk holding the other side's table; the first state that a walk
+    inserts and the other table holds joins them.  It joins every pair, at
+    the same slack, that walking x's side to its end and then y's did
+    (docs/NOTES.md, "Descent over plateaus"); deque and dict order make the
+    meet the same in every process.  One table per side, rooted at x or y,
+    survives every restart and slack.
     """
     n = x.n
     roots = _SEP.join(x.parts), _SEP.join(y.parts)
     tables = {roots[0]: -1}, {roots[1]: -1}
     step = _orbit_step(n)
     for slack in PLATEAU_SLACKS:
-        for side in (0, 1):
-            meet = _plateau(n, roots[side], tables[side], tables[1 - side], PLATEAU_STATES, slack)
+        walks = (_plateau(n, roots[side], tables[side], tables[1 - side], PLATEAU_STATES, slack) for side in (0, 1))
+        for meet in itertools.chain.from_iterable(itertools.zip_longest(*walks)):
             if meet is not None:
                 return [j ^ 1 for j in reversed(_path(tables[1], meet, step))] + _path(tables[0], meet, step)
     return None
@@ -703,12 +716,19 @@ def _cycle_keys(perm: np.ndarray, key: np.ndarray, longest: int) -> np.ndarray:
 
     Pointer doubling labels each point with the least point on its cycle:
     after r rounds a label is the least of 2^r consecutive points of the
-    cycle, and no cycle is longer than `longest`.
+    cycle.  It stops once 2^r reaches `longest`, which no cycle exceeds, or
+    at the first round that changes no label, as then every label is
+    already the least point of its cycle (docs/NOTES.md).  Comparing the
+    labels' bytes with the last round's tells such a round; a numpy
+    reduction would cost more than the rounds it saves on S_3's pieces.
     """
     label = np.arange(len(perm))
-    step, reach = perm, 1
+    step, reach, last = perm, 1, label.tobytes()
     while reach < longest:
         label = np.minimum(label, label[step])
+        before, last = last, label.tobytes()
+        if last == before:
+            break
         step, reach = step[step], 2 * reach
     length = np.bincount(label, minlength=len(perm))  # the cycle's length at its least point, 0 elsewhere
     least = length > 0

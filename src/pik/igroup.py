@@ -87,9 +87,6 @@ class IElem:
     def is_identity(self) -> bool:
         return not any(self.parts)
 
-    def total_length(self) -> int:
-        return sum(map(len, self.parts))
-
 
 def _raw_elem(n: int, parts: tuple[Part, ...]) -> IElem:
     # internal fast path: parts must already be valid components

@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from pik.igroup import (
     act_elem,
     collect,
     commutator_elem,
+    conj_by_gen,
     conj_elem,
     gen_elem,
     generators,
@@ -516,7 +518,7 @@ def test_descent_steps_conjugate_u_to_u_hat(n):
         u_hat, steps = conj_mod._greedy_descent(u)
         c = collect(n, [Token("y", *table[k]) for k in reversed(steps)])
         assert conj_elem(c, u) == u_hat
-        assert u_hat.total_length() <= u.total_length() - len(steps)
+        assert sum(map(len, u_hat.parts)) <= sum(map(len, u.parts)) - len(steps)
         descended += bool(steps)
     assert descended
 
@@ -593,6 +595,30 @@ def seeded_elems(ns, max_len):
     return st.builds(lambda n, seed: random_ielem(Lcg(seed), n, max_len), ns, st.integers(0, 10**6))
 
 
+def one_move_descent(u):
+    """The oracle for _greedy_descent: first-improvement descent that tries one move at a time with conj_by_gen."""
+    n = u.n
+    table = conj_mod._walk_steps(n)[-1][1]
+    steps = []
+    improved = True
+    while improved:
+        improved = False
+        for k, (m, i, eps) in enumerate(table):
+            v = conj_by_gen(n, m, i, eps, u)
+            if sum(map(len, v.parts)) < sum(map(len, u.parts)):
+                u = v
+                steps.append(k)
+                improved = True
+                break
+    return u, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_elems(st.integers(3, 5), 12))
+def test_descent_by_level_batches_takes_the_steps_of_one_move_at_a_time(u):
+    assert conj_mod._greedy_descent(u) == one_move_descent(u)
+
+
 def assert_matches_reference(a, k):
     pieces = conj_mod._pieces(k, a.n)
     elems = symmetric_group(k)
@@ -602,6 +628,35 @@ def assert_matches_reference(a, k):
     got = conj_mod._cycle_keys(perm, pieces.piece, pieces.longest)
     want = reference_cycles(perm.tolist(), pieces.piece.tolist())
     assert [divmod(int(v), len(perm) + 1) for v in got] == want
+
+
+def backward_cycles(lengths):
+    """The permutation with cycles of the given lengths on consecutive blocks of points, each walked backwards."""
+    perm = []
+    for length in lengths:
+        base = len(perm)
+        perm += [base + (t - 1) % length for t in range(length)]
+    return np.array(perm)
+
+
+# The identity, whatever the bound; one cycle as long as the bound; and cycles
+# of 2^r and 2^r + 1 points, under a bound they reach and one they do not.
+CYCLE_EDGES = [([1] * 6, 1), ([1] * 6, 16)] + [
+    (lengths, bound)
+    for r in range(1, 6)
+    for lengths in ([2**r], [2**r + 1], [3, 2**r, 1, 2**r + 1])
+    for bound in (max(lengths), 64)
+]
+
+
+@pytest.mark.parametrize("lengths, longest", CYCLE_EDGES)
+def test_cycle_keys_at_the_edges(lengths, longest):
+    # Pointer doubling stops at the bound or at the first round that changes
+    # no label; either way every label is its cycle's least point.
+    perm = backward_cycles(lengths)
+    key = np.arange(len(perm)) % 5
+    got = conj_mod._cycle_keys(perm, key, longest)
+    assert [divmod(int(v), len(perm) + 1) for v in got] == reference_cycles(perm.tolist(), key.tolist())
 
 
 class TestFiniteQuotient:
@@ -1181,12 +1236,13 @@ def test_plateau_tables_rebuild_every_path():
         tables = [{root: -1} for root in roots]
         for slack in conj_mod.PLATEAU_SLACKS:
             for side in (0, 1):
-                meet = conj_mod._plateau(3, roots[side], tables[side], tables[1 - side], 100, slack)
+                walk = conj_mod._plateau(3, roots[side], tables[side], tables[1 - side], 100, slack)
+                meet = next(filter(None, walk), None)  # the walk run to its meet or its end
                 if meet is not None:
                     assert meet in tables[0] and meet in tables[1]
                     meets += 1
         for u, table in zip(us, tables):
-            restarts += min(map(len, table)) - 1 < u.total_length()
+            restarts += min(map(len, table)) - 1 < sum(map(len, u.parts))
             for state in table:
                 c = conj_mod._step_product(3, conj_mod._path(table, state, step))
                 assert _SEP.join(conj_elem(c, u).parts) == state
@@ -1196,10 +1252,11 @@ def test_plateau_tables_rebuild_every_path():
 
 def test_plateau_stops_at_the_first_meet(monkeypatch):
     # The states the plateau expands over conj-long-n3's 60 pairs, none of
-    # which reaches the full walk: 1,207 when each walk stops at the first
-    # state that the other side's table holds.  Walking both sides to the
-    # end of each slack and then intersecting their least states expanded
-    # 2,417.
+    # which reaches the full walk: 860 when the two sides' walks run in
+    # lockstep and stop at the first state that the other side's table
+    # holds.  Walking x's side to the end of each slack before y's expanded
+    # 1,207, and walking both to the end and then intersecting their least
+    # states 2,417.
     orbit_expand, expanded = conj_mod._orbit_expand, [0]
 
     def counted_expand(n, *low):
@@ -1215,7 +1272,7 @@ def test_plateau_stops_at_the_first_meet(monkeypatch):
     monkeypatch.setattr(conj_mod, "_orbit_walk", lambda *args: pytest.fail("the full walk ran"))
     for x, y in _long_n3_pairs():
         assert conjugacy(x, y).verdict == "conjugate"
-    assert expanded[0] == 1207
+    assert expanded[0] == 860
 
 
 @pytest.mark.parametrize("stream, refutations", [(_hard_stream, 33), (_pinned_stream, 5)])
