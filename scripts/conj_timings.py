@@ -13,13 +13,20 @@ calls by name, in the order it runs them, and the plateau and the full walk
 also count the states they expand:
 
     descent     _greedy_descent, on both sides of a pair
+    tables      _pieces(k, n) before each finite quotient, which builds
+                S_k's tables on its first call in a process
     S_3         _quotient_refutation with k = 3
+    plateau     each slack of _plateau_walk, between the descended sides;
+                slack 0 runs before S_4 and the larger slacks after it
     S_4         _quotient_refutation with k = 4
-    plateau     _plateau_walk, between the descended sides
     full walk   _orbit_walk, on the original sides
     ladder      _ladder
 
-"other" is equality, the abelianization, the level-2 core and
+The tables stage leaves only the quotients' own work in S_3 and S_4, so
+their times compare across trees whatever the builds cost; after the first
+call per k and n it reads a cache.  A tree whose ``_plateau_walk`` returns
+its path at once, not slack by slack, is timed as one call.  "other" is
+equality, the abelianization, the level-2 core and
 ``_conjugate``: each witness is collected from its step path and
 re-multiplied there.  Counting states adds one Python call per expanded state to what
 the walks time.  The child also counts the ``unknown`` verdicts, and hashes
@@ -32,12 +39,14 @@ import sys
 import timing
 
 STREAMS = ("conj-planted", "conj-hard", "conj-hard-n4", "conj-long-n3")
-STAGES = ("descent", "S_3", "S_4", "plateau", "full walk", "ladder")
+STAGES = ("descent", "tables", "S_3", "plateau", "S_4", "full walk", "ladder")
 SECONDS = 15
 REPEAT = 7
 OUT = "BENCH_conj.json"
 
 HOOKS = """
+import inspect
+
 from pik import conj
 
 states.update({"plateau": 0, "full walk": 0})
@@ -86,10 +95,32 @@ def long_pairs_n3():
     return ops
 
 
+def plateau_slacks(x, y, walk=conj._plateau_walk, advance=timed(next, lambda slacks: enter("plateau"))):
+    # the plateau timed across its generator, one call per slack that conjugacy asks for
+    slacks = walk(x, y)
+    for _ in conj.PLATEAU_SLACKS:
+        yield advance(slacks)
+
+
+def quotient(
+    x,
+    y,
+    k,
+    build=timed(conj._pieces, lambda k, n: "tables"),
+    refute=timed(conj._quotient_refutation, lambda x, y, k: f"S_{k}"),
+):
+    # S_k's tables timed apart from the quotient that uses them
+    build(k, x.n)
+    return refute(x, y, k)
+
+
 conj._greedy_descent = timed(conj._greedy_descent, lambda u: "descent")
 conj._orbit_walk = timed(conj._orbit_walk, lambda *args: enter("full walk"))
-conj._plateau_walk = timed(conj._plateau_walk, lambda x, y: enter("plateau"))
-conj._quotient_refutation = timed(conj._quotient_refutation, lambda x, y, k: f"S_{k}")
+if inspect.isgeneratorfunction(conj._plateau_walk):
+    conj._plateau_walk = plateau_slacks
+else:
+    conj._plateau_walk = timed(conj._plateau_walk, lambda x, y: enter("plateau"))
+conj._quotient_refutation = quotient
 conj._ladder = timed(conj._ladder, lambda x, y, budget: "ladder")
 conj._orbit_expand = counted_expand
 if sys.argv[2] == "conj-hard-n4":

@@ -20,16 +20,18 @@ Verdicts are sound by construction:
   twisted-conjugacy decision procedure from the literature is out of scope;
   bounded verified search replaces it and never fakes a "no".
 
-Search is layered by cost: greedy descent, then the finite quotients S_3
-and S_4 on the descended representatives, descent over plateaus between
-them, a bidirectional conjugation walk on the original pair in the
-generator metric at the budgeted radius, and the level ladder last.  The
-plateau stage walks both sides in lockstep through states no more than a
-small slack longer than the least length found, and joins them at the
-first state that both have reached; its slacks and cap are module
-constants.  The ladder
-enumerates a centralizer coset at untwisted levels and, at twisted ones,
-runs the same walk restricted to the level's generators, its own caps
+Search is layered by cost: greedy descent, then on the descended
+representatives the finite quotient S_3, descent over plateaus at slack 0,
+the finite quotient S_4 and the plateau's larger slacks, then a
+bidirectional conjugation walk on the original pair in the generator
+metric at the budgeted radius, and the level ladder last.  The plateau
+stage walks both sides in lockstep through states no more than a small
+slack longer than the least length found, and joins them at the first
+state that both have reached; its slacks and cap are module constants.
+Slack 0 joins most conjugate pairs in a few expansions, so S_4, which can
+never decide a conjugate pair, runs only on the pairs it leaves open.  The
+ladder enumerates a centralizer coset at untwisted levels and, at twisted
+ones, runs the same walk restricted to the level's generators, its own caps
 being module constants; it prunes no equation before walking it.  For
 planted instances the walk is complete once its radius covers the
 generator length of the planted conjugator, while max_states does not
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -95,7 +97,7 @@ SOLUTIONS_PER_LEVEL = 8
 # side inserts per slack.  Every state of an orbit has the length parity of
 # the root (docs/NOTES.md, "Descent over plateaus"), so odd slacks are
 # skipped.
-PLATEAU_SLACKS = (2, 4, 6, 8)
+PLATEAU_SLACKS = (0, 2, 4, 6, 8)
 PLATEAU_STATES = 2_000
 
 # Q = S_k is tried on the pieces {rho : rho(x_j) in C_j} of Hom(F_n, Q),
@@ -521,13 +523,15 @@ def _plateau(
         yield None
 
 
-def _plateau_walk(x: IElem, y: IElem) -> Optional[list[int]]:
-    """A path from x to y through their plateaus, or None: the steps of h^-1 g at the first state both reach.
+def _plateau_walk(x: IElem, y: IElem) -> Iterator[Optional[list[int]]]:
+    """Paths from x to y through their plateaus, one slack at a time: after each, the steps of h^-1 g or None.
 
     Each slack of PLATEAU_SLACKS walks x's plateau and y's in lockstep, one
     expanded state each in turn, under PLATEAU_STATES states a side, each
     walk holding the other side's table; the first state that a walk
-    inserts and the other table holds joins them.  It joins every pair, at
+    inserts and the other table holds joins them, and its path is yielded
+    and ends the walk.  A slack that joins nothing yields None, so the
+    caller can run other stages between slacks.  It joins every pair, at
     the same slack, that walking x's side to its end and then y's did
     (docs/NOTES.md, "Descent over plateaus"); deque and dict order make the
     meet the same in every process.  One table per side, rooted at x or y,
@@ -539,10 +543,12 @@ def _plateau_walk(x: IElem, y: IElem) -> Optional[list[int]]:
     step = _orbit_step(n)
     for slack in PLATEAU_SLACKS:
         walks = (_plateau(n, roots[side], tables[side], tables[1 - side], PLATEAU_STATES, slack) for side in (0, 1))
-        for meet in itertools.chain.from_iterable(itertools.zip_longest(*walks)):
-            if meet is not None:
-                return [j ^ 1 for j in reversed(_path(tables[1], meet, step))] + _path(tables[0], meet, step)
-    return None
+        meets = itertools.chain.from_iterable(itertools.zip_longest(*walks))
+        meet = next((state for state in meets if state is not None), None)
+        if meet is not None:
+            yield [j ^ 1 for j in reversed(_path(tables[1], meet, step))] + _path(tables[0], meet, step)
+            return
+        yield None
 
 
 def _step_product(n: int, path: Iterable[int]) -> IElem:
@@ -608,12 +614,17 @@ def _group_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     times[a * q + b] = (a b) q, the product already scaled to index the next
     lookup; inv[a] = a^-1; conj_pos[a * q + b] is the position of a b a^-1 in
-    its class.  The cached arrays are read-only, as every caller shares them.
+    its class.  Products are composed as one array and numbered through
+    each permutation's digits in base k, which increase in
+    `symmetric_group` order.  The cached arrays are read-only, as every
+    caller shares them.
     """
-    elems = symmetric_group(k)
-    q, index = len(elems), {p: e for e, p in enumerate(elems)}
-    mul = np.array([index[tuple(a[t] for t in b)] for a in elems for b in elems], np.int64)
-    inv = np.argmax(mul.reshape(q, q) == 0, axis=1)  # a b = identity, index 0
+    elems = np.array(symmetric_group(k))
+    q, digits = len(elems), k ** np.arange(k - 1, -1, -1)
+    index = np.zeros(k**k, np.int64)
+    index[elems @ digits] = np.arange(q)
+    mul = index[elems[:, elems] @ digits].ravel()  # elems[a, elems[b]] is a b
+    inv = index[np.argsort(elems, axis=1) @ digits]
     a = np.repeat(np.arange(q), q)
     conj_pos = _classes(k)[4][mul[mul * q + inv[a]]]
     times = mul * q
@@ -646,23 +657,28 @@ def _pieces(k: int, n: int) -> _Pieces:
     """S_k's pieces at rank n, smallest first, while they have at most MAX_QUOTIENT_POINTS points.
 
     Pieces of equal size come in the lexicographic order of their class
-    tuples, and the first piece that would pass the cap ends the choice.  A
-    few numpy ops per rank coordinate build the lot: the number of class
-    tuples of each size gives the size of the first piece that does not fit,
-    and only the tuples up to that size are listed.  The cached arrays are
-    read-only.
+    tuples, and the first piece that would pass the cap ends the choice.
+    The number of class tuples of each size up to the cap gives the size of
+    the first piece that does not fit, and only the tuples up to that size
+    are listed.  A point's position in its piece is a mixed-radix number
+    whose first digit is x_1's; the homs are read off it one rank
+    coordinate at a time, by divmod along contiguous rows, so each row of
+    homs, homs_inv and weight is contiguous for quotient_permutation.  The
+    cached arrays are read-only.
     """
     cap = MAX_QUOTIENT_POINTS
-    sizes = _classes(k)[3]
-    counts = np.zeros(cap + 1, np.int64)  # class tuples of each size, capped at cap + 1
-    counts[1] = 1
+    _, members, start, sizes, _ = _classes(k)
+    multiplicity = Counter(sizes.tolist())  # classes of each size
+    counts = {1: 1}  # class tuples of each size up to cap
     for _ in range(n):
-        grown = np.zeros_like(counts)
-        for s in sizes:
-            grown[: cap // s * s + 1 : s] += counts[: cap // s + 1]
-        counts = np.minimum(grown, cap + 1)
-    over = np.flatnonzero(np.cumsum(counts * np.arange(cap + 1)) > cap)
-    limit = over[0] if len(over) else cap
+        grown: dict[int, int] = {}
+        for s, count in counts.items():
+            for t, m in multiplicity.items():
+                if s * t <= cap:
+                    grown[s * t] = grown.get(s * t, 0) + count * m
+        counts = grown
+    points = itertools.accumulate(s * counts[s] for s in sorted(counts))
+    limit = next((s for s, total in zip(sorted(counts), points) if total > cap), cap)
     # Prefixes of the tuples up to that size, in lexicographic order; a prefix
     # over it cannot shrink, one under it extends by identity classes.
     tuples, size = np.zeros((1, 0), np.int64), np.ones(1, np.int64)
@@ -677,11 +693,16 @@ def _pieces(k: int, n: int) -> _Pieces:
     classes, size = tuples[order], size[order]
     piece = np.repeat(np.arange(len(size)), size)
     radix = sizes[classes]
-    base = (np.cumsum(size) - size)[piece]
-    weight = (np.cumprod(radix, axis=1) // radix)[piece].T
-    position = (np.arange(len(piece)) - base) // weight % radix[piece].T
-    _, members, start, _, _ = _classes(k)
-    homs = members[start[classes[piece]].T + position]
+    base = np.repeat(np.cumsum(size) - size, size)
+    weight = np.repeat((np.cumprod(radix, axis=1) // radix).T, size, axis=1)
+    homs = np.repeat(start[classes].T, size, axis=1)  # each point's class starts, then its homs
+    offset = np.arange(len(piece)) - base
+    # The radix rows come as one (n, N) temporary: glibc serves it by mmap
+    # and, on freeing it, raises its trim threshold, so later quotients do
+    # not page-fault their temporaries afresh (docs/NOTES.md).
+    for j, column in enumerate(np.repeat(radix.T, size, axis=1)):
+        offset, position = np.divmod(offset, column)
+        homs[j] = members[homs[j] + position]
     homs_inv = _group_tables(k)[1][homs]
     for a in (classes, piece, homs, homs_inv, base, weight):
         a.flags.writeable = False
@@ -776,11 +797,13 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
     The abelianization and the level-2 core refute first.  Greedy descent
     then shrinks both sides inside their classes; matching minima settle the
     instance outright.  Otherwise the cycle types on the pieces of
-    Hom(F_n, S_3), then of Hom(F_n, S_4), refute the descended pair, and the
-    plateau stage (_plateau_walk) looks for a witness between its sides.
-    The completeness walk runs on the original pair at the budgeted radius
-    and state cap, so budgets seeded from a planted conjugator keep their
-    guarantee, and the ladder runs last, on what the walk leaves open.
+    Hom(F_n, S_3) may refute the descended pair; the plateau stage
+    (_plateau_walk) looks for a witness between its sides at slack 0; the
+    pieces of Hom(F_n, S_4) may refute the pair that slack 0 leaves open;
+    and the plateau's larger slacks look on.  The completeness walk runs on
+    the original pair at the budgeted radius and state cap, so budgets
+    seeded from a planted conjugator keep their guarantee, and the ladder
+    runs last, on what the walk leaves open.
     """
     budget = budget or SearchBudget()
     if x.n != y.n:
@@ -808,18 +831,26 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
     if x_hat == y_hat:
         return _conjugate(x, y, _step_product(n, undo_y + redo_x), "descent")
     # The finite quotients run on the descended pair, which is conjugate to
-    # the original one and shorter, and both before the plateau, which costs
-    # more and cannot decide a pair that they refute.  Each stage is sound
-    # alone, so the order sets no verdict, only the cost and whose witness
-    # returns (docs/NOTES.md, "The order of conjugacy's stages").
-    for k in (3, 4):
-        refuted = _quotient_refutation(x_hat, y_hat, k)
-        if refuted is not None:
-            return refuted
+    # the original one and shorter.  S_3 runs first, as it is cheap and
+    # refutes most pairs that are not conjugate.  The plateau's slack 0,
+    # which joins most conjugate pairs in a few expansions, runs before
+    # S_4, which costs more and can never decide a conjugate pair; the
+    # larger slacks run after it.  Each stage is sound alone, so the order
+    # sets no verdict, only the cost and whose witness returns
+    # (docs/NOTES.md, "The order of conjugacy's stages").
+    refuted = _quotient_refutation(x_hat, y_hat, 3)
+    if refuted is not None:
+        return refuted
     # The plateau stage joins the descended representatives through states
     # of near-least length under caps of its own; it carries no completeness
     # guarantee, so the budgeted walk below still runs on the original pair.
-    path = _plateau_walk(x_hat, y_hat)
+    slacks = _plateau_walk(x_hat, y_hat)
+    path = next(slacks)
+    if path is None:
+        refuted = _quotient_refutation(x_hat, y_hat, 4)
+        if refuted is not None:
+            return refuted
+        path = next((p for p in slacks if p is not None), None)
     if path is not None:
         return _conjugate(x, y, _step_product(n, undo_y + path + redo_x), "plateau")
     path = _orbit_walk(x, y, budget.gen_radius, budget.max_states)

@@ -386,7 +386,7 @@ def test_ladder_levels_are_pinned(n):
 
 def no_plateau(monkeypatch):
     """Leave the plateau stage out of conjugacy, so a pair it decides reaches the full walk and the ladder."""
-    monkeypatch.setattr(conj_mod, "_plateau_walk", lambda x, y: None)
+    monkeypatch.setattr(conj_mod, "_plateau_walk", lambda x, y: iter([None] * len(conj_mod.PLATEAU_SLACKS)))
 
 
 @pytest.mark.parametrize("seed", [9081, 9170, 9179])
@@ -659,7 +659,65 @@ def test_cycle_keys_at_the_edges(lengths, longest):
     assert [divmod(int(v), len(perm) + 1) for v in got] == reference_cycles(perm.tolist(), key.tolist())
 
 
+def reference_group_tables(k):
+    """_group_tables as a comprehension: each product a b composed as a tuple and looked up."""
+    elems = symmetric_group(k)
+    q, index = len(elems), {p: e for e, p in enumerate(elems)}
+    mul = np.array([index[tuple(a[t] for t in b)] for a in elems for b in elems], np.int64)
+    inv = np.argmax(mul.reshape(q, q) == 0, axis=1)  # a b = identity, index 0
+    a = np.repeat(np.arange(q), q)
+    conj_pos = conj_mod._classes(k)[4][mul[mul * q + inv[a]]]
+    return mul * q, inv, conj_pos
+
+
+def reference_pieces(k, n):
+    """_pieces's arrays as lists, piece by piece and point by point, from itertools.product.
+
+    The pieces are the class tuples smallest first, ties in tuple order, while
+    they stay within the cap; a piece's points run over its classes' members
+    with x_1's varying fastest.
+    """
+    elems = symmetric_group(k)
+    index = {p: e for e, p in enumerate(elems)}
+    _, members, start, sizes, _ = conj_mod._classes(k)
+    sizes = sizes.tolist()
+    of_class = [members[start[c] : start[c] + sizes[c]].tolist() for c in range(len(sizes))]
+    chosen, total = [], 0
+    for c in sorted(itertools.product(range(len(sizes)), repeat=n), key=lambda c: math.prod(sizes[t] for t in c)):
+        if total + math.prod(sizes[t] for t in c) > MAX_QUOTIENT_POINTS:
+            break
+        chosen.append(c)
+        total += math.prod(sizes[t] for t in c)
+    piece, homs, homs_inv, base, weight = [], [], [], [], []
+    for p, c in enumerate(chosen):
+        first = len(piece)
+        for rho in itertools.product(*(of_class[t] for t in reversed(c))):
+            rho = rho[::-1]
+            piece.append(p)
+            homs.append(rho)
+            homs_inv.append([index[tuple(sorted(range(k), key=elems[e].__getitem__))] for e in rho])
+            base.append(first)
+            weight.append([math.prod(sizes[t] for t in c[:j]) for j in range(n)])
+    by_row = {name: list(map(list, zip(*rows))) for name, rows in (("homs", homs), ("homs_inv", homs_inv), ("weight", weight))}
+    return {"classes": [list(c) for c in chosen], "piece": piece, "base": base, **by_row}
+
+
 class TestFiniteQuotient:
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_group_tables_match_the_composed_tuples(self, k):
+        for got, want in zip(conj_mod._group_tables(k), reference_group_tables(k)):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("k, n", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4)])
+    def test_pieces_match_the_product_of_classes(self, k, n):
+        pieces, want = conj_mod._pieces(k, n), reference_pieces(k, n)
+        for name, rows in want.items():
+            got = getattr(pieces, name)
+            assert got.dtype == np.int64 and got.tolist() == rows, name
+            assert not got.flags.writeable, name
+        assert pieces.longest == max(np.bincount(pieces.piece))
+
     @settings(max_examples=30)
     @given(seeded_elems(st.integers(2, 4), 8))
     def test_permutation_matches_the_images_on_s3(self, a):
@@ -1144,36 +1202,71 @@ def _hard_stream():
     return pairs
 
 
-def test_both_quotients_run_before_any_walk(monkeypatch):
-    # Every conj-hard pair is non-conjugate.  S_3 runs on each of the 33 that
-    # descent leaves open and refutes 30, S_4 refutes the other 3, and no
-    # pair reaches the plateau or an orbit walk.
+def _planted_stream():
+    """conj-planted's 76 planted pairs for a 15 s run: 38 at n = 3 from Lcg(2003) and 38 at n = 4 from Lcg(2004)."""
+    pairs = []
+    for n in (3, 4):
+        rng = Lcg(2000 + n)
+        pairs += [planted_conjugacy_case(rng, n, 8) for _ in range(38)]
+    return pairs
+
+
+def spied_stages(monkeypatch, stream):
+    """The stages each pair of stream runs after descent, in order, with the verdicts.
+
+    A finite quotient reads "S_k", or "S_k refutes" when it decides; each
+    slack of the plateau reads "plateau", or "plateau meets" at the slack
+    that joins the pair; the full walk reads "walk".
+    """
     walk, plateau, refute = conj_mod._orbit_walk, conj_mod._plateau_walk, conj_mod._quotient_refutation
-    stages = []
+    stages, verdicts = [], []
 
     def walk_spy(x, y, radius, max_states):
         stages[-1].append("walk")
         return walk(x, y, radius, max_states)
 
     def plateau_spy(x, y):
-        stages[-1].append("plateau")
-        return plateau(x, y)
+        for path in plateau(x, y):
+            stages[-1].append("plateau" if path is None else "plateau meets")
+            yield path
 
     def refute_spy(x, y, k):
         got = refute(x, y, k)
         stages[-1].append(f"S_{k}" if got is None else f"S_{k} refutes")
         return got
 
-    monkeypatch.setattr(conj_mod, "_orbit_walk", walk_spy)
-    monkeypatch.setattr(conj_mod, "_plateau_walk", plateau_spy)
-    monkeypatch.setattr(conj_mod, "_quotient_refutation", refute_spy)
-    for x, y, budget in _hard_stream():
-        stages.append([])
-        assert conjugacy(x, y, budget).verdict == "not_conjugate"
-    assert Counter(map(tuple, stages)) == {
+    with monkeypatch.context() as patch:
+        patch.setattr(conj_mod, "_orbit_walk", walk_spy)
+        patch.setattr(conj_mod, "_plateau_walk", plateau_spy)
+        patch.setattr(conj_mod, "_quotient_refutation", refute_spy)
+        for x, y, budget in stream:
+            stages.append([])
+            verdicts.append(conjugacy(x, y, budget).verdict)
+    return Counter(map(tuple, stages)), Counter(verdicts)
+
+
+def test_stages_run_in_order(monkeypatch):
+    # Every conj-hard pair is non-conjugate.  S_3 runs on each of the 33
+    # that descent leaves open and refutes 30; the other 3 pay for the
+    # plateau's slack 0 before S_4 refutes them, and no pair reaches a
+    # larger slack or an orbit walk.
+    stages, verdicts = spied_stages(monkeypatch, _hard_stream())
+    assert verdicts == {"not_conjugate": 45}
+    assert stages == {
         (): 12,
         ("S_3 refutes",): 30,
-        ("S_3", "S_4 refutes"): 3,
+        ("S_3", "plateau", "S_4 refutes"): 3,
+    }
+    # Every conj-planted pair is conjugate: slack 0 joins 20 of the 28 that
+    # descent leaves open, none of which pays for S_4, and the larger
+    # slacks join the other 8 after S_4 has run on them.
+    stages, verdicts = spied_stages(monkeypatch, _planted_stream())
+    assert verdicts == {"conjugate": 76}
+    assert stages == {
+        (): 48,
+        ("S_3", "plateau meets"): 20,
+        ("S_3", "plateau", "S_4", "plateau meets"): 6,
+        ("S_3", "plateau", "S_4", "plateau", "plateau meets"): 2,
     }
 
 
@@ -1252,11 +1345,12 @@ def test_plateau_tables_rebuild_every_path():
 
 def test_plateau_stops_at_the_first_meet(monkeypatch):
     # The states the plateau expands over conj-long-n3's 60 pairs, none of
-    # which reaches the full walk: 860 when the two sides' walks run in
-    # lockstep and stop at the first state that the other side's table
-    # holds.  Walking x's side to the end of each slack before y's expanded
-    # 1,207, and walking both to the end and then intersecting their least
-    # states 2,417.
+    # which reaches the full walk: 709 since slack 0 runs before slack 2,
+    # whose walks then start from the tables slack 0 filled.  With slacks
+    # 2, 4, 6 and 8 alone, in lockstep and stopping at the first state that
+    # the other side's table holds, they expanded 860; walking x's side to
+    # the end of each slack before y's expanded 1,207, and walking both to
+    # the end and then intersecting their least states 2,417.
     orbit_expand, expanded = conj_mod._orbit_expand, [0]
 
     def counted_expand(n, *low):
@@ -1272,7 +1366,7 @@ def test_plateau_stops_at_the_first_meet(monkeypatch):
     monkeypatch.setattr(conj_mod, "_orbit_walk", lambda *args: pytest.fail("the full walk ran"))
     for x, y in _long_n3_pairs():
         assert conjugacy(x, y).verdict == "conjugate"
-    assert expanded[0] == 860
+    assert expanded[0] == 709
 
 
 @pytest.mark.parametrize("stream, refutations", [(_hard_stream, 33), (_pinned_stream, 5)])

@@ -57,21 +57,22 @@ def test_normal_form_child(reports):
     assert rec["outputs_sha256"] == "83325064ffa3ee2aae43e17700c399bd4024c36c4322b93a95dca7d1b3c8385b"
 
 
-# Each child's outputs_sha256, taken when the plateau's two walks began to
-# run in lockstep, which moved the witnesses of conj-long-n3's pairs 14 and
-# 54 and no method: conj-long-n3's is BENCH_conj.json's and covers the
-# plateau's witnesses of its 45 pairs that descent leaves open;
-# conj-planted's is that of the stream drawn for one second, shorter than
-# BENCH_conj.json's, and did not move.
+# Each child's outputs_sha256, taken when the plateau's slack 0 began to run
+# before S_4 and its tables to carry over to slack 2, which moved the
+# witnesses of conj-long-n3's pairs 14 and 54 and no method: conj-long-n3's
+# is BENCH_conj.json's and covers the plateau's witnesses of its 45 pairs
+# that descent leaves open; conj-planted's is that of the stream drawn for
+# one second, shorter than BENCH_conj.json's, and did not move.
 CONJ_OUTPUTS_SHA256 = {
     "conj-planted": "8a5b87b2b1592fdee60b8b99bb0df0b332d6b0ac763bf58c194e357aa8d6fe2e",
-    "conj-long-n3": "47ba2e5de40499fc2e009160e8930739be3757a8c250723ffeb9a0f5733c18a8",
+    "conj-long-n3": "75c9577a75d32f86d4a843620c020ffe4cbc16401fdfd0e40c2536b6c7d92927",
 }
 
 
 # The stages each stream reaches: the plateau decides every planted pair
-# that descent leaves open, so neither the full walk nor the ladder runs.
-REACHED = ["descent", "S_3", "S_4", "plateau"]
+# that descent leaves open, so neither the full walk nor the ladder runs;
+# S_4 runs on the pairs that the plateau's slack 0 leaves open.
+REACHED = ["descent", "tables", "S_3", "plateau", "S_4"]
 
 
 @pytest.mark.parametrize("stream, reached", [("conj-planted", REACHED), ("conj-long-n3", REACHED)])
