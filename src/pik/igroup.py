@@ -373,20 +373,19 @@ def to_endo(a: IElem) -> EndoF:
 
 
 @functools.cache
-def _gen_conjugators(n: int, m: int, i: int, eps: int) -> tuple[tuple, tuple]:
-    """y(m,i)^eps's automorphism e of F_n, as conjugators read off its images.
+def _gen_conjugators(n: int, m: int, i: int, eps: int) -> tuple[int, str, tuple]:
+    """y(m,i)^eps's automorphism e of F_n, as the one-letter conjugator read off its images.
 
-    Each image e(x_k) must be u x_k u^-1 for a word u; any other image
-    raises IGroupError.  Returns (conjugators, moved): conjugators holds
-    each distinct nonempty u with its letters as (index - 1, one-letter
-    word), and moved holds (k - 1, u, x_k x_k^-1) for each x_k whose u is
-    nonempty.  Its values depend only on (n, m, i, eps).  The images are
-    endos.y_gen's, or for eps = -1 those that y_gen's inverse field makes,
-    so filling the table calls none of the functions bench/tracer.py counts
-    (docs/NOTES.md, "Per-rank generator tables").
+    Each image e(x_k) must be x_k or x x_k x^-1 for one letter x = x_l^+-1
+    shared by every x_k that e moves; any other image raises IGroupError.
+    Returns (l - 1, x, moved), with moved holding (k - 1, x_k x_k^-1) for
+    each moved x_k.  Its values depend only on (n, m, i, eps).  The images
+    are endos.y_gen's, or for eps = -1 those that y_gen's inverse field
+    makes, so filling the table calls none of the functions bench/tracer.py
+    counts (docs/NOTES.md, "Per-rank generator tables").
     """
     e = endos.y_gen(n, m, i)
-    conjugators: dict[str, tuple] = {}
+    x = ""
     moved = []
     for k, image in enumerate((e if eps == 1 else endos.inverse(e)).images, 1):
         s = image.letters
@@ -395,9 +394,15 @@ def _gen_conjugators(n: int, m: int, i: int, eps: int) -> tuple[tuple, tuple]:
         if s[half:] != encode(((k, 1),)) + _inverse(u):
             raise IGroupError(f"image of x{k} under y({m},{i})^{eps} is not u x{k} u^-1")
         if u:
-            conjugators[u] = tuple((l - 1, encode(((l, sign),))) for l, sign in decode(u))
-            moved.append((k - 1, u, encode(((k, 1), (k, -1)))))
-    return tuple(conjugators.items()), tuple(moved)
+            if len(u) != 1:
+                raise IGroupError(f"image of x{k} under y({m},{i})^{eps} has a conjugator of {len(u)} letters")
+            if x and u != x:
+                raise IGroupError(
+                    f"image of x{k} under y({m},{i})^{eps} has another conjugator than the image of x{moved[0][0] + 1}"
+                )
+            x = u
+            moved.append((k - 1, encode(((k, 1), (k, -1)))))
+    return (decode(x)[0][0] - 1 if x else 0), x, tuple(moved)
 
 
 def direct_endo(n: int, tokens: Iterable[Token]) -> EndoF:
@@ -405,25 +410,39 @@ def direct_endo(n: int, tokens: Iterable[Token]) -> EndoF:
 
     Composes the y_gen automorphisms letter by letter, never through the
     normal form.  acc sends each x_k to W_k x_k W_k^-1 with W_k reduced and
-    not ending in x_k^+-1.  For each image e(x_k) = u x_k u^-1 of a unit e,
-    acc o e sends x_k to acc(u) W_k x_k W_k^-1 acc(u)^-1, so W_k becomes
-    acc(u) W_k with its trailing x_k^+-1 stripped (docs/NOTES.md).
+    not ending in x_k^+-1.  A unit e sends each x_k it moves to x x_k x^-1,
+    x = x_l^+-1, so acc o e sends x_k to acc(x) W_k x_k W_k^-1 acc(x)^-1 and
+    W_k becomes W x W^-1 W_k, W = W_l, with its trailing x_k^+-1 stripped.
+    W^-1 cancels exactly the common prefix of W and W_k, found by prefix
+    tests (docs/NOTES.md, "direct_endo by conjugators").
     """
     if n < 2:
         raise IGroupError(f"need n >= 2, got {n}")
     ws = [""] * n
     for t in tokens:
         _check_y_token(n, t)
-        conjugators, moved = _gen_conjugators(n, t.a, t.b, -1 if t.exp < 0 else 1)
+        l, x, moved = _gen_conjugators(n, t.a, t.b, -1 if t.exp < 0 else 1)
         for _ in range(abs(t.exp)):
-            acc_of = {}  # acc(u) for each u, all read before any W_k changes
-            for u, letters in conjugators:
-                acc_u = ""
-                for l, x in letters:
-                    acc_u = _join(acc_u, _letter_conjugate(ws[l], x))
-                acc_of[u] = acc_u
-            for k, u, x_pm in moved:
-                ws[k] = _join(acc_of[u], ws[k]).rstrip(x_pm)
+            w = ws[l]  # ends in no x^+-1, so W x is reduced
+            wx = w + x
+            for k, x_pm in moved:
+                wk = ws[k]
+                if wk.startswith(w):  # x may cancel into the rest of W_k and on into W
+                    ws[k] = _join(wx, wk[len(w) :]).rstrip(x_pm)
+                    continue
+                if w.startswith(wk):
+                    c = len(wk)
+                else:  # w[:lo] is a prefix of W_k and w[:hi] is not
+                    lo, hi = 0, min(len(w), len(wk))
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        if wk.startswith(w[:mid]):
+                            lo = mid
+                        else:
+                            hi = mid
+                    c = lo
+                # W[c] != W_k[c] and W ends in no x^+-1: the concatenation is reduced
+                ws[k] = (wx + _inverse(w[c:]) + wk[c:]).rstrip(x_pm)
     images = (_letter_conjugate(w, encode(((k, 1),))) for k, w in enumerate(ws, 1))
     return EndoF(n, tuple(_words_raw(n, image) for image in images))
 

@@ -512,11 +512,51 @@ class TestDirectEndoConjugators:
         assert got.images == (word(2, [(1, -1), (2, -1), (1, 1), (2, 1), (1, 1)]), word(2, [(1, -1), (2, 1), (1, 1)]))
 
     @pytest.mark.parametrize(
+        "text, k, branch",
+        [
+            ("y(2,1)", 1, "W empty"),
+            ("y(2,1) y(2,2) y(2,2)^-1", 0, "x cancels onward"),
+            ("y(2,1) y(2,2)", 0, "W_k a proper prefix of W"),
+            ("y(2,1)^2 y(2,2)^2 y(3,2) y(3,1)", 2, "neither a prefix"),
+        ],
+    )
+    def test_prefix_branches(self, text, k, branch):
+        # The last unit y(m,i)^eps sets W_k to W x W^-1 W_k with x = x_i^-eps and W = W_i,
+        # read off direct_endo of the word before it; each case takes one branch of the update
+        n = 3
+        *rest, last = toks = parse_word(text)
+        ws = [image.letters[: len(image.letters) // 2] for image in direct_endo(n, rest).images]
+        w, wk = ws[last.b - 1], ws[k]
+        common = next((c for c in range(min(len(w), len(wk))) if w[c] != wk[c]), min(len(w), len(wk)))
+        taken = {
+            "W empty": not w,
+            "x cancels onward": w and wk.startswith(w) and decode(wk[len(w) : len(w) + 1]) == [(last.b, last.exp)],
+            "W_k a proper prefix of W": w.startswith(wk) and len(wk) < len(w),
+            "neither a prefix": 0 < common < min(len(w), len(wk)),
+        }
+        assert [b for b, holds in taken.items() if holds] == [branch]
+        assert direct_endo(n, toks).images == _direct_endo_letterwise(n, toks).images
+
+    def test_long_words_match_letterwise(self):
+        # 40-60 units: far longer conjugators, and so longer common prefixes, than _gen_words draws
+        rng = Lcg(50)
+        for n in (3, 4, 5):
+            gens = generators(n)
+            for _ in range(8):
+                toks = [
+                    Token("y", *gens[rng.below(len(gens))], rng.sign() * (1 + rng.below(2)))
+                    for _ in range(40 + rng.below(21))
+                ]
+                assert direct_endo(n, toks).images == _direct_endo_letterwise(n, toks).images
+
+    @pytest.mark.parametrize(
         "image",
         [
             [(2, 1), (1, 1)],  # even length
             [(3, 1), (2, 1), (3, 1)],  # x2 in the middle, but not conjugated
             [(3, -1), (1, 1), (3, 1)],  # conjugate of x1, not of x2
+            [(1, -1), (1, -1), (2, 1), (1, 1), (1, 1)],  # two-letter conjugator x1^-2
+            [(3, -1), (2, 1), (3, 1)],  # x3^-1, where the image of x3 has x1^-1
         ],
     )
     def test_image_not_a_conjugate_raises(self, image, monkeypatch):
@@ -540,12 +580,14 @@ class TestSignedGenTable:
                 g, f = gen_elem(n, m, i), y_gen(n, m, i)
                 for eps, a, e in ((1, g, f), (-1, iinv(g), inverse(f))):
                     assert letters[m, i, eps] == (a.parts[n - m], iinv(a).parts[n - m])
-                    conjugators, moved = igroup._gen_conjugators(n, m, i, eps)
+                    l, x, moved = igroup._gen_conjugators(n, m, i, eps)
+                    [(j, s)] = decode(x)
+                    assert (l, j, s) == (i - 1, i, -eps)
                     images = [word(n, [(k, 1)]) for k in range(1, n + 1)]
-                    for k, u, _ in moved:
-                        images[k] = word(n, decode(u) + [(k + 1, 1)] + [(l, -s) for l, s in reversed(decode(u))])
+                    for k, x_pm in moved:
+                        assert x_pm == encode(((k + 1, 1), (k + 1, -1)))
+                        images[k] = word(n, [(j, s), (k + 1, 1), (j, -s)])
                     assert tuple(images) == e.images
-                    assert [u for u, _ in conjugators] == list(dict.fromkeys(u for _, u, _ in moved))
 
     @pytest.mark.parametrize("power", [2, 3])
     def test_collect_matches_direct_endo_on_powers(self, power):
