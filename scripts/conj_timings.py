@@ -20,7 +20,6 @@ also count the states they expand:
                 slack 0 runs before S_4 and the larger slacks after it
     S_4         _quotient_refutation with k = 4
     full walk   _orbit_walk, on the original sides
-    ladder      _ladder
 
 The tables stage leaves only the quotients' own work in S_3 and S_4, so
 their times compare across trees whatever the builds cost; after the first
@@ -39,7 +38,7 @@ import sys
 import timing
 
 STREAMS = ("conj-planted", "conj-hard", "conj-hard-n4", "conj-long-n3")
-STAGES = ("descent", "tables", "S_3", "plateau", "S_4", "full walk", "ladder")
+STAGES = ("descent", "tables", "S_3", "plateau", "S_4", "full walk")
 SECONDS = 15
 REPEAT = 7
 OUT = "BENCH_conj.json"
@@ -58,10 +57,8 @@ def enter(stage):
     return stage
 
 
-def counted_expand(n, *low, orbit_expand=conj._orbit_expand):
-    expand = orbit_expand(n, *low)
-    if low:  # the ladder's walk at one level, not a searching stage
-        return expand
+def counted_expand(n, orbit_expand=conj._orbit_expand):
+    expand = orbit_expand(n)
     stage = searching[0]  # the stage that asked for it
 
     def counted(state, made_by):
@@ -121,7 +118,6 @@ if inspect.isgeneratorfunction(conj._plateau_walk):
 else:
     conj._plateau_walk = timed(conj._plateau_walk, lambda x, y: enter("plateau"))
 conj._quotient_refutation = quotient
-conj._ladder = timed(conj._ladder, lambda x, y, budget: "ladder")
 conj._orbit_expand = counted_expand
 if sys.argv[2] == "conj-hard-n4":
     ops = hard_pairs_n4(int(sys.argv[3]))

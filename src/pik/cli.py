@@ -240,12 +240,7 @@ def cmd_verify_all(cfg: RunConfig) -> int:
 
 
 def _budget_from_args(args) -> SearchBudget:
-    return SearchBudget(
-        max_len=args.budget_len,
-        coset=args.budget_coset,
-        gen_radius=args.budget_radius,
-        max_states=args.budget_states,
-    )
+    return SearchBudget(gen_radius=args.budget_radius, max_states=args.budget_states)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -291,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec = cj_sub.add_parser("decide")
     dec.add_argument("--n", type=int, required=True)
     default = SearchBudget()
-    dec.add_argument("--budget-len", type=int, default=default.max_len)
-    dec.add_argument("--budget-coset", type=int, default=default.coset)
     dec.add_argument("--budget-radius", type=int, default=default.gen_radius)
     dec.add_argument("--budget-states", type=int, default=default.max_states)
     dec.add_argument("x_word")

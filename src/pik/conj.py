@@ -22,20 +22,17 @@ Verdicts are sound by construction:
 
 Search is layered by cost: greedy descent, then on the descended
 representatives the finite quotient S_3, descent over plateaus at slack 0,
-the finite quotient S_4 and the plateau's larger slacks, then a
+the finite quotient S_4 and the plateau's larger slacks, and last a
 bidirectional conjugation walk on the original pair in the generator
-metric at the budgeted radius, and the level ladder last.  The plateau
-stage walks both sides in lockstep through states no more than a small
-slack longer than the least length found, and joins them at the first
-state that both have reached; its slacks and cap are module constants.
-Slack 0 joins most conjugate pairs in a few expansions, so S_4, which can
-never decide a conjugate pair, runs only on the pairs it leaves open.  The
-ladder enumerates a centralizer coset at untwisted levels and, at twisted
-ones, runs the same walk restricted to the level's generators, its own caps
-being module constants; it prunes no equation before walking it.  For
-planted instances the walk is complete once its radius covers the
-generator length of the planted conjugator, while max_states does not
-bind, which is how the acceptance fuzz seeds its budgets.
+metric at the budgeted radius.  The plateau stage walks both sides in
+lockstep through states no more than a small slack longer than the least
+length found, and joins them at the first state that both have reached;
+its slacks and cap are module constants.  Slack 0 joins most conjugate
+pairs in a few expansions, so S_4, which can never decide a conjugate pair,
+runs only on the pairs it leaves open.  For planted instances the walk is
+complete once its radius covers the generator length of the planted
+conjugator, while max_states does not bind, which is how the acceptance
+fuzz seeds its budgets.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -53,45 +50,20 @@ from .igroup import (
     IElem,
     _conj_steps,
     abelianize,
-    act_elem,
     collect,
     conj_by_gen,
     conj_elem,
     format_ielem,
-    format_level_word,
     gen_elem,
     generators,
     identity_elem,
-    lower_part,
 )
-from .words import (
-    FreeWord,
-    Token,
-    WitnessError,
-    _inverse,
-    _join,
-    _raw,
-    centralizer_root,
-    decode,
-    encode,
-    free_conjugate,
-    invert,
-    multiply,
-    power,
-)
+from .words import Token, WitnessError, decode, free_conjugate
 
 
 class ConjError(ValueError):
     pass
 
-
-# The ladder's own caps.  No caller sets them, so they are constants and not
-# budgets: the ladder spends at most LADDER_NODES backtracking nodes, and each
-# twisted-conjugacy search holds at most TWISTED_STATES states and yields at
-# most SOLUTIONS_PER_LEVEL solutions.
-LADDER_NODES = 100
-TWISTED_STATES = 500
-SOLUTIONS_PER_LEVEL = 8
 
 # The plateau stage's slacks, tried in turn, and its cap on the states each
 # side inserts per slack.  Every state of an orbit has the length parity of
@@ -108,53 +80,29 @@ MAX_QUOTIENT_POINTS = 8_000
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """The caps that callers set for the incomplete parts of the search.
+    """The caps that callers set for the incomplete part of the search.
 
-    max_len bounds the depth of each twisted-level search, coset the
-    centralizer exponent range at complete levels.  gen_radius and
-    max_states bound the generator-metric conjugation walk.  An unknown
-    reports all four, and `pik conj decide` takes each as a flag.  Its
-    bounds are the budget in force, not the caps that ran out: the ladder's
-    node cap LADDER_NODES can bind before max_len does, as on the Lcg(39)
-    H_3 pair of tests/test_conj.py, where the ladder draws 51 words of
-    _all_words(2, 16), none longer than 3 letters.
+    gen_radius and max_states bound the generator-metric conjugation walk.
+    An unknown reports both, and `pik conj decide` takes each as a flag.
+    max_len and coset bound nothing: they are keyword arguments, checked
+    like the fields and then dropped, kept only for callers that still pass
+    them.  They go once the benchmark's workloads stop passing them
+    (ROADMAP direction 13).
     """
 
-    max_len: int = 16
-    coset: int = 8
     gen_radius: int = 8
     max_states: int = 60_000
+    _: KW_ONLY
+    max_len: InitVar[int] = 16
+    coset: InitVar[int] = 8
 
-    def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+    def __post_init__(self, max_len: int, coset: int) -> None:
+        for name, value in {**self.as_dict(), "max_len": max_len, "coset": coset}.items():
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConjError(f"budget {name} must be a positive integer, got {value!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "max_len": self.max_len,
-            "coset": self.coset,
-            "gen_radius": self.gen_radius,
-            "max_states": self.max_states,
-        }
-
-
-@dataclass(frozen=True)
-class LevelTrace:
-    level: int
-    a_word: str
-    b_desc: str
-    twist_desc: str
-    solution: str
-
-    def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "a": self.a_word,
-            "b": self.b_desc,
-            "twist": self.twist_desc,
-            "g": self.solution,
-        }
+        return {"gen_radius": self.gen_radius, "max_states": self.max_states}
 
 
 @dataclass(frozen=True)
@@ -163,7 +111,6 @@ class ConjResult:
     witness: Optional[IElem] = None
     reason: Optional[str] = None
     bounds: Optional[dict] = None
-    levels: tuple[LevelTrace, ...] = ()
     method: str = ""
 
     def as_dict(self) -> dict:
@@ -174,146 +121,9 @@ class ConjResult:
             out["reason"] = self.reason
         if self.bounds:
             out["bounds"] = self.bounds
-        if self.levels:
-            out["levels"] = [t.as_dict() for t in self.levels]
         if self.method:
             out["method"] = self.method
         return out
-
-
-# ---------------------------------------------------------------------------
-# Twisted conjugacy at a level: g * a * (b . g^-1) = z, where b is the part of
-# y below the level and acts through act_elem.
-# ---------------------------------------------------------------------------
-
-
-def _letters(rank: int) -> list[str]:
-    """The one-letter words x_1, x_1^-1, x_2, ... as word strs; 2k+1 inverts 2k."""
-    return [encode(((i, s),)) for i in range(1, rank + 1) for s in (1, -1)]
-
-
-def _twisted_bidirectional(
-    a: FreeWord, z: FreeWord, b: IElem, max_len: int, max_states: int, limit: int
-) -> list[FreeWord]:
-    """Solutions g of g a (b . g^-1) = z found by the orbit walk of (a, b) at one level.
-
-    With i = a.rank, y(i,l)^s sends the rank-i element whose top part is a
-    and whose lower part is b to y(i,l)^s a (b . y(i,l)^-s) over the same b
-    (_conj_steps's formula, as b is below level i).  So the walk under the
-    level-i generators alone has forward states g a (b . g^-1) and backward
-    states u z (b . u^-1); a meet at (g, u) yields the candidate u^-1 g,
-    kept once it is verified.  When a = z the root is a meet, with the
-    empty path.
-    """
-    rank = a.rank
-    letters = _letters(rank)
-    roots = (_SEP.join((w.letters,) + b.parts) for w in (a, z))
-    walk = _meet_walk(*roots, _orbit_expand(rank, rank), _orbit_step(rank, rank), max_len, max_states)
-    found: list[FreeWord] = []
-    seen: set[str] = set()
-    for path in itertools.chain([[]] if a == z else [], walk):
-        key = functools.reduce(_join, [letters[k] for k in path], "")
-        cand = _raw(rank, key)
-        if key not in seen and multiply(multiply(cand, a), act_elem(b, invert(cand))) == z:
-            seen.add(key)
-            found.append(cand)
-            if len(found) >= limit:
-                break
-    return found
-
-
-def _all_words(rank: int, max_len: int) -> Iterator[FreeWord]:
-    """Freely reduced words by length (used when the solution set is all of F)."""
-    letters = _letters(rank)
-    frontier = [""]
-    yield _raw(rank, "")
-    for _ in range(max_len):
-        frontier = [w + s for w in frontier for s in letters if w[-1:] != _inverse(s)]
-        yield from (_raw(rank, w) for w in frontier)
-
-
-def twisted_solutions(a: FreeWord, z: FreeWord, b: Optional[IElem], budget: SearchBudget) -> Iterator[FreeWord]:
-    """Candidate solutions of g a (b . g^-1) = z, best-effort enumeration.
-
-    b is the part of y below the level, None at level 2; only b = 1 acts on
-    the level as the identity (docs/NOTES.md).  Untwisted, every word solves
-    a = z = 1; otherwise the solutions are free_conjugate's g0 times the
-    centralizer of z, cyclic as z != 1 (g a g^-1 = 1 forces a = 1).  A
-    twisted equation is left to the walk at its level, which yields only
-    solutions it has re-multiplied.  TWISTED_STATES caps that walk's states
-    and the words tried when every word solves.
-    """
-    if b is not None and not b.is_identity:
-        yield from _twisted_bidirectional(a, z, b, budget.max_len, TWISTED_STATES, SOLUTIONS_PER_LEVEL)
-    elif a.is_identity and z.is_identity:
-        yield from itertools.islice(_all_words(a.rank, budget.max_len), TWISTED_STATES)
-    else:
-        g0 = free_conjugate(a, z)
-        if g0 is None:
-            return
-        root = centralizer_root(z)
-        yield g0  # then by increasing exponent magnitude
-        for k in range(1, budget.coset + 1):
-            yield multiply(power(root, k), g0)
-            yield multiply(power(root, -k), g0)
-
-
-# ---------------------------------------------------------------------------
-# The level ladder.
-# ---------------------------------------------------------------------------
-
-
-class _Exhausted(Exception):
-    pass
-
-
-def _ladder(x: IElem, y: IElem, budget: SearchBudget) -> tuple[IElem, tuple[LevelTrace, ...]]:
-    """Returns (witness, trace) on success, or raises _Exhausted when budgets run out.
-
-    Level 2 is plain conjugacy; level i > 2 is twisted by the part of y
-    below it, worked out once here.
-    """
-    n = x.n
-    lower = [None] + [lower_part(y, i) for i in range(3, n + 1)]
-    nodes = [0]
-
-    def spend() -> None:
-        nodes[0] += 1
-        if nodes[0] > LADDER_NODES:
-            raise _Exhausted()
-
-    def solve(i: int, path: list[tuple[FreeWord, FreeWord]]):
-        # path holds (a_k, g_k) for the levels k = 2 .. i-1
-        if i > n:
-            return path
-        if i == 2:
-            a_i = x.part(2)
-        else:
-            prefix = IElem(i - 1, tuple([g.letters for _, g in reversed(path)]))
-            a_i = act_elem(prefix, x.part(i))
-            spend()
-        for cand in twisted_solutions(a_i, y.part(i), lower[i - 2], budget):
-            spend()
-            res = solve(i + 1, path + [(a_i, cand)])
-            if res is not None:
-                return res
-        return None
-
-    path = solve(2, [])
-    if path is None:
-        raise _Exhausted()
-    witness = IElem(n, tuple([g.letters for _, g in reversed(path)]))
-    trace = tuple(
-        LevelTrace(
-            level=i,
-            a_word=format_level_word(a_i),
-            b_desc="" if b is None else format_ielem(b),
-            twist_desc="none" if b is None else "identity" if b.is_identity else "partial-inner",
-            solution=format_level_word(g),
-        )
-        for i, (a_i, g), b in zip(range(2, n + 1), path, lower)
-    )
-    return witness, trace
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +206,19 @@ def _meet_walk(
 
 
 @functools.cache
-def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]]:
+def _walk_steps(n: int) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]]:
     """The orbit walk's steps after move a (-1 at a root), as indices and (m, i, eps).
 
-    The moves are those of the generators of level low and above, in
-    `generators` order with eps = 1, -1, so move 2j+1 inverts move 2j; at
-    low = 2, [-1][1] is the step table that numbers descent's steps and the
-    orbit walk's paths.  Left out are a ^ 1 and every move k < a whose generator
-    commutes with a's: a state is first inserted by the lexicographically
-    least of its shortest step words, which never has "a, then k"
-    (docs/NOTES.md).  Generators y and z commute when z y z^-1 = y, which
-    the walk's kernel decides on the state of y; imul would add to call
-    counts in the first run only.  Two generators of one level never
-    commute, so at low = n only a ^ 1 is left out.
+    The moves are those of the generators in `generators` order with
+    eps = 1, -1, so move 2j+1 inverts move 2j; [-1][1] is the step table
+    that numbers descent's steps and the orbit walk's paths.  Left out are
+    a ^ 1 and every move k < a whose generator commutes with a's: a state
+    is first inserted by the lexicographically least of its shortest step
+    words, which never has "a, then k" (docs/NOTES.md).  Generators y and z
+    commute when z y z^-1 = y, which the walk's kernel decides on the state
+    of y; imul would add to call counts in the first run only.
     """
-    gens = [(m, i) for m, i in generators(n) if m >= low]
+    gens = generators(n)
     steps = tuple((m, i, eps) for m, i in gens for eps in (1, -1))
     fixed = []  # fixed[g][h]: generator h conjugates generator g to itself
     for m, i in gens:
@@ -423,9 +231,9 @@ def _walk_steps(n: int, low: int = 2) -> dict[int, tuple[tuple[int, ...], tuple[
     return after
 
 
-def _orbit_expand(n: int, low: int = 2) -> Callable[[str, int], Iterable[tuple[int, str]]]:
+def _orbit_expand(n: int) -> Callable[[str, int], Iterable[tuple[int, str]]]:
     """The orbit walk's expand at rank n: a state's conjugates by the steps _walk_steps keeps."""
-    after = _walk_steps(n, low)
+    after = _walk_steps(n)
 
     def expand(state: str, made_by: int) -> Iterable[tuple[int, str]]:
         ks, steps = after[made_by]
@@ -434,9 +242,9 @@ def _orbit_expand(n: int, low: int = 2) -> Callable[[str, int], Iterable[tuple[i
     return expand
 
 
-def _orbit_step(n: int, low: int = 2) -> Callable[[str, int], str]:
-    """The orbit walk's step at rank n: a state's conjugate by move k of level low and above."""
-    steps = _walk_steps(n, low)[-1][1]
+def _orbit_step(n: int) -> Callable[[str, int], str]:
+    """The orbit walk's step at rank n: a state's conjugate by move k."""
+    steps = _walk_steps(n)[-1][1]
 
     def step(state: str, k: int) -> str:
         return _conj_steps(n, state, (steps[k],))[0]
@@ -784,15 +592,15 @@ def _quotient_refutation(x: IElem, y: IElem, k: int) -> Optional[ConjResult]:
 # ---------------------------------------------------------------------------
 
 
-def _conjugate(x: IElem, y: IElem, witness: IElem, method: str, levels: tuple[LevelTrace, ...] = ()) -> ConjResult:
+def _conjugate(x: IElem, y: IElem, witness: IElem, method: str) -> ConjResult:
     """The conjugate verdict, once the witness is re-multiplied; explicit so it survives ``python -O``."""
     if conj_elem(witness, x) != y:
         raise WitnessError("conjugator failed re-verification")
-    return ConjResult("conjugate", witness=witness, levels=levels, method=method)
+    return ConjResult("conjugate", witness=witness, method=method)
 
 
 def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> ConjResult:
-    """Sound verdicts only: invariants, then the searches, then the ladder.
+    """Sound verdicts only: invariants, then the searches, else unknown.
 
     The abelianization and the level-2 core refute first.  Greedy descent
     then shrinks both sides inside their classes; matching minima settle the
@@ -802,8 +610,8 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
     pieces of Hom(F_n, S_4) may refute the pair that slack 0 leaves open;
     and the plateau's larger slacks look on.  The completeness walk runs on
     the original pair at the budgeted radius and state cap, so budgets
-    seeded from a planted conjugator keep their guarantee, and the ladder
-    runs last, on what the walk leaves open.
+    seeded from a planted conjugator keep their guarantee; what it leaves
+    open is unknown, with the budget's bounds.
     """
     budget = budget or SearchBudget()
     if x.n != y.n:
@@ -856,8 +664,4 @@ def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> Conj
     path = _orbit_walk(x, y, budget.gen_radius, budget.max_states)
     if path is not None:
         return _conjugate(x, y, _step_product(n, path), "generator-walk")
-    try:
-        witness, trace = _ladder(x, y, budget)
-    except _Exhausted:
-        return ConjResult("unknown", bounds=budget.as_dict())
-    return _conjugate(x, y, witness, "ladder", trace)
+    return ConjResult("unknown", bounds=budget.as_dict())

@@ -177,13 +177,6 @@ def act_elem(u: IElem, b: FreeWord) -> FreeWord:
     return _words_raw(b.rank, _act_below(u.n, u.parts, b.letters, u.n + 1))
 
 
-def lower_part(a: IElem, below: int) -> IElem:
-    """The sub-normal-form of a strictly below the given level."""
-    if not 3 <= below <= a.n + 1:
-        raise IGroupError(f"level {below} outside 3..{a.n + 1}")
-    return _raw_elem(below - 1, a.parts[a.n - below + 1 :])
-
-
 # ---------------------------------------------------------------------------
 # Group operations: semidirect collection.
 # ---------------------------------------------------------------------------

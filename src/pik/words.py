@@ -217,15 +217,6 @@ def invert(a: FreeWord) -> FreeWord:
     return _raw(a.rank, _inverse(a.letters))
 
 
-def power(a: FreeWord, n: int) -> FreeWord:
-    if n < 0:
-        return power(invert(a), -n)
-    acc = empty(a.rank)
-    for _ in range(n):
-        acc = multiply(acc, a)
-    return acc
-
-
 def conjugate(g: FreeWord, w: FreeWord) -> FreeWord:
     """g * w * g^-1."""
     return multiply(multiply(g, w), invert(g))
@@ -243,11 +234,6 @@ def cyclic_reduce(a: FreeWord) -> tuple[FreeWord, FreeWord]:
     while len(letters) - 2 * t >= 2 and ord(letters[t]) ^ 1 == ord(letters[-1 - t]):
         t += 1
     return _raw(a.rank, letters[t : len(letters) - t]), _raw(a.rank, letters[:t])
-
-
-def is_cyclically_reduced(a: FreeWord) -> bool:
-    core, _ = cyclic_reduce(a)
-    return core == a
 
 
 def _rotation(letters: str, r: int) -> str:
@@ -275,30 +261,6 @@ def free_conjugate(a: FreeWord, b: FreeWord) -> Optional[FreeWord]:
                 raise WitnessError("free conjugator failed re-verification")
             return g
     return None
-
-
-def primitive_root(a: FreeWord) -> FreeWord:
-    """The primitive c with a = c^m, for cyclically reduced nontrivial a.
-
-    The centralizer of a in the free group is the cyclic group on c.
-    """
-    if a.is_identity:
-        raise WordError("identity has no primitive root")
-    if not is_cyclically_reduced(a):
-        raise WordError("primitive_root requires a cyclically reduced word")
-    n = len(a.letters)
-    for d in range(1, n + 1):
-        if n % d == 0 and a.letters[:d] * (n // d) == a.letters:
-            return _raw(a.rank, a.letters[:d])
-    raise AssertionError("unreachable")
-
-
-def centralizer_root(a: FreeWord) -> Optional[FreeWord]:
-    """Generator of the centralizer of a; None when a = 1 (centralizer is everything)."""
-    if a.is_identity:
-        return None
-    core, conj = cyclic_reduce(a)
-    return conjugate(conj, primitive_root(core))
 
 
 # ---------------------------------------------------------------------------

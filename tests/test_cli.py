@@ -17,8 +17,6 @@ from pik.words import parse_word
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 BUDGET_FLAGS = {
-    "max_len": "--budget-len",
-    "coset": "--budget-coset",
     "gen_radius": "--budget-radius",
     "max_states": "--budget-states",
 }
@@ -134,10 +132,7 @@ class TestSubcommands:
         assert "maxdeg must be positive" in json.loads(capsys.readouterr().err)["error"]
 
     def test_conj_decide(self, capsys):
-        code = main(
-            ["conj", "decide", "--n", "3", "--budget-len", "8", "--budget-coset", "4",
-             "y(2,1) y(3,1)", "y(3,1) y(2,1)"]
-        )
+        code = main(["conj", "decide", "--n", "3", "--budget-radius", "4", "y(2,1) y(3,1)", "y(3,1) y(2,1)"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "conjugate"
@@ -151,7 +146,7 @@ class TestSubcommands:
         assert set(BUDGET_FLAGS) == set(SearchBudget().as_dict())
         xs = "y(3,2) y(3,1)^-1 y(2,2)^2"
         ys = "y(3,2) y(3,1)^-1 y(3,2)^-1 y(3,3)^2 y(3,2) y(3,3)^-2 y(2,2)^2"
-        budget = SearchBudget(max_len=5, coset=3, gen_radius=2, max_states=300)
+        budget = SearchBudget(gen_radius=2, max_states=300)
         res = conjugacy(collect(3, parse_word(xs)), collect(3, parse_word(ys)), budget)
         assert res.verdict == "unknown"
         assert res.bounds == budget.as_dict()
@@ -166,6 +161,13 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be a positive integer" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("flags", [["--budget-len", "8"], ["--budget-coset", "4"]])
+    def test_conj_decide_rejects_the_flags_that_bounded_nothing(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["conj", "decide", "--n", "3", *flags, "y(2,1)", "y(2,2)"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
     def test_conj_decide_refuted(self, capsys):
         main(["conj", "decide", "--n", "3", "y(2,1)", "y(2,2)"])

@@ -22,12 +22,11 @@ from pik.conj import (
     conjugacy,
     quotient_permutation,
     symmetric_group,
-    twisted_solutions,
 )
-from pik.endos import apply as endo_apply, automorphism
-from pik.fuzz import planted_conjugacy_case, random_gen_tokens, random_ielem
+from pik.fuzz import planted_conjugacy_case, random_ielem
 from pik.igroup import (
     _SEP,
+    IElem,
     _conj_steps,
     abelianize,
     act_elem,
@@ -40,11 +39,10 @@ from pik.igroup import (
     identity_elem,
     iinv,
     imul,
-    lower_part,
     to_endo,
 )
 from pik.prng import Lcg
-from pik.words import Token, WitnessError, decode, empty, encode, gen, invert, multiply, parse_word, parse_x_word
+from pik.words import Token, WitnessError, decode, gen, parse_word
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -79,10 +77,12 @@ OPEN_PAIR = (
 )
 
 # SHA-256 of the JSON of every ConjResult.as_dict() in
-# test_refutations_name_only_sound_invariants, taken while the ladder still
-# pruned its twisted equations by a class-2 nilpotent obstruction.  Dropping
-# the pruning kept it: the level walk yields only re-multiplied solutions.
-OBSTRUCTION_PAIRS_SHA256 = "5d72e217182d61d3033be528d40a537283d2486043b7eda4690998c963b140f4"
+# test_refutations_name_only_sound_invariants: the reason of each refutation,
+# the witness and method of each conjugate pair, and the bounds of the last
+# pair's unknown, which name the full walk's gen_radius and max_states alone.
+# It moved from the value before only by the two bounds that unknowns no
+# longer report, max_len and coset, which bounded nothing the search ran.
+OBSTRUCTION_PAIRS_SHA256 = "d357c51d8e49b7d40b0e8b3e22a4ec40b8ae9728e03087e1fa81c4752990dd13"
 
 # The reason of a finite-quotient refutation: the group and the piece's classes.
 PIECE_REASON = re.compile(r"finite-quotient \(S_([34])\) cycle type mismatch on the piece of classes \((.*)\)")
@@ -94,102 +94,23 @@ def reason_kind(reason):
     return f"finite-quotient (S_{m[1]})" if m else reason
 
 
-def w(s, rank=2):
-    return parse_x_word(s, rank)
-
-
-def images_of(b, i):
-    """b . y(i,1), ..., b . y(i,i) as level-i words."""
-    return tuple(act_elem(b, gen(i, l)) for l in range(1, i + 1))
-
-
-def first_solution(a, z, b, budget=SearchBudget()):
-    """The first solution g of g a (b . g^-1) = z that the ladder would try; b is None at level 2."""
-    return next(twisted_solutions(a, z, b, budget), None)
-
-
-def solves(g, a, z, b):
-    return multiply(multiply(g, a), act_elem(b, invert(g))) == z
-
-
 class TestTwistedConjugate:
-    def test_identity_twist_reduces_to_free(self):
-        g = first_solution(w("x1 x2"), w("x2 x1"), None)
-        assert g is not None
-        assert multiply(multiply(g, w("x1 x2")), invert(g)) == w("x2 x1")
-
-    def test_identity_twist_refutes(self):
-        assert first_solution(w("x1"), w("x2"), None) is None
-
-    def test_inner_twist_witness(self):
-        # brute-force oracle over |g| <= 2 confirms a witness exists; y(2,1)
-        # acts on <x1, x2> as conjugation by x1 and fixes x3
-        b = gen_elem(2, 2, 1)
-        a, z = w("x2", 3), w("x1^-1 x2 x1", 3)
-
-        def brute():
-            frontier = [empty(3)]
-            seen = set()
-            for _ in range(2):
-                nxt = []
-                for g in frontier:
-                    for i in (1, 2, 3):
-                        for s in (1, -1):
-                            h = multiply(g, gen(3, i, s))
-                            if h.letters not in seen:
-                                seen.add(h.letters)
-                                nxt.append(h)
-                frontier = nxt
-            for letters in seen:
-                from pik.words import FreeWord
-
-                g = FreeWord(3, letters)
-                if solves(g, a, z, b):
-                    return g
-            return None
-
-        oracle = brute()
-        assert oracle is not None
-        g = first_solution(a, z, b)
-        assert g is not None and solves(g, a, z, b)
-
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_lower_action_is_none_iff_identity(self, n):
-        # the lower part b of y below level i fixes every y(i,l) only when
-        # b = 1; short random words often have no letter below i.  So an
-        # identity b leaves plain conjugacy, solved as at level 2 (b = None):
-        # a conjugate pair by the centralizer coset, a = z = 1 by all words.
+        # the part b of y below level i fixes every y(i,l) only when b = 1
+        # (docs/NOTES.md, "Twisted conjugacy: what is decided and what is
+        # not"), so level i's equation is twisted unless b = 1; short random
+        # words often have no letter below i
         rng = Lcg(31 + n)
         fixed = 0
-        untwisted = {}  # a = 1 and a != 1: the first identity b with each, and its level's part a
         for _ in range(300):
             y = random_ielem(rng, n, 4)
             for i in range(3, n + 1):
-                b = lower_part(y, i)
+                b = IElem(i - 1, y.parts[n - i + 1 :])
                 fixes = all(act_elem(b, gen(i, l)) == gen(i, l) for l in range(1, i + 1))
                 assert fixes == b.is_identity
                 fixed += fixes
-                if fixes:
-                    untwisted.setdefault(y.part(i).is_identity, (b, y.part(i)))
         assert 0 < fixed < 300 * (n - 2)
-        assert set(untwisted) == {True, False}
-        budget = SearchBudget(max_len=3, coset=2)
-        for b, a in untwisted.values():
-            g = parse_x_word("x1 x2^-1 x3", a.rank)
-            z = multiply(multiply(g, a), invert(g))
-            got = list(twisted_solutions(a, z, b, budget))
-            assert got == list(twisted_solutions(a, z, None, budget))
-            assert got and all(solves(h, a, z, b) for h in got)
-
-    def test_planted_twisted_instances(self):
-        rng = Lcg(808)
-        b = collect(2, parse_word("y(2,1) y(2,2)"))
-        for _ in range(25):
-            a = random_ielem(rng, 4, 5).part(3)
-            g = random_ielem(rng, 4, 5).part(3)
-            z = multiply(multiply(g, a), act_elem(b, invert(g)))
-            sol = first_solution(a, z, b, SearchBudget(max_len=10))
-            assert sol is not None and solves(sol, a, z, b)
 
 
 class TestConjugacy:
@@ -272,10 +193,9 @@ class TestConjugacy:
 
     def test_refutations_name_only_sound_invariants(self):
         # Every "no" cites the abelianization, the level-2 core or the cycle
-        # type on a piece of a finite quotient.  The outputs are pinned by
-        # OBSTRUCTION_PAIRS_SHA256: the last pair's ladder meets 17 twisted
-        # equations, all 17 of which the class-2 obstruction that the ladder
-        # once ran rejected, so the pin covers the path where it fired.
+        # type on a piece of a finite quotient.  The outputs, the last pair's
+        # unknown with its bounds among them, are pinned by
+        # OBSTRUCTION_PAIRS_SHA256.
         reasons = {
             "abelianization mismatch (conjugation fixes the abelianization)",
             "level-2 free-conjugacy core mismatch",
@@ -293,7 +213,7 @@ class TestConjugacy:
             (gen_elem(3, 2, 1), gen_elem(3, 2, 2)),
             (gen_elem(3, 3, 1), gen_elem(3, 3, 3)),
             (pairs[0][0], imul(pairs[0][0], gen_elem(3, 3, 2))),
-            # whose twisted equations have no solution the ladder's walk finds
+            # which no invariant refutes and no search joins
             OPEN_PAIR,
         ]
         budget = SearchBudget(gen_radius=2, max_states=500)
@@ -323,123 +243,9 @@ class TestConjugacy:
         assert conj_elem(res.witness, x) == y
 
 
-# Planted pairs (0-based cases 12 of Lcg(2003), 51 of Lcg(2004)) and the levels the
-# ladder reports for them; every twist above level 2 is partial-inner.  conjugacy
-# decides both by the full walk, which runs before the ladder, so the ladder is
-# called alone.
-LADDER_CASES = {
-    3: (
-        "y(3,3) y(2,1)^-1 y(2,2) y(2,1)",
-        "y(3,3)^-1 y(3,2)^-1 y(3,3)^-1 y(3,2) y(3,3) y(3,1)^-1 y(3,2) y(3,1) y(3,2)^-1"
-        " y(3,1)^-1 y(3,2)^-1 y(3,1) y(3,3) y(3,1)^-1 y(3,2) y(3,1) y(3,2) y(3,1)^-1"
-        " y(3,2)^-1 y(3,1) y(3,3) y(2,1)^-1 y(2,2) y(2,1)",
-        [
-            {
-                "level": 2,
-                "a": "y(2,1)^-1 y(2,2) y(2,1)",
-                "b": "",
-                "twist": "none",
-                "g": "y(2,1)^-1 y(2,2) y(2,1)",
-            },
-            {
-                "level": 3,
-                "a": "y(3,3)",
-                "b": "y(2,1)^-1 y(2,2) y(2,1)",
-                "twist": "partial-inner",
-                "g": "y(3,3)^-1 y(3,2)^-1 y(3,3)^-1 y(3,2)",
-            },
-        ],
-    ),
-    4: (
-        "y(3,2)^-1 y(2,1)^-1",
-        "y(4,1)^-1 y(4,2)^-1 y(4,1) y(4,2)^-1 y(4,1)^-1 y(4,1)^-1 y(4,2) y(4,1) y(4,2)^-1"
-        " y(4,1) y(4,2) y(4,2) y(3,2)^-1 y(3,2)^-1 y(3,1)^-1 y(3,2) y(3,1) y(2,1)^-1",
-        [
-            {"level": 2, "a": "y(2,1)^-1", "b": "", "twist": "none", "g": "y(2,1)^-1"},
-            {
-                "level": 3,
-                "a": "y(3,1)^-1 y(3,2)^-1 y(3,1)",
-                "b": "y(2,1)^-1",
-                "twist": "partial-inner",
-                "g": "y(3,2)^-1 y(3,1)",
-            },
-            {
-                "level": 4,
-                "a": "",
-                "b": "y(3,2)^-1 y(3,2)^-1 y(3,1)^-1 y(3,2) y(3,1) y(2,1)^-1",
-                "twist": "partial-inner",
-                "g": "y(4,1)^-1 y(4,2)^-1 y(4,1) y(4,2)",
-            },
-        ],
-    ),
-}
-
-
-@pytest.mark.parametrize("n", sorted(LADDER_CASES))
-def test_ladder_levels_are_pinned(n):
-    x_word, y_word, levels = LADDER_CASES[n]
-    x, y = collect(n, parse_word(x_word)), collect(n, parse_word(y_word))
-    witness, trace = conj_mod._ladder(x, y, SearchBudget(max_len=10))
-    assert [t.as_dict() for t in trace] == levels
-    assert conj_elem(witness, x) == y
-
-
 def no_plateau(monkeypatch):
-    """Leave the plateau stage out of conjugacy, so a pair it decides reaches the full walk and the ladder."""
+    """Leave the plateau stage out of conjugacy, so a pair it decides reaches the full walk."""
     monkeypatch.setattr(conj_mod, "_plateau_walk", lambda x, y: iter([None] * len(conj_mod.PLATEAU_SLACKS)))
-
-
-@pytest.mark.parametrize("seed", [9081, 9170, 9179])
-def test_ladder_decides_what_the_walk_misses(monkeypatch, seed):
-    # x against a conjugate by up to 18 generators: the default budget's walk
-    # (radius 8) misses the conjugator, and the ladder, run last, finds one.
-    # The plateau decides each of them first, so it is left out here.
-    no_plateau(monkeypatch)
-    rng = Lcg(seed)
-    x = random_ielem(rng, 3, 8)
-    y = conj_elem(collect(3, random_gen_tokens(rng, 3, 18)), x)
-    res = conjugacy(x, y)
-    assert res.method == "ladder"
-    assert [t.level for t in res.levels] == [2, 3]
-    assert conj_elem(res.witness, x) == y
-
-
-@pytest.mark.parametrize("rank", [2, 3, 4])
-def test_all_words_lists_the_reduced_words_by_length(rank):
-    letters = [(i, e) for i in range(1, rank + 1) for e in (1, -1)]
-    brute = [
-        encode(t)
-        for length in range(5)
-        for t in itertools.product(letters, repeat=length)
-        if all(p != (q[0], -q[1]) for p, q in zip(t, t[1:]))
-    ]
-    assert [g.letters for g in conj_mod._all_words(rank, 4)] == brute
-
-
-def test_h3_pair_exhausts_the_ladder_over_all_words(monkeypatch):
-    # x in H_3 against its conjugate by 18 generator letters, drawn from Lcg(39)
-    # as bench/workloads.py draws them: level 2 reads 1 = 1, so the ladder
-    # tries all words there and runs out of nodes before any decides.  The
-    # plateau decides the pair first, so it is left out here.
-    no_plateau(monkeypatch)
-    rng = Lcg(39)
-    x = collect(3, [t for t in random_gen_tokens(rng, 3, 12) if t.a == 3])
-    gens = generators(3)
-    g = collect(3, [Token("y", *gens[rng.below(len(gens))], rng.sign()) for _ in range(18)])
-    y = conj_elem(g, x)
-    assert x.part(2).is_identity and y.part(2).is_identity
-    all_words, calls = conj_mod._all_words, []
-
-    def spy(rank, max_len):
-        calls.append((rank, max_len))
-        return all_words(rank, max_len)
-
-    monkeypatch.setattr(conj_mod, "_all_words", spy)
-    assert conjugacy(x, y).as_dict() == {"verdict": "unknown", "bounds": SearchBudget().as_dict()}
-    assert calls == [(2, 16)]
-    with pytest.raises(conj_mod._Exhausted) as exc:
-        conj_mod._ladder(x, y, SearchBudget())
-    assert exc.traceback[-1].name == "spend"  # the node cap, not an exhausted search
 
 
 def run_optimized(code, cwd):
@@ -481,23 +287,19 @@ sys.exit(f"returned {res.verdict} with an unchecked witness")
 def _exit_cases():
     """(x, y, budget) for a pair decided at each conjugate exit after equality.
 
-    Cases 0, 1 and 3 of _pinned_stream's n = 3 draws, and the first pair of
-    test_ladder_decides_what_the_walk_misses.  The plateau decides cases 1
-    and 3 and the ladder's pair; with the plateau left out, the full walk
-    on the original pair decides case 3 and the ladder the last pair.
+    Cases 0, 1 and 3 of _pinned_stream's n = 3 draws.  The plateau decides
+    cases 1 and 3; with the plateau left out, the full walk on the original
+    pair decides case 3.
     """
     rng = Lcg(16)
     planted = [planted_conjugacy_case(rng, 3, 7) for _ in range(4)]
-    rng = Lcg(9081)
-    x = random_ielem(rng, 3, 8)
-    ladder = (x, conj_elem(collect(3, random_gen_tokens(rng, 3, 18)), x), None)
-    return {"descent": planted[0], "plateau": planted[1], "full walk": planted[3], "ladder": ladder}
+    return {"descent": planted[0], "plateau": planted[1], "full walk": planted[3]}
 
 
-@pytest.mark.parametrize("exit", ["descent", "plateau", "full walk", "ladder"])
+@pytest.mark.parametrize("exit", ["descent", "plateau", "full walk"])
 def test_every_conjugate_exit_checks_its_witness(monkeypatch, exit):
     x, y, budget = _exit_cases()[exit]
-    if exit in ("full walk", "ladder"):
+    if exit == "full walk":
         no_plateau(monkeypatch)
     res = conjugacy(x, y, budget)
     assert {"generator-walk": "full walk"}.get(res.method, res.method) == exit
@@ -819,6 +621,8 @@ class TestFiniteQuotient:
         res = conjugacy(x, y)
         assert res.verdict == "unknown"
         assert res.bounds == SearchBudget().as_dict()
+        # the full walk's radius and state cap, and no bound that no stage reads
+        assert res.as_dict() == {"verdict": "unknown", "bounds": {"gen_radius": 8, "max_states": 60000}}
 
 
 def test_quotient_refutation_runs_under_optimize(tmp_path):
@@ -839,7 +643,8 @@ print(conjugacy(x, y).reason)
 
 
 class TestSearchBudget:
-    @pytest.mark.parametrize("field", list(SearchBudget().as_dict()))
+    # max_len and coset bound nothing and are no fields, but are checked alike
+    @pytest.mark.parametrize("field", ["max_len", "coset", *SearchBudget().as_dict()])
     @pytest.mark.parametrize("value", [0, -1, 2.5, True, "3"])
     def test_rejects_a_field_that_is_not_a_positive_int(self, field, value):
         with pytest.raises(ConjError, match=field):
@@ -848,6 +653,11 @@ class TestSearchBudget:
     def test_accepts_one(self):
         ones = {field: 1 for field in SearchBudget().as_dict()}
         assert SearchBudget(**ones).as_dict() == ones
+
+    def test_drops_the_arguments_that_bound_nothing(self):
+        budget = SearchBudget(gen_radius=3, max_states=400_000, max_len=10, coset=8)
+        assert budget == SearchBudget(gen_radius=3, max_states=400_000)
+        assert budget.as_dict() == {"gen_radius": 3, "max_states": 400_000}
 
 
 # ---------------------------------------------------------------------------
@@ -900,68 +710,6 @@ def _reference_orbit_walk(x, y, radius, max_states, sizes=None):
     return None
 
 
-def _reference_twisted_walk(a, z, twist, max_len, max_states, limit):
-    """The twisted walk on FreeWord states with eagerly multiplied g-words.
-
-    twist is an EndoF, applied with endos.apply.
-    """
-    rank = a.rank
-    letters = [gen(rank, i, s) for i in range(1, rank + 1) for s in (1, -1)]
-    twisted_inv = {s.letters: endo_apply(twist, invert(s)) for s in letters}
-    fwd, bwd = {a.letters: empty(rank)}, {z.letters: empty(rank)}
-    fwd_frontier, bwd_frontier = [a], [z]
-    found, seen = [], set()
-
-    def meet(g, u):
-        cand = multiply(invert(u), g)
-        if (
-            cand.letters not in seen
-            and multiply(multiply(cand, a), endo_apply(twist, invert(cand))) == z
-        ):
-            seen.add(cand.letters)
-            found.append(cand)
-
-    if a == z:
-        meet(empty(rank), empty(rank))
-    depth = 0
-    while (
-        fwd_frontier
-        and bwd_frontier
-        and depth < max_len
-        and len(fwd) + len(bwd) < max_states
-        and len(found) < limit
-    ):
-        depth += 1
-        fwd_side = len(fwd_frontier) <= len(bwd_frontier)
-        frontier = fwd_frontier if fwd_side else bwd_frontier
-        table, other = (fwd, bwd) if fwd_side else (bwd, fwd)
-        new_frontier = []
-        for state in frontier:
-            gword = table[state.letters]
-            for s in letters:
-                nstate = multiply(multiply(s, state), twisted_inv[s.letters])
-                if nstate.letters in table:
-                    continue
-                ng = multiply(s, gword)
-                table[nstate.letters] = ng
-                new_frontier.append(nstate)
-                hit = other.get(nstate.letters)
-                if hit is not None:
-                    if fwd_side:
-                        meet(ng, hit)
-                    else:
-                        meet(hit, ng)
-                if len(found) >= limit:
-                    break
-            if len(found) >= limit:
-                break
-        if fwd_side:
-            fwd_frontier = new_frontier
-        else:
-            bwd_frontier = new_frontier
-    return found
-
-
 def _walk_pairs():
     """Planted pairs at n = 3, 4 and x against x [a, b] at n = 3."""
     rng = Lcg(4242)
@@ -992,28 +740,6 @@ class TestWalksAgainstReference:
                 found += got is not None
         assert found  # the comparison covers meets, not only exhausted walks
 
-    def test_twisted_walk(self):
-        rng = Lcg(777)
-        cases = []
-        for n in (3, 4):
-            for _ in range(5):
-                b = lower_part(random_ielem(rng, n, 6), n)
-                # the reference's own EndoF of b's action on level n
-                twist = automorphism(images_of(b, n), images_of(iinv(b), n))
-                a = random_ielem(rng, n, 5).part(n)
-                g = random_ielem(rng, n, 3).part(n)
-                cases.append((a, multiply(multiply(g, a), endo_apply(twist, invert(g))), b, twist))
-                cases.append((a, random_ielem(rng, n, 5).part(n), b, twist))
-        solved = 0
-        for a, z, b, twist in cases:
-            for states in (10, 40, 120, 400):
-                for limit in (1, 3):
-                    got = conj_mod._twisted_bidirectional(a, z, b, 6, states, limit)
-                    assert got == _reference_twisted_walk(a, z, twist, 6, states, limit)
-                    solved += bool(got)
-        assert solved
-
-
 class TestWalkPruning:
     def test_dropped_steps_commute(self):
         # after move a the orbit walk drops a's inverse and exactly the
@@ -1040,18 +766,6 @@ class TestWalkPruning:
                     else:
                         assert not (k < a and commute), (n, a, k)
             assert dropped or n == 2, n  # y(2,1) and y(2,2) do not commute
-
-    def test_one_level_walk_drops_only_the_inverse(self):
-        # the ladder's walk steps with the top-level generators alone, no two
-        # of which commute
-        for n in (3, 4, 5):
-            moves = conj_mod._walk_steps(n)[-1][1][-2 * n :]
-            after = conj_mod._walk_steps(n, n)
-            assert after[-1] == (tuple(range(2 * n)), tuple(moves))
-            for a in range(2 * n):
-                ks, steps = after[a]
-                assert ks == tuple(k for k in range(2 * n) if k != a ^ 1)
-                assert steps == tuple(moves[k] for k in ks)
 
     def test_pruned_walk_yields_the_same_meets(self):
         # every meet, in order, of the pruned orbit walk and of one that

@@ -27,7 +27,6 @@ from pik.igroup import (
     identity_elem,
     iinv,
     imul,
-    lower_part,
     rank_of_abelianization,
     relation_instances,
     to_endo,
@@ -313,12 +312,6 @@ class TestGroupLaws:
             v = conj_elem(s, u)
             assert tuple(conj_state.split(igroup._SEP)) == v.parts, (m, i, eps)
             assert conj_by_gen(n, m, i, eps, u) == v
-
-    def test_lower_part(self):
-        e = imul(gen_elem(4, 4, 2), imul(gen_elem(4, 3, 1), gen_elem(4, 2, 2)))
-        low = lower_part(e, 4)
-        assert low.n == 3
-        assert low.part(3) == e.part(3) and low.part(2) == e.part(2)
 
 
 def identity_endo(n):
@@ -657,7 +650,7 @@ class TestNormalFormUniqueness:
         rng = Lcg(55)
         for _ in range(30):
             u = random_ielem(rng, 4, 6)
-            low = lower_part(u, 4)  # element of the bottom two levels
+            low = IElem(3, u.parts[1:])  # element of the bottom two levels
             w4 = random_ielem(rng, 4, 5).part(4)
             embedded_low = IElem(4, ("",) + low.parts)
             h = IElem(4, (w4.letters, "", ""))

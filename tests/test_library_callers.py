@@ -40,6 +40,7 @@ PIK = ROOT / "src" / "pik"
 ALLOWED = {
     ("ajohnson", "inner_degree_check"): "used by an acceptance test",
     ("endos", "automorphism"): "bench/tracer.py LAYERS wraps it by name",
+    ("igroup", "act_elem"): "bench/tracer.py LAYERS wraps it by name",
     ("magnus", "johnson_image"): (
         "bench/tracer.py LAYERS wraps it by name; the group-side oracle in tests uses it"
     ),

@@ -9,7 +9,6 @@ from pik.words import (
     WordError,
     commutator,
     conjugate,
-    centralizer_root,
     cyclic_reduce,
     decode,
     empty,
@@ -18,12 +17,9 @@ from pik.words import (
     free_conjugate,
     gen,
     invert,
-    is_cyclically_reduced,
     multiply,
     parse_word,
     parse_x_word,
-    power,
-    primitive_root,
     reduce_letters,
     word,
 )
@@ -31,6 +27,12 @@ from pik.words import (
 
 def w(s, rank=3):
     return parse_x_word(s, rank)
+
+
+def is_cyclically_reduced(a):
+    """The first letter of a does not cancel against its last one."""
+    letters = decode(a.letters)
+    return not letters or letters[0] != (letters[-1][0], -letters[-1][1])
 
 
 words_st = st.builds(
@@ -208,20 +210,6 @@ class TestFreeConjugate:
             assert (got is not None) == brute(a, b)
             if got is not None:
                 assert conjugate(got, a) == b
-
-
-class TestRoots:
-    def test_primitive_root(self):
-        sq = multiply(w("x1 x2", 2), w("x1 x2", 2))
-        assert primitive_root(sq) == w("x1 x2", 2)
-
-    def test_centralizer_root_conjugated(self):
-        a = conjugate(w("x2", 2), power(w("x1", 2), 3))
-        root = centralizer_root(a)
-        assert conjugate(root, a) == a
-
-    def test_identity_has_no_root(self):
-        assert centralizer_root(empty(2)) is None
 
 
 class TestProperties:
