@@ -13,8 +13,10 @@ calls by name, in the order it runs them, and the plateau and the full walk
 also count the states they expand:
 
     descent     _greedy_descent, on both sides of a pair
-    tables      _pieces(k, n) before each finite quotient, which builds
-                S_k's tables on its first call in a process
+    tables      _pieces(k, n) and _chunks(k, n) before each finite
+                quotient, which build S_k's pieces and the generators'
+                permutations of their points on the first call per k and n
+                in a process (a tree without _chunks times _pieces alone)
     S_3         _quotient_refutation with k = 3
     plateau     each slack of _plateau_walk, between the descended sides;
                 slack 0 runs before S_4 and the larger slacks after it
@@ -23,7 +25,7 @@ also count the states they expand:
 
 The tables stage leaves only the quotients' own work in S_3 and S_4, so
 their times compare across trees whatever the builds cost; after the first
-call per k and n it reads a cache.  A tree whose ``_plateau_walk`` returns
+call per k and n it reads the caches.  A tree whose ``_plateau_walk`` returns
 its path at once, not slack by slack, is timed as one call.  "other" is
 equality, the abelianization, the level-2 core and
 ``_conjugate``: each witness is collected from its step path and
@@ -99,11 +101,18 @@ def plateau_slacks(x, y, walk=conj._plateau_walk, advance=timed(next, lambda sla
         yield advance(slacks)
 
 
+def tables(k, n, chunks=getattr(conj, "_chunks", None)):
+    # S_k's pieces, and the generators' permutations in a tree that builds them
+    conj._pieces(k, n)
+    if chunks is not None:
+        chunks(k, n)
+
+
 def quotient(
     x,
     y,
     k,
-    build=timed(conj._pieces, lambda k, n: "tables"),
+    build=timed(tables, lambda k, n: "tables"),
     refute=timed(conj._quotient_refutation, lambda x, y, k: f"S_{k}"),
 ):
     # S_k's tables timed apart from the quotient that uses them

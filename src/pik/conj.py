@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter, deque
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -77,29 +78,34 @@ PLATEAU_STATES = 2_000
 # piece of S_3 for n <= 5, and the 107 smallest of S_4's 125 at n = 3.
 MAX_QUOTIENT_POINTS = 8_000
 
+# The chosen pieces are compared in prefix chunks of whole pieces, each of at
+# most this many points unless it is one piece, so a pair that the small
+# pieces tell apart pays for none of the large ones.
+CHUNK_POINTS = 2_048
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class SearchBudget:
     """The caps that callers set for the incomplete part of the search.
 
     gen_radius and max_states bound the generator-metric conjugation walk.
     An unknown reports both, and `pik conj decide` takes each as a flag.
     max_len and coset bound nothing: they are keyword arguments, checked
-    like the fields and then dropped, kept only for callers that still pass
-    them.  They go once the benchmark's workloads stop passing them
-    (ROADMAP direction 13).
+    like the fields and then dropped, so no budget has them as attributes;
+    they are kept only for callers that still pass them.  They go once the
+    benchmark's workloads stop passing them (ROADMAP direction 13).
     """
 
-    gen_radius: int = 8
-    max_states: int = 60_000
-    _: KW_ONLY
-    max_len: InitVar[int] = 16
-    coset: InitVar[int] = 8
+    gen_radius: int
+    max_states: int
 
-    def __post_init__(self, max_len: int, coset: int) -> None:
-        for name, value in {**self.as_dict(), "max_len": max_len, "coset": coset}.items():
+    def __init__(self, gen_radius: int = 8, max_states: int = 60_000, *, max_len: int = 16, coset: int = 8) -> None:
+        bounds = {"gen_radius": gen_radius, "max_states": max_states}
+        for name, value in {**bounds, "max_len": max_len, "coset": coset}.items():
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConjError(f"budget {name} must be a positive integer, got {value!r}")
+        for name, value in bounds.items():
+            object.__setattr__(self, name, value)
 
     def as_dict(self) -> dict:
         return {"gen_radius": self.gen_radius, "max_states": self.max_states}
@@ -417,15 +423,14 @@ def _classes(k: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarra
 
 
 @functools.cache
-def _group_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S_k's tables on element numbers, flat over pairs a * q + b, q = |S_k|.
+def _conj_table(k: int) -> np.ndarray:
+    """S_k's conjugation table on element numbers, flat over pairs a * q + b, q = |S_k|.
 
-    times[a * q + b] = (a b) q, the product already scaled to index the next
-    lookup; inv[a] = a^-1; conj_pos[a * q + b] is the position of a b a^-1 in
-    its class.  Products are composed as one array and numbered through
-    each permutation's digits in base k, which increase in
-    `symmetric_group` order.  The cached arrays are read-only, as every
-    caller shares them.
+    conj_table[a * q + b] is the position of a b a^-1 in its class, so
+    conj_table[b] is b's own.  Products are composed as one array and
+    numbered through each permutation's digits in base k, which increase in
+    `symmetric_group` order.  The cached array is read-only, as every caller
+    shares it.
     """
     elems = np.array(symmetric_group(k))
     q, digits = len(elems), k ** np.arange(k - 1, -1, -1)
@@ -434,30 +439,26 @@ def _group_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mul = index[elems[:, elems] @ digits].ravel()  # elems[a, elems[b]] is a b
     inv = index[np.argsort(elems, axis=1) @ digits]
     a = np.repeat(np.arange(q), q)
-    conj_pos = _classes(k)[4][mul[mul * q + inv[a]]]
-    times = mul * q
-    for table in (times, inv, conj_pos):
-        table.flags.writeable = False
-    return times, inv, conj_pos
+    table = _classes(k)[4][mul[mul * q + inv[a]]]
+    table.flags.writeable = False
+    return table
 
 
 class _Pieces(NamedTuple):
     """The chosen pieces of Hom(F_n, S_k), their N points laid end to end.
 
-    classes[c, j] is the class of rho(x_{j+1}) on piece c, and piece[p] the
-    piece of point p.  homs[j, p] is rho(x_{j+1}) at p and homs_inv[j, p] its
-    inverse.  The point of a piece whose x_{j+1} goes to the element at
-    position pos_j of its class is base + sum_j pos_j * weight[j], base being
-    the piece's first point; base and weight are given per point.
+    classes[c, j] is the class of rho(x_{j+1}) on piece c, first[c] its
+    first point, and piece[p] the piece of point p.  homs[j, p] is
+    rho(x_{j+1}) at p.  The point of piece c whose x_{j+1} goes to the
+    element at position pos_j of its class is first[c] + sum_j pos_j *
+    weight[j], weight being given per point.
     """
 
     classes: np.ndarray
+    first: np.ndarray
     piece: np.ndarray
     homs: np.ndarray
-    homs_inv: np.ndarray
-    base: np.ndarray
     weight: np.ndarray
-    longest: int
 
 
 @functools.cache
@@ -471,8 +472,8 @@ def _pieces(k: int, n: int) -> _Pieces:
     are listed.  A point's position in its piece is a mixed-radix number
     whose first digit is x_1's; the homs are read off it one rank
     coordinate at a time, by divmod along contiguous rows, so each row of
-    homs, homs_inv and weight is contiguous for quotient_permutation.  The
-    cached arrays are read-only.
+    homs and weight is contiguous for _chunks.  The cached arrays are
+    read-only.
     """
     cap = MAX_QUOTIENT_POINTS
     _, members, start, sizes, _ = _classes(k)
@@ -501,43 +502,100 @@ def _pieces(k: int, n: int) -> _Pieces:
     classes, size = tuples[order], size[order]
     piece = np.repeat(np.arange(len(size)), size)
     radix = sizes[classes]
-    base = np.repeat(np.cumsum(size) - size, size)
+    first = np.cumsum(size) - size
+    base = np.repeat(first, size)
     weight = np.repeat((np.cumprod(radix, axis=1) // radix).T, size, axis=1)
     homs = np.repeat(start[classes].T, size, axis=1)  # each point's class starts, then its homs
     offset = np.arange(len(piece)) - base
-    # The radix rows come as one (n, N) temporary: glibc serves it by mmap
-    # and, on freeing it, raises its trim threshold, so later quotients do
-    # not page-fault their temporaries afresh (docs/NOTES.md).
     for j, column in enumerate(np.repeat(radix.T, size, axis=1)):
         offset, position = np.divmod(offset, column)
         homs[j] = members[homs[j] + position]
-    homs_inv = _group_tables(k)[1][homs]
-    for a in (classes, piece, homs, homs_inv, base, weight):
+    for a in (classes, first, piece, homs, weight):
         a.flags.writeable = False
-    return _Pieces(classes, piece, homs, homs_inv, base, weight, int(size.max()))
+    return _Pieces(classes, first, piece, homs, weight)
 
 
-def quotient_permutation(a: IElem, k: int) -> np.ndarray:
-    """The permutation rho -> rho o to_endo(a) of the chosen pieces of Hom(F_n, S_k), on their points.
+class _Chunk(NamedTuple):
+    """A run of whole chosen pieces, and each generator's permutation of its points.
 
-    Evaluated from the parts, as igroup._images builds the images: x_j goes to
-    P_j x_j P_j^-1 with P_j = V_n ... V_max(j,2), V_m being w_m with every
-    sign flipped.  So each point costs sum |w_m| table lookups, not the
-    length of the images.  rho o to_endo(a) lies on rho's piece, where its
-    point is read off each image's position in its class.
+    perms[r] is the permutation rho -> rho o to_endo(y(m, i)^eps) for step r
+    of the step table (`_walk_steps`), on the chunk's points numbered from 0;
+    piece[p] is the piece of the chunk's point p, and longest the size of
+    its largest piece.
     """
-    n = a.n
-    times, _, conj_pos = _group_tables(k)
+
+    perms: tuple[np.ndarray, ...]
+    piece: np.ndarray
+    longest: int
+
+
+@functools.cache
+def _chunks(k: int, n: int) -> tuple[_Chunk, ...]:
+    """The chosen pieces of S_k at rank n (`_pieces`) in prefix chunks, with the generators' permutations.
+
+    The chunks tile the points in order, each starting at a piece's first
+    point: a chunk of more than CHUNK_POINTS points is cut at the piece start
+    nearest its middle, until none is or no piece start lies inside.  Every
+    piece is closed under every permutation, so each chunk is.
+
+    to_endo of y(m, i)^-1 sends x_j to x_i x_j x_i^-1 for j <= m and fixes
+    x_j above m, so its permutation moves a point by the sum over the rows
+    j <= m, j != i, of the shift of rho(x_j)'s position in its class under
+    conjugation by rho(x_i), times the row's weight.  Each row's term is one
+    table lookup per point, and the generators y(m, i) of one i share these
+    sums, which grow one row at a time as m does, so every temporary is a
+    row.  y(m, i)'s permutation is the inverse, one scatter.  Step r of the
+    step table is y(m, i)^eps with r = m (m - 1) - 4 + 2 i + (eps < 0).  The
+    cached arrays are read-only.
+    """
     pieces = _pieces(k, n)
-    homs, homs_inv = pieces.homs, pieces.homs_inv
-    p = 0  # rho(P_j) |S_k|; the identity, element 0, while P_j is empty
-    point = pieces.base.copy()
-    for j in range(n, 0, -1):
-        if j >= 2:  # P_1 = P_2
-            for i, s in decode(a.parts[n - j]):
-                p = times[p + (homs_inv[i - 1] if s > 0 else homs[i - 1])]  # times the letter (i, -s) of V_j
-        point += conj_pos[p + homs[j - 1]] * pieces.weight[j - 1]
-    return point
+    table, q = _conj_table(k), math.factorial(k)
+    shift = table - np.tile(table[:q], q)  # position of a b a^-1 less that of b
+    homs, weight = pieces.homs, pieces.weight
+    firsts = pieces.first.tolist()
+    cuts, c = [0, len(pieces.piece)], 0
+    while c + 1 < len(cuts):
+        lo, hi = cuts[c], cuts[c + 1]
+        inside = [p for p in firsts if lo < p < hi]
+        if hi - lo > CHUNK_POINTS and inside:
+            cuts.insert(c + 1, min(inside, key=lambda p: abs(2 * p - lo - hi)))
+        else:
+            c += 1
+    points = np.arange(len(pieces.piece))
+    start = np.repeat(cuts[:-1], np.diff(cuts))  # each point's chunk's first point
+    local = points - start
+    perms = np.empty((n * (n + 1) - 2, len(points)), np.int64)
+    for i in range(1, n + 1):
+        by = homs[i - 1] * q  # conjugation by rho(x_i)
+        image = points.copy()
+        for m in range(1, n + 1):
+            if m != i:
+                image += shift[by + homs[m - 1]] * weight[m - 1]
+            if m >= max(i, 2):
+                r = m * (m - 1) - 4 + 2 * i  # y(m, i)'s step; its inverse is step r + 1
+                np.subtract(image, start, out=perms[r + 1])
+                perms[r][image] = local
+    perms.flags.writeable = False
+    return tuple(
+        _Chunk(tuple(perms[:, lo:hi]), pieces.piece[lo:hi], hi - firsts[pieces.piece[hi - 1]])
+        for lo, hi in itertools.pairwise(cuts)
+    )
+
+
+def _chunk_permutations(a: IElem, k: int) -> Iterator[tuple[_Chunk, np.ndarray]]:
+    """Each chunk (`_chunks`) and the permutation rho -> rho o to_endo(a) of its points, chunk by chunk.
+
+    a is the product of its normal form's letters, level n first, and
+    rho o to_endo(u v) = (rho o to_endo(u)) o to_endo(v), so a's permutation
+    applies its letters' permutations in that order: one gather per letter
+    (docs/NOTES.md).  A chunk is evaluated only when the caller asks for it.
+    """
+    steps = [m * (m - 1) - 4 + 2 * i + (s < 0) for m, part in zip(range(a.n, 1, -1), a.parts) for i, s in decode(part)]
+    for chunk in _chunks(k, a.n):
+        perm = np.arange(len(chunk.piece))
+        for r in steps:
+            perm = chunk.perms[r][perm]
+        yield chunk, perm
 
 
 def _cycle_keys(perm: np.ndarray, key: np.ndarray, longest: int) -> np.ndarray:
@@ -567,24 +625,27 @@ def _cycle_keys(perm: np.ndarray, key: np.ndarray, longest: int) -> np.ndarray:
 def _quotient_refutation(x: IElem, y: IElem, k: int) -> Optional[ConjResult]:
     """not_conjugate when x and y permute a chosen piece of Hom(F_n, S_k) with different cycle types.
 
-    The reason names the first such piece by its classes.  None when every
-    chosen piece (`_pieces`) agrees.
+    The chunks are compared in order, and the first whose cycle keys differ
+    ends the stage; the reason names the first piece there whose types
+    differ, by its classes, which is the first such piece of all.  None when
+    every chosen piece (`_pieces`) agrees.
     """
-    pieces = _pieces(k, x.n)
-    cx, cy = (_cycle_keys(quotient_permutation(u, k), pieces.piece, pieces.longest) for u in (x, y))
-    if np.array_equal(cx, cy):
-        return None
-    # Where the sorted keys first part, the smaller key's piece has types
-    # that differ, and every piece before it agrees.
-    head = min(len(cx), len(cy))
-    differ = np.flatnonzero(cx[:head] != cy[:head])
-    at = differ[0] if len(differ) else head
-    c = min(int(keys[at]) for keys in (cx, cy) if at < len(keys)) // (len(pieces.piece) + 1)
-    names = _classes(k)[0]
-    classes = ", ".join(names[t] for t in pieces.classes[c])
-    return ConjResult(
-        "not_conjugate", reason=f"finite-quotient (S_{k}) cycle type mismatch on the piece of classes ({classes})"
-    )
+    for (chunk, px), (_, py) in zip(_chunk_permutations(x, k), _chunk_permutations(y, k)):
+        cx, cy = (_cycle_keys(perm, chunk.piece, chunk.longest) for perm in (px, py))
+        if np.array_equal(cx, cy):
+            continue
+        # Where the sorted keys first part, the smaller key's piece has types
+        # that differ, and every piece before it agrees.
+        head = min(len(cx), len(cy))
+        differ = np.flatnonzero(cx[:head] != cy[:head])
+        at = differ[0] if len(differ) else head
+        c = min(int(keys[at]) for keys in (cx, cy) if at < len(keys)) // (len(chunk.piece) + 1)
+        names = _classes(k)[0]
+        classes = ", ".join(names[t] for t in _pieces(k, x.n).classes[c])
+        return ConjResult(
+            "not_conjugate", reason=f"finite-quotient (S_{k}) cycle type mismatch on the piece of classes ({classes})"
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,11 @@ from hypothesis import strategies as st
 
 import pik.conj as conj_mod
 from pik.conj import (
+    CHUNK_POINTS,
     MAX_QUOTIENT_POINTS,
     ConjError,
     SearchBudget,
     conjugacy,
-    quotient_permutation,
     symmetric_group,
 )
 from pik.fuzz import planted_conjugacy_case, random_ielem
@@ -421,13 +422,49 @@ def test_descent_by_level_batches_takes_the_steps_of_one_move_at_a_time(u):
     assert conj_mod._greedy_descent(u) == one_move_descent(u)
 
 
+def fold_permutation(a, k):
+    """The fold's permutation of all the chosen points: each chunk's, concatenated, from its first point on."""
+    perms, start = [], 0
+    for chunk, perm in conj_mod._chunk_permutations(a, k):
+        perms.append(perm + start)
+        start += len(chunk.piece)
+    return np.concatenate(perms)
+
+
+def longest_piece(k, n):
+    return int(np.bincount(conj_mod._pieces(k, n).piece).max())
+
+
+def table_permutation(a, k):
+    """The reference for the fold: rho -> rho o to_endo(a) evaluated on every point at once from the parts.
+
+    to_endo(a) sends x_j to P_j x_j P_j^-1 with P_j = V_n ... V_max(j,2), V_m
+    being w_m with every sign flipped, so rho(P_j) is a product of table
+    lookups per point, one per letter, and the image's point is read off the
+    position of rho(P_j) rho(x_j) rho(P_j)^-1 in its class, row by row.
+    """
+    n = a.n
+    times, inv, conj_pos = reference_group_tables(k)
+    pieces = conj_mod._pieces(k, n)
+    homs = pieces.homs
+    homs_inv = inv[homs]
+    p = 0  # rho(P_j) |S_k|; the identity, element 0, while P_j is empty
+    point = pieces.first[pieces.piece]  # each point's piece's first point
+    for j in range(n, 0, -1):
+        if j >= 2:  # P_1 = P_2
+            for i, s in decode(a.parts[n - j]):
+                p = times[p + (homs_inv[i - 1] if s > 0 else homs[i - 1])]  # times the letter (i, -s) of V_j
+        point += conj_pos[p + homs[j - 1]] * pieces.weight[j - 1]
+    return point
+
+
 def assert_matches_reference(a, k):
     pieces = conj_mod._pieces(k, a.n)
     elems = symmetric_group(k)
     points = [tuple(elems[e] for e in rho) for rho in pieces.homs.T.tolist()]
-    perm = quotient_permutation(a, k)
+    perm = fold_permutation(a, k)
     assert perm.tolist() == reference_permutation(a, points)
-    got = conj_mod._cycle_keys(perm, pieces.piece, pieces.longest)
+    got = conj_mod._cycle_keys(perm, pieces.piece, longest_piece(k, a.n))
     want = reference_cycles(perm.tolist(), pieces.piece.tolist())
     assert [divmod(int(v), len(perm) + 1) for v in got] == want
 
@@ -462,7 +499,7 @@ def test_cycle_keys_at_the_edges(lengths, longest):
 
 
 def reference_group_tables(k):
-    """_group_tables as a comprehension: each product a b composed as a tuple and looked up."""
+    """S_k's products (times |S_k|), inverses and conjugation table, each product a b composed as a tuple."""
     elems = symmetric_group(k)
     q, index = len(elems), {p: e for e, p in enumerate(elems)}
     mul = np.array([index[tuple(a[t] for t in b)] for a in elems for b in elems], np.int64)
@@ -479,8 +516,6 @@ def reference_pieces(k, n):
     they stay within the cap; a piece's points run over its classes' members
     with x_1's varying fastest.
     """
-    elems = symmetric_group(k)
-    index = {p: e for e, p in enumerate(elems)}
     _, members, start, sizes, _ = conj_mod._classes(k)
     sizes = sizes.tolist()
     of_class = [members[start[c] : start[c] + sizes[c]].tolist() for c in range(len(sizes))]
@@ -490,26 +525,24 @@ def reference_pieces(k, n):
             break
         chosen.append(c)
         total += math.prod(sizes[t] for t in c)
-    piece, homs, homs_inv, base, weight = [], [], [], [], []
+    first, piece, homs, weight = [], [], [], []
     for p, c in enumerate(chosen):
-        first = len(piece)
+        first.append(len(piece))
         for rho in itertools.product(*(of_class[t] for t in reversed(c))):
             rho = rho[::-1]
             piece.append(p)
             homs.append(rho)
-            homs_inv.append([index[tuple(sorted(range(k), key=elems[e].__getitem__))] for e in rho])
-            base.append(first)
             weight.append([math.prod(sizes[t] for t in c[:j]) for j in range(n)])
-    by_row = {name: list(map(list, zip(*rows))) for name, rows in (("homs", homs), ("homs_inv", homs_inv), ("weight", weight))}
-    return {"classes": [list(c) for c in chosen], "piece": piece, "base": base, **by_row}
+    by_row = {name: list(map(list, zip(*rows))) for name, rows in (("homs", homs), ("weight", weight))}
+    return {"classes": [list(c) for c in chosen], "first": first, "piece": piece, **by_row}
 
 
 class TestFiniteQuotient:
     @pytest.mark.parametrize("k", [3, 4])
     def test_group_tables_match_the_composed_tuples(self, k):
-        for got, want in zip(conj_mod._group_tables(k), reference_group_tables(k)):
-            assert got.dtype == want.dtype and got.tolist() == want.tolist()
-            assert not got.flags.writeable
+        got, want = conj_mod._conj_table(k), reference_group_tables(k)[2]
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert not got.flags.writeable
 
     @pytest.mark.parametrize("k, n", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4)])
     def test_pieces_match_the_product_of_classes(self, k, n):
@@ -518,7 +551,6 @@ class TestFiniteQuotient:
             got = getattr(pieces, name)
             assert got.dtype == np.int64 and got.tolist() == rows, name
             assert not got.flags.writeable, name
-        assert pieces.longest == max(np.bincount(pieces.piece))
 
     @settings(max_examples=30)
     @given(seeded_elems(st.integers(2, 4), 8))
@@ -531,6 +563,55 @@ class TestFiniteQuotient:
 
     def test_permutation_matches_the_images_on_s4_at_rank_4(self):
         assert_matches_reference(random_ielem(Lcg(4), 4, 8), 4)
+
+    @pytest.mark.parametrize("k, n", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (4, 5)])
+    def test_fold_matches_the_table_evaluation(self, k, n):
+        # The identity, every one-letter element and random words.
+        rng = Lcg(10 * k + n)
+        letters = [collect(n, [Token("y", m, i, eps)]) for m, i in generators(n) for eps in (1, -1)]
+        for a in [identity_elem(n), *letters, *(random_ielem(rng, n, 12) for _ in range(8))]:
+            assert fold_permutation(a, k).tolist() == table_permutation(a, k).tolist()
+
+    @pytest.mark.parametrize("k, n", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (4, 5)])
+    def test_chunk_layout(self, k, n):
+        # The chunks tile the points in order, each from a piece's first point
+        # and of whole pieces, each small unless it is one piece.
+        pieces, chunks = conj_mod._pieces(k, n), conj_mod._chunks(k, n)
+        sizes = [len(chunk.piece) for chunk in chunks]
+        starts = np.cumsum([0, *sizes[:-1]])
+        assert sum(sizes) == len(pieces.piece)
+        firsts = set(np.flatnonzero(np.diff(pieces.piece, prepend=-1)).tolist())
+        for chunk, start, size in zip(chunks, starts, sizes):
+            assert start in firsts and (start + size in firsts or start + size == len(pieces.piece))
+            assert chunk.piece.tolist() == pieces.piece[start : start + size].tolist()
+            assert chunk.longest == np.bincount(chunk.piece).max()
+            assert size <= CHUNK_POINTS or len(set(chunk.piece.tolist())) == 1
+            assert len(chunk.perms) == n * (n + 1) - 2
+            for perm in chunk.perms:
+                assert sorted(perm.tolist()) == list(range(size)) and not perm.flags.writeable
+        if k == 3 and n <= 4:
+            assert sizes == [len(pieces.piece)]
+        if k == 4 and n in (3, 4):
+            assert len(chunks) == 4
+
+    def test_a_refuting_piece_past_the_first_chunk(self):
+        # conj-hard's pair 20 (counted from 0) is refuted by S_4's piece 71,
+        # which starts at point 2,224, in the second chunk; the first chunk
+        # agrees, and the piece is the one that the keys over all the points name.
+        x, y, _ = _hard_stream()[20]
+        res = conjugacy(x, y)
+        assert res.reason == "finite-quotient (S_4) cycle type mismatch on the piece of classes ((12), (12), (12)(34))"
+        x_hat, y_hat = (conj_mod._greedy_descent(u)[0] for u in (x, y))
+        pieces, chunks = conj_mod._pieces(4, 3), conj_mod._chunks(4, 3)
+        assert np.flatnonzero(pieces.piece == 71)[0] == 2224 > len(chunks[0].piece)
+        assert conj_mod._quotient_refutation(x_hat, y_hat, 4).reason == res.reason
+        keys = [conj_mod._cycle_keys(fold_permutation(u, 4), pieces.piece, longest_piece(4, 3)) for u in (x_hat, y_hat)]
+        head = min(map(len, keys))
+        differ = np.flatnonzero(keys[0][:head] != keys[1][:head])[0]
+        assert min(int(key[differ]) for key in keys) // (len(pieces.piece) + 1) == 71
+        first = [next(conj_mod._chunk_permutations(u, 4))[1] for u in (x_hat, y_hat)]
+        keys = [conj_mod._cycle_keys(perm, chunks[0].piece, chunks[0].longest) for perm in first]
+        assert keys[0].tolist() == keys[1].tolist()
 
     @settings(max_examples=40)
     @given(st.sampled_from([3, 4, 5]), st.integers(0, 10**6))
@@ -548,9 +629,9 @@ class TestFiniteQuotient:
         refuted = 0
         for _ in range(40):
             x, y, _ = planted_conjugacy_case(rng, 3, 8)
-            perms = [quotient_permutation(u, 4) for u in (x, y)]
-            by_piece = [conj_mod._cycle_keys(perm, pieces.piece, pieces.longest) for perm in perms]
-            by_element = [conj_mod._cycle_keys(perm, pieces.homs[0], pieces.longest) for perm in perms]
+            perms = [fold_permutation(u, 4) for u in (x, y)]
+            by_piece = [conj_mod._cycle_keys(perm, pieces.piece, longest_piece(4, 3)) for perm in perms]
+            by_element = [conj_mod._cycle_keys(perm, pieces.homs[0], longest_piece(4, 3)) for perm in perms]
             assert by_piece[0].tolist() == by_piece[1].tolist()
             refuted += by_element[0].tolist() != by_element[1].tolist()
         assert refuted >= 20  # 29 of 40 on the pieces of S_4 at rank 3
@@ -581,7 +662,7 @@ class TestFiniteQuotient:
         for c, classes in enumerate(want):
             assert sorted(laid_out[c]) == sorted(brute_piece(k, [names[t] for t in classes]))
         assert len(pieces.piece) == total
-        assert pieces.longest == max(map(len, laid_out.values()))
+        assert longest_piece(k, n) == max(map(len, laid_out.values()))
 
     def test_point_cap(self):
         # S_3 takes every piece up to rank 5, so no refutation of the
@@ -606,8 +687,8 @@ class TestFiniteQuotient:
         assert res.reason == "finite-quotient (S_3) cycle type mismatch on the piece of classes ((), (123), (12))"
         pieces = conj_mod._pieces(3, 3)
         assert len(pieces.piece) == 6**3
-        perms = [quotient_permutation(u, 3) for u in (x, y)]
-        keys = [conj_mod._cycle_keys(perm, pieces.piece, pieces.longest) for perm in perms]
+        perms = [fold_permutation(u, 3) for u in (x, y)]
+        keys = [conj_mod._cycle_keys(perm, pieces.piece, longest_piece(3, 3)) for perm in perms]
         assert sorted(keys[0] % (len(pieces.piece) + 1)) == sorted(keys[1] % (len(pieces.piece) + 1))
         piece = ["()", "(123)", "(12)"]
         assert piece_cycle_type(x, 3, piece) != piece_cycle_type(y, 3, piece)
@@ -658,6 +739,14 @@ class TestSearchBudget:
         budget = SearchBudget(gen_radius=3, max_states=400_000, max_len=10, coset=8)
         assert budget == SearchBudget(gen_radius=3, max_states=400_000)
         assert budget.as_dict() == {"gen_radius": 3, "max_states": 400_000}
+
+    def test_the_dropped_arguments_are_no_attributes(self):
+        # Neither the budget nor its class can be read as having a max_len or
+        # a coset, whatever was passed, and replace keeps only the bounds.
+        budget = SearchBudget(max_len=10, coset=3)
+        for name in ("max_len", "coset"):
+            assert not hasattr(budget, name) and not hasattr(SearchBudget, name)
+        assert replace(budget, gen_radius=3) == SearchBudget(gen_radius=3)
 
 
 # ---------------------------------------------------------------------------
