@@ -8,31 +8,30 @@ planted pairs at rank 3 from ``Lcg(5)`` whose conjugators have exactly 14
 generator letters, run under the default budget, is a stream of
 ``timing.py``, run REPEAT times per tree.  conj-long-n3's conjugators lie
 beyond the full walk's radius, so it is the stream that times the plateau
-on long conjugators.  The stages are the functions ``pik.conj.conjugacy``
-calls by name, in the order it runs them, and the plateau and the full walk
-also count the states they expand:
+on long conjugators.  The stages are entries of ``pik.conj.STAGES``, which
+the child replaces in the table by timed wrappers, and the plateau and the
+full walk also count the states they expand:
 
-    descent     _greedy_descent, on both sides of a pair
-    tables      _pieces(k, n) and _chunks(k, n) before each finite
-                quotient, which build S_k's pieces and the generators'
-                permutations of their points on the first call per k and n
-                in a process (a tree without _chunks times _pieces alone)
-    S_3         _quotient_refutation with k = 3
-    plateau     each slack of _plateau_walk, between the descended sides;
-                slack 0 runs before S_4 and the larger slacks after it
-    S_4         _quotient_refutation with k = 4
-    full walk   _orbit_walk, on the original sides
+    descent     the descent entry: greedy descent on both sides of a pair,
+                and the witness when the descended sides match
+    tables      _chunks(k, n) before each S_k entry, which builds S_k's
+                pieces and the generators' permutations of their points on
+                the first call per k and n in a process
+    S_3         the S_3 entry, on the descended sides
+    plateau     the plateau-0 entry (slack 0, before S_4) and the plateau
+                entry (the larger slacks, after it), so at most two calls a
+                pair, with the witness when a slack meets
+    S_4         the S_4 entry
+    full walk   the full walk entry, on the original sides, with its witness
 
 The tables stage leaves only the quotients' own work in S_3 and S_4, so
-their times compare across trees whatever the builds cost; after the first
-call per k and n it reads the caches.  A tree whose ``_plateau_walk`` returns
-its path at once, not slack by slack, is timed as one call.  "other" is
-equality, the abelianization, the level-2 core and
-``_conjugate``: each witness is collected from its step path and
-re-multiplied there.  Counting states adds one Python call per expanded state to what
-the walks time.  The child also counts the ``unknown`` verdicts, and hashes
-the stream's ``ConjResult.as_dict()`` outputs.  ``outputs_agree`` in the
-BENCH file says, per stream, whether every record there has the same SHA-256.
+their times do not depend on which call builds the tables; after the first
+call per k and n it reads the caches.  "other" is the equality, abelianization
+and level-2 core entries and the loop over the table.  Counting states adds
+one Python call per expanded state to what the walks time.  The child also
+counts the ``unknown`` verdicts, and hashes the stream's
+``ConjResult.as_dict()`` outputs.  ``outputs_agree`` in the BENCH file says,
+per stream, whether every record there has the same SHA-256.
 """
 
 import sys
@@ -44,19 +43,13 @@ STAGES = ("descent", "tables", "S_3", "plateau", "S_4", "full walk")
 SECONDS = 15
 REPEAT = 7
 OUT = "BENCH_conj.json"
+BENCH_STAGE = {"plateau-0": "plateau"}  # the stage of each entry of conj.STAGES whose name is not its stage's
 
-HOOKS = """
-import inspect
-
+HOOKS = f"BENCH_STAGE = {BENCH_STAGE!r}\n" + """
 from pik import conj
 
 states.update({"plateau": 0, "full walk": 0})
 searching = [None]  # the stage that asks for expand next
-
-
-def enter(stage):
-    searching[0] = stage
-    return stage
 
 
 def counted_expand(n, orbit_expand=conj._orbit_expand):
@@ -94,39 +87,23 @@ def long_pairs_n3():
     return ops
 
 
-def plateau_slacks(x, y, walk=conj._plateau_walk, advance=timed(next, lambda slacks: enter("plateau"))):
-    # the plateau timed across its generator, one call per slack that conjugacy asks for
-    slacks = walk(x, y)
-    for _ in conj.PLATEAU_SLACKS:
-        yield advance(slacks)
+def timed_entry(name, run, tables=timed(conj._chunks, lambda k, n: "tables")):
+    # the table entry timed as its stage, after S_k's tables for a finite quotient; one of no stage as it is
+    stage = BENCH_STAGE.get(name, name)
+    if stage not in STAGES:
+        return run
+    run = timed(run, lambda call: stage)
+
+    def entry(call):
+        if name.startswith("S_"):
+            tables(int(name[2:]), call.x.n)
+        searching[0] = stage
+        return run(call)
+
+    return entry
 
 
-def tables(k, n, chunks=getattr(conj, "_chunks", None)):
-    # S_k's pieces, and the generators' permutations in a tree that builds them
-    conj._pieces(k, n)
-    if chunks is not None:
-        chunks(k, n)
-
-
-def quotient(
-    x,
-    y,
-    k,
-    build=timed(tables, lambda k, n: "tables"),
-    refute=timed(conj._quotient_refutation, lambda x, y, k: f"S_{k}"),
-):
-    # S_k's tables timed apart from the quotient that uses them
-    build(k, x.n)
-    return refute(x, y, k)
-
-
-conj._greedy_descent = timed(conj._greedy_descent, lambda u: "descent")
-conj._orbit_walk = timed(conj._orbit_walk, lambda *args: enter("full walk"))
-if inspect.isgeneratorfunction(conj._plateau_walk):
-    conj._plateau_walk = plateau_slacks
-else:
-    conj._plateau_walk = timed(conj._plateau_walk, lambda x, y: enter("plateau"))
-conj._quotient_refutation = quotient
+conj.STAGES = tuple((name, timed_entry(name, run)) for name, run in conj.STAGES)
 conj._orbit_expand = counted_expand
 if sys.argv[2] == "conj-hard-n4":
     ops = hard_pairs_n4(int(sys.argv[3]))

@@ -16,9 +16,12 @@ A stage-timing child (``run_stages``) runs one stream of ops, as
 ``bench/workloads.py`` builds them, with some of pik's functions wrapped
 from outside, and reports for each such stage the wall time summed over the
 stream and the number of calls; "other" is the rest of the stream's wall
-time.  It also reports its peak RSS (``ru_maxrss``) and a SHA-256 of the
-stream's outputs, and the script prints whether the trees' SHA-256s agree,
-so two trees can be seen to compute alike.  A tree's record of a stream is
+time.  It runs the stream after one collection with Python's cyclic
+garbage collector off, so that no collection pause of a millisecond or so
+lands in whichever stage the allocation count happens to reach.  It also
+reports its peak RSS (``ru_maxrss``) and a SHA-256 of the stream's
+outputs, and the script prints whether the trees' SHA-256s agree, so two
+trees can be seen to compute alike.  A tree's record of a stream is
 the median of its runs next to the raw wall times, and a failed run stops
 the script.  The wrappers add one Python call per timed call.
 """
@@ -57,7 +60,7 @@ def timed(fn, stage_of):
 """
 
 STAGE_HEAD = """
-import hashlib, json, resource, sys
+import gc, hashlib, json, resource, sys
 import pik
 sys.path.insert(0, sys.argv[1])
 import workloads
@@ -66,7 +69,9 @@ states = {}  # states expanded, for the stages that count them
 
 
 def report(ops, as_json, **counts):
-    # run the ops and print the child's report; each count maps the outputs to a number
+    # run the ops with the cyclic GC off and print the child's report; each count maps the outputs to a number
+    gc.collect()
+    gc.disable()
     start = time.perf_counter()
     outputs = [op.run() for op in ops]
     total = time.perf_counter() - start

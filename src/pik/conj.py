@@ -1,38 +1,18 @@
 """Conjugacy decision for the partial inner automorphism group.
 
-The normal form peels conjugation level by level: the bottom level is
-ordinary conjugacy in a rank-2 free group, and each higher level is a
-twisted conjugacy equation g * a * (b . g^-1) = z in a free factor, the twist
-being the action of y's part b below that level, which the already-matched
-lower levels of the conjugate equal.
-
-Verdicts are sound by construction:
+`conjugacy` returns the first verdict of the stages of `STAGES`, whose order
+the comment above it explains.  Verdicts are sound by construction:
 
 * ``conjugate`` always ships a witness that has been re-multiplied and
   checked;
-* ``not_conjugate`` only cites invariants that are independent of all search
-  choices: the abelianization (conjugation acts trivially on it), the
-  forced bottom-level free conjugacy, or the cycle type of the permutation
-  an element induces on a piece {rho : rho(x_j) in C_j for every j} of
-  Hom(F_n, Q), for Q = S_3 or S_4 and classes C_j of Q;
-* everything else is ``unknown`` together with the search budget, every
-  bound of which `pik conj decide` takes as a flag.  The full
-  twisted-conjugacy decision procedure from the literature is out of scope;
-  bounded verified search replaces it and never fakes a "no".
-
-Search is layered by cost: greedy descent, then on the descended
-representatives the finite quotient S_3, descent over plateaus at slack 0,
-the finite quotient S_4 and the plateau's larger slacks, and last a
-bidirectional conjugation walk on the original pair in the generator
-metric at the budgeted radius.  The plateau stage walks both sides in
-lockstep through states no more than a small slack longer than the least
-length found, and joins them at the first state that both have reached;
-its slacks and cap are module constants.  Slack 0 joins most conjugate
-pairs in a few expansions, so S_4, which can never decide a conjugate pair,
-runs only on the pairs it leaves open.  For planted instances the walk is
-complete once its radius covers the generator length of the planted
-conjugator, while max_states does not bind, which is how the acceptance
-fuzz seeds its budgets.
+* ``not_conjugate`` only cites invariants that no conjugation changes: the
+  abelianization, the forced bottom-level free conjugacy, or the cycle type
+  of the permutation an element induces on a piece {rho : rho(x_j) in C_j
+  for every j} of Hom(F_n, Q), for Q = S_3 or S_4 and classes C_j of Q;
+* everything else is ``unknown`` with the search budget, every bound of
+  which `pik conj decide` takes as a flag.  The full twisted-conjugacy
+  decision procedure from the literature is out of scope: bounded verified
+  search replaces it and never fakes a "no".
 """
 
 from __future__ import annotations
@@ -653,76 +633,96 @@ def _quotient_refutation(x: IElem, y: IElem, k: int) -> Optional[ConjResult]:
 # ---------------------------------------------------------------------------
 
 
-def _conjugate(x: IElem, y: IElem, witness: IElem, method: str) -> ConjResult:
-    """The conjugate verdict, once the witness is re-multiplied; explicit so it survives ``python -O``."""
-    if conj_elem(witness, x) != y:
+@dataclass(slots=True)
+class _Call:
+    """One conjugacy call's pair and budget, and what its stages leave for the later ones.
+
+    descent sets x_hat, y_hat and the paths undo_y and redo_x that lift a path
+    w between them to undo_y + w + redo_x; plateau-0 sets the plateau's slacks.
+    """
+
+    x: IElem
+    y: IElem
+    budget: SearchBudget
+    x_hat: Optional[IElem] = None
+    y_hat: Optional[IElem] = None
+    undo_y: Optional[list[int]] = None
+    redo_x: Optional[list[int]] = None
+    slacks: Optional[Iterator[Optional[list[int]]]] = None
+
+
+def _conjugate(c: _Call, path: list[int], method: str) -> ConjResult:
+    """The conjugate verdict of a step path from x to y, once its product is re-multiplied; explicit for ``-O``."""
+    witness = _step_product(c.x.n, path)
+    if conj_elem(witness, c.x) != c.y:
         raise WitnessError("conjugator failed re-verification")
     return ConjResult("conjugate", witness=witness, method=method)
 
 
-def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> ConjResult:
-    """Sound verdicts only: invariants, then the searches, else unknown.
+def _equality(c: _Call) -> Optional[ConjResult]:
+    return ConjResult("conjugate", witness=identity_elem(c.x.n), method="equality") if c.x == c.y else None
 
-    The abelianization and the level-2 core refute first.  Greedy descent
-    then shrinks both sides inside their classes; matching minima settle the
-    instance outright.  Otherwise the cycle types on the pieces of
-    Hom(F_n, S_3) may refute the descended pair; the plateau stage
-    (_plateau_walk) looks for a witness between its sides at slack 0; the
-    pieces of Hom(F_n, S_4) may refute the pair that slack 0 leaves open;
-    and the plateau's larger slacks look on.  The completeness walk runs on
-    the original pair at the budgeted radius and state cap, so budgets
-    seeded from a planted conjugator keep their guarantee; what it leaves
-    open is unknown, with the budget's bounds.
-    """
-    budget = budget or SearchBudget()
+
+def _abelianization(c: _Call) -> Optional[ConjResult]:
+    if abelianize(c.x) == abelianize(c.y):
+        return None
+    return ConjResult("not_conjugate", reason="abelianization mismatch (conjugation fixes the abelianization)")
+
+
+def _level2_core(c: _Call) -> Optional[ConjResult]:
+    # The bottom-level equation g_2 w_2 g_2^-1 = z_2 is forced; free conjugacy decides it completely.
+    w2, z2 = c.x.part(2), c.y.part(2)
+    if w2.is_identity != z2.is_identity or (not w2.is_identity and free_conjugate(w2, z2) is None):
+        return ConjResult("not_conjugate", reason="level-2 free-conjugacy core mismatch")
+    return None
+
+
+def _descent(c: _Call) -> Optional[ConjResult]:
+    (c.x_hat, dx), (c.y_hat, dy) = _greedy_descent(c.x), _greedy_descent(c.y)
+    c.undo_y, c.redo_x = [k ^ 1 for k in dy], dx[::-1]
+    return _conjugate(c, c.undo_y + c.redo_x, "descent") if c.x_hat == c.y_hat else None
+
+
+def _plateau_slacks(c: _Call, count: Optional[int] = None) -> Optional[ConjResult]:
+    """The plateau's next count slacks, or all it has left, on the descended sides; a meet ends its generator."""
+    c.slacks = c.slacks or _plateau_walk(c.x_hat, c.y_hat)
+    path = next((p for p in itertools.islice(c.slacks, count) if p is not None), None)
+    return None if path is None else _conjugate(c, c.undo_y + path + c.redo_x, "plateau")
+
+
+def _full_walk(c: _Call) -> Optional[ConjResult]:
+    path = _orbit_walk(c.x, c.y, c.budget.gen_radius, c.budget.max_states)
+    return None if path is None else _conjugate(c, path, "generator-walk")
+
+
+# conjugacy's stages in the order it runs them; each returns a verdict or
+# None.  Every stage after descent but the full walk runs on the descended
+# pair, which is shorter.  S_3 is cheap and refutes most pairs that are not
+# conjugate.  The plateau's slack 0 joins most conjugate pairs in a few
+# expansions, so it runs before S_4, which costs more and never decides a
+# conjugate pair.  The full walk runs last, on the original pair, where a
+# budget seeded from a planted conjugator's length keeps its guarantee.
+# Each stage is sound alone: the order sets only the cost and whose witness
+# returns (docs/NOTES.md, "The order of conjugacy's stages").
+STAGES: tuple[tuple[str, Callable[[_Call], Optional[ConjResult]]], ...] = (
+    ("equality", _equality),
+    ("abelianization", _abelianization),
+    ("level-2 core", _level2_core),
+    ("descent", _descent),
+    ("S_3", lambda c: _quotient_refutation(c.x_hat, c.y_hat, 3)),
+    ("plateau-0", lambda c: _plateau_slacks(c, 1)),
+    ("S_4", lambda c: _quotient_refutation(c.x_hat, c.y_hat, 4)),
+    ("plateau", _plateau_slacks),
+    ("full walk", _full_walk),
+)
+
+
+def conjugacy(x: IElem, y: IElem, budget: Optional[SearchBudget] = None) -> ConjResult:
+    """Sound verdicts only: the first verdict of the stages of `STAGES`, else unknown with the budget's bounds."""
     if x.n != y.n:
         raise ConjError(f"rank mismatch: {x.n} != {y.n}")
-    if x == y:
-        return ConjResult("conjugate", witness=identity_elem(x.n), method="equality")
-    if abelianize(x) != abelianize(y):
-        return ConjResult(
-            "not_conjugate",
-            reason="abelianization mismatch (conjugation fixes the abelianization)",
-        )
-    w2, z2 = x.part(2), y.part(2)
-    if w2.is_identity != z2.is_identity or (
-        not w2.is_identity and free_conjugate(w2, z2) is None
-    ):
-        # The bottom-level equation g_2 w_2 g_2^-1 = z_2 is forced; classical
-        # free conjugacy decides it completely.
-        return ConjResult("not_conjugate", reason="level-2 free-conjugacy core mismatch")
-    n = x.n
-    x_hat, dx = _greedy_descent(x)
-    y_hat, dy = _greedy_descent(y)
-    # With cx and cy the products of the reversed descent steps, a path w
-    # from x_hat to y_hat lifts to the witness cy^-1 w cx from x to y.
-    undo_y, redo_x = [k ^ 1 for k in dy], dx[::-1]
-    if x_hat == y_hat:
-        return _conjugate(x, y, _step_product(n, undo_y + redo_x), "descent")
-    # The finite quotients run on the descended pair, which is conjugate to
-    # the original one and shorter.  S_3 runs first, as it is cheap and
-    # refutes most pairs that are not conjugate.  The plateau's slack 0,
-    # which joins most conjugate pairs in a few expansions, runs before
-    # S_4, which costs more and can never decide a conjugate pair; the
-    # larger slacks run after it.  Each stage is sound alone, so the order
-    # sets no verdict, only the cost and whose witness returns
-    # (docs/NOTES.md, "The order of conjugacy's stages").
-    refuted = _quotient_refutation(x_hat, y_hat, 3)
-    if refuted is not None:
-        return refuted
-    # The plateau stage joins the descended representatives through states
-    # of near-least length under caps of its own; it carries no completeness
-    # guarantee, so the budgeted walk below still runs on the original pair.
-    slacks = _plateau_walk(x_hat, y_hat)
-    path = next(slacks)
-    if path is None:
-        refuted = _quotient_refutation(x_hat, y_hat, 4)
-        if refuted is not None:
-            return refuted
-        path = next((p for p in slacks if p is not None), None)
-    if path is not None:
-        return _conjugate(x, y, _step_product(n, undo_y + path + redo_x), "plateau")
-    path = _orbit_walk(x, y, budget.gen_radius, budget.max_states)
-    if path is not None:
-        return _conjugate(x, y, _step_product(n, path), "generator-walk")
-    return ConjResult("unknown", bounds=budget.as_dict())
+    call = _Call(x, y, budget or SearchBudget())
+    for _, stage in STAGES:
+        if (res := stage(call)) is not None:
+            return res
+    return ConjResult("unknown", bounds=call.budget.as_dict())

@@ -245,8 +245,25 @@ class TestConjugacy:
 
 
 def no_plateau(monkeypatch):
-    """Leave the plateau stage out of conjugacy, so a pair it decides reaches the full walk."""
-    monkeypatch.setattr(conj_mod, "_plateau_walk", lambda x, y: iter([None] * len(conj_mod.PLATEAU_SLACKS)))
+    """Leave the plateau's entries out of conj.STAGES, so a pair it decides reaches the full walk."""
+    stages = tuple(entry for entry in conj_mod.STAGES if entry[0] not in ("plateau-0", "plateau"))
+    monkeypatch.setattr(conj_mod, "STAGES", stages)
+
+
+def stages_run(monkeypatch, x, y, budget=None):
+    """The names of the entries of conj.STAGES that conjugacy(x, y, budget) runs, in order, and its result."""
+    names = []
+
+    def spied(name, run):
+        def spy(call):
+            names.append(name)
+            return run(call)
+
+        return spy
+
+    with monkeypatch.context() as patch:
+        patch.setattr(conj_mod, "STAGES", tuple((name, spied(name, run)) for name, run in conj_mod.STAGES))
+        return names, conjugacy(x, y, budget)
 
 
 def run_optimized(code, cwd):
@@ -286,24 +303,26 @@ sys.exit(f"returned {res.verdict} with an unchecked witness")
 
 
 def _exit_cases():
-    """(x, y, budget) for a pair decided at each conjugate exit after equality.
+    """(x, y, budget) for a pair decided at each conjugate exit of conj.STAGES after equality.
 
-    Cases 0, 1 and 3 of _pinned_stream's n = 3 draws.  The plateau decides
-    cases 1 and 3; with the plateau left out, the full walk on the original
-    pair decides case 3.
+    Cases 0, 1 and 3 of _pinned_stream's n = 3 draws and _planted_stream's
+    pair 9.  Slack 0 of the plateau decides cases 1 and 3, and its larger
+    slacks, after S_4, decide pair 9; with the plateau left out, the full
+    walk on the original pair decides case 3.
     """
     rng = Lcg(16)
     planted = [planted_conjugacy_case(rng, 3, 7) for _ in range(4)]
-    return {"descent": planted[0], "plateau": planted[1], "full walk": planted[3]}
+    return {"descent": planted[0], "plateau-0": planted[1], "plateau": _planted_stream()[9], "full walk": planted[3]}
 
 
-@pytest.mark.parametrize("exit", ["descent", "plateau", "full walk"])
+@pytest.mark.parametrize("exit", ["descent", "plateau-0", "plateau", "full walk"])
 def test_every_conjugate_exit_checks_its_witness(monkeypatch, exit):
+    assert exit in dict(conj_mod.STAGES)
     x, y, budget = _exit_cases()[exit]
     if exit == "full walk":
         no_plateau(monkeypatch)
-    res = conjugacy(x, y, budget)
-    assert {"generator-walk": "full walk"}.get(res.method, res.method) == exit
+    names, res = stages_run(monkeypatch, x, y, budget)
+    assert res.verdict == "conjugate" and names[-1] == exit
     monkeypatch.setattr(conj_mod, "conj_elem", lambda g, u: u)  # corrupted: no witness re-multiplies to y
     with pytest.raises(WitnessError, match="re-verification"):
         conjugacy(x, y, budget)
@@ -1019,29 +1038,30 @@ def spied_stages(monkeypatch, stream):
 
     A finite quotient reads "S_k", or "S_k refutes" when it decides; each
     slack of the plateau reads "plateau", or "plateau meets" at the slack
-    that joins the pair; the full walk reads "walk".
+    that joins the pair; the full walk reads "walk", or "walk meets".
     """
-    walk, plateau, refute = conj_mod._orbit_walk, conj_mod._plateau_walk, conj_mod._quotient_refutation
+    plateau = conj_mod._plateau_walk
+    labels = {"S_3": ("S_3", "S_3 refutes"), "S_4": ("S_4", "S_4 refutes"), "full walk": ("walk", "walk meets")}
     stages, verdicts = [], []
-
-    def walk_spy(x, y, radius, max_states):
-        stages[-1].append("walk")
-        return walk(x, y, radius, max_states)
 
     def plateau_spy(x, y):
         for path in plateau(x, y):
             stages[-1].append("plateau" if path is None else "plateau meets")
             yield path
 
-    def refute_spy(x, y, k):
-        got = refute(x, y, k)
-        stages[-1].append(f"S_{k}" if got is None else f"S_{k} refutes")
-        return got
+    def spied(name, run):
+        def spy(call):
+            got = run(call)
+            stages[-1].append(labels[name][got is not None])
+            return got
+
+        return spy
 
     with monkeypatch.context() as patch:
-        patch.setattr(conj_mod, "_orbit_walk", walk_spy)
         patch.setattr(conj_mod, "_plateau_walk", plateau_spy)
-        patch.setattr(conj_mod, "_quotient_refutation", refute_spy)
+        patch.setattr(
+            conj_mod, "STAGES", tuple((name, spied(name, run) if name in labels else run) for name, run in conj_mod.STAGES)
+        )
         for x, y, budget in stream:
             stages.append([])
             verdicts.append(conjugacy(x, y, budget).verdict)

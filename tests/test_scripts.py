@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from pik import conj
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 import conj_timings  # noqa: E402
@@ -69,10 +71,20 @@ CONJ_OUTPUTS_SHA256 = {
 }
 
 
-# The stages each stream reaches: the plateau decides every planted pair
-# that descent leaves open, so neither the full walk nor the ladder runs;
-# S_4 runs on the pairs that the plateau's slack 0 leaves open.
+# The stages each stream reaches, in the order of conj.STAGES: the plateau
+# decides every planted pair that descent leaves open, so the full walk
+# never runs; S_4 runs on the pairs that the plateau's slack 0 leaves open.
 REACHED = ["descent", "tables", "S_3", "plateau", "S_4"]
+
+
+def test_conj_stages_are_table_entries():
+    # A stage of the script that no entry of conj.STAGES bears, or that runs
+    # out of the table's order, fails here instead of timing nothing.
+    names = [CONJ.BENCH_STAGE.get(name, name) for name, _ in conj.STAGES]
+    for stages in (CONJ.STAGES, REACHED):
+        timed = [s for s in stages if s != "tables"]
+        assert set(timed) <= set(names)
+        assert timed == sorted(timed, key=names.index)
 
 
 @pytest.mark.parametrize("stream, reached", [("conj-planted", REACHED), ("conj-long-n3", REACHED)])
