@@ -43,9 +43,8 @@ STAGES = ("descent", "tables", "S_3", "plateau", "S_4", "full walk")
 SECONDS = 15
 REPEAT = 7
 OUT = "BENCH_conj.json"
-BENCH_STAGE = {"plateau-0": "plateau"}  # the stage of each entry of conj.STAGES whose name is not its stage's
 
-HOOKS = f"BENCH_STAGE = {BENCH_STAGE!r}\n" + """
+HOOKS = """
 from pik import conj
 
 states.update({"plateau": 0, "full walk": 0})
@@ -89,7 +88,7 @@ def long_pairs_n3():
 
 def timed_entry(name, run, tables=timed(conj._chunks, lambda k, n: "tables")):
     # the table entry timed as its stage, after S_k's tables for a finite quotient; one of no stage as it is
-    stage = BENCH_STAGE.get(name, name)
+    stage = "plateau" if name == "plateau-0" else name
     if stage not in STAGES:
         return run
     run = timed(run, lambda call: stage)

@@ -250,20 +250,27 @@ def no_plateau(monkeypatch):
     monkeypatch.setattr(conj_mod, "STAGES", stages)
 
 
-def stages_run(monkeypatch, x, y, budget=None):
-    """The names of the entries of conj.STAGES that conjugacy(x, y, budget) runs, in order, and its result."""
-    names = []
+def spy_stages(patch, log):
+    """Replace each entry of conj.STAGES by one that appends (its name, whether it decided) to log after it runs."""
 
     def spied(name, run):
         def spy(call):
-            names.append(name)
-            return run(call)
+            got = run(call)
+            log.append((name, got is not None))
+            return got
 
         return spy
 
+    patch.setattr(conj_mod, "STAGES", tuple((name, spied(name, run)) for name, run in conj_mod.STAGES))
+
+
+def stages_run(monkeypatch, x, y, budget=None):
+    """The names of the entries of conj.STAGES that conjugacy(x, y, budget) runs, in order, and its result."""
+    log = []
     with monkeypatch.context() as patch:
-        patch.setattr(conj_mod, "STAGES", tuple((name, spied(name, run)) for name, run in conj_mod.STAGES))
-        return names, conjugacy(x, y, budget)
+        spy_stages(patch, log)
+        res = conjugacy(x, y, budget)
+    return [name for name, _ in log], res
 
 
 def run_optimized(code, cwd):
@@ -323,6 +330,7 @@ def test_every_conjugate_exit_checks_its_witness(monkeypatch, exit):
         no_plateau(monkeypatch)
     names, res = stages_run(monkeypatch, x, y, budget)
     assert res.verdict == "conjugate" and names[-1] == exit
+    assert res.method == {"plateau-0": "plateau", "full walk": "generator-walk"}.get(exit, exit)
     monkeypatch.setattr(conj_mod, "conj_elem", lambda g, u: u)  # corrupted: no witness re-multiplies to y
     with pytest.raises(WitnessError, match="re-verification"):
         conjugacy(x, y, budget)
@@ -1041,31 +1049,27 @@ def spied_stages(monkeypatch, stream):
     that joins the pair; the full walk reads "walk", or "walk meets".
     """
     plateau = conj_mod._plateau_walk
-    labels = {"S_3": ("S_3", "S_3 refutes"), "S_4": ("S_4", "S_4 refutes"), "full walk": ("walk", "walk meets")}
-    stages, verdicts = [], []
+    labels = {
+        "S_3": ("S_3", "S_3 refutes"),
+        "slack": ("plateau", "plateau meets"),
+        "S_4": ("S_4", "S_4 refutes"),
+        "full walk": ("walk", "walk meets"),
+    }
+    log, stages, verdicts = [], [], []
 
     def plateau_spy(x, y):
         for path in plateau(x, y):
-            stages[-1].append("plateau" if path is None else "plateau meets")
+            log.append(("slack", path is not None))
             yield path
-
-    def spied(name, run):
-        def spy(call):
-            got = run(call)
-            stages[-1].append(labels[name][got is not None])
-            return got
-
-        return spy
 
     with monkeypatch.context() as patch:
         patch.setattr(conj_mod, "_plateau_walk", plateau_spy)
-        patch.setattr(
-            conj_mod, "STAGES", tuple((name, spied(name, run) if name in labels else run) for name, run in conj_mod.STAGES)
-        )
+        spy_stages(patch, log)
         for x, y, budget in stream:
-            stages.append([])
+            log.clear()
             verdicts.append(conjugacy(x, y, budget).verdict)
-    return Counter(map(tuple, stages)), Counter(verdicts)
+            stages.append(tuple(labels[name][decided] for name, decided in log if name in labels))
+    return Counter(stages), Counter(verdicts)
 
 
 def test_stages_run_in_order(monkeypatch):
