@@ -120,7 +120,7 @@ def main(argv: list[str]) -> int:
     for stream in STREAMS:
         runs = timing.alternate(trees, REPEAT, timing.run_stages, STAGES, HOOKS, stream, SECONDS)
         for label, got in runs.items():
-            rec = records[label][stream] = timing.medians(got)
+            rec = records[label][stream] = timing.medians(got, stream)
             stages = ", ".join(f"{s} {v['wall_s']}" for s, v in rec["stages"].items())
             print(f"{label}: {stream} {rec['wall_s']} s ({stages}), {rec['peak_rss_mb']} MB, {rec['unknown']} unknown")
         if len(trees) > 1:

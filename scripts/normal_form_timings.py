@@ -41,7 +41,7 @@ def main(argv: list[str]) -> int:
     runs = timing.alternate(trees, REPEAT, timing.run_stages, STAGES, HOOKS, SEED, SECONDS)
     records = {}
     for label, got in runs.items():
-        rec = records[label] = timing.medians(got)
+        rec = records[label] = timing.medians(got, "normal-form")
         for stage in (rec["stages"][s] for s in STAGES):
             stage["per_call_us"] = round(1e6 * stage["wall_s"] / max(stage["calls"], 1), 1)
         stages = ", ".join(f"{s} {v['wall_s']}" for s, v in rec["stages"].items())

@@ -22,8 +22,10 @@ lands in whichever stage the allocation count happens to reach.  It also
 reports its peak RSS (``ru_maxrss``) and a SHA-256 of the stream's
 outputs, and the script prints whether the trees' SHA-256s agree, so two
 trees can be seen to compute alike.  A tree's record of a stream is
-the median of its runs next to the raw wall times, and a failed run stops
-the script.  The wrappers add one Python call per timed call.
+the median of its runs next to the raw wall times and their spread, the
+slowest over the fastest; a spread over MAX_SPREAD is warned about, as the
+machine's speed moved during the runs.  A failed run stops the script.
+The wrappers add one Python call per timed call.
 """
 
 import argparse
@@ -37,6 +39,10 @@ from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# A stream whose slowest run took more than this many times its fastest ran
+# while the machine's speed moved, and its medians do not compare.
+MAX_SPREAD = 1.2
 
 # The stage hooks of a child that defines STAGES: timed(fn, stage_of) adds
 # each call's wall time to wall[stage_of(*args)] and counts it in calls.
@@ -146,8 +152,12 @@ def agree(records) -> bool:
     return len({rec["outputs_sha256"] for rec in records}) == 1
 
 
-def medians(got: list[dict]) -> dict:
-    """One tree's record of a stream: the median over the runs of each figure, next to the raw wall times."""
+def medians(got: list[dict], stream: str) -> dict:
+    """One tree's record of a stream: the median over the runs of each figure, next to the raw wall times.
+
+    runs_spread is the slowest run's wall time over the fastest's; over
+    MAX_SPREAD, a warning naming the stream goes to stderr.
+    """
     if not agree(got):
         raise SystemExit("the runs of one tree computed the stream differently")
     stages = {}
@@ -158,13 +168,18 @@ def medians(got: list[dict]) -> dict:
         stages[s]["states"] = count
     other = [g["wall_s"] - sum(st["wall_s"] for st in g["stages"].values()) for g in got]
     stages["other"] = {"wall_s": round(statistics.median(other), 4)}
+    walls = [g["wall_s"] for g in got]
+    spread = max(walls) / min(walls)
+    if spread > MAX_SPREAD:
+        print(f"warning: {stream}'s runs spread {spread:.2f}x, over {MAX_SPREAD}x", file=sys.stderr)
     return {
         "ops": got[0]["ops"],
         "wall_s": round(statistics.median(g["wall_s"] for g in got), 4),
         "peak_rss_mb": round(statistics.median(g["peak_rss_mb"] for g in got), 1),
         "outputs_sha256": got[0]["outputs_sha256"],
         "stages": stages,
-        "runs_wall_s": [round(g["wall_s"], 4) for g in got],
+        "runs_wall_s": [round(wall, 4) for wall in walls],
+        "runs_spread": round(spread, 3),
         **got[0]["counts"],
     }
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -53,7 +52,7 @@ class ConjError(ValueError):
 PLATEAU_SLACKS = (0, 2, 4, 6, 8)
 PLATEAU_STATES = 2_000
 
-# Q = S_k is tried on the pieces {rho : rho(x_j) in C_j} of Hom(F_n, Q),
+# A quotient Q is tried on the pieces {rho : rho(x_j) in C_j} of Hom(F_n, Q),
 # smallest first while they have at most this many points in all: every
 # piece of S_3 for n <= 5, and the 107 smallest of S_4's 125 at n = 3.
 MAX_QUOTIENT_POINTS = 8_000
@@ -357,11 +356,6 @@ def _step_product(n: int, path: Iterable[int]) -> IElem:
 # permute every piece with equal cycle types (docs/NOTES.md).
 # ---------------------------------------------------------------------------
 
-def symmetric_group(k: int) -> tuple[tuple[int, ...], ...]:
-    """The elements of S_k as tuples, identity first; the product a b is t -> a[b[t]]."""
-    return tuple(itertools.permutations(range(k)))
-
-
 def _cycle_notation(p: tuple[int, ...]) -> str:
     """p's cycle shape as the cycle notation of a representative on 1..k, longest cycle first."""
     lengths, seen = [], set()
@@ -380,52 +374,55 @@ def _cycle_notation(p: tuple[int, ...]) -> str:
     return name or "()"
 
 
-@functools.cache
-def _classes(k: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """S_k's conjugacy classes, numbered in the order their first elements appear.
+class _Quotient(NamedTuple):
+    """A finite quotient Q on its element numbers: its name, its classes' names and its tables.
 
-    Returns each class's name (`_cycle_notation`), the elements listed class
-    by class in `symmetric_group` order, where each class starts in that
-    list, each class's size, and each element's position inside its class.
-    The identity's class is class 0.  The cached arrays are read-only.
+    members lists the elements class by class, each class in element order;
+    start[c] and sizes[c] place class c there, and pos[g] is g's position in
+    its class.  conj_pos[a * q + b], q = len(members), is the position of
+    a b a^-1 in its class.  The arrays are read-only, as every caller shares them.
     """
-    shapes = [_cycle_notation(p) for p in symmetric_group(k)]
-    number = {s: c for c, s in enumerate(dict.fromkeys(shapes))}
-    cls = np.array([number[s] for s in shapes], np.int64)
-    members = np.argsort(cls, kind="stable")
-    sizes = np.bincount(cls)
-    start = np.cumsum(sizes) - sizes
-    pos = np.empty_like(members)
-    pos[members] = np.arange(len(members)) - start[cls[members]]
-    for a in (members, start, sizes, pos):
-        a.flags.writeable = False
-    return tuple(number), members, start, sizes, pos
+
+    name: str
+    class_names: tuple[str, ...]
+    members: np.ndarray
+    start: np.ndarray
+    sizes: np.ndarray
+    pos: np.ndarray
+    conj_pos: np.ndarray
 
 
 @functools.cache
-def _conj_table(k: int) -> np.ndarray:
-    """S_k's conjugation table on element numbers, flat over pairs a * q + b, q = |S_k|.
+def _quotient(k: int) -> _Quotient:
+    """Q = S_k on the numbers of itertools.permutations(range(k)); the product a b is t -> a[b[t]].
 
-    conj_table[a * q + b] is the position of a b a^-1 in its class, so
-    conj_table[b] is b's own.  Products are composed as one array and
-    numbered through each permutation's digits in base k, which increase in
-    `symmetric_group` order.  The cached array is read-only, as every caller
-    shares it.
+    Products are composed as one array and numbered through each
+    permutation's digits in base k, which increase in element order.  The
+    classes are the orbits of conjugation, numbered by their least element,
+    so the identity's is class 0, and named by `_cycle_notation`.
     """
-    elems = np.array(symmetric_group(k))
+    elems = np.array(list(itertools.permutations(range(k))))
     q, digits = len(elems), k ** np.arange(k - 1, -1, -1)
     index = np.zeros(k**k, np.int64)
     index[elems @ digits] = np.arange(q)
     mul = index[elems[:, elems] @ digits].ravel()  # elems[a, elems[b]] is a b
     inv = index[np.argsort(elems, axis=1) @ digits]
-    a = np.repeat(np.arange(q), q)
-    table = _classes(k)[4][mul[mul * q + inv[a]]]
-    table.flags.writeable = False
-    return table
+    conj = mul[mul * q + np.repeat(inv, q)]  # conj[a * q + b] is a b a^-1
+    least = conj.reshape(q, q).min(axis=0)  # the least element of each element's class
+    cls = np.cumsum(least == np.arange(q))[least] - 1
+    members = np.argsort(cls, kind="stable")
+    sizes = np.bincount(cls)
+    start = np.cumsum(sizes) - sizes
+    pos = np.argsort(members) - start[cls]
+    names = tuple(_cycle_notation(tuple(elems[g].tolist())) for g in members[start])
+    conj_pos = pos[conj]
+    for a in (members, start, sizes, pos, conj_pos):
+        a.flags.writeable = False
+    return _Quotient(f"S_{k}", names, members, start, sizes, pos, conj_pos)
 
 
 class _Pieces(NamedTuple):
-    """The chosen pieces of Hom(F_n, S_k), their N points laid end to end.
+    """The chosen pieces of Hom(F_n, Q), their N points laid end to end.
 
     classes[c, j] is the class of rho(x_{j+1}) on piece c, first[c] its
     first point, and piece[p] the piece of point p.  homs[j, p] is
@@ -443,7 +440,7 @@ class _Pieces(NamedTuple):
 
 @functools.cache
 def _pieces(k: int, n: int) -> _Pieces:
-    """S_k's pieces at rank n, smallest first, while they have at most MAX_QUOTIENT_POINTS points.
+    """Q's pieces at rank n, Q = `_quotient(k)`, smallest first, while they have at most MAX_QUOTIENT_POINTS points.
 
     Pieces of equal size come in the lexicographic order of their class
     tuples, and the first piece that would pass the cap ends the choice.
@@ -456,7 +453,8 @@ def _pieces(k: int, n: int) -> _Pieces:
     read-only.
     """
     cap = MAX_QUOTIENT_POINTS
-    _, members, start, sizes, _ = _classes(k)
+    quotient = _quotient(k)
+    members, start, sizes = quotient.members, quotient.start, quotient.sizes
     multiplicity = Counter(sizes.tolist())  # classes of each size
     counts = {1: 1}  # class tuples of each size up to cap
     for _ in range(n):
@@ -511,7 +509,7 @@ class _Chunk(NamedTuple):
 
 @functools.cache
 def _chunks(k: int, n: int) -> tuple[_Chunk, ...]:
-    """The chosen pieces of S_k at rank n (`_pieces`) in prefix chunks, with the generators' permutations.
+    """The chosen pieces of `_quotient(k)` at rank n (`_pieces`) in prefix chunks, with the generators' permutations.
 
     The chunks tile the points in order, each starting at a piece's first
     point: a chunk of more than CHUNK_POINTS points is cut at the piece start
@@ -529,7 +527,8 @@ def _chunks(k: int, n: int) -> tuple[_Chunk, ...]:
     cached arrays are read-only.
     """
     pieces = _pieces(k, n)
-    table, q = _conj_table(k), math.factorial(k)
+    quotient = _quotient(k)
+    table, q = quotient.conj_pos, len(quotient.members)
     shift = table - np.tile(table[:q], q)  # position of a b a^-1 less that of b
     homs, weight = pieces.homs, pieces.weight
     firsts = pieces.first.tolist()
@@ -603,7 +602,7 @@ def _cycle_keys(perm: np.ndarray, key: np.ndarray, longest: int) -> np.ndarray:
 
 
 def _quotient_refutation(x: IElem, y: IElem, k: int) -> Optional[ConjResult]:
-    """not_conjugate when x and y permute a chosen piece of Hom(F_n, S_k) with different cycle types.
+    """not_conjugate when x and y permute a chosen piece of Hom(F_n, Q), Q = `_quotient(k)`, with different cycle types.
 
     The chunks are compared in order, and the first whose cycle keys differ
     ends the stage; the reason names the first piece there whose types
@@ -620,11 +619,10 @@ def _quotient_refutation(x: IElem, y: IElem, k: int) -> Optional[ConjResult]:
         differ = np.flatnonzero(cx[:head] != cy[:head])
         at = differ[0] if len(differ) else head
         c = min(int(keys[at]) for keys in (cx, cy) if at < len(keys)) // (len(chunk.piece) + 1)
-        names = _classes(k)[0]
-        classes = ", ".join(names[t] for t in _pieces(k, x.n).classes[c])
-        return ConjResult(
-            "not_conjugate", reason=f"finite-quotient (S_{k}) cycle type mismatch on the piece of classes ({classes})"
-        )
+        quotient = _quotient(k)
+        classes = ", ".join(quotient.class_names[t] for t in _pieces(k, x.n).classes[c])
+        reason = f"finite-quotient ({quotient.name}) cycle type mismatch on the piece of classes ({classes})"
+        return ConjResult("not_conjugate", reason=reason)
     return None
 
 

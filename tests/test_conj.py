@@ -22,7 +22,6 @@ from pik.conj import (
     ConjError,
     SearchBudget,
     conjugacy,
-    symmetric_group,
 )
 from pik.fuzz import planted_conjugacy_case, random_ielem
 from pik.igroup import (
@@ -487,7 +486,7 @@ def table_permutation(a, k):
 
 def assert_matches_reference(a, k):
     pieces = conj_mod._pieces(k, a.n)
-    elems = symmetric_group(k)
+    elems = list(itertools.permutations(range(k)))
     points = [tuple(elems[e] for e in rho) for rho in pieces.homs.T.tolist()]
     perm = fold_permutation(a, k)
     assert perm.tolist() == reference_permutation(a, points)
@@ -525,15 +524,41 @@ def test_cycle_keys_at_the_edges(lengths, longest):
     assert [divmod(int(v), len(perm) + 1) for v in got] == reference_cycles(perm.tolist(), key.tolist())
 
 
+def reference_quotient(k):
+    """_quotient(k)'s fields but its name, as lists, from itertools.permutations and element_class.
+
+    The elements are numbered in permutations order, and the classes are the
+    cycle shapes in the order their first elements appear, each class's
+    members in element order; conj_pos holds the position of a b a^-1 in its
+    class for every pair, the product a b being t -> a[b[t]], composed as a
+    tuple.
+    """
+    elems = list(itertools.permutations(range(k)))
+    shapes = [element_class(g) for g in elems]
+    names = list(dict.fromkeys(shapes))
+    of_class = [[e for e, shape in enumerate(shapes) if shape == name] for name in names]
+    sizes = [len(members) for members in of_class]
+    pos = [of_class[names.index(shape)].index(e) for e, shape in enumerate(shapes)]
+    index = {g: e for e, g in enumerate(elems)}
+    inverse = [tuple(sorted(range(k), key=g.__getitem__)) for g in elems]
+    conj_pos = [pos[index[tuple(a[b[t]] for t in ai)]] for a, ai in zip(elems, inverse) for b in elems]
+    return {
+        "class_names": tuple(names),
+        "members": [e for members in of_class for e in members],
+        "start": [sum(sizes[:c]) for c in range(len(sizes))],
+        "sizes": sizes,
+        "pos": pos,
+        "conj_pos": conj_pos,
+    }
+
+
 def reference_group_tables(k):
     """S_k's products (times |S_k|), inverses and conjugation table, each product a b composed as a tuple."""
-    elems = symmetric_group(k)
+    elems = list(itertools.permutations(range(k)))
     q, index = len(elems), {p: e for e, p in enumerate(elems)}
     mul = np.array([index[tuple(a[t] for t in b)] for a in elems for b in elems], np.int64)
     inv = np.argmax(mul.reshape(q, q) == 0, axis=1)  # a b = identity, index 0
-    a = np.repeat(np.arange(q), q)
-    conj_pos = conj_mod._classes(k)[4][mul[mul * q + inv[a]]]
-    return mul * q, inv, conj_pos
+    return mul * q, inv, np.array(reference_quotient(k)["conj_pos"])
 
 
 def reference_pieces(k, n):
@@ -543,9 +568,9 @@ def reference_pieces(k, n):
     they stay within the cap; a piece's points run over its classes' members
     with x_1's varying fastest.
     """
-    _, members, start, sizes, _ = conj_mod._classes(k)
-    sizes = sizes.tolist()
-    of_class = [members[start[c] : start[c] + sizes[c]].tolist() for c in range(len(sizes))]
+    ref = reference_quotient(k)
+    sizes = ref["sizes"]
+    of_class = [ref["members"][start : start + size] for start, size in zip(ref["start"], sizes)]
     chosen, total = [], 0
     for c in sorted(itertools.product(range(len(sizes)), repeat=n), key=lambda c: math.prod(sizes[t] for t in c)):
         if total + math.prod(sizes[t] for t in c) > MAX_QUOTIENT_POINTS:
@@ -567,9 +592,13 @@ def reference_pieces(k, n):
 class TestFiniteQuotient:
     @pytest.mark.parametrize("k", [3, 4])
     def test_group_tables_match_the_composed_tuples(self, k):
-        got, want = conj_mod._conj_table(k), reference_group_tables(k)[2]
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        assert not got.flags.writeable
+        got, want = conj_mod._quotient(k), {"name": {3: "S_3", 4: "S_4"}[k], **reference_quotient(k)}
+        assert got._fields == tuple(want)
+        assert got.name == want["name"] and got.class_names == want["class_names"]
+        for field in got._fields[2:]:
+            array = getattr(got, field)
+            assert array.dtype == np.int64 and array.tolist() == want[field], field
+            assert not array.flags.writeable, field
 
     @pytest.mark.parametrize("k, n", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4)])
     def test_pieces_match_the_product_of_classes(self, k, n):
@@ -1030,6 +1059,55 @@ def _hard_stream():
         if y != x:
             pairs.append((x, y, None))
     return pairs
+
+
+def _gamma3_stream(n, count):
+    """The first count pairs of x against x [[a, b], c] at rank n, drawn from Lcg(77), a draw with y = x skipped.
+
+    x is random_ielem(rng, n, 8), then a, b and c, in that order, are each
+    random_ielem(rng, n, 2): the draws of bench/workloads.py's gen_tokens.
+    """
+    rng, pairs = Lcg(77), []
+    while len(pairs) < count:
+        x = random_ielem(rng, n, 8)
+        a, b, c = (random_ielem(rng, n, 2) for _ in range(3))
+        y = imul(x, commutator_elem(commutator_elem(a, b), c))
+        if y != x:
+            pairs.append((x, y))
+    return pairs
+
+
+# The γ_3 streams' pairs that end unknown under the default budget, by index
+# from 0: no stage of conj.STAGES decides them.  A stage that decides one
+# re-pins the verdict list and drops the pair here.
+GAMMA3_UNKNOWN = {
+    3: [5, 9, 18, 19, 43, 87, 114, 119, 157, 164, 198],
+    4: [6, 15, 21, 24, 25, 40, 59, 63, 76, 83, 93],
+}
+GAMMA3_VERDICTS_SHA256 = {
+    3: "f5934817819743fbfe6e62be3a156bee12c853b908e8e94150c7cb40db14cca6",
+    4: "1d41fe04f0422abdf3d350982cf17768273b1d383bcb54c1dda22bfc78c8be14",
+}
+
+
+CORE = "level-2 free-conjugacy core mismatch"
+
+
+@pytest.mark.parametrize(
+    "n, count, deciders",
+    [
+        (3, 200, {"finite-quotient (S_3)": 95, "finite-quotient (S_4)": 62, CORE: 30, "descent": 2, "unknown": 11}),
+        (4, 100, {"finite-quotient (S_3)": 64, "finite-quotient (S_4)": 21, CORE: 4, "unknown": 11}),
+    ],
+)
+def test_gamma3_streams_are_pinned(n, count, deciders):
+    # x against x [[a, b], c]: class 2 cannot tell these sides apart, and the
+    # finite quotients decide most of them.  Each verdict and reason is pinned.
+    out = [conjugacy(x, y) for x, y in _gamma3_stream(n, count)]
+    assert [i for i, res in enumerate(out) if res.verdict == "unknown"] == GAMMA3_UNKNOWN[n]
+    assert Counter(reason_kind(res.reason) if res.reason else res.method or res.verdict for res in out) == deciders
+    verdicts = json.dumps([[res.verdict, res.reason or ""] for res in out]).encode()
+    assert hashlib.sha256(verdicts).hexdigest() == GAMMA3_VERDICTS_SHA256[n]
 
 
 def _planted_stream():

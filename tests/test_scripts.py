@@ -51,8 +51,8 @@ def test_th1_child(kind, reports):
 
 
 def test_normal_form_child(reports):
-    rec = timing.medians([result(reports, "normal-form")])
-    assert rec["ops"] == 66
+    rec = timing.medians([result(reports, "normal-form")], "normal-form")
+    assert rec["ops"] == 66 and rec["runs_spread"] == 1
     assert list(rec["stages"]) == [*NF.STAGES, "other"]
     assert all(rec["stages"][s]["calls"] == 66 for s in NF.STAGES)
     # the ops' images as they were when collect acted by run splits and direct_endo composed image strs
@@ -89,13 +89,36 @@ def test_conj_stages_are_table_entries():
 
 @pytest.mark.parametrize("stream, reached", [("conj-planted", REACHED), ("conj-long-n3", REACHED)])
 def test_conj_child(stream, reached, reports):
-    rec = timing.medians([result(reports, stream)])
+    rec = timing.medians([result(reports, stream)], stream)
     assert list(rec["stages"]) == [*CONJ.STAGES, "other"]
     assert [s for s in CONJ.STAGES if rec["stages"][s]["calls"] > 0] == reached
     assert rec["stages"]["plateau"]["states"] > 0
     assert {s for s, stage in rec["stages"].items() if "states" in stage} == {"plateau", "full walk"}
     assert 0 <= rec["unknown"] <= rec["ops"]
     assert rec["outputs_sha256"] == CONJ_OUTPUTS_SHA256[stream]
+
+
+def fake_report(wall_s):
+    return {
+        "ops": 1,
+        "wall_s": wall_s,
+        "stages": {"stage": {"wall_s": wall_s / 2, "calls": 1}},
+        "states": {},
+        "peak_rss_mb": 30.0,
+        "outputs_sha256": "0" * 64,
+        "counts": {},
+    }
+
+
+def test_medians_warn_of_a_wide_spread(capsys):
+    # The slowest run over the fastest is recorded; over MAX_SPREAD, a
+    # warning names the stream.
+    rec = timing.medians([fake_report(wall) for wall in (1.0, 1.2, 1.1)], "steady")
+    assert rec["runs_spread"] == 1.2 and rec["wall_s"] == 1.1
+    assert capsys.readouterr().err == ""
+    rec = timing.medians([fake_report(wall) for wall in (1.0, 1.5, 1.1)], "drifting")
+    assert rec["runs_spread"] == 1.5 and rec["runs_wall_s"] == [1.0, 1.5, 1.1]
+    assert capsys.readouterr().err == "warning: drifting's runs spread 1.50x, over 1.2x\n"
 
 
 def test_a_failed_run_shows_its_stderr(tmp_path, capsys):
