@@ -1,11 +1,10 @@
 """Command line interface: one binary, stable JSON schemas, a batch driver.
 
-Every subcommand is a thin wrapper over the library; no algorithmic logic
-lives here.  ``verify-all`` runs the whole verification suite and emits a
-schema-versioned machine-readable report; with a fixed seed the report is
-byte-identical across runs.  The PIK_THREADS environment variable caps the
-process pool used to run independent checks (default 1, sequential; never
-more workers than checks or CPUs).
+Every subcommand but ``verify-all`` is a thin wrapper over the library.
+``verify-all`` runs the whole verification suite, the five checks defined
+here, one after another in this process, and emits a schema-versioned
+machine-readable report; with a fixed seed the report is byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -62,12 +60,8 @@ class RunConfig:
         }
 
 
-def emit_report(results: list[dict], config: Optional[RunConfig] = None) -> dict:
-    report: dict = {"schema": SCHEMA}
-    if config is not None:
-        report["config"] = config.as_dict()
-    report["checks"] = results
-    return report
+def emit_report(results: list[dict], config: RunConfig) -> dict:
+    return {"schema": SCHEMA, "config": config.as_dict(), "checks": results}
 
 
 def _dump(obj: dict) -> str:
@@ -84,8 +78,8 @@ def _report_text(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# verify-all checks.  Top-level functions taking the config dict so a process
-# pool can run them; each returns {name, status, details}.
+# verify-all checks.  Each takes the run's RunConfig and returns
+# {name, status, details}; cmd_verify_all runs them in _CHECKS order.
 # ---------------------------------------------------------------------------
 
 
@@ -194,37 +188,13 @@ _CHECKS: list[Callable[[RunConfig], dict]] = [
 ]
 
 
-def pool_size(raw: Optional[str], cpus: Optional[int]) -> int:
-    """Worker processes for verify-all from a PIK_THREADS value.
-
-    Unset, empty or below 2 runs serially; larger values are capped at the
-    number of checks and of CPUs, since more workers than either only add
-    processes.
-    """
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"PIK_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(threads, len(_CHECKS), cpus or 1))
-
-
 def cmd_verify_all(cfg: RunConfig) -> int:
-    threads = pool_size(os.environ.get("PIK_THREADS"), os.cpu_count())
     try:  # an --out that cannot be written is a bad input, found before any check runs
         out = open(cfg.output_path, "w") if cfg.output_path else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise ValueError(f"cannot write --out {cfg.output_path}: {exc.strerror}") from None
     with out as fh:
-        if threads > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(fn, cfg) for fn in _CHECKS]
-                results = [f.result() for f in futures]
-        else:
-            results = [fn(cfg) for fn in _CHECKS]
+        results = [fn(cfg) for fn in _CHECKS]
         report = emit_report(results, cfg)
         fh.write(_dump(report) if cfg.output_format == "json" else _report_text(report))
     failed = [c["name"] for c in results if c["status"] != "pass"]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pik import cli, lie
-from pik.cli import _CHECKS, RunConfig, build_parser, emit_report, main, pool_size
+from pik.cli import RunConfig, build_parser, emit_report, main
 from pik.conj import SearchBudget, conjugacy
 from pik.igroup import collect
 from pik.words import parse_word
@@ -35,14 +35,14 @@ def run_cli(args, **kwargs):
 
 class TestReportSchema:
     def test_empty_results(self):
-        assert emit_report([]) == {"schema": "pik/5", "checks": []}
+        assert emit_report([], RunConfig()) == {"schema": "pik/5", "config": RunConfig().as_dict(), "checks": []}
 
     def test_passing_check(self):
-        rep = emit_report([{"name": "x", "status": "pass", "details": {}}])
+        rep = emit_report([{"name": "x", "status": "pass", "details": {}}], RunConfig())
         assert rep["checks"][0]["status"] == "pass"
 
     def test_failing_check_details(self):
-        rep = emit_report([{"name": "x", "status": "fail", "details": {"why": 1}}])
+        rep = emit_report([{"name": "x", "status": "fail", "details": {"why": 1}}], RunConfig())
         assert rep["checks"][0]["status"] == "fail"
         assert rep["checks"][0]["details"] == {"why": 1}
 
@@ -339,7 +339,6 @@ class TestVerifyAll:
             return build(relators, max_m, letters)
 
         monkeypatch.setattr(decomp, "ideal_rows_by_degree", spy)
-        monkeypatch.delenv("PIK_THREADS", raising=False)
         for n in (3, 4):
             whole = decomp.build_relators(n)
             every = list(range(1, decomp.alphabet_size(n) + 1))
@@ -354,31 +353,15 @@ class TestVerifyAll:
         out = capsys.readouterr().out
         assert out.strip().endswith("OK")
 
-    def test_threads_env(self, tmp_path, monkeypatch):
+    def test_child_run_matches_in_process(self, tmp_path):
         # An absolute src first on PYTHONPATH lets the child import this checkout's pik from any cwd.
         pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-        env = dict(os.environ, PYTHONPATH=pythonpath, PIK_THREADS="2")
         out1 = tmp_path / "t1.json"
-        proc = run_cli(self.CFG + ["--out", str(out1)], env=env, cwd=tmp_path)
+        proc = run_cli(self.CFG + ["--out", str(out1)], env=dict(os.environ, PYTHONPATH=pythonpath), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        # The in-process run is the serial reference, whatever the caller's shell exports.
-        monkeypatch.delenv("PIK_THREADS", raising=False)
         out2 = tmp_path / "t2.json"
         assert main(self.CFG + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_pool_size_is_clamped(self):
-        # Only the arithmetic: no pool is started at these values.
-        assert pool_size(None, 8) == 1
-        assert pool_size("", 8) == 1
-        assert pool_size("0", 8) == 1
-        assert pool_size("-3", 8) == 1
-        assert pool_size("2", 8) == 2
-        assert pool_size("100000", 64) == len(_CHECKS)
-        assert pool_size("100000", 2) == 2
-        assert pool_size("4", None) == 1
-        with pytest.raises(ValueError, match="PIK_THREADS must be an integer"):
-            pool_size("two", 8)
 
     @pytest.mark.parametrize("flag, value", [("--n", "2"), ("--max-degree", "1")])
     def test_bounds_rejected_before_any_check(self, flag, value, monkeypatch, capsys):
@@ -397,11 +380,6 @@ class TestVerifyAll:
         out = tmp_path / "missing" / "r.json"
         assert main(["verify-all", "--out", str(out)]) == 2
         assert str(out) in json.loads(capsys.readouterr().err)["error"]
-
-    def test_threads_env_not_an_integer(self, monkeypatch, capsys):
-        monkeypatch.setenv("PIK_THREADS", "two")
-        assert main(self.CFG) == 2
-        assert "PIK_THREADS must be an integer" in json.loads(capsys.readouterr().err)["error"]
 
     def test_conjugacy_fuzz_keeps_the_planted_budget(self, monkeypatch):
         # each planted case seeds its budget so that its walk is complete,

@@ -1049,13 +1049,16 @@ class TestPinnedOutputs:
         assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256
 
 
-def _hard_stream():
-    """conj-hard's 45 pairs: x against x [a, b] at n = 3, drawn from Lcg(99) as the benchmark draws them."""
-    rng = Lcg(99)
-    pairs = []
-    while len(pairs) < 45:
-        x = random_ielem(rng, 3, 8)
-        y = imul(x, commutator_elem(random_ielem(rng, 3, 2), random_ielem(rng, 3, 2)))
+def _hard_stream(n=3, count=45):
+    """The first count pairs of x against x [a, b] at rank n, drawn from Lcg(99), a draw with y = x skipped.
+
+    The draws are bench/workloads.py's hard_pairs at rank n, so the defaults
+    give conj-hard's 45 pairs.  Each pair carries the default budget, None.
+    """
+    rng, pairs = Lcg(99), []
+    while len(pairs) < count:
+        x = random_ielem(rng, n, 8)
+        y = imul(x, commutator_elem(random_ielem(rng, n, 2), random_ielem(rng, n, 2)))
         if y != x:
             pairs.append((x, y, None))
     return pairs
@@ -1077,9 +1080,9 @@ def _gamma3_stream(n, count):
     return pairs
 
 
-# The γ_3 streams' pairs that end unknown under the default budget, by index
-# from 0: no stage of conj.STAGES decides them.  A stage that decides one
-# re-pins the verdict list and drops the pair here.
+# The pinned streams' pairs that end unknown under the default budget, by
+# index from 0: no stage of conj.STAGES decides them.  A stage that decides
+# one re-pins the verdict list and drops the pair here.
 GAMMA3_UNKNOWN = {
     3: [5, 9, 18, 19, 43, 87, 114, 119, 157, 164, 198],
     4: [6, 15, 21, 24, 25, 40, 59, 63, 76, 83, 93],
@@ -1088,9 +1091,28 @@ GAMMA3_VERDICTS_SHA256 = {
     3: "f5934817819743fbfe6e62be3a156bee12c853b908e8e94150c7cb40db14cca6",
     4: "1d41fe04f0422abdf3d350982cf17768273b1d383bcb54c1dda22bfc78c8be14",
 }
+HARD_UNKNOWN = {
+    3: [69, 154, 206, 225],
+    4: [26, 71, 119, 120, 134],
+}
+HARD_VERDICTS_SHA256 = {
+    3: "51eb79cb539c7870bf189b6acc96644bfe16f50c731b3576ec547fee1a1a49ff",
+    4: "68c66bc1929ec8d30c0c8c1be4a7eba21a186c1857f711bd7d3aed73ceca218d",
+}
 
 
 CORE = "level-2 free-conjugacy core mismatch"
+
+
+def _stream_pin(pairs):
+    """What a stream pin holds: the unknown indices, the count per deciding stage and the verdicts' SHA-256."""
+    out = [conjugacy(x, y) for x, y, *_ in pairs]
+    verdicts = json.dumps([[res.verdict, res.reason or ""] for res in out]).encode()
+    return (
+        [i for i, res in enumerate(out) if res.verdict == "unknown"],
+        Counter(reason_kind(res.reason) if res.reason else res.method or res.verdict for res in out),
+        hashlib.sha256(verdicts).hexdigest(),
+    )
 
 
 @pytest.mark.parametrize(
@@ -1103,11 +1125,20 @@ CORE = "level-2 free-conjugacy core mismatch"
 def test_gamma3_streams_are_pinned(n, count, deciders):
     # x against x [[a, b], c]: class 2 cannot tell these sides apart, and the
     # finite quotients decide most of them.  Each verdict and reason is pinned.
-    out = [conjugacy(x, y) for x, y in _gamma3_stream(n, count)]
-    assert [i for i, res in enumerate(out) if res.verdict == "unknown"] == GAMMA3_UNKNOWN[n]
-    assert Counter(reason_kind(res.reason) if res.reason else res.method or res.verdict for res in out) == deciders
-    verdicts = json.dumps([[res.verdict, res.reason or ""] for res in out]).encode()
-    assert hashlib.sha256(verdicts).hexdigest() == GAMMA3_VERDICTS_SHA256[n]
+    assert _stream_pin(_gamma3_stream(n, count)) == (GAMMA3_UNKNOWN[n], deciders, GAMMA3_VERDICTS_SHA256[n])
+
+
+@pytest.mark.parametrize(
+    "n, count, deciders",
+    [
+        (3, 300, {"finite-quotient (S_3)": 190, CORE: 55, "finite-quotient (S_4)": 27, "descent": 12, "plateau": 12, "unknown": 4}),
+        (4, 150, {"finite-quotient (S_3)": 122, CORE: 10, "finite-quotient (S_4)": 9, "descent": 3, "plateau": 1, "unknown": 5}),
+    ],
+)
+def test_hard_streams_are_pinned(n, count, deciders):
+    # x against x [a, b], conj-hard's draws at rank n, open pairs and all.
+    # Each verdict and reason is pinned.
+    assert _stream_pin(_hard_stream(n, count)) == (HARD_UNKNOWN[n], deciders, HARD_VERDICTS_SHA256[n])
 
 
 def _planted_stream():
