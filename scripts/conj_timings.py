@@ -51,15 +51,9 @@ states.update({"plateau": 0, "full walk": 0})
 searching = [None]  # the stage that asks for expand next
 
 
-def counted_expand(n, orbit_expand=conj._orbit_expand):
-    expand = orbit_expand(n)
-    stage = searching[0]  # the stage that asked for it
-
-    def counted(state, made_by):
-        states[stage] += 1
-        return expand(state, made_by)
-
-    return counted
+def counted_expand(n, state, made_by, expand=conj._expand):
+    states[searching[0]] += 1
+    return expand(n, state, made_by)
 
 
 def hard_pairs_n4(seconds):
@@ -103,7 +97,7 @@ def timed_entry(name, run, tables=timed(conj._chunks, lambda k, n: "tables")):
 
 
 conj.STAGES = tuple((name, timed_entry(name, run)) for name, run in conj.STAGES)
-conj._orbit_expand = counted_expand
+conj._expand = counted_expand
 if sys.argv[2] == "conj-hard-n4":
     ops = hard_pairs_n4(int(sys.argv[3]))
 elif sys.argv[2] == "conj-long-n3":

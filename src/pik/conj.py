@@ -116,7 +116,7 @@ class ConjResult:
 # ---------------------------------------------------------------------------
 
 
-def _path(table: dict[str, int], state: str, step: Callable[[str, int], str]) -> list[int]:
+def _path(n: int, table: dict[str, int], state: str) -> list[int]:
     """The step indices s_k, ..., s_1 of the steps s_1, ..., s_k that led from the root to state.
 
     table[state] is the step that made state, and step k ^ 1 takes it back
@@ -126,42 +126,35 @@ def _path(table: dict[str, int], state: str, step: Callable[[str, int], str]) ->
     k = table[state]
     while k != -1:
         path.append(k)
-        state = step(state, k ^ 1)
+        state = _step(n, state, k ^ 1)
         k = table[state]
     return path
 
 
-def _meet_walk(
-    a_root: str,
-    b_root: str,
-    expand: Callable[[str, int], Iterable[tuple[int, str]]],
-    step: Callable[[str, int], str],
-    radius: int,
-    max_states: int,
-) -> Iterator[list[int]]:
-    """Bidirectional breadth-first search between two roots; yields each meet.
+def _meet_path(n: int, fwd: dict[str, int], bwd: dict[str, int], state: str) -> list[int]:
+    """The steps t_1, ..., t_r of h^-1 g for a meet reached by g from fwd's root and by h from bwd's: root to root."""
+    return [j ^ 1 for j in reversed(_path(n, bwd, state))] + _path(n, fwd, state)
 
-    expand(state, made_by) lists (k, state after step k), k increasing, for
-    the steps worth trying on a state made by step made_by (-1 at a root),
-    and step(state, k) is the state after step k alone.  Step 2j+1 inverts
-    step 2j, and no expand tries made_by ^ 1, which leads back to the
-    parent, nor a step before made_by that commutes with it (_walk_steps).
-    Each table maps a state to the step that made it, -1 at its root.  Each
-    round grows the side with the smaller frontier by one depth; the caps
-    are read only between rounds, and the round at depth radius stores only
-    its meets, in a frontier that is never expanded.  A meet at a state
-    reached by g from a_root and by h from b_root is yielded as the steps
-    t_1, ..., t_r of h^-1 g, which carries a_root to b_root.  Why this finds
-    what a walk trying every step finds: docs/NOTES.md.
+
+def _meet_walk(n: int, a_root: str, b_root: str, radius: int, max_states: int) -> Iterator[list[int]]:
+    """Bidirectional breadth-first search between two roots at rank n; yields each meet.
+
+    _expand(n, state, made_by) lists (k, state after step k), k increasing,
+    for the steps worth trying on a state made by step made_by (-1 at a
+    root).  Step 2j+1 inverts step 2j, and _expand tries neither
+    made_by ^ 1, which leads back to the parent, nor a step before made_by
+    that commutes with it (_walk_steps).  Each table maps a state to the
+    step that made it, -1 at its root.  Each round grows the side with the
+    smaller frontier by one depth; the caps are read only between rounds,
+    and the round at depth radius stores only its meets, in a frontier that
+    is never expanded.  A meet is yielded as its _meet_path, which carries
+    a_root to b_root.  Why this finds what a walk trying every step finds:
+    docs/NOTES.md.
     """
     fwd = {a_root: -1}
     bwd = {b_root: -1}
     fwd_frontier = [a_root]
     bwd_frontier = [b_root]
-
-    def meet(state: str) -> list[int]:
-        return [j ^ 1 for j in reversed(_path(bwd, state, step))] + _path(fwd, state, step)
-
     depth = 0
     while (
         fwd_frontier
@@ -177,13 +170,13 @@ def _meet_walk(
         last = depth == radius  # a state that is no meet is never read after the last round
         new_frontier = []
         for state in frontier:
-            for k, nstate in expand(state, table[state]):
+            for k, nstate in _expand(n, state, table[state]):
                 if nstate in table or last and nstate not in other:
                     continue  # cross-pairs are checked at first insertion
                 table[nstate] = k
                 new_frontier.append(nstate)
                 if nstate in other:
-                    yield meet(nstate)
+                    yield _meet_path(n, fwd, bwd, nstate)
         if fwd_side:
             fwd_frontier = new_frontier
         else:
@@ -216,25 +209,15 @@ def _walk_steps(n: int) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int
     return after
 
 
-def _orbit_expand(n: int) -> Callable[[str, int], Iterable[tuple[int, str]]]:
-    """The orbit walk's expand at rank n: a state's conjugates by the steps _walk_steps keeps."""
-    after = _walk_steps(n)
-
-    def expand(state: str, made_by: int) -> Iterable[tuple[int, str]]:
-        ks, steps = after[made_by]
-        return zip(ks, _conj_steps(n, state, steps))
-
-    return expand
+def _expand(n: int, state: str, made_by: int) -> Iterable[tuple[int, str]]:
+    """(k, state after step k) for the steps _walk_steps keeps after made_by, k increasing."""
+    ks, steps = _walk_steps(n)[made_by]
+    return zip(ks, _conj_steps(n, state, steps))
 
 
-def _orbit_step(n: int) -> Callable[[str, int], str]:
-    """The orbit walk's step at rank n: a state's conjugate by move k."""
-    steps = _walk_steps(n)[-1][1]
-
-    def step(state: str, k: int) -> str:
-        return _conj_steps(n, state, (steps[k],))[0]
-
-    return step
+def _step(n: int, state: str, k: int) -> str:
+    """The state after step k of the step table alone."""
+    return _conj_steps(n, state, (_walk_steps(n)[-1][1][k],))[0]
 
 
 def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[list[int]]:
@@ -247,7 +230,7 @@ def _orbit_walk(x: IElem, y: IElem, radius: int, max_states: int) -> Optional[li
     elements; the caller collects and re-multiplies the witness.
     """
     roots = _SEP.join(x.parts), _SEP.join(y.parts)
-    return next(_meet_walk(*roots, _orbit_expand(x.n), _orbit_step(x.n), radius, max_states), None)
+    return next(_meet_walk(x.n, *roots, radius, max_states), None)
 
 
 def _greedy_descent(u: IElem) -> tuple[IElem, list[int]]:
@@ -277,9 +260,7 @@ def _greedy_descent(u: IElem) -> tuple[IElem, list[int]]:
     return u, steps
 
 
-def _plateau(
-    n: int, root: str, table: dict[str, int], other: dict[str, int], cap: int, slack: int
-) -> Iterator[Optional[str]]:
+def _plateau(n: int, root: str, table: dict[str, int], other: dict[str, int], slack: int) -> Iterator[Optional[str]]:
     """The walk on root's plateau at this slack: None after each expanded state, and last the meet, if any.
 
     Walks breadth-first from root over every step, keeping a state only if
@@ -287,19 +268,18 @@ def _plateau(
     being the least length found so far; at the first state shorter than L
     it restarts from that state.  It stops at a meet, the first state it
     inserts that other holds, which it yields; when the component is
-    exhausted; or after cap inserted states.  No commuting step is pruned:
-    that argument is about depth order, not length.  The walk reads only its
-    own seen set and queue, so the states it inserts do not depend on what
-    runs between its expansions.  table maps each state to the step that
-    first made it, is shared across calls, and is never overwritten, so
-    _path rebuilds every state's path from the side's root.
+    exhausted; or after PLATEAU_STATES inserted states.  No commuting step
+    is pruned: that argument is about depth order, not length.  The walk
+    reads only its own seen set and queue, so the states it inserts do not
+    depend on what runs between its expansions.  table maps each state to
+    the step that first made it, is shared across calls, and is never
+    overwritten, so _path rebuilds every state's path from the side's root.
     """
-    expand = _orbit_expand(n)
     least = len(root) - (n - 2)
     seen, queue = {root}, deque([root])
     inserted = 0
-    while queue and inserted < cap:
-        for k, nstate in expand(queue.popleft(), -1):
+    while queue and inserted < PLATEAU_STATES:
+        for k, nstate in _expand(n, queue.popleft(), -1):
             length = len(nstate) - (n - 2)
             if nstate in seen or length > least + slack:
                 continue
@@ -333,13 +313,12 @@ def _plateau_walk(x: IElem, y: IElem) -> Iterator[Optional[list[int]]]:
     n = x.n
     roots = _SEP.join(x.parts), _SEP.join(y.parts)
     tables = {roots[0]: -1}, {roots[1]: -1}
-    step = _orbit_step(n)
     for slack in PLATEAU_SLACKS:
-        walks = (_plateau(n, roots[side], tables[side], tables[1 - side], PLATEAU_STATES, slack) for side in (0, 1))
+        walks = (_plateau(n, roots[side], tables[side], tables[1 - side], slack) for side in (0, 1))
         meets = itertools.chain.from_iterable(itertools.zip_longest(*walks))
         meet = next((state for state in meets if state is not None), None)
         if meet is not None:
-            yield [j ^ 1 for j in reversed(_path(tables[1], meet, step))] + _path(tables[0], meet, step)
+            yield _meet_path(n, *tables, meet)
             return
         yield None
 
@@ -446,11 +425,13 @@ def _pieces(k: int, n: int) -> _Pieces:
     tuples, and the first piece that would pass the cap ends the choice.
     The number of class tuples of each size up to the cap gives the size of
     the first piece that does not fit, and only the tuples up to that size
-    are listed.  A point's position in its piece is a mixed-radix number
-    whose first digit is x_1's; the homs are read off it one rank
-    coordinate at a time, by divmod along contiguous rows, so each row of
-    homs and weight is contiguous for _chunks.  The cached arrays are
-    read-only.
+    are listed; without that count every prefix up to the cap would be, and
+    their number grows about 3x per rank (1,202 against 126,471 prefixes,
+    and about 3 against 30 ms, at (k, n) = (4, 8)).  A point's position in
+    its piece is a mixed-radix number whose first digit is x_1's; the homs
+    are read off it one rank coordinate at a time, by divmod along
+    contiguous rows, so each row of homs and weight is contiguous for
+    _chunks.  The cached arrays are read-only.
     """
     cap = MAX_QUOTIENT_POINTS
     quotient = _quotient(k)
@@ -497,14 +478,12 @@ class _Chunk(NamedTuple):
     """A run of whole chosen pieces, and each generator's permutation of its points.
 
     perms[r] is the permutation rho -> rho o to_endo(y(m, i)^eps) for step r
-    of the step table (`_walk_steps`), on the chunk's points numbered from 0;
-    piece[p] is the piece of the chunk's point p, and longest the size of
-    its largest piece.
+    of the step table (`_walk_steps`), on the chunk's points numbered from 0,
+    and piece[p] is the piece of the chunk's point p.
     """
 
     perms: tuple[np.ndarray, ...]
     piece: np.ndarray
-    longest: int
 
 
 @functools.cache
@@ -556,8 +535,7 @@ def _chunks(k: int, n: int) -> tuple[_Chunk, ...]:
                 perms[r][image] = local
     perms.flags.writeable = False
     return tuple(
-        _Chunk(tuple(perms[:, lo:hi]), pieces.piece[lo:hi], hi - firsts[pieces.piece[hi - 1]])
-        for lo, hi in itertools.pairwise(cuts)
+        _Chunk(tuple(perms[:, lo:hi]), pieces.piece[lo:hi]) for lo, hi in itertools.pairwise(cuts)
     )
 
 
@@ -577,25 +555,24 @@ def _chunk_permutations(a: IElem, k: int) -> Iterator[tuple[_Chunk, np.ndarray]]
         yield chunk, perm
 
 
-def _cycle_keys(perm: np.ndarray, key: np.ndarray, longest: int) -> np.ndarray:
+def _cycle_keys(perm: np.ndarray, key: np.ndarray) -> np.ndarray:
     """key * (N + 1) + length for each cycle of perm, key read at its least point; sorted.
 
     Pointer doubling labels each point with the least point on its cycle:
     after r rounds a label is the least of 2^r consecutive points of the
-    cycle.  It stops once 2^r reaches `longest`, which no cycle exceeds, or
-    at the first round that changes no label, as then every label is
-    already the least point of its cycle (docs/NOTES.md).  Comparing the
-    labels' bytes with the last round's tells such a round; a numpy
-    reduction would cost more than the rounds it saves on S_3's pieces.
+    cycle.  It stops at the first round that changes no label, as then
+    every label is already the least point of its cycle (docs/NOTES.md).
+    Comparing the labels' bytes with the last round's tells such a round; a
+    numpy reduction would cost more than the rounds it saves on S_3's pieces.
     """
-    label = np.arange(len(perm))
-    step, reach, last = perm, 1, label.tobytes()
-    while reach < longest:
+    label, step = np.arange(len(perm)), perm
+    last = label.tobytes()
+    while True:
         label = np.minimum(label, label[step])
         before, last = last, label.tobytes()
         if last == before:
             break
-        step, reach = step[step], 2 * reach
+        step = step[step]
     length = np.bincount(label, minlength=len(perm))  # the cycle's length at its least point, 0 elsewhere
     least = length > 0
     return np.sort(key[least] * (len(perm) + 1) + length[least])
@@ -610,7 +587,7 @@ def _quotient_refutation(x: IElem, y: IElem, k: int) -> Optional[ConjResult]:
     every chosen piece (`_pieces`) agrees.
     """
     for (chunk, px), (_, py) in zip(_chunk_permutations(x, k), _chunk_permutations(y, k)):
-        cx, cy = (_cycle_keys(perm, chunk.piece, chunk.longest) for perm in (px, py))
+        cx, cy = (_cycle_keys(perm, chunk.piece) for perm in (px, py))
         if np.array_equal(cx, cy):
             continue
         # Where the sorted keys first part, the smaller key's piece has types

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -39,6 +40,7 @@ from pik.igroup import (
     identity_elem,
     iinv,
     imul,
+    relator_indices,
     to_endo,
 )
 from pik.prng import Lcg
@@ -457,10 +459,6 @@ def fold_permutation(a, k):
     return np.concatenate(perms)
 
 
-def longest_piece(k, n):
-    return int(np.bincount(conj_mod._pieces(k, n).piece).max())
-
-
 def table_permutation(a, k):
     """The reference for the fold: rho -> rho o to_endo(a) evaluated on every point at once from the parts.
 
@@ -490,7 +488,7 @@ def assert_matches_reference(a, k):
     points = [tuple(elems[e] for e in rho) for rho in pieces.homs.T.tolist()]
     perm = fold_permutation(a, k)
     assert perm.tolist() == reference_permutation(a, points)
-    got = conj_mod._cycle_keys(perm, pieces.piece, longest_piece(k, a.n))
+    got = conj_mod._cycle_keys(perm, pieces.piece)
     want = reference_cycles(perm.tolist(), pieces.piece.tolist())
     assert [divmod(int(v), len(perm) + 1) for v in got] == want
 
@@ -504,23 +502,19 @@ def backward_cycles(lengths):
     return np.array(perm)
 
 
-# The identity, whatever the bound; one cycle as long as the bound; and cycles
-# of 2^r and 2^r + 1 points, under a bound they reach and one they do not.
-CYCLE_EDGES = [([1] * 6, 1), ([1] * 6, 16)] + [
-    (lengths, bound)
-    for r in range(1, 6)
-    for lengths in ([2**r], [2**r + 1], [3, 2**r, 1, 2**r + 1])
-    for bound in (max(lengths), 64)
-]
+# The identity, and cycles of 2^r and 2^r + 1 points, alone and among others.
+# Each shape keeps the test id it had when it also ran under a doubling bound.
+CYCLE_EDGES = [[1] * 6] + [lengths for r in range(1, 6) for lengths in ([2**r], [2**r + 1], [3, 2**r, 1, 2**r + 1])]
+CYCLE_EDGE_IDS = [f"lengths{2 * i + 1}-{64 if i else 16}" for i in range(len(CYCLE_EDGES))]
 
 
-@pytest.mark.parametrize("lengths, longest", CYCLE_EDGES)
-def test_cycle_keys_at_the_edges(lengths, longest):
-    # Pointer doubling stops at the bound or at the first round that changes
-    # no label; either way every label is its cycle's least point.
+@pytest.mark.parametrize("lengths", CYCLE_EDGES, ids=CYCLE_EDGE_IDS)
+def test_cycle_keys_at_the_edges(lengths):
+    # Pointer doubling stops at the first round that changes no label, when
+    # every label is its cycle's least point.
     perm = backward_cycles(lengths)
     key = np.arange(len(perm)) % 5
-    got = conj_mod._cycle_keys(perm, key, longest)
+    got = conj_mod._cycle_keys(perm, key)
     assert [divmod(int(v), len(perm) + 1) for v in got] == reference_cycles(perm.tolist(), key.tolist())
 
 
@@ -640,7 +634,6 @@ class TestFiniteQuotient:
         for chunk, start, size in zip(chunks, starts, sizes):
             assert start in firsts and (start + size in firsts or start + size == len(pieces.piece))
             assert chunk.piece.tolist() == pieces.piece[start : start + size].tolist()
-            assert chunk.longest == np.bincount(chunk.piece).max()
             assert size <= CHUNK_POINTS or len(set(chunk.piece.tolist())) == 1
             assert len(chunk.perms) == n * (n + 1) - 2
             for perm in chunk.perms:
@@ -661,12 +654,12 @@ class TestFiniteQuotient:
         pieces, chunks = conj_mod._pieces(4, 3), conj_mod._chunks(4, 3)
         assert np.flatnonzero(pieces.piece == 71)[0] == 2224 > len(chunks[0].piece)
         assert conj_mod._quotient_refutation(x_hat, y_hat, 4).reason == res.reason
-        keys = [conj_mod._cycle_keys(fold_permutation(u, 4), pieces.piece, longest_piece(4, 3)) for u in (x_hat, y_hat)]
+        keys = [conj_mod._cycle_keys(fold_permutation(u, 4), pieces.piece) for u in (x_hat, y_hat)]
         head = min(map(len, keys))
         differ = np.flatnonzero(keys[0][:head] != keys[1][:head])[0]
         assert min(int(key[differ]) for key in keys) // (len(pieces.piece) + 1) == 71
         first = [next(conj_mod._chunk_permutations(u, 4))[1] for u in (x_hat, y_hat)]
-        keys = [conj_mod._cycle_keys(perm, chunks[0].piece, chunks[0].longest) for perm in first]
+        keys = [conj_mod._cycle_keys(perm, chunks[0].piece) for perm in first]
         assert keys[0].tolist() == keys[1].tolist()
 
     @settings(max_examples=40)
@@ -686,8 +679,8 @@ class TestFiniteQuotient:
         for _ in range(40):
             x, y, _ = planted_conjugacy_case(rng, 3, 8)
             perms = [fold_permutation(u, 4) for u in (x, y)]
-            by_piece = [conj_mod._cycle_keys(perm, pieces.piece, longest_piece(4, 3)) for perm in perms]
-            by_element = [conj_mod._cycle_keys(perm, pieces.homs[0], longest_piece(4, 3)) for perm in perms]
+            by_piece = [conj_mod._cycle_keys(perm, pieces.piece) for perm in perms]
+            by_element = [conj_mod._cycle_keys(perm, pieces.homs[0]) for perm in perms]
             assert by_piece[0].tolist() == by_piece[1].tolist()
             refuted += by_element[0].tolist() != by_element[1].tolist()
         assert refuted >= 20  # 29 of 40 on the pieces of S_4 at rank 3
@@ -718,7 +711,7 @@ class TestFiniteQuotient:
         for c, classes in enumerate(want):
             assert sorted(laid_out[c]) == sorted(brute_piece(k, [names[t] for t in classes]))
         assert len(pieces.piece) == total
-        assert longest_piece(k, n) == max(map(len, laid_out.values()))
+        assert np.bincount(pieces.piece).max() == max(map(len, laid_out.values()))
 
     def test_point_cap(self):
         # S_3 takes every piece up to rank 5, so no refutation of the
@@ -744,7 +737,7 @@ class TestFiniteQuotient:
         pieces = conj_mod._pieces(3, 3)
         assert len(pieces.piece) == 6**3
         perms = [fold_permutation(u, 3) for u in (x, y)]
-        keys = [conj_mod._cycle_keys(perm, pieces.piece, longest_piece(3, 3)) for perm in perms]
+        keys = [conj_mod._cycle_keys(perm, pieces.piece) for perm in perms]
         assert sorted(keys[0] % (len(pieces.piece) + 1)) == sorted(keys[1] % (len(pieces.piece) + 1))
         piece = ["()", "(123)", "(12)"]
         assert piece_cycle_type(x, 3, piece) != piece_cycle_type(y, 3, piece)
@@ -912,21 +905,37 @@ class TestWalkPruning:
                         assert not (k < a and commute), (n, a, k)
             assert dropped or n == 2, n  # y(2,1) and y(2,2) do not commute
 
-    def test_pruned_walk_yields_the_same_meets(self):
+    def test_commuting_steps_are_the_presentations(self):
+        # the generator pairs the walk prunes as commuting, which it finds by
+        # conjugating, are those of the kind-1 and kind-2 relators: the
+        # presentation lists every commuting pair of generators
+        counts = []
+        for n in range(2, 9):
+            gens, after = generators(n), conj_mod._walk_steps(n)
+            walk = {
+                frozenset((gens[k // 2], gens[a // 2]))
+                for a in range(len(gens) * 2)
+                for k in range(a)
+                if k != a ^ 1 and k not in after[a][0]
+            }
+            relators = {frozenset(((m, i), (r, j))) for kind, m, i, r, j in relator_indices(n) if kind < 3}
+            assert walk == relators, n
+            counts.append(len(walk))
+        assert counts == [0, 4, 16, 41, 85, 155, 259]
+
+    def test_pruned_walk_yields_the_same_meets(self, monkeypatch):
         # every meet, in order, of the pruned orbit walk and of one that
         # tries every step, inverse included, at radius 6 and no state cap
+        def every(n, state, made_by):
+            return enumerate(_conj_steps(n, state, conj_mod._walk_steps(n)[-1][1]))
+
         meets = 0
         for x, y in _walk_pairs():
-            n = x.n
-            steps = conj_mod._walk_steps(n)[-1][1]
-
-            def every(state, made_by):
-                return enumerate(_conj_steps(n, state, steps))
-
             roots = _SEP.join(x.parts), _SEP.join(y.parts)
-            step = conj_mod._orbit_step(n)
-            full = list(conj_mod._meet_walk(*roots, every, step, 6, 10**7))
-            pruned = conj_mod._meet_walk(*roots, conj_mod._orbit_expand(n), step, 6, 10**7)
+            with monkeypatch.context() as patch:
+                patch.setattr(conj_mod, "_expand", every)
+                full = list(conj_mod._meet_walk(x.n, *roots, 6, 10**7))
+            pruned = conj_mod._meet_walk(x.n, *roots, 6, 10**7)
             assert list(pruned) == full, (x, y)
             meets += len(full)
         assert meets
@@ -937,11 +946,11 @@ class TestWalkPruning:
         # radius up to 6
         meets = 0
         for x, y in _walk_pairs():
-            expand = conj_mod._orbit_expand(x.n)
+            expand = functools.partial(conj_mod._expand, x.n)
             roots = _SEP.join(x.parts), _SEP.join(y.parts)
             for radius in range(1, 7):
                 stored = list(_stored_meet_walk(*roots, expand, radius))
-                got = list(conj_mod._meet_walk(*roots, expand, conj_mod._orbit_step(x.n), radius, 10**7))
+                got = list(conj_mod._meet_walk(x.n, *roots, radius, 10**7))
                 assert got == stored, (x, y, radius)
                 meets += len(stored)
         assert meets
@@ -952,10 +961,9 @@ class TestWalkPruning:
         # is in the other side's table
         stored = 0
         for x, y in _walk_pairs():
-            expand, step = conj_mod._orbit_expand(x.n), conj_mod._orbit_step(x.n)
             roots = _SEP.join(x.parts), _SEP.join(y.parts)
             for radius in range(1, 7):
-                walk = conj_mod._meet_walk(*roots, expand, step, radius, 10**7)
+                walk = conj_mod._meet_walk(x.n, *roots, radius, 10**7)
                 for _ in walk:
                     round_ = walk.gi_frame.f_locals
                     if round_["depth"] == radius:
@@ -1253,19 +1261,20 @@ def test_every_step_keeps_the_length_parity(u):
         assert (len(nstate) - len(state)) % 2 == 0
 
 
-def test_plateau_tables_rebuild_every_path():
+def test_plateau_tables_rebuild_every_path(monkeypatch):
     # across restarts and slacks, each side's table holds for every state in
     # it a step path from its root, and every meet a walk returns is a state
-    # of both sides' tables
+    # of both sides' tables; a cap of 100 states a walk, which some walks
+    # reach, cuts those walks short
+    monkeypatch.setattr(conj_mod, "PLATEAU_STATES", 100)
     restarts = meets = 0
-    step = conj_mod._orbit_step(3)
     for pair in _long_n3_pairs()[:8]:
         us = [conj_mod._greedy_descent(side)[0] for side in pair]
         roots = [_SEP.join(u.parts) for u in us]
         tables = [{root: -1} for root in roots]
         for slack in conj_mod.PLATEAU_SLACKS:
             for side in (0, 1):
-                walk = conj_mod._plateau(3, roots[side], tables[side], tables[1 - side], 100, slack)
+                walk = conj_mod._plateau(3, roots[side], tables[side], tables[1 - side], slack)
                 meet = next(filter(None, walk), None)  # the walk run to its meet or its end
                 if meet is not None:
                     assert meet in tables[0] and meet in tables[1]
@@ -1273,7 +1282,7 @@ def test_plateau_tables_rebuild_every_path():
         for u, table in zip(us, tables):
             restarts += min(map(len, table)) - 1 < sum(map(len, u.parts))
             for state in table:
-                c = conj_mod._step_product(3, conj_mod._path(table, state, step))
+                c = conj_mod._step_product(3, conj_mod._path(3, table, state))
                 assert _SEP.join(conj_elem(c, u).parts) == state
     assert restarts  # plateaus that went below descent's local minimum
     assert meets
@@ -1287,22 +1296,41 @@ def test_plateau_stops_at_the_first_meet(monkeypatch):
     # the other side's table holds, they expanded 860; walking x's side to
     # the end of each slack before y's expanded 1,207, and walking both to
     # the end and then intersecting their least states 2,417.
-    orbit_expand, expanded = conj_mod._orbit_expand, [0]
+    expand, expanded = conj_mod._expand, [0]
 
-    def counted_expand(n, *low):
-        expand = orbit_expand(n, *low)
+    def counted_expand(n, state, made_by):
+        expanded[0] += 1
+        return expand(n, state, made_by)
 
-        def counted(state, made_by):
-            expanded[0] += 1
-            return expand(state, made_by)
-
-        return counted
-
-    monkeypatch.setattr(conj_mod, "_orbit_expand", counted_expand)
+    monkeypatch.setattr(conj_mod, "_expand", counted_expand)
     monkeypatch.setattr(conj_mod, "_orbit_walk", lambda *args: pytest.fail("the full walk ran"))
     for x, y in _long_n3_pairs():
         assert conjugacy(x, y).verdict == "conjugate"
     assert expanded[0] == 709
+
+
+def test_open_pair_search_work_is_pinned(monkeypatch):
+    # conj-hard-n4's open pair, hard pair 26 at rank 4: the plateau expands
+    # 3,797 states over its slacks and the full walk 4,344 before the pair
+    # ends unknown, counted through _expand as scripts/conj_timings.py counts them
+    x, y, _ = _hard_stream(4, 27)[26]
+    expand, stage, expanded = conj_mod._expand, [None], Counter()
+
+    def counted_expand(n, state, made_by):
+        expanded[stage[0]] += 1
+        return expand(n, state, made_by)
+
+    def staged(name, run):
+        def entry(call):
+            stage[0] = "plateau" if name == "plateau-0" else name
+            return run(call)
+
+        return entry
+
+    monkeypatch.setattr(conj_mod, "_expand", counted_expand)
+    monkeypatch.setattr(conj_mod, "STAGES", tuple((name, staged(name, run)) for name, run in conj_mod.STAGES))
+    assert conjugacy(x, y).verdict == "unknown"
+    assert expanded == {"plateau": 3797, "full walk": 4344}
 
 
 @pytest.mark.parametrize("stream, refutations", [(_hard_stream, 33), (_pinned_stream, 5)])

@@ -281,16 +281,15 @@ class TestGroupLaws:
         n = u.n
         state = igroup._SEP.join(u.parts)
         assert tuple(state.split(igroup._SEP)) == u.parts
-        step = conj._orbit_step(n)
         table = conj._walk_steps(n)[-1][1]
-        successors = list(conj._orbit_expand(n)(state, -1))
+        successors = list(conj._expand(n, state, -1))
         assert [k for k, _ in successors] == list(range(len(table)))
         for k, succ in successors:
             m, i, eps = table[k]
             s = gen_elem(n, m, i) if eps > 0 else iinv(gen_elem(n, m, i))
             assert tuple(succ.split(igroup._SEP)) == conj_elem(s, u).parts, k
-            assert step(state, k) == succ
-            assert step(succ, k ^ 1) == state, k
+            assert conj._step(n, state, k) == succ
+            assert conj._step(n, succ, k ^ 1) == state, k
 
     def test_walk_form_past_code_point_255(self):
         # at n = 130 the letters of index 128..130 have code points 256..261
