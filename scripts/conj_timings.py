@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
 """Time conjugacy stage by stage on the benchmark's streams and record it in a BENCH file.
 
-Each of the conj-planted and conj-hard streams, as ``bench/workloads.py``
-builds them for a 15 s run, conj-hard-n4, the same draws as conj-hard
-(``workloads.hard_pairs`` from ``Lcg(99)``) at rank 4, and conj-long-n3, 60
-planted pairs at rank 3 from ``Lcg(5)`` whose conjugators have exactly 14
-generator letters, run under the default budget, is a stream of
-``timing.py``, run REPEAT times per tree.  conj-long-n3's conjugators lie
-beyond the full walk's radius, so it is the stream that times the plateau
-on long conjugators.  The stages are entries of ``pik.conj.STAGES``, which
+Each of these streams, run under the default budget, is a stream of
+``timing.py``, run REPEAT times per tree:
+
+    conj-planted, conj-hard
+                  as ``bench/workloads.py`` builds them for a 15 s run
+    conj-hard-n4  hard_pairs(4, 45), conj-hard's draws at rank 4
+    conj-g3-n3, conj-g3-n4
+                  gamma3_pairs(3, 200) and gamma3_pairs(4, 100), the pairs
+                  that tests/test_conj.py pins with their 11 unknowns each
+    conj-long-n3  long_pairs(), planted pairs whose conjugators lie beyond
+                  the full walk's radius, so it times the plateau on long
+                  conjugators
+
+The draw functions below are the one copy of these streams: the tests
+import them too.  Each imports pik when it is called, from the tree that
+the child runs on, so this script itself never imports pik.  The stages
+are entries of ``pik.conj.STAGES``, which
 the child replaces in the table by timed wrappers, and the plateau and the
 full walk also count the states they expand:
 
@@ -38,13 +47,14 @@ import sys
 
 import timing
 
-STREAMS = ("conj-planted", "conj-hard", "conj-hard-n4", "conj-long-n3")
+STREAMS = ("conj-planted", "conj-hard", "conj-hard-n4", "conj-g3-n3", "conj-g3-n4", "conj-long-n3")
 STAGES = ("descent", "tables", "S_3", "plateau", "S_4", "full walk")
 SECONDS = 15
 REPEAT = 7
 OUT = "BENCH_conj.json"
 
 HOOKS = """
+import conj_timings
 from pik import conj
 
 states.update({"plateau": 0, "full walk": 0})
@@ -54,30 +64,6 @@ searching = [None]  # the stage that asks for expand next
 def counted_expand(n, state, made_by, expand=conj._expand):
     states[searching[0]] += 1
     return expand(n, state, made_by)
-
-
-def hard_pairs_n4(seconds):
-    # workloads.hard_pairs's draws at rank 4, with conj-hard's default budget
-    rng, pairs = workloads.Lcg(99), []
-    while len(pairs) < max(1, 3 * seconds):
-        x = workloads.collect(4, workloads.gen_tokens(rng, 4, 8))
-        a = workloads.collect(4, workloads.gen_tokens(rng, 4, 2))
-        b = workloads.collect(4, workloads.gen_tokens(rng, 4, 2))
-        y = workloads.imul(x, workloads.commutator_elem(a, b))
-        if y != x:
-            pairs.append(workloads._hard_op(x, y, conj.SearchBudget().as_dict()))
-    return pairs
-
-
-def long_pairs_n3():
-    # ROADMAP Baseline's long planted conjugators: x from gen_tokens(rng, 3, 8),
-    # g of exactly 14 generator letters, y = g x g^-1, under the default budget
-    rng, ops = workloads.Lcg(5), []
-    for _ in range(60):
-        x = workloads.collect(3, workloads.gen_tokens(rng, 3, 8))
-        g = workloads.collect(3, workloads.tokens_of_length(rng, 3, 14))
-        ops.append(workloads._planted_op(x, workloads.conj_elem(g, x), conj.SearchBudget()))
-    return ops
 
 
 def timed_entry(name, run, tables=timed(conj._chunks, lambda k, n: "tables")):
@@ -98,14 +84,79 @@ def timed_entry(name, run, tables=timed(conj._chunks, lambda k, n: "tables")):
 
 conj.STAGES = tuple((name, timed_entry(name, run)) for name, run in conj.STAGES)
 conj._expand = counted_expand
-if sys.argv[2] == "conj-hard-n4":
-    ops = hard_pairs_n4(int(sys.argv[3]))
-elif sys.argv[2] == "conj-long-n3":
-    ops = long_pairs_n3()
+stream, seconds = sys.argv[2], int(sys.argv[3])
+drawn = {  # the streams of x against a perturbed x, with conj-hard's default budget
+    "conj-hard-n4": lambda: conj_timings.hard_pairs(4, max(1, 3 * seconds)),
+    "conj-g3-n3": lambda: conj_timings.gamma3_pairs(3, 200),
+    "conj-g3-n4": lambda: conj_timings.gamma3_pairs(4, 100),
+}
+if stream in drawn:
+    ops = [workloads._hard_op(x, y, conj.SearchBudget().as_dict()) for x, y in drawn[stream]()]
+elif stream == "conj-long-n3":
+    ops = [workloads._planted_op(x, y, conj.SearchBudget()) for x, y in conj_timings.long_pairs()]
 else:
-    ops = workloads.WORKLOADS[sys.argv[2]](1, int(sys.argv[3]))
+    ops = workloads.WORKLOADS[stream](1, seconds)
 report(ops, lambda res: res.as_dict(), unknown=lambda outputs: sum(res.verdict == "unknown" for res in outputs))
 """
+
+
+def hard_pairs(n: int, count: int) -> list:
+    """The first count pairs (x, x [a, b]) at rank n drawn from Lcg(99), a draw with y = x skipped.
+
+    The draws are bench/workloads.py's hard_pairs at rank n: x is
+    random_ielem(rng, n, 8), then a and b are each random_ielem(rng, n, 2).
+    hard_pairs(3, 45) is conj-hard's stream for a 15 s run.
+    """
+    from pik.fuzz import random_ielem
+    from pik.igroup import commutator_elem, imul
+    from pik.prng import Lcg
+
+    rng, pairs = Lcg(99), []
+    while len(pairs) < count:
+        x = random_ielem(rng, n, 8)
+        y = imul(x, commutator_elem(random_ielem(rng, n, 2), random_ielem(rng, n, 2)))
+        if y != x:
+            pairs.append((x, y))
+    return pairs
+
+
+def gamma3_pairs(n: int, count: int) -> list:
+    """The first count pairs (x, x [[a, b], c]) at rank n drawn from Lcg(77), a draw with y = x skipped.
+
+    x is random_ielem(rng, n, 8), then a, b and c, in that order, are each
+    random_ielem(rng, n, 2).  Class 2 cannot tell the sides apart.
+    """
+    from pik.fuzz import random_ielem
+    from pik.igroup import commutator_elem, imul
+    from pik.prng import Lcg
+
+    rng, pairs = Lcg(77), []
+    while len(pairs) < count:
+        x = random_ielem(rng, n, 8)
+        a, b, c = (random_ielem(rng, n, 2) for _ in range(3))
+        y = imul(x, commutator_elem(commutator_elem(a, b), c))
+        if y != x:
+            pairs.append((x, y))
+    return pairs
+
+
+def long_pairs() -> list:
+    """60 planted pairs (x, g x g^-1) at rank 3 drawn from Lcg(5), each g of exactly 14 generator letters.
+
+    x is random_ielem(rng, 3, 8), then g's letters are drawn one by one as
+    bench/workloads.py's tokens_of_length draws them.
+    """
+    from pik.fuzz import random_ielem
+    from pik.igroup import collect, conj_elem, generators
+    from pik.prng import Lcg
+    from pik.words import Token
+
+    rng, gens, pairs = Lcg(5), generators(3), []
+    for _ in range(60):
+        x = random_ielem(rng, 3, 8)
+        g = collect(3, [Token("y", *gens[rng.below(len(gens))], rng.sign()) for _ in range(14)])
+        pairs.append((x, conj_elem(g, x)))
+    return pairs
 
 
 def main(argv: list[str]) -> int:
@@ -122,10 +173,11 @@ def main(argv: list[str]) -> int:
             print(f"{stream}: the trees' outputs_sha256 {'agree' if agree else 'DIFFER'}")
     what = (
         f"conj.conjugacy on the conj-planted and conj-hard streams of a {SECONDS} s benchmark run, "
-        "on conj-hard's draws at rank 4 (conj-hard-n4) and on 60 planted pairs at rank 3 with "
-        "14-letter conjugators under the default budget (conj-long-n3, Lcg(5)): wall time per "
-        "stage, states expanded by the plateau and the full walk and unknown verdicts, median of "
-        "fresh processes"
+        "on conj-hard's draws at rank 4 (conj-hard-n4), on the first 200 (n=3) and 100 (n=4) pairs "
+        "of x against x [[a, b], c] (conj-g3-n3 and conj-g3-n4, Lcg(77)) and on 60 planted pairs at "
+        "rank 3 with 14-letter conjugators (conj-long-n3, Lcg(5)), under the default budget: wall "
+        "time per stage, states expanded by the plateau and the full walk and unknown verdicts, "
+        "median of fresh processes"
     )
 
     def outputs_agree(runs):

@@ -13,8 +13,8 @@ With no --tree the checkout's own src is timed as "after".  Each label
 replaces its own record in the BENCH file and keeps the others.
 
 A stage-timing child (``run_stages``) runs one stream of ops, as
-``bench/workloads.py`` builds them, with some of pik's functions wrapped
-from outside, and reports for each such stage the wall time summed over the
+``bench/workloads.py`` builds them, with the checkout's ``bench/`` and
+``scripts/`` on its path and some of pik's functions wrapped from outside, and reports for each such stage the wall time summed over the
 stream and the number of calls; "other" is the rest of the stream's wall
 time.  It runs the stream after one collection with Python's cyclic
 garbage collector off, so that no collection pause of a millisecond or so
@@ -66,9 +66,9 @@ def timed(fn, stage_of):
 """
 
 STAGE_HEAD = """
-import gc, hashlib, json, resource, sys
+import gc, hashlib, json, os, resource, sys
 import pik
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = [sys.argv[1], os.path.join(os.path.dirname(sys.argv[1]), "scripts")]
 import workloads
 """ + TIMED + """
 states = {}  # states expanded, for the stages that count them

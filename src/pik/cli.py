@@ -166,7 +166,7 @@ def check_lie_certificates(cfg: RunConfig) -> dict:
     if fail is not None:
         th1_details["first_failure"] = {"m": fail.m, "rank_deficit": fail.witt_rank - fail.direct_sum.rank_sum}
     psi = [decomp.verify_psi_automorphism(cfg.n, r, rels) for r in range(2, cfg.n)]
-    ranks = [decomp.alphabet_size(cfg.n)] + [d.witt_rank - d.rank_j for d in th1.degrees]
+    ranks = [igroup.rank_of_abelianization(cfg.n)] + [d.witt_rank - d.rank_j for d in th1.degrees]
     rows = [_embedding_row(cfg.n, c, rank) for c, rank in enumerate(ranks, 1)]
     nonzero = ajohnson.nonzero_relators(cfg.n, rels.relators)
     ok = th1.ok and tilde.ok and all(p.ok for p in psi) and all(r["certified"] for r in rows) and not nonzero

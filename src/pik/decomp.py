@@ -34,7 +34,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .igroup import gen_index, rank_of_abelianization, relator_indices
+from .igroup import gen_index, generators, rank_of_abelianization, relator_indices
 from .lie import (
     DirectSumReport,
     LieElem,
@@ -61,26 +61,21 @@ class DecompError(ValueError):
     pass
 
 
-def alphabet_size(n: int) -> int:
-    return rank_of_abelianization(n)
-
-
-def letter(n: int, m: int, i: int) -> int:
-    """Flat alphabet index of y(m, i)."""
-    return gen_index(n, m, i)
+@lru_cache(maxsize=None)
+def _letter_table(n: int) -> tuple[tuple[int, int], ...]:
+    """Level m and conjugating index i of each flat letter y(m, i), in
+    igroup.generators' order; position 0 is unused."""
+    return ((0, 0), *generators(n))
 
 
 def level_letters(n: int, i: int) -> list[int]:
     """Flat indices of the level-i block Y_i."""
-    return [letter(n, i, l) for l in range(1, i + 1)]
+    return [a for a, (m, _) in enumerate(_letter_table(n)) if m == i]
 
 
 def upper_letters(n: int, r: int) -> list[int]:
     """Flat indices of U_r = Y_r + ... + Y_n."""
-    out = []
-    for i in range(r, n + 1):
-        out.extend(level_letters(n, i))
-    return out
+    return [a for a, (m, _) in enumerate(_letter_table(n)) if m >= r]
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +117,13 @@ class RelatorSet:
 def build_relators(n: int) -> RelatorSet:
     if n < 2:
         raise DecompError("need n >= 2")
-    k = alphabet_size(n)
+    k = rank_of_abelianization(n)
     out: list[Relator] = []
     for kind, m, i, r, j in relator_indices(n):
-        right = {(letter(n, r, j),): 1}
+        right = {(gen_index(n, r, j),): 1}
         if kind == 3:
-            right[(letter(n, m, j),)] = -1
-        elem = bracket(lie_generator(k, letter(n, m, i)), lie_from_tensor(k, 1, right))
+            right[(gen_index(n, m, j),)] = -1
+        elem = bracket(lie_generator(k, gen_index(n, m, i)), lie_from_tensor(k, 1, right))
         out.append(Relator(kind, m, i, r, j, elem))
     return RelatorSet(n, tuple(out))
 
@@ -177,12 +172,12 @@ def verify_psi_automorphism(n: int, r: int, relators: Optional[RelatorSet] = Non
     if not 2 <= r <= n - 1:
         raise DecompError(f"need 2 <= r <= {n - 1}, got {r}")
     level = _relators_for(n, relators).level(r).relators
-    index = {w: j for j, w in enumerate(lyndon_words(alphabet_size(n), 2))}
+    index = {w: j for j, w in enumerate(lyndon_words(rank_of_abelianization(n), 2))}
     y_r = set(level_letters(n, r))
-    # the pair [y(m,nu), y(r,l)] is the Lyndon word (letter(r,l), letter(m,nu)):
+    # the pair [y(m,nu), y(r,l)] is the Lyndon word of flat letters (y(r,l), y(m,nu)):
     # Y_r's letters precede U_{r+1}'s
     pairs = {(y, u) for y in y_r for u in upper_letters(n, r + 1)}
-    own = [(letter(n, r, rel.j), letter(n, rel.m, rel.i)) for rel in level]
+    own = [(gen_index(n, r, rel.j), gen_index(n, rel.m, rel.i)) for rel in level]
     # the block is square, each pair one relator's, and each relator is -1
     # at its own pair ([y_u, y_t] = -P_(t,u) for t < u) with its other
     # Lyndon words in L^2(U_{r+1})
@@ -211,31 +206,19 @@ def verify_psi_automorphism(n: int, r: int, relators: Optional[RelatorSet] = Non
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _conjugating_index(n: int) -> tuple[int, ...]:
-    """Conjugating index i of each flat letter y(m, i); position 0 is unused."""
-    return (0,) + tuple(i for m in range(2, n + 1) for i in range(1, m + 1))
-
-
-@lru_cache(maxsize=None)
-def _level(n: int) -> tuple[int, ...]:
-    """Level m of each flat letter y(m, i); position 0 is unused."""
-    return (0,) + tuple(m for m in range(2, n + 1) for _ in range(1, m + 1))
-
-
 def _multidegree(n: int, w: Word) -> Multidegree:
-    conj = _conjugating_index(n)
+    table = _letter_table(n)
     d = [0] * n
     for a in w:
-        d[conj[a] - 1] += 1
+        d[table[a][1] - 1] += 1
     return tuple(d)
 
 
 def _c_then_s(n: int, words: Sequence[Word]) -> list[Word]:
     """Lyndon words, those outside every level (C) before the level words
     (S), each part in the order given."""
-    level = _level(n)
-    return sorted(words, key=lambda w: all(level[a] == level[w[0]] for a in w))
+    table = _letter_table(n)
+    return sorted(words, key=lambda w: all(table[a][0] == table[w[0]][0] for a in w))
 
 
 @dataclass(frozen=True)
@@ -287,11 +270,11 @@ def _feeds(n: int, below: Sequence[_TensorBlock], letters: Sequence[int]) -> dic
     """The multidegrees of degree m reached from the blocks of degree m - 1
     by one letter, in the order they are first reached, each with the
     (block, letter) pairs that reach it."""
-    conj = _conjugating_index(n)
+    table = _letter_table(n)
     feeds: dict[Multidegree, Feed] = {}
     for b in below:
         for a in letters:
-            i = conj[a] - 1
+            i = table[a][1] - 1
             d = b.degree[:i] + (b.degree[i] + 1,) + b.degree[i + 1 :]
             feeds.setdefault(d, []).append((b, a))
     return feeds
@@ -352,7 +335,7 @@ def _lyndon_by_degree(n: int, m: int) -> Mapping[Multidegree, tuple[Word, ...]]:
     """The degree-m Lyndon words by multidegree, each part in C-then-S
     order; built once and read-only, as lyndon_words is."""
     parts: dict[Multidegree, list[Word]] = {}
-    for w in lyndon_words(alphabet_size(n), m):
+    for w in lyndon_words(rank_of_abelianization(n), m):
         parts.setdefault(_multidegree(n, w), []).append(w)
     return MappingProxyType({d: tuple(_c_then_s(n, words)) for d, words in parts.items()})
 
@@ -475,7 +458,7 @@ class Th1Report:
 
 def _th1_degree(n: int, m: int, blocks: Iterable[Block]) -> DegreeReport:
     """Degree m of Th1 from the blocks of J^m, read once."""
-    k = alphabet_size(n)
+    k = rank_of_abelianization(n)
     # a Lyndon word on one level's letters is Lyndon on the whole ordered
     # alphabet with the same bracketing, so L^m(Y_i) is spanned by unit
     # Lyndon vectors
@@ -498,7 +481,7 @@ def verify_theorem_th1(n: int, max_m: int, relators: Optional[RelatorSet] = None
     if max_m < 2:
         raise DecompError(f"need max degree >= 2, got {max_m}")
     rels = _relators_for(n, relators)
-    degrees = ideal_rows_by_degree(rels, max_m, range(1, alphabet_size(n) + 1))
+    degrees = ideal_rows_by_degree(rels, max_m, range(1, rank_of_abelianization(n) + 1))
     return Th1Report(n, tuple(_th1_degree(n, m, blocks) for m, blocks in degrees))
 
 
@@ -563,7 +546,7 @@ def verify_lie_certificates(
     if max_m < 2:
         raise DecompError(f"need max degree >= 2, got {max_m}")
     rels = _relators_for(n, relators)
-    letters = list(range(1, alphabet_size(n) + 1))
+    letters = list(range(1, rank_of_abelianization(n) + 1))
     j_degrees = ideal_rows_by_degree(rels, max_m, letters)
     t_degrees = [  # None for a T_r that is J
         None if level == rels and ups == letters else ideal_rows_by_degree(level, max_m, ups)
@@ -628,6 +611,6 @@ def gr_rank_table(n: int, max_c: int) -> list[RankRow]:
     if max_c < 1:
         raise DecompError(f"need max degree >= 1, got {max_c}")
     th1 = verify_theorem_th1(n, max(max_c, 2))
-    k = alphabet_size(n)
+    k = rank_of_abelianization(n)
     rows = [RankRow(d.m, sum(d.ranks_y), d.witt_rank - d.rank_j) for d in th1.degrees]
     return [RankRow(1, k, k)] + rows[: max_c - 1]

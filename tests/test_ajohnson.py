@@ -15,9 +15,9 @@ from pik.ajohnson import (
     nonzero_relators,
 )
 from pik.cli import main
-from pik.decomp import alphabet_size, build_relators, letter
+from pik.decomp import build_relators
 from pik.lie import bracket, lie_generator
-from pik.igroup import commutator_elem, gen_elem, generators, to_endo
+from pik.igroup import commutator_elem, gen_elem, gen_index, generators, rank_of_abelianization, to_endo
 from pik.lie import lattice_from_rows, witt
 from pik.magnus import ia_degree, johnson_image
 
@@ -173,8 +173,10 @@ class TestRelatorsGoToZero:
         n = 4
         rels = build_relators(n).relators
         victim = next(rel for rel in rels if rel.kind == 3)
-        k = alphabet_size(n)
-        lost = bracket(lie_generator(k, letter(n, victim.m, victim.i)), lie_generator(k, letter(n, victim.r, victim.j)))
+        k = rank_of_abelianization(n)
+        lost = bracket(
+            lie_generator(k, gen_index(n, victim.m, victim.i)), lie_generator(k, gen_index(n, victim.r, victim.j))
+        )
         broken = [replace(rel, elem=lost) if rel is victim else rel for rel in rels]
         assert nonzero_relators(n, broken) == [(3, victim.m, victim.i, victim.r, victim.j)]
         gens = dict(zip(generators(n), (_generator_derivation(n, m, i) for m, i in generators(n))))

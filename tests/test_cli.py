@@ -11,7 +11,7 @@ import pytest
 from pik import cli, lie
 from pik.cli import RunConfig, build_parser, emit_report, main
 from pik.conj import SearchBudget, conjugacy
-from pik.igroup import collect
+from pik.igroup import collect, rank_of_abelianization
 from pik.words import parse_word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -341,7 +341,7 @@ class TestVerifyAll:
         monkeypatch.setattr(decomp, "ideal_rows_by_degree", spy)
         for n in (3, 4):
             whole = decomp.build_relators(n)
-            every = list(range(1, decomp.alphabet_size(n) + 1))
+            every = list(range(1, rank_of_abelianization(n) + 1))
             seen.clear()
             cfg = ["verify-all", "--n", str(n), "--max-degree", "3", "--fuzz-words", "2", "--fuzz-conj", "2"]
             assert main(cfg + ["--out", str(tmp_path / "r.json")]) == 0

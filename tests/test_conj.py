@@ -46,6 +46,10 @@ from pik.igroup import (
 from pik.prng import Lcg
 from pik.words import Token, WitnessError, decode, gen, parse_word
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+import conj_timings  # noqa: E402
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -1058,34 +1062,11 @@ class TestPinnedOutputs:
 
 
 def _hard_stream(n=3, count=45):
-    """The first count pairs of x against x [a, b] at rank n, drawn from Lcg(99), a draw with y = x skipped.
+    """scripts/conj_timings.py's hard_pairs(n, count), each pair with the default budget, None.
 
-    The draws are bench/workloads.py's hard_pairs at rank n, so the defaults
-    give conj-hard's 45 pairs.  Each pair carries the default budget, None.
+    The defaults give conj-hard's 45 pairs.
     """
-    rng, pairs = Lcg(99), []
-    while len(pairs) < count:
-        x = random_ielem(rng, n, 8)
-        y = imul(x, commutator_elem(random_ielem(rng, n, 2), random_ielem(rng, n, 2)))
-        if y != x:
-            pairs.append((x, y, None))
-    return pairs
-
-
-def _gamma3_stream(n, count):
-    """The first count pairs of x against x [[a, b], c] at rank n, drawn from Lcg(77), a draw with y = x skipped.
-
-    x is random_ielem(rng, n, 8), then a, b and c, in that order, are each
-    random_ielem(rng, n, 2): the draws of bench/workloads.py's gen_tokens.
-    """
-    rng, pairs = Lcg(77), []
-    while len(pairs) < count:
-        x = random_ielem(rng, n, 8)
-        a, b, c = (random_ielem(rng, n, 2) for _ in range(3))
-        y = imul(x, commutator_elem(commutator_elem(a, b), c))
-        if y != x:
-            pairs.append((x, y))
-    return pairs
+    return [(x, y, None) for x, y in conj_timings.hard_pairs(n, count)]
 
 
 # The pinned streams' pairs that end unknown under the default budget, by
@@ -1133,7 +1114,8 @@ def _stream_pin(pairs):
 def test_gamma3_streams_are_pinned(n, count, deciders):
     # x against x [[a, b], c]: class 2 cannot tell these sides apart, and the
     # finite quotients decide most of them.  Each verdict and reason is pinned.
-    assert _stream_pin(_gamma3_stream(n, count)) == (GAMMA3_UNKNOWN[n], deciders, GAMMA3_VERDICTS_SHA256[n])
+    pin = (GAMMA3_UNKNOWN[n], deciders, GAMMA3_VERDICTS_SHA256[n])
+    assert _stream_pin(conj_timings.gamma3_pairs(n, count)) == pin
 
 
 @pytest.mark.parametrize(
@@ -1214,16 +1196,6 @@ def test_stages_run_in_order(monkeypatch):
     }
 
 
-def _long_n3_pairs():
-    """scripts/conj_timings.py's conj-long-n3: 60 pairs of x conjugated by 14 generator letters, drawn from Lcg(5)."""
-    rng, gens, pairs = Lcg(5), generators(3), []
-    for _ in range(60):
-        x = random_ielem(rng, 3, 8)
-        g = collect(3, [Token("y", *gens[rng.below(len(gens))], rng.sign()) for _ in range(14)])
-        pairs.append((x, conj_elem(g, x)))
-    return pairs
-
-
 def test_plateau_decides_long_planted_pairs(monkeypatch):
     # conj-long-n3's 60 pairs and LONG_PAIR: conjugators drawn as 14
     # generator letters, beyond the default budget's radius of 8.  Each pair
@@ -1236,7 +1208,7 @@ def test_plateau_decides_long_planted_pairs(monkeypatch):
         return walk(*args)
 
     monkeypatch.setattr(conj_mod, "_orbit_walk", spy)
-    pairs = _long_n3_pairs() + [LONG_PAIR]
+    pairs = conj_timings.long_pairs() + [LONG_PAIR]
     methods = Counter()
     for x, y in pairs:
         res = conjugacy(x, y)
@@ -1268,7 +1240,7 @@ def test_plateau_tables_rebuild_every_path(monkeypatch):
     # reach, cuts those walks short
     monkeypatch.setattr(conj_mod, "PLATEAU_STATES", 100)
     restarts = meets = 0
-    for pair in _long_n3_pairs()[:8]:
+    for pair in conj_timings.long_pairs()[:8]:
         us = [conj_mod._greedy_descent(side)[0] for side in pair]
         roots = [_SEP.join(u.parts) for u in us]
         tables = [{root: -1} for root in roots]
@@ -1304,7 +1276,7 @@ def test_plateau_stops_at_the_first_meet(monkeypatch):
 
     monkeypatch.setattr(conj_mod, "_expand", counted_expand)
     monkeypatch.setattr(conj_mod, "_orbit_walk", lambda *args: pytest.fail("the full walk ran"))
-    for x, y in _long_n3_pairs():
+    for x, y in conj_timings.long_pairs():
         assert conjugacy(x, y).verdict == "conjugate"
     assert expanded[0] == 709
 

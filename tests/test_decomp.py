@@ -12,21 +12,20 @@ from pik.decomp import (
     DecompError,
     Relator,
     RelatorSet,
+    _letter_table,
     _lyndon_by_degree,
     _multidegree,
     _tensor_blocks,
-    alphabet_size,
     build_relators,
     gr_rank_table,
     ideal_rows_by_degree,
-    letter,
     level_letters,
     upper_letters,
     verify_lie_certificates,
     verify_psi_automorphism,
     verify_theorem_th1,
 )
-from pik.igroup import relation_instances, relator_indices
+from pik.igroup import gen_index, rank_of_abelianization, relation_instances, relator_indices
 from pik.lie import (
     bracket,
     lattice_from_rows,
@@ -66,14 +65,14 @@ def at_words(terms, words):
 
 def pair(n, m, nu, r, l):
     """[y(m,nu), y(r,l)] over the flat alphabet."""
-    k = alphabet_size(n)
-    return bracket(lie_generator(k, letter(n, m, nu)), lie_generator(k, letter(n, r, l)))
+    k = rank_of_abelianization(n)
+    return bracket(lie_generator(k, gen_index(n, m, nu)), lie_generator(k, gen_index(n, r, l)))
 
 
 def lie_ideal_rows(relators, max_m):
     """Oracle: J's left-normed spanning set as Lie elements, each bracket
     checked to be a Lie element by the Lyndon rewrite."""
-    k = alphabet_size(relators.n)
+    k = rank_of_abelianization(relators.n)
     gens = [lie_generator(k, a) for a in range(1, k + 1)]
     rows = {2: [rel.elem for rel in relators.relators]}
     for m in range(3, max_m + 1):
@@ -82,7 +81,7 @@ def lie_ideal_rows(relators, max_m):
 
 
 def every_letter(n):
-    return range(1, alphabet_size(n) + 1)
+    return range(1, rank_of_abelianization(n) + 1)
 
 
 def t_r_rows(n, r, m):
@@ -191,16 +190,25 @@ def brute_relator_index_sets(n):
 
 class TestAlphabet:
     def test_size(self):
-        assert alphabet_size(3) == 5
-        assert alphabet_size(4) == 9
-        assert alphabet_size(5) == 14
+        assert rank_of_abelianization(3) == 5
+        assert rank_of_abelianization(4) == 9
+        assert rank_of_abelianization(5) == 14
 
     def test_letter_order(self):
-        assert [letter(3, m, i) for m in (2, 3) for i in range(1, m + 1)] == [1, 2, 3, 4, 5]
+        assert [gen_index(3, m, i) for m in (2, 3) for i in range(1, m + 1)] == [1, 2, 3, 4, 5]
 
     def test_blocks(self):
         assert level_letters(4, 3) == [3, 4, 5]
         assert upper_letters(4, 3) == [3, 4, 5, 6, 7, 8, 9]
+
+    def test_letter_table_is_igroups_order(self):
+        """Each flat letter's level and conjugating index are those gen_index numbers."""
+        for n in range(2, 9):
+            table = _letter_table(n)
+            assert [gen_index(n, *table[a]) for a in range(1, len(table))] == list(range(1, len(table)))
+            for i in range(2, n + 1):
+                assert level_letters(n, i) == list(range(gen_index(n, i, 1), gen_index(n, i, i) + 1))
+                assert upper_letters(n, i) == list(range(gen_index(n, i, 1), rank_of_abelianization(n) + 1))
 
 
 class TestRelators:
@@ -230,7 +238,7 @@ class TestRelators:
         # which is that of L^2 less the within-level pairs
         for n in range(3, 7):
             rels = build_relators(n).relators
-            k = alphabet_size(n)
+            k = rank_of_abelianization(n)
             lat = lyndon_lattice([rel.elem for rel in rels], k, 2)
             assert lat.rank == len(rels) == witt(k, 2) - sum(witt(i, 2) for i in range(2, n + 1)), n
 
@@ -297,7 +305,7 @@ class TestIdeal:
         # bracketing J^m with any generator lands in J^{m+1}
         rels = build_relators(3)
         rows = lie_ideal_rows(rels, 4)
-        k = alphabet_size(3)
+        k = rank_of_abelianization(3)
         for m in (2, 3):
             nxt = lyndon_lattice(rows[m + 1], k, m + 1)
             index = lyndon_index(k, m + 1)
@@ -389,7 +397,7 @@ def stacked_th1(n, max_m, rels):
     """Oracle: the per-degree Th1 report from one lattice that stacks the
     rows of each level factor's Lyndon basis, built by tensor brackets, and
     the rows of J's spanning set."""
-    k = alphabet_size(n)
+    k = rank_of_abelianization(n)
     j_rows = lie_ideal_rows(rels, max_m)
     out = []
     for m in range(2, max_m + 1):
@@ -436,13 +444,13 @@ class TestAgainstStackedLattice:
         rels = build_relators(n)
         assert self.check(n, max_m, rels)["direct_sum"]
         for victim in rels.relators:
-            assert self.check(n, max_m, rels.without(victim))["rank_sum"] == witt(alphabet_size(n), 2) - 1
+            assert self.check(n, max_m, rels.without(victim))["rank_sum"] == witt(rank_of_abelianization(n), 2) - 1
 
     @pytest.mark.parametrize("n,max_m", [(3, 4), (4, 3)])
     def test_relator_doubled(self, n, max_m):
         rels = build_relators(n)
         victim = rels.of_kind(3)[0]
-        doubled = lie_from_tensor(alphabet_size(n), 2, added(victim.elem.coords, victim.elem.coords))
+        doubled = lie_from_tensor(rank_of_abelianization(n), 2, added(victim.elem.coords, victim.elem.coords))
         swapped = tuple(replace(rel, elem=doubled) if rel is victim else rel for rel in rels.relators)
         first = self.check(n, max_m, RelatorSet(n, swapped))
         assert first["rank_sum"] == first["rank_total"] and not first["snf_ones"]
@@ -453,7 +461,7 @@ class TestAgainstStackedLattice:
         # (e_1 + e_3) has no block of its own, and is refused by name
         rels = build_relators(n)
         victim = rels.of_kind(3)[0]
-        mixed = lie_from_tensor(alphabet_size(n), 2, added(victim.elem.coords, pair(n, 2, 1, 3, 3).coords))
+        mixed = lie_from_tensor(rank_of_abelianization(n), 2, added(victim.elem.coords, pair(n, 2, 1, 3, 3).coords))
         swapped = RelatorSet(n, tuple(replace(rel, elem=mixed) if rel is victim else rel for rel in rels.relators))
         named = rf"kind 3 \(m={victim.m}, i={victim.i}, r={victim.r}, j={victim.j}\)"
         with pytest.raises(DecompError, match=named):
@@ -477,7 +485,7 @@ class TestAgainstStackedLattice:
         victim = rels.of_kind(3)[0]
         c = (1 << 62) - 1
         terms = {w: c * x for w, x in victim.elem.coords.items()}
-        big = replace(victim, elem=lie_from_tensor(alphabet_size(3), 2, terms))
+        big = replace(victim, elem=lie_from_tensor(rank_of_abelianization(3), 2, terms))
         scaled = RelatorSet(3, tuple(big if rel is victim else rel for rel in rels.relators))
         widest = 0
         for _, blocks in ideal_rows_by_degree(scaled, 5, every_letter(3)):
@@ -648,7 +656,7 @@ def test_cached_tables_survive_every_certificate():
     assert tilde == PINNED_TILDE_T[(4, 4)]
     fail = reports[3].first_failure()
     assert not reports[3].ok and fail.m == 2 and fail.witt_rank - fail.direct_sum.rank_sum == 1
-    k = alphabet_size(4)
+    k = rank_of_abelianization(4)
     levels = [level_letters(4, i) for i in range(2, 5)]
     for m in range(2, 5):
         table = decomp_mod._lyndon_by_degree(4, m)
@@ -717,7 +725,7 @@ class TestRankTable:
     @pytest.mark.parametrize("n,max_c", [(2, 5), (3, 6), (4, 4), (5, 3)])
     def test_rows_match_the_ideal_ranks(self, n, max_c):
         # oracle: witt(k, c) less the ranks of J's blocks, built apart from Th1
-        k = alphabet_size(n)
+        k = rank_of_abelianization(n)
         rank_j = {
             c: sum(lattice_from_rows(rows, len(words)).rank for words, rows in blocks)
             for c, blocks in ideal_rows_by_degree(build_relators(n), max_c, range(1, k + 1))
@@ -744,13 +752,13 @@ class TestPresentation:
         # the corresponding Lie relator
         from pik.magnus import gamma_degree, magnus_expand
 
-        k = alphabet_size(n)
+        k = rank_of_abelianization(n)
         instances = relation_instances(n)
         relators = build_relators(n).relators
         assert len(instances) == len(relators)
         for (label, tokens), rel in zip(instances, relators):
             assert instance_index(label, tokens) == (rel.kind, rel.m, rel.i, rel.r, rel.j), label
-            w = word(k, tokens_to_letters(tokens, lambda t: letter(n, t.a, t.b)))
+            w = word(k, tokens_to_letters(tokens, lambda t: gen_index(n, t.a, t.b)))
             assert gamma_degree(w, 4) == 2, rel
             deg2 = {mono: c for mono, c in magnus_expand(w, 2).items() if len(mono) == 2}
             assert deg2 == rel.elem.coords, rel
